@@ -65,6 +65,13 @@ impl ThresholdPoint {
     }
 }
 
+/// A scan hit `(zindex, value)`, so the scan kernels push points directly.
+impl From<(u64, f32)> for ThresholdPoint {
+    fn from((zindex, value): (u64, f32)) -> Self {
+        Self { zindex, value }
+    }
+}
+
 /// Bytes one `cacheData` row occupies on the SSD (8-byte zindex + 4-byte
 /// value, matching the paper's ~40 MB for 10⁶ points including overhead).
 pub const DATA_ROW_BYTES: u64 = 12;

@@ -60,6 +60,46 @@ pub fn needed_atoms(
     out
 }
 
+/// A maximal run of consecutive padded indices along one axis whose
+/// global coordinates are consecutive points of one atom.
+#[derive(Debug)]
+struct Run {
+    /// First padded index (0 = the outermost ghost).
+    start: usize,
+    len: usize,
+    /// Atom lattice coordinate on this axis.
+    atom: u32,
+    /// Offset of the run's first point inside the atom.
+    offset: usize,
+}
+
+/// Cuts one padded axis into [`Run`]s. The wrap (or the clamp, on a wall
+/// axis) is applied here, once per coordinate — a ghost that wraps past
+/// the grid edge or repeats a clamped wall point simply starts a new run.
+fn axis_runs(lo: u32, extent: usize, halo: usize, n: usize, periodic: bool) -> Vec<Run> {
+    let w = ATOM_WIDTH as i64;
+    let mut runs: Vec<Run> = Vec::new();
+    for i in 0..extent + 2 * halo {
+        let raw = i64::from(lo) + i as i64 - halo as i64;
+        let g = if periodic {
+            raw.rem_euclid(n as i64)
+        } else {
+            raw.clamp(0, n as i64 - 1)
+        };
+        let (atom, offset) = ((g / w) as u32, (g % w) as usize);
+        match runs.last_mut() {
+            Some(r) if r.atom == atom && r.offset + r.len == offset => r.len += 1,
+            _ => runs.push(Run {
+                start: i,
+                len: 1,
+                atom,
+                offset,
+            }),
+        }
+    }
+    runs
+}
+
 /// Builds the padded input for a kernel over `domain` from fetched atoms.
 ///
 /// `atoms` maps atom zindex → record; every atom returned by
@@ -76,56 +116,71 @@ pub fn assemble_padded(
     periodic: [bool; 3],
     atoms: &HashMap<u64, AtomRecord>,
 ) -> StorageResult<PaddedVector<3>> {
-    let [ex, ey, ez] = domain.extent();
-    let (ex, ey, ez) = (ex as usize, ey as usize, ez as usize);
-    let mut padded = PaddedVector::zeros(ex, ey, ez, halo);
-    let n = [dims.0 as i64, dims.1 as i64, dims.2 as i64];
+    let mut padded = PaddedVector::default();
+    assemble_padded_into(&mut padded, domain, halo, dims, periodic, atoms)?;
+    Ok(padded)
+}
+
+/// [`assemble_padded`] into a caller-owned cube, which is reshaped and
+/// keeps its allocation (scan workers reuse one cube across chunks).
+///
+/// Every padded row is a handful of `copy_from_slice`s: atom payloads are
+/// x-fastest, so the part of a padded row inside one atom is one
+/// contiguous segment (≤ 8 floats) of that atom's row. The records of an
+/// atom row are looked up once for all the padded rows that cross it.
+pub fn assemble_padded_into(
+    padded: &mut PaddedVector<3>,
+    domain: &Box3,
+    halo: usize,
+    dims: (usize, usize, usize),
+    periodic: [bool; 3],
+    atoms: &HashMap<u64, AtomRecord>,
+) -> StorageResult<()> {
+    let (ex, ey, ez) = domain.extent3();
+    padded.reset(ex, ey, ez, halo);
+    let [lx, ly, lz] = domain.lo;
+    let [per_x, per_y, per_z] = periodic;
+    let xruns = axis_runs(lx, ex, halo, dims.0, per_x);
+    let yruns = axis_runs(ly, ey, halo, dims.1, per_y);
+    let zruns = axis_runs(lz, ez, halo, dims.2, per_z);
+    let short = || StorageError::internal("atom row segment outside its record or padded row");
     let h = halo as isize;
-    let mut cached: Option<(AtomCoord, &AtomRecord)> = None;
-    for z in -h..(ez as isize + h) {
-        for y in -h..(ey as isize + h) {
-            for x in -h..(ex as isize + h) {
-                let mut g = [0u32; 3];
-                for (((slot, local), &lo), (&n, &per)) in g
-                    .iter_mut()
-                    .zip([x, y, z])
-                    .zip(&domain.lo)
-                    .zip(n.iter().zip(&periodic))
-                {
-                    let raw = i64::from(lo) + local as i64;
-                    *slot = if per {
-                        raw.rem_euclid(n) as u32
-                    } else {
-                        raw.clamp(0, n - 1) as u32
-                    };
-                }
-                let [gx, gy, gz] = g;
-                let atom = AtomCoord::containing(gx, gy, gz);
-                let rec = match cached {
-                    Some((a, r)) if a == atom => r,
-                    _ => {
-                        let r = atoms.get(&atom.zindex()).ok_or_else(|| {
-                            StorageError::internal(format!(
-                                "atom {atom:?} missing from the fetch result"
-                            ))
-                        })?;
-                        cached = Some((atom, r));
-                        r
+    let mut recs: Vec<&AtomRecord> = Vec::with_capacity(xruns.len());
+    for zrun in &zruns {
+        for yrun in &yruns {
+            recs.clear();
+            for xrun in &xruns {
+                let atom = AtomCoord::new(xrun.atom, yrun.atom, zrun.atom);
+                recs.push(atoms.get(&atom.zindex()).ok_or_else(|| {
+                    StorageError::internal(format!("atom {atom:?} missing from the fetch result"))
+                })?);
+            }
+            for dz in 0..zrun.len {
+                for dy in 0..yrun.len {
+                    let src_row = ATOM_WIDTH * (yrun.offset + dy + ATOM_WIDTH * (zrun.offset + dz));
+                    let (y, z) = (
+                        (yrun.start + dy) as isize - h,
+                        (zrun.start + dz) as isize - h,
+                    );
+                    for (c, comp) in padded.comps_mut().iter_mut().enumerate() {
+                        let row = comp.padded_row_mut(y, z);
+                        for (xrun, rec) in xruns.iter().zip(&recs) {
+                            if c >= usize::from(rec.ncomp) {
+                                continue;
+                            }
+                            let src = src_row + xrun.offset;
+                            row.get_mut(xrun.start..xrun.start + xrun.len)
+                                .ok_or_else(short)?
+                                .copy_from_slice(
+                                    rec.plane(c).get(src..src + xrun.len).ok_or_else(short)?,
+                                );
+                        }
                     }
-                };
-                let off = atom.point_offset(gx, gy, gz).ok_or_else(|| {
-                    StorageError::internal(format!(
-                        "grid point ({gx},{gy},{gz}) outside its containing atom {atom:?}"
-                    ))
-                })?;
-                for c in 0..usize::from(rec.ncomp).min(3) {
-                    // tdb-lint: allow(panic-path) — off < ATOM_POINTS by point_offset's contract
-                    padded.comp_mut(c).set(x, y, z, rec.plane(c)[off]);
                 }
             }
         }
     }
-    Ok(padded)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -233,5 +288,154 @@ mod tests {
             err.to_string().contains("missing from the fetch result"),
             "{err}"
         );
+    }
+
+    // ---- run-copy assembly ≡ the per-point loop it replaced ---------------
+
+    use proptest::prelude::*;
+
+    /// The per-point assembly `copy_atom_rows` replaced, kept as the
+    /// reference: wrap or clamp every coordinate of every point, find its
+    /// atom, copy one float.
+    fn assemble_per_point(
+        domain: &Box3,
+        halo: usize,
+        dims: (usize, usize, usize),
+        periodic: [bool; 3],
+        atoms: &HashMap<u64, AtomRecord>,
+    ) -> StorageResult<PaddedVector<3>> {
+        let (ex, ey, ez) = domain.extent3();
+        let mut padded = PaddedVector::zeros(ex, ey, ez, halo);
+        let n = [dims.0 as i64, dims.1 as i64, dims.2 as i64];
+        let h = halo as isize;
+        for z in -h..(ez as isize + h) {
+            for y in -h..(ey as isize + h) {
+                for x in -h..(ex as isize + h) {
+                    let g: [u32; 3] = std::array::from_fn(|ax| {
+                        let raw = i64::from(domain.lo[ax]) + [x, y, z][ax] as i64;
+                        if periodic[ax] {
+                            raw.rem_euclid(n[ax]) as u32
+                        } else {
+                            raw.clamp(0, n[ax] - 1) as u32
+                        }
+                    });
+                    let atom = AtomCoord::containing(g[0], g[1], g[2]);
+                    let rec = atoms.get(&atom.zindex()).ok_or_else(|| {
+                        StorageError::internal(format!(
+                            "atom {atom:?} missing from the fetch result"
+                        ))
+                    })?;
+                    let off = atom.point_offset(g[0], g[1], g[2]).unwrap();
+                    for c in 0..usize::from(rec.ncomp).min(3) {
+                        padded.comp_mut(c).set(x, y, z, rec.plane(c)[off]);
+                    }
+                }
+            }
+        }
+        Ok(padded)
+    }
+
+    /// Both assemblies over the same inputs: equal cubes (bit for bit —
+    /// the values are copies), also into a reused cube of another shape.
+    fn assert_same_assembly(
+        domain: Box3,
+        halo: usize,
+        dims: (usize, usize, usize),
+        periodic: [bool; 3],
+        ncomp: u8,
+    ) {
+        let atoms = atom_map(dims, ncomp);
+        let want = assemble_per_point(&domain, halo, dims, periodic, &atoms).unwrap();
+        let got = assemble_padded(&domain, halo, dims, periodic, &atoms).unwrap();
+        assert_eq!(got, want, "{domain:?} halo {halo} periodic {periodic:?}");
+        let mut reused = PaddedVector::zeros(3, 5, 7, 2);
+        reused.comp_mut(1).fill(|_, _, _| f32::NAN);
+        assemble_padded_into(&mut reused, &domain, halo, dims, periodic, &atoms).unwrap();
+        assert_eq!(reused, want, "reused cube, {domain:?} halo {halo}");
+    }
+
+    #[test]
+    fn single_atom_grid_wraps_every_ghost_into_the_same_atom() {
+        // 8³ periodic grid: one atom; a halo of 9 laps the grid twice
+        for halo in 0..=9 {
+            assert_same_assembly(
+                Box3::new([0, 0, 0], [7, 7, 7]),
+                halo,
+                (8, 8, 8),
+                [true; 3],
+                3,
+            );
+            assert_same_assembly(
+                Box3::new([2, 5, 7], [6, 5, 7]),
+                halo,
+                (8, 8, 8),
+                [true; 3],
+                1,
+            );
+        }
+    }
+
+    #[test]
+    fn wall_axes_clamp_their_ghosts() {
+        for halo in [1, 4, 9] {
+            for periodic in [
+                [true, false, true],
+                [false, false, false],
+                [false, true, true],
+            ] {
+                assert_same_assembly(
+                    Box3::new([0, 0, 0], [15, 15, 15]),
+                    halo,
+                    (16, 16, 16),
+                    periodic,
+                    3,
+                );
+                assert_same_assembly(
+                    Box3::new([9, 0, 3], [15, 6, 12]),
+                    halo,
+                    (16, 16, 16),
+                    periodic,
+                    1,
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn run_copy_assembly_equals_the_per_point_loop(
+            lo in prop::array::uniform3(0u32..24),
+            ext in prop::array::uniform3(1u32..12),
+            halo in 0usize..10,
+            walls in 0usize..8,
+            scalar in 0usize..2,
+        ) {
+            // unaligned boxes anywhere in a 24×16×32 grid
+            let dims = (24usize, 16usize, 32usize);
+            let n = [24u32, 16, 32];
+            let lo: [u32; 3] = std::array::from_fn(|ax| lo[ax] % n[ax]);
+            let hi: [u32; 3] = std::array::from_fn(|ax| (lo[ax] + ext[ax] - 1).min(n[ax] - 1));
+            let periodic: [bool; 3] = std::array::from_fn(|ax| walls >> ax & 1 == 0);
+            assert_same_assembly(
+                Box3::new(lo, hi), halo, dims, periodic, if scalar == 1 { 1 } else { 3 },
+            );
+        }
+    }
+
+    #[test]
+    fn missing_atom_is_the_same_typed_error_on_both_paths() {
+        let dims = (16, 16, 16);
+        let mut atoms = atom_map(dims, 3);
+        // a ghost-only atom: the domain itself is complete
+        atoms.remove(&AtomCoord::new(1, 1, 1).zindex());
+        let domain = Box3::new([0, 0, 0], [7, 7, 7]);
+        let want = assemble_per_point(&domain, 2, dims, [true; 3], &atoms).unwrap_err();
+        let got = assemble_padded(&domain, 2, dims, [true; 3], &atoms).unwrap_err();
+        assert_eq!(got.to_string(), want.to_string());
+        assert!(matches!(got, StorageError::Internal { .. }), "{got:?}");
+        // and no error without the halo that reaches it
+        assert!(assemble_padded(&domain, 0, dims, [true; 3], &atoms).is_ok());
     }
 }

@@ -35,7 +35,10 @@ pub use mediator::{
 pub use node::{QueryMode, ThresholdSubquery};
 pub use placement::{Chunk, Layout, PlacementMode};
 pub use rebalance::RebalanceReport;
-pub use scan::{ScanAssignment, ScanKernel, ScanParticipant, SharedOutcome, SharedScanRequest};
+pub use scan::{
+    select_topk, topk_order, ScanAssignment, ScanKernel, ScanParticipant, SharedOutcome,
+    SharedScanRequest,
+};
 pub use sim::NodeTimeModel;
 pub use tdb_storage::{CompressionConfig, CompressionMode};
 pub use timing::TimeBreakdown;

@@ -6,7 +6,7 @@
 //! Web-server assembles the results from the distributed computation and
 //! sends them back to the client." (paper §2)
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -24,7 +24,10 @@ use tdb_zorder::{AtomCoord, Box3, ZRange};
 use crate::config::{ClusterConfig, ReadPolicy};
 use crate::node::{NodeResult, NodeRuntime, QueryMode};
 use crate::placement::{Chunk, Layout};
-use crate::scan::{ScanAssignment, ScanKernel, ScanParticipant, SharedOutcome, SharedScanRequest};
+use crate::scan::{
+    select_topk, topk_order, ScanAssignment, ScanKernel, ScanParticipant, SharedOutcome,
+    SharedScanRequest,
+};
 use crate::scheduler::ScanScheduler;
 use crate::sim::NodeTimeModel;
 use crate::timing::TimeBreakdown;
@@ -1317,14 +1320,15 @@ impl Cluster {
         nnodes: usize,
         wall: std::time::Instant,
     ) -> StorageResult<TopKResponse> {
-        // mirror the historical per-node truncation: each node contributes
-        // at most its own top k, then the mediator keeps the global top k
+        // each node contributes at most its own k best, then the mediator
+        // keeps the global k best: a selection per list and one sort of the
+        // survivors, all under the one total order, so ties break the same
+        // way whatever the node count
         let mut points = Vec::new();
         let mut node_points = Vec::with_capacity(results.len());
         for o in &mut results {
             let mut p = std::mem::take(&mut o.result.points);
-            p.sort_unstable_by(|a, b| b.value.total_cmp(&a.value));
-            p.truncate(k);
+            select_topk(&mut p, k);
             node_points.push(p.len() as u64);
             points.append(&mut p);
         }
@@ -1334,8 +1338,8 @@ impl Cluster {
             breakdown = breakdown.max_merge(&r.breakdown());
         }
         breakdown.io_s = self.cluster_io_ref(&node_results, procs);
-        points.sort_unstable_by(|a, b| b.value.total_cmp(&a.value));
-        points.truncate(k);
+        select_topk(&mut points, k);
+        points.sort_unstable_by(topk_order);
         let n = points.len() as u64;
         breakdown.mediator_db_s = self
             .registry
@@ -1429,55 +1433,10 @@ impl Cluster {
         positions: &[[f64; 3]],
         order: tdb_kernels::interp::LagOrder,
     ) -> StorageResult<(Vec<[f32; 3]>, TimeBreakdown)> {
-        use crate::assemble::{assemble_padded, needed_atoms};
-        let dims = self.grid.dims();
-        let (ex, ey, ez) = (dims.0 as f64, dims.1 as f64, dims.2 as f64);
-        let &[per_x, per_y, per_z] = &self.grid.periodic;
-        // wrap on periodic axes, clamp at walls
-        let clip = |v: f64, extent: f64, periodic: bool| {
-            if periodic {
-                v.rem_euclid(extent)
-            } else {
-                v.clamp(0.0, extent - 1.0)
-            }
-        };
         let topo = self.topology_snapshot();
         let mut session = IoSession::new();
-        let mut out = Vec::with_capacity(positions.len());
-        let halo = order.halo();
-        for &[rx, ry, rz] in positions {
-            let (px, py, pz) = (
-                clip(rx, ex, per_x),
-                clip(ry, ey, per_y),
-                clip(rz, ez, per_z),
-            );
-            let (cx, cy, cz) = (
-                (px.floor() as u32).min(dims.0 as u32 - 1),
-                (py.floor() as u32).min(dims.1 as u32 - 1),
-                (pz.floor() as u32).min(dims.2 as u32 - 1),
-            );
-            let cell = [cx, cy, cz];
-            let domain = Box3::new(cell, cell);
-            let needed = needed_atoms(&domain, halo, dims, self.grid.periodic);
-            let mut atoms = std::collections::HashMap::new();
-            for atom in needed {
-                let recs = storage_source(&topo, atom)?.fetch_atoms(
-                    raw_field,
-                    timestep,
-                    &[atom.zindex()],
-                    &mut session,
-                )?;
-                let rec = recs.into_iter().next().ok_or_else(|| {
-                    tdb_storage::StorageError::MissingData {
-                        detail: format!("atom {atom:?} of {raw_field} timestep {timestep}"),
-                    }
-                })?;
-                atoms.insert(rec.key.zindex, rec);
-            }
-            let padded = assemble_padded(&domain, halo, dims, self.grid.periodic, &atoms)?;
-            let local = [px - f64::from(cx), py - f64::from(cy), pz - f64::from(cz)];
-            out.push(tdb_kernels::interp::interpolate::<3>(&padded, order, local));
-        }
+        let out =
+            self.interpolate_points(&topo, raw_field, timestep, positions, order, &mut session)?;
         let mut breakdown = TimeBreakdown {
             io_s: session.makespan(&self.registry),
             ..Default::default()
@@ -1491,6 +1450,73 @@ impl Cluster {
             .profile(self.wan)
             .time(2, wire::xml_cutout_bytes(positions.len() as u64, 3));
         Ok((out, breakdown))
+    }
+
+    /// The reads and arithmetic of [`Cluster::get_points`], charged to
+    /// `session`. Neighbouring positions share stencil atoms, so every
+    /// distinct atom of the call is fetched once, in one batched request
+    /// per owner; each position is then interpolated from its own cell.
+    fn interpolate_points(
+        &self,
+        topo: &Topology,
+        raw_field: &str,
+        timestep: u32,
+        positions: &[[f64; 3]],
+        order: tdb_kernels::interp::LagOrder,
+        session: &mut IoSession,
+    ) -> StorageResult<Vec<[f32; 3]>> {
+        use crate::assemble::{assemble_padded_into, needed_atoms};
+        let dims = self.grid.dims();
+        let periodic = self.grid.periodic;
+        let [per_x, per_y, per_z] = periodic;
+        let halo = order.halo();
+        // wrap on periodic axes, clamp at walls; then the cell under the
+        // position and the offset inside it
+        let locate = |v: f64, n: usize, periodic: bool| {
+            let p = if periodic {
+                v.rem_euclid(n as f64)
+            } else {
+                v.clamp(0.0, n as f64 - 1.0)
+            };
+            let cell = (p.floor() as u32).min(n as u32 - 1);
+            (cell, p - f64::from(cell))
+        };
+        let cells: Vec<(Box3, [f64; 3])> = positions
+            .iter()
+            .map(|&[rx, ry, rz]| {
+                let (cx, lx) = locate(rx, dims.0, per_x);
+                let (cy, ly) = locate(ry, dims.1, per_y);
+                let (cz, lz) = locate(rz, dims.2, per_z);
+                (Box3::new([cx, cy, cz], [cx, cy, cz]), [lx, ly, lz])
+            })
+            .collect();
+        let mut by_owner: BTreeMap<usize, (&Arc<NodeRuntime>, BTreeSet<u64>)> = BTreeMap::new();
+        for (cell, _) in &cells {
+            for atom in needed_atoms(cell, halo, dims, periodic) {
+                let source = storage_source(topo, atom)?;
+                by_owner
+                    .entry(source.id)
+                    .or_insert_with(|| (source, BTreeSet::new()))
+                    .1
+                    .insert(atom.zindex());
+            }
+        }
+        let mut atoms = HashMap::new();
+        for (source, codes) in by_owner.into_values() {
+            let codes: Vec<u64> = codes.into_iter().collect();
+            let records = source.fetch_atoms(raw_field, timestep, &codes, session)?;
+            atoms.extend(records.into_iter().map(|rec| (rec.key.zindex, rec)));
+        }
+        let mut padded = tdb_field::PaddedVector::default();
+        cells
+            .iter()
+            .map(|(cell, local)| {
+                assemble_padded_into(&mut padded, cell, halo, dims, periodic, &atoms)?;
+                Ok(tdb_kernels::interp::interpolate::<3>(
+                    &padded, order, *local,
+                ))
+            })
+            .collect()
     }
 
     /// Clears every node's semantic cache (cold-cache experiments).
@@ -1622,5 +1648,103 @@ mod tests {
         assert_eq!(p.len(), 3 * ATOM_POINTS);
         assert_eq!(p[0], 2.0);
         assert_eq!(p[ATOM_POINTS], 0.0);
+    }
+
+    /// `get_points` fetches every distinct atom of a call once, batched
+    /// per owner; the per-position, one-atom-per-request loop it replaced
+    /// is the reference here: same values bit for bit, and — with buffer
+    /// pools too small to hold the call's blocks, so that coming back to
+    /// an atom means reading it again — strictly fewer device operations.
+    #[test]
+    fn get_points_batches_atom_fetches_with_identical_values() {
+        use crate::assemble::{assemble_padded, needed_atoms};
+        use tdb_kernels::interp::{interpolate, LagOrder};
+        use tdb_zorder::ATOM_POINTS;
+
+        let dir = std::env::temp_dir().join(format!("tdb_points_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ClusterConfig {
+            num_nodes: 4,
+            chunk_atoms: 2,
+            bufferpool_bytes: 64 << 10,
+            ..ClusterConfig::default()
+        };
+        let grid = Grid3::periodic_cube(32, std::f64::consts::TAU);
+        let mut builder = ClusterBuilder::new(&dir, "points", grid, &[("u", 3)], config).unwrap();
+        builder
+            .ingest_timestep(0, "u", 3, |atom| {
+                let (ox, oy, oz) = atom.grid_origin();
+                (0..3 * ATOM_POINTS)
+                    .map(|i| ((i as u32 * 31 + ox * 7 + oy * 13 + oz * 17) % 1009) as f32 * 0.25)
+                    .collect()
+            })
+            .unwrap();
+        let cluster = builder.finish().unwrap();
+        // 64 positions: neighbours inside one cell, across atom, chunk and
+        // node borders, and some that wrap around the grid edge
+        let positions: Vec<[f64; 3]> = (0..64)
+            .map(|i| {
+                let t = f64::from(i);
+                [
+                    (t * 1.37) % 40.0 - 4.0,
+                    14.5 + (t * 0.11) % 3.0,
+                    (t * 0.73) % 32.0,
+                ]
+            })
+            .collect();
+        let order = LagOrder::Lag6;
+
+        // both sides start from empty buffer pools
+        let topo = cluster.topology_snapshot();
+        cluster.clear_buffer_pools();
+        let mut batched = IoSession::new();
+        let got = cluster
+            .interpolate_points(&topo, "u", 0, &positions, order, &mut batched)
+            .unwrap();
+
+        let (dims, periodic) = (cluster.grid.dims(), cluster.grid.periodic);
+        cluster.clear_buffer_pools();
+        let mut one_by_one = IoSession::new();
+        let want: Vec<[f32; 3]> = positions
+            .iter()
+            .map(|p| {
+                let wrapped = p.map(|v| v.rem_euclid(32.0));
+                let cell = wrapped.map(|v| v.floor() as u32);
+                let domain = Box3::new(cell, cell);
+                let mut atoms = HashMap::new();
+                for atom in needed_atoms(&domain, order.halo(), dims, periodic) {
+                    let rec = storage_source(&topo, atom)
+                        .unwrap()
+                        .fetch_atoms("u", 0, &[atom.zindex()], &mut one_by_one)
+                        .unwrap()
+                        .remove(0);
+                    atoms.insert(rec.key.zindex, rec);
+                }
+                let padded =
+                    assemble_padded(&domain, order.halo(), dims, periodic, &atoms).unwrap();
+                let local = [0, 1, 2].map(|ax| wrapped[ax] - f64::from(cell[ax]));
+                interpolate::<3>(&padded, order, local)
+            })
+            .collect();
+
+        let bits =
+            |v: &[[f32; 3]]| -> Vec<[u32; 3]> { v.iter().map(|p| p.map(f32::to_bits)).collect() };
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(
+            bits(&cluster.get_points("u", 0, &positions, order).unwrap().0),
+            bits(&want)
+        );
+        assert!(
+            batched.total_ops() < one_by_one.total_ops(),
+            "batched {} ops vs one-by-one {}",
+            batched.total_ops(),
+            one_by_one.total_ops()
+        );
+        assert!(batched.total_bytes() < one_by_one.total_bytes());
+        assert!(
+            batched.pool_hits + batched.pool_misses < one_by_one.pool_hits + one_by_one.pool_misses
+        );
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

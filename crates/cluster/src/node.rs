@@ -13,6 +13,7 @@
 //! mediator re-target a dead node's chunks at a surviving replica.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -21,13 +22,14 @@ use tdb_cache::{
     CacheConfig, CacheInfoKey, CacheLookup, PdfCache, PdfKey, PdfLookup, SemanticCache,
     ThresholdPoint,
 };
-use tdb_field::{Grid3, ScalarField};
+use tdb_field::{Grid3, Histogram, PaddedVector};
+use tdb_kernels::scan::{pdf_scan_row, threshold_scan_row, ClipRows};
 use tdb_kernels::{DerivedField, DiffScheme};
 use tdb_storage::device::{DeviceId, DeviceRegistry, IoSession};
 use tdb_storage::{AtomKey, AtomRecord, BlockCache, FaultPlan, StorageError, StorageResult, Table};
 use tdb_zorder::Box3;
 
-use crate::assemble::{assemble_padded, needed_atoms};
+use crate::assemble::{assemble_padded_into, needed_atoms};
 use crate::cputime::thread_cpu_time_s;
 #[allow(unused_imports)] // ScanAssignment appears in doc comments
 use crate::scan::{ScanAssignment, ScanKernel, SharedOutcome, SharedScanRequest};
@@ -207,7 +209,8 @@ impl NodeRuntime {
     }
 
     /// Batched halo fetch: one request for many atoms (sorted, unique
-    /// zindexes), served by clustered-index range scans.
+    /// zindexes), served by clustered-index range scans. Every atom asked
+    /// for comes back, or the fetch fails with `MissingData`.
     pub fn fetch_atoms(
         &self,
         field: &str,
@@ -224,7 +227,18 @@ impl NodeRuntime {
             local.charge(self.controller, ops, bytes);
         }
         session.merge(&local);
-        out
+        let records = out?;
+        if records.len() != zindexes.len() {
+            return Err(StorageError::MissingData {
+                detail: format!(
+                    "node {} returned {} of {} atoms for field {field} timestep {timestep}",
+                    self.id,
+                    records.len(),
+                    zindexes.len()
+                ),
+            });
+        }
+        Ok(records)
     }
 
     /// Evaluates a group of queries against one shared atom scan.
@@ -327,7 +341,7 @@ impl NodeRuntime {
                     slot.cache_lookup_s = (thread_cpu_time_s() - probe).max(0.0)
                         + probe_session.makespan(&self.registry);
                     if let PdfLookup::Hit(counts) = outcome {
-                        let mut hist = tdb_field::Histogram::new(*origin, *width, *nbins);
+                        let mut hist = Histogram::new(*origin, *width, *nbins);
                         hist.set_counts(&counts);
                         self.report_session(&probe_session);
                         slot.outcome = Some(SharedOutcome {
@@ -389,62 +403,93 @@ impl NodeRuntime {
             tasks.push(ScanTask { domain, clips });
         }
 
-        enum SlotOut {
-            Points(Vec<ThresholdPoint>),
-            Hist(tdb_field::Histogram),
+        // what a clip reduces its part of the derived rows to
+        enum Reducer {
+            Points {
+                threshold: f64,
+                points: Vec<ThresholdPoint>,
+            },
+            Hist(Histogram),
         }
-        type TaskOutcome = (Vec<(usize, SlotOut)>, ChunkCost, IoSession, u64, u64);
+        type TaskOutcome = (
+            Vec<(usize, ClipRows, Reducer)>,
+            ChunkCost,
+            IoSession,
+            u64,
+            u64,
+        );
+        let peak_scratch = AtomicUsize::new(0);
         let results: Vec<StorageResult<TaskOutcome>> =
-            self.run_workers(req.procs, &tasks, |task: &ScanTask| {
+            self.run_workers(req.procs, &tasks, |scratch: &mut ScanScratch, task| {
                 let mut chunk_session = IoSession::new();
                 let atoms =
                     self.fetch_atoms_shared(req, &task.domain, peers, &mut chunk_session)?;
                 let chunk_atoms = atoms.len() as u64;
                 let saved = chunk_atoms * (task.clips.len() as u64 - 1);
-                let mut outs: Vec<(usize, SlotOut)> = Vec::new();
+                let mut outs: Vec<(usize, ClipRows, Reducer)> = Vec::new();
                 let mut compute_s = 0.0;
                 if req.mode == QueryMode::Full {
                     let c0 = thread_cpu_time_s();
-                    let halo = req.derived.halo(&self.scheme);
-                    let padded = assemble_padded(
+                    assemble_padded_into(
+                        &mut scratch.padded,
                         &task.domain,
-                        halo,
+                        req.derived.halo(&self.scheme),
                         self.grid.dims(),
                         self.grid.periodic,
                         &atoms,
                     )?;
-                    let (dlx, dly, dlz) = task.domain.lo3();
-                    let norm = req.derived.eval(
-                        &padded,
-                        &self.scheme,
-                        [dlx as usize, dly as usize, dlz as usize],
-                    );
+                    // the records are copied into the cube: release them
+                    // before the answers start to grow
+                    drop(atoms);
                     for (i, clip) in &task.clips {
                         let Some(part) = req.participants.get(*i) else {
                             continue;
                         };
-                        let out = match &part.kernel {
-                            ScanKernel::Threshold { threshold } => SlotOut::Points(
-                                threshold_scan_clip(&norm, &task.domain, clip, *threshold),
-                            ),
-                            ScanKernel::TopK => SlotOut::Points(threshold_scan_clip(
-                                &norm,
-                                &task.domain,
-                                clip,
-                                f64::NEG_INFINITY,
-                            )),
+                        let reducer = match &part.kernel {
+                            ScanKernel::Threshold { threshold } => Reducer::Points {
+                                threshold: *threshold,
+                                points: Vec::new(),
+                            },
+                            // the mediator keeps the k best; nodes collect
+                            // every point of the clip, so its size is known
+                            ScanKernel::TopK => Reducer::Points {
+                                threshold: f64::NEG_INFINITY,
+                                points: Vec::with_capacity(clip.num_points() as usize),
+                            },
                             ScanKernel::Pdf {
                                 origin,
                                 width,
                                 nbins,
-                            } => {
-                                let mut hist = tdb_field::Histogram::new(*origin, *width, *nbins);
-                                pdf_scan_clip(&norm, &task.domain, clip, &mut hist);
-                                SlotOut::Hist(hist)
-                            }
+                            } => Reducer::Hist(Histogram::new(*origin, *width, *nbins)),
                         };
-                        outs.push((*i, out));
+                        outs.push((*i, ClipRows::new(&task.domain, clip), reducer));
                     }
+                    // one pass: each derived row meets every clip's reducer
+                    // as it appears; the derived field is never stored
+                    let (dlx, dly, dlz) = task.domain.lo3();
+                    req.derived.eval_rows(
+                        &scratch.padded,
+                        &self.scheme,
+                        [dlx as usize, dly as usize, dlz as usize],
+                        &mut scratch.rows,
+                        |y, z, row| {
+                            for (_, clip, reducer) in &mut outs {
+                                let Some((sub, global)) = clip.slice(y, z, row) else {
+                                    continue;
+                                };
+                                match reducer {
+                                    Reducer::Points { threshold, points } => {
+                                        threshold_scan_row(sub, global, *threshold, points)
+                                    }
+                                    Reducer::Hist(hist) => pdf_scan_row(sub, hist),
+                                }
+                            }
+                        },
+                    );
+                    peak_scratch.fetch_max(
+                        scratch.padded.heap_bytes() + std::mem::size_of_val(&*scratch.rows),
+                        Ordering::Relaxed,
+                    );
                     let measured = (thread_cpu_time_s() - c0).max(0.0) * self.compute_scale;
                     compute_s = match self.synthetic_compute_s_per_point {
                         Some(rate) => task.domain.num_points() as f64 * rate,
@@ -460,25 +505,29 @@ impl NodeRuntime {
                 };
                 Ok((outs, cost, chunk_session, chunk_atoms, saved))
             });
+        if req.mode == QueryMode::Full {
+            tdb_obs::global()
+                .gauge("scan.scratch_bytes")
+                .set(peak_scratch.into_inner() as i64);
+        }
 
         let mut acc_points: Vec<Vec<ThresholdPoint>> =
             (0..slots.len()).map(|_| Vec::new()).collect();
-        let mut acc_hist: Vec<Option<tdb_field::Histogram>> =
-            (0..slots.len()).map(|_| None).collect();
+        let mut acc_hist: Vec<Option<Histogram>> = (0..slots.len()).map(|_| None).collect();
         let mut shared_session = IoSession::new();
         let mut costs = Vec::with_capacity(results.len());
         let mut atoms_scanned = 0u64;
         let mut atoms_saved = 0u64;
         for r in results {
             let (outs, cost, chunk_session, chunk_atoms, saved) = r?;
-            for (i, out) in outs {
+            for (i, _, out) in outs {
                 match out {
-                    SlotOut::Points(p) => {
-                        if let Some(acc) = acc_points.get_mut(i) {
-                            acc.extend(p);
-                        }
-                    }
-                    SlotOut::Hist(h) => match acc_hist.get_mut(i) {
+                    Reducer::Points { mut points, .. } => match acc_points.get_mut(i) {
+                        Some(acc) if acc.is_empty() => *acc = points,
+                        Some(acc) => acc.append(&mut points),
+                        None => {}
+                    },
+                    Reducer::Hist(h) => match acc_hist.get_mut(i) {
                         Some(Some(acc)) => acc.merge(&h),
                         Some(slot) => *slot = Some(h),
                         None => {}
@@ -539,7 +588,8 @@ impl NodeRuntime {
                         }
                     }
                 }
-                ScanKernel::TopK => points.sort_unstable_by_key(|p| p.zindex),
+                // the mediator orders top-k candidates itself (by value)
+                ScanKernel::TopK => {}
                 ScanKernel::Pdf {
                     origin,
                     width,
@@ -548,7 +598,7 @@ impl NodeRuntime {
                     let hist = acc_hist
                         .get_mut(i)
                         .and_then(Option::take)
-                        .unwrap_or_else(|| tdb_field::Histogram::new(*origin, *width, *nbins));
+                        .unwrap_or_else(|| Histogram::new(*origin, *width, *nbins));
                     if part.use_cache && cacheable {
                         let pdf_key = PdfKey::new(key.clone(), *origin, *width, *nbins as u32);
                         let mut insert_session = IoSession::new();
@@ -596,29 +646,37 @@ impl NodeRuntime {
         }
     }
 
-    /// Runs `procs` workers over the task list, collecting per-task output.
-    fn run_workers<I: Sync, T: Send>(
+    /// Runs `procs` workers over the task list, collecting per-task
+    /// output. Each worker owns one `S` for all the tasks it handles.
+    fn run_workers<I: Sync, S: Default, T: Send>(
         &self,
         procs: usize,
         tasks: &[I],
-        work: impl Fn(&I) -> T + Sync,
+        work: impl Fn(&mut S, &I) -> T + Sync,
     ) -> Vec<T> {
         // the time model scales with the *requested* process count; the
         // real thread count is capped at the hardware so CPU-time
         // measurements stay clean
         let hw = std::thread::available_parallelism().map_or(8, |n| n.get());
         let procs = procs.max(1).min(hw);
-        let next = std::sync::atomic::AtomicUsize::new(0);
+        let next = AtomicUsize::new(0);
         let out: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(tasks.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..procs.min(tasks.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(task) = tasks.get(i) else { break };
-                    let r = work(task);
-                    out.lock().push((i, r));
-                });
+        let worker = || {
+            let mut state = S::default();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = tasks.get(i) else { break };
+                let r = work(&mut state, task);
+                out.lock().push((i, r));
             }
+        };
+        // the calling thread is the first worker: a one-task scan spawns
+        // nothing, and a scan touches one thread (and allocator arena) fewer
+        std::thread::scope(|scope| {
+            for _ in 1..procs.min(tasks.len()) {
+                scope.spawn(worker);
+            }
+            worker();
         });
         let mut results = out.into_inner();
         results.sort_by_key(|(i, _)| *i);
@@ -672,19 +730,7 @@ impl NodeRuntime {
                 }
                 r
             };
-            let records = records?;
-            if records.len() != codes.len() {
-                return Err(tdb_storage::StorageError::MissingData {
-                    detail: format!(
-                        "node {owner} returned {} of {} atoms for field {} timestep {}",
-                        records.len(),
-                        codes.len(),
-                        req.raw_field,
-                        req.timestep
-                    ),
-                });
-            }
-            for rec in records {
+            for rec in records? {
                 out.insert(rec.key.zindex, rec);
             }
         }
@@ -709,48 +755,27 @@ impl Drop for ActiveGuard {
     }
 }
 
-/// Scans an evaluated norm field, returning every point at or above the
-/// threshold with its global Morton code.
-///
-/// The comparison is in f64, matching the warm-path filter in
-/// `SemanticCache::lookup` — comparing in f32 (`threshold as f32`) rounds
-/// the threshold and can admit points a later cache hit would reject,
-/// making warm results differ from cold ones at thresholds that are not
-/// exactly representable in f32.
-#[cfg(test)]
-fn threshold_scan(norm: &ScalarField, domain: &Box3, threshold: f64) -> Vec<ThresholdPoint> {
-    threshold_scan_clip(norm, domain, domain, threshold)
-}
-
-/// Scans the `clip` sub-box of a norm field evaluated over `domain`.
-///
-/// Delegates to the chunked kernel in [`tdb_kernels::scan`] (row-sliced,
-/// hoisted Morton row encoding). In a shared scan the evaluated domain is
-/// the hull of several participants' clips; each participant only keeps
-/// points inside its own clip. The per-point values are identical to a
-/// clip-only evaluation because the kernels are pointwise over halo
-/// stencils.
-fn threshold_scan_clip(
-    norm: &ScalarField,
-    domain: &Box3,
-    clip: &Box3,
-    threshold: f64,
-) -> Vec<ThresholdPoint> {
-    let mut hits: Vec<tdb_kernels::ScanHit> = Vec::new();
-    tdb_kernels::scan::threshold_scan_clip(norm, domain, clip, threshold, &mut hits);
-    hits.into_iter()
-        .map(|(zindex, value)| ThresholdPoint { zindex, value })
-        .collect()
-}
-
-/// Accumulates the `clip` sub-box of an evaluated norm into a histogram.
-fn pdf_scan_clip(norm: &ScalarField, domain: &Box3, clip: &Box3, hist: &mut tdb_field::Histogram) {
-    tdb_kernels::scan::pdf_scan_clip(norm, domain, clip, hist);
+/// What one scan worker reuses from chunk to chunk: the padded input cube
+/// and the partial-derivative rows of the derive kernels. This is all the
+/// memory a chunk's evaluation takes besides its answers.
+#[derive(Default)]
+struct ScanScratch {
+    padded: PaddedVector<3>,
+    rows: Vec<f32>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdb_field::ScalarField;
+
+    /// The kernel scan over a whole domain, collecting the point type the
+    /// node pipeline collects.
+    fn threshold_scan(norm: &ScalarField, domain: &Box3, threshold: f64) -> Vec<ThresholdPoint> {
+        let mut hits = Vec::new();
+        tdb_kernels::scan::threshold_scan_clip(norm, domain, domain, threshold, &mut hits);
+        hits.into_iter().map(ThresholdPoint::from).collect()
+    }
 
     #[test]
     fn threshold_scan_finds_exact_points() {

@@ -258,15 +258,6 @@ impl Cluster {
                     let zr = chunk.zrange();
                     let codes: Vec<u64> = (zr.start..=zr.end).collect();
                     let recs = source.fetch_atoms(name, timestep, &codes, &mut session)?;
-                    if recs.len() != codes.len() {
-                        return Err(StorageError::MissingData {
-                            detail: format!(
-                                "chunk {c} source returned {} of {} atoms rebuilding node {node}",
-                                recs.len(),
-                                codes.len()
-                            ),
-                        });
-                    }
                     if !local {
                         copied += recs.len() as u64;
                     }

@@ -34,6 +34,26 @@ pub enum ScanKernel {
     TopK,
 }
 
+/// The total order of top-k answers: value descending (`total_cmp`, so
+/// NaN and ±0 have fixed places), then Morton code ascending. A code
+/// names one grid point, so no two candidates ever compare equal and the
+/// k best are the same set in the same order however the candidates were
+/// split across chunks, nodes or batches.
+pub fn topk_order(a: &ThresholdPoint, b: &ThresholdPoint) -> std::cmp::Ordering {
+    b.value.total_cmp(&a.value).then(a.zindex.cmp(&b.zindex))
+}
+
+/// Drops all but the `k` best points under [`topk_order`], by selection;
+/// the survivors are left unordered.
+pub fn select_topk(points: &mut Vec<ThresholdPoint>, k: usize) {
+    if k == 0 {
+        points.clear();
+    } else if points.len() > k {
+        points.select_nth_unstable_by(k - 1, topk_order);
+        points.truncate(k);
+    }
+}
+
 /// One query participating in a shared scan.
 #[derive(Debug, Clone)]
 pub struct ScanParticipant {

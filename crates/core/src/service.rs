@@ -328,8 +328,8 @@ impl TurbulenceService {
             let r = self.get_threshold(&probe)?;
             if r.points.len() >= k || threshold <= stats.min {
                 let mut points = r.points;
-                points.sort_unstable_by(|a, b| b.value.total_cmp(&a.value));
-                points.truncate(k);
+                tdb_cluster::select_topk(&mut points, k);
+                points.sort_unstable_by(tdb_cluster::topk_order);
                 return Ok(points);
             }
             // rounding starved us: step one bin down (floor at the minimum)

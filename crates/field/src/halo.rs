@@ -69,6 +69,30 @@ impl PaddedScalar {
         self.storage.row((y + h) as usize, (z + h) as usize)
     }
 
+    /// The whole padded cube (ghosts included) as a plain x-fastest field:
+    /// interior point `(x, y, z)` sits at `(x + h, y + h, z + h)`. Row
+    /// kernels address stencil neighbours in its flat slice by stride.
+    #[inline]
+    pub fn padded(&self) -> &ScalarField {
+        &self.storage
+    }
+
+    /// [`PaddedScalar::padded_row`], mutably (halo assembly copies atom
+    /// row segments into it).
+    #[inline]
+    pub fn padded_row_mut(&mut self, y: isize, z: isize) -> &mut [f32] {
+        let h = self.halo as isize;
+        debug_assert!(y >= -h && z >= -h, "row ({y},{z}) below halo");
+        self.storage.row_mut((y + h) as usize, (z + h) as usize)
+    }
+
+    /// Reshapes to a zeroed `nx × ny × nz` interior with halo `h`, keeping
+    /// the allocation.
+    pub fn reset(&mut self, nx: usize, ny: usize, nz: usize, h: usize) {
+        (self.halo, self.nx, self.ny, self.nz) = (h, nx, ny, nz);
+        self.storage.reset(nx + 2 * h, ny + 2 * h, nz + 2 * h);
+    }
+
     /// Sets a value at signed interior coordinates.
     #[inline]
     pub fn set(&mut self, x: isize, y: isize, z: isize, v: f32) {
@@ -114,6 +138,14 @@ pub struct PaddedVector<const C: usize> {
     components: [PaddedScalar; C],
 }
 
+/// The smallest cube (one point, no halo): a buffer to
+/// [`PaddedVector::reset`] into shape later.
+impl<const C: usize> Default for PaddedVector<C> {
+    fn default() -> Self {
+        Self::zeros(1, 1, 1, 0)
+    }
+}
+
 impl<const C: usize> PaddedVector<C> {
     /// Zero-filled padded vector field.
     pub fn zeros(nx: usize, ny: usize, nz: usize, h: usize) -> Self {
@@ -144,6 +176,24 @@ impl<const C: usize> PaddedVector<C> {
     #[inline]
     pub fn comp_mut(&mut self, c: usize) -> &mut PaddedScalar {
         &mut self.components[c]
+    }
+
+    /// All components, mutably (row-copy assembly fills them together).
+    #[inline]
+    pub fn comps_mut(&mut self) -> &mut [PaddedScalar; C] {
+        &mut self.components
+    }
+
+    /// Reshapes every component ([`PaddedScalar::reset`]).
+    pub fn reset(&mut self, nx: usize, ny: usize, nz: usize, h: usize) {
+        for c in &mut self.components {
+            c.reset(nx, ny, nz, h);
+        }
+    }
+
+    /// Bytes of heap the padded cube holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.components.iter().map(|c| c.storage.heap_bytes()).sum()
     }
 
     /// Component values at signed interior coordinates.

@@ -105,6 +105,33 @@ impl ScalarField {
         &self.data[start..start + self.nx]
     }
 
+    /// One contiguous x-row, mutably.
+    #[inline]
+    pub fn row_mut(&mut self, y: usize, z: usize) -> &mut [f32] {
+        let start = self.row_index(0, y, z);
+        &mut self.data[start..start + self.nx]
+    }
+
+    /// Reshapes to `nx × ny × nz` zeros, keeping the allocation (scan
+    /// workers reuse one field across the chunks they handle).
+    pub fn reset(&mut self, nx: usize, ny: usize, nz: usize) {
+        assert!(nx > 0 && ny > 0 && nz > 0);
+        (self.nx, self.ny, self.nz) = (nx, ny, nz);
+        let n = nx * ny * nz;
+        if n > self.data.capacity() {
+            // fresh zero pages instead of a copy of the old contents
+            self.data = vec![0.0; n];
+        } else {
+            self.data.clear();
+            self.data.resize(n, 0.0);
+        }
+    }
+
+    /// Bytes of heap the field holds (its capacity, not its length).
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
+    }
+
     /// Copies the sub-box `b` (grid coordinates, inclusive) into a new
     /// field whose origin is `b.lo`.
     pub fn extract_box(&self, b: &Box3) -> ScalarField {

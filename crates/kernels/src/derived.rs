@@ -102,88 +102,132 @@ impl DerivedField {
         scheme: &DiffScheme,
         origin: [usize; 3],
     ) -> ScalarField {
+        let (nx, ny, nz) = input.dims();
+        let mut out = ScalarField::zeros(nx, ny, nz);
+        self.eval_rows(input, scheme, origin, &mut Vec::new(), |y, z, row| {
+            out.row_mut(y, z).copy_from_slice(row)
+        });
+        out
+    }
+
+    /// `(component, axis)` of every partial-derivative row the field
+    /// reduces, in the order its reduction reads them.
+    #[rustfmt::skip]
+    fn partials(&self) -> &'static [(usize, usize)] {
         match self {
-            DerivedField::Norm => {
-                // Row-chunked: three flat component rows in, one flat output
-                // row out, no per-point gather through `input.at`. The f32
-                // operation order matches the scalar form exactly.
-                let (nx, ny, nz) = input.dims();
-                let h = input.halo();
-                let mut out = ScalarField::zeros(nx, ny, nz);
-                for z in 0..nz {
-                    for y in 0..ny {
+            DerivedField::Norm | DerivedField::BoxFilteredNorm { .. } => &[],
+            // (∂v_z/∂y − ∂v_y/∂z, ∂v_x/∂z − ∂v_z/∂x, ∂v_y/∂x − ∂v_x/∂y)
+            DerivedField::CurlNorm => &[(2, 1), (1, 2), (0, 2), (2, 0), (1, 0), (0, 1)],
+            DerivedField::DivergenceAbs => &[(0, 0), (1, 1), (2, 2)],
+            // the gradient tensor ∂u_i/∂x_j, row-major
+            _ => &[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)],
+        }
+    }
+
+    /// Evaluates the thresholded quantity one interior x-row at a time and
+    /// hands each row to `visit(y, z, row)` in ascending `(z, y)` order —
+    /// the derived field itself never exists in memory.
+    ///
+    /// Per row, the 3/6/9 partial-derivative rows go into `scratch` (which
+    /// is grown as needed and can be reused from chunk to chunk) and are
+    /// reduced to the scalar with the same f32 arithmetic, in the same
+    /// order, as the plane-at-a-time references (`curl_padded(..).norm()`,
+    /// `grad_padded` + per-point invariants): values are bit-identical.
+    pub fn eval_rows(
+        &self,
+        input: &PaddedVector<3>,
+        scheme: &DiffScheme,
+        origin: [usize; 3],
+        scratch: &mut Vec<f32>,
+        mut visit: impl FnMut(usize, usize, &[f32]),
+    ) {
+        let (nx, ny, nz) = input.dims();
+        if let DerivedField::BoxFilteredNorm { radius } = self {
+            // the separable filter rounds to f32 between its three passes,
+            // so an output row needs whole filtered planes: it alone still
+            // materialises, and only its rows are handed on
+            let filt = crate::filter::SeparableFilter::box_filter(usize::from(*radius));
+            let mut comps = filt.apply_vector(input).into_iter();
+            let norm = VectorField::<3>::from_components(std::array::from_fn(|_| {
+                comps.next().expect("three components")
+            }))
+            .norm();
+            for z in 0..nz {
+                for y in 0..ny {
+                    visit(y, z, norm.row(y, z));
+                }
+            }
+            return;
+        }
+        let second = matches!(self, DerivedField::LaplacianNorm);
+        let partials: Vec<_> = self
+            .partials()
+            .iter()
+            .map(|&(comp, axis)| scheme.deriv_rows(input.comp(comp), axis, second, origin))
+            .collect();
+        scratch.clear();
+        scratch.resize((partials.len() + 1) * nx, 0.0);
+        let (out, rows) = scratch.split_at_mut(nx);
+        let h = input.halo();
+        for z in 0..nz {
+            for y in 0..ny {
+                for (row, partial) in rows.chunks_exact_mut(nx).zip(&partials) {
+                    partial.row(y, z, row);
+                }
+                match self {
+                    DerivedField::Norm => {
                         let (yi, zi) = (y as isize, z as isize);
                         let r0 = &input.comp(0).padded_row(yi, zi)[h..h + nx];
                         let r1 = &input.comp(1).padded_row(yi, zi)[h..h + nx];
                         let r2 = &input.comp(2).padded_row(yi, zi)[h..h + nx];
-                        let start = nx * (y + ny * z);
-                        let dst = &mut out.as_mut_slice()[start..start + nx];
-                        for (((d, &a), &b), &c) in dst.iter_mut().zip(r0).zip(r1).zip(r2) {
+                        for (((d, &a), &b), &c) in out.iter_mut().zip(r0).zip(r1).zip(r2) {
                             *d = (a * a + b * b + c * c).sqrt();
                         }
                     }
+                    DerivedField::CurlNorm => reduce_rows(rows, out, |p: &[f32; 6]| {
+                        norm3([p[0] - p[1], p[2] - p[3], p[4] - p[5]])
+                    }),
+                    DerivedField::QCriterion => reduce_rows(rows, out, q_of_gradient),
+                    DerivedField::RInvariant => reduce_rows(rows, out, r_of_gradient),
+                    DerivedField::GradientNorm => reduce_rows(rows, out, |a: &[f32; 9]| {
+                        a.iter().map(|v| v * v).sum::<f32>().sqrt()
+                    }),
+                    DerivedField::StrainRateNorm => reduce_rows(rows, out, strain_norm_of_gradient),
+                    DerivedField::DivergenceAbs => {
+                        reduce_rows(rows, out, |p: &[f32; 3]| (p[0] + p[1] + p[2]).abs())
+                    }
+                    DerivedField::LaplacianNorm => reduce_rows(rows, out, |p: &[f32; 9]| {
+                        norm3([p[0] + p[1] + p[2], p[3] + p[4] + p[5], p[6] + p[7] + p[8]])
+                    }),
+                    // returned above
+                    DerivedField::BoxFilteredNorm { .. } => {}
                 }
-                out
-            }
-            DerivedField::CurlNorm => scheme.curl_padded(input, origin).norm(),
-            DerivedField::QCriterion => {
-                let g = scheme.grad_padded(input, origin);
-                map_gradient(&g, q_of_gradient)
-            }
-            DerivedField::RInvariant => {
-                let g = scheme.grad_padded(input, origin);
-                map_gradient(&g, r_of_gradient)
-            }
-            DerivedField::GradientNorm => {
-                let g = scheme.grad_padded(input, origin);
-                map_gradient(&g, |a| a.iter().map(|v| v * v).sum::<f32>().sqrt())
-            }
-            DerivedField::StrainRateNorm => {
-                let g = scheme.grad_padded(input, origin);
-                map_gradient(&g, strain_norm_of_gradient)
-            }
-            DerivedField::DivergenceAbs => {
-                let mut d = scheme.divergence_padded(input, origin);
-                d.map_inplace(f32::abs);
-                d
-            }
-            DerivedField::LaplacianNorm => {
-                let comps: [ScalarField; 3] =
-                    std::array::from_fn(|c| scheme.laplacian_padded(input.comp(c), origin));
-                VectorField::from_components(comps).norm()
-            }
-            DerivedField::BoxFilteredNorm { radius } => {
-                let filt = crate::filter::SeparableFilter::box_filter(usize::from(*radius));
-                let mut comps = filt.apply_vector(input).into_iter();
-                let v = VectorField::<3>::from_components(std::array::from_fn(|_| {
-                    comps.next().expect("three components")
-                }));
-                v.norm()
+                visit(y, z, out);
             }
         }
     }
+}
 
-    /// Evaluates the curl as a full vector field (used by analysis tools
-    /// that need the vector, not the norm).
-    pub fn curl_vector(
-        input: &PaddedVector<3>,
-        scheme: &DiffScheme,
-        origin: [usize; 3],
-    ) -> VectorField<3> {
-        scheme.curl_padded(input, origin)
+/// Reduces `N` equally long partial-derivative rows (laid end to end in
+/// `rows`) to one output row, point by point.
+#[inline]
+fn reduce_rows<const N: usize>(rows: &[f32], out: &mut [f32], f: impl Fn(&[f32; N]) -> f32) {
+    let nx = out.len();
+    let rows: [&[f32]; N] = std::array::from_fn(|k| &rows[k * nx..][..nx]);
+    for (i, d) in out.iter_mut().enumerate() {
+        *d = f(&std::array::from_fn(|k| rows[k][i]));
     }
 }
 
-fn map_gradient(g: &[ScalarField; 9], f: impl Fn(&[f32; 9]) -> f32) -> ScalarField {
-    let (nx, ny, nz) = g[0].dims();
-    let mut out = ScalarField::zeros(nx, ny, nz);
-    let planes: [&[f32]; 9] = std::array::from_fn(|k| g[k].as_slice());
-    let dst = out.as_mut_slice();
-    for (i, d) in dst.iter_mut().enumerate() {
-        let a: [f32; 9] = std::array::from_fn(|k| planes[k][i]);
-        *d = f(&a);
+/// Euclidean norm summed from `0.0` component by component, as
+/// `VectorField::norm` does it plane by plane.
+#[inline]
+fn norm3(v: [f32; 3]) -> f32 {
+    let mut s = 0.0f32;
+    for c in v {
+        s += c * c;
     }
-    out
+    s.sqrt()
 }
 
 /// `Q = ½(‖Ω‖² − ‖S‖²)` where `S`/`Ω` are the symmetric/antisymmetric parts
@@ -409,5 +453,197 @@ mod tests {
         let d = DerivedField::DivergenceAbs.eval(&p, &scheme, [0, 0, 0]);
         let max = d.as_slice().iter().fold(0.0f32, |m, &v| m.max(v));
         assert!(max < 1e-5);
+    }
+
+    // ---- eval_rows ≡ plane-at-a-time --------------------------------------
+
+    use proptest::prelude::*;
+
+    /// The materialising evaluation `eval_rows` replaced: whole partial
+    /// planes from the per-point stencil reference (`deriv2_padded` for the
+    /// Laplacian, itself proptested against its per-point loop in
+    /// `diff.rs`), combined plane by plane, then a per-point reduction.
+    fn eval_planes(
+        field: DerivedField,
+        input: &PaddedVector<3>,
+        scheme: &DiffScheme,
+        origin: [usize; 3],
+    ) -> ScalarField {
+        let d = |comp: usize, axis: usize| {
+            scheme.deriv_padded_reference(input.comp(comp), axis, origin)
+        };
+        let sub = |mut a: ScalarField, b: ScalarField| {
+            a.zip_inplace(&b, |a, b| a - b);
+            a
+        };
+        let sum3 = |planes: [ScalarField; 3]| {
+            let [mut a, b, c] = planes;
+            a.zip_inplace(&b, |a, b| a + b);
+            a.zip_inplace(&c, |a, b| a + b);
+            a
+        };
+        let of_gradient = |f: &dyn Fn(&[f32; 9]) -> f32| {
+            let g: [ScalarField; 9] = std::array::from_fn(|k| d(k / 3, k % 3));
+            let (nx, ny, nz) = g[0].dims();
+            ScalarField::from_fn(nx, ny, nz, |x, y, z| {
+                f(&std::array::from_fn(|k| g[k].get(x, y, z)))
+            })
+        };
+        match field {
+            DerivedField::Norm => {
+                let (nx, ny, nz) = input.dims();
+                ScalarField::from_fn(nx, ny, nz, |x, y, z| {
+                    let [a, b, c] = input.at(x as isize, y as isize, z as isize);
+                    (a * a + b * b + c * c).sqrt()
+                })
+            }
+            DerivedField::CurlNorm => VectorField::from_components([
+                sub(d(2, 1), d(1, 2)),
+                sub(d(0, 2), d(2, 0)),
+                sub(d(1, 0), d(0, 1)),
+            ])
+            .norm(),
+            DerivedField::QCriterion => of_gradient(&q_of_gradient),
+            DerivedField::RInvariant => of_gradient(&r_of_gradient),
+            DerivedField::GradientNorm => {
+                of_gradient(&|a| a.iter().map(|v| v * v).sum::<f32>().sqrt())
+            }
+            DerivedField::StrainRateNorm => of_gradient(&strain_norm_of_gradient),
+            DerivedField::DivergenceAbs => {
+                let mut div = sum3([d(0, 0), d(1, 1), d(2, 2)]);
+                div.map_inplace(f32::abs);
+                div
+            }
+            DerivedField::LaplacianNorm => {
+                VectorField::<3>::from_components(std::array::from_fn(|c| {
+                    sum3(std::array::from_fn(|axis| {
+                        scheme.deriv2_padded(input.comp(c), axis, origin)
+                    }))
+                }))
+                .norm()
+            }
+            DerivedField::BoxFilteredNorm { radius } => {
+                let filt = crate::filter::SeparableFilter::box_filter(usize::from(radius));
+                let mut comps = filt.apply_vector(input).into_iter();
+                VectorField::<3>::from_components(std::array::from_fn(|_| comps.next().unwrap()))
+                    .norm()
+            }
+        }
+    }
+
+    /// All nine variants (the eight of `all()` plus the parameterised
+    /// filter).
+    fn nine_fields() -> Vec<DerivedField> {
+        let mut fields = DerivedField::all().to_vec();
+        fields.push(DerivedField::BoxFilteredNorm { radius: 1 });
+        fields.push(DerivedField::BoxFilteredNorm { radius: 2 });
+        fields
+    }
+
+    /// f32 values including NaN, infinities, signed zero and denormals.
+    fn any_f32() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            -1.0e3f32..1.0e3,
+            -1.0e3f32..1.0e3,
+            -1.0e3f32..1.0e3,
+            Just(f32::NAN),
+            Just(f32::INFINITY),
+            Just(f32::NEG_INFINITY),
+            Just(-0.0f32),
+            Just(f32::MIN_POSITIVE / 2.0),
+        ]
+    }
+
+    fn filled(dims: (usize, usize, usize), h: usize, vals: &[f32]) -> PaddedVector<3> {
+        let (nx, ny, nz) = dims;
+        let mut p = PaddedVector::zeros(nx, ny, nz, h);
+        let (px, py) = (nx + 2 * h, ny + 2 * h);
+        for c in 0..3 {
+            p.comp_mut(c).fill(|x, y, z| {
+                let i = (x + h as isize) as usize
+                    + px * ((y + h as isize) as usize + py * (z + h as isize) as usize);
+                vals[(i * 3 + c) % vals.len()]
+            });
+        }
+        p
+    }
+
+    /// `eval_rows` (through its `eval` wrapper, and row by row in visit
+    /// order) against the plane-at-a-time reference. NaNs are compared as
+    /// a class, as in `diff.rs`.
+    fn assert_rows_match_planes(
+        grid: &Grid3,
+        order: FdOrder,
+        dims: (usize, usize, usize),
+        origin: [usize; 3],
+        vals: &[f32],
+    ) -> Result<(), String> {
+        let scheme = DiffScheme::new(grid, order);
+        let mut scratch = Vec::new();
+        for field in nine_fields() {
+            let input = filled(dims, field.halo(&scheme), vals);
+            let want = eval_planes(field, &input, &scheme, origin);
+            let mut next = (0, 0);
+            let mut bad = None;
+            field.eval_rows(&input, &scheme, origin, &mut scratch, |y, z, row| {
+                if (y, z) != next {
+                    bad.get_or_insert(format!("row ({y},{z}) visited, ({next:?}) expected"));
+                }
+                next = if y + 1 == dims.1 {
+                    (0, z + 1)
+                } else {
+                    (y + 1, z)
+                };
+                for (x, (got, want)) in row.iter().zip(want.row(y, z)).enumerate() {
+                    if got.to_bits() != want.to_bits() && !(got.is_nan() && want.is_nan()) {
+                        bad.get_or_insert(format!(
+                            "{field:?} {order:?} at ({x},{y},{z}): {:#010x} vs {:#010x}",
+                            got.to_bits(),
+                            want.to_bits()
+                        ));
+                    }
+                }
+            });
+            if let Some(bad) = bad {
+                return Err(bad);
+            }
+            if next != (0, dims.2) {
+                return Err(format!("{field:?}: stopped at row {next:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn eval_rows_is_bitwise_identical_on_a_periodic_cube(
+            order_idx in 0usize..4,
+            nx in 1usize..9, ny in 1usize..7, nz in 1usize..7,
+            origin in prop::array::uniform3(0usize..16),
+            vals in prop::collection::vec(any_f32(), 997..998),
+        ) {
+            let grid = Grid3::periodic_cube(16, TAU);
+            let order = FdOrder::all()[order_idx];
+            let r = assert_rows_match_planes(&grid, order, (nx, ny, nz), origin, &vals);
+            prop_assert!(r.is_ok(), "{:?}", r);
+        }
+
+        #[test]
+        fn eval_rows_is_bitwise_identical_on_channel_grids(
+            order_idx in 0usize..4,
+            bounded_x in 0usize..2,
+            vals in prop::collection::vec(any_f32(), 997..998),
+        ) {
+            // stretched wall-bounded y: a stencil table per row, one-sided
+            // near the walls; with x bounded as well, the per-point fallback
+            let mut grid = Grid3::channel(12, 17, 4, TAU, TAU, 1.7);
+            grid.periodic[0] = bounded_x == 0;
+            let r = assert_rows_match_planes(
+                &grid, FdOrder::all()[order_idx], (12, 17, 4), [0, 0, 0], &vals,
+            );
+            prop_assert!(r.is_ok(), "{:?}", r);
+        }
     }
 }

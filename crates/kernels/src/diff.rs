@@ -92,19 +92,46 @@ impl DiffScheme {
     /// ∂f/∂axis over the interior of a padded chunk whose interior origin
     /// sits at global grid coordinates `origin`.
     pub fn deriv_padded(&self, f: &PaddedScalar, axis: usize, origin: [usize; 3]) -> ScalarField {
-        self.apply_axis(&self.axes, f, axis, origin)
+        self.apply_axis(false, f, axis, origin)
     }
 
     /// ∂²f/∂axis² over the interior of a padded chunk.
     pub fn deriv2_padded(&self, f: &PaddedScalar, axis: usize, origin: [usize; 3]) -> ScalarField {
-        self.apply_axis(&self.axes2, f, axis, origin)
+        self.apply_axis(true, f, axis, origin)
+    }
+
+    /// ∂f/∂axis (∂²f/∂axis² when `second`) of a padded chunk, to be taken
+    /// one interior row at a time — the entry point of the fused pipeline.
+    /// Panics if a bounded-axis stencil would reach outside chunk + halo.
+    pub fn deriv_rows<'a>(
+        &'a self,
+        f: &'a PaddedScalar,
+        axis: usize,
+        second: bool,
+        origin: [usize; 3],
+    ) -> RowDeriv<'a> {
+        assert!(axis < 3);
+        let table = if second { &self.axes2 } else { &self.axes };
+        let (nx, ny, nz) = f.dims();
+        self.check_bounded_reach(table, axis, origin[axis], [nx, ny, nz][axis], f.halo());
+        let (sx, sy, _) = f.padded().dims();
+        RowDeriv {
+            scheme: &table[axis],
+            data: f.padded().as_slice(),
+            halo: f.halo(),
+            sx,
+            sy,
+            stride: [1, sx, sx * sy][axis] as isize,
+            axis,
+            origin: origin[axis],
+        }
     }
 
     /// Per-point reference implementation of [`DiffScheme::deriv_padded`].
     ///
-    /// Kept as the semantic baseline: the chunked path below must produce
+    /// Kept as the semantic baseline: the row path must produce
     /// bit-identical output (proptested), and the micro-benches report the
-    /// chunked speedup against this loop.
+    /// row-kernel speedup against this loop.
     pub fn deriv_padded_reference(
         &self,
         f: &PaddedScalar,
@@ -121,50 +148,17 @@ impl DiffScheme {
 
     fn apply_axis(
         &self,
-        table: &[AxisScheme; 3],
+        second: bool,
         f: &PaddedScalar,
         axis: usize,
         origin: [usize; 3],
     ) -> ScalarField {
-        assert!(axis < 3);
+        let rows = self.deriv_rows(f, axis, second, origin);
         let (nx, ny, nz) = f.dims();
-        self.check_bounded_reach(table, axis, origin[axis], [nx, ny, nz][axis], f.halo());
         let mut out = ScalarField::zeros(nx, ny, nz);
-        let scheme = &table[axis];
-
-        // A bounded x axis changes stencils along the row itself, which
-        // defeats row-major chunking; fall back to the per-point loop. In
-        // practice the x axis is periodic on every supported grid.
-        if axis == 0 && matches!(scheme, AxisScheme::Bounded(_)) {
-            apply_axis_scalar(scheme, f, axis, origin, &mut out);
-            return out;
-        }
-
-        let h = f.halo();
-        // One reusable f64 accumulator row: no per-point allocation, and
-        // flat-slice term-major accumulation the compiler can vectorize.
-        let mut acc = vec![0.0f64; nx];
         for z in 0..nz {
             for y in 0..ny {
-                let (yi, zi) = (y as isize, z as isize);
-                let s = match axis {
-                    // Periodic-uniform x: the single stencil (index unused).
-                    0 => scheme.stencil(0),
-                    1 => scheme.stencil(origin[1] + y),
-                    _ => scheme.stencil(origin[2] + z),
-                };
-                match axis {
-                    0 => {
-                        let row = f.padded_row(yi, zi);
-                        s.accumulate_row(&mut acc, |o| &row[(h as isize + o) as usize..][..nx]);
-                    }
-                    1 => s.accumulate_row(&mut acc, |o| &f.padded_row(yi + o, zi)[h..h + nx]),
-                    _ => s.accumulate_row(&mut acc, |o| &f.padded_row(yi, zi + o)[h..h + nx]),
-                }
-                let start = nx * (y + ny * z);
-                for (dst, &a) in out.as_mut_slice()[start..start + nx].iter_mut().zip(&acc) {
-                    *dst = a as f32;
-                }
+                rows.row(y, z, out.row_mut(y, z));
             }
         }
         out
@@ -223,14 +217,6 @@ impl DiffScheme {
         out
     }
 
-    /// Laplacian of a padded scalar field (sum of second derivatives).
-    pub fn laplacian_padded(&self, f: &PaddedScalar, origin: [usize; 3]) -> ScalarField {
-        let mut out = self.deriv2_padded(f, 0, origin);
-        out.zip_inplace(&self.deriv2_padded(f, 1, origin), |a, b| a + b);
-        out.zip_inplace(&self.deriv2_padded(f, 2, origin), |a, b| a + b);
-        out
-    }
-
     /// Pads a whole periodic field and returns its curl — convenience for
     /// single-machine analysis and tests. The field must span the grid this
     /// scheme was built for.
@@ -260,8 +246,93 @@ impl DiffScheme {
     }
 }
 
-/// The original per-point stencil loop, used as the bounded-x fallback and
-/// as the reference implementation the chunked path is proptested against.
+/// One derivative of one padded chunk ([`DiffScheme::deriv_rows`]).
+pub struct RowDeriv<'a> {
+    scheme: &'a AxisScheme,
+    /// The padded cube, flat and x-fastest, `sx × sy` points per plane.
+    data: &'a [f32],
+    halo: usize,
+    sx: usize,
+    sy: usize,
+    /// Distance in `data` between neighbours along `axis`.
+    stride: isize,
+    axis: usize,
+    /// Global coordinate of the chunk's first interior point on `axis`.
+    origin: usize,
+}
+
+impl RowDeriv<'_> {
+    /// The derivative along interior row `(y, z)`, one value per interior
+    /// `x`. The source row of the stencil term at offset `o` is the flat
+    /// slice `o` strides away from the row itself: a shifted window of it
+    /// along x, a neighbouring row along y or z.
+    #[inline]
+    pub fn row(&self, y: usize, z: usize, out: &mut [f32]) {
+        let (h, nx) = (self.halo, out.len());
+        let first = (h + self.sx * (y + h + self.sy * (z + h))) as isize;
+        let at = |o: isize| (first + o * self.stride) as usize;
+        match (self.axis, self.scheme) {
+            // A bounded x axis changes stencils along the row itself: per
+            // point. In practice x is periodic on every supported grid.
+            (0, AxisScheme::Bounded(table)) => {
+                for (x, d) in out.iter_mut().enumerate() {
+                    let s = &table[self.origin + x];
+                    *d = s.apply(|o| f64::from(self.data[at(o) + x])) as f32;
+                }
+            }
+            (axis, scheme) => {
+                let s = scheme.stencil(self.origin + [0, y, z][axis]);
+                apply_row(s, |o| &self.data[at(o)..][..nx], out);
+            }
+        }
+    }
+}
+
+/// Applies `s` along a whole row, `row_for(offset)` being the source row
+/// of each term. Centred and one-sided first-derivative stencils have
+/// 3/5/7/9 terms and take the unrolled kernel; anything else (bounded
+/// second derivatives) takes the per-point fold. Same sums either way.
+#[inline]
+fn apply_row<'a>(s: &Stencil, row_for: impl Fn(isize) -> &'a [f32] + Copy, out: &mut [f32]) {
+    match s.offsets.len() {
+        3 => apply_row_n::<3>(s, row_for, out),
+        5 => apply_row_n::<5>(s, row_for, out),
+        7 => apply_row_n::<7>(s, row_for, out),
+        9 => apply_row_n::<9>(s, row_for, out),
+        _ => {
+            for (i, d) in out.iter_mut().enumerate() {
+                *d = s.apply(|o| f64::from(row_for(o)[i])) as f32;
+            }
+        }
+    }
+}
+
+/// Point-major stencil over one row: `out[i] = Σ_t w[t]·f64(src_t[i])`,
+/// accumulated from `0.0` in stencil order — the additions of
+/// [`Stencil::apply`] in the same order, so the results are bit-identical
+/// to the per-point reference, the zero-weight centre tap included
+/// (`0·∞` is NaN and must stay NaN). With the term count a constant the
+/// inner loop unrolls and the row loop vectorizes over flat slices.
+#[inline]
+fn apply_row_n<'a, const T: usize>(
+    s: &Stencil,
+    row_for: impl Fn(isize) -> &'a [f32],
+    out: &mut [f32],
+) {
+    let n = out.len();
+    let w: [f64; T] = std::array::from_fn(|t| s.weights[t]);
+    let src: [&[f32]; T] = std::array::from_fn(|t| &row_for(s.offsets[t])[..n]);
+    for (i, d) in out.iter_mut().enumerate() {
+        let mut a = 0.0f64;
+        for t in 0..T {
+            a += w[t] * f64::from(src[t][i]);
+        }
+        *d = a as f32;
+    }
+}
+
+/// The original per-point stencil loop: the reference implementation the
+/// row path is proptested against.
 fn apply_axis_scalar(
     scheme: &AxisScheme,
     f: &PaddedScalar,
@@ -414,6 +485,36 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// Per-point ∂²f/∂axis², the reference `deriv2_padded` is held to.
+    fn deriv2_padded_reference(
+        scheme: &DiffScheme,
+        f: &PaddedScalar,
+        axis: usize,
+        origin: [usize; 3],
+    ) -> ScalarField {
+        let (nx, ny, nz) = f.dims();
+        let mut out = ScalarField::zeros(nx, ny, nz);
+        apply_axis_scalar(&scheme.axes2[axis], f, axis, origin, &mut out);
+        out
+    }
+
+    /// Bit-identical for every representable value. NaNs are compared as
+    /// a class: IEEE 754 leaves the sign/payload of invalid-op NaNs
+    /// (∞ − ∞ inside a stencil sum) unspecified and LLVM does not preserve
+    /// them across differently-shaped loops at opt-level ≥ 2.
+    fn same_bits(a: &ScalarField, b: &ScalarField) -> Result<(), String> {
+        for (i, (c, r)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            if c.to_bits() != r.to_bits() && !(c.is_nan() && r.is_nan()) {
+                return Err(format!(
+                    "idx {i}: {:#010x} vs {:#010x}",
+                    c.to_bits(),
+                    r.to_bits()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// f32 values including NaN, infinities, zeros, and denormals, so the
     /// bitwise-identity proptests cover every funny value a field can hold.
     fn any_f32() -> impl Strategy<Value = f32> {
@@ -446,20 +547,16 @@ mod tests {
                 vals[i % vals.len()]
             });
             for axis in 0..3 {
-                let chunked = scheme.deriv_padded(&p, axis, [0, 0, 0]);
-                let reference = scheme.deriv_padded_reference(&p, axis, [0, 0, 0]);
-                for (i, (c, r)) in chunked.as_slice().iter().zip(reference.as_slice()).enumerate() {
-                    // Bit-identical for every representable value. NaNs are
-                    // compared as a class: IEEE 754 leaves the sign/payload
-                    // of invalid-op NaNs (∞ − ∞ inside a stencil sum)
-                    // unspecified and LLVM does not preserve them across
-                    // differently-shaped loops at opt-level ≥ 2.
-                    prop_assert!(
-                        c.to_bits() == r.to_bits() || (c.is_nan() && r.is_nan()),
-                        "axis {} idx {} order {:?} dims {}x{}x{}: {:#010x} vs {:#010x}",
-                        axis, i, order, nx, ny, nz, c.to_bits(), r.to_bits()
-                    );
-                }
+                let first = same_bits(
+                    &scheme.deriv_padded(&p, axis, [0, 0, 0]),
+                    &scheme.deriv_padded_reference(&p, axis, [0, 0, 0]),
+                );
+                prop_assert!(first.is_ok(), "∂ axis {} {:?} {}x{}x{}: {:?}", axis, order, nx, ny, nz, first);
+                let second = same_bits(
+                    &scheme.deriv2_padded(&p, axis, [0, 0, 0]),
+                    &deriv2_padded_reference(&scheme, &p, axis, [0, 0, 0]),
+                );
+                prop_assert!(second.is_ok(), "∂² axis {} {:?} {}x{}x{}: {:?}", axis, order, nx, ny, nz, second);
             }
         }
 
@@ -482,14 +579,18 @@ mod tests {
                 vals[i % vals.len()]
             });
             for axis in 0..3 {
-                let chunked = scheme.deriv_padded(&p, axis, [0, 0, 0]);
-                let reference = scheme.deriv_padded_reference(&p, axis, [0, 0, 0]);
-                for (c, r) in chunked.as_slice().iter().zip(reference.as_slice()) {
-                    prop_assert!(
-                        c.to_bits() == r.to_bits() || (c.is_nan() && r.is_nan()),
-                        "axis {}: {:#010x} vs {:#010x}", axis, c.to_bits(), r.to_bits()
-                    );
-                }
+                let first = same_bits(
+                    &scheme.deriv_padded(&p, axis, [0, 0, 0]),
+                    &scheme.deriv_padded_reference(&p, axis, [0, 0, 0]),
+                );
+                prop_assert!(first.is_ok(), "∂ axis {} {:?}: {:?}", axis, order, first);
+                // bounded second derivatives have order + 2 taps: the
+                // per-point fold of `apply_row`
+                let second = same_bits(
+                    &scheme.deriv2_padded(&p, axis, [0, 0, 0]),
+                    &deriv2_padded_reference(&scheme, &p, axis, [0, 0, 0]),
+                );
+                prop_assert!(second.is_ok(), "∂² axis {} {:?}: {:?}", axis, order, second);
             }
         }
     }

@@ -149,9 +149,9 @@ impl Stencil {
 
     /// Applies the stencil to samples fetched through `get(offset)`.
     ///
-    /// Uses an explicit `acc += w * v` fold (not `Iterator::sum`) so the
-    /// NaN-sign behaviour matches [`Stencil::accumulate_row`] exactly —
-    /// LLVM lowers the two forms differently for NaN inputs otherwise.
+    /// Uses an explicit `acc += w * v` fold from `0.0` (not
+    /// `Iterator::sum`): the row kernel in `diff.rs` adds the same terms
+    /// in the same order, which is what makes the two bit-identical.
     #[inline]
     pub fn apply(&self, mut get: impl FnMut(isize) -> f64) -> f64 {
         let mut acc = 0.0f64;
@@ -159,28 +159,6 @@ impl Stencil {
             acc += w * get(o);
         }
         acc
-    }
-
-    /// Applies the stencil to a whole row of points at once, term-major:
-    /// for each `(offset, weight)` pair — visited in the same order as
-    /// [`Stencil::apply`] — the caller supplies the source row for that
-    /// offset and `weight * f64::from(src[i])` is accumulated into `acc[i]`.
-    ///
-    /// Starting from zero and adding terms in identical order makes every
-    /// `acc[i]` bit-identical to `apply(|o| f64::from(row_o[i]))`, while the
-    /// branch-free inner zip over flat slices autovectorizes.
-    #[inline]
-    pub fn accumulate_row<'a>(&self, acc: &mut [f64], mut row_for: impl FnMut(isize) -> &'a [f32]) {
-        for a in acc.iter_mut() {
-            *a = 0.0;
-        }
-        for (&o, &w) in self.offsets.iter().zip(&self.weights) {
-            let src = row_for(o);
-            debug_assert!(src.len() >= acc.len());
-            for (a, &v) in acc.iter_mut().zip(src) {
-                *a += w * f64::from(v);
-            }
-        }
     }
 }
 

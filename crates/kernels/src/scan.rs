@@ -1,20 +1,26 @@
-//! Threshold and PDF scan kernels over evaluated derived-field chunks.
+//! Threshold and PDF scan kernels over rows of an evaluated derived field.
 //!
 //! The cold-query inner loop of the paper — Morton encode → `f64`
-//! threshold compare over every point of the evaluated norm field — lives
-//! here so cluster nodes, benches, and tests share one implementation.
-//! Two paths are provided:
+//! threshold compare over every point of the evaluated norm — lives here
+//! so cluster nodes, benches, and tests share one implementation:
 //!
-//! * [`threshold_scan_clip`] — the production chunked scan: per-row flat
-//!   slices, a branch-free hit-count prepass that skips non-matching rows
-//!   and reserves output exactly once, and a [`MortonRow`] encoder that
-//!   hoists the `y`/`z` bit spreads out of the x-loop.
+//! * [`threshold_scan_row`] / [`pdf_scan_row`] — the row reducers. The
+//!   fused pipeline applies them to each derived row as it appears (there
+//!   is no derived plane); the threshold one has a branch-free hit-count
+//!   prepass that skips non-matching rows and reserves output exactly
+//!   once, and a [`MortonRow`] encoder that hoists the `y`/`z` bit spreads
+//!   out of the x-loop. [`ClipRows`] cuts a query's clip out of the rows
+//!   of the evaluated domain.
+//! * [`threshold_scan_clip`] / [`pdf_scan_clip`] — the same reducers run
+//!   over a materialised field.
 //! * [`threshold_scan_clip_scalar`] — the original per-point loop, kept as
 //!   the semantic reference for the bitwise-identity proptests and as the
 //!   micro-bench baseline.
 //!
-//! Both compare in `f64` (a threshold like `25.000000001` must exclude a
+//! All compare in `f64` (a threshold like `25.000000001` must exclude a
 //! stored `25.0`) and emit hits in ascending `(z, y, x)` grid order.
+
+use std::ops::Range;
 
 use tdb_field::{Histogram, ScalarField};
 use tdb_zorder::{encode3, Box3, MortonRow};
@@ -33,8 +39,97 @@ fn clip_offsets(domain: &Box3, clip: &Box3) -> (usize, usize, usize) {
     )
 }
 
-/// Chunked threshold scan of the `clip` sub-box of a norm field evaluated
-/// over `domain`, appending hits to `out`.
+/// The footprint of a query's `clip` inside the rows of a field evaluated
+/// over `domain` (which contains it).
+#[derive(Debug, Clone)]
+pub struct ClipRows {
+    x: Range<usize>,
+    y: Range<usize>,
+    z: Range<usize>,
+    lo: (u32, u32, u32),
+}
+
+impl ClipRows {
+    pub fn new(domain: &Box3, clip: &Box3) -> Self {
+        let (ox, oy, oz) = clip_offsets(domain, clip);
+        let (nx, ny, nz) = clip.extent3();
+        Self {
+            x: ox..ox + nx,
+            y: oy..oy + ny,
+            z: oz..oz + nz,
+            lo: clip.lo3(),
+        }
+    }
+
+    /// The clip's part of domain row `(y, z)` with the global coordinates
+    /// `(x0, y, z)` of its first point; `None` for rows outside the clip.
+    #[inline]
+    pub fn slice<'a>(&self, y: usize, z: usize, row: &'a [f32]) -> Option<(&'a [f32], [u32; 3])> {
+        if !self.y.contains(&y) || !self.z.contains(&z) {
+            return None;
+        }
+        let global = [
+            self.lo.0,
+            self.lo.1 + (y - self.y.start) as u32,
+            self.lo.2 + (z - self.z.start) as u32,
+        ];
+        Some((row.get(self.x.clone())?, global))
+    }
+}
+
+/// Appends every point of one grid row at or above `threshold` to `out`;
+/// `row[i]` sits at global `(x0 + i, y, z)`.
+#[inline]
+pub fn threshold_scan_row<P: From<ScanHit>>(
+    row: &[f32],
+    [x0, y, z]: [u32; 3],
+    threshold: f64,
+    out: &mut Vec<P>,
+) {
+    // Branch-free prepass: autovectorizable count of row hits, so rows
+    // with none (the common case at high thresholds) are skipped without
+    // touching the output, and rows with some reserve exactly once.
+    let hits = row.iter().filter(|&&v| f64::from(v) >= threshold).count();
+    if hits == 0 {
+        return;
+    }
+    out.reserve(hits);
+    let mrow = MortonRow::new(y, z);
+    for (x, &v) in row.iter().enumerate() {
+        if f64::from(v) >= threshold {
+            out.push(P::from((mrow.encode_x(x0 + x as u32), v)));
+        }
+    }
+}
+
+/// Accumulates one row into a histogram.
+#[inline]
+pub fn pdf_scan_row(row: &[f32], hist: &mut Histogram) {
+    for &v in row {
+        hist.push(f64::from(v));
+    }
+}
+
+/// Runs `visit(sub_row, global)` over the clip's rows of a materialised
+/// field in ascending `(z, y)` order.
+fn for_clip_rows(
+    norm: &ScalarField,
+    domain: &Box3,
+    clip: &Box3,
+    mut visit: impl FnMut(&[f32], [u32; 3]),
+) {
+    let rows = ClipRows::new(domain, clip);
+    for z in rows.z.clone() {
+        for y in rows.y.clone() {
+            if let Some((sub, global)) = rows.slice(y, z, norm.row(y, z)) {
+                visit(sub, global);
+            }
+        }
+    }
+}
+
+/// Threshold scan of the `clip` sub-box of a norm field evaluated over
+/// `domain`, appending hits to `out`.
 ///
 /// Bit-identical to [`threshold_scan_clip_scalar`]: same `f64` compare,
 /// same hit order, same values — only the loop structure differs.
@@ -45,30 +140,9 @@ pub fn threshold_scan_clip(
     threshold: f64,
     out: &mut Vec<ScanHit>,
 ) {
-    let (ox, oy, oz) = clip_offsets(domain, clip);
-    let (cnx, cny, cnz) = clip.extent3();
-    let (clx, cly, clz) = clip.lo3();
-    for z in 0..cnz {
-        let gz = clz + z as u32;
-        for y in 0..cny {
-            let row = &norm.row(y + oy, z + oz)[ox..ox + cnx];
-            // Branch-free prepass: autovectorizable count of row hits, so
-            // rows with none (the common case at high thresholds) are
-            // skipped without touching the output, and rows with some
-            // reserve exactly once.
-            let hits = row.iter().filter(|&&v| f64::from(v) >= threshold).count();
-            if hits == 0 {
-                continue;
-            }
-            out.reserve(hits);
-            let mrow = MortonRow::new(cly + y as u32, gz);
-            for (x, &v) in row.iter().enumerate() {
-                if f64::from(v) >= threshold {
-                    out.push((mrow.encode_x(clx + x as u32), v));
-                }
-            }
-        }
-    }
+    for_clip_rows(norm, domain, clip, |row, global| {
+        threshold_scan_row(row, global, threshold, out)
+    });
 }
 
 /// Per-point reference threshold scan (the pre-chunking implementation).
@@ -97,15 +171,7 @@ pub fn threshold_scan_clip_scalar(
 /// Accumulates the `clip` sub-box of an evaluated norm into a histogram,
 /// row by row.
 pub fn pdf_scan_clip(norm: &ScalarField, domain: &Box3, clip: &Box3, hist: &mut Histogram) {
-    let (ox, oy, oz) = clip_offsets(domain, clip);
-    let (cnx, cny, cnz) = clip.extent3();
-    for z in 0..cnz {
-        for y in 0..cny {
-            for &v in &norm.row(y + oy, z + oz)[ox..ox + cnx] {
-                hist.push(f64::from(v));
-            }
-        }
-    }
+    for_clip_rows(norm, domain, clip, |row, _| pdf_scan_row(row, hist));
 }
 
 #[cfg(test)]

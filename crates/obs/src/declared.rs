@@ -73,6 +73,7 @@ pub const DECLARED_METRICS: &[&str] = &[
     "replication.rebalance.leaves",
     "scan.atoms_saved",
     "scan.coalesced_queries",
+    "scan.scratch_bytes",
     "scan.shared",
     "scheduler.batches",
     "scheduler.coalesced",

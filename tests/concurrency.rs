@@ -213,6 +213,82 @@ fn mixed_query_kinds_share_one_scan() {
     );
 }
 
+/// Clips that are strict sub-boxes of the scanned hull on all three
+/// axes: the row pipeline hands every derived row of the hull to every
+/// clip's reducer, which must skip the rows outside the clip and cut the
+/// rows inside it — for each kind, exactly as an independent scan of the
+/// clip alone.
+#[test]
+fn shared_scan_over_strict_sub_box_clips_equals_independent_execution() {
+    let _g = metrics_lock();
+    let service = test_service("conc_subbox", 32, 1, 2);
+    let cluster = service.cluster();
+    let req = |query_box: Box3| ThresholdRequest {
+        raw_field: "velocity".into(),
+        derived: DerivedField::QCriterion,
+        timestep: 0,
+        query_box,
+        threshold: 40.0,
+        use_cache: false,
+        mode: QueryMode::Full,
+        procs_override: None,
+        strict: false,
+        node_deadline_s: None,
+    };
+    // 16³ chunks: the first two boxes sit inside chunk (0,0,0) and are
+    // disjoint on every axis, the other two cross chunk and node borders
+    let boxes = [
+        Box3::new([1, 2, 3], [6, 9, 5]),
+        Box3::new([8, 11, 9], [14, 13, 15]),
+        Box3::new([3, 5, 17], [27, 29, 30]),
+        Box3::new([13, 1, 2], [18, 30, 21]),
+    ];
+    let exact = |points: &[ThresholdPoint]| -> Vec<(u64, u32)> {
+        points
+            .iter()
+            .map(|p| (p.zindex, p.value.to_bits()))
+            .collect()
+    };
+    let mut batch = Vec::new();
+    let mut want_points = Vec::new();
+    let mut want_counts = Vec::new();
+    let mut want_topk = Vec::new();
+    for b in boxes {
+        want_points.push(exact(&cluster.get_threshold(&req(b)).unwrap().points));
+        want_counts.push(
+            cluster
+                .get_pdf(&req(b), -400.0, 50.0, 16)
+                .unwrap()
+                .histogram
+                .counts()
+                .to_vec(),
+        );
+        want_topk.push(exact(&cluster.get_topk(&req(b), 7).unwrap().points));
+        batch.push(BatchQuery::Threshold(req(b)));
+        batch.push(BatchQuery::Pdf {
+            req: req(b),
+            origin: -400.0,
+            width: 50.0,
+            nbins: 16,
+        });
+        batch.push(BatchQuery::TopK { req: req(b), k: 7 });
+    }
+    assert!(want_points.iter().any(|p| !p.is_empty()));
+    let shared_before = counter("scan.shared");
+    let answers = cluster.run_batch(batch);
+    assert!(
+        counter("scan.shared") > shared_before,
+        "the batch must share scans"
+    );
+    for (i, answer) in answers.into_iter().enumerate() {
+        match answer.unwrap() {
+            BatchAnswer::Threshold(t) => assert_eq!(exact(&t.points), want_points[i / 3]),
+            BatchAnswer::Pdf(p) => assert_eq!(p.histogram.counts(), want_counts[i / 3]),
+            BatchAnswer::TopK(t) => assert_eq!(exact(&t.points), want_topk[i / 3]),
+        }
+    }
+}
+
 fn prop_service() -> &'static TurbulenceService {
     static S: OnceLock<TurbulenceService> = OnceLock::new();
     S.get_or_init(|| test_service("conc_prop", 32, 1, 2))

@@ -2,8 +2,10 @@
 //! or FD order of the *storage layout* must never change query answers —
 //! only their cost.
 
-use tdb_cluster::ClusterConfig;
-use tdb_core::{DerivedField, ServiceConfig, ThresholdQuery, TurbulenceService};
+use tdb_cluster::mediator::ThresholdRequest;
+use tdb_cluster::{BatchAnswer, BatchQuery, Cluster, ClusterBuilder, ClusterConfig};
+use tdb_core::{Box3, DerivedField, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService};
+use tdb_field::{Grid3, ScalarField};
 use tdb_turbgen::SyntheticDataset;
 
 fn build(nodes: usize, procs: usize, chunk_atoms: u32, tag: &str) -> TurbulenceService {
@@ -102,4 +104,120 @@ fn pdf_and_topk_are_distribution_transparent() {
     let v1: Vec<f32> = t1.points.iter().map(|p| p.value).collect();
     let v4: Vec<f32> = t4.points.iter().map(|p| p.value).collect();
     assert_eq!(v1, v4);
+}
+
+/// A 32³ scalar archive on `nodes` nodes (16³ chunks, so 4 nodes hold two
+/// chunks each and the node boundaries fall at y = 16 and z = 16).
+fn scalar_cluster(field: &ScalarField, nodes: usize, tag: &str) -> Cluster {
+    let config = ClusterConfig {
+        num_nodes: nodes,
+        procs_per_node: 2,
+        arrays_per_node: 2,
+        chunk_atoms: 2,
+        ..ClusterConfig::default()
+    };
+    let mut builder = ClusterBuilder::new(
+        tdb_bench::scratch_dir(tag),
+        "ties",
+        Grid3::periodic_cube(32, std::f64::consts::TAU),
+        &[("s", 1)],
+        config,
+    )
+    .expect("builder");
+    builder
+        .ingest_timestep(0, "s", 1, |atom| field.extract_atom(atom).to_vec())
+        .expect("ingest");
+    builder.finish().expect("cluster")
+}
+
+/// Top-k ties are broken by one total order — value descending, then
+/// Morton code ascending — so which of several equal values survive the
+/// cut cannot depend on how the points were split across nodes, nor on
+/// whether the query ran alone or inside a coalesced batch.
+#[test]
+fn topk_ties_break_identically_across_node_counts_and_batching() {
+    // a flat field (one huge tie group at 0.5), six points at 9.0 on
+    // both sides of the node boundaries y = 16 and z = 16 and of the
+    // chunk boundary x = 16, and three clear maxima
+    let nines = [
+        (5, 15, 3),
+        (5, 16, 3),
+        (15, 20, 15),
+        (16, 20, 16),
+        (31, 31, 31),
+        (0, 0, 0),
+    ];
+    let tens = [(7, 7, 7), (24, 8, 17), (9, 30, 30)];
+    let field = ScalarField::from_fn(32, 32, 32, |x, y, z| {
+        if tens.contains(&(x, y, z)) {
+            10.0
+        } else if nines.contains(&(x, y, z)) {
+            9.0
+        } else {
+            0.5
+        }
+    });
+    // the pinned order, computed naively over every grid point
+    let mut all: Vec<(u64, f32)> = Box3::grid(32, 32, 32)
+        .points()
+        .map(|(x, y, z)| {
+            (
+                tdb_zorder::encode3(x, y, z),
+                field.get(x as usize, y as usize, z as usize),
+            )
+        })
+        .collect();
+    all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let expect = |k: usize| -> Vec<(u64, u32)> {
+        all.iter().take(k).map(|&(z, v)| (z, v.to_bits())).collect()
+    };
+    let bits = |points: &[tdb_core::ThresholdPoint]| -> Vec<(u64, u32)> {
+        points
+            .iter()
+            .map(|p| (p.zindex, p.value.to_bits()))
+            .collect()
+    };
+    let req = ThresholdRequest {
+        raw_field: "s".into(),
+        derived: DerivedField::Norm,
+        timestep: 0,
+        query_box: Box3::grid(32, 32, 32),
+        threshold: 0.0,
+        use_cache: false,
+        mode: QueryMode::Full,
+        procs_override: None,
+        strict: false,
+        node_deadline_s: None,
+    };
+    // k = 5 cuts through the six 9.0s, k = 12 through the flat 0.5s
+    for nodes in [1, 4] {
+        let cluster = scalar_cluster(&field, nodes, &format!("dc_ties{nodes}"));
+        for k in [5, 12] {
+            let single = cluster.get_topk(&req, k).unwrap();
+            assert_eq!(bits(&single.points), expect(k), "{nodes} nodes, k = {k}");
+        }
+        let batch = cluster.run_batch(vec![
+            BatchQuery::TopK {
+                req: req.clone(),
+                k: 5,
+            },
+            BatchQuery::Threshold(req.clone()),
+            BatchQuery::TopK {
+                req: req.clone(),
+                k: 12,
+            },
+        ]);
+        for (answer, k) in batch.into_iter().step_by(2).zip([5, 12]) {
+            match answer.unwrap() {
+                BatchAnswer::TopK(t) => {
+                    assert_eq!(
+                        bits(&t.points),
+                        expect(k),
+                        "{nodes} nodes, coalesced, k = {k}"
+                    )
+                }
+                other => panic!("expected a top-k answer, got {other:?}"),
+            }
+        }
+    }
 }
