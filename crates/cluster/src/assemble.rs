@@ -127,7 +127,8 @@ pub fn assemble_padded(
 /// Every padded row is a handful of `copy_from_slice`s: atom payloads are
 /// x-fastest, so the part of a padded row inside one atom is one
 /// contiguous segment (≤ 8 floats) of that atom's row. The records of an
-/// atom row are looked up once for all the padded rows that cross it.
+/// atom row are looked up, and their planes resolved, once for all the
+/// padded rows that cross it.
 pub fn assemble_padded_into(
     padded: &mut PaddedVector<3>,
     domain: &Box3,
@@ -145,15 +146,17 @@ pub fn assemble_padded_into(
     let zruns = axis_runs(lz, ez, halo, dims.2, per_z);
     let short = || StorageError::internal("atom row segment outside its record or padded row");
     let h = halo as isize;
-    let mut recs: Vec<&AtomRecord> = Vec::with_capacity(xruns.len());
+    // per atom of the row, its component planes (empty past `ncomp`)
+    let mut planes: Vec<[&[f32]; 3]> = Vec::with_capacity(xruns.len());
     for zrun in &zruns {
         for yrun in &yruns {
-            recs.clear();
+            planes.clear();
             for xrun in &xruns {
                 let atom = AtomCoord::new(xrun.atom, yrun.atom, zrun.atom);
-                recs.push(atoms.get(&atom.zindex()).ok_or_else(|| {
+                let rec = atoms.get(&atom.zindex()).ok_or_else(|| {
                     StorageError::internal(format!("atom {atom:?} missing from the fetch result"))
-                })?);
+                })?;
+                planes.push([0, 1, 2].map(|c| rec.plane(c)));
             }
             for dz in 0..zrun.len {
                 for dy in 0..yrun.len {
@@ -164,16 +167,14 @@ pub fn assemble_padded_into(
                     );
                     for (c, comp) in padded.comps_mut().iter_mut().enumerate() {
                         let row = comp.padded_row_mut(y, z);
-                        for (xrun, rec) in xruns.iter().zip(&recs) {
-                            if c >= usize::from(rec.ncomp) {
+                        for (xrun, atom) in xruns.iter().zip(&planes) {
+                            let Some(plane) = atom.get(c).filter(|p| !p.is_empty()) else {
                                 continue;
-                            }
+                            };
                             let src = src_row + xrun.offset;
                             row.get_mut(xrun.start..xrun.start + xrun.len)
                                 .ok_or_else(short)?
-                                .copy_from_slice(
-                                    rec.plane(c).get(src..src + xrun.len).ok_or_else(short)?,
-                                );
+                                .copy_from_slice(plane.get(src..src + xrun.len).ok_or_else(short)?);
                         }
                     }
                 }

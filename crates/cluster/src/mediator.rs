@@ -183,51 +183,6 @@ impl ScanGroupKey {
     }
 }
 
-/// Fans a per-node error out to every query of a shared-scan group.
-/// [`StorageError`] holds an `io::Error` and cannot be `Clone`, so the
-/// variants are reconstructed field by field.
-fn clone_storage_error(e: &StorageError) -> StorageError {
-    match e {
-        StorageError::Io { file, source } => StorageError::Io {
-            file: file.clone(),
-            source: std::io::Error::new(source.kind(), source.to_string()),
-        },
-        StorageError::Corrupt { file, detail } => StorageError::Corrupt {
-            file: file.clone(),
-            detail: detail.clone(),
-        },
-        StorageError::KeyOrder { detail } => StorageError::KeyOrder {
-            detail: detail.clone(),
-        },
-        StorageError::SchemaMismatch {
-            expected_ncomp,
-            got_ncomp,
-        } => StorageError::SchemaMismatch {
-            expected_ncomp: *expected_ncomp,
-            got_ncomp: *got_ncomp,
-        },
-        StorageError::MissingData { detail } => StorageError::MissingData {
-            detail: detail.clone(),
-        },
-        StorageError::Injected {
-            site,
-            detail,
-            transient,
-        } => StorageError::Injected {
-            site: site.clone(),
-            detail: detail.clone(),
-            transient: *transient,
-        },
-        StorageError::NodeUnavailable { node, detail } => StorageError::NodeUnavailable {
-            node: *node,
-            detail: detail.clone(),
-        },
-        StorageError::Internal { detail } => StorageError::Internal {
-            detail: detail.clone(),
-        },
-    }
-}
-
 /// Assembled answer of a PDF query.
 #[derive(Debug)]
 pub struct PdfResponse {
@@ -469,11 +424,18 @@ impl ClusterBuilder {
             ))));
         }
         let scheduler = self.config.coalesce.map(ScanScheduler::new);
+        let array_racks = self
+            .node_devices
+            .iter()
+            .chain(&self.spares)
+            .map(|rack| rack.arrays.clone())
+            .collect();
         Ok(Cluster {
             config: self.config,
             dataset: self.dataset,
             grid: self.grid,
             registry,
+            array_racks,
             scheme,
             lan: self.lan,
             wan: self.wan,
@@ -546,6 +508,9 @@ pub struct Cluster {
     pub(crate) dataset: String,
     pub(crate) grid: Arc<Grid3>,
     pub(crate) registry: Arc<DeviceRegistry>,
+    /// The disk arrays of every rack, spares included (the registry is
+    /// frozen at build, so a node that joins later drives one of these).
+    array_racks: Vec<Vec<DeviceId>>,
     pub(crate) scheme: Arc<DiffScheme>,
     pub(crate) lan: DeviceId,
     pub(crate) wan: DeviceId,
@@ -700,21 +665,36 @@ impl Cluster {
     }
 
     /// The cluster-wide I/O phase: nodes run in parallel, so the phase is
-    /// the slowest node's serial schedule divided by its processes — but
-    /// never less than any single device's total service time (devices
+    /// the busiest node's serial disk schedule divided by its processes —
+    /// but never less than any single device's total service time (devices
     /// serve *all* nodes' requests: a peer fetching halo atoms still
     /// occupies the owner's arrays and controller).
+    ///
+    /// A node's serial schedule is what *its own arrays* served, whoever
+    /// asked: a block two nodes both need is read once, by whichever
+    /// worker reaches it first, and which one that is varies from run to
+    /// run. Charging the read to the node whose disk did it makes the
+    /// phase a function of the set of blocks read, not of thread timing.
+    /// Injected stalls block a process wherever it runs and ride on top.
     fn cluster_io_ref(&self, results: &[&NodeResult], procs: usize) -> f64 {
         let cold: Vec<&&NodeResult> = results.iter().filter(|r| !r.cache_hit).collect();
         if cold.is_empty() {
             return 0.0;
         }
         let mut merged = IoSession::new();
-        let mut max_serial = 0.0f64;
         for r in &cold {
             merged.merge(&r.session);
-            max_serial = max_serial.max(r.io_serial_s);
         }
+        let served = |dev: &DeviceId| {
+            let a = merged.access(*dev);
+            self.registry.profile(*dev).time(a.ops, a.bytes)
+        };
+        let max_serial = self
+            .array_racks
+            .iter()
+            .map(|arrays| arrays.iter().map(served).sum::<f64>())
+            .fold(0.0f64, f64::max)
+            + merged.injected_delay_s;
         let global_floor = merged.makespan(&self.registry);
         (max_serial / procs.max(1) as f64).max(global_floor)
     }
@@ -1106,7 +1086,7 @@ impl Cluster {
                 Ok((results, ids))
             };
             let answer = if let Some(err) = &fatal {
-                Err(clone_storage_error(err))
+                Err(err.clone())
             } else if failover {
                 let req = query.request();
                 let missing: Vec<Box3> = lost_chunks
@@ -1140,7 +1120,7 @@ impl Cluster {
                     let mut outcomes: Vec<(usize, StorageResult<SharedOutcome>)> =
                         ids.into_iter().zip(results.into_iter().map(Ok)).collect();
                     for (node, err) in &errors {
-                        outcomes.push((*node, Err(clone_storage_error(err))));
+                        outcomes.push((*node, Err(err.clone())));
                     }
                     outcomes.sort_by_key(|(node, _)| *node);
                     let req = query.request();
@@ -1648,6 +1628,88 @@ mod tests {
         assert_eq!(p.len(), 3 * ATOM_POINTS);
         assert_eq!(p[0], 2.0);
         assert_eq!(p[ATOM_POINTS], 0.0);
+    }
+
+    /// Two nodes both need some blocks of node 0's array; each is read
+    /// once, by whichever worker gets there first. The phase must not
+    /// depend on who that was — and a real cold scan must report the same
+    /// `io_s` run after run, and in I/O-only mode.
+    #[test]
+    fn io_phase_does_not_depend_on_who_touched_a_shared_block_first() {
+        use tdb_zorder::ATOM_POINTS;
+
+        let dir = std::env::temp_dir().join(format!("tdb_iophase_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ClusterConfig {
+            num_nodes: 4,
+            chunk_atoms: 2,
+            synthetic_compute_s_per_point: Some(2e-7),
+            ..ClusterConfig::default()
+        };
+        let grid = Grid3::periodic_cube(32, std::f64::consts::TAU);
+        let mut builder = ClusterBuilder::new(&dir, "io", grid, &[("u", 3)], config).unwrap();
+        builder
+            .ingest_timestep(0, "u", 3, |atom| {
+                vec![atom.zindex() as f32; 3 * ATOM_POINTS]
+            })
+            .unwrap();
+        let cluster = builder.finish().unwrap();
+
+        let (own0, own1) = (cluster.array_racks[0][0], cluster.array_racks[1][0]);
+        let block = 65_536;
+        let node = |reads: &[(DeviceId, u64)]| {
+            let mut session = IoSession::new();
+            for &(dev, blocks) in reads {
+                session.charge(dev, blocks, blocks * block);
+            }
+            NodeResult {
+                points: Vec::new(),
+                cache_hit: false,
+                cache_lookup_s: 0.0,
+                io_s: 0.0,
+                compute_s: 0.0,
+                wall_s: 0.0,
+                atoms_scanned: 0,
+                model: NodeTimeModel::default(),
+                session,
+            }
+        };
+        // ten private blocks each, four of node 0's that both need
+        let node0_first = [node(&[(own0, 14)]), node(&[(own1, 10)])];
+        let node1_first = [node(&[(own0, 10)]), node(&[(own1, 10), (own0, 4)])];
+        let mixed = [node(&[(own0, 11)]), node(&[(own1, 10), (own0, 3)])];
+        let phase = |r: &[NodeResult; 2]| cluster.cluster_io_ref(&r.iter().collect::<Vec<_>>(), 1);
+        let want = cluster.registry.profile(own0).time(14, 14 * block);
+        for split in [&node0_first, &node1_first, &mixed] {
+            assert_eq!(phase(split), want);
+        }
+
+        let cold = |mode| {
+            cluster.clear_buffer_pools();
+            let r = cluster
+                .get_threshold(&ThresholdRequest {
+                    raw_field: "u".into(),
+                    derived: DerivedField::CurlNorm,
+                    timestep: 0,
+                    query_box: Box3::grid(32, 32, 32),
+                    threshold: 1e12,
+                    use_cache: false,
+                    mode,
+                    procs_override: Some(1),
+                    strict: true,
+                    node_deadline_s: None,
+                })
+                .unwrap();
+            r.breakdown.io_s
+        };
+        let first = cold(QueryMode::Full);
+        assert!(first > 0.0);
+        for _ in 0..4 {
+            assert_eq!(cold(QueryMode::Full), first);
+            assert_eq!(cold(QueryMode::IoOnly), first);
+        }
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `get_points` fetches every distinct atom of a call once, batched

@@ -76,11 +76,12 @@ pub struct NodeResult {
     pub cache_hit: bool,
     /// Modelled + measured cache-probe time.
     pub cache_lookup_s: f64,
-    /// Modelled I/O schedule time at the configured process count.
+    /// Modelled I/O schedule time at the configured process count, of
+    /// the reads this node's workers issued. A block a peer also needs is
+    /// read by whichever worker reaches it first, so the split between
+    /// neighbours varies run to run; the mediator's phase time does not
+    /// (it charges every read to the node whose array served it).
     pub io_s: f64,
-    /// Strictly serial I/O schedule of this node's subquery (the mediator
-    /// combines these with the global per-device floor).
-    pub io_serial_s: f64,
     /// Modelled compute residency (total pipeline − I/O schedule), i.e.
     /// the measured kernel time as overlapped by the worker pipeline.
     pub compute_s: f64,
@@ -118,6 +119,10 @@ pub struct NodeRuntime {
     grid: Arc<Grid3>,
     scheme: Arc<DiffScheme>,
     registry: Arc<DeviceRegistry>,
+    /// `io.ops.<device>` / `io.bytes.<device>` counters of every
+    /// registered device, indexed by [`DeviceId`] — resolved once here,
+    /// not per subquery.
+    io_counters: Vec<(tdb_obs::Counter, tdb_obs::Counter)>,
     lan: DeviceId,
     controller: DeviceId,
     compute_scale: f64,
@@ -146,6 +151,16 @@ impl NodeRuntime {
         lan: DeviceId,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
+        let reg = tdb_obs::global();
+        let io_counters = (0..registry.len() as u32)
+            .map(|dev| {
+                let name = &registry.profile(DeviceId(dev)).name;
+                (
+                    reg.counter(&format!("io.ops.{name}")),
+                    reg.counter(&format!("io.bytes.{name}")),
+                )
+            })
+            .collect();
         Self {
             id,
             tables,
@@ -160,6 +175,7 @@ impl NodeRuntime {
             grid,
             scheme,
             registry,
+            io_counters,
             lan,
             controller,
             compute_scale,
@@ -310,7 +326,6 @@ impl NodeRuntime {
                                     cache_hit: true,
                                     cache_lookup_s: slot.cache_lookup_s,
                                     io_s: 0.0,
-                                    io_serial_s: 0.0,
                                     compute_s: 0.0,
                                     wall_s: wall.elapsed().as_secs_f64(),
                                     atoms_scanned: 0,
@@ -350,7 +365,6 @@ impl NodeRuntime {
                                 cache_hit: true,
                                 cache_lookup_s: slot.cache_lookup_s,
                                 io_s: 0.0,
-                                io_serial_s: 0.0,
                                 compute_s: 0.0,
                                 wall_s: wall.elapsed().as_secs_f64(),
                                 atoms_scanned: 0,
@@ -562,7 +576,6 @@ impl NodeRuntime {
             // injected latency and retry backoff stall the issuing worker,
             // so they ride on the I/O phase serially
             let mut io_s = model.io_s(req.procs) + session.injected_delay_s;
-            let io_serial_s = model.io_serial + session.injected_delay_s;
             let mut points = acc_points
                 .get_mut(i)
                 .map(std::mem::take)
@@ -621,7 +634,6 @@ impl NodeRuntime {
                     cache_hit: false,
                     cache_lookup_s: slot.cache_lookup_s,
                     io_s,
-                    io_serial_s,
                     compute_s: model.compute_s(req.procs),
                     wall_s: wall.elapsed().as_secs_f64(),
                     atoms_scanned,
@@ -638,11 +650,11 @@ impl NodeRuntime {
     /// Mirrors a subquery's device charges into the global metrics
     /// registry as `io.ops.<device>` / `io.bytes.<device>` counters.
     fn report_session(&self, session: &IoSession) {
-        let reg = tdb_obs::global();
         for (dev, access) in session.devices() {
-            let name = &self.registry.profile(dev).name;
-            reg.add(&format!("io.ops.{name}"), access.ops);
-            reg.add(&format!("io.bytes.{name}"), access.bytes);
+            if let Some((ops, bytes)) = self.io_counters.get(dev.0 as usize) {
+                ops.add(access.ops);
+                bytes.add(access.bytes);
+            }
         }
     }
 

@@ -94,11 +94,14 @@ pub(crate) fn decode(buf: &mut &[u8], q: f64, vals: &mut [f32]) -> Result<(), Co
     let ncorr = get_u64(buf)? as usize;
     let mut idx = 0usize;
     for i in 0..ncorr {
+        const RANGE: CodecError = CodecError::Invalid("correction index out of range");
         let delta = get_u64(buf)? as usize;
-        idx = if i == 0 { delta } else { idx + delta };
-        let slot = vals
-            .get_mut(idx)
-            .ok_or(CodecError::Invalid("correction index out of range"))?;
+        idx = if i == 0 {
+            delta
+        } else {
+            idx.checked_add(delta).ok_or(RANGE)?
+        };
+        let slot = vals.get_mut(idx).ok_or(RANGE)?;
         let exact = if q > 0.0 {
             let code = get_u64(buf)?;
             if code == 0 {
@@ -160,6 +163,17 @@ mod tests {
         assert_eq!(vals[1], f32::INFINITY);
         assert_eq!(vals[2], 1.0e38);
         assert_eq!(vals[3], -0.5);
+    }
+
+    #[test]
+    fn forged_index_delta_is_rejected_not_overflowed() {
+        // two exact-bits corrections (q = 0): index 3, then a delta of
+        // u64::MAX that would wrap the running index
+        let mut b = vec![2, 3, 0, 0, 0, 0];
+        crate::varint::put_u64(&mut b, u64::MAX);
+        let mut vals = [0.0f32; 8];
+        let err = decode(&mut b.as_slice(), 0.0, &mut vals).unwrap_err();
+        assert_eq!(err, CodecError::Invalid("correction index out of range"));
     }
 
     proptest! {

@@ -166,7 +166,7 @@ pub struct EncodedPlane {
 
 /// Encodes one atom plane (`tdb_zorder::ATOM_POINTS` samples) under
 /// `cfg`. The output always begins with the codec id byte, so
-/// [`decode_plane`] needs no configuration.
+/// [`decode_plane_into`] needs no configuration.
 pub fn encode_plane(cfg: &CompressionConfig, plane: &[f32]) -> EncodedPlane {
     match cfg.mode {
         CompressionMode::Off => {
@@ -204,21 +204,23 @@ pub fn encode_plane(cfg: &CompressionConfig, plane: &[f32]) -> EncodedPlane {
     }
 }
 
-/// Decodes a self-describing plane payload back to `n` samples.
-pub fn decode_plane(bytes: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
+/// Decodes a self-describing plane payload straight into `out`, whose
+/// length is the sample count the payload must hold — the storage tier
+/// hands in the plane's slice of its per-block buffer.
+pub fn decode_plane_into(bytes: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
     let (&codec, body) = bytes.split_first().ok_or(CodecError::Truncated)?;
     match codec {
         CODEC_RAW => {
-            if body.len() != n * 4 {
+            if body.len() != out.len() * 4 {
                 return Err(CodecError::Invalid("raw payload length"));
             }
-            Ok(body
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect())
+            for (o, c) in out.iter_mut().zip(body.chunks_exact(4)) {
+                *o = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            }
+            Ok(())
         }
-        CODEC_LOSSLESS => lossless::decode(body, n),
-        CODEC_LOSSY => spatial::decode(body, n),
+        CODEC_LOSSLESS => lossless::decode_into(body, out),
+        CODEC_LOSSY => spatial::decode_into(body, out),
         other => Err(CodecError::UnknownCodec(other)),
     }
 }
@@ -227,6 +229,12 @@ pub fn decode_plane(bytes: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
 mod tests {
     use super::*;
     use tdb_zorder::ATOM_POINTS;
+
+    fn decode_plane(bytes: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
+        let mut out = vec![0.0f32; n];
+        decode_plane_into(bytes, &mut out)?;
+        Ok(out)
+    }
 
     fn smooth_plane() -> Vec<f32> {
         (0..ATOM_POINTS)

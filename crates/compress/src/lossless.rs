@@ -37,19 +37,27 @@ pub fn encode(samples: &[f32], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes `n` samples encoded by [`encode`], requiring the payload to
-/// be exactly the encoding (no trailing bytes).
-pub fn decode(mut body: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
-    let out = decode_prefix(&mut body, n)?;
+/// Decodes the samples encoded by [`encode`] into a slice of exactly the
+/// encoded length, requiring the payload to be exactly the encoding (no
+/// trailing bytes).
+pub fn decode_into(mut body: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+    decode_prefix_into(&mut body, out)?;
     if !body.is_empty() {
         return Err(CodecError::Invalid("trailing bytes after lossless payload"));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Decodes `n` samples from the front of `buf`, advancing it past the
 /// encoding — the embedding the spatial codec uses for its kept lattice.
 pub fn decode_prefix(buf: &mut &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
+    let mut out = vec![0.0f32; n];
+    decode_prefix_into(buf, &mut out)?;
+    Ok(out)
+}
+
+fn decode_prefix_into(buf: &mut &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+    let n = out.len();
     let stored_n = get_u64(buf)? as usize;
     if stored_n != n {
         return Err(CodecError::Invalid("lossless sample count mismatch"));
@@ -59,14 +67,11 @@ pub fn decode_prefix(buf: &mut &[u8], n: usize) -> Result<Vec<f32>, CodecError> 
         decode_lane(buf, &mut words, lane)?;
     }
     let mut prev = 0u32;
-    Ok(words
-        .into_iter()
-        .map(|w| {
-            let bits = prev.wrapping_add(unzigzag(w) as u32);
-            prev = bits;
-            f32::from_bits(bits)
-        })
-        .collect())
+    for (o, w) in out.iter_mut().zip(words) {
+        prev = prev.wrapping_add(unzigzag(w) as u32);
+        *o = f32::from_bits(prev);
+    }
+    Ok(())
 }
 
 /// One byte lane as alternating varint-framed segments: literal length,
@@ -143,6 +148,12 @@ fn decode_lane(buf: &mut &[u8], words: &mut [u32], lane: usize) -> Result<(), Co
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn decode(body: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
+        let mut out = vec![0.0f32; n];
+        decode_into(body, &mut out)?;
+        Ok(out)
+    }
 
     fn roundtrip(samples: &[f32]) -> Vec<f32> {
         let mut b = Vec::new();

@@ -90,8 +90,9 @@ fn axis_weights(kept: &[usize]) -> Vec<[f64; ATOM_WIDTH]> {
 }
 
 /// Separable tensor-product reconstruction of the full 8³ plane from the
-/// kept lattice (x-fastest layout, matching atom payload order).
-fn reconstruct(kept_vals: &[f32], kept: &[usize]) -> Vec<f32> {
+/// kept lattice (x-fastest layout, matching atom payload order) into
+/// `out` ([`ATOM_POINTS`] samples).
+fn reconstruct(kept_vals: &[f32], kept: &[usize], out: &mut [f32]) {
     let k = kept.len();
     let w = axis_weights(kept); // identical per axis: the lattice is cubic
                                 // pass 1: expand x (k³ → 8·k²)
@@ -119,7 +120,6 @@ fn reconstruct(kept_vals: &[f32], kept: &[usize]) -> Vec<f32> {
         }
     }
     // pass 3: expand z (8²·k → 8³)
-    let mut out = vec![0.0f32; ATOM_POINTS];
     for z in 0..ATOM_WIDTH {
         for yx in 0..ATOM_WIDTH * ATOM_WIDTH {
             let mut acc = 0.0f64;
@@ -129,7 +129,6 @@ fn reconstruct(kept_vals: &[f32], kept: &[usize]) -> Vec<f32> {
             out[yx + z * ATOM_WIDTH * ATOM_WIDTH] = acc as f32;
         }
     }
-    out
 }
 
 /// Quantises one kept sample. Values the grid cannot hold (non-finite,
@@ -347,7 +346,8 @@ fn encode_variant(
         lossless::encode(&kept_vals, out);
         kept_vals
     };
-    let mut recon = reconstruct(&lattice, kept);
+    let mut recon = vec![0.0f32; ATOM_POINTS];
+    reconstruct(&lattice, kept, &mut recon);
     let dense_fixes = if mode == MODE_DENSE {
         dense_encode(plane, &mut recon, &skipped_indices(kept), q, max_error, out)
     } else {
@@ -395,9 +395,10 @@ pub fn encode(plane: &[f32], stride: u32, max_error: f64, out: &mut Vec<u8>) -> 
     stats
 }
 
-/// Decodes a payload written by [`encode`] back to `n` samples.
-pub fn decode(mut body: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
-    if n != ATOM_POINTS {
+/// Decodes a payload written by [`encode`] into a caller-provided atom
+/// plane.
+pub fn decode_into(mut body: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+    if out.len() != ATOM_POINTS {
         return Err(CodecError::Invalid("spatial codec works on atom planes"));
     }
     let buf = &mut body;
@@ -437,12 +438,11 @@ pub fn decode(mut body: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
     } else {
         lossless::decode_prefix(buf, k * k * k)?
     };
-    let mut out = reconstruct(&lattice, &kept);
+    reconstruct(&lattice, &kept, out);
     if mode == MODE_DENSE {
-        dense_decode(buf, &skipped_indices(&kept), q, &mut out)?;
+        dense_decode(buf, &skipped_indices(&kept), q, out)?;
     }
-    corrections::decode(buf, q, &mut out)?;
-    Ok(out)
+    corrections::decode(buf, q, out)
 }
 
 #[cfg(test)]
@@ -460,6 +460,12 @@ mod tests {
             }
         }
         p
+    }
+
+    fn decode(body: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
+        let mut out = vec![0.0f32; n];
+        decode_into(body, &mut out)?;
+        Ok(out)
     }
 
     fn roundtrip(plane: &[f32], stride: u32, bound: f64) -> (Vec<f32>, SpatialStats, usize) {

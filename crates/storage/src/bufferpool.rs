@@ -12,15 +12,22 @@
 //! to a pluggable [`EvictionPolicy`] (LRU by default; CLOCK and SIEVE via
 //! [`BufferPool::with_policy`]); the byte budget, the oversized-block
 //! `len() > 1` admission guard and fault injection are policy-independent.
+//!
+//! A miss runs its loader (device read, CRC, decode) *outside* the pool
+//! lock, single-flight per key: the first requester of an absent block
+//! loads it, requesters arriving meanwhile wait for that load and count
+//! as hits, and every other key hits, loads and evicts undisturbed. One
+//! miss is therefore still one `bufferpool.misses`, one loader run and
+//! one device charge, however many workers wanted the block at once.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::device::IoSession;
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::eviction::{EvictionPolicy, EvictionPolicyKind};
 use crate::faults::FaultPlan;
 
@@ -48,12 +55,54 @@ struct PoolInner<V> {
     capacity_bytes: usize,
     used_bytes: usize,
     blocks: HashMap<BlockKey, V>,
+    /// Keys whose loader is running. A loading key is in neither `blocks`
+    /// nor the policy, so it can be neither hit nor chosen as a victim.
+    loading: HashMap<BlockKey, Arc<Flight<V>>>,
     policy: Box<dyn EvictionPolicy>,
 }
 
+/// One load in progress: where its loader leaves the outcome for the
+/// requesters that arrived while it ran.
+struct Flight<V> {
+    outcome: Mutex<Option<StorageResult<V>>>,
+    landed: Condvar,
+}
+
+/// The loading requester's claim on a key. Landing it publishes the
+/// loader's outcome; dropping it unlanded (the loader panicked) fails the
+/// waiters instead of leaving them parked on a load that will never end.
+struct Claim<'a, V: PoolValue> {
+    pool: &'a BufferPool<V>,
+    key: BlockKey,
+    flight: Arc<Flight<V>>,
+    landed: bool,
+}
+
+impl<V: PoolValue> Claim<'_, V> {
+    fn land(&mut self, outcome: StorageResult<V>) {
+        self.landed = true;
+        {
+            let mut inner = self.pool.inner.lock();
+            inner.loading.remove(&self.key);
+            if let Ok(data) = &outcome {
+                self.pool.admit(&mut inner, self.key, data.clone());
+            }
+        }
+        *self.flight.outcome.lock() = Some(outcome);
+        self.flight.landed.notify_all();
+    }
+}
+
+impl<V: PoolValue> Drop for Claim<'_, V> {
+    fn drop(&mut self) {
+        if !self.landed {
+            self.land(Err(StorageError::internal("block loader panicked")));
+        }
+    }
+}
+
 /// A byte-bounded cache of partition blocks, shared by all worker
-/// processes of a node. Loads happen under the pool lock, which also
-/// serialises concurrent misses the way a single set of disks would.
+/// processes of a node.
 pub struct BufferPool<V: PoolValue = Bytes> {
     inner: Mutex<PoolInner<V>>,
     policy_kind: EvictionPolicyKind,
@@ -88,6 +137,7 @@ impl<V: PoolValue> BufferPool<V> {
                 capacity_bytes,
                 used_bytes: 0,
                 blocks: HashMap::new(),
+                loading: HashMap::new(),
                 policy: kind.build(),
             }),
             policy_kind: kind,
@@ -110,25 +160,80 @@ impl<V: PoolValue> BufferPool<V> {
 
     /// Returns the cached block or loads it via `load`, charging the miss
     /// to `session` inside `load` (the loader performs the device charge).
+    /// `load` runs without the pool lock; a requester that finds the key
+    /// already loading waits for that load and shares its outcome: the
+    /// value as a hit (recency refreshed like any hit), or a clone of the
+    /// loader's error — the waiter does not run its own loader, so it
+    /// sees the outcome of the loader's retries, not of its own.
     pub fn get_or_load(
         &self,
         key: BlockKey,
         session: &mut IoSession,
         load: impl FnOnce(&mut IoSession) -> StorageResult<V>,
     ) -> StorageResult<V> {
-        let mut inner = self.inner.lock();
-        if let Some(data) = inner.blocks.get(&key) {
-            let data = data.clone();
-            inner.policy.on_hit(key);
-            session.pool_hits += 1;
-            self.obs_hits.inc();
-            return Ok(data);
+        let (flight, ours) = {
+            let mut inner = self.inner.lock();
+            if let Some(data) = inner.blocks.get(&key) {
+                let data = data.clone();
+                inner.policy.on_hit(key);
+                session.pool_hits += 1;
+                self.obs_hits.inc();
+                return Ok(data);
+            }
+            match inner.loading.get(&key) {
+                Some(flight) => (Arc::clone(flight), false),
+                None => {
+                    let flight = Arc::new(Flight {
+                        outcome: Mutex::new(None),
+                        landed: Condvar::new(),
+                    });
+                    inner.loading.insert(key, Arc::clone(&flight));
+                    (flight, true)
+                }
+            }
+        };
+        if !ours {
+            let shared = {
+                let mut outcome = flight.outcome.lock();
+                loop {
+                    if let Some(shared) = outcome.as_ref() {
+                        break shared.clone();
+                    }
+                    flight.landed.wait(&mut outcome);
+                }
+            };
+            if shared.is_ok() {
+                // a hit like any other: it refreshes the block's recency,
+                // unless the block was already evicted again
+                let mut inner = self.inner.lock();
+                if inner.blocks.contains_key(&key) {
+                    inner.policy.on_hit(key);
+                }
+                session.pool_hits += 1;
+                self.obs_hits.inc();
+            }
+            return shared;
         }
-        let data = load(session)?;
-        session.pool_misses += 1;
-        self.obs_misses.inc();
+        let mut claim = Claim {
+            pool: self,
+            key,
+            flight,
+            landed: false,
+        };
+        let outcome = load(session);
+        if outcome.is_ok() {
+            session.pool_misses += 1;
+            self.obs_misses.inc();
+        }
+        claim.land(outcome.clone());
+        outcome
+    }
+
+    /// Caches a freshly loaded block and evicts down to the byte budget.
+    fn admit(&self, inner: &mut PoolInner<V>, key: BlockKey, data: V) {
         inner.used_bytes += data.weight();
-        inner.blocks.insert(key, data.clone());
+        let displaced = inner.blocks.insert(key, data);
+        debug_assert!(displaced.is_none(), "single-flight admits a key once");
         inner.policy.on_insert(key);
         while inner.used_bytes > inner.capacity_bytes && inner.blocks.len() > 1 {
             let Some(victim) = inner.policy.evict() else {
@@ -139,10 +244,10 @@ impl<V: PoolValue> BufferPool<V> {
                 self.obs_evictions.inc();
             }
         }
-        Ok(data)
     }
 
-    /// Drops every cached block (cold-cache experiment setup).
+    /// Drops every cached block (cold-cache experiment setup). A load in
+    /// flight is not cancelled: its block is admitted when it lands.
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.blocks.clear();
@@ -249,6 +354,65 @@ mod tests {
         });
         assert!(r.is_err());
         assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn loader_runs_without_the_pool_lock() {
+        let pool: BufferPool = BufferPool::new(1024);
+        let mut s = IoSession::new();
+        pool.get_or_load(key(0), &mut s, |s| {
+            // both calls take the pool lock: they would self-deadlock if
+            // it were held across the load
+            assert!(pool.is_empty());
+            pool.get_or_load(key(1), s, load_n(10))
+        })
+        .unwrap();
+        assert_eq!((pool.len(), pool.used_bytes()), (2, 20));
+        assert_eq!((s.pool_hits, s.pool_misses), (0, 2));
+    }
+
+    #[test]
+    fn waiting_on_a_load_counts_as_a_reference() {
+        // two requesters of one absent block: whether the second arrives
+        // while the load is in flight (and waits) or after it landed (a
+        // plain hit), the block ends up referenced — SIEVE then spares it
+        let pool: BufferPool = BufferPool::with_policy(25, EvictionPolicyKind::Sieve, None);
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        let pool = &pool;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut s = IoSession::new();
+                pool.get_or_load(key(0), &mut s, |_| {
+                    parked.recv().unwrap();
+                    Ok(Bytes::from(vec![0u8; 10]))
+                })
+                .unwrap();
+                assert_eq!((s.pool_hits, s.pool_misses), (0, 1));
+            });
+            scope.spawn(|| {
+                let mut s = IoSession::new();
+                while pool.inner.lock().loading.is_empty() && pool.is_empty() {
+                    std::thread::yield_now();
+                }
+                pool.get_or_load(key(0), &mut s, |_| panic!("one load per key"))
+                    .unwrap();
+                assert_eq!((s.pool_hits, s.pool_misses), (1, 0));
+            });
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            release.send(()).unwrap();
+        });
+        let mut s = IoSession::new();
+        pool.get_or_load(key(1), &mut s, load_n(10)).unwrap();
+        pool.get_or_load(key(2), &mut s, load_n(10)).unwrap(); // evicts 1, not 0
+        pool.get_or_load(key(0), &mut s, |_| panic!("0 was referenced"))
+            .unwrap();
+        let mut reloaded = false;
+        pool.get_or_load(key(1), &mut s, |_| {
+            reloaded = true;
+            Ok(Bytes::from_static(&[0; 10]))
+        })
+        .unwrap();
+        assert!(reloaded, "key 1 should have been the SIEVE victim");
     }
 
     #[test]

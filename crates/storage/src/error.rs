@@ -38,6 +38,54 @@ pub enum StorageError {
     Internal { detail: String },
 }
 
+/// `io::Error` is not `Clone`, so the variants are reconstructed field
+/// by field; a copied I/O error keeps its kind and message. One failure
+/// fans out to every query of a shared-scan group and to every requester
+/// waiting on the same in-flight block load.
+impl Clone for StorageError {
+    fn clone(&self) -> Self {
+        match self {
+            StorageError::Io { file, source } => StorageError::Io {
+                file: file.clone(),
+                source: std::io::Error::new(source.kind(), source.to_string()),
+            },
+            StorageError::Corrupt { file, detail } => StorageError::Corrupt {
+                file: file.clone(),
+                detail: detail.clone(),
+            },
+            StorageError::KeyOrder { detail } => StorageError::KeyOrder {
+                detail: detail.clone(),
+            },
+            StorageError::SchemaMismatch {
+                expected_ncomp,
+                got_ncomp,
+            } => StorageError::SchemaMismatch {
+                expected_ncomp: *expected_ncomp,
+                got_ncomp: *got_ncomp,
+            },
+            StorageError::MissingData { detail } => StorageError::MissingData {
+                detail: detail.clone(),
+            },
+            StorageError::Injected {
+                site,
+                detail,
+                transient,
+            } => StorageError::Injected {
+                site: site.clone(),
+                detail: detail.clone(),
+                transient: *transient,
+            },
+            StorageError::NodeUnavailable { node, detail } => StorageError::NodeUnavailable {
+                node: *node,
+                detail: detail.clone(),
+            },
+            StorageError::Internal { detail } => StorageError::Internal {
+                detail: detail.clone(),
+            },
+        }
+    }
+}
+
 impl StorageError {
     /// Whether a bounded retry may succeed: injected transient faults and
     /// the retryable I/O error kinds (interrupted / timed-out reads).

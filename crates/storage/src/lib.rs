@@ -7,12 +7,15 @@
 //! queried under snapshot isolation (paper §2, §4, §5.1). This crate is
 //! that engine, built from scratch:
 //!
-//! * [`record`] — the `(timestep, zindex) → atom payload` record format,
-//! * [`block`] — checksummed block encoding (CRC-32),
+//! * [`record`] — the `(timestep, zindex) → atom payload` record, its
+//!   samples a shared view of the decoded block they came from,
+//! * [`block`] — checksummed block encoding (table-driven CRC-32, bulk
+//!   decode into one buffer per block),
 //! * [`sstable`] — immutable sorted partition files with a fence index
 //!   (the clustered index of the paper: lookups are key-range scans),
 //! * [`bufferpool`] — a shared block cache (SQL Server's buffer pool) with
-//!   pluggable [`eviction`] policies (LRU, CLOCK, SIEVE),
+//!   pluggable [`eviction`] policies (LRU, CLOCK, SIEVE) and single-flight
+//!   loads that run outside its lock,
 //! * [`table`] — a partitioned table spread over disk arrays,
 //! * [`device`] — device profiles and per-query I/O accounting used by the
 //!   evaluation's modelled time breakdown (DESIGN.md §4),
@@ -39,7 +42,7 @@ pub use error::{IoResultExt, StorageError, StorageResult};
 pub use eviction::{EvictionPolicy, EvictionPolicyKind};
 pub use faults::{BlockReadFault, FaultCounts, FaultKind, FaultPlan, FaultRule, FaultSite};
 pub use mvcc::{CommitError, MvccStore, Txn};
-pub use record::{AtomKey, AtomRecord};
+pub use record::{AtomData, AtomKey, AtomRecord};
 pub use sstable::{BlockCache, DecodedBlock, PartitionReader, PartitionWriter};
 pub use table::{Table, TableBuilder};
 pub use tdb_compress::{CompressionConfig, CompressionMode};

@@ -4,8 +4,15 @@
 //! of size 8³. Each such atom is indexed by the time-step ... and by the
 //! Morton code of its lower left corner. This combination of index and data
 //! forms a record in the database." (paper §2)
+//!
+//! The byte encoding of records belongs to the block codec
+//! ([`crate::block`]): a block decodes into one sample buffer, and the
+//! records it yields are keys plus [`AtomData`] views into that buffer.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::ops::{Deref, Range};
+use std::sync::Arc;
+
+use bytes::{Buf, BufMut, BytesMut};
 use tdb_zorder::ATOM_POINTS;
 
 use crate::error::{StorageError, StorageResult};
@@ -40,13 +47,73 @@ impl AtomKey {
     }
 }
 
+/// The samples of one record: an immutable view into a buffer shared by
+/// every record decoded from the same block. Cloning bumps a refcount,
+/// so an atom's data is copied once on its way from the buffer pool to a
+/// padded cube; a view keeps its block's buffer alive past eviction.
+#[derive(Clone)]
+pub struct AtomData {
+    buf: Arc<Vec<f32>>,
+    span: Range<usize>,
+}
+
+impl AtomData {
+    /// The view of `span` within a block's decoded buffer.
+    pub(crate) fn view(buf: &Arc<Vec<f32>>, span: Range<usize>) -> Self {
+        debug_assert!(span.start <= span.end && span.end <= buf.len());
+        Self {
+            buf: Arc::clone(buf),
+            span,
+        }
+    }
+}
+
+impl From<Vec<f32>> for AtomData {
+    fn from(samples: Vec<f32>) -> Self {
+        let span = 0..samples.len();
+        Self {
+            buf: Arc::new(samples),
+            span,
+        }
+    }
+}
+
+impl Deref for AtomData {
+    type Target = [f32];
+    fn deref(&self) -> &[f32] {
+        // in range by construction: `view` is handed spans the decoder
+        // just filled, `from` spans the whole buffer
+        self.buf.get(self.span.clone()).unwrap_or(&[])
+    }
+}
+
+impl<'a> IntoIterator for &'a AtomData {
+    type Item = &'a f32;
+    type IntoIter = std::slice::Iter<'a, f32>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for AtomData {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for AtomData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// One atom record: key plus `ncomp` planes of 512 `f32` samples
 /// (component-major, x-fastest within each plane).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AtomRecord {
     pub key: AtomKey,
     pub ncomp: u8,
-    pub data: Vec<f32>,
+    pub data: AtomData,
 }
 
 impl AtomRecord {
@@ -58,46 +125,16 @@ impl AtomRecord {
                 got_ncomp: (data.len() / ATOM_POINTS) as u8,
             });
         }
-        Ok(Self { key, ncomp, data })
+        Ok(Self {
+            key,
+            ncomp,
+            data: data.into(),
+        })
     }
 
     /// Encoded size in bytes for a given component count.
     pub fn encoded_len(ncomp: u8) -> usize {
         AtomKey::ENCODED_LEN + 1 + usize::from(ncomp) * ATOM_POINTS * 4
-    }
-
-    /// Appends the record encoding.
-    pub fn encode(&self, out: &mut BytesMut) {
-        out.reserve(Self::encoded_len(self.ncomp));
-        self.key.encode(out);
-        out.put_u8(self.ncomp);
-        for &v in &self.data {
-            out.put_f32_le(v);
-        }
-    }
-
-    /// Decodes one record from the front of `buf`.
-    pub fn decode(buf: &mut Bytes) -> StorageResult<AtomRecord> {
-        if buf.remaining() < AtomKey::ENCODED_LEN + 1 {
-            return Err(StorageError::Corrupt {
-                file: String::new(),
-                detail: "truncated record header".into(),
-            });
-        }
-        let key = AtomKey::decode(buf);
-        let ncomp = buf.get_u8();
-        let n = usize::from(ncomp) * ATOM_POINTS;
-        if buf.remaining() < n * 4 {
-            return Err(StorageError::Corrupt {
-                file: String::new(),
-                detail: format!("truncated record payload (key {key:?})"),
-            });
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(buf.get_f32_le());
-        }
-        Ok(AtomRecord { key, ncomp, data })
     }
 
     /// Component plane `c` of the payload (empty for `c >= ncomp`, so a
@@ -113,6 +150,8 @@ impl AtomRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{checksum, decode_block, encode_block};
+    use bytes::Bytes;
     use proptest::prelude::*;
 
     #[test]
@@ -141,13 +180,9 @@ mod tests {
     fn record_roundtrip() {
         let data: Vec<f32> = (0..3 * ATOM_POINTS).map(|i| i as f32 * 0.5).collect();
         let r = AtomRecord::new(AtomKey::new(7, 12345), 3, data).unwrap();
-        let mut buf = BytesMut::new();
-        r.encode(&mut buf);
-        assert_eq!(buf.len(), AtomRecord::encoded_len(3));
-        let mut bytes = buf.freeze();
-        let back = AtomRecord::decode(&mut bytes).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(bytes.remaining(), 0);
+        let blk = encode_block(std::slice::from_ref(&r));
+        assert_eq!(blk.len(), AtomRecord::encoded_len(3) + 12);
+        assert_eq!(decode_block(blk, "t").unwrap(), vec![r]);
     }
 
     #[test]
@@ -158,12 +193,16 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation() {
-        let data: Vec<f32> = vec![1.0; ATOM_POINTS];
-        let r = AtomRecord::new(AtomKey::new(1, 2), 1, data).unwrap();
-        let mut buf = BytesMut::new();
-        r.encode(&mut buf);
-        let mut cut = buf.freeze().slice(0..40);
-        assert!(AtomRecord::decode(&mut cut).is_err());
+        // a block whose CRC is right but whose only record stops short
+        let r = AtomRecord::new(AtomKey::new(1, 2), 1, vec![1.0; ATOM_POINTS]).unwrap();
+        let blk = encode_block(&[r]);
+        let mut cut = blk[..8 + 40].to_vec();
+        cut.extend_from_slice(&checksum(&cut).to_be_bytes());
+        let err = decode_block(Bytes::from(cut), "f").unwrap_err();
+        assert!(
+            err.to_string().contains("truncated record payload"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -183,10 +222,8 @@ mod tests {
             let n = usize::from(ncomp) * ATOM_POINTS;
             let data: Vec<f32> = (0..n).map(|i| ((i as u32).wrapping_mul(seed)) as f32).collect();
             let r = AtomRecord::new(AtomKey::new(ts, z), ncomp, data).unwrap();
-            let mut buf = BytesMut::new();
-            r.encode(&mut buf);
-            let mut bytes = buf.freeze();
-            prop_assert_eq!(AtomRecord::decode(&mut bytes).unwrap(), r);
+            let blk = encode_block(std::slice::from_ref(&r));
+            prop_assert_eq!(decode_block(blk, "t").unwrap(), vec![r]);
         }
     }
 }

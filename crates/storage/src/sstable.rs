@@ -6,6 +6,10 @@
 //! and read only overlapping blocks — the clustered-index range scan the
 //! paper's queries compile to. The archive is append-once, so sorted runs
 //! never need compaction.
+//!
+//! A block is read, verified and decoded once, on the buffer-pool miss
+//! path and outside the pool lock; a scan then hands out its records as
+//! views of the block's one sample buffer, so a pool hit copies nothing.
 
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
@@ -16,7 +20,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tdb_compress::{CompressionConfig, CompressionMode};
 
-use crate::block::{decode_block_meta, encode_block_with, TARGET_BLOCK_BYTES};
+use crate::block::{decode_block_bytes, encode_block_with, TARGET_BLOCK_BYTES};
 use crate::bufferpool::{BlockKey, BufferPool, PoolValue};
 use crate::device::{DeviceId, IoSession};
 use crate::error::{IoResultExt, StorageError, StorageResult};
@@ -32,8 +36,11 @@ const RETRY_BACKOFF_S: f64 = 2e-3;
 
 /// A checksum-verified, parsed partition block as held by the buffer
 /// pool. Decoding (including codec reconstruction) happens once, on the
-/// miss path; the pool budget tracks the *decoded* footprint while the
-/// device accounting charges the on-disk (possibly compressed) bytes.
+/// miss path, into one sample buffer that the records view; the pool
+/// budget tracks the *decoded* footprint while the device accounting
+/// charges the on-disk (possibly compressed) bytes. Records handed to a
+/// scan share that buffer, so it outlives the block's eviction for as
+/// long as a scan still holds one — the budget stays `logical_len`.
 #[derive(Debug, Clone)]
 pub struct DecodedBlock {
     pub records: Arc<Vec<AtomRecord>>,
@@ -296,7 +303,8 @@ impl PartitionReader {
     ///
     /// Transient failures (injected or retryable I/O kinds) get a bounded
     /// retry with modelled exponential backoff; the retry happens inside
-    /// the loader so the pool still counts a single miss. Permanent
+    /// the loader so the pool still counts a single miss, and workers
+    /// wanting the same block meanwhile wait for this load. Permanent
     /// failures propagate immediately with the partition path attached.
     fn read_block(
         &self,
@@ -368,7 +376,7 @@ impl PartitionReader {
             .at_file(&self.path)?;
         s.charge(self.device, 1, u64::from(fence.len));
         let started = std::time::Instant::now();
-        let (records, meta) = decode_block_meta(Bytes::from(buf), &self.path)?;
+        let (records, meta) = decode_block_bytes(&buf, &self.path)?;
         if meta.compressed {
             tdb_obs::global()
                 .histogram("compress.reconstruct_s")
@@ -399,11 +407,10 @@ impl PartitionReader {
                 break;
             }
             let block = self.read_block(idx, *fence, session)?;
-            for r in block.records.iter() {
-                if r.key >= lo && r.key <= hi {
-                    out.push(r.clone());
-                }
-            }
+            // records are key-sorted: the matches are one contiguous run
+            let from = block.records.partition_point(|r| r.key < lo);
+            let to = block.records.partition_point(|r| r.key <= hi);
+            out.extend_from_slice(block.records.get(from..to).unwrap_or_default());
         }
         Ok(out)
     }
@@ -506,6 +513,48 @@ mod tests {
             .unwrap();
         assert_eq!(s2.pool_misses, 0, "second scan should be all pool hits");
         assert_eq!(s2.total_bytes(), 0);
+    }
+
+    #[test]
+    fn fetched_records_outlive_eviction_and_clear() {
+        let dir = tmpdir("views");
+        let keys: Vec<(u32, u64)> = (0u32..200).map(|i| (0, u64::from(i))).collect();
+        let path = dir.join("part_v.tdb");
+        let mut w = PartitionWriter::create(&path, 1).unwrap();
+        for &(ts, z) in &keys {
+            w.append(rec(ts, z)).unwrap();
+        }
+        w.finish().unwrap();
+        let mut reg = crate::device::DeviceRegistry::new();
+        let dev = reg.register(crate::device::DeviceProfile::hdd_array());
+        // room for two of the seven blocks
+        let pool = Arc::new(BlockCache::new(2 * TARGET_BLOCK_BYTES + 4096));
+        let r = PartitionReader::open(&path, 1, dev, Arc::clone(&pool)).unwrap();
+        let per_block = TARGET_BLOCK_BYTES.div_ceil(AtomRecord::encoded_len(1));
+        let mut s = IoSession::new();
+        let held = r
+            .scan_range(AtomKey::new(0, 0), AtomKey::new(0, 39), &mut s)
+            .unwrap();
+        assert_eq!(s.pool_misses, 2);
+        // the budget is charged the decoded footprint of the whole blocks
+        assert_eq!(
+            pool.used_bytes(),
+            2 * per_block * AtomRecord::encoded_len(1)
+        );
+        // push both blocks out, then drop everything else too
+        r.scan_range(AtomKey::new(0, 64), AtomKey::new(0, 199), &mut s)
+            .unwrap();
+        let mut again = IoSession::new();
+        r.get(AtomKey::new(0, 0), &mut again).unwrap();
+        assert_eq!(again.pool_misses, 1, "block 0 must have been evicted");
+        pool.clear();
+        assert!(pool.is_empty());
+        assert_eq!(pool.used_bytes(), 0);
+        // the views still read the samples they were handed
+        assert_eq!(held.len(), 40);
+        for (r, &(ts, z)) in held.iter().zip(&keys) {
+            assert_eq!(r, &rec(ts, z));
+        }
     }
 
     #[test]

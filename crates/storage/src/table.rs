@@ -164,57 +164,78 @@ impl Table {
         self.partitions.len()
     }
 
-    /// Records of `timestep` whose zindex falls in any of `zranges`
-    /// (sorted, disjoint), in key order.
+    /// Records of `timestep` whose zindex falls in any of `zranges`, in
+    /// key order. `zranges` must be sorted and disjoint — that is what
+    /// makes the output ordered without a sort — and a list that is not
+    /// is refused rather than answered out of order.
     pub fn scan(
         &self,
         timestep: u32,
         zranges: &[ZRange],
         session: &mut IoSession,
     ) -> StorageResult<Vec<AtomRecord>> {
+        if !zranges
+            .iter()
+            .zip(zranges.iter().skip(1))
+            .all(|(a, b)| a.end < b.start)
+        {
+            return Err(StorageError::internal(format!(
+                "table {}: scan ranges must be sorted and disjoint",
+                self.name
+            )));
+        }
         let mut out = Vec::new();
         for zr in zranges {
-            for p in &self.partitions {
-                if !p.zone.overlaps(zr) {
-                    continue;
+            // zones are sorted and disjoint: the ones a range touches are
+            // consecutive, starting at the first that ends at or after it
+            let first = self.partitions.partition_point(|p| p.zone.end < zr.start);
+            for p in self.partitions.iter().skip(first) {
+                if p.zone.start > zr.end {
+                    break;
                 }
                 let lo = AtomKey::new(timestep, zr.start.max(p.zone.start));
                 let hi = AtomKey::new(timestep, zr.end.min(p.zone.end));
                 out.extend(p.reader.scan_range(lo, hi, session)?);
             }
         }
-        out.sort_unstable_by_key(|r| r.key);
+        debug_assert!(
+            out.iter()
+                .zip(out.iter().skip(1))
+                .all(|(a, b)| a.key < b.key),
+            "sorted ranges over sorted disjoint zones come out in key order"
+        );
         Ok(out)
     }
 
     /// Batched point lookups: `zindexes` (sorted, unique) of one timestep
     /// are grouped into contiguous runs, each served by a single
     /// clustered-index range scan — scattered halo atoms therefore pay one
-    /// seek per run, not one per atom.
+    /// seek per run, not one per atom. A run spans only codes that were
+    /// asked for, so nothing unasked comes back; a list that is not sorted
+    /// and unique is refused (its runs would overlap or go backwards).
     pub fn get_many(
         &self,
         timestep: u32,
         zindexes: &[u64],
         session: &mut IoSession,
     ) -> StorageResult<Vec<AtomRecord>> {
-        debug_assert!(
-            zindexes
-                .iter()
-                .zip(zindexes.iter().skip(1))
-                .all(|(a, b)| a < b),
-            "sorted unique"
-        );
         let mut runs: Vec<ZRange> = Vec::new();
         for &z in zindexes {
             match runs.last_mut() {
                 Some(r) if r.end + 1 == z => r.end = z,
+                Some(r) if z <= r.end => {
+                    return Err(StorageError::internal(format!(
+                        "table {}: get_many zindexes must be sorted and unique ({z} after {})",
+                        self.name, r.end
+                    )))
+                }
                 _ => runs.push(ZRange::new(z, z)),
             }
         }
-        let mut out = self.scan(timestep, &runs, session)?;
-        // a run may cover codes that exist in storage but were not asked
-        // for (cannot happen for unit runs, defensive otherwise)
-        out.retain(|r| zindexes.binary_search(&r.key.zindex).is_ok());
+        let out = self.scan(timestep, &runs, session)?;
+        debug_assert!(out
+            .iter()
+            .all(|r| zindexes.binary_search(&r.key.zindex).is_ok()));
         Ok(out)
     }
 
@@ -287,6 +308,29 @@ mod tests {
             .unwrap();
         let zs: Vec<u64> = got.iter().map(|r| r.key.zindex).collect();
         assert_eq!(zs, vec![5, 6, 7, 20, 21]);
+    }
+
+    #[test]
+    fn unordered_requests_are_refused_not_misanswered() {
+        // the output order rests on the input order (no sort, no filter),
+        // so a caller breaking the contract gets an error in any build
+        let zones = vec![ZRange::new(0, 31), ZRange::new(32, 63)];
+        let (table, _) = setup("contract", zones, 1);
+        let mut s = IoSession::new();
+        let sorted = table.get_many(0, &[3, 4, 9, 40], &mut s).unwrap();
+        let zs: Vec<u64> = sorted.iter().map(|r| r.key.zindex).collect();
+        assert_eq!(zs, vec![3, 4, 9, 40]);
+        for bad in [&[9u64, 3][..], &[3, 3], &[3, 4, 4], &[3, 4, 9, 5]] {
+            let e = table.get_many(0, bad, &mut s).unwrap_err();
+            assert!(matches!(e, StorageError::Internal { .. }), "{bad:?}: {e}");
+        }
+        for bad in [
+            [ZRange::new(20, 21), ZRange::new(5, 7)],
+            [ZRange::new(5, 10), ZRange::new(10, 12)],
+        ] {
+            let e = table.scan(0, &bad, &mut s).unwrap_err();
+            assert!(matches!(e, StorageError::Internal { .. }), "{bad:?}: {e}");
+        }
     }
 
     #[test]

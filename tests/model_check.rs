@@ -3,7 +3,8 @@
 //! Four concurrency-critical components get a closed model each: the
 //! scan-scheduler batch close, the mediator's failover-vs-rebalance lock
 //! discipline, the admission queue's WFQ grant/evict/shed protocol (real
-//! code), and the buffer pool's eviction-vs-decode path (real code).
+//! code), and the buffer pool's eviction-vs-decode path and single-flight
+//! loads outside the pool lock (real code).
 //! Where this PR fixed a real bug — the scan-scheduler batch overshoot —
 //! the *buggy* variant rides along as a regression model the checker
 //! must still catch.
@@ -13,6 +14,7 @@
 //! scheduler may fire the timeout at any point), so models terminate
 //! without wall-clock dependence.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,7 +22,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 use tdb_check::{thread, FailureKind, Model};
 use tdb_storage::bufferpool::BlockKey;
-use tdb_storage::{BufferPool, IoSession};
+use tdb_storage::{BufferPool, IoSession, StorageError};
 use tdb_wire::admission::{Admission, AdmissionConfig, AdmissionQueue, TenantSpec};
 
 // ---------------------------------------------------------------------
@@ -296,6 +298,190 @@ fn bufferpool_eviction_vs_decode_passes() {
             let (used, len) = (pool.used_bytes(), pool.len());
             assert!(
                 used <= 25 || len == 1,
+                "byte budget violated: {used} bytes in {len} blocks"
+            );
+        });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+// ---------------------------------------------------------------------
+// 5. BufferPool: single-flight loads outside the pool lock (real code)
+// ---------------------------------------------------------------------
+
+fn pool_key(i: u32) -> BlockKey {
+    BlockKey {
+        file_id: 1,
+        block_no: i,
+    }
+}
+
+fn pool_block(tag: u8) -> Bytes {
+    Bytes::from(vec![tag; 10])
+}
+
+/// A one-shot latch on the shim primitives, so the checker sees it.
+#[derive(Default)]
+struct Latch {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Latch {
+    fn open(&self) {
+        *self.open.lock() = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let mut open = self.open.lock();
+        while !*open {
+            self.opened.wait(&mut open);
+        }
+    }
+}
+
+/// The loader of a missing block runs without the pool lock, once per
+/// key however many requesters arrive while it runs.
+#[test]
+fn bufferpool_single_flight_passes() {
+    // two requesters of one absent key: one loader run, one miss, one
+    // hit, the same bytes — whichever of them gets there first
+    let report = Model::new("bufferpool: two misses, one load")
+        .budget(4096)
+        .check_quiet(|| {
+            let pool: Arc<BufferPool> = Arc::new(BufferPool::new(100));
+            let loads = Arc::new(AtomicU32::new(0));
+            let request = move |pool: &BufferPool, loads: &AtomicU32| {
+                let mut s = IoSession::new();
+                let got = pool
+                    .get_or_load(pool_key(1), &mut s, |_| {
+                        loads.fetch_add(1, Ordering::Relaxed);
+                        Ok(pool_block(1))
+                    })
+                    .expect("in-memory load cannot fail");
+                (got, s.pool_hits, s.pool_misses)
+            };
+            let (p2, l2) = (Arc::clone(&pool), Arc::clone(&loads));
+            let t = thread::spawn(move || request(&p2, &l2));
+            let (mine, hits, misses) = request(&pool, &loads);
+            let (theirs, their_hits, their_misses) = t.join();
+            assert_eq!(loads.load(Ordering::Relaxed), 1, "loader ran twice");
+            assert_eq!((hits + their_hits, misses + their_misses), (1, 1));
+            assert_eq!(mine, pool_block(1));
+            assert_eq!(theirs, mine, "waiter saw different bytes");
+            assert_eq!((pool.len(), pool.used_bytes()), (1, 10));
+        });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+
+    // a load in flight on key 1 does not block a hit on key 2: the loader
+    // parks until that hit has happened, which deadlocks any pool that
+    // holds its lock across the load
+    let report = Model::new("bufferpool: hit beside a load in flight")
+        .budget(4096)
+        .check_quiet(|| {
+            let pool: Arc<BufferPool> = Arc::new(BufferPool::new(100));
+            let mut s = IoSession::new();
+            pool.get_or_load(pool_key(2), &mut s, |_| Ok(pool_block(2)))
+                .expect("in-memory load cannot fail");
+            let (started, hit_done) = (Arc::new(Latch::default()), Arc::new(Latch::default()));
+            let (p2, st2, hd2) = (
+                Arc::clone(&pool),
+                Arc::clone(&started),
+                Arc::clone(&hit_done),
+            );
+            let t = thread::spawn(move || {
+                let mut s = IoSession::new();
+                p2.get_or_load(pool_key(1), &mut s, |_| {
+                    st2.open();
+                    hd2.wait();
+                    Ok(pool_block(1))
+                })
+                .expect("in-memory load cannot fail")
+            });
+            started.wait();
+            let got = pool
+                .get_or_load(pool_key(2), &mut s, |_| {
+                    Err(StorageError::internal("key 2 is resident"))
+                })
+                .expect("hit beside an in-flight load");
+            assert_eq!(got, pool_block(2));
+            assert_eq!((s.pool_hits, s.pool_misses), (1, 1));
+            hit_done.open();
+            assert_eq!(t.join(), pool_block(1));
+            assert_eq!((pool.len(), pool.used_bytes()), (2, 20));
+        });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+
+    // a failed load hands its error to the requesters waiting on it,
+    // caches nothing, and leaves the key loadable
+    let report = Model::new("bufferpool: failed load wakes its waiters")
+        .budget(4096)
+        .check_quiet(|| {
+            let pool: Arc<BufferPool> = Arc::new(BufferPool::new(100));
+            let loads = Arc::new(AtomicU32::new(0));
+            let request = move |pool: &BufferPool, loads: &AtomicU32| {
+                let mut s = IoSession::new();
+                let r = pool.get_or_load(pool_key(1), &mut s, |_| {
+                    loads.fetch_add(1, Ordering::Relaxed);
+                    Err(StorageError::Corrupt {
+                        file: "p.tdb".into(),
+                        detail: "crc mismatch".into(),
+                    })
+                });
+                assert_eq!((s.pool_hits, s.pool_misses), (0, 0));
+                r
+            };
+            let (p2, l2) = (Arc::clone(&pool), Arc::clone(&loads));
+            let t = thread::spawn(move || request(&p2, &l2));
+            let mine = request(&pool, &loads);
+            let theirs = t.join();
+            for r in [mine, theirs] {
+                assert!(
+                    matches!(&r, Err(StorageError::Corrupt { file, .. }) if file == "p.tdb"),
+                    "{r:?}"
+                );
+            }
+            assert!((1..=2).contains(&loads.load(Ordering::Relaxed)));
+            assert!(
+                pool.is_empty() && pool.used_bytes() == 0,
+                "error was cached"
+            );
+            let mut s = IoSession::new();
+            pool.get_or_load(pool_key(1), &mut s, |_| Ok(pool_block(1)))
+                .expect("the failed claim was released");
+            assert_eq!((s.pool_hits, s.pool_misses), (0, 1));
+        });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+
+    // clear() and evictions racing loads in flight: the byte count always
+    // matches the resident blocks (every block here weighs 10)
+    let report = Model::new("bufferpool: clear and eviction vs loads in flight")
+        .budget(4096)
+        .check_quiet(|| {
+            let pool: Arc<BufferPool> = Arc::new(BufferPool::new(25));
+            let p2 = Arc::clone(&pool);
+            let t = thread::spawn(move || {
+                let mut s = IoSession::new();
+                for tag in [1u8, 2, 3] {
+                    let got = p2
+                        .get_or_load(pool_key(tag.into()), &mut s, |_| Ok(pool_block(tag)))
+                        .expect("in-memory load cannot fail");
+                    assert_eq!(got, pool_block(tag));
+                }
+            });
+            let mut s = IoSession::new();
+            pool.get_or_load(pool_key(4), &mut s, |_| Ok(pool_block(4)))
+                .expect("in-memory load cannot fail");
+            pool.clear();
+            let got = pool
+                .get_or_load(pool_key(1), &mut s, |_| Ok(pool_block(1)))
+                .expect("in-memory load cannot fail");
+            assert_eq!(got, pool_block(1));
+            t.join();
+            let (used, len) = (pool.used_bytes(), pool.len());
+            assert_eq!(used, 10 * len, "byte count drifted from the blocks");
+            assert!(
+                len <= 2,
                 "byte budget violated: {used} bytes in {len} blocks"
             );
         });
