@@ -7,24 +7,14 @@ use tdb_storage::{CompressionConfig, CompressionMode, EvictionPolicyKind, FaultP
 
 use crate::placement::PlacementMode;
 
-/// How the mediator reads in the presence of replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadPolicy {
-    /// Only primaries are scanned; a dead primary degrades its boxes
-    /// (the pre-replication behaviour, and the only choice at k=1).
-    PrimaryOnly,
-    /// A failed or deadline-blown primary's chunks are re-scanned on the
-    /// next live replica in the chain, so the answer stays complete.
-    Failover,
-}
-
 /// k-way partition replication (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
     /// Copies of every chunk, on `k` distinct nodes. 1 = no replication.
+    /// A failed or deadline-blown node's chunks are re-scanned on the next
+    /// live replica in their chains; a chunk whose chain is exhausted (at
+    /// `k = 1`, any chunk of a failed node) degrades the queries it meets.
     pub k: usize,
-    /// Read-side failover policy.
-    pub read_policy: ReadPolicy,
     /// How replica chains are derived. [`PlacementMode::Rendezvous`] is
     /// required for node join/leave rebalancing.
     pub placement: PlacementMode,
@@ -37,7 +27,6 @@ impl Default for ReplicationConfig {
     fn default() -> Self {
         Self {
             k: 1,
-            read_policy: ReadPolicy::Failover,
             placement: PlacementMode::Contiguous,
             spare_nodes: 0,
         }

@@ -27,12 +27,12 @@ pub mod sim;
 pub mod timing;
 pub mod wire;
 
-pub use config::{ClusterConfig, CoalesceConfig, ReadPolicy, ReplicationConfig};
+pub use config::{ClusterConfig, CoalesceConfig, ReplicationConfig};
 pub use mediator::{
     BatchAnswer, BatchQuery, Cluster, ClusterBuilder, DegradedInfo, FailedNode, PdfResponse,
     ThresholdResponse, TopKResponse,
 };
-pub use node::{QueryMode, ThresholdSubquery};
+pub use node::QueryMode;
 pub use placement::{Chunk, Layout, PlacementMode};
 pub use rebalance::RebalanceReport;
 pub use scan::{

@@ -16,16 +16,14 @@ use tdb_field::{Grid3, Histogram, VectorField};
 use tdb_kernels::{DerivedField, DiffScheme};
 use tdb_obs::{QueryTrace, TraceSpan};
 use tdb_storage::device::{DeviceId, DeviceProfile, DeviceRegistry, IoSession};
-use tdb_storage::{
-    AtomKey, AtomRecord, BlockCache, FaultPlan, StorageError, StorageResult, TableBuilder,
-};
+use tdb_storage::{AtomKey, AtomRecord, BlockCache, StorageError, StorageResult, TableBuilder};
 use tdb_zorder::{AtomCoord, Box3, ZRange};
 
-use crate::config::{ClusterConfig, ReadPolicy};
+use crate::config::ClusterConfig;
 use crate::node::{NodeResult, NodeRuntime, QueryMode};
 use crate::placement::{Chunk, Layout};
 use crate::scan::{
-    select_topk, topk_order, ScanAssignment, ScanKernel, ScanParticipant, SharedOutcome,
+    self, select_topk, topk_order, ScanAssignment, ScanKernel, ScanParticipant, SharedOutcome,
     SharedScanRequest,
 };
 use crate::scheduler::ScanScheduler;
@@ -45,12 +43,14 @@ pub struct ThresholdRequest {
     pub mode: QueryMode,
     /// Worker processes per node; defaults to the cluster configuration.
     pub procs_override: Option<usize>,
-    /// Fail-fast mode: any node failure or deadline violation fails the
-    /// whole query instead of degrading it.
+    /// Fail-fast mode: a node failure or deadline violation that leaves
+    /// part of the query box unanswered fails the query instead of
+    /// degrading it.
     pub strict: bool,
     /// Per-node modelled-time deadline, seconds. A node whose modelled
     /// time (cache lookup + I/O + compute) exceeds it is treated as
-    /// failed: dropped with degradation, or fatal under [`Self::strict`].
+    /// failed: its chunks move to their next replica, and those with none
+    /// left degrade the answer (or fail it under [`Self::strict`]).
     pub node_deadline_s: Option<f64>,
 }
 
@@ -488,20 +488,6 @@ struct WaveEntry {
     result: StorageResult<Vec<SharedOutcome>>,
 }
 
-/// The sub-boxes of `query_box` whose primary owner failed — exactly the
-/// regions a degraded answer is missing.
-fn missing_boxes(layout: &Layout, failed: &[FailedNode], query_box: &Box3) -> Vec<Box3> {
-    let mut out = Vec::new();
-    for f in failed {
-        for c in layout.chunks_of_node(f.node) {
-            if let Some(b) = c.grid_box().intersect(query_box) {
-                out.push(b);
-            }
-        }
-    }
-    out
-}
-
 /// The running cluster: mediator entry points.
 pub struct Cluster {
     pub(crate) config: ClusterConfig,
@@ -582,88 +568,6 @@ impl Cluster {
         self.topology.read().live().map(|(id, _)| id).collect()
     }
 
-    /// The fault plan the cluster was configured with, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.config.faults.as_ref()
-    }
-
-    /// Per-node worker processes for a request.
-    fn procs_for(&self, req: &ThresholdRequest) -> usize {
-        req.procs_override.unwrap_or(self.config.procs_per_node)
-    }
-
-    /// Applies the degradation policy to per-node outcomes (tagged with
-    /// node ids). A dead node — or one whose modelled time blew the
-    /// deadline — is dropped and recorded in [`DegradedInfo`] together
-    /// with exactly the sub-boxes of the query its absence leaves
-    /// unanswered; under `strict` the same conditions fail the whole
-    /// query. Any other node error always propagates: partial data is
-    /// only acceptable for *unavailability*, never for corruption.
-    ///
-    /// This is the `PrimaryOnly` / `k = 1` read path; replicated clusters
-    /// with [`ReadPolicy::Failover`] re-scan a failed node's chunks on
-    /// replicas instead (see [`Self::run_group`]).
-    fn degrade_filter<T>(
-        &self,
-        layout: &Layout,
-        outcomes: Vec<(usize, StorageResult<T>)>,
-        node_time: impl Fn(&T) -> f64,
-        query_box: &Box3,
-        strict: bool,
-        deadline_s: Option<f64>,
-    ) -> StorageResult<(Vec<T>, Vec<usize>, Option<DegradedInfo>)> {
-        let mut ok = Vec::new();
-        let mut ids = Vec::new();
-        let mut failed: Vec<FailedNode> = Vec::new();
-        for (i, r) in outcomes.into_iter() {
-            match r {
-                Ok(t) => {
-                    let modelled = node_time(&t);
-                    if let Some(d) = deadline_s {
-                        if modelled > d {
-                            tdb_obs::add("node.deadline_exceeded", 1);
-                            if strict {
-                                return Err(StorageError::NodeUnavailable {
-                                    node: i,
-                                    detail: format!(
-                                        "modelled node time {modelled:.3}s exceeds deadline {d:.3}s"
-                                    ),
-                                });
-                            }
-                            failed.push(FailedNode {
-                                node: i,
-                                reason: format!(
-                                    "deadline exceeded: modelled {modelled:.3}s > {d:.3}s"
-                                ),
-                            });
-                            continue;
-                        }
-                    }
-                    ok.push(t);
-                    ids.push(i);
-                }
-                Err(e) if e.is_unavailable() && !strict => {
-                    failed.push(FailedNode {
-                        node: i,
-                        reason: e.to_string(),
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let degraded = if failed.is_empty() {
-            None
-        } else {
-            let missing_boxes = missing_boxes(layout, &failed, query_box);
-            tdb_obs::add("query.degraded", 1);
-            Some(DegradedInfo {
-                failed_nodes: failed,
-                missing_boxes,
-            })
-        };
-        Ok((ok, ids, degraded))
-    }
-
     /// The cluster-wide I/O phase: nodes run in parallel, so the phase is
     /// the busiest node's serial disk schedule divided by its processes —
     /// but never less than any single device's total service time (devices
@@ -741,12 +645,11 @@ impl Cluster {
         ));
         t += breakdown.cache_lookup_s;
         let mut io = TraceSpan::new("phase.io", t, breakdown.io_s);
-        for (i, r) in results.iter().enumerate() {
-            let id = node_ids.get(i).copied().unwrap_or(i);
+        for ((r, id), points) in results.iter().zip(node_ids).zip(node_points) {
             let mut node = TraceSpan::new(format!("node.{id}"), t, r.io_s)
                 .with_attr("cache", if r.cache_hit { "hit" } else { "miss" })
                 .with_attr("atoms_scanned", r.atoms_scanned)
-                .with_attr("points", node_points.get(i).copied().unwrap_or(0))
+                .with_attr("points", *points)
                 .with_attr("pool_hits", r.session.pool_hits)
                 .with_attr("pool_misses", r.session.pool_misses)
                 .with_attr("cache_lookup_s", r.cache_lookup_s)
@@ -754,8 +657,7 @@ impl Cluster {
                 .with_attr("node_wall_s", r.wall_s);
             // several devices can share a profile name (a node has many
             // identical disk arrays), so aggregate bytes per name
-            let mut by_device: std::collections::BTreeMap<String, u64> =
-                std::collections::BTreeMap::new();
+            let mut by_device: BTreeMap<String, u64> = BTreeMap::new();
             for (dev, a) in r.session.devices() {
                 *by_device
                     .entry(format!("bytes.{}", self.registry.profile(dev).name))
@@ -785,27 +687,28 @@ impl Cluster {
     }
 
     /// Routes one query through the scan scheduler when coalescing is
-    /// configured, or runs it as a batch of one.
-    fn submit(&self, query: BatchQuery) -> StorageResult<BatchAnswer> {
-        match &self.scheduler {
+    /// configured, or runs it as a batch of one, and unwraps the answer
+    /// variant of its kind.
+    fn submit<T>(
+        &self,
+        query: BatchQuery,
+        pick: impl FnOnce(BatchAnswer) -> Option<T>,
+    ) -> StorageResult<T> {
+        let answer = match &self.scheduler {
             Some(s) => s.submit(self, query),
             None => self
                 .run_batch(vec![query])
                 .pop()
                 .unwrap_or_else(|| Err(StorageError::internal("batch of one produced no answer"))),
-        }
+        };
+        of_kind(answer, pick)
     }
 
     /// Evaluates a threshold query: scatter to nodes, gather, assemble.
     /// Node outages (and deadline violations) degrade the answer instead
     /// of failing it unless [`ThresholdRequest::strict`] is set.
     pub fn get_threshold(&self, req: &ThresholdRequest) -> StorageResult<ThresholdResponse> {
-        match self.submit(BatchQuery::Threshold(req.clone()))? {
-            BatchAnswer::Threshold(r) => Ok(r),
-            _ => Err(StorageError::internal(
-                "threshold query yielded a non-threshold answer",
-            )),
-        }
+        self.submit(BatchQuery::Threshold(req.clone()), threshold_answer)
     }
 
     /// Evaluates a PDF query over the same scan machinery (paper Fig. 2).
@@ -816,30 +719,26 @@ impl Cluster {
         width: f64,
         nbins: usize,
     ) -> StorageResult<PdfResponse> {
-        let q = BatchQuery::Pdf {
+        let query = BatchQuery::Pdf {
             req: req.clone(),
             origin,
             width,
             nbins,
         };
-        match self.submit(q)? {
-            BatchAnswer::Pdf(r) => Ok(r),
-            _ => Err(StorageError::internal("pdf query yielded a non-pdf answer")),
-        }
+        self.submit(query, |a| match a {
+            BatchAnswer::Pdf(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Evaluates a top-k query (no caching: results are tiny but the scan
     /// is the same as a threshold query).
     pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<TopKResponse> {
-        match self.submit(BatchQuery::TopK {
-            req: req.clone(),
-            k,
-        })? {
-            BatchAnswer::TopK(r) => Ok(r),
-            _ => Err(StorageError::internal(
-                "top-k query yielded a non-top-k answer",
-            )),
-        }
+        let req = req.clone();
+        self.submit(BatchQuery::TopK { req, k }, |a| match a {
+            BatchAnswer::TopK(r) => Some(r),
+            _ => None,
+        })
     }
 
     /// Evaluates many threshold queries as one batch: queries over the
@@ -851,14 +750,7 @@ impl Cluster {
     ) -> Vec<StorageResult<ThresholdResponse>> {
         self.run_batch(reqs.iter().cloned().map(BatchQuery::Threshold).collect())
             .into_iter()
-            .map(|r| {
-                r.and_then(|a| match a {
-                    BatchAnswer::Threshold(t) => Ok(t),
-                    _ => Err(StorageError::internal(
-                        "threshold query yielded a non-threshold answer",
-                    )),
-                })
-            })
+            .map(|answer| of_kind(answer, threshold_answer))
             .collect()
     }
 
@@ -894,13 +786,16 @@ impl Cluster {
     /// Runs one shared-scan group: scatter a [`SharedScanRequest`] over
     /// one topology snapshot, then assemble each participant's answer.
     ///
-    /// With `replication.k > 1` under [`ReadPolicy::Failover`], chunks of
-    /// an unavailable (or deadline-blown) node are re-scattered to the
-    /// next live replica in their chains, round by round, until every
-    /// chunk is answered or its chain is exhausted. A successful failover
-    /// leaves the answer *complete* — no [`DegradedInfo`] — and
-    /// byte-identical to an unfaulted run; only chunks whose whole chain
-    /// died degrade (or fail, under `strict`) the queries they intersect.
+    /// One degradation policy at every replication factor: chunks of an
+    /// unavailable (or deadline-blown) node are re-scattered to the next
+    /// live replica in their chains, round by round, until every chunk is
+    /// answered or its chain is exhausted. A successful failover leaves
+    /// the answer *complete* — no [`DegradedInfo`] — and byte-identical to
+    /// an unfaulted run; a chunk whose whole chain died (at `k = 1`, any
+    /// chunk of a failed node) degrades — or fails, under `strict` —
+    /// exactly the queries whose box it intersects. Any other node error
+    /// fails the group: partial data is only acceptable for
+    /// *unavailability*, never for corruption.
     fn run_group(
         &self,
         queries: &[BatchQuery],
@@ -915,12 +810,10 @@ impl Cluster {
         else {
             return;
         };
-        let procs = self.procs_for(first);
+        let procs = first.procs_override.unwrap_or(self.config.procs_per_node);
         let topo = self.topology_snapshot();
         let layout = Arc::clone(&topo.layout);
         let live = topo.live_count();
-        let failover = layout.replication_k() > 1
-            && self.config.replication.read_policy == ReadPolicy::Failover;
         let deadline = first.node_deadline_s;
         let participants: Vec<ScanParticipant> = idxs
             .iter()
@@ -988,62 +881,58 @@ impl Cluster {
             })
         };
         // wave 0: the canonical assignment over every live node. Entries
-        // land in `done` in wave order (node-id order within a wave), so
-        // an unfaulted run is ordered exactly like the pre-failover code.
+        // land in `done` in wave order (node-id order within a wave).
         let initial: Vec<(usize, Vec<usize>)> = topo
             .live()
             .map(|(id, _)| (id, layout.chunk_indices_of_node(id)))
             .collect();
         let mut wave = scatter(&initial, true);
-        let mut done: Vec<(usize, Vec<Option<SharedOutcome>>)> = Vec::new();
-        let mut errors: Vec<(usize, StorageError)> = Vec::new();
+        let mut done: Vec<(usize, std::vec::IntoIter<SharedOutcome>)> = Vec::new();
         let mut excluded: HashSet<usize> = HashSet::new();
         let mut failed_nodes: Vec<FailedNode> = Vec::new();
         let mut lost_chunks: Vec<usize> = Vec::new();
         let mut fatal: Option<StorageError> = None;
+        let mut rounds = 0u64;
         loop {
             let mut orphans: Vec<usize> = Vec::new();
             for e in wave.drain(..) {
-                match e.result {
+                let reason = match e.result {
                     Ok(outs) => {
-                        // under failover a deadline violation is handled
-                        // like an outage: the node's chunks move on
-                        let blown = failover
-                            && deadline.is_some_and(|d| outs.iter().any(|o| modelled_time(o) > d));
-                        if blown {
-                            tdb_obs::add("node.deadline_exceeded", 1);
-                            let t = outs.iter().map(&modelled_time).fold(0.0f64, f64::max);
-                            let d = deadline.unwrap_or_default();
-                            excluded.insert(e.node);
-                            failed_nodes.push(FailedNode {
-                                node: e.node,
-                                reason: format!("deadline exceeded: modelled {t:.3}s > {d:.3}s"),
-                            });
-                            orphans.extend(e.chunk_idxs);
-                        } else {
-                            done.push((e.node, outs.into_iter().map(Some).collect()));
+                        // a deadline violation is handled like an outage:
+                        // the node's chunks move on
+                        let t = outs.iter().map(&modelled_time).fold(0.0f64, f64::max);
+                        match deadline {
+                            Some(d) if t > d => {
+                                tdb_obs::add("node.deadline_exceeded", 1);
+                                format!("deadline exceeded: modelled {t:.3}s > {d:.3}s")
+                            }
+                            _ => {
+                                done.push((e.node, outs.into_iter()));
+                                continue;
+                            }
                         }
                     }
-                    Err(err) if failover && err.is_unavailable() => {
-                        excluded.insert(e.node);
-                        failed_nodes.push(FailedNode {
-                            node: e.node,
-                            reason: err.to_string(),
-                        });
-                        orphans.extend(e.chunk_idxs);
-                    }
+                    Err(err) if err.is_unavailable() => err.to_string(),
                     // corruption is never papered over by replicas
-                    Err(err) if failover => {
+                    Err(err) => {
                         fatal.get_or_insert(err);
+                        continue;
                     }
-                    Err(err) => errors.push((e.node, err)),
-                }
+                };
+                excluded.insert(e.node);
+                failed_nodes.push(FailedNode {
+                    node: e.node,
+                    reason,
+                });
+                orphans.extend(e.chunk_idxs);
             }
             if fatal.is_some() || orphans.is_empty() {
                 break;
             }
             orphans.sort_unstable();
             orphans.dedup();
+            // a one-element chain has no replacement: single-copy clusters
+            // take this loop with zero re-scatter rounds
             let mut retargets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for c in orphans {
                 let replacement = layout.replicas_of_chunk(c).iter().copied().find(|r| {
@@ -1057,299 +946,183 @@ impl Cluster {
             if retargets.is_empty() {
                 break;
             }
+            rounds += 1;
             let moved: u64 = retargets.values().map(|v| v.len() as u64).sum();
-            tdb_obs::add("replication.failover.rounds", 1);
             tdb_obs::add("replication.failover.chunks", moved);
             let targets: Vec<(usize, Vec<usize>)> = retargets.into_iter().collect();
             wave = scatter(&targets, false);
         }
-        if failover && !failed_nodes.is_empty() {
+        if rounds > 0 {
+            tdb_obs::add("replication.failover.rounds", rounds);
             tdb_obs::add("replication.failover.nodes", failed_nodes.len() as u64);
         }
         if !lost_chunks.is_empty() {
             tdb_obs::add("replication.lost_chunks", lost_chunks.len() as u64);
         }
-        for (j, &qi) in idxs.iter().enumerate() {
+        let node_ids: Vec<usize> = done.iter().map(|(node, _)| *node).collect();
+        for &qi in idxs {
+            // every node answers the participants in the order they were sent
+            let results: Option<Vec<SharedOutcome>> =
+                done.iter_mut().map(|(_, outs)| outs.next()).collect();
             let Some((query, slot)) = queries.get(qi).zip(answers.get_mut(qi)) else {
                 continue;
             };
-            let take_done = |done: &mut Vec<(usize, Vec<Option<SharedOutcome>>)>| {
-                let mut results = Vec::with_capacity(done.len());
-                let mut ids = Vec::with_capacity(done.len());
-                for (node, outs) in done.iter_mut() {
-                    let o = outs.get_mut(j).and_then(Option::take).ok_or_else(|| {
-                        StorageError::internal("participant outcome already taken")
-                    })?;
-                    results.push(o);
-                    ids.push(*node);
-                }
-                Ok((results, ids))
-            };
-            let answer = if let Some(err) = &fatal {
+            let req = query.request();
+            let missing: Vec<Box3> = lost_chunks
+                .iter()
+                .filter_map(|&c| layout.chunks().get(c))
+                .filter_map(|chunk| chunk.grid_box().intersect(&req.query_box))
+                .collect();
+            *slot = Some(if let Some(err) = &fatal {
                 Err(err.clone())
-            } else if failover {
-                let req = query.request();
-                let missing: Vec<Box3> = lost_chunks
-                    .iter()
-                    .filter_map(|&c| layout.chunks().get(c))
-                    .filter_map(|chunk| chunk.grid_box().intersect(&req.query_box))
-                    .collect();
-                if !missing.is_empty() && req.strict {
-                    Err(StorageError::NodeUnavailable {
-                        node: failed_nodes.first().map_or(0, |f| f.node),
-                        detail: "replica chains exhausted for part of the query box".to_string(),
-                    })
-                } else {
-                    let degraded = if missing.is_empty() {
-                        None
-                    } else {
-                        tdb_obs::add("query.degraded", 1);
-                        Some(DegradedInfo {
-                            failed_nodes: failed_nodes.clone(),
-                            missing_boxes: missing,
-                        })
-                    };
-                    take_done(&mut done).and_then(|(results, ids)| {
-                        self.assemble(query, results, ids, degraded, procs, live, wall)
-                    })
-                }
-            } else {
-                // single-copy / PrimaryOnly: the historical per-node
-                // degradation policy, in node-id order
-                take_done(&mut done).and_then(|(results, ids)| {
-                    let mut outcomes: Vec<(usize, StorageResult<SharedOutcome>)> =
-                        ids.into_iter().zip(results.into_iter().map(Ok)).collect();
-                    for (node, err) in &errors {
-                        outcomes.push((*node, Err(err.clone())));
-                    }
-                    outcomes.sort_by_key(|(node, _)| *node);
-                    let req = query.request();
-                    let (results, ids, degraded) = self.degrade_filter(
-                        &layout,
-                        outcomes,
-                        modelled_time,
-                        &req.query_box,
-                        req.strict,
-                        deadline,
-                    )?;
-                    self.assemble(query, results, ids, degraded, procs, live, wall)
+            } else if !missing.is_empty() && req.strict {
+                Err(StorageError::NodeUnavailable {
+                    node: failed_nodes.first().map_or(0, |f| f.node),
+                    detail: "replica chains exhausted for part of the query box".to_string(),
                 })
-            };
-            *slot = Some(answer);
+            } else {
+                let degraded = (!missing.is_empty()).then(|| {
+                    tdb_obs::add("query.degraded", 1);
+                    DegradedInfo {
+                        failed_nodes: failed_nodes.clone(),
+                        missing_boxes: missing,
+                    }
+                });
+                results
+                    .map(|r| self.assemble(query, r, &node_ids, degraded, procs, live, wall))
+                    .ok_or_else(|| StorageError::internal("a node answered too few participants"))
+            });
         }
     }
 
+    /// Merges one query's per-node outcomes into its answer. Only the
+    /// merge of the payloads differs by kind; the time breakdown, wall
+    /// clock and span tree are computed one way for all of them.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
         query: &BatchQuery,
-        results: Vec<SharedOutcome>,
-        node_ids: Vec<usize>,
+        mut results: Vec<SharedOutcome>,
+        node_ids: &[usize],
         degraded: Option<DegradedInfo>,
         procs: usize,
         nnodes: usize,
         wall: std::time::Instant,
-    ) -> StorageResult<BatchAnswer> {
+    ) -> BatchAnswer {
+        // run by each kind once its payload is merged: `n` points came
+        // back, `node_points[i]` of them from the i-th node, or a histogram
+        // of `bins` bins did
+        let finish = |kind: &str,
+                      results: &[SharedOutcome],
+                      node_points: &[u64],
+                      n: u64,
+                      bins: Option<usize>| {
+            let node_results: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
+            let mut breakdown = TimeBreakdown::default();
+            for r in &node_results {
+                breakdown = breakdown.max_merge(&r.breakdown());
+            }
+            breakdown.io_s = self.cluster_io_ref(&node_results, procs);
+            // the answer crosses the LAN in binary rows, the WAN as XML
+            let (db_bytes, user_bytes) = match bins {
+                Some(bins) => ((bins as u64 + 1) * 16, (bins as u64 + 1) * 64),
+                None => (wire::binary_result_bytes(n), wire::xml_result_bytes(n)),
+            };
+            breakdown.mediator_db_s = self
+                .registry
+                .profile(self.lan)
+                .time(2 * nnodes as u64, db_bytes);
+            breakdown.mediator_user_s = self.registry.profile(self.wan).time(2, user_bytes);
+            let wall_s = wall.elapsed().as_secs_f64();
+            let trace = self.build_trace(
+                kind,
+                &node_results,
+                node_ids,
+                node_points,
+                &breakdown,
+                n,
+                wall_s,
+                degraded.as_ref(),
+            );
+            (breakdown, wall_s, Some(trace))
+        };
+        let mut points = Vec::new();
+        let mut node_points = vec![0u64; results.len()];
         match query {
-            BatchQuery::Threshold(_) => self
-                .assemble_threshold(results, node_ids, degraded, procs, nnodes, wall)
-                .map(BatchAnswer::Threshold),
+            BatchQuery::Threshold(_) => {
+                let cache_hits = results.iter().filter(|o| o.result.cache_hit).count();
+                let node_models = results.iter().map(|o| o.result.model).collect();
+                for (o, n) in results.iter_mut().zip(&mut node_points) {
+                    *n = o.result.points.len() as u64;
+                    points.append(&mut o.result.points);
+                }
+                points.sort_unstable_by_key(|p| p.zindex);
+                let n = points.len() as u64;
+                let (breakdown, wall_s, trace) =
+                    finish("threshold", &results, &node_points, n, None);
+                tdb_obs::add("query.threshold.count", 1);
+                tdb_obs::add("query.points_returned", n);
+                tdb_obs::observe("query.threshold.wall_s", wall_s);
+                BatchAnswer::Threshold(ThresholdResponse {
+                    points,
+                    breakdown,
+                    cache_hits,
+                    nodes: nnodes,
+                    wall_s,
+                    node_models,
+                    trace,
+                    degraded,
+                })
+            }
             BatchQuery::Pdf {
                 origin,
                 width,
                 nbins,
                 ..
-            } => self
-                .assemble_pdf(
-                    *origin, *width, *nbins, results, node_ids, degraded, procs, nnodes, wall,
-                )
-                .map(BatchAnswer::Pdf),
-            BatchQuery::TopK { k, .. } => self
-                .assemble_topk(*k, results, node_ids, degraded, procs, nnodes, wall)
-                .map(BatchAnswer::TopK),
-        }
-    }
-
-    fn assemble_threshold(
-        &self,
-        mut results: Vec<SharedOutcome>,
-        node_ids: Vec<usize>,
-        degraded: Option<DegradedInfo>,
-        procs: usize,
-        nnodes: usize,
-        wall: std::time::Instant,
-    ) -> StorageResult<ThresholdResponse> {
-        let mut points = Vec::new();
-        let mut breakdown = TimeBreakdown::default();
-        let mut cache_hits = 0;
-        for o in &results {
-            breakdown = breakdown.max_merge(&o.result.breakdown());
-            cache_hits += usize::from(o.result.cache_hit);
-        }
-        {
-            let node_results: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
-            breakdown.io_s = self.cluster_io_ref(&node_results, procs);
-        }
-        let node_points: Vec<u64> = results
-            .iter()
-            .map(|o| o.result.points.len() as u64)
-            .collect();
-        let node_models: Vec<NodeTimeModel> = results.iter().map(|o| o.result.model).collect();
-        for o in &mut results {
-            points.append(&mut o.result.points);
-        }
-        points.sort_unstable_by_key(|p| p.zindex);
-        let n = points.len() as u64;
-        breakdown.mediator_db_s = self
-            .registry
-            .profile(self.lan)
-            .time(2 * nnodes as u64, wire::binary_result_bytes(n));
-        breakdown.mediator_user_s = self
-            .registry
-            .profile(self.wan)
-            .time(2, wire::xml_result_bytes(n));
-        let wall_s = wall.elapsed().as_secs_f64();
-        let refs: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
-        let trace = self.build_trace(
-            "threshold",
-            &refs,
-            &node_ids,
-            &node_points,
-            &breakdown,
-            n,
-            wall_s,
-            degraded.as_ref(),
-        );
-        tdb_obs::add("query.threshold.count", 1);
-        tdb_obs::add("query.points_returned", n);
-        tdb_obs::observe("query.threshold.wall_s", wall_s);
-        Ok(ThresholdResponse {
-            points,
-            breakdown,
-            cache_hits,
-            nodes: nnodes,
-            wall_s,
-            node_models,
-            trace: Some(trace),
-            degraded,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_pdf(
-        &self,
-        origin: f64,
-        width: f64,
-        nbins: usize,
-        mut results: Vec<SharedOutcome>,
-        node_ids: Vec<usize>,
-        degraded: Option<DegradedInfo>,
-        procs: usize,
-        nnodes: usize,
-        wall: std::time::Instant,
-    ) -> StorageResult<PdfResponse> {
-        let mut hist = Histogram::new(origin, width, nbins);
-        let mut breakdown = TimeBreakdown::default();
-        for o in &mut results {
-            if let Some(h) = o.histogram.take() {
-                hist.merge(&h);
+            } => {
+                let mut histogram = Histogram::new(*origin, *width, *nbins);
+                for h in results.iter_mut().filter_map(|o| o.histogram.take()) {
+                    histogram.merge(&h);
+                }
+                let (breakdown, wall_s, trace) =
+                    finish("pdf", &results, &node_points, 0, Some(*nbins));
+                tdb_obs::add("query.pdf.count", 1);
+                tdb_obs::observe("query.pdf.wall_s", wall_s);
+                BatchAnswer::Pdf(PdfResponse {
+                    histogram,
+                    breakdown,
+                    wall_s,
+                    trace,
+                    degraded,
+                })
             }
-            breakdown = breakdown.max_merge(&o.result.breakdown());
+            // each node contributes at most its own k best, then the
+            // mediator keeps the global k best: a selection per list and
+            // one sort of the survivors, all under the one total order, so
+            // ties break the same way whatever the node count
+            BatchQuery::TopK { k, .. } => {
+                for (o, n) in results.iter_mut().zip(&mut node_points) {
+                    let mut p = o.take_points();
+                    select_topk(&mut p, *k);
+                    *n = p.len() as u64;
+                    points.append(&mut p);
+                }
+                select_topk(&mut points, *k);
+                points.sort_unstable_by(topk_order);
+                let n = points.len() as u64;
+                let (breakdown, wall_s, trace) = finish("topk", &results, &node_points, n, None);
+                tdb_obs::add("query.topk.count", 1);
+                tdb_obs::add("query.points_returned", n);
+                tdb_obs::observe("query.topk.wall_s", wall_s);
+                BatchAnswer::TopK(TopKResponse {
+                    points,
+                    breakdown,
+                    wall_s,
+                    trace,
+                    degraded,
+                })
+            }
         }
-        let node_results: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
-        breakdown.io_s = self.cluster_io_ref(&node_results, procs);
-        breakdown.mediator_db_s = self
-            .registry
-            .profile(self.lan)
-            .time(2 * nnodes as u64, (nbins as u64 + 1) * 16);
-        breakdown.mediator_user_s = self
-            .registry
-            .profile(self.wan)
-            .time(2, (nbins as u64 + 1) * 64);
-        let wall_s = wall.elapsed().as_secs_f64();
-        let node_points = vec![0u64; node_results.len()];
-        let trace = self.build_trace(
-            "pdf",
-            &node_results,
-            &node_ids,
-            &node_points,
-            &breakdown,
-            0,
-            wall_s,
-            degraded.as_ref(),
-        );
-        tdb_obs::add("query.pdf.count", 1);
-        tdb_obs::observe("query.pdf.wall_s", wall_s);
-        Ok(PdfResponse {
-            histogram: hist,
-            breakdown,
-            wall_s,
-            trace: Some(trace),
-            degraded,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_topk(
-        &self,
-        k: usize,
-        mut results: Vec<SharedOutcome>,
-        node_ids: Vec<usize>,
-        degraded: Option<DegradedInfo>,
-        procs: usize,
-        nnodes: usize,
-        wall: std::time::Instant,
-    ) -> StorageResult<TopKResponse> {
-        // each node contributes at most its own k best, then the mediator
-        // keeps the global k best: a selection per list and one sort of the
-        // survivors, all under the one total order, so ties break the same
-        // way whatever the node count
-        let mut points = Vec::new();
-        let mut node_points = Vec::with_capacity(results.len());
-        for o in &mut results {
-            let mut p = std::mem::take(&mut o.result.points);
-            select_topk(&mut p, k);
-            node_points.push(p.len() as u64);
-            points.append(&mut p);
-        }
-        let mut breakdown = TimeBreakdown::default();
-        let node_results: Vec<&NodeResult> = results.iter().map(|o| &o.result).collect();
-        for r in &node_results {
-            breakdown = breakdown.max_merge(&r.breakdown());
-        }
-        breakdown.io_s = self.cluster_io_ref(&node_results, procs);
-        select_topk(&mut points, k);
-        points.sort_unstable_by(topk_order);
-        let n = points.len() as u64;
-        breakdown.mediator_db_s = self
-            .registry
-            .profile(self.lan)
-            .time(2 * nnodes as u64, wire::binary_result_bytes(n));
-        breakdown.mediator_user_s = self
-            .registry
-            .profile(self.wan)
-            .time(2, wire::xml_result_bytes(n));
-        let wall_s = wall.elapsed().as_secs_f64();
-        let trace = self.build_trace(
-            "topk",
-            &node_results,
-            &node_ids,
-            &node_points,
-            &breakdown,
-            n,
-            wall_s,
-            degraded.as_ref(),
-        );
-        tdb_obs::add("query.topk.count", 1);
-        tdb_obs::add("query.points_returned", n);
-        tdb_obs::observe("query.topk.wall_s", wall_s);
-        Ok(TopKResponse {
-            points,
-            breakdown,
-            wall_s,
-            trace: Some(trace),
-            degraded,
-        })
     }
 
     /// Reads a raw-field cutout (no kernel), as a user downloading data
@@ -1510,11 +1283,7 @@ impl Cluster {
     /// Drops cache entries for one (field, derived, timestep) — the
     /// paper's per-run "cache entries ... were dropped" setup.
     pub fn invalidate_cache_entry(&self, raw_field: &str, derived: DerivedField, timestep: u32) {
-        let key = tdb_cache::CacheInfoKey {
-            dataset: self.dataset.clone(),
-            field: format!("{raw_field}/{}", derived.name()),
-            timestep,
-        };
+        let key = scan::cache_key(&self.dataset, raw_field, derived, timestep);
         for n in self.topology.read().nodes.iter().flatten() {
             n.cache.invalidate(&key);
         }
@@ -1530,11 +1299,7 @@ impl Cluster {
         derived: DerivedField,
         timestep: u32,
     ) -> usize {
-        let key = tdb_cache::CacheInfoKey {
-            dataset: self.dataset.clone(),
-            field: format!("{raw_field}/{}", derived.name()),
-            timestep,
-        };
+        let key = scan::cache_key(&self.dataset, raw_field, derived, timestep);
         self.topology
             .read()
             .nodes
@@ -1565,6 +1330,22 @@ impl Cluster {
             }
         }
         total
+    }
+}
+
+/// Unwraps the answer variant `pick` selects — the one a query of that
+/// kind always produces.
+fn of_kind<T>(
+    answer: StorageResult<BatchAnswer>,
+    pick: impl FnOnce(BatchAnswer) -> Option<T>,
+) -> StorageResult<T> {
+    pick(answer?).ok_or_else(|| StorageError::internal("query yielded an answer of another kind"))
+}
+
+fn threshold_answer(answer: BatchAnswer) -> Option<ThresholdResponse> {
+    match answer {
+        BatchAnswer::Threshold(r) => Some(r),
+        _ => None,
     }
 }
 

@@ -19,12 +19,11 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use tdb_cache::{
-    CacheConfig, CacheInfoKey, CacheLookup, PdfCache, PdfKey, PdfLookup, SemanticCache,
-    ThresholdPoint,
+    CacheConfig, CacheLookup, PdfCache, PdfKey, PdfLookup, SemanticCache, ThresholdPoint,
 };
 use tdb_field::{Grid3, Histogram, PaddedVector};
 use tdb_kernels::scan::{pdf_scan_row, threshold_scan_row, ClipRows};
-use tdb_kernels::{DerivedField, DiffScheme};
+use tdb_kernels::DiffScheme;
 use tdb_storage::device::{DeviceId, DeviceRegistry, IoSession};
 use tdb_storage::{AtomKey, AtomRecord, BlockCache, FaultPlan, StorageError, StorageResult, Table};
 use tdb_zorder::Box3;
@@ -42,31 +41,6 @@ use crate::timing::TimeBreakdown;
 pub enum QueryMode {
     Full,
     IoOnly,
-}
-
-/// The per-node share of a threshold query.
-#[derive(Debug, Clone)]
-pub struct ThresholdSubquery {
-    pub dataset: String,
-    pub raw_field: String,
-    pub derived: DerivedField,
-    pub timestep: u32,
-    pub query_box: Box3,
-    pub threshold: f64,
-    pub use_cache: bool,
-    pub mode: QueryMode,
-    pub procs: usize,
-}
-
-impl ThresholdSubquery {
-    /// Cache key for this (dataset, field, time-step).
-    pub fn cache_key(&self) -> CacheInfoKey {
-        CacheInfoKey {
-            dataset: self.dataset.clone(),
-            field: format!("{}/{}", self.raw_field, self.derived.name()),
-            timestep: self.timestep,
-        }
-    }
 }
 
 /// Outcome of one node's threshold subquery.
@@ -97,6 +71,27 @@ pub struct NodeResult {
 }
 
 impl NodeResult {
+    /// A subquery answered by a cache probe alone: no scan, so no I/O
+    /// phase, compute or time model — only the probe's own cost.
+    fn cache_hit(
+        points: Vec<ThresholdPoint>,
+        cache_lookup_s: f64,
+        wall_s: f64,
+        session: IoSession,
+    ) -> Self {
+        Self {
+            points,
+            cache_hit: true,
+            cache_lookup_s,
+            io_s: 0.0,
+            compute_s: 0.0,
+            wall_s,
+            atoms_scanned: 0,
+            model: NodeTimeModel::default(),
+            session,
+        }
+    }
+
     /// This node's contribution to the cluster breakdown (communication
     /// phases are filled in by the mediator).
     pub fn breakdown(&self) -> TimeBreakdown {
@@ -321,17 +316,12 @@ impl NodeRuntime {
                         CacheLookup::Hit(points) => {
                             self.report_session(&probe_session);
                             slot.outcome = Some(SharedOutcome {
-                                result: NodeResult {
+                                result: NodeResult::cache_hit(
                                     points,
-                                    cache_hit: true,
-                                    cache_lookup_s: slot.cache_lookup_s,
-                                    io_s: 0.0,
-                                    compute_s: 0.0,
-                                    wall_s: wall.elapsed().as_secs_f64(),
-                                    atoms_scanned: 0,
-                                    model: NodeTimeModel::default(),
-                                    session: probe_session,
-                                },
+                                    slot.cache_lookup_s,
+                                    wall.elapsed().as_secs_f64(),
+                                    probe_session,
+                                ),
                                 histogram: None,
                             });
                         }
@@ -360,17 +350,12 @@ impl NodeRuntime {
                         hist.set_counts(&counts);
                         self.report_session(&probe_session);
                         slot.outcome = Some(SharedOutcome {
-                            result: NodeResult {
-                                points: Vec::new(),
-                                cache_hit: true,
-                                cache_lookup_s: slot.cache_lookup_s,
-                                io_s: 0.0,
-                                compute_s: 0.0,
-                                wall_s: wall.elapsed().as_secs_f64(),
-                                atoms_scanned: 0,
-                                model: NodeTimeModel::default(),
-                                session: probe_session,
-                            },
+                            result: NodeResult::cache_hit(
+                                Vec::new(),
+                                slot.cache_lookup_s,
+                                wall.elapsed().as_secs_f64(),
+                                probe_session,
+                            ),
                             histogram: Some(hist),
                         });
                     } else {
@@ -780,6 +765,7 @@ struct ScanScratch {
 mod tests {
     use super::*;
     use tdb_field::ScalarField;
+    use tdb_kernels::DerivedField;
 
     /// The kernel scan over a whole domain, collecting the point type the
     /// node pipeline collects.
@@ -823,16 +809,16 @@ mod tests {
 
     #[test]
     fn cache_key_includes_derived_field() {
-        let q = ThresholdSubquery {
+        let layout = Arc::new(crate::placement::Layout::new((8, 8, 8), 1, 1));
+        let q = SharedScanRequest {
             dataset: "mhd".into(),
             raw_field: "velocity".into(),
             derived: DerivedField::CurlNorm,
             timestep: 3,
-            query_box: Box3::cube(8),
-            threshold: 1.0,
-            use_cache: true,
             mode: QueryMode::Full,
             procs: 1,
+            participants: Vec::new(),
+            assignment: Arc::new(ScanAssignment::canonical(&layout)),
         };
         let k = q.cache_key();
         assert_eq!(k.field, "velocity/curl_norm");

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use tdb_cache::ThresholdPoint;
+use tdb_cache::{CacheInfoKey, ThresholdPoint};
 use tdb_field::Histogram;
 use tdb_kernels::DerivedField;
 use tdb_zorder::Box3;
@@ -122,12 +122,22 @@ pub struct SharedScanRequest {
 impl SharedScanRequest {
     /// Cache key shared by every participant (same dataset, field and
     /// time-step by construction).
-    pub fn cache_key(&self) -> tdb_cache::CacheInfoKey {
-        tdb_cache::CacheInfoKey {
-            dataset: self.dataset.clone(),
-            field: format!("{}/{}", self.raw_field, self.derived.name()),
-            timestep: self.timestep,
-        }
+    pub fn cache_key(&self) -> CacheInfoKey {
+        cache_key(&self.dataset, &self.raw_field, self.derived, self.timestep)
+    }
+}
+
+/// The semantic-cache key of one derived field of one time-step.
+pub(crate) fn cache_key(
+    dataset: &str,
+    raw_field: &str,
+    derived: DerivedField,
+    timestep: u32,
+) -> CacheInfoKey {
+    CacheInfoKey {
+        dataset: dataset.to_string(),
+        field: format!("{raw_field}/{}", derived.name()),
+        timestep,
     }
 }
 

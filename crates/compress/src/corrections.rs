@@ -1,7 +1,7 @@
-//! Sparse correction streams shared by the spatial and temporal codecs.
+//! Sparse correction streams of the spatial codec.
 //!
 //! A correction pins one sample the predictor missed. With a positive
-//! quantisation step `q` (the codecs use `max_error / 2`) a correction is
+//! quantisation step `q` (the codec uses `max_error / 2`) a correction is
 //! usually just the quantised residual `round((orig − recon) / q)` as a
 //! varint — the decoder adds it back onto its own reconstruction, so the
 //! final error is at most `q / 2`. Samples the quantised form cannot

@@ -1,7 +1,6 @@
 //! Query and result types.
 
-use tdb_cache::ThresholdPoint;
-use tdb_cluster::{QueryMode, TimeBreakdown};
+use tdb_cluster::QueryMode;
 use tdb_kernels::DerivedField;
 use tdb_zorder::Box3;
 
@@ -90,25 +89,13 @@ impl ThresholdQuery {
     }
 }
 
-/// Result of a threshold query.
-#[derive(Debug)]
-pub struct ThresholdResult {
-    /// Locations (Morton-coded) with the field norm at each.
-    pub points: Vec<ThresholdPoint>,
-    /// Modelled/measured execution-time breakdown (Fig. 9 phases).
-    pub breakdown: TimeBreakdown,
-    /// Nodes that answered from their semantic cache.
-    pub cache_hits: usize,
-    /// Nodes that participated.
-    pub nodes: usize,
-    /// Real wall-clock of the in-process evaluation.
-    pub wall_s: f64,
-    /// Span tree of the query's phases and per-node work.
-    pub trace: Option<tdb_obs::QueryTrace>,
-    /// Present when one or more nodes failed and the answer is partial:
-    /// names the failed nodes and the grid boxes whose data is missing.
-    pub degraded: Option<tdb_cluster::DegradedInfo>,
-}
+/// Result of a threshold query: the mediator's assembled answer as it
+/// is — locations (Morton-coded) with the field norm at each, the
+/// modelled/measured time breakdown (Fig. 9 phases), how many of the
+/// participating nodes answered from their semantic cache, the span tree,
+/// and, when nodes failed and the answer is partial, which nodes and which
+/// grid boxes are missing.
+pub type ThresholdResult = tdb_cluster::ThresholdResponse;
 
 #[cfg(test)]
 mod tests {

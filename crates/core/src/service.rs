@@ -6,9 +6,7 @@ use std::path::PathBuf;
 
 use parking_lot::Mutex;
 use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{
-    Cluster, ClusterBuilder, ClusterConfig, PdfResponse, ThresholdResponse, TopKResponse,
-};
+use tdb_cluster::{Cluster, ClusterBuilder, ClusterConfig, PdfResponse, TopKResponse};
 use tdb_field::{FieldStats, VectorField};
 use tdb_kernels::{DerivedField, DiffScheme};
 use tdb_turbgen::dataset::FieldData;
@@ -145,42 +143,34 @@ impl TurbulenceService {
         }
     }
 
+    /// The end of every threshold query, single or batched: backend
+    /// errors mapped, the result-size limit enforced, the outcome counted.
+    fn finish_threshold(
+        &self,
+        response: tdb_storage::StorageResult<ThresholdResult>,
+    ) -> Result<ThresholdResult, QueryError> {
+        let response = response.map_err(|e| {
+            tdb_obs::add("query.threshold.failed", 1);
+            QueryError::Backend(e.to_string())
+        })?;
+        let points = response.points.len() as u64;
+        if points > self.limits.max_points {
+            tdb_obs::add("query.threshold.rejected", 1);
+            return Err(QueryError::ThresholdTooLow {
+                points,
+                limit: self.limits.max_points,
+            });
+        }
+        tdb_obs::add("query.threshold.ok", 1);
+        Ok(response)
+    }
+
     /// `GetThreshold`: all locations where the derived field's norm is at
     /// or above the threshold (paper Algorithm 1 end to end).
     pub fn get_threshold(&self, q: &ThresholdQuery) -> Result<ThresholdResult, QueryError> {
         let req = self.request(q);
         self.validate(&q.raw_field, q.timestep, &req.query_box)?;
-        let response = self.cluster.get_threshold(&req).map_err(|e| {
-            tdb_obs::add("query.threshold.failed", 1);
-            QueryError::Backend(e.to_string())
-        })?;
-        let ThresholdResponse {
-            points,
-            breakdown,
-            cache_hits,
-            nodes,
-            wall_s,
-            trace,
-            degraded,
-            node_models: _,
-        } = response;
-        if points.len() as u64 > self.limits.max_points {
-            tdb_obs::add("query.threshold.rejected", 1);
-            return Err(QueryError::ThresholdTooLow {
-                points: points.len() as u64,
-                limit: self.limits.max_points,
-            });
-        }
-        tdb_obs::add("query.threshold.ok", 1);
-        Ok(ThresholdResult {
-            points,
-            breakdown,
-            cache_hits,
-            nodes,
-            wall_s,
-            trace,
-            degraded,
-        })
+        self.finish_threshold(self.cluster.get_threshold(&req))
     }
 
     /// Runs several threshold queries as one admitted batch: queries over
@@ -213,37 +203,7 @@ impl TurbulenceService {
                 let response = responses.next().ok_or_else(|| {
                     QueryError::Backend("batch executor returned too few responses".to_string())
                 })?;
-                let response = response.map_err(|e| {
-                    tdb_obs::add("query.threshold.failed", 1);
-                    QueryError::Backend(e.to_string())
-                })?;
-                let ThresholdResponse {
-                    points,
-                    breakdown,
-                    cache_hits,
-                    nodes,
-                    wall_s,
-                    trace,
-                    degraded,
-                    node_models: _,
-                } = response;
-                if points.len() as u64 > self.limits.max_points {
-                    tdb_obs::add("query.threshold.rejected", 1);
-                    return Err(QueryError::ThresholdTooLow {
-                        points: points.len() as u64,
-                        limit: self.limits.max_points,
-                    });
-                }
-                tdb_obs::add("query.threshold.ok", 1);
-                Ok(ThresholdResult {
-                    points,
-                    breakdown,
-                    cache_hits,
-                    nodes,
-                    wall_s,
-                    trace,
-                    degraded,
-                })
+                self.finish_threshold(response)
             })
             .collect()
     }
@@ -353,20 +313,15 @@ impl TurbulenceService {
             .map_err(|e| QueryError::Backend(e.to_string()))
     }
 
-    /// Exact whole-field statistics of a derived quantity, computed from
-    /// the regenerated time-step (used to pick thresholds as multiples of
-    /// the RMS, as the experiments do). Memoised.
-    pub fn derived_stats(
+    /// The norm of a derived quantity over a whole regenerated time-step:
+    /// the dense reference that statistics and thresholds are picked from.
+    fn derived_norm(
         &self,
         raw_field: &str,
         derived: DerivedField,
         timestep: u32,
-    ) -> Result<FieldStats, QueryError> {
+    ) -> Result<tdb_field::ScalarField, QueryError> {
         self.validate(raw_field, timestep, &self.full_box())?;
-        let key = (raw_field.to_string(), derived.name(), timestep);
-        if let Some(s) = self.stats_cache.lock().get(&key) {
-            return Ok(*s);
-        }
         let step = self.dataset.generate(timestep);
         let data = step
             .fields
@@ -378,8 +333,23 @@ impl TurbulenceService {
         let (nx, ny, nz) = data.dims();
         let mut padded = tdb_field::PaddedVector::zeros(nx, ny, nz, derived.halo(&scheme));
         padded.fill_periodic_from(&data, [0, 0, 0]);
-        let norm = derived.eval(&padded, &scheme, [0, 0, 0]);
-        let stats = FieldStats::of(&norm);
+        Ok(derived.eval(&padded, &scheme, [0, 0, 0]))
+    }
+
+    /// Exact whole-field statistics of a derived quantity, computed from
+    /// the regenerated time-step (used to pick thresholds as multiples of
+    /// the RMS, as the experiments do). Memoised.
+    pub fn derived_stats(
+        &self,
+        raw_field: &str,
+        derived: DerivedField,
+        timestep: u32,
+    ) -> Result<FieldStats, QueryError> {
+        let key = (raw_field.to_string(), derived.name(), timestep);
+        if let Some(s) = self.stats_cache.lock().get(&key) {
+            return Ok(*s);
+        }
+        let stats = FieldStats::of(&self.derived_norm(raw_field, derived, timestep)?);
         self.stats_cache.lock().insert(key, stats);
         Ok(stats)
     }
@@ -395,19 +365,7 @@ impl TurbulenceService {
         fraction: f64,
     ) -> Result<f64, QueryError> {
         assert!((0.0..=1.0).contains(&fraction));
-        self.validate(raw_field, timestep, &self.full_box())?;
-        let step = self.dataset.generate(timestep);
-        let data = step
-            .fields
-            .iter()
-            .find(|(n, _)| *n == raw_field)
-            .map(|(_, d)| d.as_vector3())
-            .ok_or_else(|| QueryError::UnknownField(raw_field.to_string()))?;
-        let scheme = DiffScheme::new(&self.dataset.grid, self.cluster.config().fd_order);
-        let (nx, ny, nz) = data.dims();
-        let mut padded = tdb_field::PaddedVector::zeros(nx, ny, nz, derived.halo(&scheme));
-        padded.fill_periodic_from(&data, [0, 0, 0]);
-        let norm = derived.eval(&padded, &scheme, [0, 0, 0]);
+        let norm = self.derived_norm(raw_field, derived, timestep)?;
         // tdb-lint: allow(float-width) — selects an exact f32 data value
         // as the threshold; the widening to f64 below is lossless
         let mut values: Vec<f32> = norm.as_slice().to_vec();

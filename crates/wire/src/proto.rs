@@ -52,6 +52,13 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, ProtoError> {
         .ok_or_else(|| ProtoError(format!("field '{key}' must be a non-negative integer")))
 }
 
+/// A non-negative integer field that must fit the narrower `T` — an
+/// over-range value is a malformed message, never a wrapped one.
+fn uint_field<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, ProtoError> {
+    T::try_from(u64_field(v, key)?)
+        .map_err(|_| ProtoError(format!("field '{key}' is out of range")))
+}
+
 fn derived_field(v: &Json) -> Result<DerivedField, ProtoError> {
     let name = str_field(v, "derived")?;
     DerivedField::parse(&name).ok_or_else(|| ProtoError(format!("unknown derived field '{name}'")))
@@ -102,7 +109,7 @@ fn compression_from_json(v: &Json) -> Result<CompressionConfig, ProtoError> {
         .ok_or_else(|| ProtoError(format!("unknown compression mode '{mode}'")))?;
     Ok(CompressionConfig {
         mode,
-        stride: u64_field(v, "stride")? as u32,
+        stride: uint_field(v, "stride")?,
         max_error: num_field(v, "max_error")?,
     })
 }
@@ -196,9 +203,21 @@ impl Request {
                 query_box,
                 threshold,
                 use_cache,
+            }
+            | Request::GetTrace {
+                raw_field,
+                derived,
+                timestep,
+                query_box,
+                threshold,
+                use_cache,
             } => {
+                let op = match self {
+                    Request::GetTrace { .. } => "get_trace",
+                    _ => "get_threshold",
+                };
                 let mut pairs = vec![
-                    ("op", Json::Str("get_threshold".into())),
+                    ("op", Json::Str(op.into())),
                     ("field", Json::Str(raw_field.clone())),
                     ("derived", Json::Str(derived.name())),
                     ("timestep", Json::Num(f64::from(*timestep))),
@@ -292,27 +311,6 @@ impl Request {
                 ("name", Json::Str(name.clone())),
             ]),
             Request::Metrics => Json::obj([("op", Json::Str("metrics".into()))]),
-            Request::GetTrace {
-                raw_field,
-                derived,
-                timestep,
-                query_box,
-                threshold,
-                use_cache,
-            } => {
-                let mut pairs = vec![
-                    ("op", Json::Str("get_trace".into())),
-                    ("field", Json::Str(raw_field.clone())),
-                    ("derived", Json::Str(derived.name())),
-                    ("timestep", Json::Num(f64::from(*timestep))),
-                    ("threshold", Json::Num(*threshold)),
-                    ("use_cache", Json::Bool(*use_cache)),
-                ];
-                if let Some(b) = query_box {
-                    pairs.push(("box", box_to_json(b)));
-                }
-                Json::obj(pairs)
-            }
         }
     }
 
@@ -322,35 +320,51 @@ impl Request {
         match op.as_str() {
             "ping" => Ok(Request::Ping),
             "info" => Ok(Request::Info),
-            "get_threshold" => Ok(Request::GetThreshold {
-                raw_field: str_field(v, "field")?,
-                derived: derived_field(v)?,
-                timestep: u64_field(v, "timestep")? as u32,
-                query_box: match v.get("box") {
-                    Some(b) => Some(box_from_json(b)?),
-                    None => None,
-                },
-                threshold: num_field(v, "threshold")?,
-                use_cache: v.get("use_cache").and_then(Json::as_bool).unwrap_or(true),
-            }),
+            "get_threshold" | "get_trace" => {
+                let raw_field = str_field(v, "field")?;
+                let derived = derived_field(v)?;
+                let timestep = uint_field(v, "timestep")?;
+                let query_box = v.get("box").map(box_from_json).transpose()?;
+                let threshold = num_field(v, "threshold")?;
+                let use_cache = v.get("use_cache").and_then(Json::as_bool).unwrap_or(true);
+                Ok(if op == "get_trace" {
+                    Request::GetTrace {
+                        raw_field,
+                        derived,
+                        timestep,
+                        query_box,
+                        threshold,
+                        use_cache,
+                    }
+                } else {
+                    Request::GetThreshold {
+                        raw_field,
+                        derived,
+                        timestep,
+                        query_box,
+                        threshold,
+                        use_cache,
+                    }
+                })
+            }
             "get_pdf" => Ok(Request::GetPdf {
                 raw_field: str_field(v, "field")?,
                 derived: derived_field(v)?,
-                timestep: u64_field(v, "timestep")? as u32,
+                timestep: uint_field(v, "timestep")?,
                 origin: num_field(v, "origin")?,
                 bin_width: num_field(v, "bin_width")?,
-                nbins: u64_field(v, "nbins")? as u32,
+                nbins: uint_field(v, "nbins")?,
             }),
             "get_topk" => Ok(Request::GetTopK {
                 raw_field: str_field(v, "field")?,
                 derived: derived_field(v)?,
-                timestep: u64_field(v, "timestep")? as u32,
-                k: u64_field(v, "k")? as u32,
+                timestep: uint_field(v, "timestep")?,
+                k: uint_field(v, "k")?,
             }),
             "get_stats" => Ok(Request::GetStats {
                 raw_field: str_field(v, "field")?,
                 derived: derived_field(v)?,
-                timestep: u64_field(v, "timestep")? as u32,
+                timestep: uint_field(v, "timestep")?,
             }),
             "get_points" => {
                 let positions = v
@@ -374,15 +388,15 @@ impl Request {
                     .collect::<Result<Vec<_>, ProtoError>>()?;
                 Ok(Request::GetPoints {
                     raw_field: str_field(v, "field")?,
-                    timestep: u64_field(v, "timestep")? as u32,
-                    lag_width: u64_field(v, "lag_width")? as u32,
+                    timestep: uint_field(v, "timestep")?,
+                    lag_width: uint_field(v, "lag_width")?,
                     positions,
                 })
             }
             "submit_job" => Ok(Request::SubmitJob {
                 raw_field: str_field(v, "field")?,
                 derived: derived_field(v)?,
-                timestep: u64_field(v, "timestep")? as u32,
+                timestep: uint_field(v, "timestep")?,
                 threshold: num_field(v, "threshold")?,
                 output_table: str_field(v, "output_table")?,
             }),
@@ -394,17 +408,6 @@ impl Request {
                 name: str_field(v, "name")?,
             }),
             "metrics" => Ok(Request::Metrics),
-            "get_trace" => Ok(Request::GetTrace {
-                raw_field: str_field(v, "field")?,
-                derived: derived_field(v)?,
-                timestep: u64_field(v, "timestep")? as u32,
-                query_box: match v.get("box") {
-                    Some(b) => Some(box_from_json(b)?),
-                    None => None,
-                },
-                threshold: num_field(v, "threshold")?,
-                use_cache: v.get("use_cache").and_then(Json::as_bool).unwrap_or(true),
-            }),
             other => Err(ProtoError(format!("unknown op '{other}'"))),
         }
     }
@@ -631,7 +634,7 @@ fn degraded_from_json(v: &Json) -> Result<DegradedInfo, ProtoError> {
         .iter()
         .map(|f| {
             Ok(FailedNode {
-                node: u64_field(f, "node")? as usize,
+                node: uint_field(f, "node")?,
                 reason: str_field(f, "reason")?,
             })
         })
@@ -878,18 +881,23 @@ impl Response {
                     .and_then(Json::as_arr)
                     .filter(|a| a.len() == 3)
                     .ok_or_else(|| ProtoError("dims must be [nx,ny,nz]".into()))?;
-                let d = |i: usize| dims.get(i).and_then(Json::as_u64).unwrap_or(0) as u32;
+                let d = |i: usize| {
+                    dims.get(i)
+                        .and_then(Json::as_u64)
+                        .and_then(|v| u32::try_from(v).ok())
+                        .ok_or_else(|| ProtoError("dims must be u32".into()))
+                };
                 let fields = v
                     .get("fields")
                     .and_then(Json::as_arr)
                     .ok_or_else(|| ProtoError("fields must be an array".into()))?
                     .iter()
-                    .map(|f| Ok((str_field(f, "name")?, u64_field(f, "ncomp")? as u8)))
+                    .map(|f| Ok((str_field(f, "name")?, uint_field(f, "ncomp")?)))
                     .collect::<Result<Vec<_>, ProtoError>>()?;
                 Ok(Response::Info {
                     dataset: str_field(v, "dataset")?,
-                    dims: (d(0), d(1), d(2)),
-                    timesteps: u64_field(v, "timesteps")? as u32,
+                    dims: (d(0)?, d(1)?, d(2)?),
+                    timesteps: uint_field(v, "timesteps")?,
                     fields,
                     compression: match v.get("compression") {
                         Some(c) => compression_from_json(c)?,
@@ -900,8 +908,8 @@ impl Response {
             "threshold" => Ok(Response::Threshold {
                 points: points_from_json(field(v, "points")?)?,
                 breakdown: breakdown_from_json(field(v, "breakdown")?)?,
-                cache_hits: u64_field(v, "cache_hits")? as u32,
-                nodes: u64_field(v, "nodes")? as u32,
+                cache_hits: uint_field(v, "cache_hits")?,
+                nodes: uint_field(v, "nodes")?,
                 degraded: opt_degraded(v)?,
             }),
             "pdf" => Ok(Response::Pdf {
@@ -1267,9 +1275,33 @@ mod tests {
             r#"{"op":"get_threshold","field":"v","derived":"norm","timestep":0,"threshold":1,"box":[1,2]}"#,
             r#"{"op":"get_threshold","field":"v","derived":"norm","timestep":0,"threshold":1,"box":[9,0,0,1,1,1]}"#,
             r#"{"op":"get_pdf","field":"v","derived":"norm","timestep":-1,"origin":0,"bin_width":1,"nbins":4}"#,
+            // 2^32 does not fit a u32 field: rejected, never wrapped to 0
+            r#"{"op":"get_threshold","field":"v","derived":"norm","timestep":4294967296,"threshold":1}"#,
+            r#"{"op":"get_trace","field":"v","derived":"norm","timestep":4294967296,"threshold":1}"#,
+            r#"{"op":"get_pdf","field":"v","derived":"norm","timestep":0,"origin":0,"bin_width":1,"nbins":4294967300}"#,
+            r#"{"op":"get_topk","field":"v","derived":"norm","timestep":0,"k":4294967297}"#,
+            r#"{"op":"get_stats","field":"v","derived":"norm","timestep":4294967296}"#,
+            r#"{"op":"get_points","field":"v","timestep":0,"lag_width":4294967300,"positions":[[0,0,0]]}"#,
+            r#"{"op":"submit_job","field":"v","derived":"norm","timestep":4294967296,"threshold":1,"output_table":"t"}"#,
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(Request::from_json(&v).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn over_range_response_fields_are_rejected() {
+        for bad in [
+            r#"{"ok":"threshold","points":[],"breakdown":{"cache_lookup_s":0,"io_s":0,"compute_s":0,"mediator_db_s":0,"mediator_user_s":0},"cache_hits":4294967296,"nodes":4}"#,
+            r#"{"ok":"threshold","points":[],"breakdown":{"cache_lookup_s":0,"io_s":0,"compute_s":0,"mediator_db_s":0,"mediator_user_s":0},"cache_hits":0,"nodes":4294967296}"#,
+            r#"{"ok":"info","dataset":"d","dims":[8,8,8],"timesteps":4294967296,"fields":[]}"#,
+            r#"{"ok":"info","dataset":"d","dims":[8,8,4294967296],"timesteps":1,"fields":[]}"#,
+            r#"{"ok":"info","dataset":"d","dims":[8,8,8],"timesteps":1,"fields":[{"name":"v","ncomp":256}]}"#,
+            r#"{"ok":"info","dataset":"d","dims":[8,8,8],"timesteps":1,"fields":[],"compression":{"mode":"lossy","stride":4294967298,"max_error":0.1}}"#,
+            r#"{"ok":"topk","points":[],"degraded":{"failed_nodes":[{"node":-1,"reason":"x"}],"missing_boxes":[]}}"#,
+        ] {
+            let v = Json::parse(bad).unwrap();
+            assert!(Response::from_json(&v).is_err(), "{bad} should be rejected");
         }
     }
 

@@ -278,7 +278,7 @@ pub fn handle_line_admitted(line: &str, state: &ServerState, conn: u64) -> Respo
         // request, so tenancy never alters query semantics
         let api_key = doc.get("api_key").and_then(Json::as_str);
         match state.admission.admit_keyed(conn, api_key) {
-            Admission::Granted(_permit) => execute_with_state(&request, state),
+            Admission::Granted(_permit) => execute(&request, state),
             Admission::Busy {
                 queue_depth,
                 retry_ms,
@@ -288,50 +288,8 @@ pub fn handle_line_admitted(line: &str, state: &ServerState, conn: u64) -> Respo
             },
         }
     } else {
-        execute_with_state(&request, state)
+        execute(&request, state)
     }
-}
-
-/// Parses one request line and executes it against a full server state
-/// (batch operations included), bypassing admission control — kept for
-/// direct handler testing.
-pub fn handle_line_with_state(line: &str, state: &ServerState) -> Response {
-    let doc = match Json::parse(line) {
-        Ok(d) => d,
-        Err(e) => {
-            return Response::Error {
-                message: e.to_string(),
-            }
-        }
-    };
-    match Request::from_json(&doc) {
-        Ok(r) => execute_with_state(&r, state),
-        Err(e) => Response::Error {
-            message: e.to_string(),
-        },
-    }
-}
-
-/// Parses one request line and executes it against a bare service (batch
-/// operations report an error) — kept for direct handler testing.
-pub fn handle_line(line: &str, service: &TurbulenceService) -> Response {
-    let doc = match Json::parse(line) {
-        Ok(d) => d,
-        Err(e) => {
-            return Response::Error {
-                message: e.to_string(),
-            }
-        }
-    };
-    let request = match Request::from_json(&doc) {
-        Ok(r) => r,
-        Err(e) => {
-            return Response::Error {
-                message: e.to_string(),
-            }
-        }
-    };
-    execute(&request, service)
 }
 
 fn query_error(e: QueryError) -> Response {
@@ -340,8 +298,9 @@ fn query_error(e: QueryError) -> Response {
     }
 }
 
-/// Executes a parsed request against full server state.
-pub fn execute_with_state(request: &Request, state: &ServerState) -> Response {
+/// Executes a parsed request.
+fn execute(request: &Request, state: &ServerState) -> Response {
+    let service = &state.service;
     match request {
         Request::SubmitJob {
             raw_field,
@@ -394,19 +353,6 @@ pub fn execute_with_state(request: &Request, state: &ServerState) -> Response {
                 message: format!("no MyDB table '{name}'"),
             },
         },
-        other => execute(other, &state.service),
-    }
-}
-
-/// Executes a parsed non-batch request against the service.
-pub fn execute(request: &Request, service: &TurbulenceService) -> Response {
-    match request {
-        Request::SubmitJob { .. }
-        | Request::JobStatus { .. }
-        | Request::ListMyDb
-        | Request::GetMyDbTable { .. } => Response::Error {
-            message: "batch operations need a server session".into(),
-        },
         Request::Ping => Response::Pong,
         Request::Info => {
             let d = service.dataset();
@@ -423,7 +369,17 @@ pub fn execute(request: &Request, service: &TurbulenceService) -> Response {
                 compression: service.cluster().config().compression,
             }
         }
+        // a trace request is the same threshold query, answered with the
+        // query's span tree instead of its points
         Request::GetThreshold {
+            raw_field,
+            derived,
+            timestep,
+            query_box,
+            threshold,
+            use_cache,
+        }
+        | Request::GetTrace {
             raw_field,
             derived,
             timestep,
@@ -435,6 +391,12 @@ pub fn execute(request: &Request, service: &TurbulenceService) -> Response {
             q.query_box = *query_box;
             q.use_cache = *use_cache;
             match service.get_threshold(&q) {
+                Ok(r) if matches!(request, Request::GetTrace { .. }) => match r.trace {
+                    Some(trace) => Response::Trace { trace },
+                    None => Response::Error {
+                        message: "query produced no trace".into(),
+                    },
+                },
                 Ok(r) => Response::Threshold {
                     points: r.points,
                     breakdown: r.breakdown,
@@ -534,27 +496,6 @@ pub fn execute(request: &Request, service: &TurbulenceService) -> Response {
             Response::Metrics {
                 counters: snap.counters.into_iter().collect(),
                 gauges: snap.gauges.into_iter().collect(),
-            }
-        }
-        Request::GetTrace {
-            raw_field,
-            derived,
-            timestep,
-            query_box,
-            threshold,
-            use_cache,
-        } => {
-            let mut q = ThresholdQuery::whole_timestep(raw_field, *derived, *timestep, *threshold);
-            q.query_box = *query_box;
-            q.use_cache = *use_cache;
-            match service.get_threshold(&q) {
-                Ok(r) => match r.trace {
-                    Some(trace) => Response::Trace { trace },
-                    None => Response::Error {
-                        message: "query produced no trace".into(),
-                    },
-                },
-                Err(e) => query_error(e),
             }
         }
     }

@@ -246,6 +246,110 @@ fn killed_node_yields_degraded_answer_with_exact_missing_boxes() {
     assert_eq!(point_bits(&back.points), point_bits(&full.points));
 }
 
+/// The one degradation path serves every kind of query: with a single
+/// copy of the data and node 1 down, PDF and top-k answers are the clean
+/// ones restricted to the surviving boxes and carry the `DegradedInfo` the
+/// threshold query carries; a query over a box the dead node holds nothing
+/// of is complete; strict mode fails exactly the queries that would
+/// otherwise have been degraded.
+#[test]
+fn killed_node_degrades_pdf_and_topk_like_threshold() {
+    let plan = FaultPlan::new(1).shared();
+    let faulted = build_faulted("fi_kinds", Some(Arc::clone(&plan)), false);
+    let strict_plan = FaultPlan::new(1).shared();
+    let strict = build_faulted("fi_kinds_strict", Some(Arc::clone(&strict_plan)), true);
+    let (clean, _dir) = build("fi_kinds_ref");
+    plan.set_node_down(1, true);
+    strict_plan.set_node_down(1, true);
+
+    // every point of the time-step (the curl norm is never negative)
+    let all =
+        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0).without_cache();
+    let (origin, width, nbins, k) = (0.0, 5.0, 16, 20);
+    let layout = faulted.cluster().layout();
+    let boxes_of = |node: usize| -> Vec<Box3> {
+        let chunks = layout.chunks_of_node(node).into_iter();
+        chunks.map(|c| c.grid_box()).collect()
+    };
+    let (surviving, lost) = (boxes_of(0), boxes_of(1));
+
+    let t = faulted.get_threshold(&all).expect("threshold degrades");
+    let degraded = t.degraded.expect("threshold answer is partial");
+    assert_eq!(degraded.failed_nodes.len(), 1);
+    assert_eq!(degraded.failed_nodes[0].node, 1);
+    assert_eq!(degraded.missing_boxes, lost);
+
+    // PDF: the clean histograms of the surviving boxes, added up
+    let p = faulted
+        .get_pdf(&all, origin, width, nbins)
+        .expect("pdf degrades");
+    assert_eq!(p.degraded.as_ref(), Some(&degraded));
+    let mut expected = vec![0u64; p.histogram.counts().len()];
+    for b in &surviving {
+        let part = clean
+            .get_pdf(&all.clone().in_box(*b), origin, width, nbins)
+            .expect("clean pdf of a surviving box");
+        for (e, c) in expected.iter_mut().zip(part.histogram.counts()) {
+            *e += c;
+        }
+    }
+    assert_eq!(p.histogram.counts(), expected);
+    assert_eq!(expected.iter().sum::<u64>(), 32 * 32 * 32 / 2);
+
+    // top-k: the k best of the clean points outside the missing boxes
+    let top = faulted.get_topk(&all, k).expect("top-k degrades");
+    assert_eq!(top.degraded.as_ref(), Some(&degraded));
+    let mut survivors: Vec<ThresholdPoint> = clean
+        .get_threshold(&all)
+        .expect("clean reference")
+        .points
+        .into_iter()
+        .filter(|p| {
+            let (x, y, z) = p.coords();
+            !lost.iter().any(|b| b.contains_point(x, y, z))
+        })
+        .collect();
+    tdb_cluster::select_topk(&mut survivors, k);
+    survivors.sort_unstable_by(tdb_cluster::topk_order);
+    let ranked = |points: &[ThresholdPoint]| -> Vec<(u64, u32)> {
+        points
+            .iter()
+            .map(|p| (p.zindex, p.value.to_bits()))
+            .collect()
+    };
+    assert_eq!(ranked(&top.points), ranked(&survivors));
+
+    // a box the dead node holds nothing of: complete, under either policy
+    let inside = all.clone().in_box(surviving[0]);
+    for service in [&faulted, &strict] {
+        let t = service.get_threshold(&inside).expect("complete threshold");
+        let p = service
+            .get_pdf(&inside, origin, width, nbins)
+            .expect("complete pdf");
+        let top = service.get_topk(&inside, k).expect("complete top-k");
+        assert!(t.degraded.is_none() && p.degraded.is_none() && top.degraded.is_none());
+        let reference = clean.get_threshold(&inside).expect("clean reference");
+        assert_eq!(point_bits(&t.points), point_bits(&reference.points));
+        let reference = clean
+            .get_pdf(&inside, origin, width, nbins)
+            .expect("clean reference");
+        assert_eq!(p.histogram.counts(), reference.histogram.counts());
+        let reference = clean.get_topk(&inside, k).expect("clean reference");
+        assert_eq!(ranked(&top.points), ranked(&reference.points));
+    }
+
+    // strict: each kind refuses the partial whole-grid answer
+    let unavailable = |r: Result<(), QueryError>| match r {
+        Err(QueryError::Backend(msg)) => {
+            assert!(msg.contains("unavailable"), "unexpected message: {msg}")
+        }
+        other => panic!("strict mode must fail with a backend error, got {other:?}"),
+    };
+    unavailable(strict.get_threshold(&all).map(|_| ()));
+    unavailable(strict.get_pdf(&all, origin, width, nbins).map(|_| ()));
+    unavailable(strict.get_topk(&all, k).map(|_| ()));
+}
+
 #[test]
 fn strict_mode_fails_loudly_when_a_node_is_down() {
     let plan = FaultPlan::new(2).shared();

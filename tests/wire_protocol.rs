@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use tdb_bench::test_service;
 use tdb_core::{DerivedField, ThresholdQuery};
-use tdb_wire::server::{handle_line, Server, ServerConfig};
+use tdb_wire::server::{handle_line_admitted, Server, ServerConfig, ServerState};
 use tdb_wire::{Client, Response};
 
 fn start_server(tag: &str) -> (Server, Arc<tdb_core::TurbulenceService>) {
@@ -280,21 +280,25 @@ fn degraded_status_travels_the_wire() {
 
 #[test]
 fn malformed_lines_get_error_responses() {
-    let service = test_service("wire_malformed", 32, 1, 2);
+    let state = ServerState::new(Arc::new(test_service("wire_malformed", 32, 1, 2)), 1 << 20);
     for bad in [
         "not json at all",
         "{\"op\":\"launch_missiles\"}",
         "{\"op\":\"get_threshold\"}",
         "{\"op\":\"get_pdf\",\"field\":\"velocity\",\"derived\":\"norm\",\"timestep\":0,\"origin\":0,\"bin_width\":-1,\"nbins\":4}",
         "{\"op\":\"get_topk\",\"field\":\"velocity\",\"derived\":\"norm\",\"timestep\":0,\"k\":0}",
+        // 2^32 is not time-step 0: over-range integers are malformed, not wrapped
+        "{\"op\":\"get_threshold\",\"field\":\"velocity\",\"derived\":\"curl_norm\",\"timestep\":4294967296,\"threshold\":1}",
+        "{\"op\":\"get_topk\",\"field\":\"velocity\",\"derived\":\"norm\",\"timestep\":0,\"k\":4294967297}",
+        "{\"op\":\"get_points\",\"field\":\"velocity\",\"timestep\":0,\"lag_width\":4294967300,\"positions\":[[1,1,1]]}",
     ] {
-        match handle_line(bad, &service) {
+        match handle_line_admitted(bad, &state, 0) {
             Response::Error { .. } => {}
             other => panic!("{bad} should produce an error, got {other:?}"),
         }
     }
     // and a well-formed line still works on the same handler
-    match handle_line("{\"op\":\"ping\"}", &service) {
+    match handle_line_admitted("{\"op\":\"ping\"}", &state, 0) {
         Response::Pong => {}
         other => panic!("expected pong, got {other:?}"),
     }
