@@ -1,5 +1,5 @@
 //! Offline shim for the `libc` crate: only the items this workspace uses
-//! (per-thread CPU clocks and advisory file locks on Linux).
+//! (per-thread CPU clocks on Linux).
 
 #![allow(non_camel_case_types)]
 
@@ -18,14 +18,8 @@ pub struct timespec {
 /// Linux clock id for the calling thread's consumed CPU time.
 pub const CLOCK_THREAD_CPUTIME_ID: clockid_t = 3;
 
-/// `flock(2)`: acquire an exclusive advisory lock (blocks until granted).
-pub const LOCK_EX: c_int = 2;
-/// `flock(2)`: release the lock held on the file description.
-pub const LOCK_UN: c_int = 8;
-
 extern "C" {
     pub fn clock_gettime(clk_id: clockid_t, tp: *mut timespec) -> c_int;
-    pub fn flock(fd: c_int, operation: c_int) -> c_int;
 }
 
 #[cfg(test)]

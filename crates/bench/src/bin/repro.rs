@@ -7,10 +7,12 @@
 //! ```
 //!
 //! Experiments: `fig2 fig3 fig4 table1 fig7a fig7b fig8 fig9 local
-//! hitratio concurrent compression replication`. Absolute numbers differ from the
+//! hitratio concurrent compression replication ablations`; an unknown name
+//! exits 2 before anything is built. Absolute numbers differ from the
 //! paper (simulated cluster, smaller grid); EXPERIMENTS.md records the
-//! paper-vs-measured comparison. `TDB_BENCH_SMOKE=1` shrinks the grid to
-//! 32³ for CI smoke runs.
+//! paper-vs-measured comparison. Every recorded row lands in one document,
+//! `repro_results.json`. How *fast* the code is is not measured here: that
+//! is the frozen benchmark's job (`perfbench/`, BENCHMARK.json).
 
 use std::collections::BTreeMap;
 
@@ -19,9 +21,32 @@ use tdb_wire::Json;
 use tdb_analysis::{fof_clusters_4d, SpaceTimePoint};
 use tdb_cluster::{ClusterConfig, CompressionConfig};
 use tdb_core::baseline::local_evaluation_estimate;
-use tdb_core::{DerivedField, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService};
+use tdb_core::{
+    DerivedField, FdOrder, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService,
+};
 use tdb_storage::{DeviceProfile, FaultPlan};
 use tdb_turbgen::SyntheticDataset;
+use tdb_zorder::{decompose_box, Box3};
+
+type Experiment = (&'static str, fn(&mut Repro));
+
+/// Every experiment, in the order a bare `repro` runs them.
+const EXPERIMENTS: [Experiment; 14] = [
+    ("fig2", Repro::fig2),
+    ("fig3", Repro::fig3),
+    ("fig4", Repro::fig4),
+    ("table1", Repro::table1),
+    ("fig7a", Repro::fig7a),
+    ("fig7b", Repro::fig7b),
+    ("fig8", Repro::fig8),
+    ("fig9", Repro::fig9),
+    ("local", Repro::local),
+    ("hitratio", Repro::hitratio),
+    ("concurrent", Repro::concurrent),
+    ("compression", Repro::compression),
+    ("replication", Repro::replication),
+    ("ablations", Repro::ablations),
+];
 
 /// The paper's threshold selectivities on the MHD dataset: fractions of
 /// all grid points above thresholds 80 / 60 / 44 (≈4 300, 87 000 and
@@ -38,44 +63,45 @@ struct Repro {
     timesteps: u32,
     /// threshold per selectivity tier, per (field, derived)
     thresholds: BTreeMap<(String, String), [f64; 3]>,
-    /// machine-readable results, written to repro_results.json
+    /// `results` of repro_results.json: rows tagged with their experiment
     results: Vec<Json>,
-    /// shared-vs-independent decode deltas, written to repro_metrics.json
+    /// its `concurrency`: shared-vs-independent decode deltas
     concurrency: Vec<Json>,
-    /// per-codec byte/accuracy sweep rows, written to repro_metrics.json
+    /// its `compression`: per-codec byte/accuracy sweep rows
     compression: Vec<Json>,
-    /// availability/tail-latency vs replication factor rows, written to
-    /// repro_metrics.json
+    /// its `replication`: availability/tail-latency vs replication factor
     replication: Vec<Json>,
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let wanted: Vec<&str> = if args.is_empty() {
-        vec![
-            "fig2",
-            "fig3",
-            "fig4",
-            "table1",
-            "fig7a",
-            "fig7b",
-            "fig8",
-            "fig9",
-            "local",
-            "hitratio",
-            "concurrent",
-            "compression",
-            "replication",
-        ]
+    // Figure 6 plots Table 1
+    let args: Vec<String> = std::env::args()
+        .skip(1)
+        .map(|a| if a == "fig6" { "table1".into() } else { a })
+        .collect();
+    let lookup = |name: &String| EXPERIMENTS.iter().find(|(known, _)| known == name);
+    if let Some(unknown) = args.iter().find(|a| lookup(a).is_none()) {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown experiment '{unknown}'; valid: {} (fig6 = table1)",
+            names.join(" ")
+        );
+        std::process::exit(2);
+    }
+    let wanted: Vec<_> = if args.is_empty() {
+        EXPERIMENTS.iter().collect()
     } else {
-        args.iter().map(String::as_str).collect()
+        args.iter().filter_map(lookup).collect()
     };
-    let smoke = std::env::var("TDB_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
     let grid_n: usize = std::env::var("TDB_GRID")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 32 } else { 128 });
-    let timesteps: u32 = if wanted.contains(&"fig3") { 8 } else { 2 };
+        .unwrap_or(128);
+    let timesteps: u32 = if wanted.iter().any(|(name, _)| *name == "fig3") {
+        8
+    } else {
+        2
+    };
 
     println!("== ThresholDB paper reproduction ==");
     println!("grid {grid_n}³ MHD-like dataset, {timesteps} time-steps, 4 nodes x 4 arrays\n");
@@ -96,48 +122,25 @@ fn main() {
         compression: Vec::new(),
         replication: Vec::new(),
     };
-    for exp in wanted {
+    for (name, run) in wanted {
         let t = std::time::Instant::now();
-        match exp {
-            "fig2" => repro.fig2(),
-            "fig3" => repro.fig3(),
-            "fig4" => repro.fig4(),
-            "table1" | "fig6" => repro.table1(),
-            "fig7a" => repro.fig7a(),
-            "fig7b" => repro.fig7b(),
-            "fig8" => repro.fig8(),
-            "fig9" => repro.fig9(),
-            "local" => repro.local(),
-            "hitratio" => repro.hitratio(),
-            "concurrent" => repro.concurrent(),
-            "compression" => repro.compression(),
-            "replication" => repro.replication(),
-            other => eprintln!("unknown experiment '{other}', skipping"),
-        }
+        run(&mut repro);
         repro.results.push(Json::obj([
-            ("experiment", Json::Str(exp.to_string())),
+            ("experiment", Json::Str(name.to_string())),
             ("harness_wall_s", Json::Num(t.elapsed().as_secs_f64())),
         ]));
     }
-    // persist every recorded measurement for downstream analysis
+    // every recorded row, plus the process-wide observability counters
+    // accumulated across the whole run: buffer-pool traffic, cache
+    // hits/misses, per-device I/O, query outcomes
+    let snap = repro.service.metrics_snapshot();
     let doc = Json::obj([
         ("grid", Json::Num(grid_n as f64)),
         ("timesteps", Json::Num(f64::from(timesteps))),
-        ("results", Json::Arr(repro.results.clone())),
-    ]);
-    let path = "repro_results.json";
-    if let Err(e) = std::fs::write(path, doc.encode()) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("(machine-readable results written to {path})");
-    }
-    // process-wide observability counters accumulated across the whole run:
-    // buffer-pool traffic, cache hits/misses, per-device I/O, query outcomes
-    let snap = repro.service.metrics_snapshot();
-    let metrics_doc = Json::obj([
-        ("concurrency", Json::Arr(repro.concurrency.clone())),
-        ("compression", Json::Arr(repro.compression.clone())),
-        ("replication", Json::Arr(repro.replication.clone())),
+        ("results", Json::Arr(repro.results)),
+        ("concurrency", Json::Arr(repro.concurrency)),
+        ("compression", Json::Arr(repro.compression)),
+        ("replication", Json::Arr(repro.replication)),
         (
             "counters",
             Json::Obj(
@@ -157,18 +160,12 @@ fn main() {
             ),
         ),
     ]);
-    let mpath = "repro_metrics.json";
-    if let Err(e) = std::fs::write(mpath, metrics_doc.encode()) {
-        eprintln!("could not write {mpath}: {e}");
-    } else {
-        println!("(metrics snapshot written to {mpath})");
+    let path = "repro_results.json";
+    if let Err(e) = std::fs::write(path, doc.encode()) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
     }
-    // repro_metrics.json is overwritten every run; the dated trend file
-    // keeps one snapshot per day so regressions stay visible in history
-    match tdb_bench::merge_into_trend("repro_metrics", metrics_doc) {
-        Ok(tpath) => println!("(trend snapshot merged into {tpath})"),
-        Err(e) => eprintln!("could not write trend file: {e}"),
-    }
+    println!("(machine-readable results written to {path})");
 }
 
 fn build_service(grid_n: usize, timesteps: u32, nodes: usize, tag: &str) -> TurbulenceService {
@@ -711,11 +708,7 @@ impl Repro {
                     ),
                 ),
             ]);
-            self.compression.push(row.clone());
-            self.results.push(Json::obj([
-                ("experiment", Json::Str("compression".into())),
-                ("row", row),
-            ]));
+            self.compression.push(row);
         }
         println!(
             "(a cold threshold scan over the lossy tier should move ≥4x fewer array bytes\n\
@@ -781,17 +774,141 @@ impl Repro {
                 ("p95_s", Json::Num(p95)),
                 ("max_s", Json::Num(max)),
             ]);
-            self.replication.push(row.clone());
-            self.results.push(Json::obj([
-                ("experiment", Json::Str("replication".into())),
-                ("row", row),
-            ]));
+            self.replication.push(row);
         }
         println!(
             "(k=1 answers lose the dead node's boxes — availability 0% for whole-box\n\
              \x20queries; k>=2 completes everything via read failover, and the extra\n\
              \x20failover round shows up in the latency tail)\n"
         );
+    }
+
+    /// The design choices DESIGN.md calls out, one at a time, at 64³
+    /// whatever `TDB_GRID` says (chunks of 4 atoms need a 64³ grid to give
+    /// each of the 4 nodes one): finite-difference order (halo width and
+    /// stencil cost), chunk granularity (halo-to-volume ratio), exact
+    /// z-range decomposition against one covering range, and top-k by full
+    /// scan against the PDF-guided plan. Each cold row is the fastest of
+    /// seven runs — its real `wall_s` beside its modelled breakdown — with
+    /// the configurations interleaved round by round, so a burst of host
+    /// slowness cannot cover every run of one of them.
+    fn ablations(&mut self) {
+        const N: usize = 64;
+        println!("---- ablations: design choices, one at a time ({N}³, 4 nodes) ----");
+        let configs = [
+            (FdOrder::O2, 2u32),
+            (FdOrder::O4, 2),
+            (FdOrder::O6, 2),
+            (FdOrder::O8, 2),
+            (FdOrder::O4, 1),
+            (FdOrder::O4, 4),
+        ];
+        let services = configs.map(|(fd_order, chunk_atoms)| {
+            let tag = format!("repro_abl_o{}_c{chunk_atoms}", fd_order.order());
+            build_service_with(N, 1, 4, &tag, |c| {
+                c.fd_order = fd_order;
+                c.chunk_atoms = chunk_atoms;
+            })
+        });
+        let baseline = &services[1];
+        let threshold = baseline
+            .threshold_for_fraction("velocity", DerivedField::CurlNorm, 0, FRACTIONS[1].0)
+            .expect("threshold");
+        let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, threshold)
+            .without_cache();
+        let mut best: [Option<tdb_core::ThresholdResult>; 6] = Default::default();
+        for _ in 0..7 {
+            for (svc, best) in services.iter().zip(&mut best) {
+                svc.cluster().clear_buffer_pools();
+                let r = svc.get_threshold(&q).expect("query");
+                if best.as_ref().map_or(true, |b| r.wall_s < b.wall_s) {
+                    *best = Some(r);
+                }
+            }
+        }
+        let mut table = |ablation: &'static str, rows: &[(usize, usize)]| {
+            println!(
+                "{ablation:>11} | {:>8} | {:>8} | {:>11} | {:>12}",
+                "wall (s)", "io (s)", "compute (s)", "modelled (s)"
+            );
+            for &(value, config) in rows {
+                let r = best[config].as_ref().expect("seven rounds ran");
+                let b = r.breakdown;
+                println!(
+                    "{value:>11} | {:>8.4} | {:>8.3} | {:>11.3} | {:>12.3}",
+                    r.wall_s,
+                    b.io_s,
+                    b.compute_s,
+                    b.total_s()
+                );
+                self.results.push(Json::obj([
+                    ("experiment", Json::Str("ablations".into())),
+                    ("ablation", Json::Str(ablation.into())),
+                    ("value", Json::Num(value as f64)),
+                    ("wall_s", Json::Num(r.wall_s)),
+                    ("io_s", Json::Num(b.io_s)),
+                    ("compute_s", Json::Num(b.compute_s)),
+                    ("modelled_s", Json::Num(b.total_s())),
+                ]));
+            }
+        };
+        // (swept value, index into `configs`)
+        table("fd_order", &[(2, 0), (4, 1), (6, 2), (8, 3)]);
+        println!("(wider stencils: cold cost rises with the order)\n");
+        table("chunk_atoms", &[(1, 4), (2, 1), (4, 5)]);
+        println!("(8³-point chunks re-read their halo many times over; ≥ 16³ amortise it)\n");
+        let n = N as u32;
+        for (label, b3) in [
+            ("thin slab", Box3::new([0, 0, 12], [n - 1, n - 1, 19])),
+            ("centred cube", Box3::new([n / 4; 3], [3 * n / 4 - 1; 3])),
+            ("column", Box3::new([24, 24, 0], [39, 39, n - 1])),
+        ] {
+            let ranges = decompose_box(&b3.atom_box(), (n / 8).trailing_zeros());
+            let exact: u64 = ranges.iter().map(|r| r.len()).sum();
+            let (first, last) = (&ranges[0], &ranges[ranges.len() - 1]);
+            let cover = last.end - first.start + 1;
+            let saved = cover as f64 / exact as f64;
+            println!(
+                "z-ranges [{label}]: {} ranges, {exact} atoms exact vs {cover} in one covering range ({saved:.1}x saved)",
+                ranges.len()
+            );
+            self.results.push(Json::obj([
+                ("experiment", Json::Str("ablations".into())),
+                ("ablation", Json::Str("zrange_decomposition".into())),
+                ("box", Json::Str(label.into())),
+                ("ranges", Json::Num(ranges.len() as f64)),
+                ("atoms_exact", Json::Num(exact as f64)),
+                ("atoms_covering", Json::Num(cover as f64)),
+                ("saved", Json::Num(saved)),
+            ]));
+        }
+        println!();
+
+        // pools and caches warm for both plans: the strategies differ in
+        // how much they scan, not in what they read
+        let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);
+        let wall = |f: &dyn Fn()| {
+            f();
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    f();
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let full = wall(&|| drop(baseline.get_topk(&q, 50).expect("top-k")));
+        let guided = wall(&|| drop(baseline.get_topk_guided(&q, 50).expect("guided top-k")));
+        println!(
+            "top-50: full scan {full:.4}s vs PDF-guided {guided:.4}s wall ({:.0}x)\n",
+            full / guided
+        );
+        self.results.push(Json::obj([
+            ("experiment", Json::Str("ablations".into())),
+            ("ablation", Json::Str("topk_strategy".into())),
+            ("full_scan_wall_s", Json::Num(full)),
+            ("pdf_guided_wall_s", Json::Num(guided)),
+        ]));
     }
 
     // --- §5.3: local evaluation baseline --------------------------------------

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use tdb_kernels::FdOrder;
-use tdb_storage::{CompressionConfig, CompressionMode, EvictionPolicyKind, FaultPlan};
+use tdb_storage::{CompressionConfig, CompressionMode, FaultPlan};
 
 use crate::placement::PlacementMode;
 
@@ -63,9 +63,6 @@ pub struct ClusterConfig {
     pub arrays_per_node: usize,
     /// Buffer-pool capacity per node, bytes.
     pub bufferpool_bytes: usize,
-    /// Buffer-pool eviction policy (LRU default; CLOCK and SIEVE for
-    /// scan-resistant caching — see DESIGN.md).
-    pub eviction: EvictionPolicyKind,
     /// Semantic-cache SSD budget per node, bytes (paper: ~200 GB SSD).
     pub cache_budget_bytes: u64,
     /// Chunk edge length in atoms (chunk = `(8·chunk_atoms)³` grid points).
@@ -129,7 +126,6 @@ impl Default for ClusterConfig {
             procs_per_node: 4,
             arrays_per_node: 4,
             bufferpool_bytes: 256 << 20,
-            eviction: EvictionPolicyKind::default(),
             cache_budget_bytes: 200 << 30,
             chunk_atoms: 4,
             fd_order: FdOrder::O4,

@@ -4,7 +4,7 @@
 //! wall-clock: the simulated nodes all share this machine's cores, so a
 //! wall clock would charge one node's chunks for another node's
 //! scheduling pressure. Thread CPU time is what the chunk actually cost,
-//! and the pipeline simulator turns it back into elapsed time at the
+//! and the node time model turns it back into elapsed time at the
 //! configured process count.
 
 /// Seconds of CPU time consumed by the calling thread.
@@ -19,16 +19,16 @@ pub fn thread_cpu_time_s() -> f64 {
     ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
 }
 
-/// Measures the thread CPU time spent in `f`.
-pub fn measure_cpu<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let before = thread_cpu_time_s();
-    let out = f();
-    (out, (thread_cpu_time_s() - before).max(0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Measures the thread CPU time spent in `f`.
+    fn measure_cpu<T>(f: impl FnOnce() -> T) -> (T, f64) {
+        let before = thread_cpu_time_s();
+        let out = f();
+        (out, (thread_cpu_time_s() - before).max(0.0))
+    }
 
     #[test]
     fn cpu_time_is_monotone_and_counts_work() {

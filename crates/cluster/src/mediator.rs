@@ -324,9 +324,8 @@ impl ClusterBuilder {
             }
             node_devices.push(devices);
             builders.push(per_field);
-            pools.push(Arc::new(BlockCache::with_policy(
+            pools.push(Arc::new(BlockCache::with_faults(
                 config.bufferpool_bytes,
-                config.eviction,
                 config.faults.clone(),
             )));
         }

@@ -92,7 +92,6 @@ pub struct Layout {
     num_nodes: usize,
     /// Live node ids eligible to hold replicas, ascending.
     node_ids: Vec<usize>,
-    k: usize,
     mode: PlacementMode,
 }
 
@@ -209,7 +208,6 @@ impl Layout {
             chunk_replicas,
             num_nodes,
             node_ids,
-            k,
             mode,
         }
     }
@@ -233,11 +231,6 @@ impl Layout {
     /// Live node ids, ascending.
     pub fn node_ids(&self) -> &[usize] {
         &self.node_ids
-    }
-
-    /// The replication factor.
-    pub fn replication_k(&self) -> usize {
-        self.k
     }
 
     /// How chains were derived.
@@ -310,14 +303,6 @@ impl Layout {
             .get(idx)
             .is_some_and(|c| c.zrange().contains(code)));
         idx
-    }
-
-    /// Index into [`Self::chunks`] of a chunk value, if it belongs to
-    /// this layout.
-    pub fn chunk_index_of(&self, chunk: &Chunk) -> Option<usize> {
-        let key = chunk.zrange().start;
-        let idx = self.chunks.partition_point(|c| c.zrange().start < key);
-        (self.chunks.get(idx) == Some(chunk)).then_some(idx)
     }
 
     /// Node owning (primary for) the atom.

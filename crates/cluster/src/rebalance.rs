@@ -266,9 +266,8 @@ impl Cluster {
                 builder.append_timestep(timestep, records)?;
             }
         }
-        let pool = Arc::new(BlockCache::with_policy(
+        let pool = Arc::new(BlockCache::with_faults(
             self.config.bufferpool_bytes,
-            self.config.eviction,
             self.config.faults.clone(),
         ));
         let mut tables: HashMap<String, Table> = HashMap::new();

@@ -3,10 +3,8 @@
 //! The JHTDB front end is a SOAP Web-service: "a Web-service request will
 //! be much larger due to the overhead of wrapping the data in an xml
 //! format" (paper §5.3). Result sizes feed the LAN/WAN device models, so
-//! the encodings must be realistic; the XML encoder below is the actual
-//! encoder used to size (and render) user-bound messages.
-
-use tdb_cache::ThresholdPoint;
+//! the encodings must be realistic: the XML size model is held to a real
+//! encoder of the SOAP document (in this module's tests).
 
 /// Binary wire size of a threshold-point result between node and mediator
 /// (zindex + value per point plus a small header).
@@ -14,26 +12,8 @@ pub fn binary_result_bytes(npoints: u64) -> u64 {
     64 + npoints * 12
 }
 
-/// Renders a result set as the SOAP-style XML document a JHTDB client
-/// would receive.
-pub fn xml_encode(points: &[ThresholdPoint]) -> String {
-    let mut out = String::with_capacity(points.len() * 80 + 256);
-    out.push_str("<?xml version=\"1.0\" encoding=\"utf-8\"?>\n");
-    out.push_str("<soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\">\n");
-    out.push_str("<soap:Body><GetThresholdResponse>\n");
-    for p in points {
-        let (x, y, z) = p.coords();
-        out.push_str(&format!(
-            "<Point><x>{x}</x><y>{y}</y><z>{z}</z><value>{:.6}</value></Point>\n",
-            p.value
-        ));
-    }
-    out.push_str("</GetThresholdResponse></soap:Body></soap:Envelope>\n");
-    out
-}
-
 /// Size of the user-bound XML message for `npoints` result points, using
-/// the measured per-point cost of [`xml_encode`].
+/// the measured per-point cost of the SOAP encoder in this module's tests.
 pub fn xml_result_bytes(npoints: u64) -> u64 {
     // representative point: ~70 bytes of markup per point + envelope
     const ENVELOPE: u64 = 200;
@@ -52,6 +32,25 @@ pub fn xml_cutout_bytes(npoints: u64, ncomp: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdb_cache::ThresholdPoint;
+
+    /// Renders a result set as the SOAP-style XML document a JHTDB client
+    /// would receive.
+    fn xml_encode(points: &[ThresholdPoint]) -> String {
+        let mut out = String::with_capacity(points.len() * 80 + 256);
+        out.push_str("<?xml version=\"1.0\" encoding=\"utf-8\"?>\n");
+        out.push_str("<soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\">\n");
+        out.push_str("<soap:Body><GetThresholdResponse>\n");
+        for p in points {
+            let (x, y, z) = p.coords();
+            out.push_str(&format!(
+                "<Point><x>{x}</x><y>{y}</y><z>{z}</z><value>{:.6}</value></Point>\n",
+                p.value
+            ));
+        }
+        out.push_str("</GetThresholdResponse></soap:Body></soap:Envelope>\n");
+        out
+    }
 
     #[test]
     fn xml_size_model_matches_real_encoder() {

@@ -127,12 +127,11 @@ impl DiffScheme {
         }
     }
 
-    /// Per-point reference implementation of [`DiffScheme::deriv_padded`].
-    ///
-    /// Kept as the semantic baseline: the row path must produce
-    /// bit-identical output (proptested), and the micro-benches report the
-    /// row-kernel speedup against this loop.
-    pub fn deriv_padded_reference(
+    /// Per-point reference implementation of [`DiffScheme::deriv_padded`]:
+    /// the semantic baseline the row path must match bit for bit
+    /// (proptested here and, through `eval_planes`, in `derived.rs`).
+    #[cfg(test)]
+    pub(crate) fn deriv_padded_reference(
         &self,
         f: &PaddedScalar,
         axis: usize,
@@ -320,8 +319,15 @@ fn apply_row_n<'a, const T: usize>(
     out: &mut [f32],
 ) {
     let n = out.len();
-    let w: [f64; T] = std::array::from_fn(|t| s.weights[t]);
-    let src: [&[f32]; T] = std::array::from_fn(|t| &row_for(s.offsets[t])[..n]);
+    // filled by a plain loop, not `array::from_fn`: whether its closure
+    // shim is inlined here depends on how the *calling* crate is split
+    // into codegen units, and a call per term per row costs ~10 % of a scan
+    let mut w = [0.0f64; T];
+    let mut src: [&[f32]; T] = [&[]; T];
+    for t in 0..T {
+        w[t] = s.weights[t];
+        src[t] = &row_for(s.offsets[t])[..n];
+    }
     for (i, d) in out.iter_mut().enumerate() {
         let mut a = 0.0f64;
         for t in 0..T {
@@ -333,6 +339,7 @@ fn apply_row_n<'a, const T: usize>(
 
 /// The original per-point stencil loop: the reference implementation the
 /// row path is proptested against.
+#[cfg(test)]
 fn apply_axis_scalar(
     scheme: &AxisScheme,
     f: &PaddedScalar,

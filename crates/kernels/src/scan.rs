@@ -12,10 +12,8 @@
 //!   out of the x-loop. [`ClipRows`] cuts a query's clip out of the rows
 //!   of the evaluated domain.
 //! * [`threshold_scan_clip`] / [`pdf_scan_clip`] — the same reducers run
-//!   over a materialised field.
-//! * [`threshold_scan_clip_scalar`] — the original per-point loop, kept as
-//!   the semantic reference for the bitwise-identity proptests and as the
-//!   micro-bench baseline.
+//!   over a materialised field (proptested bit-identical to the original
+//!   per-point loop, which lives on in this module's tests).
 //!
 //! All compare in `f64` (a threshold like `25.000000001` must exclude a
 //! stored `25.0`) and emit hits in ascending `(z, y, x)` grid order.
@@ -23,7 +21,7 @@
 use std::ops::Range;
 
 use tdb_field::{Histogram, ScalarField};
-use tdb_zorder::{encode3, Box3, MortonRow};
+use tdb_zorder::{Box3, MortonRow};
 
 /// One scan hit: the point's Morton code and its field value.
 pub type ScanHit = (u64, f32);
@@ -131,7 +129,7 @@ fn for_clip_rows(
 /// Threshold scan of the `clip` sub-box of a norm field evaluated over
 /// `domain`, appending hits to `out`.
 ///
-/// Bit-identical to [`threshold_scan_clip_scalar`]: same `f64` compare,
+/// Bit-identical to the per-point loop it replaced: same `f64` compare,
 /// same hit order, same values — only the loop structure differs.
 pub fn threshold_scan_clip(
     norm: &ScalarField,
@@ -145,29 +143,6 @@ pub fn threshold_scan_clip(
     });
 }
 
-/// Per-point reference threshold scan (the pre-chunking implementation).
-pub fn threshold_scan_clip_scalar(
-    norm: &ScalarField,
-    domain: &Box3,
-    clip: &Box3,
-    threshold: f64,
-    out: &mut Vec<ScanHit>,
-) {
-    let (ox, oy, oz) = clip_offsets(domain, clip);
-    let (cnx, cny, cnz) = clip.extent3();
-    let (clx, cly, clz) = clip.lo3();
-    for z in 0..cnz {
-        for y in 0..cny {
-            let row = &norm.row(y + oy, z + oz)[ox..ox + cnx];
-            for (x, &v) in row.iter().enumerate() {
-                if f64::from(v) >= threshold {
-                    out.push((encode3(clx + x as u32, cly + y as u32, clz + z as u32), v));
-                }
-            }
-        }
-    }
-}
-
 /// Accumulates the `clip` sub-box of an evaluated norm into a histogram,
 /// row by row.
 pub fn pdf_scan_clip(norm: &ScalarField, domain: &Box3, clip: &Box3, hist: &mut Histogram) {
@@ -178,6 +153,30 @@ pub fn pdf_scan_clip(norm: &ScalarField, domain: &Box3, clip: &Box3, hist: &mut 
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use tdb_zorder::encode3;
+
+    /// Per-point reference threshold scan (the pre-chunking implementation).
+    fn threshold_scan_clip_scalar(
+        norm: &ScalarField,
+        domain: &Box3,
+        clip: &Box3,
+        threshold: f64,
+        out: &mut Vec<ScanHit>,
+    ) {
+        let (ox, oy, oz) = clip_offsets(domain, clip);
+        let (cnx, cny, cnz) = clip.extent3();
+        let (clx, cly, clz) = clip.lo3();
+        for z in 0..cnz {
+            for y in 0..cny {
+                let row = &norm.row(y + oy, z + oz)[ox..ox + cnx];
+                for (x, &v) in row.iter().enumerate() {
+                    if f64::from(v) >= threshold {
+                        out.push((encode3(clx + x as u32, cly + y as u32, clz + z as u32), v));
+                    }
+                }
+            }
+        }
+    }
 
     fn field_from(vals: &[f32], nx: usize, ny: usize, nz: usize) -> ScalarField {
         ScalarField::from_fn(nx, ny, nz, |x, y, z| {

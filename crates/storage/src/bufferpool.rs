@@ -8,10 +8,10 @@
 //! The pool is generic over the cached value so callers can cache the
 //! *decoded* form of a block (checksum verified and records parsed once,
 //! on the miss path) while the eviction budget still tracks the on-disk
-//! footprint through [`PoolValue::weight`]. Victim selection is delegated
-//! to a pluggable [`EvictionPolicy`] (LRU by default; CLOCK and SIEVE via
-//! [`BufferPool::with_policy`]); the byte budget, the oversized-block
-//! `len() > 1` admission guard and fault injection are policy-independent.
+//! footprint through [`PoolValue::weight`]. The victim is the least
+//! recently used block, as in the paper's SQL Server substrate (DESIGN.md
+//! §9); a lone block larger than the budget is still admitted (the
+//! `len() > 1` guard).
 //!
 //! A miss runs its loader (device read, CRC, decode) *outside* the pool
 //! lock, single-flight per key: the first requester of an absent block
@@ -20,7 +20,7 @@
 //! miss is therefore still one `bufferpool.misses`, one loader run and
 //! one device charge, however many workers wanted the block at once.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -28,7 +28,6 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::device::IoSession;
 use crate::error::{StorageError, StorageResult};
-use crate::eviction::{EvictionPolicy, EvictionPolicyKind};
 use crate::faults::FaultPlan;
 
 /// Cache key: a block within a partition file.
@@ -51,14 +50,47 @@ impl PoolValue for Bytes {
     }
 }
 
+/// Recency of the resident blocks: every insert and hit stamps the key
+/// with a logical clock, and the `BTreeMap` keyed by stamp keeps the least
+/// recently used key at the front.
+#[derive(Default)]
+struct Lru {
+    clock: u64,
+    stamps: HashMap<BlockKey, u64>,
+    order: BTreeMap<u64, BlockKey>,
+}
+
+impl Lru {
+    /// `key` was inserted or hit: it becomes the most recent.
+    fn touch(&mut self, key: BlockKey) {
+        self.clock += 1;
+        if let Some(old) = self.stamps.insert(key, self.clock) {
+            self.order.remove(&old);
+        }
+        self.order.insert(self.clock, key);
+    }
+
+    /// Chooses and forgets the least recently used key.
+    fn evict(&mut self) -> Option<BlockKey> {
+        let (_, key) = self.order.pop_first()?;
+        self.stamps.remove(&key);
+        Some(key)
+    }
+
+    fn clear(&mut self) {
+        self.stamps.clear();
+        self.order.clear();
+    }
+}
+
 struct PoolInner<V> {
     capacity_bytes: usize,
     used_bytes: usize,
     blocks: HashMap<BlockKey, V>,
     /// Keys whose loader is running. A loading key is in neither `blocks`
-    /// nor the policy, so it can be neither hit nor chosen as a victim.
+    /// nor `lru`, so it can be neither hit nor chosen as a victim.
     loading: HashMap<BlockKey, Arc<Flight<V>>>,
-    policy: Box<dyn EvictionPolicy>,
+    lru: Lru,
 }
 
 /// One load in progress: where its loader leaves the outcome for the
@@ -105,7 +137,6 @@ impl<V: PoolValue> Drop for Claim<'_, V> {
 /// processes of a node.
 pub struct BufferPool<V: PoolValue = Bytes> {
     inner: Mutex<PoolInner<V>>,
-    policy_kind: EvictionPolicyKind,
     faults: Option<Arc<FaultPlan>>,
     obs_hits: tdb_obs::Counter,
     obs_misses: tdb_obs::Counter,
@@ -122,15 +153,6 @@ impl<V: PoolValue> BufferPool<V> {
     /// (see [`crate::sstable::PartitionReader`]). Pool hits are never
     /// faulted: a cached block needs no device access.
     pub fn with_faults(capacity_bytes: usize, faults: Option<Arc<FaultPlan>>) -> Self {
-        Self::with_policy(capacity_bytes, EvictionPolicyKind::default(), faults)
-    }
-
-    /// Pool with an explicit eviction policy (and optional fault plan).
-    pub fn with_policy(
-        capacity_bytes: usize,
-        kind: EvictionPolicyKind,
-        faults: Option<Arc<FaultPlan>>,
-    ) -> Self {
         let reg = tdb_obs::global();
         Self {
             inner: Mutex::new(PoolInner {
@@ -138,19 +160,13 @@ impl<V: PoolValue> BufferPool<V> {
                 used_bytes: 0,
                 blocks: HashMap::new(),
                 loading: HashMap::new(),
-                policy: kind.build(),
+                lru: Lru::default(),
             }),
-            policy_kind: kind,
             faults,
             obs_hits: reg.counter("bufferpool.hits"),
             obs_misses: reg.counter("bufferpool.misses"),
             obs_evictions: reg.counter("bufferpool.evictions"),
         }
-    }
-
-    /// The eviction policy this pool was built with.
-    pub fn policy_kind(&self) -> EvictionPolicyKind {
-        self.policy_kind
     }
 
     /// The attached fault plan, if any.
@@ -175,7 +191,7 @@ impl<V: PoolValue> BufferPool<V> {
             let mut inner = self.inner.lock();
             if let Some(data) = inner.blocks.get(&key) {
                 let data = data.clone();
-                inner.policy.on_hit(key);
+                inner.lru.touch(key);
                 session.pool_hits += 1;
                 self.obs_hits.inc();
                 return Ok(data);
@@ -207,7 +223,7 @@ impl<V: PoolValue> BufferPool<V> {
                 // unless the block was already evicted again
                 let mut inner = self.inner.lock();
                 if inner.blocks.contains_key(&key) {
-                    inner.policy.on_hit(key);
+                    inner.lru.touch(key);
                 }
                 session.pool_hits += 1;
                 self.obs_hits.inc();
@@ -234,9 +250,9 @@ impl<V: PoolValue> BufferPool<V> {
         inner.used_bytes += data.weight();
         let displaced = inner.blocks.insert(key, data);
         debug_assert!(displaced.is_none(), "single-flight admits a key once");
-        inner.policy.on_insert(key);
+        inner.lru.touch(key);
         while inner.used_bytes > inner.capacity_bytes && inner.blocks.len() > 1 {
-            let Some(victim) = inner.policy.evict() else {
+            let Some(victim) = inner.lru.evict() else {
                 break;
             };
             if let Some(evicted) = inner.blocks.remove(&victim) {
@@ -251,7 +267,7 @@ impl<V: PoolValue> BufferPool<V> {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.blocks.clear();
-        inner.policy.clear();
+        inner.lru.clear();
         inner.used_bytes = 0;
     }
 
@@ -373,10 +389,10 @@ mod tests {
 
     #[test]
     fn waiting_on_a_load_counts_as_a_reference() {
-        // two requesters of one absent block: whether the second arrives
-        // while the load is in flight (and waits) or after it landed (a
-        // plain hit), the block ends up referenced — SIEVE then spares it
-        let pool: BufferPool = BufferPool::with_policy(25, EvictionPolicyKind::Sieve, None);
+        // block 1 becomes resident while block 0's load is in flight with a
+        // second requester parked on it; when the load lands, the waiter's
+        // hit leaves 0 the most recent block, so the overflow evicts 1
+        let pool: BufferPool = BufferPool::new(25);
         let (release, parked) = std::sync::mpsc::channel::<()>();
         let pool = &pool;
         std::thread::scope(|scope| {
@@ -389,22 +405,22 @@ mod tests {
                 .unwrap();
                 assert_eq!((s.pool_hits, s.pool_misses), (0, 1));
             });
+            while pool.inner.lock().loading.is_empty() {
+                std::thread::yield_now();
+            }
             scope.spawn(|| {
                 let mut s = IoSession::new();
-                while pool.inner.lock().loading.is_empty() && pool.is_empty() {
-                    std::thread::yield_now();
-                }
                 pool.get_or_load(key(0), &mut s, |_| panic!("one load per key"))
                     .unwrap();
                 assert_eq!((s.pool_hits, s.pool_misses), (1, 0));
             });
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            let mut s = IoSession::new();
+            pool.get_or_load(key(1), &mut s, load_n(10)).unwrap();
             release.send(()).unwrap();
         });
         let mut s = IoSession::new();
-        pool.get_or_load(key(1), &mut s, load_n(10)).unwrap();
         pool.get_or_load(key(2), &mut s, load_n(10)).unwrap(); // evicts 1, not 0
-        pool.get_or_load(key(0), &mut s, |_| panic!("0 was referenced"))
+        pool.get_or_load(key(0), &mut s, |_| panic!("0 was referenced last"))
             .unwrap();
         let mut reloaded = false;
         pool.get_or_load(key(1), &mut s, |_| {
@@ -412,7 +428,7 @@ mod tests {
             Ok(Bytes::from_static(&[0; 10]))
         })
         .unwrap();
-        assert!(reloaded, "key 1 should have been the SIEVE victim");
+        assert!(reloaded, "key 1 should have been the LRU victim");
     }
 
     #[test]
@@ -440,80 +456,65 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_is_config_selectable() {
-        for kind in EvictionPolicyKind::all() {
-            let pool: BufferPool = BufferPool::with_policy(1024, kind, None);
-            assert_eq!(pool.policy_kind(), kind);
-        }
-        let pool: BufferPool = BufferPool::new(1024);
-        assert_eq!(pool.policy_kind(), EvictionPolicyKind::Lru);
+    fn lru_evicts_least_recently_used() {
+        let mut lru = Lru::default();
+        lru.touch(key(0));
+        lru.touch(key(1));
+        lru.touch(key(2));
+        lru.touch(key(0)); // 1 is now least recent
+        assert_eq!(lru.evict(), Some(key(1)));
+        assert_eq!(lru.evict(), Some(key(2)));
+        assert_eq!(lru.evict(), Some(key(0)));
+        assert_eq!(lru.evict(), None);
     }
 
-    #[test]
-    fn clock_second_chance_protects_referenced_block() {
-        let pool: BufferPool = BufferPool::with_policy(25, EvictionPolicyKind::Clock, None);
-        let mut s = IoSession::new();
-        pool.get_or_load(key(0), &mut s, load_n(10)).unwrap();
-        pool.get_or_load(key(1), &mut s, load_n(10)).unwrap();
-        // reference 0 so the hand skips it and evicts 1
-        pool.get_or_load(key(0), &mut s, |_| panic!("hit expected"))
-            .unwrap();
-        pool.get_or_load(key(2), &mut s, load_n(10)).unwrap();
-        pool.get_or_load(key(0), &mut s, |_| panic!("0 must survive"))
-            .unwrap();
-        let mut reloaded = false;
-        pool.get_or_load(key(1), &mut s, |_| {
-            reloaded = true;
-            Ok(Bytes::from_static(&[0; 10]))
-        })
-        .unwrap();
-        assert!(reloaded, "key 1 should have been the CLOCK victim");
-    }
-
-    #[test]
-    fn sieve_evicts_unvisited_block_first() {
-        let pool: BufferPool = BufferPool::with_policy(25, EvictionPolicyKind::Sieve, None);
-        let mut s = IoSession::new();
-        pool.get_or_load(key(0), &mut s, load_n(10)).unwrap();
-        pool.get_or_load(key(1), &mut s, load_n(10)).unwrap();
-        // visit 0 (the oldest); the hand clears its bit and evicts 1
-        pool.get_or_load(key(0), &mut s, |_| panic!("hit expected"))
-            .unwrap();
-        pool.get_or_load(key(2), &mut s, load_n(10)).unwrap();
-        pool.get_or_load(key(0), &mut s, |_| panic!("0 must survive"))
-            .unwrap();
-        let mut reloaded = false;
-        pool.get_or_load(key(1), &mut s, |_| {
-            reloaded = true;
-            Ok(Bytes::from_static(&[0; 10]))
-        })
-        .unwrap();
-        assert!(reloaded, "key 1 should have been the SIEVE victim");
-    }
-
-    // Every policy honours the byte budget: after any access sequence the
-    // pool is within capacity unless a single oversized block remains.
     proptest! {
+        // Whatever the hit pattern, draining the LRU returns each tracked
+        // key exactly once.
+        #[test]
+        fn lru_drains_to_a_permutation(
+            inserts in prop::collection::vec(0u32..32, 1..40usize),
+            hits in prop::collection::vec(0u32..32, 0..40usize),
+        ) {
+            let mut lru = Lru::default();
+            let mut resident = std::collections::BTreeSet::new();
+            for &i in &inserts {
+                if resident.insert(i) {
+                    lru.touch(key(i));
+                }
+            }
+            for &h in &hits {
+                if resident.contains(&h) {
+                    lru.touch(key(h));
+                }
+            }
+            let mut drained = std::collections::BTreeSet::new();
+            while let Some(k) = lru.evict() {
+                prop_assert!(drained.insert(k.block_no), "key {} evicted twice", k.block_no);
+            }
+            prop_assert_eq!(&drained, &resident);
+        }
+
+        // After any access sequence the pool is within capacity unless a
+        // single oversized block remains.
         #[test]
         fn every_policy_honours_byte_budget(
             // each op packs (key, weight): key = op % 16, weight = 1 + op / 16
             ops in prop::collection::vec(0u32..16 * 59, 1..60usize),
         ) {
-            for kind in EvictionPolicyKind::all() {
-                let pool: BufferPool = BufferPool::with_policy(100, kind, None);
-                let mut s = IoSession::new();
-                for &op in &ops {
-                    let (k, n) = (op % 16, 1 + (op / 16) as usize);
-                    pool.get_or_load(key(k), &mut s, load_n(n)).unwrap();
-                    prop_assert!(
-                        pool.used_bytes() <= 100 || pool.len() == 1,
-                        "{}: {} bytes in {} blocks", kind.name(), pool.used_bytes(), pool.len()
-                    );
-                }
-                pool.clear();
-                prop_assert_eq!(pool.used_bytes(), 0);
-                prop_assert!(pool.is_empty());
+            let pool: BufferPool = BufferPool::new(100);
+            let mut s = IoSession::new();
+            for &op in &ops {
+                let (k, n) = (op % 16, 1 + (op / 16) as usize);
+                pool.get_or_load(key(k), &mut s, load_n(n)).unwrap();
+                prop_assert!(
+                    pool.used_bytes() <= 100 || pool.len() == 1,
+                    "{} bytes in {} blocks", pool.used_bytes(), pool.len()
+                );
             }
+            pool.clear();
+            prop_assert_eq!(pool.used_bytes(), 0);
+            prop_assert!(pool.is_empty());
         }
     }
 }

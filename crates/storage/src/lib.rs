@@ -13,9 +13,8 @@
 //!   decode into one buffer per block),
 //! * [`sstable`] — immutable sorted partition files with a fence index
 //!   (the clustered index of the paper: lookups are key-range scans),
-//! * [`bufferpool`] — a shared block cache (SQL Server's buffer pool) with
-//!   pluggable [`eviction`] policies (LRU, CLOCK, SIEVE) and single-flight
-//!   loads that run outside its lock,
+//! * [`bufferpool`] — a shared LRU block cache (SQL Server's buffer pool)
+//!   with single-flight loads that run outside its lock,
 //! * [`table`] — a partitioned table spread over disk arrays,
 //! * [`device`] — device profiles and per-query I/O accounting used by the
 //!   evaluation's modelled time breakdown (DESIGN.md §4),
@@ -28,7 +27,6 @@ pub mod block;
 pub mod bufferpool;
 pub mod device;
 pub mod error;
-pub mod eviction;
 pub mod faults;
 pub mod mvcc;
 pub mod record;
@@ -39,7 +37,6 @@ pub use block::{checksum, decode_block_meta, encode_block_with, BlockCodecStats,
 pub use bufferpool::BufferPool;
 pub use device::{DeviceId, DeviceProfile, DeviceRegistry, IoSession};
 pub use error::{IoResultExt, StorageError, StorageResult};
-pub use eviction::{EvictionPolicy, EvictionPolicyKind};
 pub use faults::{BlockReadFault, FaultCounts, FaultKind, FaultPlan, FaultRule, FaultSite};
 pub use mvcc::{CommitError, MvccStore, Txn};
 pub use record::{AtomData, AtomKey, AtomRecord};

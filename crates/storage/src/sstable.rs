@@ -287,14 +287,6 @@ impl PartitionReader {
         self.fences.len()
     }
 
-    /// Smallest and largest key, or `None` for an empty partition.
-    pub fn key_range(&self) -> Option<(AtomKey, AtomKey)> {
-        match (self.fences.first(), self.fences.last()) {
-            (Some(f), Some(l)) => Some((f.first, l.last)),
-            _ => None,
-        }
-    }
-
     /// Reads one block through the buffer pool; a miss charges the disk
     /// array one request plus the block's bytes. The per-request latency
     /// in the array profile is calibrated to the *effective* block-read

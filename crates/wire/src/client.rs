@@ -101,6 +101,9 @@ impl Client {
     /// Connects to a server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        // same reason as the server's accept path: a request line longer
+        // than the write buffer must not wait on a delayed ACK
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         let writer = BufWriter::new(stream);
         Ok(Client {
@@ -108,12 +111,6 @@ impl Client {
             writer,
             api_key: None,
         })
-    }
-
-    /// Tags this client's requests with a tenant API key.
-    pub fn with_api_key(mut self, api_key: impl Into<String>) -> Self {
-        self.api_key = Some(api_key.into());
-        self
     }
 
     /// Changes (or clears) the tenant API key on a live connection.

@@ -170,6 +170,10 @@ fn accept_loop(
         live.fetch_add(1, Ordering::SeqCst);
         let conn = next_conn;
         next_conn += 1;
+        // a line longer than the write buffer leaves as two segments (the
+        // body, then the newline); Nagle would hold the second until the
+        // peer's delayed ACK, ~40 ms per answer
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(config.read_timeout);
         let _ = stream.set_write_timeout(config.write_timeout);
         let st = Arc::clone(&state);

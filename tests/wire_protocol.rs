@@ -9,7 +9,7 @@ use std::time::Duration;
 use tdb_bench::test_service;
 use tdb_core::{DerivedField, ThresholdQuery};
 use tdb_wire::server::{handle_line_admitted, Server, ServerConfig, ServerState};
-use tdb_wire::{Client, Response};
+use tdb_wire::{Client, Request, Response};
 
 fn start_server(tag: &str) -> (Server, Arc<tdb_core::TurbulenceService>) {
     let service = Arc::new(test_service(tag, 32, 2, 2));
@@ -173,6 +173,88 @@ fn batch_jobs_and_mydb_over_the_wire() {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     assert!(client.job_status(9999).is_err(), "unknown job id errors");
+    server.stop();
+}
+
+/// A line longer than the 8 KiB socket write buffer leaves as two writes
+/// (the body, then the newline). With Nagle on, the newline waits for the
+/// peer's delayed ACK — a fixed ~40 ms per such line, whatever the host
+/// speed — so the median of ten warm round trips tells the two apart.
+#[test]
+fn lines_over_the_write_buffer_do_not_stall_on_delayed_ack() {
+    fn median_ms(mut round_trip: impl FnMut()) -> f64 {
+        let mut ms: Vec<f64> = (0..10)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                round_trip();
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    }
+
+    let (server, _service) = start_server("wire_nodelay");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // response lines served from the warm semantic cache: one between the
+    // write buffer and one loopback segment (8 KiB..64 KiB — the size that
+    // stalls: above it the body spans several segments and the receiver
+    // acknowledges every second one at once), one over 64 KiB
+    for (threshold, at_least) in [(20.0, 8 << 10), (15.0, 64 << 10)] {
+        let warm = client
+            .get_threshold("velocity", DerivedField::CurlNorm, 0, None, threshold)
+            .expect("warm-up");
+        let line_len = Response::Threshold {
+            points: warm.points,
+            breakdown: warm.breakdown,
+            cache_hits: warm.cache_hits,
+            nodes: warm.nodes,
+            degraded: warm.degraded,
+        }
+        .to_json()
+        .encode()
+        .len();
+        assert!(line_len > at_least, "{line_len}");
+        let big_response = median_ms(|| {
+            let a = client
+                .get_threshold("velocity", DerivedField::CurlNorm, 0, None, threshold)
+                .expect("threshold");
+            assert_eq!(a.cache_hits, a.nodes, "every node answers from its cache");
+        });
+        assert!(
+            big_response < 20.0,
+            "median round trip of a {line_len}-byte response: {big_response:.1} ms"
+        );
+    }
+
+    // a request line over 8 KiB
+    let positions: Vec<[f64; 3]> = (0..600)
+        .map(|i| [0.25 + f64::from(i % 31), 0.5 + f64::from(i % 29), 0.75])
+        .collect();
+    let request_line = Request::GetPoints {
+        raw_field: "velocity".into(),
+        timestep: 0,
+        lag_width: 4,
+        positions: positions.clone(),
+    }
+    .to_json()
+    .encode();
+    assert!(request_line.len() > 8 << 10, "{}", request_line.len());
+    client
+        .get_points("velocity", 0, 4, &positions)
+        .expect("warm-up");
+    let big_request = median_ms(|| {
+        client
+            .get_points("velocity", 0, 4, &positions)
+            .expect("points");
+    });
+    assert!(
+        big_request < 20.0,
+        "median round trip of a {}-byte request: {big_request:.1} ms",
+        request_line.len()
+    );
+    drop(client);
     server.stop();
 }
 
