@@ -3,13 +3,8 @@
 //! The paper's use cases (§3): cluster the locations of maximum vorticity
 //! with a friends-of-friends algorithm in 3-D (one time-step) or 4-D
 //! (space-time) to find the most intense events and follow their
-//! evolution, and maintain a *landmark database* of regions of interest
-//! (the future-work item of §7).
+//! evolution.
 
 pub mod fof;
-pub mod landmark;
-pub mod tracking;
 
 pub use fof::{fof_clusters_3d, fof_clusters_4d, ClusterStats, SpaceTimePoint};
-pub use landmark::{Landmark, LandmarkDb};
-pub use tracking::{track_clusters, Track};

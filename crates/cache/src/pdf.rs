@@ -8,15 +8,12 @@
 //! a histogram cannot be filtered to a sub-region or re-binned, so a hit
 //! requires the *exact* region and binning.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 use tdb_storage::device::{DeviceId, IoSession};
-use tdb_storage::mvcc::MvccStore;
 use tdb_zorder::Box3;
 
 use crate::semantic::CacheInfoKey;
 use crate::stats::CacheStats;
+use crate::table::LruTable;
 
 /// Key of a cached PDF: the quantity plus the exact binning.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -40,11 +37,9 @@ impl PdfKey {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
 struct PdfEntry {
     region: Box3,
     counts: Vec<u64>,
-    last_used: u64,
 }
 
 fn entry_bytes(nbins: usize) -> u64 {
@@ -60,50 +55,31 @@ pub enum PdfLookup {
 
 /// Per-node cache of histogram results, sharing the node's SSD.
 pub struct PdfCache {
-    store: MvccStore<PdfKey, PdfEntry>,
+    table: LruTable<PdfKey, PdfEntry>,
     ssd: DeviceId,
-    budget_bytes: u64,
-    lru_clock: AtomicU64,
-    stats: Mutex<CacheStats>,
 }
 
 impl PdfCache {
     /// Empty cache with a byte budget on the node's SSD.
     pub fn new(ssd: DeviceId, budget_bytes: u64) -> Self {
         Self {
-            store: MvccStore::new(),
+            table: LruTable::new(budget_bytes),
             ssd,
-            budget_bytes,
-            lru_clock: AtomicU64::new(1),
-            stats: Mutex::new(CacheStats::default()),
         }
-    }
-
-    fn tick(&self) -> u64 {
-        self.lru_clock.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Probes for a histogram over exactly `region` with exactly this
     /// binning.
     pub fn lookup(&self, key: &PdfKey, region: &Box3, session: &mut IoSession) -> PdfLookup {
-        let txn = self.store.begin();
         session.charge(self.ssd, 1, entry_bytes(key.nbins as usize));
-        match txn.get(key) {
-            Some(entry) if entry.region == *region => {
-                // best-effort LRU bump
-                let mut bump = self.store.begin();
-                if let Some(mut e) = bump.get(key) {
-                    e.last_used = self.tick();
-                    bump.put(key.clone(), e);
-                    let _ = bump.commit();
-                }
-                self.stats.lock().hits += 1;
-                tdb_obs::add("cache.pdf.hits", 1);
-                PdfLookup::Hit(entry.counts)
+        match self.table.get(key) {
+            Some(row) if row.entry.region == *region => {
+                self.table.touch(&row);
+                self.table.add("cache.pdf.hits", 1, |s| &mut s.hits);
+                PdfLookup::Hit(row.entry.counts.clone())
             }
             _ => {
-                self.stats.lock().misses += 1;
-                tdb_obs::add("cache.pdf.misses", 1);
+                self.table.add("cache.pdf.misses", 1, |s| &mut s.misses);
                 PdfLookup::Miss
             }
         }
@@ -111,58 +87,27 @@ impl PdfCache {
 
     /// Stores a freshly computed histogram, evicting LRU entries to fit.
     pub fn insert(&self, key: &PdfKey, region: Box3, counts: Vec<u64>, session: &mut IoSession) {
-        let new_bytes = entry_bytes(counts.len());
-        session.charge(self.ssd, 1, new_bytes);
-        let mut txn = self.store.begin();
-        let mut live: Vec<(PdfKey, PdfEntry)> = txn
-            .range(..)
-            .into_iter()
-            .filter(|(k, _)| k != key)
-            .collect();
-        live.sort_by_key(|(_, e)| e.last_used);
-        let mut used: u64 = live.iter().map(|(_, e)| entry_bytes(e.counts.len())).sum();
-        let mut victims = live.into_iter();
-        let mut evictions = 0;
-        while used + new_bytes > self.budget_bytes {
-            let Some((vk, ve)) = victims.next() else {
-                break;
-            };
-            used -= entry_bytes(ve.counts.len());
-            txn.delete(vk);
-            evictions += 1;
-        }
-        txn.put(
-            key.clone(),
-            PdfEntry {
-                region,
-                counts,
-                last_used: self.tick(),
-            },
-        );
-        if txn.commit().is_ok() {
-            let mut s = self.stats.lock();
-            s.inserts += 1;
-            s.evictions += evictions;
-            tdb_obs::add("cache.pdf.inserts", 1);
-            tdb_obs::add("cache.pdf.evictions", evictions);
-        } else {
-            self.stats.lock().conflicts += 1;
-            tdb_obs::add("cache.pdf.conflicts", 1);
+        let bytes = entry_bytes(counts.len());
+        session.charge(self.ssd, 1, bytes);
+        let entry = PdfEntry { region, counts };
+        let (conflicts, evictions) = self.table.insert(key, entry, bytes);
+        self.table
+            .add("cache.pdf.conflicts", conflicts, |s| &mut s.conflicts);
+        if let Some(evictions) = evictions {
+            self.table.add("cache.pdf.inserts", 1, |s| &mut s.inserts);
+            self.table
+                .add("cache.pdf.evictions", evictions, |s| &mut s.evictions);
         }
     }
 
     /// Drops everything.
     pub fn clear(&self) {
-        let mut txn = self.store.begin();
-        for (k, _) in txn.range(..) {
-            txn.delete(k);
-        }
-        let _ = txn.commit();
+        self.table.clear();
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.table.len()
     }
 
     /// Whether no histograms are cached.
@@ -172,7 +117,7 @@ impl PdfCache {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        self.table.stats()
     }
 }
 
@@ -275,5 +220,21 @@ mod tests {
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn hits_leave_the_store_as_the_insert_left_it() {
+        let (cache, _) = mk();
+        let mut s = IoSession::new();
+        let region = Box3::cube(8);
+        cache.insert(&key(0, 10), region, vec![1; 11], &mut s);
+        let stored = cache.table.dump();
+        for _ in 0..10_000 {
+            assert!(matches!(
+                cache.lookup(&key(0, 10), &region, &mut s),
+                PdfLookup::Hit(_)
+            ));
+        }
+        assert_eq!(cache.table.dump(), stored);
     }
 }

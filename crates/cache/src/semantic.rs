@@ -1,4 +1,4 @@
-//! Algorithm 1: `GetThreshold` against the cache tables.
+//! Algorithm 1: `GetThreshold` against the cache table.
 //!
 //! The cache is *self-healing*: every entry stores a checksum over its
 //! data rows, validated whenever the entry is about to answer a query. A
@@ -7,16 +7,15 @@
 //! the caller recomputes from raw data and re-inserts, rebuilding the
 //! entry byte-identically to a fault-free evaluation.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tdb_storage::device::{DeviceId, IoSession};
 use tdb_storage::faults::FaultPlan;
-use tdb_storage::mvcc::{CommitError, MvccStore};
 use tdb_zorder::{decode3, encode3, Box3, MortonBlockDecoder};
 
 use crate::stats::CacheStats;
+use crate::table::LruTable;
 
 /// Primary key of a `cacheInfo` row: which derived quantity of which
 /// time-step the entry describes.
@@ -28,18 +27,17 @@ pub struct CacheInfoKey {
     pub timestep: u32,
 }
 
-/// A `cacheInfo` row (paper §4: "dataset, field, time-step, start and end
-/// coordinates of the spatial region examined and the threshold value").
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheInfoRow {
-    pub ordinal: u64,
-    pub region: Box3,
-    pub threshold: f64,
-    pub npoints: u64,
-    pub last_used: u64,
-    /// Checksum over the entry's `cacheData` rows in zindex order,
-    /// validated before the entry answers a query.
-    pub checksum: u64,
+/// A cached result: the `cacheInfo` row (paper §4: "start and end
+/// coordinates of the spatial region examined and the threshold value")
+/// together with its `cacheData` rows, immutable once committed.
+struct Entry {
+    region: Box3,
+    threshold: f64,
+    /// Checksum over `rows` as inserted, validated before the entry
+    /// answers a query.
+    checksum: u64,
+    /// The `cacheData` rows as one slab in zindex order.
+    rows: Vec<ThresholdPoint>,
 }
 
 /// One cached above-threshold grid point: Morton code of the location and
@@ -104,34 +102,22 @@ pub enum CacheLookup {
 
 /// One node's application-aware semantic cache.
 pub struct SemanticCache {
-    info: MvccStore<CacheInfoKey, CacheInfoRow>,
-    data: MvccStore<(u64, u64), f32>,
+    table: LruTable<CacheInfoKey, Entry>,
     config: CacheConfig,
-    next_ordinal: AtomicU64,
-    lru_clock: AtomicU64,
-    stats: Mutex<CacheStats>,
 }
 
 impl SemanticCache {
     /// Empty cache bound to an SSD device.
     pub fn new(config: CacheConfig) -> Self {
         Self {
-            info: MvccStore::new(),
-            data: MvccStore::new(),
+            table: LruTable::new(config.budget_bytes),
             config,
-            next_ordinal: AtomicU64::new(1),
-            lru_clock: AtomicU64::new(1),
-            stats: Mutex::new(CacheStats::default()),
         }
-    }
-
-    fn tick(&self) -> u64 {
-        self.lru_clock.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Algorithm 1, lines 4–28: looks up `(key)` and answers from the cache
     /// when the stored entry covers `query_box` at a threshold no higher
-    /// than `threshold`.
+    /// than `threshold`. One read-only snapshot; a hit writes nothing.
     pub fn lookup(
         &self,
         key: &CacheInfoKey,
@@ -139,80 +125,57 @@ impl SemanticCache {
         threshold: f64,
         session: &mut IoSession,
     ) -> CacheLookup {
-        let txn = self.info.begin();
         // cacheInfo lookup: one clustered-index probe on the SSD
         session.charge(self.config.ssd, 1, INFO_ROW_BYTES);
-        let Some(row) = txn.get(key) else {
-            self.stats.lock().misses += 1;
-            tdb_obs::add("cache.semantic.misses", 1);
+        let covering = self.table.get(key).filter(|row| {
+            let below = threshold.partial_cmp(&row.entry.threshold) == Some(Ordering::Less);
+            !below && row.entry.region.contains_box(query_box)
+        });
+        let Some(row) = covering else {
+            self.table
+                .add("cache.semantic.misses", 1, |s| &mut s.misses);
             return CacheLookup::Miss;
         };
-        if threshold < row.threshold || !row.region.contains_box(query_box) {
-            self.stats.lock().misses += 1;
-            tdb_obs::add("cache.semantic.misses", 1);
-            return CacheLookup::Miss;
-        }
-        // cacheData scan: clustered index lookup by ordinal, then a run of
-        // `npoints` rows read off the SSD
-        let data_txn = self.data.begin();
-        let rows = data_txn.range((row.ordinal, 0)..=(row.ordinal, u64::MAX));
-        session.charge(
-            self.config.ssd,
-            1 + rows.len() as u64 * DATA_ROW_BYTES / (64 * 1024),
-            rows.len() as u64 * DATA_ROW_BYTES,
-        );
-        // validate the full entry before answering from it: a checksum or
-        // row-count mismatch means the stored rows rotted — quarantine the
-        // entry and make the caller recompute it from raw data
-        let stored = rows_checksum(rows.iter().map(|((_, z), v)| (*z, *v)));
-        if rows.len() as u64 != row.npoints || stored != row.checksum {
-            drop(data_txn);
-            drop(txn);
-            self.invalidate(key);
-            self.stats.lock().quarantined += 1;
-            tdb_obs::add("cache.semantic.quarantined", 1);
+        // cacheData scan: index lookup, then a run of rows off the SSD
+        let rows = &row.entry.rows;
+        let data_bytes = rows.len() as u64 * DATA_ROW_BYTES;
+        session.charge(self.config.ssd, 1 + data_bytes / (64 * 1024), data_bytes);
+        // validate the full entry before answering from it: a mismatch
+        // means the stored rows rotted — drop this entry (not a replacement
+        // committed meanwhile) and make the caller recompute it
+        if rows_checksum(rows) != row.entry.checksum {
+            self.table.remove(key, Some(&row));
+            self.table
+                .add("cache.semantic.quarantined", 1, |s| &mut s.quarantined);
             return CacheLookup::Quarantined;
         }
-        // Rows arrive in zindex order, so consecutive points usually share
+        // Rows are in zindex order, so consecutive points usually share
         // an 8³ atom: the block decoder re-derives the atom base only when
         // the run crosses an atom boundary, instead of de-interleaving all
         // 63 bits per point.
         let mut decoder = MortonBlockDecoder::default();
         let points: Vec<ThresholdPoint> = rows
-            .into_iter()
-            .filter_map(|((_, zindex), value)| {
-                let (x, y, z) = decoder.decode(zindex);
-                (f64::from(value) >= threshold && query_box.contains_point(x, y, z))
-                    .then_some(ThresholdPoint { zindex, value })
+            .iter()
+            .filter(|p| {
+                let (x, y, z) = decoder.decode(p.zindex);
+                f64::from(p.value) >= threshold && query_box.contains_point(x, y, z)
             })
+            .copied()
             .collect();
-        self.touch(key);
-        self.stats.lock().hits += 1;
-        tdb_obs::add("cache.semantic.hits", 1);
+        self.table.touch(&row);
+        self.table.add("cache.semantic.hits", 1, |s| &mut s.hits);
         CacheLookup::Hit(points)
-    }
-
-    /// Best-effort LRU bump; conflicts are ignored (another query just
-    /// bumped the same entry).
-    fn touch(&self, key: &CacheInfoKey) {
-        let mut txn = self.info.begin();
-        if let Some(mut row) = txn.get(key) {
-            row.last_used = self.tick();
-            txn.put(key.clone(), row);
-            if txn.commit().is_err() {
-                self.stats.lock().conflicts += 1;
-                tdb_obs::add("cache.semantic.conflicts", 1);
-            }
-        }
     }
 
     /// Algorithm 1, line 37: stores a freshly evaluated result, replacing
     /// any previous entry for `key` and evicting least-recently-used
-    /// entries (across all quantities) until the byte budget holds.
+    /// entries (across all quantities) until the byte budget holds — all
+    /// in one commit.
     ///
     /// Retries once on a snapshot-isolation conflict; if the retry also
-    /// conflicts the insert is abandoned (the competing writer cached an
-    /// equivalent result).
+    /// conflicts the insert is abandoned. Hits write nothing, so it lost
+    /// twice to inserts or evictions of this very key: a competitor
+    /// cached an equivalent result.
     pub fn insert(
         &self,
         key: &CacheInfoKey,
@@ -221,109 +184,35 @@ impl SemanticCache {
         points: &[ThresholdPoint],
         session: &mut IoSession,
     ) {
-        for attempt in 0..2 {
-            match self.try_insert(key, region, threshold, points, session) {
-                Ok(()) => {
-                    self.stats.lock().inserts += 1;
-                    tdb_obs::add("cache.semantic.inserts", 1);
-                    return;
-                }
-                Err(CommitError::WriteConflict) => {
-                    self.stats.lock().conflicts += 1;
-                    tdb_obs::add("cache.semantic.conflicts", 1);
-                    if attempt == 1 {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn try_insert(
-        &self,
-        key: &CacheInfoKey,
-        region: Box3,
-        threshold: f64,
-        points: &[ThresholdPoint],
-        session: &mut IoSession,
-    ) -> Result<(), CommitError> {
-        let new_bytes = entry_bytes(points.len() as u64);
-        let mut info_txn = self.info.begin();
-        let mut data_txn = self.data.begin();
-        let mut evictions = 0u64;
-
-        // replace any existing entry for this key
-        let mut freed = 0u64;
-        let mut drop_ordinals: Vec<u64> = Vec::new();
-        if let Some(old) = info_txn.get(key) {
-            freed += entry_bytes(old.npoints);
-            drop_ordinals.push(old.ordinal);
-        }
-
-        // LRU eviction across all quantities until the budget fits
-        let mut live: Vec<(CacheInfoKey, CacheInfoRow)> = info_txn
-            .range(..)
-            .into_iter()
-            .filter(|(k, _)| k != key)
-            .collect();
-        live.sort_by_key(|(_, r)| r.last_used);
-        let mut used: u64 = live.iter().map(|(_, r)| entry_bytes(r.npoints)).sum();
-        let mut victims = live.into_iter();
-        while used + new_bytes > self.config.budget_bytes + freed {
-            let Some((vk, vr)) = victims.next() else {
-                break;
-            };
-            used -= entry_bytes(vr.npoints);
-            drop_ordinals.push(vr.ordinal);
-            info_txn.delete(vk);
-            evictions += 1;
-        }
-        for ordinal in drop_ordinals {
-            for ((o, z), _) in data_txn.range((ordinal, 0)..=(ordinal, u64::MAX)) {
-                data_txn.delete((o, z));
-            }
-        }
-
-        let ordinal = self.next_ordinal.fetch_add(1, Ordering::Relaxed);
-        // checksum over the rows in zindex order — the order a lookup
-        // reads them back in
-        // tdb-lint: allow(float-width) — cached rows hold the native f32
-        // field values; the threshold itself stays f64 end to end
-        let mut sorted: Vec<(u64, f32)> = points.iter().map(|p| (p.zindex, p.value)).collect();
-        sorted.sort_unstable_by_key(|&(z, _)| z);
-        let checksum = rows_checksum(sorted.iter().copied());
-        info_txn.put(
-            key.clone(),
-            CacheInfoRow {
-                ordinal,
-                region,
-                threshold,
-                npoints: points.len() as u64,
-                last_used: self.tick(),
-                checksum,
-            },
-        );
-        for p in points {
-            data_txn.put((ordinal, p.zindex), p.value);
-        }
+        let mut rows = points.to_vec();
+        rows.sort_unstable_by_key(|p| p.zindex);
+        let checksum = rows_checksum(&rows);
         // injected silent corruption: flip one stored value's bits while
         // leaving the checksum stale, so the next lookup quarantines
-        if let Some(plan) = &self.config.faults {
-            if plan.cache_insert_corrupts(key_hash(key)) {
-                if let Some(&(z, v)) = sorted.first() {
-                    // tdb-lint: allow(float-width) — bit-flips the stored
-                    // f32 row value, not a threshold comparison
-                    data_txn.put((ordinal, z), f32::from_bits(v.to_bits() ^ 0x5A5A_5A5A));
-                }
+        let faults = self.config.faults.as_ref();
+        if faults.is_some_and(|plan| plan.cache_insert_corrupts(key_hash(key))) {
+            if let Some(first) = rows.first_mut() {
+                rot(first);
             }
         }
         // one sequential SSD write of the new entry
-        session.charge(self.config.ssd, 1 + new_bytes / (64 * 1024), new_bytes);
-        data_txn.commit()?;
-        info_txn.commit()?;
-        self.stats.lock().evictions += evictions;
-        tdb_obs::add("cache.semantic.evictions", evictions);
-        Ok(())
+        let bytes = INFO_ROW_BYTES + rows.len() as u64 * DATA_ROW_BYTES;
+        session.charge(self.config.ssd, 1 + bytes / (64 * 1024), bytes);
+        let entry = Entry {
+            region,
+            threshold,
+            checksum,
+            rows,
+        };
+        let (conflicts, evictions) = self.table.insert(key, entry, bytes);
+        self.table
+            .add("cache.semantic.conflicts", conflicts, |s| &mut s.conflicts);
+        if let Some(evictions) = evictions {
+            self.table
+                .add("cache.semantic.inserts", 1, |s| &mut s.inserts);
+            self.table
+                .add("cache.semantic.evictions", evictions, |s| &mut s.evictions);
+        }
     }
 
     /// Chaos hook: flips the bits of one stored data row of `key`'s entry
@@ -331,54 +220,36 @@ impl SemanticCache {
     /// Returns `false` when the key has no entry with data rows to
     /// corrupt. The next covering lookup will quarantine the entry.
     pub fn corrupt_entry(&self, key: &CacheInfoKey) -> bool {
-        let info_txn = self.info.begin();
-        let Some(row) = info_txn.get(key) else {
+        let Some(row) = self.table.get(key) else {
             return false;
         };
-        let mut data_txn = self.data.begin();
-        let rows = data_txn.range((row.ordinal, 0)..=(row.ordinal, u64::MAX));
-        let Some(((o, z), v)) = rows.into_iter().next() else {
+        let mut rows = row.entry.rows.clone();
+        let Some(first) = rows.first_mut() else {
             return false;
         };
-        data_txn.put((o, z), f32::from_bits(v.to_bits() ^ 0x5A5A_5A5A));
-        data_txn.commit().is_ok()
+        rot(first);
+        let rotten = Entry { rows, ..row.entry };
+        self.table.insert(key, rotten, row.bytes).1.is_some()
     }
 
     /// Drops the entry for one key (used by experiments to force misses).
     pub fn invalidate(&self, key: &CacheInfoKey) {
-        let mut info_txn = self.info.begin();
-        if let Some(row) = info_txn.get(key) {
-            let mut data_txn = self.data.begin();
-            for ((o, z), _) in data_txn.range((row.ordinal, 0)..=(row.ordinal, u64::MAX)) {
-                data_txn.delete((o, z));
-            }
-            info_txn.delete(key.clone());
-            let _ = data_txn.commit();
-            let _ = info_txn.commit();
-        }
+        self.table.remove(key, None);
     }
 
     /// Drops everything.
     pub fn clear(&self) {
-        let txn = self.info.begin();
-        let keys: Vec<CacheInfoKey> = txn.range(..).into_iter().map(|(k, _)| k).collect();
-        for k in keys {
-            self.invalidate(&k);
-        }
+        self.table.clear();
     }
 
     /// Bytes currently used by live entries.
     pub fn used_bytes(&self) -> u64 {
-        let txn = self.info.begin();
-        txn.range(..)
-            .into_iter()
-            .map(|(_, r)| entry_bytes(r.npoints))
-            .sum()
+        self.table.used_bytes()
     }
 
     /// Number of live `cacheInfo` entries.
     pub fn len(&self) -> usize {
-        self.info.len()
+        self.table.len()
     }
 
     /// Whether the cache holds no entries.
@@ -388,22 +259,23 @@ impl SemanticCache {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        self.table.stats()
     }
 }
 
-fn entry_bytes(npoints: u64) -> u64 {
-    INFO_ROW_BYTES + npoints * DATA_ROW_BYTES
-}
-
-/// Checksum over `(zindex, value)` rows in iteration order (zindex order).
-fn rows_checksum(rows: impl Iterator<Item = (u64, f32)>) -> u64 {
+/// Checksum over `(zindex, value)` rows in slab (zindex) order.
+fn rows_checksum(rows: &[ThresholdPoint]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (z, v) in rows {
-        h = mix64(h ^ z);
-        h = mix64(h ^ u64::from(v.to_bits()));
+    for p in rows {
+        h = mix64(h ^ p.zindex);
+        h = mix64(h ^ u64::from(p.value.to_bits()));
     }
     h
+}
+
+/// Bit-rot of one stored row: its value's bits flipped.
+fn rot(p: &mut ThresholdPoint) {
+    p.value = f32::from_bits(p.value.to_bits() ^ 0x5A5A_5A5A);
 }
 
 /// Deterministic hash of a cache key, the identity fault plans roll on.
@@ -592,6 +464,25 @@ mod tests {
     }
 
     #[test]
+    fn replacement_by_a_larger_entry_keeps_the_budget() {
+        let entry = |n: u64| INFO_ROW_BYTES + n * DATA_ROW_BYTES;
+        let budget = 2 * entry(10) + 8;
+        let (cache, _) = mkcache(budget);
+        let mut s = IoSession::new();
+        let region = Box3::cube(16);
+        let npts = |n: u32| -> Vec<ThresholdPoint> {
+            (0..n).map(|i| ThresholdPoint::at(i, 0, 0, 50.0)).collect()
+        };
+        cache.insert(&key(0), region, 10.0, &npts(10), &mut s);
+        cache.insert(&key(1), region, 10.0, &npts(10), &mut s);
+        // the old entry's bytes are freed once, not counted twice: growing
+        // key 0 to 20 points has to push key 1 out
+        cache.insert(&key(0), region, 5.0, &npts(20), &mut s);
+        assert!(cache.used_bytes() <= budget, "{} B", cache.used_bytes());
+        assert_eq!((cache.len(), cache.stats().evictions), (1, 1));
+    }
+
+    #[test]
     fn invalidate_and_clear() {
         let (cache, _) = mkcache(1 << 20);
         let mut s = IoSession::new();
@@ -741,5 +632,69 @@ mod tests {
                 other => panic!("entry {ts} not visible after writer join: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn replacement_racing_lookup_never_quarantines_a_healthy_entry() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (cache, _) = mkcache(1 << 22);
+        let cache = Arc::new(cache);
+        let region = Box3::cube(64);
+        let generation = |g: u32| -> Vec<ThresholdPoint> {
+            (0..200u32)
+                .map(|i| ThresholdPoint {
+                    zindex: u64::from(i),
+                    value: 50.0 + ((i + g) % 10) as f32,
+                })
+                .collect()
+        };
+        cache.insert(&key(0), region, 50.0, &generation(0), &mut IoSession::new());
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (c, done) = (Arc::clone(&cache), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut g = 0;
+                while !done.load(Ordering::Relaxed) {
+                    g += 1;
+                    c.insert(&key(0), region, 50.0, &generation(g), &mut IoSession::new());
+                }
+            })
+        };
+        // no fault is injected and the key always has an entry, so every
+        // lookup is a hit on one whole generation
+        for i in 0..20_000 {
+            match cache.lookup(&key(0), &region, 50.0, &mut IoSession::new()) {
+                CacheLookup::Hit(points) => assert_eq!(points.len(), 200, "partial entry"),
+                other => panic!("lookup {i} of a healthy entry: {other:?}"),
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+        assert!(matches!(
+            cache.lookup(&key(0), &region, 50.0, &mut IoSession::new()),
+            CacheLookup::Hit(_)
+        ));
+        let st = cache.stats();
+        // hits write nothing: nobody for the one writer to conflict with
+        assert_eq!((st.quarantined, st.conflicts, st.misses), (0, 0, 0));
+    }
+
+    #[test]
+    fn hits_leave_the_store_as_the_insert_left_it() {
+        let (cache, _) = mkcache(1 << 20);
+        let mut s = IoSession::new();
+        let region = Box3::cube(16);
+        for ts in 0..2 {
+            cache.insert(&key(ts), region, 10.0, &pts(&[(0, 0, 0, 20.0)]), &mut s);
+        }
+        let stored = cache.table.dump();
+        for i in 0..10_000 {
+            assert!(matches!(
+                cache.lookup(&key(i % 2), &region, 10.0, &mut s),
+                CacheLookup::Hit(_)
+            ));
+        }
+        // same clock, same rows, the very same entries
+        assert_eq!(cache.table.dump(), stored);
     }
 }

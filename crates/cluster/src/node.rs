@@ -305,33 +305,20 @@ impl NodeRuntime {
             }
             let probe = thread_cpu_time_s();
             let mut probe_session = IoSession::new();
-            match &part.kernel {
+            let found = match &part.kernel {
                 ScanKernel::Threshold { threshold } => {
-                    let outcome =
-                        self.cache
-                            .lookup(&key, &part.query_box, *threshold, &mut probe_session);
-                    slot.cache_lookup_s = (thread_cpu_time_s() - probe).max(0.0)
-                        + probe_session.makespan(&self.registry);
-                    match outcome {
-                        CacheLookup::Hit(points) => {
-                            self.report_session(&probe_session);
-                            slot.outcome = Some(SharedOutcome {
-                                result: NodeResult::cache_hit(
-                                    points,
-                                    slot.cache_lookup_s,
-                                    wall.elapsed().as_secs_f64(),
-                                    probe_session,
-                                ),
-                                histogram: None,
-                            });
-                        }
+                    match self
+                        .cache
+                        .lookup(&key, &part.query_box, *threshold, &mut probe_session)
+                    {
+                        CacheLookup::Hit(points) => Some((points, None)),
                         // a quarantined entry falls through to the raw
                         // evaluation, whose insert below rebuilds it
                         CacheLookup::Quarantined => {
                             slot.healing = true;
-                            slot.probe_session = probe_session;
+                            None
                         }
-                        CacheLookup::Miss => slot.probe_session = probe_session,
+                        CacheLookup::Miss => None,
                     }
                 }
                 ScanKernel::Pdf {
@@ -340,29 +327,36 @@ impl NodeRuntime {
                     nbins,
                 } => {
                     let pdf_key = PdfKey::new(key.clone(), *origin, *width, *nbins as u32);
-                    let outcome =
-                        self.pdf_cache
-                            .lookup(&pdf_key, &part.query_box, &mut probe_session);
-                    slot.cache_lookup_s = (thread_cpu_time_s() - probe).max(0.0)
-                        + probe_session.makespan(&self.registry);
-                    if let PdfLookup::Hit(counts) = outcome {
-                        let mut hist = Histogram::new(*origin, *width, *nbins);
-                        hist.set_counts(&counts);
-                        self.report_session(&probe_session);
-                        slot.outcome = Some(SharedOutcome {
-                            result: NodeResult::cache_hit(
-                                Vec::new(),
-                                slot.cache_lookup_s,
-                                wall.elapsed().as_secs_f64(),
-                                probe_session,
-                            ),
-                            histogram: Some(hist),
-                        });
-                    } else {
-                        slot.probe_session = probe_session;
+                    match self
+                        .pdf_cache
+                        .lookup(&pdf_key, &part.query_box, &mut probe_session)
+                    {
+                        PdfLookup::Hit(counts) => {
+                            let mut hist = Histogram::new(*origin, *width, *nbins);
+                            hist.set_counts(&counts);
+                            Some((Vec::new(), Some(hist)))
+                        }
+                        PdfLookup::Miss => None,
                     }
                 }
-                ScanKernel::TopK => {}
+                ScanKernel::TopK => continue,
+            };
+            slot.cache_lookup_s =
+                (thread_cpu_time_s() - probe).max(0.0) + probe_session.makespan(&self.registry);
+            match found {
+                Some((points, histogram)) => {
+                    self.report_session(&probe_session);
+                    slot.outcome = Some(SharedOutcome {
+                        result: NodeResult::cache_hit(
+                            points,
+                            slot.cache_lookup_s,
+                            wall.elapsed().as_secs_f64(),
+                            probe_session,
+                        ),
+                        histogram,
+                    });
+                }
+                None => slot.probe_session = probe_session,
             }
         }
 
@@ -566,21 +560,22 @@ impl NodeRuntime {
                 .map(std::mem::take)
                 .unwrap_or_default();
             let mut histogram = None;
+            // a fill is one sequential SSD write; only a threshold entry is
+            // big enough for it to ride on the modelled I/O phase
+            let fill = part.use_cache && cacheable && req.mode == QueryMode::Full;
+            let mut fill_session = IoSession::new();
             match &part.kernel {
                 ScanKernel::Threshold { threshold } => {
                     points.sort_unstable_by_key(|p| p.zindex);
-                    if part.use_cache && cacheable && req.mode == QueryMode::Full {
-                        let mut insert_session = IoSession::new();
+                    if fill {
                         self.cache.insert(
                             &key,
                             part.query_box,
                             *threshold,
                             &points,
-                            &mut insert_session,
+                            &mut fill_session,
                         );
-                        io_s += insert_session.makespan(&self.registry);
-                        session.merge(&insert_session);
-                        report.merge(&insert_session);
+                        io_s += fill_session.makespan(&self.registry);
                         if slot.healing {
                             tdb_obs::add("cache.semantic.rebuilt", 1);
                         }
@@ -597,22 +592,20 @@ impl NodeRuntime {
                         .get_mut(i)
                         .and_then(Option::take)
                         .unwrap_or_else(|| Histogram::new(*origin, *width, *nbins));
-                    if part.use_cache && cacheable {
+                    if fill {
                         let pdf_key = PdfKey::new(key.clone(), *origin, *width, *nbins as u32);
-                        let mut insert_session = IoSession::new();
                         self.pdf_cache.insert(
                             &pdf_key,
                             part.query_box,
                             hist.counts().to_vec(),
-                            &mut insert_session,
+                            &mut fill_session,
                         );
-                        io_s += insert_session.injected_delay_s;
-                        session.merge(&insert_session);
-                        report.merge(&insert_session);
                     }
                     histogram = Some(hist);
                 }
             }
+            session.merge(&fill_session);
+            report.merge(&fill_session);
             slot.outcome = Some(SharedOutcome {
                 result: NodeResult {
                     points,

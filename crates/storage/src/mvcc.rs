@@ -3,13 +3,20 @@
 //! "All modifications of and queries to the cache are executed within a
 //! transaction with snapshot isolation level to avoid dirty-reads or an
 //! inconsistent view of the cache ... \[and\] to avoid locking the tables"
-//! (paper §4). The cache tables (`cacheInfo`, `cacheData`) live in stores
-//! like this one: readers see a frozen snapshot, writers never block
-//! readers, and write-write conflicts abort the later committer
-//! (first-committer-wins).
+//! (paper §4). The cache tables live in stores like this one: readers see
+//! a frozen snapshot, writers never block readers, and write-write
+//! conflicts abort the later committer (first-committer-wins).
+//!
+//! A version is a whole table. The store holds the newest behind an
+//! `Arc`; a transaction's snapshot is a clone of that pointer, and a
+//! commit publishes the next table — edited in place when no snapshot
+//! shares the current one, copied first when one does. So the store
+//! reclaims by itself: its open snapshots *are* the references to its
+//! tables, and an old table is freed when the last of them closes. Cache
+//! tables are small (an entry per quantity and time-step) and their
+//! values shared pointers, which is what keeps the copy cheap.
 
-use std::collections::BTreeMap;
-use std::ops::RangeBounds;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -32,24 +39,20 @@ impl std::fmt::Display for CommitError {
 
 impl std::error::Error for CommitError {}
 
-#[derive(Debug, Clone)]
-struct Version<V> {
-    begin: u64,
-    end: u64,
-    /// `None` is a tombstone.
-    value: Option<V>,
-}
+/// One version of the table: per key, its value and the timestamp of the
+/// commit that wrote it.
+type Rows<K, V> = BTreeMap<K, (u64, V)>;
 
 #[derive(Debug)]
-struct Inner<K, V> {
+struct Head<K, V> {
     clock: u64,
-    rows: BTreeMap<K, Vec<Version<V>>>,
+    rows: Arc<Rows<K, V>>,
 }
 
 /// A snapshot-isolated multi-version key-value store.
 #[derive(Debug, Clone)]
 pub struct MvccStore<K, V> {
-    inner: Arc<Mutex<Inner<K, V>>>,
+    head: Arc<Mutex<Head<K, V>>>,
 }
 
 impl<K: Ord + Clone, V: Clone> Default for MvccStore<K, V> {
@@ -61,48 +64,24 @@ impl<K: Ord + Clone, V: Clone> Default for MvccStore<K, V> {
 impl<K: Ord + Clone, V: Clone> MvccStore<K, V> {
     /// Empty store at timestamp 0.
     pub fn new() -> Self {
+        let rows = Arc::new(Rows::new());
         Self {
-            inner: Arc::new(Mutex::new(Inner {
-                clock: 0,
-                rows: BTreeMap::new(),
-            })),
+            head: Arc::new(Mutex::new(Head { clock: 0, rows })),
         }
     }
 
     /// Starts a transaction whose reads all observe the current snapshot.
     pub fn begin(&self) -> Txn<K, V> {
-        let snapshot = self.inner.lock().clock;
         Txn {
             store: self.clone(),
-            snapshot,
+            snapshot: Arc::clone(&self.head.lock().rows),
             writes: BTreeMap::new(),
         }
     }
 
-    /// Current commit timestamp.
-    pub fn now(&self) -> u64 {
-        self.inner.lock().clock
-    }
-
-    /// Drops versions no longer visible to any snapshot at or after
-    /// `horizon`, and rows that are fully dead.
-    pub fn gc(&self, horizon: u64) {
-        let mut inner = self.inner.lock();
-        inner.rows.retain(|_, versions| {
-            versions.retain(|v| v.end > horizon);
-            versions.iter().any(|v| v.value.is_some())
-        });
-    }
-
     /// Number of live rows at the latest snapshot.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock();
-        let now = inner.clock;
-        inner
-            .rows
-            .values()
-            .filter(|vs| visible(vs, now).is_some())
-            .count()
+        self.head.lock().rows.len()
     }
 
     /// Whether no rows are visible at the latest snapshot.
@@ -111,59 +90,27 @@ impl<K: Ord + Clone, V: Clone> MvccStore<K, V> {
     }
 }
 
-fn visible<V>(versions: &[Version<V>], snapshot: u64) -> Option<&V> {
-    versions
-        .iter()
-        .rev()
-        .find(|v| v.begin <= snapshot && snapshot < v.end)
-        .and_then(|v| v.value.as_ref())
-}
-
 /// An open transaction. Dropping it without `commit` aborts it.
 pub struct Txn<K: Ord + Clone, V: Clone> {
     store: MvccStore<K, V>,
-    snapshot: u64,
+    snapshot: Arc<Rows<K, V>>,
     writes: BTreeMap<K, Option<V>>,
 }
 
 impl<K: Ord + Clone, V: Clone> Txn<K, V> {
-    /// Snapshot timestamp of this transaction.
-    pub fn snapshot(&self) -> u64 {
-        self.snapshot
-    }
-
     /// Reads a key: own uncommitted writes first, then the snapshot.
     pub fn get(&self, key: &K) -> Option<V> {
-        if let Some(w) = self.writes.get(key) {
-            return w.clone();
+        match self.writes.get(key) {
+            Some(w) => w.clone(),
+            None => self.snapshot.get(key).map(|(_, v)| v.clone()),
         }
-        let inner = self.store.inner.lock();
-        inner
-            .rows
-            .get(key)
-            .and_then(|vs| visible(vs, self.snapshot))
-            .cloned()
     }
 
-    /// Snapshot-consistent range scan (own writes merged in).
-    pub fn range<R: RangeBounds<K> + Clone>(&self, r: R) -> Vec<(K, V)> {
-        let inner = self.store.inner.lock();
-        let mut out: BTreeMap<K, V> = inner
-            .rows
-            .range(r.clone())
-            .filter_map(|(k, vs)| visible(vs, self.snapshot).map(|v| (k.clone(), v.clone())))
-            .collect();
-        for (k, w) in self.writes.range(r) {
-            match w {
-                Some(v) => {
-                    out.insert(k.clone(), v.clone());
-                }
-                None => {
-                    out.remove(k);
-                }
-            }
-        }
-        out.into_iter().collect()
+    /// Every row of the snapshot in key order (own writes merged in).
+    pub fn scan(&self) -> Vec<(K, V)> {
+        let keys: BTreeSet<&K> = self.snapshot.keys().chain(self.writes.keys()).collect();
+        let row = |k: &K| self.get(k).map(|v| (k.clone(), v));
+        keys.into_iter().filter_map(row).collect()
     }
 
     /// Buffers a write.
@@ -179,29 +126,27 @@ impl<K: Ord + Clone, V: Clone> Txn<K, V> {
     /// Atomically publishes all writes, or fails with
     /// [`CommitError::WriteConflict`] if any written key was committed by
     /// another transaction after this snapshot (first-committer-wins).
+    ///
+    /// "Committed after" is read off the tables: the key's row in the
+    /// newest one is not the row this snapshot holds. A key absent from
+    /// both has not changed as far as any reader can tell.
     pub fn commit(self) -> Result<u64, CommitError> {
-        let mut inner = self.store.inner.lock();
-        for key in self.writes.keys() {
-            if let Some(versions) = inner.rows.get(key) {
-                if versions.iter().any(|v| v.begin > self.snapshot) {
-                    return Err(CommitError::WriteConflict);
-                }
-            }
+        let mut head = self.store.head.lock();
+        let written = |rows: &Rows<K, V>, key| rows.get(key).map(|(ts, _)| *ts);
+        let mut keys = self.writes.keys();
+        if keys.any(|key| written(&head.rows, key) != written(&self.snapshot, key)) {
+            return Err(CommitError::WriteConflict);
         }
-        inner.clock += 1;
-        let ts = inner.clock;
+        // this transaction's own snapshot must not be what forces a copy
+        drop(self.snapshot);
+        head.clock += 1;
+        let ts = head.clock;
+        let rows = Arc::make_mut(&mut head.rows);
         for (key, value) in self.writes {
-            let versions = inner.rows.entry(key).or_default();
-            if let Some(open) = versions.last_mut() {
-                if open.end == u64::MAX {
-                    open.end = ts;
-                }
-            }
-            versions.push(Version {
-                begin: ts,
-                end: u64::MAX,
-                value,
-            });
+            match value {
+                Some(value) => rows.insert(key, (ts, value)),
+                None => rows.remove(&key),
+            };
         }
         Ok(ts)
     }
@@ -295,8 +240,10 @@ mod tests {
         t.put(2, 999);
         t.delete(3);
         t.put(10, 100);
-        let got = t.range(0..=10);
-        assert_eq!(got, vec![(0, 0), (1, 10), (2, 999), (4, 40), (10, 100)]);
+        assert_eq!(
+            t.scan(),
+            vec![(0, 0), (1, 10), (2, 999), (4, 40), (10, 100)]
+        );
     }
 
     #[test]
@@ -309,24 +256,113 @@ mod tests {
         let mut b = store.begin();
         b.put(2, 2);
         b.commit().unwrap();
-        assert_eq!(reader.range(0..10), vec![(1, 1)]);
+        assert_eq!(reader.scan(), vec![(1, 1)]);
+    }
+
+    fn put(store: &MvccStore<u32, u32>, key: u32, value: u32) {
+        let mut t = store.begin();
+        t.put(key, value);
+        t.commit().unwrap();
+    }
+
+    /// The newest table, and how many references (the store's own
+    /// included) keep it alive.
+    fn head(store: &MvccStore<u32, u32>) -> (Rows<u32, u32>, usize) {
+        let head = store.head.lock();
+        ((*head.rows).clone(), Arc::strong_count(&head.rows))
     }
 
     #[test]
     fn gc_prunes_dead_versions() {
         let store: MvccStore<u32, u32> = MvccStore::new();
         for i in 0..5 {
-            let mut t = store.begin();
-            t.put(1, i);
-            t.commit().unwrap();
+            put(&store, 1, i);
         }
         let mut d = store.begin();
         d.delete(1);
+        d.delete(2); // never existed
         d.commit().unwrap();
-        store.gc(store.now());
         assert!(store.is_empty());
-        let inner = store.inner.lock();
-        assert!(inner.rows.is_empty(), "fully dead rows dropped");
+        // a deleted row leaves the table: no tombstone stays behind
+        assert_eq!(head(&store), (Rows::new(), 1));
+    }
+
+    #[test]
+    fn overwrites_with_no_reader_open_leave_one_version() {
+        let store: MvccStore<u32, u32> = MvccStore::new();
+        put(&store, 1, 0);
+        let table = Arc::as_ptr(&store.head.lock().rows);
+        for i in 1..10_000 {
+            put(&store, 1, i);
+        }
+        // one table, one row, nobody else holding either — and it is the
+        // table the first commit made: nothing was copied on the way
+        assert_eq!(head(&store), (Rows::from([(1, (10_000, 9_999))]), 1));
+        assert_eq!(Arc::as_ptr(&store.head.lock().rows), table);
+    }
+
+    #[test]
+    fn history_behind_a_reader_is_dropped_when_it_closes() {
+        let store: MvccStore<u32, u32> = MvccStore::new();
+        put(&store, 1, 0);
+        put(&store, 2, 0);
+        let reader = store.begin();
+        let pinned = Arc::downgrade(&reader.snapshot);
+        for i in 1..=100 {
+            put(&store, 1, i);
+        }
+        let mut d = store.begin();
+        d.delete(2);
+        d.commit().unwrap();
+        // the reader pins the one table it reads; everything since went
+        // into a single newer one
+        assert_eq!((reader.get(&1), reader.get(&2)), (Some(0), Some(0)));
+        assert_eq!(pinned.strong_count(), 1);
+        assert_eq!(head(&store), (Rows::from([(1, (102, 100))]), 1));
+        drop(reader);
+        assert!(pinned.upgrade().is_none(), "history outlived its reader");
+        // and the first commit after the close edits in place again
+        let table = Arc::as_ptr(&store.head.lock().rows);
+        put(&store, 3, 7);
+        assert_eq!(Arc::as_ptr(&store.head.lock().rows), table);
+    }
+
+    #[test]
+    fn commit_conflicts_on_the_newest_version_only() {
+        let store: MvccStore<u32, u32> = MvccStore::new();
+        put(&store, 1, 0);
+        let pin = store.begin(); // keeps an old table alive throughout
+        let mut early = store.begin();
+        for i in 1..=50 {
+            put(&store, 1, i);
+        }
+        let mut late = store.begin();
+        early.put(1, 1000);
+        late.put(1, 2000);
+        assert_eq!(early.commit(), Err(CommitError::WriteConflict));
+        // fifty commits came after `pin`'s snapshot; none after `late`'s
+        assert!(late.commit().is_ok());
+        assert_eq!(pin.get(&1), Some(0));
+        assert_eq!(store.begin().get(&1), Some(2000));
+    }
+
+    #[test]
+    fn delete_conflicts_like_any_other_write() {
+        let store: MvccStore<u32, u32> = MvccStore::new();
+        put(&store, 1, 5);
+        let mut stale = store.begin();
+        let mut d = store.begin();
+        d.delete(1);
+        d.commit().unwrap();
+        // no tombstone is kept, yet the loser still loses: the row its
+        // snapshot holds is not the (absent) row of the newest table
+        stale.put(1, 6);
+        assert_eq!(stale.commit(), Err(CommitError::WriteConflict));
+        // a key absent then and now reads the same to everyone: no conflict
+        let mut fresh = store.begin();
+        put(&store, 2, 1);
+        fresh.put(1, 7);
+        assert!(fresh.commit().is_ok());
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! rotating phase, giving smooth, deterministic, random-access time-steps.
 
 pub mod dataset;
-pub mod fft;
 pub mod noise;
 pub mod smooth;
 pub mod synth;

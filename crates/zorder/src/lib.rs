@@ -11,13 +11,11 @@
 //!   ([`range`]), used for partition pruning during clustered index scans.
 
 pub mod atom;
-pub mod bigmin;
 pub mod boxes;
 pub mod morton;
 pub mod range;
 
 pub use atom::{AtomCoord, ATOM_POINTS, ATOM_WIDTH};
-pub use bigmin::{bigmin, litmax, ZScanCursor};
 pub use boxes::Box3;
 pub use morton::{decode3, decode4, encode3, encode4, MortonBlockDecoder, MortonRow, MAX_COORD3};
 pub use range::{decompose_box, ZRange};

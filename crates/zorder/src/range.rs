@@ -112,40 +112,6 @@ fn merge_adjacent(ranges: &mut Vec<ZRange>) {
     *ranges = merged;
 }
 
-/// Coalesces `ranges` (sorted, disjoint) down to at most `max_ranges` by
-/// bridging the smallest gaps. The result is a **superset**: scans must
-/// post-filter by the query box, which threshold evaluation does anyway.
-pub fn coalesce(ranges: &[ZRange], max_ranges: usize) -> Vec<ZRange> {
-    assert!(max_ranges >= 1);
-    if ranges.len() <= max_ranges {
-        return ranges.to_vec();
-    }
-    // gap i sits between ranges[i] and ranges[i+1]
-    let mut gaps: Vec<(u64, usize)> = ranges
-        .windows(2)
-        .enumerate()
-        .map(|(i, w)| (w[1].start - w[0].end - 1, i))
-        .collect();
-    gaps.sort_unstable();
-    let keep = ranges.len() - max_ranges; // number of gaps to bridge
-    let mut bridged = vec![false; ranges.len() - 1];
-    for &(_, i) in gaps.iter().take(keep) {
-        bridged[i] = true;
-    }
-    let mut out = Vec::with_capacity(max_ranges);
-    let mut cur = ranges[0];
-    for (i, r) in ranges.iter().enumerate().skip(1) {
-        if bridged[i - 1] {
-            cur.end = r.end;
-        } else {
-            out.push(cur);
-            cur = *r;
-        }
-    }
-    out.push(cur);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,18 +153,6 @@ mod tests {
         let mut expect: Vec<u64> = b.points().map(|(x, y, z)| encode3(x, y, z)).collect();
         expect.sort_unstable();
         assert_eq!(codes_in(&ranges), expect);
-    }
-
-    #[test]
-    fn coalesce_caps_count_and_supersets() {
-        let b = Box3::new([0, 0, 1], [7, 7, 2]);
-        let ranges = decompose_box(&b, 3);
-        assert!(ranges.len() > 4);
-        let few = coalesce(&ranges, 4);
-        assert_eq!(few.len(), 4);
-        for r in &ranges {
-            assert!(few.iter().any(|f| f.start <= r.start && r.end <= f.end));
-        }
     }
 
     proptest! {

@@ -1,14 +1,13 @@
 //! The paper's science use case (§3, Fig. 3): find the most intense
-//! vorticity events across time with threshold queries, cluster them with
-//! friends-of-friends in 4-D, and track the strongest "worm" as it
-//! develops — then record everything in a landmark database (§7).
+//! vorticity events across time with threshold queries and cluster them
+//! with friends-of-friends in 4-D to follow the strongest "worm" as it
+//! develops.
 //!
 //! ```sh
 //! cargo run --release -p tdb-bench --example intense_events
 //! ```
 
-use tdb_analysis::fof::fof_clusters_3d;
-use tdb_analysis::{fof_clusters_4d, track_clusters, LandmarkDb, SpaceTimePoint};
+use tdb_analysis::{fof_clusters_4d, SpaceTimePoint};
 use tdb_cluster::ClusterConfig;
 use tdb_core::{DerivedField, ServiceConfig, ThresholdQuery, TurbulenceService};
 use tdb_turbgen::SyntheticDataset;
@@ -39,8 +38,6 @@ fn main() {
     println!("thresholding all {timesteps} steps at |ω| >= {threshold:.1} (4.5σ)\n");
 
     let mut spacetime: Vec<SpaceTimePoint> = Vec::new();
-    let mut landmarks = LandmarkDb::new();
-    let mut per_step_clusters = Vec::new();
     for t in 0..timesteps {
         let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, t, threshold);
         let r = service.get_threshold(&q).expect("query");
@@ -49,36 +46,10 @@ fn main() {
             r.points.len(),
             r.breakdown.total_s()
         );
-        // per-step 3-D clusters feed the landmark database
-        let clusters = fof_clusters_3d(&r.points, dims, 2);
-        landmarks.record_clusters(
-            service.dataset().name.as_str(),
-            "vorticity",
-            t,
-            &clusters,
-            &r.points,
-        );
         spacetime.extend(
             r.points
                 .iter()
                 .map(|&point| SpaceTimePoint { timestep: t, point }),
-        );
-        per_step_clusters.push(clusters);
-    }
-
-    // follow individual events through time (paper §3: "examine their
-    // evolution with the flow")
-    let tracks = track_clusters(&per_step_clusters, dims, 4);
-    println!(
-        "\ncluster tracking: {} tracks across {timesteps} steps",
-        tracks.len()
-    );
-    for (i, tr) in tracks.iter().take(3).enumerate() {
-        println!(
-            "  track {i}: peak |ω| = {:.1} at step {}, lifetime {} steps",
-            tr.peak_value,
-            tr.peak_step,
-            tr.lifetime()
         );
     }
 
@@ -107,15 +78,4 @@ fn main() {
         })
         .collect();
     println!("members per step (development of the worm): {per_step:?}");
-
-    println!(
-        "\nlandmark database now holds {} regions; top 3:",
-        landmarks.len()
-    );
-    for lm in landmarks.top(service.dataset().name.as_str(), "vorticity", 3) {
-        println!(
-            "  t = {} peak {:8.2} at {:?}, {} pts, bbox {:?}..{:?}",
-            lm.timestep, lm.peak_value, lm.peak_location, lm.num_points, lm.region.lo, lm.region.hi
-        );
-    }
 }

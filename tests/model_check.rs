@@ -1,13 +1,15 @@
 //! Component models under the `tdb-check` schedule-exploration checker.
 //!
-//! Four concurrency-critical components get a closed model each: the
+//! Five concurrency-critical components get a model each: the
 //! scan-scheduler batch close, the mediator's failover-vs-rebalance lock
 //! discipline, the admission queue's WFQ grant/evict/shed protocol (real
-//! code), and the buffer pool's eviction-vs-decode path and single-flight
-//! loads outside the pool lock (real code).
-//! Where this PR fixed a real bug — the scan-scheduler batch overshoot —
-//! the *buggy* variant rides along as a regression model the checker
-//! must still catch.
+//! code), the buffer pool's eviction-vs-decode path and single-flight
+//! loads outside the pool lock (real code), and the semantic cache's
+//! replace / lookup / invalidate on one snapshot-isolated table (real
+//! code).
+//! Where a PR fixed a real bug — the scan-scheduler batch overshoot, the
+//! cache entry torn over two stores — the *buggy* variant rides along as
+//! a regression model the checker must still catch.
 //!
 //! Closed models use `wait_for(..).timed_out()` with bounded retries as
 //! their loop exits: under the checker a timed wait is virtual time (the
@@ -20,10 +22,13 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
+use tdb_cache::{CacheConfig, CacheInfoKey, CacheLookup, SemanticCache, ThresholdPoint};
 use tdb_check::{thread, FailureKind, Model};
 use tdb_storage::bufferpool::BlockKey;
+use tdb_storage::device::{DeviceProfile, DeviceRegistry};
 use tdb_storage::{BufferPool, IoSession, StorageError};
 use tdb_wire::admission::{Admission, AdmissionConfig, AdmissionQueue, TenantSpec};
+use tdb_zorder::Box3;
 
 // ---------------------------------------------------------------------
 // 1. ScanScheduler: leader/joiner batch close
@@ -486,4 +491,100 @@ fn bufferpool_single_flight_passes() {
             );
         });
     assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+// ---------------------------------------------------------------------
+// 6. SemanticCache: replace vs lookup vs invalidate (real code)
+// ---------------------------------------------------------------------
+
+/// The real `SemanticCache` under the checker: one thread replaces a
+/// key's entry, one invalidates it, one looks it up. The paper's
+/// snapshot-isolation requirement, in every interleaving: a lookup
+/// answers from one whole generation or misses — it never pairs the
+/// parts of two, so with no fault injected nothing is ever quarantined.
+#[test]
+fn semantic_cache_replace_vs_lookup_passes() {
+    fn generation(g: u32) -> Vec<ThresholdPoint> {
+        (0..3)
+            .map(|x| ThresholdPoint::at(x, 0, 0, (50 + 10 * g + x) as f32))
+            .collect()
+    }
+    let report = Model::new("semantic cache: replace vs lookup vs invalidate")
+        .budget(4096)
+        .check_quiet(|| {
+            let mut reg = DeviceRegistry::new();
+            let cache = Arc::new(SemanticCache::new(CacheConfig {
+                budget_bytes: 1 << 20,
+                ssd: reg.register(DeviceProfile::ssd()),
+                faults: None,
+            }));
+            let key = CacheInfoKey {
+                dataset: "mhd".into(),
+                field: "velocity/curl_norm".into(),
+                timestep: 0,
+            };
+            let region = Box3::cube(8);
+            cache.insert(&key, region, 50.0, &generation(0), &mut IoSession::new());
+            let (c2, k2) = (Arc::clone(&cache), key.clone());
+            let replacer = thread::spawn(move || {
+                c2.insert(&k2, region, 50.0, &generation(1), &mut IoSession::new());
+            });
+            let (c3, k3) = (Arc::clone(&cache), key.clone());
+            let dropper = thread::spawn(move || c3.invalidate(&k3));
+            let look = || match cache.lookup(&key, &region, 50.0, &mut IoSession::new()) {
+                CacheLookup::Hit(points) => {
+                    assert!(
+                        points == generation(0) || points == generation(1),
+                        "answer mixes generations: {points:?}"
+                    );
+                    true
+                }
+                CacheLookup::Miss => false,
+                CacheLookup::Quarantined => panic!("healthy entry quarantined"),
+            };
+            look();
+            replacer.join();
+            dropper.join();
+            // whichever of the two writers committed last decided the key;
+            // the insert loses at most one commit to the single invalidate
+            let st = cache.stats();
+            assert_eq!((st.quarantined, st.inserts), (0, 2), "{st:?}");
+            assert_eq!(look(), cache.len() == 1);
+        });
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+}
+
+/// Regression: the protocol this table replaced kept an entry in two
+/// stores that began and committed separately — lookup took an info
+/// snapshot, then a data snapshot; insert committed data, then info. A
+/// lookup between the two commits pairs the old info row with the new
+/// data, reads zero rows where the row says three, and "quarantines" a
+/// healthy entry. The checker must find that interleaving.
+#[test]
+fn semantic_cache_two_store_torn_read_is_caught() {
+    let report = Model::new("semantic cache: two-store torn read")
+        .budget(4096)
+        .check_quiet(|| {
+            // cacheInfo: (ordinal, npoints); cacheData: ordinal → rows held
+            let info = Arc::new(Mutex::new((1u64, 3usize)));
+            let data = Arc::new(Mutex::new(std::collections::BTreeMap::from([(
+                1u64, 3usize,
+            )])));
+            let (i2, d2) = (Arc::clone(&info), Arc::clone(&data));
+            let replacer = thread::spawn(move || {
+                {
+                    let mut rows = d2.lock(); // data commit
+                    rows.remove(&1);
+                    rows.insert(2, 3);
+                }
+                *i2.lock() = (2, 3); // info commit
+            });
+            let (ordinal, npoints) = *info.lock(); // info snapshot
+            let rows = data.lock().get(&ordinal).copied().unwrap_or(0); // data snapshot
+            assert_eq!(rows, npoints, "healthy entry read torn");
+            replacer.join();
+        });
+    let failure = report.failure.expect("checker must catch the torn read");
+    assert_eq!(failure.kind, FailureKind::Panic, "{failure:?}");
+    assert!(failure.message.contains("read torn"), "{failure:?}");
 }
