@@ -10,21 +10,24 @@
 //! The cluster is simulated in-process: nodes are threaded runtimes with
 //! private storage ([`tdb_storage`]) and a private semantic cache
 //! ([`tdb_cache`]); disks and links are device models; per-query I/O and
-//! network time are derived from the *actual* access pattern by a small
-//! event-driven pipeline simulator ([`sim`]), while compute and cache
-//! lookups are measured wall-clock (DESIGN.md §4).
+//! network time are derived from the *actual* access pattern by a
+//! closed-form time model ([`sim`]), while compute and cache lookups are
+//! measured (DESIGN.md §4).
 
 pub mod assemble;
 pub mod config;
 pub mod cputime;
 pub mod mediator;
+mod merge;
 pub mod node;
 pub mod placement;
 pub mod rebalance;
 pub mod scan;
+mod scatter;
 pub mod scheduler;
 pub mod sim;
 pub mod timing;
+mod topology;
 pub mod wire;
 
 pub use config::{ClusterConfig, CoalesceConfig, ReplicationConfig};

@@ -21,19 +21,18 @@ use parking_lot::Mutex;
 use tdb_cache::{
     CacheConfig, CacheLookup, PdfCache, PdfKey, PdfLookup, SemanticCache, ThresholdPoint,
 };
-use tdb_field::{Grid3, Histogram, PaddedVector};
+use tdb_field::{Histogram, PaddedVector};
 use tdb_kernels::scan::{pdf_scan_row, threshold_scan_row, ClipRows};
-use tdb_kernels::DiffScheme;
-use tdb_storage::device::{DeviceId, DeviceRegistry, IoSession};
-use tdb_storage::{AtomKey, AtomRecord, BlockCache, FaultPlan, StorageError, StorageResult, Table};
+use tdb_storage::device::{DeviceId, IoSession};
+use tdb_storage::{AtomRecord, BlockCache, StorageError, StorageResult, Table};
 use tdb_zorder::Box3;
 
 use crate::assemble::{assemble_padded_into, needed_atoms};
 use crate::cputime::thread_cpu_time_s;
 #[allow(unused_imports)] // ScanAssignment appears in doc comments
 use crate::scan::{ScanAssignment, ScanKernel, SharedOutcome, SharedScanRequest};
-use crate::sim::{ChunkCost, NodeTimeModel};
-use crate::timing::TimeBreakdown;
+use crate::sim::NodeTimeModel;
+use crate::topology::{routed_read, ClusterEnv, NodeDevices};
 
 /// Whether a query does real work or only the disk reads (Fig. 8's
 /// "I/O only" series).
@@ -44,17 +43,17 @@ pub enum QueryMode {
 }
 
 /// Outcome of one node's threshold subquery.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NodeResult {
     pub points: Vec<ThresholdPoint>,
     pub cache_hit: bool,
     /// Modelled + measured cache-probe time.
     pub cache_lookup_s: f64,
-    /// Modelled I/O schedule time at the configured process count, of
-    /// the reads this node's workers issued. A block a peer also needs is
-    /// read by whichever worker reaches it first, so the split between
-    /// neighbours varies run to run; the mediator's phase time does not
-    /// (it charges every read to the node whose array served it).
+    /// Modelled I/O phase at the configured process count: what this
+    /// node's own rack served for the query, whoever asked (DESIGN.md §4).
+    /// Only the mediator sees every node's reads, so the node reports 0
+    /// here and in the I/O half of [`Self::model`], and the mediator
+    /// fills both in when the scatter wave has answered.
     pub io_s: f64,
     /// Modelled compute residency (total pipeline − I/O schedule), i.e.
     /// the measured kernel time as overlapped by the worker pipeline.
@@ -70,40 +69,6 @@ pub struct NodeResult {
     pub session: IoSession,
 }
 
-impl NodeResult {
-    /// A subquery answered by a cache probe alone: no scan, so no I/O
-    /// phase, compute or time model — only the probe's own cost.
-    fn cache_hit(
-        points: Vec<ThresholdPoint>,
-        cache_lookup_s: f64,
-        wall_s: f64,
-        session: IoSession,
-    ) -> Self {
-        Self {
-            points,
-            cache_hit: true,
-            cache_lookup_s,
-            io_s: 0.0,
-            compute_s: 0.0,
-            wall_s,
-            atoms_scanned: 0,
-            model: NodeTimeModel::default(),
-            session,
-        }
-    }
-
-    /// This node's contribution to the cluster breakdown (communication
-    /// phases are filled in by the mediator).
-    pub fn breakdown(&self) -> TimeBreakdown {
-        TimeBreakdown {
-            cache_lookup_s: self.cache_lookup_s,
-            io_s: self.io_s,
-            compute_s: self.compute_s,
-            ..Default::default()
-        }
-    }
-}
-
 /// One simulated database node.
 pub struct NodeRuntime {
     pub id: usize,
@@ -111,71 +76,49 @@ pub struct NodeRuntime {
     pub cache: SemanticCache,
     pub pdf_cache: PdfCache,
     pool: Arc<BlockCache>,
-    grid: Arc<Grid3>,
-    scheme: Arc<DiffScheme>,
-    registry: Arc<DeviceRegistry>,
+    pub(crate) devices: NodeDevices,
+    pub(crate) env: Arc<ClusterEnv>,
     /// `io.ops.<device>` / `io.bytes.<device>` counters of every
     /// registered device, indexed by [`DeviceId`] — resolved once here,
     /// not per subquery.
     io_counters: Vec<(tdb_obs::Counter, tdb_obs::Counter)>,
-    lan: DeviceId,
-    controller: DeviceId,
-    compute_scale: f64,
-    /// When set, replaces measured kernel CPU time with a deterministic
-    /// per-grid-point cost (seconds), making the time model load-immune.
-    synthetic_compute_s_per_point: Option<f64>,
-    faults: Option<Arc<FaultPlan>>,
 }
 
 impl NodeRuntime {
-    /// Assembles a node from its built tables and devices (used by
-    /// [`crate::mediator::ClusterBuilder`]).
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a node from its sealed tables, its rack and the
+    /// cluster's shared environment ([`crate::topology::start_node`]).
     pub(crate) fn new(
         id: usize,
         tables: HashMap<String, Table>,
         pool: Arc<BlockCache>,
-        ssd: DeviceId,
-        controller: DeviceId,
-        compute_scale: f64,
-        synthetic_compute_s_per_point: Option<f64>,
-        cache_budget_bytes: u64,
-        grid: Arc<Grid3>,
-        scheme: Arc<DiffScheme>,
-        registry: Arc<DeviceRegistry>,
-        lan: DeviceId,
-        faults: Option<Arc<FaultPlan>>,
+        devices: NodeDevices,
+        env: Arc<ClusterEnv>,
     ) -> Self {
         let reg = tdb_obs::global();
-        let io_counters = (0..registry.len() as u32)
+        let io_counters = (0..env.registry.len() as u32)
             .map(|dev| {
-                let name = &registry.profile(DeviceId(dev)).name;
+                let name = &env.registry.profile(DeviceId(dev)).name;
                 (
                     reg.counter(&format!("io.ops.{name}")),
                     reg.counter(&format!("io.bytes.{name}")),
                 )
             })
             .collect();
+        let cache_budget_bytes = env.config.cache_budget_bytes;
         Self {
             id,
             tables,
             cache: SemanticCache::new(CacheConfig {
                 budget_bytes: cache_budget_bytes,
-                ssd,
-                faults: faults.clone(),
+                ssd: devices.ssd,
+                faults: env.config.faults.clone(),
             }),
             // histograms are tiny; a small slice of the SSD suffices
-            pdf_cache: PdfCache::new(ssd, (cache_budget_bytes / 64).max(1 << 20)),
+            pdf_cache: PdfCache::new(devices.ssd, (cache_budget_bytes / 64).max(1 << 20)),
             pool,
-            grid,
-            scheme,
-            registry,
+            devices,
+            env,
             io_counters,
-            lan,
-            controller,
-            compute_scale,
-            synthetic_compute_s_per_point,
-            faults,
         }
     }
 
@@ -185,7 +128,7 @@ impl NodeRuntime {
     /// failover model of DESIGN.md — data stays reachable, compute dies),
     /// so one dead node degrades exactly its own boxes.
     fn check_available(&self) -> StorageResult<()> {
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = &self.env.config.faults {
             if plan.node_is_down(self.id) {
                 tdb_obs::add("node.unavailable", 1);
                 return Err(StorageError::NodeUnavailable {
@@ -209,19 +152,11 @@ impl NodeRuntime {
             .ok_or_else(|| StorageError::internal(format!("node {} has no field {field}", self.id)))
     }
 
-    /// Point lookup used by peers fetching halo atoms.
-    pub fn fetch_atom(
-        &self,
-        field: &str,
-        key: AtomKey,
-        session: &mut IoSession,
-    ) -> StorageResult<Option<AtomRecord>> {
-        self.table(field)?.get(key, session)
-    }
-
-    /// Batched halo fetch: one request for many atoms (sorted, unique
-    /// zindexes), served by clustered-index range scans. Every atom asked
-    /// for comes back, or the fetch fails with `MissingData`.
+    /// Batched atom fetch from this node's own tables: one request for
+    /// many atoms (sorted, unique zindexes), served by clustered-index
+    /// range scans. Every atom asked for comes back, or the fetch fails
+    /// with `MissingData`. Callers that do not already know which node
+    /// stores an atom go through [`routed_read`].
     pub fn fetch_atoms(
         &self,
         field: &str,
@@ -235,7 +170,7 @@ impl NodeRuntime {
         // shared controller, which caps how far I/O parallelises
         let (ops, bytes) = (local.total_ops(), local.total_bytes());
         if bytes > 0 || ops > 0 {
-            local.charge(self.controller, ops, bytes);
+            local.charge(self.devices.controller, ops, bytes);
         }
         session.merge(&local);
         let records = out?;
@@ -277,6 +212,7 @@ impl NodeRuntime {
         let key = req.cache_key();
         let cacheable = req.assignment.canonical;
 
+        #[derive(Default)]
         struct Slot {
             outcome: Option<SharedOutcome>,
             cache_lookup_s: f64,
@@ -287,16 +223,7 @@ impl NodeRuntime {
             s.outcome
                 .ok_or_else(|| StorageError::internal("participant slot never produced an outcome"))
         }
-        let mut slots: Vec<Slot> = req
-            .participants
-            .iter()
-            .map(|_| Slot {
-                outcome: None,
-                cache_lookup_s: 0.0,
-                probe_session: IoSession::new(),
-                healing: false,
-            })
-            .collect();
+        let mut slots: Vec<Slot> = req.participants.iter().map(|_| Slot::default()).collect();
 
         // --- per-participant cache probes --------------------------------
         for (slot, part) in slots.iter_mut().zip(&req.participants) {
@@ -342,17 +269,21 @@ impl NodeRuntime {
                 ScanKernel::TopK => continue,
             };
             slot.cache_lookup_s =
-                (thread_cpu_time_s() - probe).max(0.0) + probe_session.makespan(&self.registry);
+                (thread_cpu_time_s() - probe).max(0.0) + probe_session.makespan(&self.env.registry);
             match found {
                 Some((points, histogram)) => {
                     self.report_session(&probe_session);
+                    // answered by the probe alone: no scan, so no I/O
+                    // phase, compute or time model
                     slot.outcome = Some(SharedOutcome {
-                        result: NodeResult::cache_hit(
+                        result: NodeResult {
                             points,
-                            slot.cache_lookup_s,
-                            wall.elapsed().as_secs_f64(),
-                            probe_session,
-                        ),
+                            cache_hit: true,
+                            cache_lookup_s: slot.cache_lookup_s,
+                            wall_s: wall.elapsed().as_secs_f64(),
+                            session: probe_session,
+                            ..NodeResult::default()
+                        },
                         histogram,
                     });
                 }
@@ -404,19 +335,26 @@ impl NodeRuntime {
             },
             Hist(Histogram),
         }
-        type TaskOutcome = (
-            Vec<(usize, ClipRows, Reducer)>,
-            ChunkCost,
-            IoSession,
-            u64,
-            u64,
-        );
+        // reduced clips, kernel seconds, device charges, atoms, atoms saved
+        type TaskOutcome = (Vec<(usize, ClipRows, Reducer)>, f64, IoSession, u64, u64);
+        let grid = &self.env.grid;
+        let halo = req.derived.halo(&self.env.scheme);
         let peak_scratch = AtomicUsize::new(0);
         let results: Vec<StorageResult<TaskOutcome>> =
             self.run_workers(req.procs, &tasks, |scratch: &mut ScanScratch, task| {
                 let mut chunk_session = IoSession::new();
-                let atoms =
-                    self.fetch_atoms_shared(req, &task.domain, peers, &mut chunk_session)?;
+                // I/O-only probes (Fig. 8) read exactly what the full
+                // evaluation reads — boundary bands included — they just
+                // skip the kernel
+                let atoms = routed_read(
+                    &req.assignment.layout,
+                    peers,
+                    Some(self),
+                    &req.raw_field,
+                    req.timestep,
+                    needed_atoms(&task.domain, halo, grid.dims(), grid.periodic),
+                    &mut chunk_session,
+                )?;
                 let chunk_atoms = atoms.len() as u64;
                 let saved = chunk_atoms * (task.clips.len() as u64 - 1);
                 let mut outs: Vec<(usize, ClipRows, Reducer)> = Vec::new();
@@ -426,9 +364,9 @@ impl NodeRuntime {
                     assemble_padded_into(
                         &mut scratch.padded,
                         &task.domain,
-                        req.derived.halo(&self.scheme),
-                        self.grid.dims(),
-                        self.grid.periodic,
+                        halo,
+                        grid.dims(),
+                        grid.periodic,
                         &atoms,
                     )?;
                     // the records are copied into the cube: release them
@@ -462,7 +400,7 @@ impl NodeRuntime {
                     let (dlx, dly, dlz) = task.domain.lo3();
                     req.derived.eval_rows(
                         &scratch.padded,
-                        &self.scheme,
+                        &self.env.scheme,
                         [dlx as usize, dly as usize, dlz as usize],
                         &mut scratch.rows,
                         |y, z, row| {
@@ -483,20 +421,16 @@ impl NodeRuntime {
                         scratch.padded.heap_bytes() + std::mem::size_of_val(&*scratch.rows),
                         Ordering::Relaxed,
                     );
-                    let measured = (thread_cpu_time_s() - c0).max(0.0) * self.compute_scale;
-                    compute_s = match self.synthetic_compute_s_per_point {
+                    let measured =
+                        (thread_cpu_time_s() - c0).max(0.0) * self.env.config.compute_scale;
+                    // when set, a deterministic per-point cost replaces the
+                    // measurement, making the time model load-immune
+                    compute_s = match self.env.config.synthetic_compute_s_per_point {
                         Some(rate) => task.domain.num_points() as f64 * rate,
                         None => measured,
                     };
                 }
-                let cost = ChunkCost {
-                    io: chunk_session
-                        .devices()
-                        .map(|(dev, a)| (dev, self.registry.profile(dev).time(a.ops, a.bytes)))
-                        .collect(),
-                    compute_s,
-                };
-                Ok((outs, cost, chunk_session, chunk_atoms, saved))
+                Ok((outs, compute_s, chunk_session, chunk_atoms, saved))
             });
         if req.mode == QueryMode::Full {
             tdb_obs::global()
@@ -508,11 +442,11 @@ impl NodeRuntime {
             (0..slots.len()).map(|_| Vec::new()).collect();
         let mut acc_hist: Vec<Option<Histogram>> = (0..slots.len()).map(|_| None).collect();
         let mut shared_session = IoSession::new();
-        let mut costs = Vec::with_capacity(results.len());
+        let mut chunk_compute = Vec::with_capacity(results.len());
         let mut atoms_scanned = 0u64;
         let mut atoms_saved = 0u64;
         for r in results {
-            let (outs, cost, chunk_session, chunk_atoms, saved) = r?;
+            let (outs, compute_s, chunk_session, chunk_atoms, saved) = r?;
             for (i, _, out) in outs {
                 match out {
                     Reducer::Points { mut points, .. } => match acc_points.get_mut(i) {
@@ -527,13 +461,13 @@ impl NodeRuntime {
                     },
                 }
             }
-            costs.push(cost);
+            chunk_compute.push(compute_s);
             atoms_scanned += chunk_atoms;
             atoms_saved += saved;
             shared_session.merge(&chunk_session);
         }
         // --- serial-phase timing (DESIGN.md §4) --------------------------
-        let model = NodeTimeModel::from_costs(&costs, &self.registry);
+        let model = NodeTimeModel::from_chunk_compute(chunk_compute);
         if pending.len() >= 2 {
             tdb_obs::add("scan.shared", 1);
             tdb_obs::add("scan.coalesced_queries", (pending.len() - 1) as u64);
@@ -552,16 +486,11 @@ impl NodeRuntime {
             session.merge(&slot.probe_session);
             session.merge(&shared_session);
             report.merge(&slot.probe_session);
-            // injected latency and retry backoff stall the issuing worker,
-            // so they ride on the I/O phase serially
-            let mut io_s = model.io_s(req.procs) + session.injected_delay_s;
             let mut points = acc_points
                 .get_mut(i)
                 .map(std::mem::take)
                 .unwrap_or_default();
             let mut histogram = None;
-            // a fill is one sequential SSD write; only a threshold entry is
-            // big enough for it to ride on the modelled I/O phase
             let fill = part.use_cache && cacheable && req.mode == QueryMode::Full;
             let mut fill_session = IoSession::new();
             match &part.kernel {
@@ -575,7 +504,6 @@ impl NodeRuntime {
                             &points,
                             &mut fill_session,
                         );
-                        io_s += fill_session.makespan(&self.registry);
                         if slot.healing {
                             tdb_obs::add("cache.semantic.rebuilt", 1);
                         }
@@ -611,7 +539,8 @@ impl NodeRuntime {
                     points,
                     cache_hit: false,
                     cache_lookup_s: slot.cache_lookup_s,
-                    io_s,
+                    // the mediator's to fill in (DESIGN.md §4)
+                    io_s: 0.0,
                     compute_s: model.compute_s(req.procs),
                     wall_s: wall.elapsed().as_secs_f64(),
                     atoms_scanned,
@@ -671,60 +600,6 @@ impl NodeRuntime {
         let mut results = out.into_inner();
         results.sort_by_key(|(i, _)| *i);
         results.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Fetches every atom a chunk domain needs: atoms this node stores a
-    /// replica of from its own table as batched range scans, the rest
-    /// from the atom's primary as one batched request per peer over the
-    /// (modelled) LAN. Routing comes from the request's assignment — the
-    /// node holds no placement state of its own.
-    fn fetch_atoms_shared(
-        &self,
-        req: &SharedScanRequest,
-        domain: &Box3,
-        peers: &[Option<Arc<NodeRuntime>>],
-        session: &mut IoSession,
-    ) -> StorageResult<HashMap<u64, AtomRecord>> {
-        // I/O-only probes (Fig. 8) read exactly what the full evaluation
-        // reads — boundary bands included — they just skip the kernel
-        let halo = req.derived.halo(&self.scheme);
-        let needed = needed_atoms(domain, halo, self.grid.dims(), self.grid.periodic);
-        let layout = &req.assignment.layout;
-        let mut by_owner: HashMap<usize, Vec<u64>> = HashMap::new();
-        for atom in &needed {
-            by_owner
-                .entry(layout.fetch_node_for(*atom, self.id))
-                .or_default()
-                .push(atom.zindex());
-        }
-        let mut out = HashMap::with_capacity(needed.len());
-        for (owner, mut codes) in by_owner {
-            codes.sort_unstable();
-            let records = if owner == self.id {
-                self.fetch_atoms(&req.raw_field, req.timestep, &codes, session)
-            } else {
-                let Some(peer) = peers.get(owner).and_then(Option::as_ref) else {
-                    return Err(StorageError::internal(format!(
-                        "atom owner {owner} absent from the cluster of {} node slots",
-                        peers.len()
-                    )));
-                };
-                let r = peer.fetch_atoms(&req.raw_field, req.timestep, &codes, session);
-                if let Ok(records) = &r {
-                    // one LAN round-trip per peer contacted for this chunk
-                    let bytes: u64 = records
-                        .iter()
-                        .map(|rec| AtomRecord::encoded_len(rec.ncomp) as u64)
-                        .sum();
-                    session.charge(self.lan, 1, bytes);
-                }
-                r
-            };
-            for rec in records? {
-                out.insert(rec.key.zindex, rec);
-            }
-        }
-        Ok(out)
     }
 }
 

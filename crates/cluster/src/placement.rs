@@ -81,7 +81,6 @@ fn hrw_weight(chunk_key: u64, node: usize) -> u64 {
 /// The cluster-wide placement map.
 #[derive(Debug, Clone)]
 pub struct Layout {
-    dims: (usize, usize, usize),
     chunk_atoms: u32,
     /// Chunks sorted by z-order.
     chunks: Vec<Chunk>,
@@ -202,7 +201,6 @@ impl Layout {
             })
             .collect();
         Self {
-            dims,
             chunk_atoms,
             chunks,
             chunk_replicas,
@@ -210,16 +208,6 @@ impl Layout {
             node_ids,
             mode,
         }
-    }
-
-    /// Grid extents.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        self.dims
-    }
-
-    /// Chunk edge length in atoms.
-    pub fn chunk_atoms(&self) -> u32 {
-        self.chunk_atoms
     }
 
     /// Node-id space size (ids run `0..num_nodes`; rebalancing may have

@@ -10,15 +10,18 @@
 //! hold an `Arc` to the old generation and finish on it undisturbed —
 //! the shared-scan scheduler stays snapshot-consistent across the move.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use tdb_storage::device::IoSession;
-use tdb_storage::{BlockCache, StorageError, StorageResult, Table, TableBuilder};
+use tdb_storage::{AtomRecord, StorageError, StorageResult};
+use tdb_zorder::{AtomCoord, ZRange};
 
-use crate::mediator::{split_zones, Cluster, NodeDevices, Topology};
+use crate::mediator::Cluster;
 use crate::node::NodeRuntime;
 use crate::placement::{Layout, PlacementMode};
+use crate::topology::{
+    routed_read, start_node, table_builders, NodeDevices, RebalanceState, Topology,
+};
 
 /// What a membership change moved.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,57 +47,20 @@ impl Cluster {
     pub fn join_node(&self) -> StorageResult<RebalanceReport> {
         let mut state = self.rebalance.lock();
         let old = self.topology_snapshot();
-        if old.layout.mode() != PlacementMode::Rendezvous {
-            return Err(StorageError::internal(
-                "node join requires rendezvous placement (ReplicationConfig::rendezvous)",
-            ));
-        }
-        let devices = state.spares.pop().ok_or_else(|| {
+        let spare = state.spares.last().cloned().ok_or_else(|| {
             StorageError::internal(
                 "no spare node slots configured (ReplicationConfig::spare_nodes)",
             )
         })?;
-        let node = state.node_devices.len();
-        state.node_devices.push(devices.clone());
-        let mut ids: Vec<usize> = old.layout.node_ids().to_vec();
-        ids.push(node);
-        let new_layout = Arc::new(Layout::over_nodes(
-            self.grid.dims(),
-            self.config.chunk_atoms,
-            node + 1,
-            &ids,
-            self.config.replication.k,
-            PlacementMode::Rendezvous,
-        ));
-        let epoch = old.epoch + 1;
-        let mut next_file_id = state.next_file_id;
-        let (runtime, gained, copied) =
-            self.rebuild_node(&old, &new_layout, node, &devices, epoch, &mut next_file_id)?;
-        state.next_file_id = next_file_id;
-        let mut nodes = old.nodes.clone();
-        nodes.resize(node + 1, None);
-        if let Some(slot) = nodes.get_mut(node) {
-            *slot = Some(Arc::new(runtime));
-        }
-        let live_nodes = nodes.iter().flatten().count();
-        *self.topology.write() = Arc::new(Topology {
-            layout: new_layout,
-            nodes,
-            epoch,
-        });
-        // chunk primaries changed hands, and semantic-cache entries hold
-        // exactly the old canonical per-node point sets — drop them all
-        self.clear_caches();
+        // node ids are never reused: a departed node keeps its (empty) slot
+        let node = old.nodes.len();
+        let mut members = old.layout.node_ids().to_vec();
+        members.push(node);
+        let report = self.install_members(&mut state, &old, node, &members, Some(spare))?;
+        // the rack is spent only once the node is up on it
+        state.spares.pop();
         tdb_obs::add("replication.rebalance.joins", 1);
-        tdb_obs::add("replication.rebalance.chunks_moved", gained as u64);
-        tdb_obs::add("replication.rebalance.atoms_copied", copied);
-        Ok(RebalanceReport {
-            node,
-            chunks_moved: gained,
-            atoms_copied: copied,
-            epoch,
-            live_nodes,
-        })
+        Ok(report)
     }
 
     /// Retires a node: survivors whose chains must absorb the departed
@@ -104,74 +70,90 @@ impl Cluster {
     pub fn leave_node(&self, node: usize) -> StorageResult<RebalanceReport> {
         let mut state = self.rebalance.lock();
         let old = self.topology_snapshot();
-        if old.layout.mode() != PlacementMode::Rendezvous {
-            return Err(StorageError::internal(
-                "node leave requires rendezvous placement (ReplicationConfig::rendezvous)",
-            ));
-        }
         if !old.nodes.get(node).is_some_and(Option::is_some) {
             return Err(StorageError::internal(format!(
                 "node {node} is not a live member of the cluster"
             )));
         }
-        let survivors: Vec<usize> = old
-            .layout
-            .node_ids()
-            .iter()
-            .copied()
-            .filter(|&n| n != node)
-            .collect();
-        if survivors.len() < self.config.replication.k {
+        let mut members = old.layout.node_ids().to_vec();
+        members.retain(|&n| n != node);
+        let k = self.env.config.replication.k;
+        if members.len() < k {
             return Err(StorageError::internal(format!(
-                "retiring node {node} would leave {} nodes, fewer than replication factor {}",
-                survivors.len(),
-                self.config.replication.k
+                "retiring node {node} would leave {} nodes, fewer than replication factor {k}",
+                members.len(),
             )));
         }
-        let new_layout = Arc::new(Layout::over_nodes(
-            self.grid.dims(),
-            self.config.chunk_atoms,
-            old.layout.num_nodes(),
-            &survivors,
-            self.config.replication.k,
+        let report = self.install_members(&mut state, &old, node, &members, None)?;
+        tdb_obs::add("replication.rebalance.leaves", 1);
+        Ok(report)
+    }
+
+    /// Installs the topology generation whose members are `members`,
+    /// after `node` joined (on the rack `joiner`) or left. Every member
+    /// whose share grew is rebuilt against the *old* topology — every
+    /// source, a voluntarily leaving node included, is still readable —
+    /// on the rack it already has; the rest keep their runtimes.
+    fn install_members(
+        &self,
+        state: &mut RebalanceState,
+        old: &Topology,
+        node: usize,
+        members: &[usize],
+        mut joiner: Option<NodeDevices>,
+    ) -> StorageResult<RebalanceReport> {
+        if old.layout.mode() != PlacementMode::Rendezvous {
+            return Err(StorageError::internal(
+                "node join / leave requires rendezvous placement (ReplicationConfig::rendezvous)",
+            ));
+        }
+        let slots = old.nodes.len().max(node + 1);
+        let layout = Arc::new(Layout::over_nodes(
+            self.env.grid.dims(),
+            self.env.config.chunk_atoms,
+            slots,
+            members,
+            self.env.config.replication.k,
             PlacementMode::Rendezvous,
         ));
         let epoch = old.epoch + 1;
-        let mut next_file_id = state.next_file_id;
         let mut nodes = old.nodes.clone();
-        let mut chunks_moved = 0usize;
-        let mut atoms_copied = 0u64;
-        for &g in &survivors {
-            let gains = (0..new_layout.chunks().len()).any(|c| {
-                new_layout.replicas_of_chunk(c).contains(&g)
-                    && !old.layout.replicas_of_chunk(c).contains(&g)
-            });
-            if !gains {
+        nodes.resize(slots, None);
+        let (mut chunks_moved, mut atoms_copied) = (0usize, 0u64);
+        for (id, slot) in nodes.iter_mut().enumerate() {
+            if !members.contains(&id) {
+                *slot = None;
                 continue;
             }
-            let devices = state.node_devices.get(g).cloned().ok_or_else(|| {
-                StorageError::internal(format!("no device record for surviving node {g}"))
-            })?;
-            let (runtime, gained, copied) =
-                self.rebuild_node(&old, &new_layout, g, &devices, epoch, &mut next_file_id)?;
-            chunks_moved += gained;
-            atoms_copied += copied;
-            if let Some(slot) = nodes.get_mut(g) {
-                *slot = Some(Arc::new(runtime));
-            }
+            let gained: Vec<ZRange> = (layout.chunks().iter().enumerate())
+                .filter(|(c, _)| {
+                    layout.replicas_of_chunk(*c).contains(&id)
+                        && !old.layout.replicas_of_chunk(*c).contains(&id)
+                })
+                .map(|(_, chunk)| chunk.zrange())
+                .collect();
+            let devices = match slot.as_ref() {
+                Some(_) if gained.is_empty() => continue,
+                Some(runtime) => runtime.devices.clone(),
+                None => joiner.take().ok_or_else(|| {
+                    StorageError::internal(format!("member {id} has no runtime and no rack"))
+                })?,
+            };
+            let runtime =
+                self.rebuild_node(old, &layout, id, devices, epoch, &mut state.next_file_id)?;
+            *slot = Some(Arc::new(runtime));
+            chunks_moved += gained.len();
+            atoms_copied += gained.iter().map(ZRange::len).sum::<u64>()
+                * (self.timesteps.len() * self.fields.len()) as u64;
         }
-        state.next_file_id = next_file_id;
-        if let Some(slot) = nodes.get_mut(node) {
-            *slot = None;
-        }
-        let live_nodes = survivors.len();
         *self.topology.write() = Arc::new(Topology {
-            layout: new_layout,
+            layout,
             nodes,
             epoch,
         });
+        // chunk primaries changed hands, and semantic-cache entries hold
+        // exactly the old canonical per-node point sets — drop them all
         self.clear_caches();
-        tdb_obs::add("replication.rebalance.leaves", 1);
         tdb_obs::add("replication.rebalance.chunks_moved", chunks_moved as u64);
         tdb_obs::add("replication.rebalance.atoms_copied", atoms_copied);
         Ok(RebalanceReport {
@@ -179,118 +161,57 @@ impl Cluster {
             chunks_moved,
             atoms_copied,
             epoch,
-            live_nodes,
+            live_nodes: members.len(),
         })
     }
 
     /// Builds `node`'s tables for the new layout in an epoch-suffixed
-    /// directory, sourcing every chunk from the old topology: chunks the
-    /// node already stored come from its own old tables (a local re-pack,
-    /// not counted), gained chunks from the first live member of their
-    /// old chain (counted as copied). Returns the fresh runtime, the
-    /// gained-chunk count and the records copied.
+    /// directory, reading every atom through the old topology with the
+    /// node's old runtime (if it had one) as the reader: chunks it already
+    /// stored come from its own old tables (a local re-pack), gained
+    /// chunks from the first live member of their old chain.
     fn rebuild_node(
         &self,
         old: &Topology,
-        new_layout: &Arc<Layout>,
+        new_layout: &Layout,
         node: usize,
-        devices: &NodeDevices,
+        devices: NodeDevices,
         epoch: u64,
         next_file_id: &mut u64,
-    ) -> StorageResult<(NodeRuntime, usize, u64)> {
-        let stored_new: Vec<usize> = (0..new_layout.chunks().len())
-            .filter(|&c| new_layout.replicas_of_chunk(c).contains(&node))
-            .collect();
-        let stored_old: HashSet<usize> = (0..old.layout.chunks().len())
-            .filter(|&c| old.layout.replicas_of_chunk(c).contains(&node))
-            .collect();
-        let own_old = old.nodes.get(node).and_then(Option::as_ref);
-        let gained = stored_new
-            .iter()
-            .filter(|c| !stored_old.contains(c))
-            .count();
+    ) -> StorageResult<NodeRuntime> {
+        let reader = old.nodes.get(node).and_then(Option::as_deref);
+        let stored = new_layout.stored_zranges_of_node(node);
         let node_dir = self.dir.join(format!("node{node}_e{epoch}"));
-        let zones = split_zones(
-            &new_layout.stored_zranges_of_node(node),
-            self.config.arrays_per_node,
-        );
-        let mut builders: Vec<(String, TableBuilder)> = Vec::with_capacity(self.fields.len());
-        for (name, ncomp) in &self.fields {
-            builders.push((
-                name.clone(),
-                TableBuilder::new(
-                    &node_dir,
-                    name,
-                    *ncomp,
-                    zones.clone(),
-                    &devices.arrays,
-                    self.config.compression,
-                )?,
-            ));
-        }
-        let mut copied = 0u64;
+        let mut builders = table_builders(
+            &self.env,
+            new_layout,
+            node,
+            &node_dir,
+            &self.fields,
+            &devices.arrays,
+        )?;
         let mut session = IoSession::new();
         for &timestep in &self.timesteps {
             for (name, builder) in &mut builders {
-                let mut records = Vec::new();
-                // layout.chunks() is z-ordered, so iterating stored chunks
-                // in index order appends records in ascending key order
-                for &c in &stored_new {
-                    let local = stored_old.contains(&c);
-                    let source = if local {
-                        own_old
-                    } else {
-                        old.layout
-                            .replicas_of_chunk(c)
-                            .iter()
-                            .find_map(|&r| old.nodes.get(r).and_then(Option::as_ref))
-                    };
-                    let Some(source) = source else {
-                        return Err(StorageError::internal(format!(
-                            "no live source for chunk {c} while rebuilding node {node}"
-                        )));
-                    };
-                    let Some(chunk) = new_layout.chunks().get(c) else {
-                        return Err(StorageError::internal(format!(
-                            "chunk index {c} out of range rebuilding node {node}"
-                        )));
-                    };
-                    let zr = chunk.zrange();
-                    let codes: Vec<u64> = (zr.start..=zr.end).collect();
-                    let recs = source.fetch_atoms(name, timestep, &codes, &mut session)?;
-                    if !local {
-                        copied += recs.len() as u64;
-                    }
-                    records.extend(recs);
-                }
+                let atoms = stored
+                    .iter()
+                    .flat_map(|zr| zr.start..=zr.end)
+                    .map(AtomCoord::from_zindex);
+                let mut records: Vec<AtomRecord> = routed_read(
+                    &old.layout,
+                    &old.nodes,
+                    reader,
+                    name,
+                    timestep,
+                    atoms,
+                    &mut session,
+                )?
+                .into_values()
+                .collect();
+                records.sort_unstable_by_key(|rec| rec.key);
                 builder.append_timestep(timestep, records)?;
             }
         }
-        let pool = Arc::new(BlockCache::with_faults(
-            self.config.bufferpool_bytes,
-            self.config.faults.clone(),
-        ));
-        let mut tables: HashMap<String, Table> = HashMap::new();
-        for (name, builder) in builders {
-            let table = builder.finish(Arc::clone(&pool), *next_file_id)?;
-            *next_file_id += 1024;
-            tables.insert(name, table);
-        }
-        let runtime = NodeRuntime::new(
-            node,
-            tables,
-            pool,
-            devices.ssd,
-            devices.controller,
-            self.config.compute_scale,
-            self.config.synthetic_compute_s_per_point,
-            self.config.cache_budget_bytes,
-            Arc::clone(&self.grid),
-            Arc::clone(&self.scheme),
-            Arc::clone(&self.registry),
-            self.lan,
-            self.config.faults.clone(),
-        );
-        Ok((runtime, gained, copied))
+        start_node(&self.env, node, builders, devices, next_file_id)
     }
 }

@@ -17,7 +17,8 @@ use parking_lot::{Condvar, Mutex};
 use tdb_storage::{StorageError, StorageResult};
 
 use crate::config::CoalesceConfig;
-use crate::mediator::{BatchAnswer, BatchQuery, Cluster, ScanGroupKey};
+use crate::mediator::{BatchAnswer, BatchQuery, Cluster};
+use crate::scatter::ScanGroupKey;
 
 type Delivery = SyncSender<StorageResult<BatchAnswer>>;
 

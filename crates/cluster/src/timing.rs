@@ -20,18 +20,6 @@ impl TimeBreakdown {
     pub fn total_s(&self) -> f64 {
         self.cache_lookup_s + self.io_s + self.compute_s + self.mediator_db_s + self.mediator_user_s
     }
-
-    /// Component-wise maximum — nodes execute in parallel, so the cluster
-    /// phase time is the slowest node's phase time.
-    pub fn max_merge(&self, other: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            cache_lookup_s: self.cache_lookup_s.max(other.cache_lookup_s),
-            io_s: self.io_s.max(other.io_s),
-            compute_s: self.compute_s.max(other.compute_s),
-            mediator_db_s: self.mediator_db_s.max(other.mediator_db_s),
-            mediator_user_s: self.mediator_user_s.max(other.mediator_user_s),
-        }
-    }
 }
 
 impl std::fmt::Display for TimeBreakdown {
@@ -64,22 +52,5 @@ mod tests {
         };
         assert!((b.total_s() - 3.6).abs() < 1e-12);
         assert!(b.to_string().contains("3.600"));
-    }
-
-    #[test]
-    fn max_merge_is_componentwise() {
-        let a = TimeBreakdown {
-            io_s: 1.0,
-            compute_s: 0.5,
-            ..Default::default()
-        };
-        let b = TimeBreakdown {
-            io_s: 0.2,
-            compute_s: 2.0,
-            ..Default::default()
-        };
-        let m = a.max_merge(&b);
-        assert_eq!(m.io_s, 1.0);
-        assert_eq!(m.compute_s, 2.0);
     }
 }

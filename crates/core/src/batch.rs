@@ -127,11 +127,6 @@ impl MyDb {
         self.tables.lock().get(name).cloned()
     }
 
-    /// Drops a table; returns whether it existed.
-    pub fn drop_table(&self, name: &str) -> bool {
-        self.tables.lock().remove(name).is_some()
-    }
-
     /// Lists table names.
     pub fn list(&self) -> Vec<String> {
         self.tables.lock().keys().cloned().collect()
@@ -387,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn mydb_tables_replace_and_drop() {
+    fn mydb_tables_replace_within_quota() {
         let db = MyDb::new(10_000);
         let table = |n: usize| MyDbTable {
             provenance: "p".into(),
@@ -401,9 +396,6 @@ mod tests {
         db.put("t", table(400)).unwrap();
         assert!(db.used_bytes() > used);
         assert_eq!(db.list(), vec!["t"]);
-        assert!(db.drop_table("t"));
-        assert!(!db.drop_table("t"));
-        assert_eq!(db.used_bytes(), 0);
         // quota check on a fresh insert
         assert!(db.put("huge", table(2000)).is_err());
     }

@@ -85,21 +85,6 @@ impl Grid3 {
         (self.nx, self.ny, self.nz)
     }
 
-    /// Spacing along axis `ax` (0 = x); panics for a stretched axis, which
-    /// must be handled through [`Spacing::coord`] instead.
-    pub fn uniform_h(&self, ax: usize) -> f64 {
-        let s = match ax {
-            0 => &self.sx,
-            1 => &self.sy,
-            2 => &self.sz,
-            _ => panic!("axis {ax} out of range"),
-        };
-        match s {
-            Spacing::Uniform(h) => *h,
-            Spacing::Stretched(_) => panic!("axis {ax} is stretched"),
-        }
-    }
-
     /// Spacing description of axis `ax`.
     pub fn spacing(&self, ax: usize) -> &Spacing {
         match ax {
@@ -130,7 +115,7 @@ mod tests {
         let g = Grid3::periodic_cube(64, std::f64::consts::TAU);
         assert_eq!(g.num_points(), 64 * 64 * 64);
         assert!(g.periodic.iter().all(|&p| p));
-        let h = g.uniform_h(0);
+        let h = g.sx.coord(1) - g.sx.coord(0);
         assert!((h - std::f64::consts::TAU / 64.0).abs() < 1e-12);
         assert!((g.sx.coord(3) - 3.0 * h).abs() < 1e-12);
     }
@@ -149,12 +134,5 @@ mod tests {
         let near_wall = ys[1] - ys[0];
         let mid = ys[25] - ys[24];
         assert!(near_wall < mid);
-    }
-
-    #[test]
-    #[should_panic(expected = "stretched")]
-    fn uniform_h_panics_on_stretched_axis() {
-        let g = Grid3::channel(8, 9, 8, 1.0, 1.0, 2.0);
-        let _ = g.uniform_h(1);
     }
 }

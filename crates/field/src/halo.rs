@@ -123,9 +123,8 @@ impl PaddedScalar {
         let mut out = ScalarField::zeros(self.nx, self.ny, self.nz);
         for z in 0..self.nz {
             for y in 0..self.ny {
-                for x in 0..self.nx {
-                    out.set(x, y, z, self.storage.get(x + h, y + h, z + h));
-                }
+                out.row_mut(y, z)
+                    .copy_from_slice(&self.storage.row(y + h, z + h)[h..h + self.nx]);
             }
         }
         out
@@ -189,6 +188,11 @@ impl<const C: usize> PaddedVector<C> {
         for c in &mut self.components {
             c.reset(nx, ny, nz, h);
         }
+    }
+
+    /// Copies the interior (ghosts dropped) into a plain field.
+    pub fn interior(&self) -> VectorField<C> {
+        VectorField::from_components(std::array::from_fn(|c| self.components[c].interior()))
     }
 
     /// Bytes of heap the padded cube holds.

@@ -1,6 +1,6 @@
 //! Dense scalar fields.
 
-use tdb_zorder::{AtomCoord, Box3, ATOM_POINTS, ATOM_WIDTH};
+use tdb_zorder::{AtomCoord, ATOM_POINTS, ATOM_WIDTH};
 
 /// A dense 3-D `f32` array with x-fastest (Fortran-like first-axis-fastest)
 /// layout: `idx = x + nx * (y + ny * z)`.
@@ -132,30 +132,6 @@ impl ScalarField {
         self.data.capacity() * std::mem::size_of::<f32>()
     }
 
-    /// Copies the sub-box `b` (grid coordinates, inclusive) into a new
-    /// field whose origin is `b.lo`.
-    pub fn extract_box(&self, b: &Box3) -> ScalarField {
-        assert!(
-            (b.hi[0] as usize) < self.nx
-                && (b.hi[1] as usize) < self.ny
-                && (b.hi[2] as usize) < self.nz,
-            "box {b:?} outside field {:?}",
-            self.dims()
-        );
-        let [ex, ey, ez] = b.extent();
-        let (ex, ey, ez) = (ex as usize, ey as usize, ez as usize);
-        let mut out = ScalarField::zeros(ex, ey, ez);
-        for z in 0..ez {
-            for y in 0..ey {
-                let src =
-                    self.row_index(b.lo[0] as usize, b.lo[1] as usize + y, b.lo[2] as usize + z);
-                let dst = out.row_index(0, y, z);
-                out.data[dst..dst + ex].copy_from_slice(&self.data[src..src + ex]);
-            }
-        }
-        out
-    }
-
     /// Extracts one 8³ atom as a 512-element x-fastest payload.
     ///
     /// The atom must lie fully inside the field (grid extents are multiples
@@ -177,25 +153,6 @@ impl ScalarField {
             }
         }
         out
-    }
-
-    /// Writes an 8³ atom payload into the field at the atom's position.
-    pub fn insert_atom(&mut self, atom: AtomCoord, payload: &[f32]) {
-        assert_eq!(payload.len(), ATOM_POINTS);
-        let (ox, oy, oz) = atom.grid_origin();
-        let (ox, oy, oz) = (ox as usize, oy as usize, oz as usize);
-        assert!(
-            ox + ATOM_WIDTH <= self.nx && oy + ATOM_WIDTH <= self.ny && oz + ATOM_WIDTH <= self.nz,
-            "atom {atom:?} outside field {:?}",
-            self.dims()
-        );
-        for dz in 0..ATOM_WIDTH {
-            for dy in 0..ATOM_WIDTH {
-                let dst = self.row_index(ox, oy + dy, oz + dz);
-                let src = ATOM_WIDTH * (dy + ATOM_WIDTH * dz);
-                self.data[dst..dst + ATOM_WIDTH].copy_from_slice(&payload[src..src + ATOM_WIDTH]);
-            }
-        }
     }
 
     /// In-place map.
@@ -235,35 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn extract_box_preserves_values() {
-        let f = ramp(8, 8, 8);
-        let b = Box3::new([2, 3, 4], [5, 6, 7]);
-        let sub = f.extract_box(&b);
-        assert_eq!(sub.dims(), (4, 4, 4));
-        for (x, y, z) in b.points() {
-            let v = sub.get(
-                (x - b.lo[0]) as usize,
-                (y - b.lo[1]) as usize,
-                (z - b.lo[2]) as usize,
-            );
-            assert_eq!(v, f.get(x as usize, y as usize, z as usize));
-        }
-    }
-
-    #[test]
     fn atom_roundtrip() {
         let f = ramp(16, 16, 16);
         let atom = AtomCoord::new(1, 0, 1);
         let payload = f.extract_atom(atom);
-        let mut g = ScalarField::zeros(16, 16, 16);
-        g.insert_atom(atom, &payload);
+        // every point of the atom sits at its atom-local offset
         for (gx, gy, gz) in atom.grid_points() {
             assert_eq!(
-                g.get(gx as usize, gy as usize, gz as usize),
+                payload[atom.point_offset(gx, gy, gz).unwrap()],
                 f.get(gx as usize, gy as usize, gz as usize)
             );
         }
-        assert_eq!(g.get(0, 0, 0), 0.0); // untouched elsewhere
     }
 
     #[test]

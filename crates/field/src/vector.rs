@@ -1,7 +1,7 @@
 //! Multi-component fields in planar (structure-of-arrays) layout.
 
 use crate::scalar::ScalarField;
-use tdb_zorder::{AtomCoord, Box3, ATOM_POINTS};
+use tdb_zorder::{AtomCoord, ATOM_POINTS};
 
 /// A field with `C` scalar components stored planar, one [`ScalarField`]
 /// per component. Planar layout keeps finite-difference sweeps over a single
@@ -92,13 +92,6 @@ impl<const C: usize> VectorField<C> {
         out
     }
 
-    /// Extracts a sub-box into a new field with origin `b.lo`.
-    pub fn extract_box(&self, b: &Box3) -> Self {
-        Self {
-            components: std::array::from_fn(|c| self.components[c].extract_box(b)),
-        }
-    }
-
     /// Extracts one atom as `C` concatenated 512-value component planes
     /// (matching the storage record layout: all of comp 0, then comp 1, ...).
     pub fn extract_atom(&self, atom: AtomCoord) -> Vec<f32> {
@@ -107,14 +100,6 @@ impl<const C: usize> VectorField<C> {
             out.extend_from_slice(&comp.extract_atom(atom));
         }
         out
-    }
-
-    /// Inverse of [`VectorField::extract_atom`].
-    pub fn insert_atom(&mut self, atom: AtomCoord, payload: &[f32]) {
-        assert_eq!(payload.len(), C * ATOM_POINTS, "payload length mismatch");
-        for (c, comp) in self.components.iter_mut().enumerate() {
-            comp.insert_atom(atom, &payload[c * ATOM_POINTS..(c + 1) * ATOM_POINTS]);
-        }
     }
 }
 
@@ -160,9 +145,11 @@ mod tests {
         // component planes are concatenated
         assert_eq!(payload[1], 1.0); // comp x at (1,0,0)
         assert_eq!(payload[ATOM_POINTS + 8], 2.0); // comp y at (0,1,0)
-        let mut w = VectorField3::zeros(8, 8, 8);
-        w.insert_atom(atom, &payload);
-        assert_eq!(w.at(5, 6, 7), v.at(5, 6, 7));
+        let off = atom.point_offset(5, 6, 7).unwrap();
+        assert_eq!(
+            [0, 1, 2].map(|c| payload[c * ATOM_POINTS + off]),
+            v.at(5, 6, 7)
+        );
     }
 
     #[test]

@@ -88,12 +88,6 @@ impl DerivedField {
         }
     }
 
-    /// Whether evaluating the field requires differentiation (used by the
-    /// execution-time breakdown: raw fields skip the compute phase).
-    pub fn needs_kernel(&self) -> bool {
-        !matches!(self, DerivedField::Norm)
-    }
-
     /// Evaluates the thresholded quantity over the interior of a padded
     /// chunk whose interior origin is at global coordinates `origin`.
     pub fn eval(
@@ -332,9 +326,7 @@ mod tests {
         let grid = Grid3::periodic_cube(8, TAU);
         let scheme = DiffScheme::new(&grid, FdOrder::O8);
         assert_eq!(DerivedField::Norm.halo(&scheme), 0);
-        assert!(!DerivedField::Norm.needs_kernel());
         assert_eq!(DerivedField::CurlNorm.halo(&scheme), 4);
-        assert!(DerivedField::QCriterion.needs_kernel());
     }
 
     #[test]

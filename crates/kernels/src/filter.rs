@@ -22,21 +22,6 @@ impl SeparableFilter {
         }
     }
 
-    /// Discrete Gaussian filter with standard deviation `sigma` (in grid
-    /// spacings), truncated at `3σ` and renormalised.
-    pub fn gaussian(sigma: f64) -> Self {
-        assert!(sigma > 0.0);
-        let r = (3.0 * sigma).ceil() as isize;
-        let mut w: Vec<f64> = (-r..=r)
-            .map(|o| (-0.5 * (o as f64 / sigma).powi(2)).exp())
-            .collect();
-        let sum: f64 = w.iter().sum();
-        for v in &mut w {
-            *v /= sum;
-        }
-        Self { weights: w }
-    }
-
     /// Kernel half-width (halo needed on every side).
     pub fn halo(&self) -> usize {
         self.weights.len() / 2
@@ -108,8 +93,8 @@ mod tests {
     #[test]
     fn filters_preserve_constants() {
         for filt in [
+            SeparableFilter::box_filter(1),
             SeparableFilter::box_filter(2),
-            SeparableFilter::gaussian(1.0),
         ] {
             let p = pad_const(6, 3.5, filt.halo());
             let out = filt.apply(&p);
@@ -129,18 +114,6 @@ mod tests {
         assert!((out.get(2, 2, 2) - 1.0).abs() < 1e-5);
         assert!((out.get(1, 2, 3) - 1.0).abs() < 1e-5);
         assert!(out.get(0, 0, 0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gaussian_weights_sum_to_one_and_are_symmetric() {
-        let g = SeparableFilter::gaussian(1.5);
-        let s: f64 = g.weights.iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
-        let n = g.weights.len();
-        for i in 0..n / 2 {
-            assert!((g.weights[i] - g.weights[n - 1 - i]).abs() < 1e-12);
-        }
-        assert_eq!(g.halo(), 5); // ceil(4.5)
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //!
 //! A self-contained lint driver (hand-rolled lexer, no syn) that walks
 //! every `.rs` file under `crates/`, `compat/` and `tests/` and runs the
-//! five domain rules in [`rules`]. Findings are diffed against a
-//! committed `lint-baseline.txt`: grandfathered findings don't block CI,
-//! new ones do. See DESIGN.md §8 for the rule catalogue, the
-//! `// tdb-lint: allow(<rule>)` pragma and the baseline workflow.
+//! domain rules in [`rules`]. Any finding fails the run: the only way
+//! past a rule is an inline `// tdb-lint: allow(<rule>)` pragma with its
+//! justification next to the code. See DESIGN.md §8 for the rule
+//! catalogue.
 
 pub mod lexer;
 pub mod rules;
 pub mod scan;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -19,30 +18,8 @@ use std::path::{Path, PathBuf};
 pub use rules::{DeclaredMetrics, Finding, RULES};
 use scan::SourceFile;
 
-/// Name of the committed baseline file at the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.txt";
-
 /// Directories at the workspace root that are scanned.
 pub const SCAN_ROOTS: &[&str] = &["crates", "compat", "tests"];
-
-/// The outcome of one lint run.
-pub struct Report {
-    /// Findings not covered by the baseline — these fail the run.
-    pub new: Vec<Finding>,
-    /// Findings absorbed by the baseline.
-    pub baselined: Vec<Finding>,
-    /// Baseline entries no longer matched by any finding (stale; a
-    /// warning, not a failure — the fix landed, prune with
-    /// `--update-baseline`).
-    pub stale: Vec<String>,
-}
-
-impl Report {
-    /// Whether the run passes (no findings outside the baseline).
-    pub fn ok(&self) -> bool {
-        self.new.is_empty()
-    }
-}
 
 /// Loads, scans and lints every source file under the scan roots.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
@@ -91,11 +68,10 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
     out
 }
 
-/// Renders a report as JSON: `{"new": [...], "baselined": [...],
-/// "stale": [...]}` with one object per finding. Output is byte-stable
-/// for a given report — findings arrive sorted (rule, path, line) and
-/// field order is fixed.
-pub fn render_json(report: &Report) -> String {
+/// Renders the findings as JSON: `{"findings": [...]}` with one object
+/// per finding. Output is byte-stable — findings arrive sorted (rule,
+/// path, line) and field order is fixed.
+pub fn render_json(findings: &[Finding]) -> String {
     fn esc(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
         for c in s.chars() {
@@ -121,24 +97,12 @@ pub fn render_json(report: &Report) -> String {
             esc(&f.line_text)
         )
     }
-    let list = |fs: &[Finding]| {
-        fs.iter()
-            .map(finding_json)
-            .collect::<Vec<_>>()
-            .join(",\n    ")
-    };
-    let stale = report
-        .stale
+    let list = findings
         .iter()
-        .map(|k| format!("\"{}\"", esc(k)))
+        .map(finding_json)
         .collect::<Vec<_>>()
         .join(",\n    ");
-    format!(
-        "{{\n  \"new\": [\n    {}\n  ],\n  \"baselined\": [\n    {}\n  ],\n  \"stale\": [\n    {}\n  ]\n}}\n",
-        list(&report.new),
-        list(&report.baselined),
-        stale
-    )
+    format!("{{\n  \"findings\": [\n    {list}\n  ]\n}}\n")
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -157,72 +121,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Diffs findings against the baseline. Matching is a multiset over
-/// `rule|path|trimmed-line-content` keys, so findings survive line-number
-/// drift but a *new* occurrence of an already-baselined pattern on a new
-/// line of the same file still slips through only if its line text is
-/// byte-identical (accepted trade-off; `--update-baseline` re-counts).
-pub fn apply_baseline(findings: Vec<Finding>, baseline: &[String]) -> Report {
-    let mut budget: BTreeMap<&str, usize> = BTreeMap::new();
-    for key in baseline {
-        *budget.entry(key.as_str()).or_insert(0) += 1;
-    }
-    let mut new = Vec::new();
-    let mut baselined = Vec::new();
-    for f in findings {
-        let key = f.baseline_key();
-        match budget.get_mut(key.as_str()) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                baselined.push(f);
-            }
-            _ => new.push(f),
-        }
-    }
-    let stale = budget
-        .into_iter()
-        .filter(|(_, n)| *n > 0)
-        .flat_map(|(k, n)| (0..n).map(move |_| k.to_string()))
-        .collect();
-    Report {
-        new,
-        baselined,
-        stale,
-    }
-}
-
-/// Reads the baseline file (missing file = empty baseline).
-pub fn load_baseline(root: &Path) -> io::Result<Vec<String>> {
-    let path = root.join(BASELINE_FILE);
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    Ok(fs::read_to_string(path)?
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect())
-}
-
-/// Rewrites the baseline to exactly cover `findings`.
-pub fn write_baseline(root: &Path, findings: &[Finding]) -> io::Result<()> {
-    let mut lines: Vec<String> = findings.iter().map(Finding::baseline_key).collect();
-    lines.sort();
-    let mut body = String::from(
-        "# tdb-lint baseline: grandfathered findings that do not fail CI.\n\
-         # One `rule|path|trimmed-line-content` key per finding; regenerate\n\
-         # with `cargo run -p tdb-lint -- --update-baseline`. Don't add to\n\
-         # this file by hand — fix the finding or use an inline\n\
-         # `// tdb-lint: allow(<rule>)` pragma with a justification.\n",
-    );
-    for l in &lines {
-        body.push_str(l);
-        body.push('\n');
-    }
-    fs::write(root.join(BASELINE_FILE), body)
 }
 
 /// Walks upward from `start` to the directory holding the workspace
@@ -247,39 +145,6 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn f(rule: &str, path: &str, line_text: &str) -> Finding {
-        Finding {
-            path: path.into(),
-            line: 1,
-            rule: rule.into(),
-            message: "m".into(),
-            line_text: line_text.into(),
-        }
-    }
-
-    #[test]
-    fn baseline_is_a_multiset() {
-        let findings = vec![
-            f("panic-path", "a.rs", "x.unwrap();"),
-            f("panic-path", "a.rs", "x.unwrap();"),
-            f("panic-path", "a.rs", "y.unwrap();"),
-        ];
-        let baseline = vec!["panic-path|a.rs|x.unwrap();".to_string()];
-        let r = apply_baseline(findings, &baseline);
-        assert_eq!(r.baselined.len(), 1);
-        assert_eq!(r.new.len(), 2);
-        assert!(r.stale.is_empty());
-        assert!(!r.ok());
-    }
-
-    #[test]
-    fn stale_entries_warn_but_pass() {
-        let baseline = vec!["panic-path|gone.rs|x.unwrap();".to_string()];
-        let r = apply_baseline(Vec::new(), &baseline);
-        assert!(r.ok());
-        assert_eq!(r.stale.len(), 1);
-    }
 
     #[test]
     fn lint_files_runs_all_rules() {

@@ -1,36 +1,24 @@
-//! CLI driver: `cargo run -p tdb-lint [-- --update-baseline]`.
+//! CLI driver: `cargo run -p tdb-lint [-- --json]`.
 //!
-//! Exit codes: 0 = clean (modulo baseline), 1 = new findings, 2 = usage
-//! or I/O error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tdb_lint::{
-    apply_baseline, find_workspace_root, lint_workspace, load_baseline, render_json,
-    write_baseline, BASELINE_FILE,
-};
+use tdb_lint::{find_workspace_root, lint_workspace, render_json};
 
 fn main() -> ExitCode {
-    let mut update = false;
-    let mut verbose = false;
     let mut json = false;
-    let mut forbid_baseline = false;
     for arg in env::args().skip(1) {
         match arg.as_str() {
-            "--update-baseline" => update = true,
-            "--verbose" | "-v" => verbose = true,
             "--json" => json = true,
-            "--forbid-baseline" => forbid_baseline = true,
             "--help" | "-h" => {
                 println!(
                     "tdb-lint: domain lints for the ThresholDB workspace\n\n\
                      USAGE: cargo run -p tdb-lint [-- FLAGS]\n\n\
-                     FLAGS:\n  --update-baseline  rewrite {BASELINE_FILE} to cover current findings\n  \
-                     --json             emit the report as JSON on stdout\n  \
-                     --forbid-baseline  fail if {BASELINE_FILE} grandfathers any finding\n  \
-                     --verbose, -v      also list baselined findings\n  --help, -h         this help"
+                     FLAGS:\n  --json      emit the findings as JSON on stdout\n  \
+                     --help, -h  this help"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -58,72 +46,23 @@ fn main() -> ExitCode {
         }
     };
 
-    if update {
-        if let Err(e) = write_baseline(&root, &findings) {
-            eprintln!("tdb-lint: cannot write {BASELINE_FILE}: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "tdb-lint: wrote {} finding(s) to {BASELINE_FILE}",
-            findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match load_baseline(&root) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("tdb-lint: cannot read {BASELINE_FILE}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = apply_baseline(findings, &baseline);
-
     if json {
-        print!("{}", render_json(&report));
-        return if report.ok() && (!forbid_baseline || baseline.is_empty()) {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if verbose {
-        for f in &report.baselined {
-            println!("baselined: {}", f.render());
+        print!("{}", render_json(&findings));
+    } else {
+        for f in &findings {
+            eprintln!("{}", f.render());
+        }
+        println!("tdb-lint: {} finding(s)", findings.len());
+        if !findings.is_empty() {
+            eprintln!(
+                "tdb-lint: fix them, or add a justified `// tdb-lint: allow(<rule>)` \
+                 pragma next to the code"
+            );
         }
     }
-    for key in &report.stale {
-        eprintln!(
-            "tdb-lint: warning: stale baseline entry (fixed? prune with --update-baseline): {key}"
-        );
-    }
-    for f in &report.new {
-        eprintln!("{}", f.render());
-    }
-    println!(
-        "tdb-lint: {} new, {} baselined, {} stale",
-        report.new.len(),
-        report.baselined.len(),
-        report.stale.len()
-    );
-    if forbid_baseline && !baseline.is_empty() {
-        eprintln!(
-            "tdb-lint: --forbid-baseline: {BASELINE_FILE} grandfathers {} finding(s) — \
-             the baseline is burned down; fix findings or use a justified pragma \
-             instead of re-growing it",
-            baseline.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    if report.ok() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "tdb-lint: {} new finding(s) — fix them, add a justified \
-             `// tdb-lint: allow(<rule>)` pragma, or (for pre-existing debt) \
-             run with --update-baseline",
-            report.new.len()
-        );
         ExitCode::FAILURE
     }
 }

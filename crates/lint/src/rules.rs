@@ -4,7 +4,7 @@
 //! [`Finding`]s. Rules reason over token shapes, not a full AST — they
 //! are deliberately conservative approximations of the invariants
 //! DESIGN.md §8 spells out, with the `// tdb-lint: allow(<rule>)` pragma
-//! and the committed baseline absorbing the residual noise.
+//! absorbing the residual noise.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,17 +29,11 @@ pub struct Finding {
     pub path: String,
     pub line: u32,
     pub message: String,
-    /// Trimmed text of the offending source line — the drift-stable key
-    /// the baseline matches on.
+    /// Trimmed text of the offending source line.
     pub line_text: String,
 }
 
 impl Finding {
-    /// `rule|path|line-text`, the baseline key.
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{}", self.rule, self.path, self.line_text)
-    }
-
     /// Human-readable `path:line: [rule] message`.
     pub fn render(&self) -> String {
         format!(

@@ -131,8 +131,7 @@ impl SourceFile {
         self.tok(i).line
     }
 
-    /// The trimmed source line containing byte offset `pos` (used as the
-    /// drift-stable baseline key).
+    /// The trimmed source line containing byte offset `pos`.
     pub fn line_text(&self, pos: usize) -> &str {
         let start = self.text[..pos].rfind('\n').map_or(0, |i| i + 1);
         let end = self.text[pos..]

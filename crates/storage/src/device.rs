@@ -210,16 +210,6 @@ impl IoSession {
             .fold(0.0, f64::max)
             + self.injected_delay_s
     }
-
-    /// Modelled time if the devices were driven serially (lower bound on a
-    /// single-process scan with no internal parallelism).
-    pub fn serial_time(&self, registry: &DeviceRegistry) -> f64 {
-        self.accesses
-            .iter()
-            .map(|(dev, a)| registry.profile(*dev).time(a.ops, a.bytes))
-            .sum::<f64>()
-            + self.injected_delay_s
-    }
 }
 
 #[cfg(test)]
@@ -257,7 +247,6 @@ mod tests {
         s.charge(a, 1, 100); // 1 s
         s.charge(b, 1, 100); // 0.5 s
         assert!((s.makespan(&reg) - 1.0).abs() < 1e-12);
-        assert!((s.serial_time(&reg) - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -308,7 +297,6 @@ mod tests {
         s.charge(d, 1, 100); // 1 s on the device
         s.injected_delay_s = 0.5;
         assert!((s.makespan(&reg) - 1.5).abs() < 1e-12);
-        assert!((s.serial_time(&reg) - 1.5).abs() < 1e-12);
         let mut other = IoSession::new();
         other.injected_delay_s = 0.25;
         s.merge(&other);

@@ -406,12 +406,6 @@ impl PartitionReader {
         }
         Ok(out)
     }
-
-    /// Point lookup.
-    pub fn get(&self, key: AtomKey, session: &mut IoSession) -> StorageResult<Option<AtomRecord>> {
-        let mut v = self.scan_range(key, key, session)?;
-        Ok(v.pop())
-    }
 }
 
 #[cfg(test)]
@@ -482,16 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn point_get() {
-        let dir = tmpdir("get");
-        let r = build(&dir, &[(0, 2), (0, 4), (1, 0)]);
-        let mut s = IoSession::new();
-        let g = r.get(AtomKey::new(0, 4), &mut s).unwrap().unwrap();
-        assert_eq!(g.key, AtomKey::new(0, 4));
-        assert!(r.get(AtomKey::new(0, 3), &mut s).unwrap().is_none());
-    }
-
-    #[test]
     fn buffer_pool_absorbs_repeat_scans() {
         let dir = tmpdir("pool");
         let keys: Vec<(u32, u64)> = (0u32..60).map(|i| (0, u64::from(i))).collect();
@@ -537,7 +521,8 @@ mod tests {
         r.scan_range(AtomKey::new(0, 64), AtomKey::new(0, 199), &mut s)
             .unwrap();
         let mut again = IoSession::new();
-        r.get(AtomKey::new(0, 0), &mut again).unwrap();
+        r.scan_range(AtomKey::new(0, 0), AtomKey::new(0, 0), &mut again)
+            .unwrap();
         assert_eq!(again.pool_misses, 1, "block 0 must have been evicted");
         pool.clear();
         assert!(pool.is_empty());

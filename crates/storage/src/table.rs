@@ -238,16 +238,6 @@ impl Table {
             .all(|r| zindexes.binary_search(&r.key.zindex).is_ok()));
         Ok(out)
     }
-
-    /// Point lookup of one atom.
-    pub fn get(&self, key: AtomKey, session: &mut IoSession) -> StorageResult<Option<AtomRecord>> {
-        for p in &self.partitions {
-            if p.zone.contains(key.zindex) {
-                return p.reader.get(key, session);
-            }
-        }
-        Ok(None)
-    }
 }
 
 #[cfg(test)]
@@ -342,16 +332,6 @@ mod tests {
         // two partitions → two devices charged
         assert!(s.access(DeviceId(0)).bytes > 0);
         assert!(s.access(DeviceId(1)).bytes > 0);
-    }
-
-    #[test]
-    fn get_finds_atom_or_none() {
-        let zones = vec![ZRange::new(0, 15)];
-        let (table, _) = setup("get", zones, 2);
-        let mut s = IoSession::new();
-        assert!(table.get(AtomKey::new(1, 7), &mut s).unwrap().is_some());
-        assert!(table.get(AtomKey::new(1, 99), &mut s).unwrap().is_none());
-        assert!(table.get(AtomKey::new(5, 7), &mut s).unwrap().is_none());
     }
 
     #[test]

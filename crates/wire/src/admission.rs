@@ -340,6 +340,18 @@ impl AdmissionQueue {
         })
     }
 
+    /// Drops the fairness counts of a connection that has closed, so a
+    /// long-lived server holds one entry per *live* connection.
+    pub(crate) fn forget_connection(&self, conn: u64) {
+        self.inner.lock().served.retain(|&(_, c), _| c != conn);
+    }
+
+    /// Connections with fairness counts on record.
+    #[cfg(test)]
+    pub(crate) fn tracked_connections(&self) -> usize {
+        self.inner.lock().served.len()
+    }
+
     fn release(&self, tenant: usize) {
         let mut inner = self.inner.lock();
         inner.inflight -= 1;

@@ -168,7 +168,11 @@ fn accept_loop(
             continue;
         }
         live.fetch_add(1, Ordering::SeqCst);
-        let conn = next_conn;
+        let open = OpenConnection {
+            live: Arc::clone(&live),
+            state: Arc::clone(&state),
+            conn: next_conn,
+        };
         next_conn += 1;
         // a line longer than the write buffer leaves as two segments (the
         // body, then the newline); Nagle would hold the second until the
@@ -176,13 +180,27 @@ fn accept_loop(
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(config.read_timeout);
         let _ = stream.set_write_timeout(config.write_timeout);
-        let st = Arc::clone(&state);
-        let counter = Arc::clone(&live);
         let max_request_bytes = config.max_request_bytes;
         std::thread::spawn(move || {
-            let _ = serve_connection(stream, &st, max_request_bytes, conn);
-            counter.fetch_sub(1, Ordering::SeqCst);
+            let _ = serve_connection(stream, &open.state, max_request_bytes, open.conn);
         });
+    }
+}
+
+/// One accepted connection's claim on the server: a slot of
+/// `max_connections` and its fairness counts in the admission queue.
+/// Both are given back on drop — when `serve_connection` returns and
+/// when a handler panic unwinds its thread alike.
+struct OpenConnection {
+    live: Arc<AtomicUsize>,
+    state: Arc<ServerState>,
+    conn: u64,
+}
+
+impl Drop for OpenConnection {
+    fn drop(&mut self) {
+        self.state.admission.forget_connection(self.conn);
+        self.live.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -237,6 +255,8 @@ fn serve_connection(
         if line.trim().is_empty() {
             continue;
         }
+        #[cfg(test)]
+        assert!(!line.contains(tests::POISON), "poisoned request");
         let response = handle_line_admitted(&line, state, conn);
         writeln!(writer, "{}", response.to_json().encode())?;
         writer.flush()?;
@@ -502,5 +522,111 @@ fn execute(request: &Request, state: &ServerState) -> Response {
                 gauges: snap.gauges.into_iter().collect(),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+    use tdb_cluster::ClusterConfig;
+    use tdb_core::ServiceConfig;
+    use tdb_turbgen::SyntheticDataset;
+
+    /// A request line that makes `serve_connection` panic (test builds
+    /// only), standing in for a bug in a handler.
+    pub(super) const POISON: &str = "__test_poison__";
+
+    /// An accept loop over a one-chunk archive, with its state in hand.
+    fn serve(tag: &str, config: ServerConfig) -> (SocketAddr, Arc<ServerState>, impl FnOnce()) {
+        let dir =
+            std::env::temp_dir().join(format!("thresholdb_wire_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = TurbulenceService::build(ServiceConfig {
+            dataset: SyntheticDataset::mhd(16, 1, 0x7db),
+            cluster: ClusterConfig {
+                num_nodes: 1,
+                chunk_atoms: 2,
+                ..ClusterConfig::default()
+            },
+            limits: Default::default(),
+            data_dir: dir.clone(),
+        })
+        .expect("service build");
+        let state = Arc::new(ServerState::new(Arc::new(service), 1 << 20));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (st, flag) = (Arc::clone(&state), Arc::clone(&shutdown));
+        let accept = std::thread::spawn(move || accept_loop(listener, st, config, flag));
+        let stop = move || {
+            shutdown.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(addr);
+            accept.join().expect("accept loop");
+            let _ = std::fs::remove_dir_all(&dir);
+        };
+        (addr, state, stop)
+    }
+
+    /// Sends one line and reads the one-line answer.
+    fn round_trip(stream: &TcpStream, line: &str) -> String {
+        let mut w = stream;
+        writeln!(w, "{line}").expect("send");
+        let mut answer = String::new();
+        BufReader::new(stream)
+            .read_line(&mut answer)
+            .expect("answer");
+        answer
+    }
+
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// A resident server sees one connection per `tdbql` invocation, for
+    /// years: the admission queue must not keep a count for each forever.
+    #[test]
+    fn closed_connections_leave_no_admission_state_behind() {
+        let (addr, state, stop) = serve("served", ServerConfig::default());
+        let query = r#"{"derived":"norm","field":"velocity","op":"get_threshold","threshold":1e9,"timestep":0,"use_cache":true}"#;
+        for _ in 0..1000 {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let answer = round_trip(&stream, query);
+            assert!(answer.contains(r#""ok":"threshold""#), "{answer}");
+        }
+        eventually("every connection is forgotten", || {
+            state.admission.tracked_connections() == 0
+        });
+        stop();
+    }
+
+    /// A handler that panics takes its thread down, not its connection
+    /// slot: `max_connections` clients still fit afterwards.
+    #[test]
+    fn a_panicking_handler_gives_its_connection_slot_back() {
+        let max_connections = 2;
+        let config = ServerConfig {
+            max_connections,
+            ..ServerConfig::default()
+        };
+        let (addr, _state, stop) = serve("panic", config);
+        for _ in 0..max_connections {
+            let stream = TcpStream::connect(addr).expect("connect");
+            // the handler dies mid-request: the line never gets an answer
+            assert_eq!(round_trip(&stream, POISON), "");
+        }
+        eventually("all slots are admissible again", || {
+            let clients: Vec<TcpStream> = (0..max_connections)
+                .map(|_| TcpStream::connect(addr).expect("connect"))
+                .collect();
+            clients
+                .iter()
+                .all(|c| round_trip(c, r#"{"op":"ping"}"#).contains("pong"))
+        });
+        stop();
     }
 }

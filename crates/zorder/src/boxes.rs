@@ -120,17 +120,6 @@ impl Box3 {
         Box3 { lo, hi }
     }
 
-    /// Grows the box by `h` points on every side, clamped to `domain`.
-    pub fn dilate_clamped(&self, h: u32, domain: &Box3) -> Box3 {
-        let mut lo = [0u32; 3];
-        let mut hi = [0u32; 3];
-        for i in 0..3 {
-            lo[i] = self.lo[i].saturating_sub(h).max(domain.lo[i]);
-            hi[i] = (self.hi[i].saturating_add(h)).min(domain.hi[i]);
-        }
-        Box3 { lo, hi }
-    }
-
     /// The box on the atom lattice covering every atom that overlaps `self`.
     pub fn atom_box(&self) -> Box3 {
         let w = ATOM_WIDTH as u32;
@@ -155,22 +144,6 @@ impl Box3 {
         (b.lo[2]..=b.hi[2]).flat_map(move |z| {
             (b.lo[1]..=b.hi[1]).flat_map(move |y| (b.lo[0]..=b.hi[0]).map(move |x| (x, y, z)))
         })
-    }
-}
-
-/// Splits a possibly-wrapping request `[lo, lo+len)` on a periodic axis of
-/// size `n` into at most two non-wrapping inclusive intervals.
-///
-/// `lo` may be negative (expressed as an offset below zero) via `i64`.
-pub fn split_periodic_interval(lo: i64, len: u32, n: u32) -> Vec<(u32, u32)> {
-    assert!(n > 0 && len > 0 && u64::from(len) <= u64::from(n));
-    let n64 = i64::from(n);
-    let start = lo.rem_euclid(n64) as u32;
-    let end = u64::from(start) + u64::from(len) - 1;
-    if end < u64::from(n) {
-        vec![(start, end as u32)]
-    } else {
-        vec![(start, n - 1), (0, (end - u64::from(n)) as u32)]
     }
 }
 
@@ -205,14 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn dilate_clamps_to_domain() {
-        let d = Box3::cube(64);
-        let b = Box3::new([0, 10, 60], [3, 20, 63]);
-        let g = b.dilate_clamped(4, &d);
-        assert_eq!(g, Box3::new([0, 6, 56], [7, 24, 63]));
-    }
-
-    #[test]
     fn atoms_cover_partial_overlap() {
         let b = Box3::new([6, 0, 0], [9, 7, 7]);
         let atoms: Vec<_> = b.atoms().collect();
@@ -220,14 +185,6 @@ mod tests {
             atoms,
             vec![AtomCoord::new(0, 0, 0), AtomCoord::new(1, 0, 0)]
         );
-    }
-
-    #[test]
-    fn periodic_split_wraps() {
-        assert_eq!(split_periodic_interval(5, 3, 8), vec![(5, 7)]);
-        assert_eq!(split_periodic_interval(6, 4, 8), vec![(6, 7), (0, 1)]);
-        assert_eq!(split_periodic_interval(-2, 3, 8), vec![(6, 7), (0, 0)]);
-        assert_eq!(split_periodic_interval(8, 2, 8), vec![(0, 1)]);
     }
 
     proptest! {
@@ -245,18 +202,6 @@ mod tests {
                 // every point of i is in both
                 prop_assert!(i.points().take(64).all(|(x,y,z)|
                     a.contains_point(x,y,z) && b.contains_point(x,y,z)));
-            }
-        }
-
-        #[test]
-        fn periodic_split_preserves_length(lo in -64i64..128, len in 1u32..64) {
-            let n = 64;
-            let parts = split_periodic_interval(lo, len, n);
-            let total: u64 = parts.iter().map(|(a, b)| u64::from(b - a) + 1).sum();
-            prop_assert_eq!(total, u64::from(len));
-            prop_assert!(parts.len() <= 2);
-            for (a, b) in parts {
-                prop_assert!(a <= b && b < n);
             }
         }
 

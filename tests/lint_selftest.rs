@@ -231,9 +231,9 @@ fn json_report_is_byte_stable_and_escaped() {
         message: "`.unwrap()` on the \"query\" path".into(),
         line_text: "let x = v.unwrap();\t// tail".into(),
     };
-    let report = tdb_lint::apply_baseline(vec![finding], &[]);
-    let a = tdb_lint::render_json(&report);
-    let b = tdb_lint::render_json(&report);
+    let findings = [finding];
+    let a = tdb_lint::render_json(&findings);
+    let b = tdb_lint::render_json(&findings);
     assert_eq!(a, b, "same report must render byte-identically");
     assert!(a.contains(r#"\"query\""#), "quotes must be escaped: {a}");
     assert!(a.contains(r"\t"), "control characters must be escaped: {a}");

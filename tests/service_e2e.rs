@@ -192,6 +192,92 @@ fn cutout_returns_exact_raw_data() {
 }
 
 #[test]
+fn cutout_crossing_node_and_partition_boundaries_is_exact() {
+    // 2³ chunks of 16³ over three nodes, two partition files each: this
+    // box starts and ends mid-atom and takes a piece of every chunk
+    let service = test_service("e2e_cutout_span", 32, 1, 3);
+    let layout = service.cluster().layout();
+    let b = Box3::new([5, 9, 3], [26, 22, 29]);
+    let owners: std::collections::BTreeSet<usize> =
+        b.atoms().map(|atom| layout.node_of_atom(atom)).collect();
+    assert_eq!(owners.len(), 3, "the box must reach every node");
+    let step = service.dataset().generate(0);
+    for (name, data) in &step.fields {
+        let (cut, _) = service.cluster().get_cutout(name, 0, &b).unwrap();
+        assert_eq!(cut.dims(), b.extent3());
+        let want = data.as_vector3();
+        for (x, y, z) in b.points() {
+            let got = cut.at((x - 5) as usize, (y - 9) as usize, (z - 3) as usize);
+            let want = want.at(x as usize, y as usize, z as usize);
+            assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "{name}");
+        }
+    }
+}
+
+#[test]
+fn cutout_of_a_scalar_field_lands_in_component_zero() {
+    let service = test_service("e2e_cutout_scalar", 32, 1, 2);
+    let b = Box3::new([4, 12, 20], [11, 19, 27]);
+    let (cut, breakdown) = service.cluster().get_cutout("pressure", 0, &b).unwrap();
+    let step = service.dataset().generate(0);
+    let Some((_, FieldData::Scalar(p))) = step.fields.iter().find(|(n, _)| *n == "pressure") else {
+        panic!("mhd stores a scalar pressure")
+    };
+    for (x, y, z) in b.points() {
+        let got = cut.at((x - 4) as usize, (y - 12) as usize, (z - 20) as usize);
+        let want = p.get(x as usize, y as usize, z as usize);
+        assert_eq!(got.map(f32::to_bits), [want.to_bits(), 0, 0]);
+    }
+    // one component crosses the wire, not three
+    let (_, vector) = service.cluster().get_cutout("velocity", 0, &b).unwrap();
+    assert!(breakdown.mediator_user_s < vector.mediator_user_s);
+}
+
+#[test]
+fn cutout_pays_the_controller_like_every_other_read() {
+    // one node, four arrays: the arrays share the blocks of a whole-grid
+    // read, so the controller every block also crosses is the busiest
+    // device — for a cutout exactly as for a halo-free scan of the same
+    // atoms with enough processes to keep all four arrays busy
+    let service = tdb_bench::test_service_with("e2e_cutout_ctrl", 32, 1, 1, |c| {
+        c.arrays_per_node = 4;
+    });
+    let whole = Box3::grid(32, 32, 32);
+    service.cluster().clear_buffer_pools();
+    let (_, cutout) = service.cluster().get_cutout("velocity", 0, &whole).unwrap();
+    service.cluster().clear_buffer_pools();
+    let scan = ThresholdQuery {
+        mode: tdb_core::QueryMode::IoOnly,
+        ..ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 0, 1e12)
+            .without_cache()
+            .with_procs(64)
+    };
+    let scan = service.get_threshold(&scan).unwrap().breakdown;
+    assert!(cutout.io_s > 0.0);
+    assert_eq!(cutout.io_s, scan.io_s);
+}
+
+#[test]
+fn cutout_outside_the_grid_is_an_error_not_a_panic() {
+    // straight at the cluster: `TurbulenceService::validate` would have
+    // refused these boxes before they got here
+    let service = test_service("e2e_cutout_oob", 32, 1, 2);
+    for b in [
+        Box3::new([24, 24, 24], [32, 31, 31]),
+        Box3::new([0, 0, 40], [7, 7, 47]),
+    ] {
+        let err = service
+            .cluster()
+            .get_cutout("velocity", 0, &b)
+            .expect_err("a box past the grid edge stores no data");
+        assert!(err.to_string().contains("outside"), "{err}");
+    }
+    // the last in-grid point is still served
+    let edge = Box3::new([31, 31, 31], [31, 31, 31]);
+    assert!(service.cluster().get_cutout("velocity", 0, &edge).is_ok());
+}
+
+#[test]
 fn point_interpolation_matches_direct_evaluation() {
     let service = test_service("e2e_interp", 32, 1, 3);
     let step = service.dataset().generate(0);
