@@ -528,10 +528,11 @@ pub fn panic_path(file: &SourceFile) -> Vec<Finding> {
                 let prev = file.tok(i - 1);
                 let indexes = match prev.kind {
                     TokenKind::Ident => {
-                        // `let [a, b] = ..` destructures, it never indexes
+                        // `let [a, b] = ..` destructures and `impl T for
+                        // [u8; 4]` names a type: neither indexes
                         !matches!(
                             file.text(i - 1),
-                            "in" | "return" | "break" | "mut" | "ref" | "let"
+                            "in" | "return" | "break" | "mut" | "ref" | "let" | "for"
                         )
                     }
                     TokenKind::Punct => matches!(file.text(i - 1), ")" | "]"),

@@ -88,6 +88,17 @@ pub struct ThresholdAnswer {
 /// Metrics snapshot as name-sorted `(counters, gauges)` pairs.
 pub type MetricsPairs = (Vec<(String, u64)>, Vec<(String, i64)>);
 
+/// Sends a request and takes the fields of the one response variant that
+/// answers it; any other is `UnexpectedResponse(kind)`.
+macro_rules! ask {
+    ($client:ident, $request:expr, $kind:literal, $variant:pat => $take:expr) => {
+        match $client.call(&$request)? {
+            $variant => Ok($take),
+            _ => Err(ClientError::UnexpectedResponse($kind)),
+        }
+    };
+}
+
 /// A connected client.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -149,30 +160,14 @@ impl Client {
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.call(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            _ => Err(ClientError::UnexpectedResponse("pong")),
-        }
+        ask!(self, Request::Ping, "pong", Response::Pong => ())
     }
 
     /// Describes the served dataset.
     pub fn info(&mut self) -> Result<DatasetInfo, ClientError> {
-        match self.call(&Request::Info)? {
-            Response::Info {
-                dataset,
-                dims,
-                timesteps,
-                fields,
-                compression,
-            } => Ok(DatasetInfo {
-                dataset,
-                dims,
-                timesteps,
-                fields,
-                compression,
-            }),
-            _ => Err(ClientError::UnexpectedResponse("info")),
-        }
+        ask!(self, Request::Info, "info",
+            Response::Info { dataset, dims, timesteps, fields, compression } =>
+                DatasetInfo { dataset, dims, timesteps, fields, compression })
     }
 
     /// `GetThreshold` over the wire.
@@ -184,29 +179,17 @@ impl Client {
         query_box: Option<Box3>,
         threshold: f64,
     ) -> Result<ThresholdAnswer, ClientError> {
-        match self.call(&Request::GetThreshold {
+        let request = Request::GetThreshold {
             raw_field: raw_field.to_string(),
             derived,
             timestep,
             query_box,
             threshold,
             use_cache: true,
-        })? {
-            Response::Threshold {
-                points,
-                breakdown,
-                cache_hits,
-                nodes,
-                degraded,
-            } => Ok(ThresholdAnswer {
-                points,
-                breakdown,
-                cache_hits,
-                nodes,
-                degraded,
-            }),
-            _ => Err(ClientError::UnexpectedResponse("threshold")),
-        }
+        };
+        ask!(self, request, "threshold",
+            Response::Threshold { points, breakdown, cache_hits, nodes, degraded } =>
+                ThresholdAnswer { points, breakdown, cache_hits, nodes, degraded })
     }
 
     /// PDF of a derived field's norm.
@@ -219,17 +202,15 @@ impl Client {
         bin_width: f64,
         nbins: u32,
     ) -> Result<Vec<u64>, ClientError> {
-        match self.call(&Request::GetPdf {
+        let request = Request::GetPdf {
             raw_field: raw_field.to_string(),
             derived,
             timestep,
             origin,
             bin_width,
             nbins,
-        })? {
-            Response::Pdf { counts, .. } => Ok(counts),
-            _ => Err(ClientError::UnexpectedResponse("pdf")),
-        }
+        };
+        ask!(self, request, "pdf", Response::Pdf { counts, .. } => counts)
     }
 
     /// The k most intense locations.
@@ -240,15 +221,13 @@ impl Client {
         timestep: u32,
         k: u32,
     ) -> Result<Vec<ThresholdPoint>, ClientError> {
-        match self.call(&Request::GetTopK {
+        let request = Request::GetTopK {
             raw_field: raw_field.to_string(),
             derived,
             timestep,
             k,
-        })? {
-            Response::TopK { points, .. } => Ok(points),
-            _ => Err(ClientError::UnexpectedResponse("topk")),
-        }
+        };
+        ask!(self, request, "topk", Response::TopK { points, .. } => points)
     }
 
     /// Lagrange point interpolation (`GetVelocity`-style).
@@ -259,15 +238,13 @@ impl Client {
         lag_width: u32,
         positions: &[[f64; 3]],
     ) -> Result<Vec<[f32; 3]>, ClientError> {
-        match self.call(&Request::GetPoints {
+        let request = Request::GetPoints {
             raw_field: raw_field.to_string(),
             timestep,
             lag_width,
             positions: positions.to_vec(),
-        })? {
-            Response::Points { values } => Ok(values),
-            _ => Err(ClientError::UnexpectedResponse("points")),
-        }
+        };
+        ask!(self, request, "points", Response::Points { values } => values)
     }
 
     /// Submits a batch threshold job; returns the job id.
@@ -279,36 +256,25 @@ impl Client {
         threshold: f64,
         output_table: &str,
     ) -> Result<u64, ClientError> {
-        match self.call(&Request::SubmitJob {
+        let request = Request::SubmitJob {
             raw_field: raw_field.to_string(),
             derived,
             timestep,
             threshold,
             output_table: output_table.to_string(),
-        })? {
-            Response::JobAccepted { job } => Ok(job),
-            _ => Err(ClientError::UnexpectedResponse("job_accepted")),
-        }
+        };
+        ask!(self, request, "job_accepted", Response::JobAccepted { job } => job)
     }
 
     /// Polls a batch job: `(state, detail, rows)`.
     pub fn job_status(&mut self, job: u64) -> Result<(String, String, u64), ClientError> {
-        match self.call(&Request::JobStatus { job })? {
-            Response::JobState {
-                state,
-                detail,
-                rows,
-            } => Ok((state, detail, rows)),
-            _ => Err(ClientError::UnexpectedResponse("job_state")),
-        }
+        ask!(self, Request::JobStatus { job }, "job_state",
+            Response::JobState { state, detail, rows } => (state, detail, rows))
     }
 
     /// Lists the MyDB tables of the server's batch session.
     pub fn list_mydb(&mut self) -> Result<Vec<String>, ClientError> {
-        match self.call(&Request::ListMyDb)? {
-            Response::MyDbList { tables } => Ok(tables),
-            _ => Err(ClientError::UnexpectedResponse("mydb_list")),
-        }
+        ask!(self, Request::ListMyDb, "mydb_list", Response::MyDbList { tables } => tables)
     }
 
     /// Reads a MyDB table.
@@ -316,21 +282,18 @@ impl Client {
         &mut self,
         name: &str,
     ) -> Result<(String, Vec<ThresholdPoint>), ClientError> {
-        match self.call(&Request::GetMyDbTable {
+        let request = Request::GetMyDbTable {
             name: name.to_string(),
-        })? {
-            Response::MyDbTable { provenance, points } => Ok((provenance, points)),
-            _ => Err(ClientError::UnexpectedResponse("mydb_table")),
-        }
+        };
+        ask!(self, request, "mydb_table",
+            Response::MyDbTable { provenance, points } => (provenance, points))
     }
 
     /// Snapshot of the server's process-wide metrics: `(counters, gauges)`
     /// sorted by name.
     pub fn metrics(&mut self) -> Result<MetricsPairs, ClientError> {
-        match self.call(&Request::Metrics)? {
-            Response::Metrics { counters, gauges } => Ok((counters, gauges)),
-            _ => Err(ClientError::UnexpectedResponse("metrics")),
-        }
+        ask!(self, Request::Metrics, "metrics",
+            Response::Metrics { counters, gauges } => (counters, gauges))
     }
 
     /// Runs a threshold query and returns its span tree.
@@ -342,17 +305,15 @@ impl Client {
         query_box: Option<Box3>,
         threshold: f64,
     ) -> Result<tdb_core::QueryTrace, ClientError> {
-        match self.call(&Request::GetTrace {
+        let request = Request::GetTrace {
             raw_field: raw_field.to_string(),
             derived,
             timestep,
             query_box,
             threshold,
             use_cache: true,
-        })? {
-            Response::Trace { trace } => Ok(trace),
-            _ => Err(ClientError::UnexpectedResponse("trace")),
-        }
+        };
+        ask!(self, request, "trace", Response::Trace { trace } => trace)
     }
 
     /// Whole-field statistics.
@@ -362,19 +323,12 @@ impl Client {
         derived: DerivedField,
         timestep: u32,
     ) -> Result<(u64, f64, f64, f64, f64), ClientError> {
-        match self.call(&Request::GetStats {
+        let request = Request::GetStats {
             raw_field: raw_field.to_string(),
             derived,
             timestep,
-        })? {
-            Response::Stats {
-                count,
-                mean,
-                rms,
-                min,
-                max,
-            } => Ok((count, mean, rms, min, max)),
-            _ => Err(ClientError::UnexpectedResponse("stats")),
-        }
+        };
+        ask!(self, request, "stats",
+            Response::Stats { count, mean, rms, min, max } => (count, mean, rms, min, max))
     }
 }

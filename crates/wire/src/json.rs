@@ -5,7 +5,7 @@
 //! counts, times and coordinates, all exactly representable).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,11 +87,12 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Num(n) => {
                 if n.is_finite() {
-                    if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-                        out.push_str(&format!("{}", *n as i64));
+                    // formatting into a `String` cannot fail
+                    let _ = if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
+                        write!(out, "{}", *n as i64)
                     } else {
-                        out.push_str(&format!("{n}"));
-                    }
+                        write!(out, "{n}")
+                    };
                 } else {
                     // JSON has no Inf/NaN; encode as null like browsers do
                     out.push_str("null");
@@ -128,6 +129,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -148,7 +150,9 @@ fn write_escaped(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -170,9 +174,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest accepted nesting. The parser recurses once per level and a
+/// request line may be a megabyte of `[`; protocol documents stay under 20.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -221,12 +230,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -414,6 +436,10 @@ mod tests {
         assert_eq!(Json::Num(3.0).encode(), "3");
         assert_eq!(Json::Num(3.5).encode(), "3.5");
         assert_eq!(Json::Str("a\"b\n".into()).encode(), r#""a\"b\n""#);
+        assert_eq!(
+            Json::Str("\u{1}\u{1f}".into()).encode(),
+            r#""\u0001\u001f""#
+        );
         let o = Json::obj([("b", Json::Num(1.0)), ("a", Json::Arr(vec![Json::Null]))]);
         assert_eq!(o.encode(), r#"{"a":[null],"b":1}"#);
     }
@@ -459,6 +485,11 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+        // a request line of nothing but `[` is an error, not a stack overflow
+        let deep = "[".repeat(1 << 20);
+        assert!(Json::parse(&deep).is_err());
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
     }
 
     #[test]
@@ -495,6 +526,38 @@ mod tests {
         #[test]
         fn parser_never_panics(s in "\\PC{0,64}") {
             let _ = Json::parse(&s);
+        }
+
+        /// `write!` into the output produces the bytes `format!` + `push_str`
+        /// did, for every class of `f64`: any bit pattern, subnormals,
+        /// NaN / ±Inf (→ `null`), integers on both sides of 2⁵³, −0.
+        #[test]
+        fn numbers_encode_as_they_always_did(
+            bits in any::<u64>(),
+            int in any::<i64>(),
+            shift in 0u32..64,
+        ) {
+            let two53 = 2f64.powi(53);
+            for n in [
+                f64::from_bits(bits),
+                f64::from_bits(bits >> 12),
+                f64::from_bits(bits | 0x7ff0_0000_0000_0000),
+                (int >> shift) as f64,
+                -0.0,
+                two53 - 1.0,
+                two53,
+                -two53,
+                two53 + 2.0,
+            ] {
+                let old = if !n.is_finite() {
+                    "null".to_string()
+                } else if n.fract() == 0.0 && n.abs() < two53 {
+                    format!("{}", n as i64)
+                } else {
+                    format!("{n}")
+                };
+                prop_assert_eq!(Json::Num(n).encode(), old);
+            }
         }
     }
 }

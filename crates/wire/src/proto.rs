@@ -4,6 +4,14 @@
 //! field statistics) without SOAP's envelope overhead — the modelled
 //! user-transfer cost in the cluster still uses the XML inflation the
 //! paper reports, this protocol is the *functional* interface.
+//!
+//! Everything is said once. A value type's wire form — both directions,
+//! range checks included — is its [`Wire`] impl (structs of named
+//! members: one `wire_record!` line). A message is its enum variant plus
+//! its row in the `wire_messages!` table under the enum: the tag, then
+//! `"wire name": field` pairs; `to_json` and `from_json` are generated
+//! from that row. To add a message: add the variant, add the row, and pin
+//! its line in `tests/golden/` and `tests/golden_wire.rs`.
 
 use std::fmt;
 
@@ -28,90 +36,395 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, ProtoError> {
-    v.get(key)
-        .ok_or_else(|| ProtoError(format!("missing field '{key}'")))
+// every decoder's error path; cold keeps it out of the per-point loop
+#[cold]
+fn bad<T>(what: impl Into<String>) -> Result<T, ProtoError> {
+    Err(ProtoError(what.into()))
 }
 
-fn str_field(v: &Json, key: &str) -> Result<String, ProtoError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| ProtoError(format!("field '{key}' must be a string")))
+fn want<T>(got: Option<T>, what: &str) -> Result<T, ProtoError> {
+    got.map_or_else(|| bad(what), Ok)
 }
 
-fn num_field(v: &Json, key: &str) -> Result<f64, ProtoError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| ProtoError(format!("field '{key}' must be a number")))
-}
+const OUT_OF_RANGE: &str = "is out of range";
 
-fn u64_field(v: &Json, key: &str) -> Result<u64, ProtoError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| ProtoError(format!("field '{key}' must be a non-negative integer")))
-}
-
-/// A non-negative integer field that must fit the narrower `T` — an
-/// over-range value is a malformed message, never a wrapped one.
-fn uint_field<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, ProtoError> {
-    T::try_from(u64_field(v, key)?)
-        .map_err(|_| ProtoError(format!("field '{key}' is out of range")))
-}
-
-fn derived_field(v: &Json) -> Result<DerivedField, ProtoError> {
-    let name = str_field(v, "derived")?;
-    DerivedField::parse(&name).ok_or_else(|| ProtoError(format!("unknown derived field '{name}'")))
-}
-
-fn box_to_json(b: &Box3) -> Json {
-    Json::Arr(
-        b.lo.iter()
-            .chain(b.hi.iter())
-            .map(|&v| Json::Num(f64::from(v)))
-            .collect(),
-    )
-}
-
-fn box_from_json(v: &Json) -> Result<Box3, ProtoError> {
-    let arr = v
-        .as_arr()
-        .filter(|a| a.len() == 6)
-        .ok_or_else(|| ProtoError("box must be [xl,yl,zl,xu,yu,zu]".into()))?;
-    let coords = arr
-        .iter()
-        .map(|item| {
-            item.as_u64()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| ProtoError("box coordinates must be u32".into()))
-        })
-        .collect::<Result<Vec<u32>, ProtoError>>()?;
-    let &[xl, yl, zl, xu, yu, zu] = coords.as_slice() else {
-        return Err(ProtoError("box must be [xl,yl,zl,xu,yu,zu]".into()));
-    };
-    if xl > xu || yl > yu || zl > zu {
-        return Err(ProtoError("box lower corner exceeds upper corner".into()));
+/// The wire form of one value type, both directions. `dec` rejects
+/// whatever the type cannot hold — another JSON type, a fraction, an
+/// over-range number — and says what is wrong with the value ("must be a
+/// string"); [`member`] adds which field it was.
+pub(crate) trait Wire: Sized {
+    fn enc(&self) -> Json;
+    fn dec(v: &Json) -> Result<Self, ProtoError>;
+    /// Whether an optional member holding this value stays off the wire.
+    fn omit(&self) -> bool {
+        false
     }
-    Ok(Box3::new([xl, yl, zl], [xu, yu, zu]))
 }
 
-fn compression_to_json(c: &CompressionConfig) -> Json {
-    Json::obj([
-        ("mode", Json::Str(c.mode.as_str().into())),
-        ("stride", Json::Num(f64::from(c.stride))),
-        ("max_error", Json::Num(c.max_error)),
-    ])
+/// Reads member `name` of the object `v`. `absent` is what a missing
+/// member means (`None`: it is required); a member that is present but
+/// malformed or out of range is an error either way, never the default.
+pub(crate) fn member<T: Wire>(v: &Json, name: &str, absent: Option<T>) -> Result<T, ProtoError> {
+    match (v.get(name), absent) {
+        (Some(m), _) => T::dec(m).map_err(|e| ProtoError(format!("field '{name}' {}", e.0))),
+        (None, Some(default)) => Ok(default),
+        (None, None) => bad(format!("missing field '{name}'")),
+    }
 }
 
-fn compression_from_json(v: &Json) -> Result<CompressionConfig, ProtoError> {
-    let mode = str_field(v, "mode")?;
-    let mode = CompressionMode::parse(&mode)
-        .ok_or_else(|| ProtoError(format!("unknown compression mode '{mode}'")))?;
-    Ok(CompressionConfig {
-        mode,
-        stride: uint_field(v, "stride")?,
-        max_error: num_field(v, "max_error")?,
-    })
+/// A JSON array of exactly `N` elements.
+fn tuple<const N: usize>(v: &Json) -> Result<&[Json; N], ProtoError> {
+    v.as_arr()
+        .and_then(|a| a.try_into().ok())
+        .ok_or_else(|| ProtoError(format!("must be an array of {N}")))
+}
+
+impl Wire for bool {
+    fn enc(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        want(v.as_bool(), "must be a boolean")
+    }
+}
+
+impl Wire for String {
+    fn enc(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        want(v.as_str(), "must be a string").map(str::to_string)
+    }
+}
+
+impl Wire for f64 {
+    fn enc(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        match v.as_f64() {
+            Some(n) if n.is_finite() => Ok(n),
+            // a literal like 1e999 parses to infinity, which has no JSON form
+            Some(_) => bad(OUT_OF_RANGE),
+            None => bad("must be a number"),
+        }
+    }
+}
+
+impl Wire for f32 {
+    fn enc(&self) -> Json {
+        f64::from(*self).enc()
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        let n = f64::dec(v)? as f32;
+        if n.is_finite() {
+            Ok(n)
+        } else {
+            bad(OUT_OF_RANGE)
+        }
+    }
+}
+
+/// Gauges: integral and exactly representable, |v| ≤ 2⁵³.
+impl Wire for i64 {
+    fn enc(&self) -> Json {
+        (*self as f64).enc()
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        let n = f64::dec(v)?;
+        if n.fract() != 0.0 {
+            bad("must be an integer")
+        } else if n.abs() > 2f64.powi(53) {
+            bad(OUT_OF_RANGE)
+        } else {
+            Ok(n as i64)
+        }
+    }
+}
+
+/// A non-negative integer that must fit the narrower `T` — an over-range
+/// value is a malformed message, never a wrapped one.
+fn uint<T: TryFrom<u64>>(v: &Json) -> Result<T, ProtoError> {
+    match v.as_u64().map(T::try_from) {
+        Some(Ok(n)) => Ok(n),
+        Some(Err(_)) => bad(OUT_OF_RANGE),
+        None => bad("must be a non-negative integer"),
+    }
+}
+
+macro_rules! wire_uint {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn enc(&self) -> Json {
+                (*self as f64).enc()
+            }
+            fn dec(v: &Json) -> Result<Self, ProtoError> {
+                uint(v)
+            }
+        }
+    )*};
+}
+wire_uint!(u8, u32, u64, usize);
+
+/// A value that travels as its name.
+fn named<T>(v: &Json, parse: fn(&str) -> Option<T>, kind: &str) -> Result<T, ProtoError> {
+    let name = want(v.as_str(), "must be a string")?;
+    parse(name).map_or_else(|| bad(format!("names no {kind}: '{name}'")), Ok)
+}
+
+impl Wire for DerivedField {
+    fn enc(&self) -> Json {
+        self.name().enc()
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        named(v, DerivedField::parse, "derived field")
+    }
+}
+
+impl Wire for CompressionMode {
+    fn enc(&self) -> Json {
+        self.as_str().to_string().enc()
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        named(v, CompressionMode::parse, "compression mode")
+    }
+}
+
+/// Trace attributes travel as display strings and come back as `Str`.
+impl Wire for AttrValue {
+    fn enc(&self) -> Json {
+        self.to_string().enc()
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        String::dec(v).map(AttrValue::Str)
+    }
+}
+
+/// An optional member: `None` stays off the wire, and `null` is not a
+/// spelling of it.
+impl<T: Wire> Wire for Option<T> {
+    fn enc(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::enc)
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        T::dec(v).map(Some)
+    }
+    fn omit(&self) -> bool {
+        self.is_none()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn enc(&self) -> Json {
+        Json::Arr(self.iter().map(T::enc).collect())
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        want(v.as_arr(), "must be an array")?
+            .iter()
+            .map(T::dec)
+            .collect()
+    }
+}
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    fn enc(&self) -> Json {
+        Json::Arr(self.iter().map(T::enc).collect())
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        let mut out = [T::default(); N];
+        for (slot, item) in out.iter_mut().zip(tuple::<N>(v)?) {
+            *slot = T::dec(item)?;
+        }
+        Ok(out)
+    }
+}
+
+/// Grid dimensions: `[nx, ny, nz]`.
+impl Wire for (u32, u32, u32) {
+    fn enc(&self) -> Json {
+        [self.0, self.1, self.2].enc()
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        <[u32; 3]>::dec(v).map(|[nx, ny, nz]| (nx, ny, nz))
+    }
+}
+
+/// `[xl, yl, zl, xu, yu, zu]`, both corners inclusive.
+impl Wire for Box3 {
+    fn enc(&self) -> Json {
+        let ([xl, yl, zl], [xu, yu, zu]) = (self.lo, self.hi);
+        [xl, yl, zl, xu, yu, zu].enc()
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        let [xl, yl, zl, xu, yu, zu] = <[u32; 6]>::dec(v)?;
+        if xl > xu || yl > yu || zl > zu {
+            return bad("has a lower corner beyond its upper corner");
+        }
+        Ok(Box3::new([xl, yl, zl], [xu, yu, zu]))
+    }
+}
+
+/// `[x, y, z, value]`: the Morton code travels as its coordinates. With
+/// `Vec<T>` this is the one place a point list becomes JSON and comes back.
+impl Wire for ThresholdPoint {
+    #[inline] // once per answer point, from `Vec<T>::enc`'s loop
+    fn enc(&self) -> Json {
+        let (x, y, z) = self.coords();
+        Json::Arr(vec![x.enc(), y.enc(), z.enc(), self.value.enc()])
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        let [x, y, z, value] = tuple::<4>(v)?;
+        Ok(ThresholdPoint::at(
+            u32::dec(x)?,
+            u32::dec(y)?,
+            u32::dec(z)?,
+            f32::dec(value)?,
+        ))
+    }
+}
+
+/// The value types of `[name, value]` pairs: metrics and trace attributes.
+trait PairValue: Wire {}
+impl PairValue for u64 {}
+impl PairValue for i64 {}
+impl PairValue for AttrValue {}
+
+impl<T: PairValue> Wire for (String, T) {
+    fn enc(&self) -> Json {
+        Json::Arr(vec![self.0.enc(), self.1.enc()])
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        let [name, value] = tuple::<2>(v)?;
+        Ok((String::dec(name)?, T::dec(value)?))
+    }
+}
+
+/// A struct (or tuple) that travels as a JSON object of named members,
+/// all required.
+macro_rules! wire_record {
+    ($ty:ident { $($name:literal: $field:ident),* } $(omit when $omit:expr)?) => {
+        impl Wire for $ty {
+            fn enc(&self) -> Json {
+                Json::obj([$(($name, self.$field.enc())),*])
+            }
+            fn dec(v: &Json) -> Result<Self, ProtoError> {
+                Ok($ty { $($field: member(v, $name, None)?),* })
+            }
+            $(fn omit(&self) -> bool {
+                ($omit)(self)
+            })?
+        }
+    };
+    (($($t:ty),*) { $($name:literal: $idx:tt),* }) => {
+        impl Wire for ($($t),*) {
+            fn enc(&self) -> Json {
+                Json::obj([$(($name, self.$idx.enc())),*])
+            }
+            fn dec(v: &Json) -> Result<Self, ProtoError> {
+                Ok(($(member(v, $name, None)?),*))
+            }
+        }
+    };
+}
+
+wire_record!(TimeBreakdown {
+    "cache_lookup_s": cache_lookup_s, "io_s": io_s, "compute_s": compute_s,
+    "mediator_db_s": mediator_db_s, "mediator_user_s": mediator_user_s
+});
+wire_record!(FailedNode { "node": node, "reason": reason });
+wire_record!(DegradedInfo { "failed_nodes": failed_nodes, "missing_boxes": missing_boxes });
+wire_record!(TraceSpan {
+    "name": name, "start_s": start_s, "duration_s": duration_s, "attrs": attrs, "children": children
+});
+// one raw field of the archive, as `Response::Info` lists it
+wire_record!((String, u8) { "name": 0, "ncomp": 1 });
+// compression off stays off the wire, so an uncompressed server keeps the
+// original `info` document
+wire_record!(CompressionConfig { "mode": mode, "stride": stride, "max_error": max_error }
+    omit when |c: &CompressionConfig| !c.is_active());
+
+/// A trace travels as its root span.
+impl Wire for QueryTrace {
+    fn enc(&self) -> Json {
+        self.root.enc()
+    }
+    fn dec(v: &Json) -> Result<Self, ProtoError> {
+        TraceSpan::dec(v).map(QueryTrace::new)
+    }
+}
+
+/// Generates `to_json` / `from_json` for a message enum from one row per
+/// message: `"tag": Variant => { "wire name": field, .. }`.
+///
+/// * Variants joined by `|` are twins: same members, different tag.
+/// * `"name": field = default` declares an optional member: absent decodes
+///   as `default`, and it is left off the wire when its value says
+///   [`Wire::omit`] (`None`, compression off; a `bool` never does).
+/// * `untagged "key" => Variant { field }` is the one message that is not
+///   tagged at all: `{"key": field}`.
+macro_rules! wire_messages {
+    (
+        $ty:ident tagged $tag_key:literal
+        $(, untagged $bare_key:literal => $bare:ident { $bare_field:ident })?;
+        $($($tag:literal: $variant:ident)|+ => $members:tt)*
+    ) => {
+        impl $ty {
+            /// Serialises to a single-line JSON document.
+            pub fn to_json(&self) -> Json {
+                // a variant without a row does not compile
+                match self {
+                    $($(Self::$variant { .. })|+ => {})*
+                    $(Self::$bare { .. } => {})?
+                }
+                let mut pairs = Vec::with_capacity(8);
+                $(if let Self::$bare { $bare_field } = self {
+                    pairs.push(($bare_key, $bare_field.enc()));
+                })?
+                $($(wire_messages!(@enc self pairs $tag_key $tag $variant $members);)+)*
+                Json::obj(pairs)
+            }
+
+            /// Parses a document; anything malformed, missing or out of
+            /// range is a [`ProtoError`], never a default or a wrap.
+            pub fn from_json(v: &Json) -> Result<$ty, ProtoError> {
+                $(if v.get($bare_key).is_some() {
+                    return Ok(Self::$bare { $bare_field: member(v, $bare_key, None)? });
+                })?
+                let tag: String = member(v, $tag_key, None)?;
+                $($(wire_messages!(@dec v tag $tag $variant $members);)+)*
+                bad(format!("unknown {} '{tag}'", $tag_key))
+            }
+
+            /// Per row: its tags and its `(wire name, optional)` members.
+            #[cfg(test)]
+            const SCHEMA: &'static [(&'static [&'static str], &'static [(&'static str, bool)])] = &[
+                $((&[], &[($bare_key, false)]),)?
+                $((&[$($tag),+], wire_messages!(@schema $members))),*
+            ];
+        }
+    };
+    (@enc $self:ident $pairs:ident $tag_key:literal $tag:literal $variant:ident
+        { $($name:literal: $field:ident $(= $absent:expr)?),* }) => {
+        if let Self::$variant { $($field),* } = $self {
+            $pairs.push(($tag_key, $tag.to_string().enc()));
+            $(if !(wire_messages!(@optional $($absent)?) && $field.omit()) {
+                $pairs.push(($name, $field.enc()));
+            })*
+        }
+    };
+    (@dec $v:ident $got:ident $tag:literal $variant:ident
+        { $($name:literal: $field:ident $(= $absent:expr)?),* }) => {
+        if $got == $tag {
+            return Ok(Self::$variant {
+                $($field: member($v, $name, None $(.or(Some($absent)))?)?),*
+            });
+        }
+    };
+    (@schema { $($name:literal: $field:ident $(= $absent:expr)?),* }) => {
+        &[$(($name, wire_messages!(@optional $($absent)?))),*]
+    };
+    (@optional) => { false };
+    (@optional $absent:expr) => { true };
 }
 
 /// A client request.
@@ -190,233 +503,40 @@ pub enum Request {
     },
 }
 
-impl Request {
-    /// Serialises to a single-line JSON document.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Ping => Json::obj([("op", Json::Str("ping".into()))]),
-            Request::Info => Json::obj([("op", Json::Str("info".into()))]),
-            Request::GetThreshold {
-                raw_field,
-                derived,
-                timestep,
-                query_box,
-                threshold,
-                use_cache,
-            }
-            | Request::GetTrace {
-                raw_field,
-                derived,
-                timestep,
-                query_box,
-                threshold,
-                use_cache,
-            } => {
-                let op = match self {
-                    Request::GetTrace { .. } => "get_trace",
-                    _ => "get_threshold",
-                };
-                let mut pairs = vec![
-                    ("op", Json::Str(op.into())),
-                    ("field", Json::Str(raw_field.clone())),
-                    ("derived", Json::Str(derived.name())),
-                    ("timestep", Json::Num(f64::from(*timestep))),
-                    ("threshold", Json::Num(*threshold)),
-                    ("use_cache", Json::Bool(*use_cache)),
-                ];
-                if let Some(b) = query_box {
-                    pairs.push(("box", box_to_json(b)));
-                }
-                Json::obj(pairs)
-            }
-            Request::GetPdf {
-                raw_field,
-                derived,
-                timestep,
-                origin,
-                bin_width,
-                nbins,
-            } => Json::obj([
-                ("op", Json::Str("get_pdf".into())),
-                ("field", Json::Str(raw_field.clone())),
-                ("derived", Json::Str(derived.name())),
-                ("timestep", Json::Num(f64::from(*timestep))),
-                ("origin", Json::Num(*origin)),
-                ("bin_width", Json::Num(*bin_width)),
-                ("nbins", Json::Num(f64::from(*nbins))),
-            ]),
-            Request::GetTopK {
-                raw_field,
-                derived,
-                timestep,
-                k,
-            } => Json::obj([
-                ("op", Json::Str("get_topk".into())),
-                ("field", Json::Str(raw_field.clone())),
-                ("derived", Json::Str(derived.name())),
-                ("timestep", Json::Num(f64::from(*timestep))),
-                ("k", Json::Num(f64::from(*k))),
-            ]),
-            Request::GetStats {
-                raw_field,
-                derived,
-                timestep,
-            } => Json::obj([
-                ("op", Json::Str("get_stats".into())),
-                ("field", Json::Str(raw_field.clone())),
-                ("derived", Json::Str(derived.name())),
-                ("timestep", Json::Num(f64::from(*timestep))),
-            ]),
-            Request::GetPoints {
-                raw_field,
-                timestep,
-                lag_width,
-                positions,
-            } => Json::obj([
-                ("op", Json::Str("get_points".into())),
-                ("field", Json::Str(raw_field.clone())),
-                ("timestep", Json::Num(f64::from(*timestep))),
-                ("lag_width", Json::Num(f64::from(*lag_width))),
-                (
-                    "positions",
-                    Json::Arr(
-                        positions
-                            .iter()
-                            .map(|p| Json::Arr(p.iter().map(|&v| Json::Num(v)).collect()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Request::SubmitJob {
-                raw_field,
-                derived,
-                timestep,
-                threshold,
-                output_table,
-            } => Json::obj([
-                ("op", Json::Str("submit_job".into())),
-                ("field", Json::Str(raw_field.clone())),
-                ("derived", Json::Str(derived.name())),
-                ("timestep", Json::Num(f64::from(*timestep))),
-                ("threshold", Json::Num(*threshold)),
-                ("output_table", Json::Str(output_table.clone())),
-            ]),
-            Request::JobStatus { job } => Json::obj([
-                ("op", Json::Str("job_status".into())),
-                ("job", Json::Num(*job as f64)),
-            ]),
-            Request::ListMyDb => Json::obj([("op", Json::Str("list_mydb".into()))]),
-            Request::GetMyDbTable { name } => Json::obj([
-                ("op", Json::Str("get_mydb_table".into())),
-                ("name", Json::Str(name.clone())),
-            ]),
-            Request::Metrics => Json::obj([("op", Json::Str("metrics".into()))]),
-        }
+wire_messages! {
+    Request tagged "op";
+    "ping": Ping => {}
+    "info": Info => {}
+    // absent `use_cache` means `true`: clients that predate the member
+    "get_threshold": GetThreshold | "get_trace": GetTrace => {
+        "field": raw_field, "derived": derived, "timestep": timestep, "box": query_box = None,
+        "threshold": threshold, "use_cache": use_cache = true
     }
-
-    /// Parses a request document.
-    pub fn from_json(v: &Json) -> Result<Request, ProtoError> {
-        let op = str_field(v, "op")?;
-        match op.as_str() {
-            "ping" => Ok(Request::Ping),
-            "info" => Ok(Request::Info),
-            "get_threshold" | "get_trace" => {
-                let raw_field = str_field(v, "field")?;
-                let derived = derived_field(v)?;
-                let timestep = uint_field(v, "timestep")?;
-                let query_box = v.get("box").map(box_from_json).transpose()?;
-                let threshold = num_field(v, "threshold")?;
-                let use_cache = v.get("use_cache").and_then(Json::as_bool).unwrap_or(true);
-                Ok(if op == "get_trace" {
-                    Request::GetTrace {
-                        raw_field,
-                        derived,
-                        timestep,
-                        query_box,
-                        threshold,
-                        use_cache,
-                    }
-                } else {
-                    Request::GetThreshold {
-                        raw_field,
-                        derived,
-                        timestep,
-                        query_box,
-                        threshold,
-                        use_cache,
-                    }
-                })
-            }
-            "get_pdf" => Ok(Request::GetPdf {
-                raw_field: str_field(v, "field")?,
-                derived: derived_field(v)?,
-                timestep: uint_field(v, "timestep")?,
-                origin: num_field(v, "origin")?,
-                bin_width: num_field(v, "bin_width")?,
-                nbins: uint_field(v, "nbins")?,
-            }),
-            "get_topk" => Ok(Request::GetTopK {
-                raw_field: str_field(v, "field")?,
-                derived: derived_field(v)?,
-                timestep: uint_field(v, "timestep")?,
-                k: uint_field(v, "k")?,
-            }),
-            "get_stats" => Ok(Request::GetStats {
-                raw_field: str_field(v, "field")?,
-                derived: derived_field(v)?,
-                timestep: uint_field(v, "timestep")?,
-            }),
-            "get_points" => {
-                let positions = v
-                    .get("positions")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError("positions must be an array".into()))?
-                    .iter()
-                    .map(|p| {
-                        let a = p
-                            .as_arr()
-                            .filter(|a| a.len() == 3)
-                            .ok_or_else(|| ProtoError("position must be [x,y,z]".into()))?;
-                        let c = |i: usize| {
-                            a.get(i)
-                                .and_then(Json::as_f64)
-                                .filter(|v| v.is_finite())
-                                .ok_or_else(|| ProtoError("coordinate must be finite".into()))
-                        };
-                        Ok([c(0)?, c(1)?, c(2)?])
-                    })
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                Ok(Request::GetPoints {
-                    raw_field: str_field(v, "field")?,
-                    timestep: uint_field(v, "timestep")?,
-                    lag_width: uint_field(v, "lag_width")?,
-                    positions,
-                })
-            }
-            "submit_job" => Ok(Request::SubmitJob {
-                raw_field: str_field(v, "field")?,
-                derived: derived_field(v)?,
-                timestep: uint_field(v, "timestep")?,
-                threshold: num_field(v, "threshold")?,
-                output_table: str_field(v, "output_table")?,
-            }),
-            "job_status" => Ok(Request::JobStatus {
-                job: u64_field(v, "job")?,
-            }),
-            "list_mydb" => Ok(Request::ListMyDb),
-            "get_mydb_table" => Ok(Request::GetMyDbTable {
-                name: str_field(v, "name")?,
-            }),
-            "metrics" => Ok(Request::Metrics),
-            other => Err(ProtoError(format!("unknown op '{other}'"))),
-        }
+    "get_pdf": GetPdf => {
+        "field": raw_field, "derived": derived, "timestep": timestep, "origin": origin,
+        "bin_width": bin_width, "nbins": nbins
     }
+    "get_topk": GetTopK => { "field": raw_field, "derived": derived, "timestep": timestep, "k": k }
+    "get_stats": GetStats => { "field": raw_field, "derived": derived, "timestep": timestep }
+    "get_points": GetPoints => {
+        "field": raw_field, "timestep": timestep, "lag_width": lag_width, "positions": positions
+    }
+    "submit_job": SubmitJob => {
+        "field": raw_field, "derived": derived, "timestep": timestep, "threshold": threshold,
+        "output_table": output_table
+    }
+    "job_status": JobStatus => { "job": job }
+    "list_mydb": ListMyDb => {}
+    "get_mydb_table": GetMyDbTable => { "name": name }
+    "metrics": Metrics => {}
 }
 
 /// A server response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
+    /// Answer to `Ping`.
     Pong,
+    /// The served dataset.
     Info {
         dataset: String,
         dims: (u32, u32, u32),
@@ -427,6 +547,7 @@ pub enum Response {
         /// wire format.
         compression: CompressionConfig,
     },
+    /// The points at or above the threshold, with the modelled times.
     Threshold {
         points: Vec<ThresholdPoint>,
         breakdown: TimeBreakdown,
@@ -435,6 +556,7 @@ pub enum Response {
         /// Present when nodes failed and the answer is partial.
         degraded: Option<DegradedInfo>,
     },
+    /// Histogram counts, one per bin from `origin` in steps of `bin_width`.
     Pdf {
         origin: f64,
         bin_width: f64,
@@ -442,11 +564,13 @@ pub enum Response {
         /// Present when nodes failed and the answer is partial.
         degraded: Option<DegradedInfo>,
     },
+    /// The k most intense locations, strongest first.
     TopK {
         points: Vec<ThresholdPoint>,
         /// Present when nodes failed and the answer is partial.
         degraded: Option<DegradedInfo>,
     },
+    /// Whole-field statistics of a derived norm.
     Stats {
         count: u64,
         mean: f64,
@@ -455,13 +579,9 @@ pub enum Response {
         max: f64,
     },
     /// Interpolated values, one `[vx, vy, vz]` per requested position.
-    Points {
-        values: Vec<[f32; 3]>,
-    },
+    Points { values: Vec<[f32; 3]> },
     /// Batch job accepted.
-    JobAccepted {
-        job: u64,
-    },
+    JobAccepted { job: u64 },
     /// Batch job state: "queued", "running", "done" or "failed".
     JobState {
         state: String,
@@ -470,9 +590,7 @@ pub enum Response {
         rows: u64,
     },
     /// MyDB table names.
-    MyDbList {
-        tables: Vec<String>,
-    },
+    MyDbList { tables: Vec<String> },
     /// A MyDB table's contents.
     MyDbTable {
         provenance: String,
@@ -484,550 +602,39 @@ pub enum Response {
         gauges: Vec<(String, i64)>,
     },
     /// A query's span tree. Attribute values arrive as display strings.
-    Trace {
-        trace: QueryTrace,
-    },
+    Trace { trace: QueryTrace },
     /// The server shed this data query: its admission queue is full.
     /// Retry after roughly `retry_ms` milliseconds.
-    Busy {
-        queue_depth: u64,
-        retry_ms: u64,
-    },
-    Error {
-        message: String,
-    },
+    Busy { queue_depth: u64, retry_ms: u64 },
+    /// The request failed. The one untagged message: its only member is
+    /// the message itself.
+    Error { message: String },
 }
 
-fn span_to_json(s: &TraceSpan) -> Json {
-    Json::obj([
-        ("name", Json::Str(s.name.clone())),
-        ("start_s", Json::Num(s.start_s)),
-        ("duration_s", Json::Num(s.duration_s)),
-        (
-            "attrs",
-            Json::Arr(
-                s.attrs
-                    .iter()
-                    .map(|(k, v)| Json::Arr(vec![Json::Str(k.clone()), Json::Str(v.to_string())]))
-                    .collect(),
-            ),
-        ),
-        (
-            "children",
-            Json::Arr(s.children.iter().map(span_to_json).collect()),
-        ),
-    ])
-}
-
-fn span_from_json(v: &Json) -> Result<TraceSpan, ProtoError> {
-    let attrs = v
-        .get("attrs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ProtoError("span attrs must be an array".into()))?
-        .iter()
-        .map(|pair| {
-            let a = pair
-                .as_arr()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| ProtoError("span attr must be [key, value]".into()))?;
-            let key = a
-                .first()
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError("attr key must be a string".into()))?;
-            let val = a
-                .get(1)
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError("attr value must be a string".into()))?;
-            Ok((key.to_string(), AttrValue::Str(val.to_string())))
-        })
-        .collect::<Result<Vec<_>, ProtoError>>()?;
-    let children = v
-        .get("children")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ProtoError("span children must be an array".into()))?
-        .iter()
-        .map(span_from_json)
-        .collect::<Result<Vec<_>, ProtoError>>()?;
-    Ok(TraceSpan {
-        name: str_field(v, "name")?,
-        start_s: num_field(v, "start_s")?,
-        duration_s: num_field(v, "duration_s")?,
-        attrs,
-        children,
-    })
-}
-
-fn points_to_json(points: &[ThresholdPoint]) -> Json {
-    Json::Arr(
-        points
-            .iter()
-            .map(|p| {
-                let (x, y, z) = p.coords();
-                Json::Arr(vec![
-                    Json::Num(f64::from(x)),
-                    Json::Num(f64::from(y)),
-                    Json::Num(f64::from(z)),
-                    Json::Num(f64::from(p.value)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn points_from_json(v: &Json) -> Result<Vec<ThresholdPoint>, ProtoError> {
-    v.as_arr()
-        .ok_or_else(|| ProtoError("points must be an array".into()))?
-        .iter()
-        .map(|item| {
-            let a = item
-                .as_arr()
-                .filter(|a| a.len() == 4)
-                .ok_or_else(|| ProtoError("point must be [x,y,z,value]".into()))?;
-            let coord = |i: usize| -> Result<u32, ProtoError> {
-                a.get(i)
-                    .and_then(Json::as_u64)
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| ProtoError("point coordinate must be u32".into()))
-            };
-            let value = a
-                .get(3)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ProtoError("point value must be a number".into()))?;
-            Ok(ThresholdPoint::at(
-                coord(0)?,
-                coord(1)?,
-                coord(2)?,
-                value as f32,
-            ))
-        })
-        .collect()
-}
-
-fn degraded_to_json(d: &DegradedInfo) -> Json {
-    Json::obj([
-        (
-            "failed_nodes",
-            Json::Arr(
-                d.failed_nodes
-                    .iter()
-                    .map(|f| {
-                        Json::obj([
-                            ("node", Json::Num(f.node as f64)),
-                            ("reason", Json::Str(f.reason.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "missing_boxes",
-            Json::Arr(d.missing_boxes.iter().map(box_to_json).collect()),
-        ),
-    ])
-}
-
-fn degraded_from_json(v: &Json) -> Result<DegradedInfo, ProtoError> {
-    let failed_nodes = v
-        .get("failed_nodes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ProtoError("failed_nodes must be an array".into()))?
-        .iter()
-        .map(|f| {
-            Ok(FailedNode {
-                node: uint_field(f, "node")?,
-                reason: str_field(f, "reason")?,
-            })
-        })
-        .collect::<Result<Vec<_>, ProtoError>>()?;
-    let missing_boxes = v
-        .get("missing_boxes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ProtoError("missing_boxes must be an array".into()))?
-        .iter()
-        .map(box_from_json)
-        .collect::<Result<Vec<_>, ProtoError>>()?;
-    Ok(DegradedInfo {
-        failed_nodes,
-        missing_boxes,
-    })
-}
-
-/// Parses the optional `degraded` member of a response document.
-fn opt_degraded(v: &Json) -> Result<Option<DegradedInfo>, ProtoError> {
-    v.get("degraded").map(degraded_from_json).transpose()
-}
-
-fn breakdown_to_json(b: &TimeBreakdown) -> Json {
-    Json::obj([
-        ("cache_lookup_s", Json::Num(b.cache_lookup_s)),
-        ("io_s", Json::Num(b.io_s)),
-        ("compute_s", Json::Num(b.compute_s)),
-        ("mediator_db_s", Json::Num(b.mediator_db_s)),
-        ("mediator_user_s", Json::Num(b.mediator_user_s)),
-    ])
-}
-
-fn breakdown_from_json(v: &Json) -> Result<TimeBreakdown, ProtoError> {
-    Ok(TimeBreakdown {
-        cache_lookup_s: num_field(v, "cache_lookup_s")?,
-        io_s: num_field(v, "io_s")?,
-        compute_s: num_field(v, "compute_s")?,
-        mediator_db_s: num_field(v, "mediator_db_s")?,
-        mediator_user_s: num_field(v, "mediator_user_s")?,
-    })
-}
-
-impl Response {
-    /// Serialises to a single-line JSON document.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::Pong => Json::obj([("ok", Json::Str("pong".into()))]),
-            Response::Info {
-                dataset,
-                dims,
-                timesteps,
-                fields,
-                compression,
-            } => {
-                let mut pairs = vec![
-                    ("ok", Json::Str("info".into())),
-                    ("dataset", Json::Str(dataset.clone())),
-                    (
-                        "dims",
-                        Json::Arr(vec![
-                            Json::Num(f64::from(dims.0)),
-                            Json::Num(f64::from(dims.1)),
-                            Json::Num(f64::from(dims.2)),
-                        ]),
-                    ),
-                    ("timesteps", Json::Num(f64::from(*timesteps))),
-                    (
-                        "fields",
-                        Json::Arr(
-                            fields
-                                .iter()
-                                .map(|(n, c)| {
-                                    Json::obj([
-                                        ("name", Json::Str(n.clone())),
-                                        ("ncomp", Json::Num(f64::from(*c))),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ];
-                if compression.is_active() {
-                    pairs.push(("compression", compression_to_json(compression)));
-                }
-                Json::obj(pairs)
-            }
-            Response::Threshold {
-                points,
-                breakdown,
-                cache_hits,
-                nodes,
-                degraded,
-            } => {
-                let mut pairs = vec![
-                    ("ok", Json::Str("threshold".into())),
-                    ("points", points_to_json(points)),
-                    ("breakdown", breakdown_to_json(breakdown)),
-                    ("cache_hits", Json::Num(f64::from(*cache_hits))),
-                    ("nodes", Json::Num(f64::from(*nodes))),
-                ];
-                if let Some(d) = degraded {
-                    pairs.push(("degraded", degraded_to_json(d)));
-                }
-                Json::obj(pairs)
-            }
-            Response::Pdf {
-                origin,
-                bin_width,
-                counts,
-                degraded,
-            } => {
-                let mut pairs = vec![
-                    ("ok", Json::Str("pdf".into())),
-                    ("origin", Json::Num(*origin)),
-                    ("bin_width", Json::Num(*bin_width)),
-                    (
-                        "counts",
-                        Json::Arr(counts.iter().map(|&c| Json::Num(c as f64)).collect()),
-                    ),
-                ];
-                if let Some(d) = degraded {
-                    pairs.push(("degraded", degraded_to_json(d)));
-                }
-                Json::obj(pairs)
-            }
-            Response::TopK { points, degraded } => {
-                let mut pairs = vec![
-                    ("ok", Json::Str("topk".into())),
-                    ("points", points_to_json(points)),
-                ];
-                if let Some(d) = degraded {
-                    pairs.push(("degraded", degraded_to_json(d)));
-                }
-                Json::obj(pairs)
-            }
-            Response::Stats {
-                count,
-                mean,
-                rms,
-                min,
-                max,
-            } => Json::obj([
-                ("ok", Json::Str("stats".into())),
-                ("count", Json::Num(*count as f64)),
-                ("mean", Json::Num(*mean)),
-                ("rms", Json::Num(*rms)),
-                ("min", Json::Num(*min)),
-                ("max", Json::Num(*max)),
-            ]),
-            Response::Points { values } => Json::obj([
-                ("ok", Json::Str("points".into())),
-                (
-                    "values",
-                    Json::Arr(
-                        values
-                            .iter()
-                            .map(|v| {
-                                Json::Arr(v.iter().map(|&c| Json::Num(f64::from(c))).collect())
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::JobAccepted { job } => Json::obj([
-                ("ok", Json::Str("job_accepted".into())),
-                ("job", Json::Num(*job as f64)),
-            ]),
-            Response::JobState {
-                state,
-                detail,
-                rows,
-            } => Json::obj([
-                ("ok", Json::Str("job_state".into())),
-                ("state", Json::Str(state.clone())),
-                ("detail", Json::Str(detail.clone())),
-                ("rows", Json::Num(*rows as f64)),
-            ]),
-            Response::MyDbList { tables } => Json::obj([
-                ("ok", Json::Str("mydb_list".into())),
-                (
-                    "tables",
-                    Json::Arr(tables.iter().map(|t| Json::Str(t.clone())).collect()),
-                ),
-            ]),
-            Response::MyDbTable { provenance, points } => Json::obj([
-                ("ok", Json::Str("mydb_table".into())),
-                ("provenance", Json::Str(provenance.clone())),
-                ("points", points_to_json(points)),
-            ]),
-            Response::Metrics { counters, gauges } => Json::obj([
-                ("ok", Json::Str("metrics".into())),
-                (
-                    "counters",
-                    Json::Arr(
-                        counters
-                            .iter()
-                            .map(|(k, v)| {
-                                Json::Arr(vec![Json::Str(k.clone()), Json::Num(*v as f64)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "gauges",
-                    Json::Arr(
-                        gauges
-                            .iter()
-                            .map(|(k, v)| {
-                                Json::Arr(vec![Json::Str(k.clone()), Json::Num(*v as f64)])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Trace { trace } => Json::obj([
-                ("ok", Json::Str("trace".into())),
-                ("root", span_to_json(&trace.root)),
-            ]),
-            Response::Busy {
-                queue_depth,
-                retry_ms,
-            } => Json::obj([
-                ("ok", Json::Str("busy".into())),
-                ("queue_depth", Json::Num(*queue_depth as f64)),
-                ("retry_ms", Json::Num(*retry_ms as f64)),
-            ]),
-            Response::Error { message } => Json::obj([("error", Json::Str(message.clone()))]),
-        }
+wire_messages! {
+    Response tagged "ok", untagged "error" => Error { message };
+    "pong": Pong => {}
+    "info": Info => {
+        "dataset": dataset, "dims": dims, "timesteps": timesteps, "fields": fields,
+        "compression": compression = CompressionConfig::default()
     }
-
-    /// Parses a response document.
-    pub fn from_json(v: &Json) -> Result<Response, ProtoError> {
-        if let Some(msg) = v.get("error").and_then(Json::as_str) {
-            return Ok(Response::Error {
-                message: msg.to_string(),
-            });
-        }
-        let ok = str_field(v, "ok")?;
-        match ok.as_str() {
-            "pong" => Ok(Response::Pong),
-            "info" => {
-                let dims = v
-                    .get("dims")
-                    .and_then(Json::as_arr)
-                    .filter(|a| a.len() == 3)
-                    .ok_or_else(|| ProtoError("dims must be [nx,ny,nz]".into()))?;
-                let d = |i: usize| {
-                    dims.get(i)
-                        .and_then(Json::as_u64)
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| ProtoError("dims must be u32".into()))
-                };
-                let fields = v
-                    .get("fields")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError("fields must be an array".into()))?
-                    .iter()
-                    .map(|f| Ok((str_field(f, "name")?, uint_field(f, "ncomp")?)))
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                Ok(Response::Info {
-                    dataset: str_field(v, "dataset")?,
-                    dims: (d(0)?, d(1)?, d(2)?),
-                    timesteps: uint_field(v, "timesteps")?,
-                    fields,
-                    compression: match v.get("compression") {
-                        Some(c) => compression_from_json(c)?,
-                        None => CompressionConfig::default(),
-                    },
-                })
-            }
-            "threshold" => Ok(Response::Threshold {
-                points: points_from_json(field(v, "points")?)?,
-                breakdown: breakdown_from_json(field(v, "breakdown")?)?,
-                cache_hits: uint_field(v, "cache_hits")?,
-                nodes: uint_field(v, "nodes")?,
-                degraded: opt_degraded(v)?,
-            }),
-            "pdf" => Ok(Response::Pdf {
-                origin: num_field(v, "origin")?,
-                bin_width: num_field(v, "bin_width")?,
-                counts: v
-                    .get("counts")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError("counts must be an array".into()))?
-                    .iter()
-                    .map(|c| {
-                        c.as_u64()
-                            .ok_or_else(|| ProtoError("count must be u64".into()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                degraded: opt_degraded(v)?,
-            }),
-            "topk" => Ok(Response::TopK {
-                points: points_from_json(field(v, "points")?)?,
-                degraded: opt_degraded(v)?,
-            }),
-            "stats" => Ok(Response::Stats {
-                count: u64_field(v, "count")?,
-                mean: num_field(v, "mean")?,
-                rms: num_field(v, "rms")?,
-                min: num_field(v, "min")?,
-                max: num_field(v, "max")?,
-            }),
-            "job_accepted" => Ok(Response::JobAccepted {
-                job: u64_field(v, "job")?,
-            }),
-            "job_state" => Ok(Response::JobState {
-                state: str_field(v, "state")?,
-                detail: str_field(v, "detail")?,
-                rows: u64_field(v, "rows")?,
-            }),
-            "mydb_list" => Ok(Response::MyDbList {
-                tables: v
-                    .get("tables")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError("tables must be an array".into()))?
-                    .iter()
-                    .map(|t| {
-                        t.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| ProtoError("table name must be a string".into()))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            }),
-            "mydb_table" => Ok(Response::MyDbTable {
-                provenance: str_field(v, "provenance")?,
-                points: points_from_json(field(v, "points")?)?,
-            }),
-            "metrics" => {
-                let pairs = |key: &str| -> Result<Vec<(String, f64)>, ProtoError> {
-                    v.get(key)
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| ProtoError(format!("{key} must be an array")))?
-                        .iter()
-                        .map(|pair| {
-                            let a = pair
-                                .as_arr()
-                                .filter(|a| a.len() == 2)
-                                .ok_or_else(|| ProtoError("metric must be [name, value]".into()))?;
-                            let name = a
-                                .first()
-                                .and_then(Json::as_str)
-                                .ok_or_else(|| ProtoError("metric name must be a string".into()))?;
-                            let val = a.get(1).and_then(Json::as_f64).ok_or_else(|| {
-                                ProtoError("metric value must be a number".into())
-                            })?;
-                            Ok((name.to_string(), val))
-                        })
-                        .collect()
-                };
-                Ok(Response::Metrics {
-                    counters: pairs("counters")?
-                        .into_iter()
-                        .map(|(k, v)| (k, v as u64))
-                        .collect(),
-                    gauges: pairs("gauges")?
-                        .into_iter()
-                        .map(|(k, v)| (k, v as i64))
-                        .collect(),
-                })
-            }
-            "trace" => Ok(Response::Trace {
-                trace: QueryTrace::new(span_from_json(field(v, "root")?)?),
-            }),
-            "busy" => Ok(Response::Busy {
-                queue_depth: u64_field(v, "queue_depth")?,
-                retry_ms: u64_field(v, "retry_ms")?,
-            }),
-            "points" => {
-                let values = v
-                    .get("values")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| ProtoError("values must be an array".into()))?
-                    .iter()
-                    .map(|p| {
-                        let a = p
-                            .as_arr()
-                            .filter(|a| a.len() == 3)
-                            .ok_or_else(|| ProtoError("value must be [x,y,z]".into()))?;
-                        let c = |i: usize| {
-                            a.get(i)
-                                .and_then(Json::as_f64)
-                                .map(|v| v as f32)
-                                .ok_or_else(|| ProtoError("component must be a number".into()))
-                        };
-                        Ok([c(0)?, c(1)?, c(2)?])
-                    })
-                    .collect::<Result<Vec<_>, ProtoError>>()?;
-                Ok(Response::Points { values })
-            }
-            other => Err(ProtoError(format!("unknown response kind '{other}'"))),
-        }
+    "threshold": Threshold => {
+        "points": points, "breakdown": breakdown, "cache_hits": cache_hits, "nodes": nodes,
+        "degraded": degraded = None
     }
+    "pdf": Pdf => {
+        "origin": origin, "bin_width": bin_width, "counts": counts, "degraded": degraded = None
+    }
+    "topk": TopK => { "points": points, "degraded": degraded = None }
+    "stats": Stats => { "count": count, "mean": mean, "rms": rms, "min": min, "max": max }
+    "points": Points => { "values": values }
+    "job_accepted": JobAccepted => { "job": job }
+    "job_state": JobState => { "state": state, "detail": detail, "rows": rows }
+    "mydb_list": MyDbList => { "tables": tables }
+    "mydb_table": MyDbTable => { "provenance": provenance, "points": points }
+    "metrics": Metrics => { "counters": counters, "gauges": gauges }
+    "trace": Trace => { "root": trace }
+    "busy": Busy => { "queue_depth": queue_depth, "retry_ms": retry_ms }
 }
 
 #[cfg(test)]
@@ -1283,6 +890,10 @@ mod tests {
             r#"{"op":"get_stats","field":"v","derived":"norm","timestep":4294967296}"#,
             r#"{"op":"get_points","field":"v","timestep":0,"lag_width":4294967300,"positions":[[0,0,0]]}"#,
             r#"{"op":"submit_job","field":"v","derived":"norm","timestep":4294967296,"threshold":1,"output_table":"t"}"#,
+            // a present member of the wrong type is an error, not its default
+            r#"{"op":"get_threshold","field":"v","derived":"norm","timestep":0,"threshold":1,"use_cache":"false"}"#,
+            r#"{"op":"get_threshold","field":"v","derived":"norm","timestep":0,"threshold":1,"use_cache":0}"#,
+            r#"{"op":"get_trace","field":"v","derived":"norm","timestep":0,"threshold":1,"use_cache":null}"#,
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(Request::from_json(&v).is_err(), "{bad} should be rejected");
@@ -1299,9 +910,51 @@ mod tests {
             r#"{"ok":"info","dataset":"d","dims":[8,8,8],"timesteps":1,"fields":[{"name":"v","ncomp":256}]}"#,
             r#"{"ok":"info","dataset":"d","dims":[8,8,8],"timesteps":1,"fields":[],"compression":{"mode":"lossy","stride":4294967298,"max_error":0.1}}"#,
             r#"{"ok":"topk","points":[],"degraded":{"failed_nodes":[{"node":-1,"reason":"x"}],"missing_boxes":[]}}"#,
+            // counters are u64 and gauges integral i64: never clamped or truncated
+            r#"{"ok":"metrics","counters":[["c",-1]],"gauges":[]}"#,
+            r#"{"ok":"metrics","counters":[["c",1.5]],"gauges":[]}"#,
+            r#"{"ok":"metrics","counters":[],"gauges":[["g",1e300]]}"#,
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(Response::from_json(&v).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    /// The declaration and the golden files cannot drift: every pinned
+    /// line carries exactly the members its row declares (optional ones
+    /// may be absent), and no row says a wire name twice.
+    #[test]
+    fn declaration_matches_the_golden_lines() {
+        let requests = include_str!("../tests/golden/requests.jsonl");
+        let responses = include_str!("../tests/golden/responses.jsonl");
+        for (tag_key, schema, golden) in [
+            ("op", Request::SCHEMA, requests),
+            ("ok", Response::SCHEMA, responses),
+        ] {
+            for (tags, members) in schema {
+                let mut names: Vec<&str> = members.iter().map(|m| m.0).chain([tag_key]).collect();
+                names.sort_unstable();
+                names.dedup();
+                assert_eq!(names.len(), members.len() + 1, "{tags:?} repeats a name");
+            }
+            for line in golden.lines() {
+                let Ok(Json::Obj(doc)) = Json::parse(line) else {
+                    panic!("{line} is not an object")
+                };
+                let tag = doc.get(tag_key).and_then(Json::as_str);
+                let (_, members) = schema
+                    .iter()
+                    .find(|(tags, _)| tag.map_or(tags.is_empty(), |t| tags.contains(&t)))
+                    .unwrap_or_else(|| panic!("{line}: no row declares {tag:?}"));
+                for key in doc.keys().filter(|k| *k != tag_key) {
+                    let declared = members.iter().any(|m| m.0 == key);
+                    assert!(declared, "{line}: undeclared member '{key}'");
+                }
+                for (name, optional) in *members {
+                    let present = doc.contains_key(*name);
+                    assert!(*optional || present, "{line}: '{name}' is missing");
+                }
+            }
         }
     }
 

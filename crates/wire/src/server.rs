@@ -12,11 +12,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tdb_core::batch::{BatchSession, JobId, JobSpec, JobState};
-use tdb_core::{QueryError, ThresholdQuery, TurbulenceService};
+use tdb_core::{ThresholdQuery, TurbulenceService};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionQueue};
 use crate::json::Json;
-use crate::proto::{Request, Response};
+use crate::proto::{member, Request, Response};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -120,20 +120,15 @@ impl Server {
         self.addr
     }
 
-    /// Requests shutdown and waits for the accept loop to finish.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // poke the listener so accept() returns
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Requests shutdown and waits for the accept loop to finish — what
+    /// dropping the server does.
+    pub fn stop(self) {}
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // poke the listener so accept() returns
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
@@ -159,11 +154,7 @@ fn accept_loop(
             let _ = writeln!(
                 w,
                 "{}",
-                Response::Error {
-                    message: "server at connection capacity".into()
-                }
-                .to_json()
-                .encode()
+                error("server at connection capacity").to_json().encode()
             );
             continue;
         }
@@ -243,9 +234,9 @@ fn serve_connection(
         }
         if buf.len() > max_request_bytes {
             tdb_obs::add("wire.request.oversized", 1);
-            let resp = Response::Error {
-                message: format!("request exceeds the {max_request_bytes}-byte limit"),
-            };
+            let resp = error(format_args!(
+                "request exceeds the {max_request_bytes}-byte limit"
+            ));
             let _ = writeln!(writer, "{}", resp.to_json().encode());
             let _ = writer.flush();
             // the rest of the line was never read; resync is impossible
@@ -283,25 +274,21 @@ fn is_data_query(request: &Request) -> bool {
 pub fn handle_line_admitted(line: &str, state: &ServerState, conn: u64) -> Response {
     let doc = match Json::parse(line) {
         Ok(d) => d,
-        Err(e) => {
-            return Response::Error {
-                message: e.to_string(),
-            }
-        }
+        Err(e) => return error(e),
     };
     let request = match Request::from_json(&doc) {
         Ok(r) => r,
-        Err(e) => {
-            return Response::Error {
-                message: e.to_string(),
-            }
-        }
+        Err(e) => return error(e),
     };
     if is_data_query(&request) {
         // the API key travels in the request envelope, outside the typed
-        // request, so tenancy never alters query semantics
-        let api_key = doc.get("api_key").and_then(Json::as_str);
-        match state.admission.admit_keyed(conn, api_key) {
+        // request, so tenancy never alters query semantics; a key that is
+        // not a string is malformed, not the anonymous tenant
+        let api_key: Option<String> = match member(&doc, "api_key", Some(None)) {
+            Ok(key) => key,
+            Err(e) => return error(e),
+        };
+        match state.admission.admit_keyed(conn, api_key.as_deref()) {
             Admission::Granted(_permit) => execute(&request, state),
             Admission::Busy {
                 queue_depth,
@@ -316,7 +303,7 @@ pub fn handle_line_admitted(line: &str, state: &ServerState, conn: u64) -> Respo
     }
 }
 
-fn query_error(e: QueryError) -> Response {
+fn error(e: impl std::fmt::Display) -> Response {
     Response::Error {
         message: e.to_string(),
     }
@@ -361,9 +348,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
                 detail: msg,
                 rows: 0,
             },
-            None => Response::Error {
-                message: format!("unknown job {job}"),
-            },
+            None => error(format_args!("unknown job {job}")),
         },
         Request::ListMyDb => Response::MyDbList {
             tables: state.batch.mydb().list(),
@@ -373,9 +358,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
                 provenance: t.provenance,
                 points: t.points,
             },
-            None => Response::Error {
-                message: format!("no MyDB table '{name}'"),
-            },
+            None => error(format_args!("no MyDB table '{name}'")),
         },
         Request::Ping => Response::Pong,
         Request::Info => {
@@ -417,9 +400,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
             match service.get_threshold(&q) {
                 Ok(r) if matches!(request, Request::GetTrace { .. }) => match r.trace {
                     Some(trace) => Response::Trace { trace },
-                    None => Response::Error {
-                        message: "query produced no trace".into(),
-                    },
+                    None => error("query produced no trace"),
                 },
                 Ok(r) => Response::Threshold {
                     points: r.points,
@@ -428,7 +409,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
                     nodes: r.nodes as u32,
                     degraded: r.degraded,
                 },
-                Err(e) => query_error(e),
+                Err(e) => error(e),
             }
         }
         Request::GetPdf {
@@ -440,9 +421,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
             nbins,
         } => {
             if *bin_width <= 0.0 || *nbins == 0 || *nbins > 4096 {
-                return Response::Error {
-                    message: "pdf bins must satisfy 0 < nbins <= 4096 and bin_width > 0".into(),
-                };
+                return error("pdf bins must satisfy 0 < nbins <= 4096 and bin_width > 0");
             }
             let q = ThresholdQuery::whole_timestep(raw_field, *derived, *timestep, 0.0);
             match service.get_pdf(&q, *origin, *bin_width, *nbins as usize) {
@@ -452,7 +431,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
                     counts: r.histogram.counts().to_vec(),
                     degraded: r.degraded,
                 },
-                Err(e) => query_error(e),
+                Err(e) => error(e),
             }
         }
         Request::GetTopK {
@@ -462,9 +441,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
             k,
         } => {
             if *k == 0 || *k > 100_000 {
-                return Response::Error {
-                    message: "k must satisfy 0 < k <= 100000".into(),
-                };
+                return error("k must satisfy 0 < k <= 100000");
             }
             let q = ThresholdQuery::whole_timestep(raw_field, *derived, *timestep, 0.0);
             match service.get_topk(&q, *k as usize) {
@@ -472,7 +449,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
                     points: r.points,
                     degraded: r.degraded,
                 },
-                Err(e) => query_error(e),
+                Err(e) => error(e),
             }
         }
         Request::GetStats {
@@ -487,7 +464,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
                 min: s.min,
                 max: s.max,
             },
-            Err(e) => query_error(e),
+            Err(e) => error(e),
         },
         Request::GetPoints {
             raw_field,
@@ -499,20 +476,14 @@ fn execute(request: &Request, state: &ServerState) -> Response {
                 4 => tdb_core::LagOrder::Lag4,
                 6 => tdb_core::LagOrder::Lag6,
                 8 => tdb_core::LagOrder::Lag8,
-                other => {
-                    return Response::Error {
-                        message: format!("lag_width must be 4, 6 or 8 (got {other})"),
-                    }
-                }
+                other => return error(format_args!("lag_width must be 4, 6 or 8 (got {other})")),
             };
             if positions.is_empty() || positions.len() > 100_000 {
-                return Response::Error {
-                    message: "positions must contain 1..=100000 entries".into(),
-                };
+                return error("positions must contain 1..=100000 entries");
             }
             match service.interpolate_at(raw_field, *timestep, positions, order) {
                 Ok((values, _)) => Response::Points { values },
-                Err(e) => query_error(e),
+                Err(e) => error(e),
             }
         }
         Request::Metrics => {
@@ -568,14 +539,14 @@ mod tests {
         (addr, state, stop)
     }
 
-    /// Sends one line and reads the one-line answer.
+    /// Sends one line and reads the one-line answer; a connection the
+    /// server refused or reset answers nothing.
     fn round_trip(stream: &TcpStream, line: &str) -> String {
         let mut w = stream;
-        writeln!(w, "{line}").expect("send");
         let mut answer = String::new();
-        BufReader::new(stream)
-            .read_line(&mut answer)
-            .expect("answer");
+        if writeln!(w, "{line}").is_ok() {
+            let _ = BufReader::new(stream).read_line(&mut answer);
+        }
         answer
     }
 
@@ -601,6 +572,33 @@ mod tests {
         eventually("every connection is forgotten", || {
             state.admission.tracked_connections() == 0
         });
+        stop();
+    }
+
+    /// An `api_key` that is not a string is a malformed request: answered
+    /// with an error, never admitted as the anonymous tenant. (The queue's
+    /// own record of whom it served is the witness: `qos.admitted.anonymous`
+    /// is process-wide and moves with every test beside this one.)
+    #[test]
+    fn a_non_string_api_key_is_rejected_not_admitted_as_anonymous() {
+        let (_addr, state, stop) = serve("api_key", ServerConfig::default());
+        let ask = |api_key: &str| {
+            let line = format!(
+                r#"{{"api_key":{api_key},"derived":"norm","field":"velocity","op":"get_threshold","threshold":1e9,"timestep":0}}"#
+            );
+            handle_line_admitted(&line, &state, 7)
+        };
+        for bad in ["7", "null", "true", r#"["gold"]"#] {
+            let answer = ask(bad);
+            let Response::Error { message } = &answer else {
+                panic!("api_key {bad} was answered with {answer:?}")
+            };
+            assert!(message.contains("field 'api_key' must be a string"));
+            assert_eq!(state.admission.tracked_connections(), 0, "{bad} admitted");
+        }
+        let answer = ask(r#""gold""#);
+        assert!(matches!(answer, Response::Threshold { .. }), "{answer:?}");
+        assert_eq!(state.admission.tracked_connections(), 1);
         stop();
     }
 

@@ -298,3 +298,151 @@ fn every_variant_is_pinned() {
     }
     assert_eq!(seen.len(), 15);
 }
+
+/// The wire names `proto.rs` declares optional (`"name": field = default`
+/// in a `wire_messages!` table) — read from the declaration itself, which
+/// is crate-private, so from its source.
+fn declared_optional_members() -> Vec<&'static str> {
+    let source = include_str!("../src/proto.rs");
+    let mut optional = Vec::new();
+    for table in source.split("\nwire_messages! {").skip(1) {
+        let table = table.split("\n}\n").next().unwrap_or_default();
+        // a member reads `"name": field` up to its comma; an optional one
+        // has `= default` before it
+        for (at, _) in table.match_indices("\": ") {
+            let name = table[..at].rsplit('"').next().unwrap_or_default();
+            let rest = &table[at..];
+            let decl = &rest[..rest.find([',', '\n', '}']).unwrap_or(rest.len())];
+            if decl.contains(" = ") && !optional.contains(&name) {
+                optional.push(name);
+            }
+        }
+    }
+    optional
+}
+
+/// What decoding a hostile line may do: fail, or yield a message that
+/// encodes to a line which decodes to the same message. Returns whether
+/// it decoded.
+fn err_or_round_trips<M: PartialEq + std::fmt::Debug, E>(
+    line: &str,
+    decode: fn(&Json) -> Result<M, E>,
+    encode: fn(&M) -> Json,
+) -> bool {
+    let Some(message) = Json::parse(line).ok().and_then(|doc| decode(&doc).ok()) else {
+        return false;
+    };
+    let again = encode(&message).encode();
+    let back = Json::parse(&again).ok().and_then(|doc| decode(&doc).ok());
+    assert_eq!(back.as_ref(), Some(&message), "{line} → {again}");
+    true
+}
+
+/// splitmix64: the seeded source of the byte flips.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Every golden line, mutated: (a) each member deleted, (b) each member's
+/// value replaced by a value of every other JSON type, (c) the line cut at
+/// every byte, (d) random bytes flipped. No mutant panics; each is an
+/// error or a message that survives a round trip; (a) is an error unless
+/// the member is declared optional, (b) always — a present member of the
+/// wrong type is never read as its default.
+#[test]
+fn hostile_wire_lines_are_errors_or_round_trip() {
+    fn hammer<M: PartialEq + std::fmt::Debug, E>(
+        golden: &str,
+        tag_key: &str,
+        optional: &[&str],
+        decode: fn(&Json) -> Result<M, E>,
+        encode: fn(&M) -> Json,
+    ) -> usize {
+        let other_types = [
+            Json::Null,
+            Json::Bool(true),
+            Json::Num(1.0),
+            Json::Str("x".into()),
+            Json::Arr(vec![]),
+            Json::Obj(Default::default()),
+        ];
+        let mut seed = 0x7db_0018;
+        let mut mutants = 0;
+        for line in golden.lines() {
+            assert!(err_or_round_trips(line, decode, encode), "{line}");
+            let Ok(Json::Obj(doc)) = Json::parse(line) else {
+                panic!("{line} is not an object")
+            };
+            for (key, value) in &doc {
+                let mut without = doc.clone();
+                without.remove(key);
+                let mutant = Json::Obj(without).encode();
+                let decoded = err_or_round_trips(&mutant, decode, encode);
+                let may_be_absent = key != tag_key && optional.contains(&key.as_str());
+                assert!(!decoded || may_be_absent, "{line} decoded without '{key}'");
+                for other in &other_types {
+                    if std::mem::discriminant(other) == std::mem::discriminant(value) {
+                        continue;
+                    }
+                    let mut with = doc.clone();
+                    with.insert(key.clone(), other.clone());
+                    let mutant = Json::Obj(with).encode();
+                    assert!(
+                        !err_or_round_trips(&mutant, decode, encode),
+                        "{mutant} decoded with a mistyped '{key}'"
+                    );
+                    mutants += 1;
+                }
+                mutants += 1;
+            }
+            let bytes = line.as_bytes();
+            for cut in 0..bytes.len() {
+                let mutant = String::from_utf8_lossy(&bytes[..cut]);
+                assert!(!err_or_round_trips(&mutant, decode, encode), "{mutant}");
+            }
+            for _ in 0..400 {
+                let mut flipped = bytes.to_vec();
+                for _ in 0..=next(&mut seed) % 3 {
+                    let at = next(&mut seed) as usize % flipped.len();
+                    flipped[at] ^= 1 << (next(&mut seed) % 8);
+                }
+                // the server reads its lines the same way
+                err_or_round_trips(&String::from_utf8_lossy(&flipped), decode, encode);
+            }
+            mutants += bytes.len() + 400;
+        }
+        mutants
+    }
+    let optional = declared_optional_members();
+    let carried = |name: &&str| {
+        let quoted = format!("\"{name}\":");
+        include_str!("golden/requests.jsonl").contains(&quoted)
+            || include_str!("golden/responses.jsonl").contains(&quoted)
+    };
+    assert!(
+        !optional.is_empty() && optional.iter().all(carried),
+        "scraped optional members {optional:?}: each must be a member of some golden line"
+    );
+    let requests = hammer(
+        include_str!("golden/requests.jsonl"),
+        "op",
+        &optional,
+        Request::from_json,
+        Request::to_json,
+    );
+    let responses = hammer(
+        include_str!("golden/responses.jsonl"),
+        "ok",
+        &optional,
+        Response::from_json,
+        Response::to_json,
+    );
+    assert!(
+        requests > 5_000 && responses > 5_000,
+        "{requests} + {responses}"
+    );
+}

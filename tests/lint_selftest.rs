@@ -104,6 +104,7 @@ fn handle(frames: Vec<Frame>, i: usize) -> Frame {
     let _ = (head, tail);
     frames[i]
 }
+impl Frame for [u8; 4] {}
 "#,
     );
     let got = rules::panic_path(&f);

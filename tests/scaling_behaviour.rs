@@ -69,14 +69,17 @@ fn scale_out_is_nearly_linear() {
     let t1 = modelled_total(&cold_models(&build(1, "so1")), 1);
     let t4 = modelled_total(&cold_models(&build(4, "so4")), 1);
     let speedup = t1 / t4;
-    // at this test scale the halo shell is a large fraction of each
-    // node's reads, so "near-linear" is ~2.2-4x; the repro harness at
-    // 128³+ lands closer to the paper's near-perfect scaling
+    // deterministic (fixed kernel-time model, I/O charged to the rack that
+    // served it). One process per node, so `sim::io_phase` is in its
+    // `serial_s / p` term on both sides: a node's arrays serve its quarter
+    // of the grid plus the halo shell its neighbours read from it, and
+    // that shell is what keeps 3.945 under 4. (The repro harness at 128³+
+    // with paper-sized chunks lands closer to the paper's near-perfect
+    // scaling.)
     assert!(
-        speedup > 2.2,
-        "4-node scale-out speedup should be near-linear, got {speedup:.2}"
+        (speedup / 3.945 - 1.0).abs() < 0.01,
+        "4-node scale-out speedup should read 3.945 ± 1 %, got {speedup:.4}"
     );
-    assert!(speedup <= 4.5, "speedup cannot beat linear: {speedup:.2}");
 }
 
 #[test]
@@ -90,16 +93,21 @@ fn scale_up_speedup_diminishes() {
     let t8 = modelled_total(&models, 8);
     let s2 = t1 / t2;
     let s8 = t1 / t8;
-    assert!(s2 > 1.5, "2-process speedup too small: {s2:.2}");
+    // both deterministic. At p = 2 `sim::io_phase` sits exactly where its
+    // two terms meet — `serial_s / 2` equals `busiest_s`, the rack's
+    // controller, which carries all the traffic of the node's arrays —
+    // and compute halves, so the speedup is 2 to the last digit.
     assert!(
-        s8 >= s2,
-        "more processes must not hurt the modelled time: {s2:.2} → {s8:.2}"
+        (s2 / 2.0 - 1.0).abs() < 0.01,
+        "2-process speedup should read 2.000 ± 1 %, got {s2:.4}"
     );
-    // saturation: the per-device makespan floor and the largest single
-    // chunk bound t(8) away from linear speedup
+    // At p = 8 I/O is pinned to the `busiest_s` term (the controller does
+    // not get faster with more readers: "the time to perform I/O does not
+    // scale", §5.3) while compute falls to an eighth: saturation well
+    // below linear, at 2.548.
     assert!(
-        s8 < 7.5,
-        "8-process speedup must saturate below linear, got {s8:.2}"
+        (s8 / 2.548 - 1.0).abs() < 0.01,
+        "8-process speedup should read 2.548 ± 1 %, got {s8:.4}"
     );
 }
 
