@@ -24,6 +24,7 @@ use tdb_core::baseline::local_evaluation_estimate;
 use tdb_core::{
     DerivedField, FdOrder, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService,
 };
+use tdb_obs::m;
 use tdb_storage::{DeviceProfile, FaultPlan};
 use tdb_turbgen::SyntheticDataset;
 use tdb_zorder::{decompose_box, Box3};
@@ -588,7 +589,7 @@ impl Repro {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, tiers[1])
             .without_cache();
-        let atoms = || tdb_obs::global().snapshot().counter("node.atoms_scanned");
+        let atoms = || m::NODE_ATOMS_SCANNED.get();
         for clients in [1usize, 4, 16] {
             self.service.cluster().clear_buffer_pools();
             let before = atoms();
@@ -635,7 +636,7 @@ impl Repro {
             ("lossy-1e-2", CompressionConfig::lossy(2, 1e-2)),
             ("lossy-5e-2", CompressionConfig::lossy(2, 5e-2)),
         ];
-        let counter = |name: &str| tdb_obs::global().snapshot().counter(name);
+        let array_bytes = m::IO_BYTES.with("hdd-raid5");
         let mut thresh: Option<f64> = None;
         let mut baseline: Option<std::collections::BTreeMap<(u32, u32, u32), f32>> = None;
         let mut off_scan_bytes = 0u64;
@@ -644,13 +645,13 @@ impl Repro {
             "mode", "stored", "cold scan (B)", "vs off", "points", "max |Δvalue|"
         );
         for (label, codec) in modes {
-            let logical0 = counter("compress.bytes.logical");
-            let stored0 = counter("compress.bytes.stored");
+            let logical0 = m::COMPRESS_BYTES_LOGICAL.get();
+            let stored0 = m::COMPRESS_BYTES_STORED.get();
             let svc = build_service_with(n, 1, 2, &format!("repro_comp_{label}"), |c| {
                 c.compression = codec;
             });
-            let logical = counter("compress.bytes.logical") - logical0;
-            let stored = counter("compress.bytes.stored") - stored0;
+            let logical = m::COMPRESS_BYTES_LOGICAL.get() - logical0;
+            let stored = m::COMPRESS_BYTES_STORED.get() - stored0;
             let k = *thresh.get_or_insert_with(|| {
                 svc.threshold_for_fraction("velocity", DerivedField::CurlNorm, 0, FRACTIONS[2].0)
                     .expect("threshold")
@@ -658,9 +659,9 @@ impl Repro {
             let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, k)
                 .without_cache();
             svc.cluster().clear_buffer_pools();
-            let bytes0 = counter("io.bytes.hdd-raid5");
+            let bytes0 = array_bytes.get();
             let r = svc.get_threshold(&q).expect("query");
-            let scan_bytes = counter("io.bytes.hdd-raid5") - bytes0;
+            let scan_bytes = array_bytes.get() - bytes0;
             let stored_ratio = if stored > 0 {
                 logical as f64 / stored as f64
             } else {
@@ -701,11 +702,7 @@ impl Repro {
                 ("max_value_delta", Json::Num(max_dv)),
                 (
                     "max_error_micro",
-                    Json::Num(
-                        tdb_obs::global()
-                            .snapshot()
-                            .gauge("compress.max_error_micro") as f64,
-                    ),
+                    Json::Num(m::COMPRESS_MAX_ERROR_MICRO.get() as f64),
                 ),
             ]);
             self.compression.push(row);

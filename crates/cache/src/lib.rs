@@ -25,6 +25,20 @@
 //! commit. The threshold cache ([`semantic`]) and the histogram cache
 //! ([`pdf`]) are two instances of that one table.
 
+// the query path returns typed errors, it does not panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod pdf;
 pub mod semantic;
 pub mod stats;

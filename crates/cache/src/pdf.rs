@@ -8,6 +8,7 @@
 //! a histogram cannot be filtered to a sub-region or re-binned, so a hit
 //! requires the *exact* region and binning.
 
+use tdb_obs::m;
 use tdb_storage::device::{DeviceId, IoSession};
 use tdb_zorder::Box3;
 
@@ -75,11 +76,11 @@ impl PdfCache {
         match self.table.get(key) {
             Some(row) if row.entry.region == *region => {
                 self.table.touch(&row);
-                self.table.add("cache.pdf.hits", 1, |s| &mut s.hits);
+                self.table.add(&m::CACHE_PDF_HITS, 1, |s| &mut s.hits);
                 PdfLookup::Hit(row.entry.counts.clone())
             }
             _ => {
-                self.table.add("cache.pdf.misses", 1, |s| &mut s.misses);
+                self.table.add(&m::CACHE_PDF_MISSES, 1, |s| &mut s.misses);
                 PdfLookup::Miss
             }
         }
@@ -92,11 +93,11 @@ impl PdfCache {
         let entry = PdfEntry { region, counts };
         let (conflicts, evictions) = self.table.insert(key, entry, bytes);
         self.table
-            .add("cache.pdf.conflicts", conflicts, |s| &mut s.conflicts);
+            .add(&m::CACHE_PDF_CONFLICTS, conflicts, |s| &mut s.conflicts);
         if let Some(evictions) = evictions {
-            self.table.add("cache.pdf.inserts", 1, |s| &mut s.inserts);
+            self.table.add(&m::CACHE_PDF_INSERTS, 1, |s| &mut s.inserts);
             self.table
-                .add("cache.pdf.evictions", evictions, |s| &mut s.evictions);
+                .add(&m::CACHE_PDF_EVICTIONS, evictions, |s| &mut s.evictions);
         }
     }
 

@@ -10,6 +10,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use tdb_obs::m;
 use tdb_storage::device::{DeviceId, IoSession};
 use tdb_storage::faults::FaultPlan;
 use tdb_zorder::{decode3, encode3, Box3, MortonBlockDecoder};
@@ -133,7 +134,7 @@ impl SemanticCache {
         });
         let Some(row) = covering else {
             self.table
-                .add("cache.semantic.misses", 1, |s| &mut s.misses);
+                .add(&m::CACHE_SEMANTIC_MISSES, 1, |s| &mut s.misses);
             return CacheLookup::Miss;
         };
         // cacheData scan: index lookup, then a run of rows off the SSD
@@ -146,7 +147,7 @@ impl SemanticCache {
         if rows_checksum(rows) != row.entry.checksum {
             self.table.remove(key, Some(&row));
             self.table
-                .add("cache.semantic.quarantined", 1, |s| &mut s.quarantined);
+                .add(&m::CACHE_SEMANTIC_QUARANTINED, 1, |s| &mut s.quarantined);
             return CacheLookup::Quarantined;
         }
         // Rows are in zindex order, so consecutive points usually share
@@ -163,7 +164,7 @@ impl SemanticCache {
             .copied()
             .collect();
         self.table.touch(&row);
-        self.table.add("cache.semantic.hits", 1, |s| &mut s.hits);
+        self.table.add(&m::CACHE_SEMANTIC_HITS, 1, |s| &mut s.hits);
         CacheLookup::Hit(points)
     }
 
@@ -204,14 +205,16 @@ impl SemanticCache {
             checksum,
             rows,
         };
-        let (conflicts, evictions) = self.table.insert(key, entry, bytes);
-        self.table
-            .add("cache.semantic.conflicts", conflicts, |s| &mut s.conflicts);
+        let table = &self.table;
+        let (conflicts, evictions) = table.insert(key, entry, bytes);
+        table.add(&m::CACHE_SEMANTIC_CONFLICTS, conflicts, |s| {
+            &mut s.conflicts
+        });
         if let Some(evictions) = evictions {
-            self.table
-                .add("cache.semantic.inserts", 1, |s| &mut s.inserts);
-            self.table
-                .add("cache.semantic.evictions", evictions, |s| &mut s.evictions);
+            table.add(&m::CACHE_SEMANTIC_INSERTS, 1, |s| &mut s.inserts);
+            table.add(&m::CACHE_SEMANTIC_EVICTIONS, evictions, |s| {
+                &mut s.evictions
+            });
         }
     }
 

@@ -42,11 +42,10 @@ impl<K: Ord + Clone, E> LruTable<K, E> {
     }
 
     /// Counts `n` events in this cache's statistics and under the
-    /// process-wide `metric` — named like [`tdb_obs::add`] so that the
-    /// `metrics-registry` lint reads the literal name at the call site.
-    pub fn add(&self, metric: &'static str, n: u64, stat: fn(&mut CacheStats) -> &mut u64) {
+    /// process-wide `metric`.
+    pub fn add(&self, metric: &tdb_obs::Counter, n: u64, stat: fn(&mut CacheStats) -> &mut u64) {
         *stat(&mut self.stats.lock()) += n;
-        tdb_obs::add(metric, n);
+        metric.add(n);
     }
 
     pub fn stats(&self) -> CacheStats {

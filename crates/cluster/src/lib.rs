@@ -14,6 +14,20 @@
 //! closed-form time model ([`sim`]), while compute and cache lookups are
 //! measured (DESIGN.md §4).
 
+// the query path returns typed errors, it does not panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod assemble;
 pub mod config;
 pub mod cputime;

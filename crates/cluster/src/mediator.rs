@@ -472,10 +472,16 @@ fn threshold_answer(answer: BatchAnswer) -> Option<ThresholdResponse> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ReplicationConfig;
+    use crate::scan::ScanAssignment;
 
     /// A 32³ periodic cube of 3-component atoms over four nodes with 16³
     /// chunks, so every chunk's halo reaches into a neighbour's blocks.
     fn halo_sharing_cluster(tag: &str) -> (Cluster, PathBuf) {
+        cluster_with(tag, Default::default())
+    }
+
+    fn cluster_with(tag: &str, replication: ReplicationConfig) -> (Cluster, PathBuf) {
         use tdb_zorder::ATOM_POINTS;
 
         let dir = std::env::temp_dir().join(format!("tdb_{tag}_{}", std::process::id()));
@@ -484,6 +490,7 @@ mod tests {
             num_nodes: 4,
             chunk_atoms: 2,
             synthetic_compute_s_per_point: Some(2e-7),
+            replication,
             ..ClusterConfig::default()
         };
         let grid = Grid3::periodic_cube(32, std::f64::consts::TAU);
@@ -513,6 +520,37 @@ mod tests {
                 node_deadline_s: None,
             })
             .unwrap()
+    }
+
+    /// Wave 0 of every query borrows the generation's canonical assignment
+    /// instead of rebuilding it: whoever installs a generation — build,
+    /// join, leave — must have built it from that generation's layout.
+    #[test]
+    fn topology_holds_the_canonical_assignment_across_join_and_leave() {
+        let replication = ReplicationConfig {
+            spare_nodes: 1,
+            ..ReplicationConfig::rendezvous(2)
+        };
+        let (cluster, dir) = cluster_with("canonical", replication);
+        let check = |when: &str| {
+            let topo = cluster.topology_snapshot();
+            let want = ScanAssignment::canonical(&cluster.layout());
+            assert!(Arc::ptr_eq(&topo.canonical.layout, &topo.layout), "{when}");
+            assert!(topo.canonical.canonical, "{when}");
+            assert_eq!(topo.canonical.chunks, want.chunks, "{when}");
+            for (node, idxs) in topo.primary_chunks.iter().enumerate() {
+                let chunks: Vec<_> = idxs.iter().map(|&c| topo.layout.chunks()[c]).collect();
+                assert_eq!(chunks, want.chunks_of(node), "{when}, node {node}");
+            }
+        };
+        check("as built");
+        let joined = cluster.join_node().unwrap().node;
+        check("after the join");
+        assert!(!cluster.topology_snapshot().primary_chunks[joined].is_empty());
+        cluster.leave_node(0).unwrap();
+        check("after the leave");
+        assert!(cluster.topology_snapshot().primary_chunks[0].is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Two nodes both need some blocks of node 0's array; each is read

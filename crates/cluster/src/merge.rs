@@ -330,8 +330,8 @@ impl Cluster {
         ));
         match (histogram, query) {
             (Some(histogram), _) => {
-                tdb_obs::add("query.pdf.count", 1);
-                tdb_obs::observe("query.pdf.wall_s", wall_s);
+                tdb_obs::m::QUERY_PDF_COUNT.inc();
+                tdb_obs::m::QUERY_PDF_WALL_S.observe(wall_s);
                 BatchAnswer::Pdf(PdfResponse {
                     histogram,
                     breakdown,
@@ -341,9 +341,9 @@ impl Cluster {
                 })
             }
             (None, BatchQuery::TopK { .. }) => {
-                tdb_obs::add("query.topk.count", 1);
-                tdb_obs::add("query.points_returned", n);
-                tdb_obs::observe("query.topk.wall_s", wall_s);
+                tdb_obs::m::QUERY_TOPK_COUNT.inc();
+                tdb_obs::m::QUERY_POINTS_RETURNED.add(n);
+                tdb_obs::m::QUERY_TOPK_WALL_S.observe(wall_s);
                 BatchAnswer::TopK(TopKResponse {
                     points,
                     breakdown,
@@ -353,9 +353,9 @@ impl Cluster {
                 })
             }
             (None, _) => {
-                tdb_obs::add("query.threshold.count", 1);
-                tdb_obs::add("query.points_returned", n);
-                tdb_obs::observe("query.threshold.wall_s", wall_s);
+                tdb_obs::m::QUERY_THRESHOLD_COUNT.inc();
+                tdb_obs::m::QUERY_POINTS_RETURNED.add(n);
+                tdb_obs::m::QUERY_THRESHOLD_WALL_S.observe(wall_s);
                 BatchAnswer::Threshold(ThresholdResponse {
                     points,
                     breakdown,

@@ -7,10 +7,11 @@
 //! processes and update the cache.
 //!
 //! A node holds no placement state of its own: which chunks it scans
-//! arrives with every [`SharedScanRequest`] as a [`ScanAssignment`]
-//! computed by the mediator from one topology snapshot (`placement.rs`
-//! is the single source of placement truth). That is what lets the
-//! mediator re-target a dead node's chunks at a surviving replica.
+//! arrives with every [`SharedScanRequest`] as a
+//! [`ScanAssignment`](crate::scan::ScanAssignment) computed by the
+//! mediator from one topology snapshot (`placement.rs` is the single
+//! source of placement truth). That is what lets the mediator re-target a
+//! dead node's chunks at a surviving replica.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,14 +24,14 @@ use tdb_cache::{
 };
 use tdb_field::{Histogram, PaddedVector};
 use tdb_kernels::scan::{pdf_scan_row, threshold_scan_row, ClipRows};
+use tdb_obs::m;
 use tdb_storage::device::{DeviceId, IoSession};
 use tdb_storage::{AtomRecord, BlockCache, StorageError, StorageResult, Table};
 use tdb_zorder::Box3;
 
 use crate::assemble::{assemble_padded_into, needed_atoms};
 use crate::cputime::thread_cpu_time_s;
-#[allow(unused_imports)] // ScanAssignment appears in doc comments
-use crate::scan::{ScanAssignment, ScanKernel, SharedOutcome, SharedScanRequest};
+use crate::scan::{ScanKernel, SharedOutcome, SharedScanRequest};
 use crate::sim::NodeTimeModel;
 use crate::topology::{routed_read, ClusterEnv, NodeDevices};
 
@@ -81,7 +82,7 @@ pub struct NodeRuntime {
     /// `io.ops.<device>` / `io.bytes.<device>` counters of every
     /// registered device, indexed by [`DeviceId`] — resolved once here,
     /// not per subquery.
-    io_counters: Vec<(tdb_obs::Counter, tdb_obs::Counter)>,
+    io_counters: Vec<(Arc<tdb_obs::Counter>, Arc<tdb_obs::Counter>)>,
 }
 
 impl NodeRuntime {
@@ -94,14 +95,10 @@ impl NodeRuntime {
         devices: NodeDevices,
         env: Arc<ClusterEnv>,
     ) -> Self {
-        let reg = tdb_obs::global();
         let io_counters = (0..env.registry.len() as u32)
             .map(|dev| {
                 let name = &env.registry.profile(DeviceId(dev)).name;
-                (
-                    reg.counter(&format!("io.ops.{name}")),
-                    reg.counter(&format!("io.bytes.{name}")),
-                )
+                (m::IO_OPS.with(name), m::IO_BYTES.with(name))
             })
             .collect();
         let cache_budget_bytes = env.config.cache_budget_bytes;
@@ -130,7 +127,7 @@ impl NodeRuntime {
     fn check_available(&self) -> StorageResult<()> {
         if let Some(plan) = &self.env.config.faults {
             if plan.node_is_down(self.id) {
-                tdb_obs::add("node.unavailable", 1);
+                m::NODE_UNAVAILABLE.inc();
                 return Err(StorageError::NodeUnavailable {
                     node: self.id,
                     detail: "injected node failure".into(),
@@ -433,9 +430,7 @@ impl NodeRuntime {
                 Ok((outs, compute_s, chunk_session, chunk_atoms, saved))
             });
         if req.mode == QueryMode::Full {
-            tdb_obs::global()
-                .gauge("scan.scratch_bytes")
-                .set(peak_scratch.into_inner() as i64);
+            m::SCAN_SCRATCH_BYTES.set(peak_scratch.into_inner() as i64);
         }
 
         let mut acc_points: Vec<Vec<ThresholdPoint>> =
@@ -469,11 +464,11 @@ impl NodeRuntime {
         // --- serial-phase timing (DESIGN.md §4) --------------------------
         let model = NodeTimeModel::from_chunk_compute(chunk_compute);
         if pending.len() >= 2 {
-            tdb_obs::add("scan.shared", 1);
-            tdb_obs::add("scan.coalesced_queries", (pending.len() - 1) as u64);
-            tdb_obs::add("scan.atoms_saved", atoms_saved);
+            m::SCAN_SHARED.inc();
+            m::SCAN_COALESCED_QUERIES.add((pending.len() - 1) as u64);
+            m::SCAN_ATOMS_SAVED.add(atoms_saved);
         }
-        tdb_obs::add("node.atoms_scanned", atoms_scanned);
+        m::NODE_ATOMS_SCANNED.add(atoms_scanned);
 
         // --- per-participant assembly and cache fills --------------------
         let mut report = IoSession::new();
@@ -505,7 +500,7 @@ impl NodeRuntime {
                             &mut fill_session,
                         );
                         if slot.healing {
-                            tdb_obs::add("cache.semantic.rebuilt", 1);
+                            m::CACHE_SEMANTIC_REBUILT.inc();
                         }
                     }
                 }
@@ -604,19 +599,18 @@ impl NodeRuntime {
 }
 
 /// RAII increment of the `node.active_subqueries` gauge.
-struct ActiveGuard(tdb_obs::Gauge);
+struct ActiveGuard;
 
 impl ActiveGuard {
     fn new() -> Self {
-        let g = tdb_obs::global().gauge("node.active_subqueries");
-        g.inc();
-        Self(g)
+        m::NODE_ACTIVE_SUBQUERIES.inc();
+        Self
     }
 }
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        self.0.dec();
+        m::NODE_ACTIVE_SUBQUERIES.dec();
     }
 }
 
@@ -632,6 +626,7 @@ struct ScanScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::ScanAssignment;
     use tdb_field::ScalarField;
     use tdb_kernels::DerivedField;
 

@@ -59,7 +59,7 @@ impl Cluster {
         let report = self.install_members(&mut state, &old, node, &members, Some(spare))?;
         // the rack is spent only once the node is up on it
         state.spares.pop();
-        tdb_obs::add("replication.rebalance.joins", 1);
+        tdb_obs::m::REPLICATION_REBALANCE_JOINS.inc();
         Ok(report)
     }
 
@@ -85,7 +85,7 @@ impl Cluster {
             )));
         }
         let report = self.install_members(&mut state, &old, node, &members, None)?;
-        tdb_obs::add("replication.rebalance.leaves", 1);
+        tdb_obs::m::REPLICATION_REBALANCE_LEAVES.inc();
         Ok(report)
     }
 
@@ -146,16 +146,12 @@ impl Cluster {
             atoms_copied += gained.iter().map(ZRange::len).sum::<u64>()
                 * (self.timesteps.len() * self.fields.len()) as u64;
         }
-        *self.topology.write() = Arc::new(Topology {
-            layout,
-            nodes,
-            epoch,
-        });
+        *self.topology.write() = Arc::new(Topology::new(layout, nodes, epoch));
         // chunk primaries changed hands, and semantic-cache entries hold
         // exactly the old canonical per-node point sets — drop them all
         self.clear_caches();
-        tdb_obs::add("replication.rebalance.chunks_moved", chunks_moved as u64);
-        tdb_obs::add("replication.rebalance.atoms_copied", atoms_copied);
+        tdb_obs::m::REPLICATION_REBALANCE_CHUNKS_MOVED.add(chunks_moved as u64);
+        tdb_obs::m::REPLICATION_REBALANCE_ATOMS_COPIED.add(atoms_copied);
         Ok(RebalanceReport {
             node,
             chunks_moved,

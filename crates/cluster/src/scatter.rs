@@ -130,22 +130,7 @@ impl Cluster {
         // one scatter wave: targeted nodes evaluate their assigned chunks
         // in parallel against the snapshot; once all have answered, each
         // node's I/O phase is what its arrays served in the wave
-        let scatter = |targets: &[(usize, Vec<usize>)], canonical: bool| -> Vec<WaveEntry> {
-            let mut chunks: Vec<Vec<Chunk>> = vec![Vec::new(); topo.nodes.len()];
-            for (node, cidxs) in targets {
-                let assigned = cidxs
-                    .iter()
-                    .filter_map(|&c| layout.chunks().get(c).copied())
-                    .collect();
-                if let Some(slot) = chunks.get_mut(*node) {
-                    *slot = assigned;
-                }
-            }
-            let assignment = Arc::new(ScanAssignment {
-                layout: Arc::clone(&layout),
-                chunks,
-                canonical,
-            });
+        let scatter = |targets: &[(usize, Vec<usize>)], assignment: Arc<ScanAssignment>| {
             let req = SharedScanRequest {
                 dataset: self.dataset.clone(),
                 raw_field: first.raw_field.clone(),
@@ -197,13 +182,14 @@ impl Cluster {
             }
             wave
         };
-        // wave 0: the canonical assignment over every live node. Entries
-        // land in `done` in wave order (node-id order within a wave).
+        // wave 0: the generation's canonical assignment over every live
+        // node. Entries land in `done` in wave order (node-id order within
+        // a wave).
         let initial: Vec<(usize, Vec<usize>)> = topo
             .live()
-            .map(|(id, _)| (id, layout.chunk_indices_of_node(id)))
+            .map(|(id, _)| (id, topo.primary_chunks.get(id).cloned().unwrap_or_default()))
             .collect();
-        let mut wave = scatter(&initial, true);
+        let mut wave = scatter(&initial, Arc::clone(&topo.canonical));
         let mut done: Vec<(usize, std::vec::IntoIter<SharedOutcome>)> = Vec::new();
         let mut excluded: HashSet<usize> = HashSet::new();
         let mut failed_nodes: Vec<FailedNode> = Vec::new();
@@ -220,7 +206,7 @@ impl Cluster {
                         let t = outs.iter().map(&modelled_time).fold(0.0f64, f64::max);
                         match deadline {
                             Some(d) if t > d => {
-                                tdb_obs::add("node.deadline_exceeded", 1);
+                                tdb_obs::m::NODE_DEADLINE_EXCEEDED.inc();
                                 format!("deadline exceeded: modelled {t:.3}s > {d:.3}s")
                             }
                             _ => {
@@ -265,16 +251,30 @@ impl Cluster {
             }
             rounds += 1;
             let moved: u64 = retargets.values().map(|v| v.len() as u64).sum();
-            tdb_obs::add("replication.failover.chunks", moved);
+            tdb_obs::m::REPLICATION_FAILOVER_CHUNKS.add(moved);
+            // a failover wave scans exactly the re-targeted chunks
             let targets: Vec<(usize, Vec<usize>)> = retargets.into_iter().collect();
-            wave = scatter(&targets, false);
+            let mut chunks: Vec<Vec<Chunk>> = vec![Vec::new(); topo.nodes.len()];
+            for (node, cidxs) in &targets {
+                if let Some(slot) = chunks.get_mut(*node) {
+                    *slot = (cidxs.iter())
+                        .filter_map(|&c| layout.chunks().get(c).copied())
+                        .collect();
+                }
+            }
+            let partial = ScanAssignment {
+                layout: Arc::clone(&layout),
+                chunks,
+                canonical: false,
+            };
+            wave = scatter(&targets, Arc::new(partial));
         }
         if rounds > 0 {
-            tdb_obs::add("replication.failover.rounds", rounds);
-            tdb_obs::add("replication.failover.nodes", failed_nodes.len() as u64);
+            tdb_obs::m::REPLICATION_FAILOVER_ROUNDS.add(rounds);
+            tdb_obs::m::REPLICATION_FAILOVER_NODES.add(failed_nodes.len() as u64);
         }
         if !lost_chunks.is_empty() {
-            tdb_obs::add("replication.lost_chunks", lost_chunks.len() as u64);
+            tdb_obs::m::REPLICATION_LOST_CHUNKS.add(lost_chunks.len() as u64);
         }
         let node_ids: Vec<usize> = done.iter().map(|(node, _)| *node).collect();
         for &qi in idxs {
@@ -299,7 +299,7 @@ impl Cluster {
                 })
             } else {
                 let degraded = (!missing.is_empty()).then(|| {
-                    tdb_obs::add("query.degraded", 1);
+                    tdb_obs::m::QUERY_DEGRADED.inc();
                     DegradedInfo {
                         failed_nodes: failed_nodes.clone(),
                         missing_boxes: missing,

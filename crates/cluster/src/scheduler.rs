@@ -106,9 +106,9 @@ impl ScanScheduler {
                 ));
             };
             let n = batch.entries.len();
-            tdb_obs::add("scheduler.batches", 1);
+            tdb_obs::m::SCHEDULER_BATCHES.inc();
             if n > 1 {
-                tdb_obs::add("scheduler.coalesced", (n - 1) as u64);
+                tdb_obs::m::SCHEDULER_COALESCED.add((n - 1) as u64);
             }
             let (queries, txs): (Vec<_>, Vec<_>) = batch.entries.into_iter().unzip();
             for (answer, tx) in cluster.run_batch(queries).into_iter().zip(txs) {

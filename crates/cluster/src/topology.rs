@@ -21,6 +21,7 @@ use crate::config::ClusterConfig;
 use crate::mediator::Cluster;
 use crate::node::NodeRuntime;
 use crate::placement::Layout;
+use crate::scan::ScanAssignment;
 use crate::scheduler::ScanScheduler;
 
 /// What every node of one cluster shares with the mediator: sizing,
@@ -64,9 +65,28 @@ pub(crate) struct Topology {
     pub nodes: Vec<Option<Arc<NodeRuntime>>>,
     /// Monotone generation counter, bumped per join/leave.
     pub epoch: u64,
+    /// Every node scanning its primary chunks of `layout`: the first
+    /// scatter wave of every query of this generation.
+    pub canonical: Arc<ScanAssignment>,
+    /// `primary_chunks[node]` = indices into `Layout::chunks` of the
+    /// chunks `canonical` gives that node.
+    pub primary_chunks: Vec<Vec<usize>>,
 }
 
 impl Topology {
+    /// The generation `epoch` of `nodes` serving `layout`.
+    pub fn new(layout: Arc<Layout>, nodes: Vec<Option<Arc<NodeRuntime>>>, epoch: u64) -> Self {
+        Self {
+            canonical: Arc::new(ScanAssignment::canonical(&layout)),
+            primary_chunks: (0..layout.num_nodes())
+                .map(|node| layout.chunk_indices_of_node(node))
+                .collect(),
+            layout,
+            nodes,
+            epoch,
+        }
+    }
+
     /// Live `(node id, runtime)` pairs in id order.
     pub fn live(&self) -> impl Iterator<Item = (usize, &Arc<NodeRuntime>)> {
         self.nodes
@@ -319,11 +339,7 @@ impl ClusterBuilder {
             scheduler: self.env.config.coalesce.map(ScanScheduler::new),
             env: self.env,
             dataset: self.dataset,
-            topology: RwLock::new(Arc::new(Topology {
-                layout: self.layout,
-                nodes,
-                epoch: 0,
-            })),
+            topology: RwLock::new(Arc::new(Topology::new(self.layout, nodes, 0))),
             fields: self.fields,
             timesteps: self.timesteps,
             rebalance: Mutex::new(RebalanceState {

@@ -22,6 +22,20 @@
 //! println!("{} points above threshold: {}", result.points.len(), result.breakdown);
 //! ```
 
+// the query path returns typed errors, it does not panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod baseline;
 pub mod batch;
 pub mod error;

@@ -150,18 +150,18 @@ impl TurbulenceService {
         response: tdb_storage::StorageResult<ThresholdResult>,
     ) -> Result<ThresholdResult, QueryError> {
         let response = response.map_err(|e| {
-            tdb_obs::add("query.threshold.failed", 1);
+            tdb_obs::m::QUERY_THRESHOLD_FAILED.inc();
             QueryError::Backend(e.to_string())
         })?;
         let points = response.points.len() as u64;
         if points > self.limits.max_points {
-            tdb_obs::add("query.threshold.rejected", 1);
+            tdb_obs::m::QUERY_THRESHOLD_REJECTED.inc();
             return Err(QueryError::ThresholdTooLow {
                 points,
                 limit: self.limits.max_points,
             });
         }
-        tdb_obs::add("query.threshold.ok", 1);
+        tdb_obs::m::QUERY_THRESHOLD_OK.inc();
         Ok(response)
     }
 

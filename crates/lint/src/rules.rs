@@ -12,14 +12,7 @@ use crate::lexer::TokenKind;
 use crate::scan::SourceFile;
 
 /// Names of every shipped rule.
-pub const RULES: &[&str] = &[
-    "float-width",
-    "lock-order",
-    "lock-graph",
-    "panic-path",
-    "metrics-registry",
-    "error-context",
-];
+pub const RULES: &[&str] = &["float-width", "lock-order", "lock-graph"];
 
 /// One diagnostic. Field order is load-bearing: the derived `Ord` sorts
 /// reports by rule, then path, then line — the stable output order.
@@ -472,391 +465,30 @@ fn binding_of(file: &SourceFile, i: usize, fn_start: usize) -> (bool, Option<Str
 }
 
 // ---------------------------------------------------------------------------
-// panic-path
+// pragmas
 // ---------------------------------------------------------------------------
 
-/// Crates whose non-test code is the server/cluster/cache query path.
-pub const PANIC_PATH_CRATES: &[&str] = &["wire", "cluster", "cache", "core", "storage"];
-
-/// Forbids `unwrap`/`expect`/`panic!`-family macros and slice indexing in
-/// the query path: a panic in a handler thread kills the request (and
-/// under `parking_lot` semantics leaves shared state unprotected by
-/// poisoning), where a typed error would travel the proto error channel.
-pub fn panic_path(file: &SourceFile) -> Vec<Finding> {
-    const RULE: &str = "panic-path";
+/// A pragma that names no shipped rule suppresses nothing and would sit
+/// there forever — the leftover of a retired rule, or a typo. Reported
+/// under the pseudo-rule `pragma`, which no pragma can allow.
+pub fn unknown_pragmas(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    if !PANIC_PATH_CRATES.contains(&file.crate_name()) || file.is_test_file {
-        return out;
-    }
-    for i in 0..file.len() {
-        if skipped(file, i, RULE) {
-            continue;
-        }
-        let tok = file.tok(i);
-        match tok.kind {
-            TokenKind::Ident => {
-                let text = file.text(i);
-                let prev_dot = i > 0 && file.is_punct(i - 1, '.');
-                if (text == "unwrap" || text == "expect") && prev_dot && file.is_punct(i + 1, '(') {
-                    out.push(finding(
-                        file,
-                        i,
-                        RULE,
-                        format!(
-                            "`.{text}()` on the query path: convert to a typed error \
-                             that travels the proto error channel"
-                        ),
-                    ));
-                } else if matches!(text, "panic" | "unreachable" | "todo" | "unimplemented")
-                    && file.is_punct(i + 1, '!')
-                {
-                    out.push(finding(
-                        file,
-                        i,
-                        RULE,
-                        format!("`{text}!` on the query path: return a typed error instead"),
-                    ));
-                }
-            }
-            TokenKind::Punct if file.text(i) == "[" => {
-                // index expressions: `expr[...]` where expr ends in an
-                // identifier, `)` or `]`. Attribute `#[...]`, array
-                // literals `[0u8; n]` and full-range `[..]` are exempt.
-                if i == 0 {
-                    continue;
-                }
-                let prev = file.tok(i - 1);
-                let indexes = match prev.kind {
-                    TokenKind::Ident => {
-                        // `let [a, b] = ..` destructures and `impl T for
-                        // [u8; 4]` names a type: neither indexes
-                        !matches!(
-                            file.text(i - 1),
-                            "in" | "return" | "break" | "mut" | "ref" | "let" | "for"
-                        )
-                    }
-                    TokenKind::Punct => matches!(file.text(i - 1), ")" | "]"),
-                    _ => false,
-                };
-                let full_range = file.is_punct(i + 1, '.')
-                    && file.is_punct(i + 2, '.')
-                    && file.is_punct(i + 3, ']');
-                if indexes && !full_range {
-                    out.push(finding(
-                        file,
-                        i,
-                        RULE,
-                        "slice/array indexing can panic on the query path: use \
-                         `.get()` or a checked range"
-                            .to_string(),
-                    ));
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// metrics-registry
-// ---------------------------------------------------------------------------
-
-/// A metric name use site.
-#[derive(Debug)]
-struct MetricUse {
-    name: String,
-    /// True when the site builds the name with `format!` — matched
-    /// against declared wildcard prefixes.
-    dynamic: bool,
-    file_idx: usize,
-    sig_idx: usize,
-}
-
-/// Cross-checks every metric name string against the declared-metrics
-/// list: a name used but not declared is a typo waiting to split a
-/// counter, a name declared but never reported is a dashboard that will
-/// stay at zero forever.
-pub fn metrics_registry(files: &[SourceFile], declared: &DeclaredMetrics) -> Vec<Finding> {
-    const RULE: &str = "metrics-registry";
-    let mut uses: Vec<MetricUse> = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        if !file.path.starts_with("crates/") {
-            continue;
-        }
-        for i in 0..file.len() {
-            if skipped(file, i, RULE) {
-                continue;
-            }
-            let is_reporting_call = file.tok(i).kind == TokenKind::Ident
-                && matches!(
-                    file.text(i),
-                    "counter" | "gauge" | "histogram" | "add" | "observe"
-                )
-                && file.is_punct(i + 1, '(')
-                && (file.is_punct(i.wrapping_sub(1), '.')
-                    || (i >= 2 && file.is_punct(i - 1, ':') && file.is_punct(i - 2, ':')));
-            if !is_reporting_call {
-                continue;
-            }
-            // first argument: optional `&`, then a string literal or a
-            // `format!("prefix{...}")` builder
-            let mut a = i + 2;
-            if file.is_punct(a, '&') {
-                a += 1;
-            }
-            if a < file.len() && file.tok(a).kind == TokenKind::Str {
-                if let Some(name) = str_value(file.text(a)) {
-                    uses.push(MetricUse {
-                        name,
-                        dynamic: false,
-                        file_idx: fi,
-                        sig_idx: a,
-                    });
-                }
-            } else if file.is_ident(a, "format")
-                && file.is_punct(a + 1, '!')
-                && file.is_punct(a + 2, '(')
-                && a + 3 < file.len()
-                && file.tok(a + 3).kind == TokenKind::Str
-            {
-                if let Some(tpl) = str_value(file.text(a + 3)) {
-                    let prefix = tpl.split('{').next().unwrap_or("").to_string();
-                    uses.push(MetricUse {
-                        name: prefix,
-                        dynamic: true,
-                        file_idx: fi,
-                        sig_idx: a + 3,
-                    });
-                }
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut used_entries: BTreeSet<String> = BTreeSet::new();
-    for u in &uses {
-        let file = &files[u.file_idx];
-        let hit = if u.dynamic {
-            declared
-                .wildcard_prefixes()
-                .find(|p| u.name.starts_with(p.as_str()) || p.starts_with(&u.name))
-                .map(|p| format!("{p}*"))
-        } else {
-            declared.matches(&u.name)
-        };
-        match hit {
-            Some(entry) => {
-                used_entries.insert(entry);
-            }
-            None => out.push(finding(
-                file,
-                u.sig_idx,
-                RULE,
-                format!(
-                    "metric name `{}{}` is not in tdb-obs::declared_metrics() — \
-                     a typo here silently splits a counter",
-                    u.name,
-                    if u.dynamic { "…" } else { "" }
-                ),
-            )),
-        }
-    }
-    for (entry, line) in &declared.entries {
-        if !used_entries.contains(entry) {
+    for (at, rule) in &file.pragmas {
+        if !RULES.contains(&rule.as_str()) {
             out.push(Finding {
-                path: declared.path.clone(),
-                line: *line,
-                rule: RULE.to_string(),
+                rule: "pragma".to_string(),
+                path: file.path.clone(),
+                line: file.text[..*at].matches('\n').count() as u32 + 1,
                 message: format!(
-                    "declared metric `{entry}` is never reported by any \
-                     non-test code — remove it or wire it up"
+                    "`allow({rule})` names no tdb-lint rule (the rules are {}): \
+                     delete the pragma",
+                    RULES.join(", ")
                 ),
-                line_text: format!("\"{entry}\""),
+                line_text: file.line_text(*at).to_string(),
             });
         }
     }
     out
-}
-
-/// The central declared-metrics list, parsed out of the tdb-obs source
-/// (the lint never links against the code it checks).
-pub struct DeclaredMetrics {
-    /// `(entry, line)` — an entry ending in `*` declares a prefix family.
-    pub entries: Vec<(String, u32)>,
-    pub path: String,
-}
-
-impl DeclaredMetrics {
-    /// Extracts the `DECLARED_METRICS` array from the obs source file.
-    pub fn parse(file: &SourceFile) -> Option<DeclaredMetrics> {
-        let mut entries = Vec::new();
-        let start = (0..file.len()).find(|&i| file.is_ident(i, "DECLARED_METRICS"))?;
-        // skip the type annotation (`&[&str]`) — the value array opens
-        // after the `=`
-        let eq = (start..file.len()).find(|&i| file.is_punct(i, '='))?;
-        let open = (eq..file.len()).find(|&i| file.is_punct(i, '['))?;
-        for i in open + 1..file.len() {
-            if file.is_punct(i, ']') {
-                break;
-            }
-            if file.tok(i).kind == TokenKind::Str {
-                if let Some(v) = str_value(file.text(i)) {
-                    entries.push((v, file.line(i)));
-                }
-            }
-        }
-        Some(DeclaredMetrics {
-            entries,
-            path: file.path.clone(),
-        })
-    }
-
-    /// A declared-metrics list given directly (self-tests).
-    pub fn from_list(names: &[&str]) -> DeclaredMetrics {
-        DeclaredMetrics {
-            entries: names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| (n.to_string(), i as u32 + 1))
-                .collect(),
-            path: "<declared>".to_string(),
-        }
-    }
-
-    fn wildcard_prefixes(&self) -> impl Iterator<Item = String> + '_ {
-        self.entries
-            .iter()
-            .filter(|(e, _)| e.ends_with('*'))
-            .map(|(e, _)| e[..e.len() - 1].to_string())
-    }
-
-    /// The declared entry covering a literal `name`, if any.
-    fn matches(&self, name: &str) -> Option<String> {
-        for (e, _) in &self.entries {
-            if let Some(prefix) = e.strip_suffix('*') {
-                if name.starts_with(prefix) {
-                    return Some(e.clone());
-                }
-            } else if e == name {
-                return Some(e.clone());
-            }
-        }
-        None
-    }
-}
-
-/// The value of a plain string literal token (`"abc"` → `abc`).
-fn str_value(text: &str) -> Option<String> {
-    let inner = text.strip_prefix('"')?.strip_suffix('"')?;
-    Some(inner.to_string())
-}
-
-// ---------------------------------------------------------------------------
-// error-context
-// ---------------------------------------------------------------------------
-
-/// Filesystem calls that always produce `io::Error`.
-const IO_CALLS: &[&str] = &[
-    "read_exact_at",
-    "write_all",
-    "write_at",
-    "sync_all",
-    "sync_data",
-    "read_to_end",
-    "read_to_string",
-    "read_exact",
-    "seek",
-    "set_len",
-    "flush",
-    "create_dir_all",
-    "remove_file",
-    "remove_dir",
-    "remove_dir_all",
-    "read_dir",
-    "rename",
-    "copy",
-    "metadata",
-];
-/// Generic names that are io calls only with a `File`/`fs` receiver.
-const IO_CALLS_QUALIFIED: &[&str] = &["open", "create", "read", "write"];
-/// Markers that context was attached within the statement.
-const CONTEXT_MARKERS: &[&str] = &["map_err", "in_file", "at_file", "io_at", "with_context"];
-
-/// `io::Error` propagation in tdb-storage must attach the path/atom
-/// context: a bare `?` after a filesystem call erases which partition
-/// file failed, and the retry/quarantine policies key off that context.
-pub fn error_context(file: &SourceFile) -> Vec<Finding> {
-    const RULE: &str = "error-context";
-    let mut out = Vec::new();
-    if file.crate_name() != "storage" || file.is_test_file {
-        return out;
-    }
-    for i in 0..file.len() {
-        if skipped(file, i, RULE) {
-            continue;
-        }
-        if file.tok(i).kind != TokenKind::Ident || !file.is_punct(i + 1, '(') {
-            continue;
-        }
-        let name = file.text(i);
-        let qualified = i >= 2
-            && file.is_punct(i - 1, ':')
-            && (file.is_ident(i - 3, "File") || file.is_ident(i - 3, "fs"));
-        let is_io = IO_CALLS.contains(&name) || (IO_CALLS_QUALIFIED.contains(&name) && qualified);
-        if !is_io {
-            continue;
-        }
-        // match the call's parentheses, then look for `?`
-        let mut depth = 0usize;
-        let mut j = i + 1;
-        while j < file.len() {
-            if file.is_punct(j, '(') {
-                depth += 1;
-            } else if file.is_punct(j, ')') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        if !file.is_punct(j + 1, '?') {
-            continue;
-        }
-        // context attached anywhere in the enclosing statement?
-        let stmt_start = statement_start(file, i);
-        let stmt_end = (j..file.len())
-            .find(|&k| file.is_punct(k, ';'))
-            .unwrap_or(file.len() - 1);
-        let has_context =
-            (stmt_start..=stmt_end).any(|k| CONTEXT_MARKERS.iter().any(|m| file.is_ident(k, m)));
-        if !has_context {
-            out.push(finding(
-                file,
-                i,
-                RULE,
-                format!(
-                    "`{name}(..)?` propagates io::Error without file context: \
-                     attach the partition path (`.at_file(&self.path)?` or \
-                     `.map_err(..)`) so retries and error messages name the \
-                     failing file"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-fn statement_start(file: &SourceFile, i: usize) -> usize {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        if file.is_punct(j, ';') || file.is_punct(j, '{') || file.is_punct(j, '}') {
-            return j + 1;
-        }
-    }
-    0
 }
 
 #[cfg(test)]
@@ -885,27 +517,6 @@ mod tests {
             "fn smooth(v: f32) -> f32 { v * 0.5f32 }",
         );
         assert!(float_width(&f).is_empty());
-    }
-
-    #[test]
-    fn panic_path_flags_unwrap_and_indexing() {
-        let f = file(
-            "crates/wire/src/x.rs",
-            "fn handle(v: Vec<u8>, i: usize) -> u8 { let x = v.get(0).unwrap(); v[i] + x }",
-        );
-        let got = panic_path(&f);
-        assert_eq!(got.len(), 2, "{got:?}");
-    }
-
-    #[test]
-    fn panic_path_ignores_tests_attrs_and_other_crates() {
-        let f = file(
-            "crates/wire/src/x.rs",
-            "#[derive(Debug)]\nstruct S;\n#[test]\nfn t() { None::<u8>.unwrap(); }\n",
-        );
-        assert!(panic_path(&f).is_empty());
-        let f = file("crates/turbgen/src/x.rs", "fn t(v: Vec<u8>) -> u8 { v[0] }");
-        assert!(panic_path(&f).is_empty());
     }
 
     #[test]
@@ -985,40 +596,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_registry_both_directions() {
-        let declared = DeclaredMetrics::from_list(&["cache.hits", "io.ops.*", "never.used"]);
-        let f = file(
-            "crates/cache/src/a.rs",
-            "fn f() { tdb_obs::add(\"cache.hits\", 1); tdb_obs::add(\"cache.hitz\", 1); \
-             reg.add(&format!(\"io.ops.{name}\"), n); }",
-        );
-        let got = metrics_registry(&[f], &declared);
-        assert_eq!(got.len(), 2, "{got:?}");
-        assert!(got.iter().any(|f| f.message.contains("cache.hitz")));
-        assert!(got.iter().any(|f| f.message.contains("never.used")));
-    }
-
-    #[test]
-    fn error_context_requires_file_context() {
-        let f = file(
-            "crates/storage/src/a.rs",
-            "fn f(&self) -> StorageResult<()> { self.file.write_all(&b)?; Ok(()) }",
-        );
-        let got = error_context(&f);
-        assert_eq!(got.len(), 1, "{got:?}");
-        let f = file(
-            "crates/storage/src/a.rs",
-            "fn f(&self) -> StorageResult<()> { self.file.write_all(&b).at_file(&self.path)?; Ok(()) }",
-        );
-        assert!(error_context(&f).is_empty());
-    }
-
-    #[test]
     fn pragma_suppresses_findings() {
-        let f = file(
-            "crates/wire/src/x.rs",
-            "fn handle(v: Vec<u8>) -> u8 {\n    // tdb-lint: allow(panic-path)\n    v[0]\n}",
-        );
-        assert!(panic_path(&f).is_empty());
+        let src =
+            "fn scan(v: f64, threshold: f64) -> bool {\n    PRAGMA\n    v as f32 >= threshold\n}";
+        let bare = file("crates/cluster/src/x.rs", &src.replace("PRAGMA", ""));
+        assert_eq!(float_width(&bare).len(), 1);
+        let allowed = src.replace("PRAGMA", "// tdb-lint: allow(float-width) — an exact f32");
+        assert!(float_width(&file("crates/cluster/src/x.rs", &allowed)).is_empty());
     }
 }

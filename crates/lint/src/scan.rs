@@ -36,6 +36,8 @@ pub struct SourceFile {
     test_spans: Vec<(usize, usize)>,
     /// Lines on which `// tdb-lint: allow(rule, ...)` pragmas act.
     allows: HashMap<u32, HashSet<String>>,
+    /// Every rule name a pragma gives, with the byte offset of its comment.
+    pub pragmas: Vec<(usize, String)>,
     /// Whether the whole file is test code (lives under `tests/`).
     pub is_test_file: bool,
 }
@@ -62,6 +64,7 @@ impl SourceFile {
             fns: Vec::new(),
             test_spans: Vec::new(),
             allows: HashMap::new(),
+            pragmas: Vec::new(),
             is_test_file,
         };
         file.collect_allows();
@@ -123,7 +126,7 @@ impl SourceFile {
     pub fn allowed(&self, rule: &str, line: u32) -> bool {
         self.allows
             .get(&line)
-            .is_some_and(|rules| rules.contains(rule) || rules.contains("*"))
+            .is_some_and(|rules| rules.contains(rule))
     }
 
     /// The 1-based line of significant token `i`.
@@ -146,6 +149,11 @@ impl SourceFile {
                 continue;
             }
             let body = t.text(&self.text);
+            // doc comments describe the pragma syntax; only plain comments
+            // carry one
+            if body.starts_with("///") || body.starts_with("//!") {
+                continue;
+            }
             let Some(at) = body.find("tdb-lint:") else {
                 continue;
             };
@@ -175,6 +183,8 @@ impl SourceFile {
             } else {
                 t.line
             };
+            self.pragmas
+                .extend(rules.iter().map(|r| (t.start, r.clone())));
             self.allows.entry(target).or_default().extend(rules);
         }
     }
@@ -331,13 +341,14 @@ mod tests {
 
     #[test]
     fn pragma_suppresses_same_and_next_line() {
-        let src = "// tdb-lint: allow(panic-path)\nlet a = b.unwrap();\nlet c = d.unwrap(); // tdb-lint: allow(panic-path, float-width)\nlet e = f.unwrap();\n";
+        let src = "// tdb-lint: allow(lock-graph)\nlet a = b.lock();\nlet c = d.lock(); // tdb-lint: allow(lock-graph, float-width)\nlet e = f.lock();\n";
         let f = SourceFile::new("crates/x/src/lib.rs", src);
-        assert!(f.allowed("panic-path", 2));
-        assert!(f.allowed("panic-path", 3));
+        assert!(f.allowed("lock-graph", 2));
+        assert!(f.allowed("lock-graph", 3));
         assert!(f.allowed("float-width", 3));
-        assert!(!f.allowed("panic-path", 4));
+        assert!(!f.allowed("lock-graph", 4));
         assert!(!f.allowed("lock-order", 2));
+        assert_eq!(f.pragmas.len(), 3);
     }
 
     #[test]

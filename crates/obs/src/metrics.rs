@@ -1,31 +1,24 @@
-//! Process-wide metrics: named atomic counters, gauges and histograms.
-//!
-//! Subsystems report into the global registry as they work (buffer-pool
-//! hits, semantic-cache outcomes, bytes per modelled device, queries by
-//! outcome); [`MetricsRegistry::snapshot`] freezes everything into plain
-//! maps for the `metrics` wire endpoint and the repro harness.
-//!
-//! Hot paths should cache a [`Counter`]/[`Gauge`] handle (one registry
-//! lookup at construction, lock-free increments after); occasional
-//! reporters can use the [`add`]/[`observe`] free functions.
-//!
-//! Concurrency instrumentation (DESIGN.md §7) lives under three
-//! prefixes: `scan.*` (shared scans: `scan.shared`,
-//! `scan.coalesced_queries`, `scan.atoms_saved`), `scheduler.*`
-//! (cross-query coalescing: `scheduler.batches`, `scheduler.coalesced`)
-//! and `admission.*` (wire-server load control: `admission.admitted`,
-//! `admission.shed`, gauge `admission.queue_depth`, histogram
-//! `admission.wait_s`).
+//! Metric types: atomic counters, gauges and log₂-bucketed histograms —
+//! what the statics of [`crate::declared`] are made of — and
+//! [`MetricsSnapshot`], the plain maps they freeze into for the `metrics`
+//! wire endpoint and the repro harness. [`MetricsRegistry`] is the
+//! by-name map behind a [`CounterFamily`]; on its own it is a stand-alone
+//! registry that reports to nobody else (tests, probes).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-/// A monotonically increasing counter handle.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
+/// A monotonically increasing counter.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
 
 impl Counter {
+    /// A counter at zero.
+    pub const fn new() -> Self {
+        Self(AtomicU64::new(0))
+    }
+
     /// Adds `n` to the counter.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -42,25 +35,25 @@ impl Counter {
     }
 }
 
-/// A gauge handle: a value that can go up and down (queue depths,
-/// in-flight work).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicI64>);
+/// A gauge: a value that can go up and down (queue depths, in-flight
+/// work).
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicI64);
 
 impl Gauge {
-    /// Adds `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+    /// A gauge at zero.
+    pub const fn new() -> Self {
+        Self(AtomicI64::new(0))
     }
 
     /// Increments by one.
     pub fn inc(&self) {
-        self.add(1);
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Decrements by one.
     pub fn dec(&self) {
-        self.add(-1);
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Sets the value.
@@ -89,14 +82,22 @@ pub struct Histogram {
     max_ns: AtomicU64,
 }
 
-/// A histogram handle.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(Arc<Histogram>);
+impl Histogram {
+    /// An empty histogram.
+    pub const fn new() -> Self {
+        // a `const` item, not a value: each array slot gets its own atomic
+        #[allow(clippy::declare_interior_mutable_const)]
+        const ZERO: AtomicU64 = AtomicU64::new(0);
+        Self {
+            buckets: [ZERO; HISTOGRAM_BUCKETS],
+            count: ZERO,
+            sum_ns: ZERO,
+            max_ns: ZERO,
+        }
+    }
 
-impl HistogramHandle {
     /// Records one observation (seconds; negatives clamp to zero).
     pub fn observe(&self, seconds: f64) {
-        let h = &self.0;
         let s = seconds.max(0.0);
         let us = s * 1e6;
         // log2 bucket of the duration in microseconds; sub-µs lands in 0
@@ -105,26 +106,36 @@ impl HistogramHandle {
         } else {
             ((us.log2().floor() as usize) + 1).min(HISTOGRAM_BUCKETS - 1)
         };
-        h.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
         let ns = (s * 1e9) as u64;
-        h.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        h.max_ns.fetch_max(ns, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+    }
+}
+
+/// A declared name prefix (`io.bytes.`) whose members are counters keyed
+/// by a label of bounded cardinality — a device, a configured tenant.
+#[derive(Debug)]
+pub struct CounterFamily {
+    prefix: &'static str,
+    members: MetricsRegistry,
+}
+
+impl CounterFamily {
+    /// The family of counters named `prefix` + label.
+    pub const fn new(prefix: &'static str) -> Self {
+        Self {
+            prefix,
+            members: MetricsRegistry::new(),
+        }
     }
 
-    fn snapshot(&self) -> HistogramSnapshot {
-        let h = &self.0;
-        HistogramSnapshot {
-            count: h.count.load(Ordering::Relaxed),
-            sum_s: h.sum_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            max_s: h.max_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            buckets: h
-                .buckets
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (2f64.powi(i as i32) * 1e-6, c.load(Ordering::Relaxed)))
-                .collect(),
-        }
+    /// The member counter for `label`, listed in snapshots from now on.
+    /// Takes a lock and allocates: resolve it where the labelled thing is
+    /// built and keep the handle, never per report.
+    pub fn with(&self, label: &str) -> Arc<Counter> {
+        self.members.counter(&format!("{}{label}", self.prefix))
     }
 }
 
@@ -137,7 +148,7 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(f64, u64)>,
 }
 
-/// A frozen view of every metric in a registry.
+/// A frozen view of a set of metrics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -146,14 +157,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// A named counter's value (0 if never reported).
+    /// A named counter's value (0 if there is none).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// A named gauge's value (0 if never reported).
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.get(name).copied().unwrap_or(0)
     }
 
     /// Counter deltas relative to an earlier snapshot (saturating: metrics
@@ -166,36 +172,90 @@ impl MetricsSnapshot {
     }
 }
 
-/// Registry of named metrics. Usually accessed through [`global`].
+/// How a metric enters a snapshot: under `name`, in the map of its kind.
+pub(crate) trait Freeze: Sync {
+    fn freeze(&self, name: &str, into: &mut MetricsSnapshot);
+}
+
+impl Freeze for Counter {
+    fn freeze(&self, name: &str, into: &mut MetricsSnapshot) {
+        into.counters.insert(name.to_string(), self.get());
+    }
+}
+
+impl Freeze for Gauge {
+    fn freeze(&self, name: &str, into: &mut MetricsSnapshot) {
+        into.gauges.insert(name.to_string(), self.get());
+    }
+}
+
+impl Freeze for Histogram {
+    fn freeze(&self, name: &str, into: &mut MetricsSnapshot) {
+        let frozen = HistogramSnapshot {
+            count: self.count.load(Ordering::Relaxed),
+            sum_s: self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            max_s: self.max_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (2f64.powi(i as i32) * 1e-6, c.load(Ordering::Relaxed)))
+                .collect(),
+        };
+        into.histograms.insert(name.to_string(), frozen);
+    }
+}
+
+/// A family enters as its members, each under its own full name.
+impl Freeze for CounterFamily {
+    fn freeze(&self, _prefix: &str, into: &mut MetricsSnapshot) {
+        freeze_all(&self.members.counters, into);
+    }
+}
+
+/// A stand-alone map of metrics by name, each created on first use.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, HistogramHandle>>,
+    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
+    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
+    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+}
+
+/// The entry of `map` named `name`, created on first use.
+fn named<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().expect("metrics lock");
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
+fn freeze_all<T: Freeze>(map: &Mutex<BTreeMap<String, Arc<T>>>, into: &mut MetricsSnapshot) {
+    for (name, metric) in map.lock().expect("metrics lock").iter() {
+        metric.freeze(name, into);
+    }
 }
 
 impl MetricsRegistry {
-    /// An empty registry (tests; production code uses [`global`]).
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty registry.
+    pub const fn new() -> Self {
+        Self {
+            counters: Mutex::new(BTreeMap::new()),
+            gauges: Mutex::new(BTreeMap::new()),
+            histograms: Mutex::new(BTreeMap::new()),
+        }
     }
 
     /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().expect("metrics lock");
-        map.entry(name.to_string()).or_default().clone()
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
+        named(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().expect("metrics lock");
-        map.entry(name.to_string()).or_default().clone()
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        named(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut map = self.histograms.lock().expect("metrics lock");
-        map.entry(name.to_string()).or_default().clone()
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        named(&self.histograms, name)
     }
 
     /// Adds to a counter by name.
@@ -203,53 +263,14 @@ impl MetricsRegistry {
         self.counter(name).add(n);
     }
 
-    /// Records a histogram observation by name.
-    pub fn observe(&self, name: &str, seconds: f64) {
-        self.histogram(name).observe(seconds);
-    }
-
     /// Freezes every metric into plain maps.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .expect("metrics lock")
-                .iter()
-                .map(|(k, c)| (k.clone(), c.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("metrics lock")
-                .iter()
-                .map(|(k, g)| (k.clone(), g.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .expect("metrics lock")
-                .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect(),
-        }
+        let mut snap = MetricsSnapshot::default();
+        freeze_all(&self.counters, &mut snap);
+        freeze_all(&self.gauges, &mut snap);
+        freeze_all(&self.histograms, &mut snap);
+        snap
     }
-}
-
-/// The process-wide registry every subsystem reports into.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-/// Adds to a global counter by name.
-pub fn add(name: &str, n: u64) {
-    global().add(name, n);
-}
-
-/// Records an observation into a global histogram by name.
-pub fn observe(name: &str, seconds: f64) {
-    global().observe(name, seconds);
 }
 
 #[cfg(test)]
@@ -276,9 +297,9 @@ mod tests {
         g.inc();
         g.inc();
         g.dec();
-        assert_eq!(reg.snapshot().gauge("depth"), 1);
+        assert_eq!(reg.snapshot().gauges["depth"], 1);
         g.set(-4);
-        assert_eq!(reg.snapshot().gauge("depth"), -4);
+        assert_eq!(reg.snapshot().gauges["depth"], -4);
     }
 
     #[test]

@@ -50,8 +50,9 @@ const CRC_POLY: u32 = 0xedb8_8320;
 /// `[k]` advances a byte that is followed by `k` more bytes of the step.
 static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-// Indexing below is by loop counters bounded by the array lengths, and
-// evaluated at compile time: an out-of-range index cannot reach a query.
+// indexed by loop counters bounded by the array lengths, and evaluated at
+// compile time: an out-of-range index cannot reach a query
+#[allow(clippy::indexing_slicing)]
 const fn crc_tables() -> [[u32; 256]; 16] {
     let mut t = [[0u32; 256]; 16];
     let mut i = 0;
@@ -62,15 +63,15 @@ const fn crc_tables() -> [[u32; 256]; 16] {
             crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        t[0][i] = crc; // tdb-lint: allow(panic-path)
+        t[0][i] = crc;
         i += 1;
     }
     let mut k = 1;
     while k < 16 {
         let mut i = 0;
         while i < 256 {
-            let prev = t[k - 1][i]; // tdb-lint: allow(panic-path)
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize]; // tdb-lint: allow(panic-path)
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
             i += 1;
         }
         k += 1;
@@ -81,10 +82,10 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 /// XOR of the table entries for the eight bytes of `word`, the lowest
 /// byte being followed by `AFTER + 7` more bytes of the step.
 #[inline(always)]
+#[allow(clippy::indexing_slicing)] // AFTER + 7 - i < 16 and a u8 indexes 256 entries
 fn crc_fold<const AFTER: usize>(word: u64) -> u32 {
     let mut acc = 0;
     for (i, byte) in word.to_le_bytes().into_iter().enumerate() {
-        // tdb-lint: allow(panic-path) — AFTER + 7 - i < 16 and a u8 indexes 256 entries
         acc ^= CRC_TABLES[AFTER + 7 - i][usize::from(byte)];
     }
     acc
@@ -101,8 +102,8 @@ pub fn checksum(data: &[u8]) -> u32 {
         let step = u128::from_le_bytes(step);
         crc = crc_fold::<8>(step as u64 ^ u64::from(crc)) ^ crc_fold::<0>((step >> 64) as u64);
     }
+    #[allow(clippy::indexing_slicing)] // a u8 indexes 256 entries
     for &b in steps.remainder() {
-        // tdb-lint: allow(panic-path) — a u8 indexes 256 entries
         crc = (crc >> 8) ^ CRC_TABLES[0][usize::from(crc as u8 ^ b)];
     }
     !crc

@@ -138,9 +138,6 @@ impl<V: PoolValue> Drop for Claim<'_, V> {
 pub struct BufferPool<V: PoolValue = Bytes> {
     inner: Mutex<PoolInner<V>>,
     faults: Option<Arc<FaultPlan>>,
-    obs_hits: tdb_obs::Counter,
-    obs_misses: tdb_obs::Counter,
-    obs_evictions: tdb_obs::Counter,
 }
 
 impl<V: PoolValue> BufferPool<V> {
@@ -153,7 +150,6 @@ impl<V: PoolValue> BufferPool<V> {
     /// (see [`crate::sstable::PartitionReader`]). Pool hits are never
     /// faulted: a cached block needs no device access.
     pub fn with_faults(capacity_bytes: usize, faults: Option<Arc<FaultPlan>>) -> Self {
-        let reg = tdb_obs::global();
         Self {
             inner: Mutex::new(PoolInner {
                 capacity_bytes,
@@ -163,9 +159,6 @@ impl<V: PoolValue> BufferPool<V> {
                 lru: Lru::default(),
             }),
             faults,
-            obs_hits: reg.counter("bufferpool.hits"),
-            obs_misses: reg.counter("bufferpool.misses"),
-            obs_evictions: reg.counter("bufferpool.evictions"),
         }
     }
 
@@ -193,7 +186,7 @@ impl<V: PoolValue> BufferPool<V> {
                 let data = data.clone();
                 inner.lru.touch(key);
                 session.pool_hits += 1;
-                self.obs_hits.inc();
+                tdb_obs::m::BUFFERPOOL_HITS.inc();
                 return Ok(data);
             }
             match inner.loading.get(&key) {
@@ -226,7 +219,7 @@ impl<V: PoolValue> BufferPool<V> {
                     inner.lru.touch(key);
                 }
                 session.pool_hits += 1;
-                self.obs_hits.inc();
+                tdb_obs::m::BUFFERPOOL_HITS.inc();
             }
             return shared;
         }
@@ -239,7 +232,7 @@ impl<V: PoolValue> BufferPool<V> {
         let outcome = load(session);
         if outcome.is_ok() {
             session.pool_misses += 1;
-            self.obs_misses.inc();
+            tdb_obs::m::BUFFERPOOL_MISSES.inc();
         }
         claim.land(outcome.clone());
         outcome
@@ -257,7 +250,7 @@ impl<V: PoolValue> BufferPool<V> {
             };
             if let Some(evicted) = inner.blocks.remove(&victim) {
                 inner.used_bytes -= evicted.weight();
-                self.obs_evictions.inc();
+                tdb_obs::m::BUFFERPOOL_EVICTIONS.inc();
             }
         }
     }

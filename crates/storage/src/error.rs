@@ -10,8 +10,7 @@ use std::fmt;
 /// Errors surfaced by the storage engine.
 #[derive(Debug)]
 pub enum StorageError {
-    /// Underlying file-system failure. `file` names the partition file
-    /// when known (empty when the error arose outside any file context).
+    /// Underlying file-system failure in the partition file `file`.
     Io {
         file: String,
         source: std::io::Error,
@@ -108,19 +107,6 @@ impl StorageError {
         matches!(self, StorageError::NodeUnavailable { .. })
     }
 
-    /// Attaches a file name to an I/O error that lacks one, so retry
-    /// decisions and error messages name the failing partition.
-    #[must_use]
-    pub fn in_file(self, file: &str) -> Self {
-        match self {
-            StorageError::Io { file: f, source } if f.is_empty() => StorageError::Io {
-                file: file.to_string(),
-                source,
-            },
-            other => other,
-        }
-    }
-
     /// A broken-invariant error (the typed replacement for `panic!` /
     /// `.expect()` on the query path).
     pub fn internal(detail: impl Into<String>) -> Self {
@@ -130,10 +116,29 @@ impl StorageError {
     }
 }
 
-/// Attaches file context to `io::Error` results at the propagation site:
-/// `file.read_exact_at(..).at_file(&self.path)?`. The `error-context`
-/// lint requires one of these (or an explicit `map_err`) on every
-/// `io::Error` that crosses `?` in tdb-storage.
+/// Attaches file context to `io::Error` results at the propagation site,
+/// so retry decisions and error messages name the failing partition:
+///
+/// ```
+/// use tdb_storage::error::{IoResultExt, StorageResult};
+/// fn probe(p: &str) -> StorageResult<()> {
+///     std::fs::File::open(p).at_file(p)?;
+///     Ok(())
+/// }
+/// assert!(probe("/no/such/partition.tdb").unwrap_err().to_string().contains("partition.tdb"));
+/// ```
+///
+/// It (or an explicit `map_err`) is the only way an `io::Error` crosses
+/// `?` into a [`StorageResult`]: there is deliberately no
+/// `From<std::io::Error> for StorageError`, so a bare `?` does not compile.
+///
+/// ```compile_fail,E0277
+/// use tdb_storage::error::StorageResult;
+/// fn probe(p: &str) -> StorageResult<()> {
+///     std::fs::File::open(p)?;
+///     Ok(())
+/// }
+/// ```
 pub trait IoResultExt<T> {
     /// Converts the `io::Error` into [`StorageError::Io`] carrying `file`.
     fn at_file(self, file: impl AsRef<str>) -> StorageResult<T>;
@@ -151,9 +156,6 @@ impl<T> IoResultExt<T> for Result<T, std::io::Error> {
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StorageError::Io { file, source } if file.is_empty() => {
-                write!(f, "I/O error: {source}")
-            }
             StorageError::Io { file, source } => write!(f, "I/O error in {file}: {source}"),
             StorageError::Corrupt { file, detail } => {
                 write!(f, "corrupt partition file {file}: {detail}")
@@ -197,15 +199,6 @@ impl std::error::Error for StorageError {
     }
 }
 
-impl From<std::io::Error> for StorageError {
-    fn from(e: std::io::Error) -> Self {
-        StorageError::Io {
-            file: String::new(),
-            source: e,
-        }
-    }
-}
-
 /// Result alias for storage operations.
 pub type StorageResult<T> = Result<T, StorageError>;
 
@@ -228,29 +221,23 @@ mod tests {
         assert!(e.to_string().contains('3'));
     }
 
-    #[test]
-    fn io_error_converts_and_sources() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let e: StorageError = io.into();
-        assert!(std::error::Error::source(&e).is_some());
+    fn io_failure(kind: std::io::ErrorKind) -> StorageError {
+        Err::<(), _>(std::io::Error::new(kind, "x"))
+            .at_file("node0/velocity_part_1.tdb")
+            .unwrap_err()
     }
 
     #[test]
-    fn in_file_attaches_context_once() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let e = StorageError::from(io).in_file("node0/velocity_part_1.tdb");
-        assert!(e.to_string().contains("velocity_part_1.tdb"));
-        // a second context never overwrites the first
-        let e = e.in_file("other.tdb");
+    fn io_error_converts_and_sources() {
+        let e = io_failure(std::io::ErrorKind::NotFound);
+        assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("velocity_part_1.tdb"));
     }
 
     #[test]
     fn transient_classification() {
-        let t = StorageError::from(std::io::Error::new(std::io::ErrorKind::Interrupted, "x"));
-        assert!(t.is_transient());
-        let p = StorageError::from(std::io::Error::new(std::io::ErrorKind::NotFound, "x"));
-        assert!(!p.is_transient());
+        assert!(io_failure(std::io::ErrorKind::Interrupted).is_transient());
+        assert!(!io_failure(std::io::ErrorKind::NotFound).is_transient());
         assert!(StorageError::Injected {
             site: "block_read".into(),
             detail: "x".into(),

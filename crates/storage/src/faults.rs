@@ -208,7 +208,7 @@ impl FaultPlan {
         let down = self.down_nodes.lock().contains(&node);
         if down {
             self.n_node_down.fetch_add(1, Ordering::Relaxed);
-            tdb_obs::add("faults.injected.node_down", 1);
+            tdb_obs::m::FAULTS_INJECTED_NODE_DOWN.inc();
         }
         down
     }
@@ -236,21 +236,21 @@ impl FaultPlan {
                 FaultKind::Transient => {
                     if !out.transient && !out.corrupt {
                         self.n_transient.fetch_add(1, Ordering::Relaxed);
-                        tdb_obs::add("faults.injected.transient", 1);
+                        tdb_obs::m::FAULTS_INJECTED_TRANSIENT.inc();
                     }
                     out.transient = true;
                 }
                 FaultKind::Corrupt => {
                     if !out.corrupt {
                         self.n_corrupt.fetch_add(1, Ordering::Relaxed);
-                        tdb_obs::add("faults.injected.corrupt", 1);
+                        tdb_obs::m::FAULTS_INJECTED_CORRUPT.inc();
                     }
                     out.corrupt = true;
                 }
                 FaultKind::Latency { seconds } => {
                     out.latency_s += seconds;
                     self.n_latency.fetch_add(1, Ordering::Relaxed);
-                    tdb_obs::add("faults.injected.latency", 1);
+                    tdb_obs::m::FAULTS_INJECTED_LATENCY.inc();
                 }
             }
         }
@@ -266,7 +266,7 @@ impl FaultPlan {
             }
             if self.roll(&[2, i as u64, key_hash]) < rule.probability {
                 self.n_corrupt.fetch_add(1, Ordering::Relaxed);
-                tdb_obs::add("faults.injected.corrupt", 1);
+                tdb_obs::m::FAULTS_INJECTED_CORRUPT.inc();
                 return true;
             }
         }

@@ -23,6 +23,20 @@
 //! * [`faults`] — deterministic, seeded fault injection threaded through
 //!   block reads, cache inserts and node evaluation (robustness testing).
 
+// the query path returns typed errors, it does not panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod block;
 pub mod bufferpool;
 pub mod device;

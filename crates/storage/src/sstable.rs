@@ -146,20 +146,19 @@ impl PartitionWriter {
         let (first, last) = (first.key, last.key);
         let (blk, stats) = encode_block_with(&self.pending, &self.codec);
         if self.codec.is_active() {
-            let m = tdb_obs::global();
+            use tdb_obs::m;
             match self.codec.mode {
-                CompressionMode::Lossless => m.counter("compress.blocks.lossless").inc(),
-                CompressionMode::Lossy => m.counter("compress.blocks.lossy").inc(),
+                CompressionMode::Lossless => m::COMPRESS_BLOCKS_LOSSLESS.inc(),
+                CompressionMode::Lossy => m::COMPRESS_BLOCKS_LOSSY.inc(),
                 CompressionMode::Off => {}
             }
-            m.counter("compress.bytes.logical").add(stats.logical_bytes);
-            m.counter("compress.bytes.stored").add(stats.stored_bytes);
-            m.counter("compress.corrections").add(stats.corrections);
+            m::COMPRESS_BYTES_LOGICAL.add(stats.logical_bytes);
+            m::COMPRESS_BYTES_STORED.add(stats.stored_bytes);
+            m::COMPRESS_CORRECTIONS.add(stats.corrections);
             // worst uncorrected error ever written, in microns of value
             let micro = (stats.max_error * 1e6).ceil() as i64;
-            let g = m.gauge("compress.max_error_micro");
-            if micro > g.get() {
-                g.set(micro);
+            if micro > m::COMPRESS_MAX_ERROR_MICRO.get() {
+                m::COMPRESS_MAX_ERROR_MICRO.set(micro);
             }
         }
         self.file
@@ -315,18 +314,16 @@ impl PartitionReader {
                 match self.load_block_once(fence, idx, plan.as_deref(), attempt, s) {
                     Ok(block) => {
                         if attempt > 1 {
-                            tdb_obs::global()
-                                .counter("storage.read.retry_success")
-                                .inc();
+                            tdb_obs::m::STORAGE_READ_RETRY_SUCCESS.inc();
                         }
                         return Ok(block);
                     }
                     Err(e) if e.is_transient() && attempt < MAX_READ_ATTEMPTS => {
-                        tdb_obs::global().counter("storage.read.retries").inc();
+                        tdb_obs::m::STORAGE_READ_RETRIES.inc();
                         s.injected_delay_s += RETRY_BACKOFF_S * f64::from(1u32 << (attempt - 1));
                         attempt += 1;
                     }
-                    Err(e) => return Err(e.in_file(&self.path)),
+                    Err(e) => return Err(e),
                 }
             }
         })
@@ -370,9 +367,7 @@ impl PartitionReader {
         let started = std::time::Instant::now();
         let (records, meta) = decode_block_bytes(&buf, &self.path)?;
         if meta.compressed {
-            tdb_obs::global()
-                .histogram("compress.reconstruct_s")
-                .observe(started.elapsed().as_secs_f64());
+            tdb_obs::m::COMPRESS_RECONSTRUCT_S.observe(started.elapsed().as_secs_f64());
         }
         Ok(DecodedBlock {
             records: Arc::new(records),

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
+use tdb_obs::{m, Counter};
 
 /// One tenant's QoS contract, matched by API key.
 #[derive(Debug, Clone)]
@@ -108,8 +109,10 @@ impl Default for AdmissionConfig {
 /// Per-tenant scheduler state.
 struct Tenant {
     spec: TenantSpec,
-    /// Metric label: the API key, or `anonymous` for the default tenant.
-    label: String,
+    /// `qos.admitted.<label>` / `qos.shed.<label>`, the label being the
+    /// API key, or `anonymous` for the default tenant.
+    admitted: Arc<Counter>,
+    shed: Arc<Counter>,
     /// Queries this tenant has evaluating right now.
     inflight: usize,
     /// WFQ virtual finish time; advances by `1/weight` per grant.
@@ -142,13 +145,13 @@ impl Inner {
     /// The tenant at `t` — indices come from [`Inner::tenant_of`] or a
     /// parked [`Waiter`], both bounded by the immutable tenant table.
     fn tenant(&self, t: usize) -> &Tenant {
-        // tdb-lint: allow(panic-path) — index provenance per the doc above
+        #[allow(clippy::indexing_slicing)] // index provenance per the doc above
         &self.tenants[t]
     }
 
     /// Mutable access with the same index provenance as [`Inner::tenant`].
     fn tenant_mut(&mut self, t: usize) -> &mut Tenant {
-        // tdb-lint: allow(panic-path) — index provenance per the doc above
+        #[allow(clippy::indexing_slicing)] // index provenance per the doc above
         &mut self.tenants[t]
     }
 
@@ -206,25 +209,22 @@ pub struct AdmissionQueue {
 impl AdmissionQueue {
     /// A queue with the given sizing and tenant contracts.
     pub fn new(config: AdmissionConfig) -> Arc<Self> {
-        let mut tenants = vec![Tenant {
-            spec: TenantSpec {
-                api_key: String::new(),
-                weight: 1,
-                max_inflight: usize::MAX,
-                shed_priority: 0,
-            },
-            label: "anonymous".to_string(),
+        let tenant = |label: &str, spec: TenantSpec| Tenant {
+            spec,
+            admitted: m::QOS_ADMITTED.with(label),
+            shed: m::QOS_SHED.with(label),
             inflight: 0,
             vtime: 0.0,
-        }];
-        for spec in &config.tenants {
-            tenants.push(Tenant {
-                label: spec.api_key.clone(),
-                spec: spec.clone(),
-                inflight: 0,
-                vtime: 0.0,
-            });
-        }
+        };
+        let anonymous = TenantSpec {
+            api_key: String::new(),
+            weight: 1,
+            max_inflight: usize::MAX,
+            shed_priority: 0,
+        };
+        let tenants = std::iter::once(tenant("anonymous", anonymous))
+            .chain((config.tenants.iter()).map(|spec| tenant(&spec.api_key, spec.clone())))
+            .collect();
         Arc::new(Self {
             config: AdmissionConfig {
                 max_inflight: config.max_inflight.max(1),
@@ -255,11 +255,10 @@ impl AdmissionQueue {
             inner.tenant_mut(t).inflight += 1;
             inner.bump_vtime(t);
             *inner.served.entry((t, conn)).or_default() += 1;
-            let label = inner.tenant(t).label.clone();
+            inner.tenant(t).admitted.inc();
             drop(inner);
-            tdb_obs::add("admission.admitted", 1);
-            tdb_obs::add(&format!("qos.admitted.{label}"), 1);
-            tdb_obs::observe("admission.wait_s", 0.0);
+            m::ADMISSION_ADMITTED.inc();
+            m::ADMISSION_WAIT_S.observe(0.0);
             return Admission::Granted(Permit {
                 queue: Arc::clone(self),
                 tenant: t,
@@ -289,10 +288,9 @@ impl AdmissionQueue {
                 }
                 None => {
                     let depth = inner.waiting.len();
-                    let label = inner.tenant(t).label.clone();
+                    inner.tenant(t).shed.inc();
                     drop(inner);
-                    tdb_obs::add("admission.shed", 1);
-                    tdb_obs::add(&format!("qos.shed.{label}"), 1);
+                    m::ADMISSION_SHED.inc();
                     return Admission::Busy {
                         queue_depth: depth,
                         retry_ms: self.config.busy_retry_ms,
@@ -307,20 +305,17 @@ impl AdmissionQueue {
             conn,
             seq,
         });
-        tdb_obs::global()
-            .gauge("admission.queue_depth")
-            .set(inner.waiting.len() as i64);
+        m::ADMISSION_QUEUE_DEPTH.set(inner.waiting.len() as i64);
         loop {
             if inner.granted.remove(&seq) {
                 break;
             }
             if inner.evicted.remove(&seq) {
                 let depth = inner.waiting.len();
-                let label = inner.tenant(t).label.clone();
+                inner.tenant(t).shed.inc();
                 drop(inner);
-                tdb_obs::add("admission.shed", 1);
-                tdb_obs::add("qos.evicted", 1);
-                tdb_obs::add(&format!("qos.shed.{label}"), 1);
+                m::ADMISSION_SHED.inc();
+                m::QOS_EVICTED.inc();
                 return Admission::Busy {
                     queue_depth: depth,
                     retry_ms: self.config.busy_retry_ms,
@@ -329,11 +324,10 @@ impl AdmissionQueue {
             self.freed.wait(&mut inner);
         }
         *inner.served.entry((t, conn)).or_default() += 1;
-        let label = inner.tenant(t).label.clone();
+        inner.tenant(t).admitted.inc();
         drop(inner);
-        tdb_obs::add("admission.admitted", 1);
-        tdb_obs::add(&format!("qos.admitted.{label}"), 1);
-        tdb_obs::observe("admission.wait_s", start.elapsed().as_secs_f64());
+        m::ADMISSION_ADMITTED.inc();
+        m::ADMISSION_WAIT_S.observe(start.elapsed().as_secs_f64());
         Admission::Granted(Permit {
             queue: Arc::clone(self),
             tenant: t,
@@ -406,9 +400,7 @@ impl AdmissionQueue {
             woke = true;
         }
         if woke {
-            tdb_obs::global()
-                .gauge("admission.queue_depth")
-                .set(inner.waiting.len() as i64);
+            m::ADMISSION_QUEUE_DEPTH.set(inner.waiting.len() as i64);
             drop(inner);
             self.freed.notify_all();
         }

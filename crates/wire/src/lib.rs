@@ -12,6 +12,20 @@
 //! The JSON codec ([`json`]) is written in-repo (no external
 //! serialization crates) and is also used to persist experiment results.
 
+// the query path returns typed errors, it does not panic (DESIGN.md §8)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod admission;
 pub mod client;
 pub mod json;

@@ -221,7 +221,7 @@ fn serve_connection(
         {
             Ok(n) => n,
             Err(e) if is_timeout(&e) => {
-                tdb_obs::add("wire.connection.timeout", 1);
+                tdb_obs::m::WIRE_CONNECTION_TIMEOUT.inc();
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -233,7 +233,7 @@ fn serve_connection(
             buf.pop();
         }
         if buf.len() > max_request_bytes {
-            tdb_obs::add("wire.request.oversized", 1);
+            tdb_obs::m::WIRE_REQUEST_OVERSIZED.inc();
             let resp = error(format_args!(
                 "request exceeds the {max_request_bytes}-byte limit"
             ));

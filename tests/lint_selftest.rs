@@ -1,11 +1,15 @@
 //! Self-test corpus for tdb-lint: one known-bad snippet per rule proving
-//! the rule fires, pragma/test-code suppression checks, and property
-//! tests that the hand-rolled lexer never panics on arbitrary bytes and
-//! exactly round-trips every source file in this workspace.
+//! the rule fires, pragma/test-code suppression checks, the one direction
+//! of the retired `metrics-registry` rule the type system does not give
+//! (a declared metric nothing reports), and property tests that the
+//! hand-rolled lexer never panics on arbitrary bytes and exactly
+//! round-trips every source file in this workspace.
+
+use std::{fs, path::Path};
 
 use proptest::prelude::*;
 use tdb_lint::lexer::lex;
-use tdb_lint::rules::{self, DeclaredMetrics};
+use tdb_lint::rules;
 use tdb_lint::scan::SourceFile;
 
 // --- one known-bad snippet per rule --------------------------------------
@@ -91,105 +95,98 @@ fn lock_order_fires_on_guard_held_across_channel_wait() {
 }
 
 #[test]
-fn panic_path_fires_on_unwrap_expect_panic_and_indexing() {
-    let f = SourceFile::new(
-        "crates/wire/src/bad.rs",
-        r#"
-fn handle(frames: Vec<Frame>, i: usize) -> Frame {
-    let head = frames.first().unwrap();
-    let tail = frames.last().expect("nonempty");
-    if i > frames.len() {
-        panic!("out of range");
+fn the_rules_are_the_three_no_other_tool_has() {
+    assert_eq!(tdb_lint::RULES, ["float-width", "lock-order", "lock-graph"]);
+}
+
+/// Metric names are checked by the compiler (a metric is a `static` of
+/// `tdb_obs::m`), but an unused `pub static` gets no dead-code warning:
+/// a row of the table that nothing reports would be a dashboard line
+/// stuck at zero forever.
+#[test]
+fn every_declared_metric_is_reported() {
+    let root = tdb_lint::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).unwrap();
+    let scan = |p: &Path| SourceFile::new(p.to_string_lossy(), fs::read_to_string(p).unwrap());
+    let table = scan(&root.join("crates/obs/src/declared.rs"));
+    let kinds = ["counter", "gauge", "histogram", "family"];
+    let mut idle: Vec<&str> = (1..table.len())
+        .filter(|&i| kinds.contains(&table.text(i - 1)))
+        .map(|i| table.text(i))
+        .filter(|id| id.len() > 1 && !id.contains(char::is_lowercase))
+        .collect();
+    assert!(idle.len() > 60, "table rows not recognised: {idle:?}");
+    let mut stack = vec![root.join("crates")];
+    while let Some(path) = stack.pop() {
+        if path.is_dir() && !path.ends_with("crates/obs") {
+            stack.extend(path.read_dir().expect("dir").flatten().map(|e| e.path()));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let f = scan(&path);
+            let live = |i: usize| !f.in_test_code(f.tok(i).start);
+            idle.retain(|id| !(0..f.len()).any(|i| f.is_ident(i, id) && live(i)));
+        }
     }
-    let _ = (head, tail);
-    frames[i]
-}
-impl Frame for [u8; 4] {}
-"#,
-    );
-    let got = rules::panic_path(&f);
-    assert_eq!(got.len(), 4, "unwrap, expect, panic! and [i]: {got:?}");
-}
-
-#[test]
-fn metrics_registry_fires_in_both_directions() {
-    let declared = DeclaredMetrics::from_list(&["cache.hits", "io.ops.*", "orphan.metric"]);
-    let f = SourceFile::new(
-        "crates/cache/src/bad.rs",
-        r#"
-fn report(reg: &Registry, name: &str) {
-    tdb_obs::add("cache.hits", 1);
-    tdb_obs::add("cache.hitz", 1);
-    reg.add(&format!("io.ops.{name}"), 2);
-}
-"#,
-    );
-    let got = rules::metrics_registry(std::slice::from_ref(&f), &declared);
-    assert!(
-        got.iter().any(|f| f.message.contains("cache.hitz")),
-        "undeclared name must be flagged: {got:?}"
-    );
-    assert!(
-        got.iter().any(|f| f.message.contains("orphan.metric")),
-        "declared-but-unreported name must be flagged: {got:?}"
-    );
-    assert_eq!(got.len(), 2, "declared names must not be flagged: {got:?}");
-}
-
-#[test]
-fn error_context_fires_on_bare_io_question_mark() {
-    let f = SourceFile::new(
-        "crates/storage/src/bad.rs",
-        r#"
-fn load(&mut self) -> StorageResult<()> {
-    self.file.read_exact_at(&mut self.buf, 0)?;
-    Ok(())
-}
-"#,
-    );
-    let got = rules::error_context(&f);
-    assert_eq!(got.len(), 1, "{got:?}");
-    assert!(got[0].message.contains("read_exact_at"));
-
-    let fixed = SourceFile::new(
-        "crates/storage/src/good.rs",
-        r#"
-fn load(&mut self) -> StorageResult<()> {
-    self.file.read_exact_at(&mut self.buf, 0).at_file(&self.path)?;
-    Ok(())
-}
-"#,
-    );
-    assert!(rules::error_context(&fixed).is_empty());
+    assert!(idle.is_empty(), "declared but never reported: {idle:?}");
 }
 
 // --- suppression ----------------------------------------------------------
 
 #[test]
 fn pragma_and_test_code_suppress_findings() {
+    let bad = "fn scan(v: f64, threshold: f64) -> bool { v as f32 >= threshold }";
+    assert_eq!(
+        rules::float_width(&SourceFile::new("crates/wire/src/bad.rs", bad)).len(),
+        1
+    );
+
     let pragma = SourceFile::new(
         "crates/wire/src/ok.rs",
-        "fn f(v: Vec<u8>) -> u8 {\n    // tdb-lint: allow(panic-path) — length checked by caller\n    v[0]\n}\n",
+        format!("// tdb-lint: allow(float-width) — selects an exact f32 data value\n{bad}\n"),
     );
     assert!(
-        rules::panic_path(&pragma).is_empty(),
+        rules::float_width(&pragma).is_empty(),
         "pragma must suppress"
     );
 
     let test_code = SourceFile::new(
         "crates/wire/src/ok.rs",
-        "#[cfg(test)]\nmod tests {\n    fn f(v: Vec<u8>) -> u8 { v.first().copied().unwrap() }\n}\n",
+        format!("#[cfg(test)]\nmod tests {{\n    {bad}\n}}\n"),
     );
     assert!(
-        rules::panic_path(&test_code).is_empty(),
+        rules::float_width(&test_code).is_empty(),
         "test code is exempt"
     );
 
-    let test_file = SourceFile::new("tests/anything.rs", "fn f(v: Vec<u8>) -> u8 { v[0] }");
+    let test_file = SourceFile::new("tests/anything.rs", bad);
     assert!(
-        rules::panic_path(&test_file).is_empty(),
+        rules::float_width(&test_file).is_empty(),
         "tests/ files are exempt"
     );
+}
+
+/// A pragma is only as good as the rule it names: one left over from a
+/// retired rule (or mistyped) suppresses nothing, so it is a finding.
+#[test]
+fn a_pragma_naming_an_unknown_rule_is_a_finding() {
+    for retired in [
+        "panic-path",
+        "metrics-registry",
+        "error-context",
+        "flaot-width",
+    ] {
+        let f = SourceFile::new(
+            "crates/wire/src/stale.rs",
+            format!("fn f(v: &[u8]) -> u8 {{\n    // tdb-lint: allow({retired}) — checked by the caller\n    v[0]\n}}\n"),
+        );
+        let got = tdb_lint::lint_files(std::slice::from_ref(&f));
+        assert_eq!(got.len(), 1, "{retired}: {got:?}");
+        assert_eq!((got[0].rule.as_str(), got[0].line), ("pragma", 2));
+        assert!(got[0].message.contains(retired), "{got:?}");
+    }
+    let known = SourceFile::new(
+        "crates/wire/src/ok.rs",
+        "// tdb-lint: allow(lock-order, float-width) — both exist\nfn f() {}\n",
+    );
+    assert!(tdb_lint::lint_files(std::slice::from_ref(&known)).is_empty());
 }
 
 // --- output determinism ----------------------------------------------------
@@ -204,7 +201,7 @@ fn findings_sort_by_rule_then_path_then_line() {
         line_text: "t".into(),
     };
     let mut got = vec![
-        mk("panic-path", "crates/a.rs", 1),
+        mk("lock-order", "crates/a.rs", 1),
         mk("float-width", "crates/b.rs", 9),
         mk("float-width", "crates/a.rs", 5),
         mk("float-width", "crates/a.rs", 2),
@@ -218,7 +215,7 @@ fn findings_sort_by_rule_then_path_then_line() {
             ("float-width".into(), "crates/a.rs".into(), 2),
             ("float-width".into(), "crates/a.rs".into(), 5),
             ("float-width".into(), "crates/b.rs".into(), 9),
-            ("panic-path".into(), "crates/a.rs".into(), 1),
+            ("lock-order".into(), "crates/a.rs".into(), 1),
         ]
     );
 }
@@ -226,11 +223,11 @@ fn findings_sort_by_rule_then_path_then_line() {
 #[test]
 fn json_report_is_byte_stable_and_escaped() {
     let finding = rules::Finding {
-        rule: "panic-path".into(),
+        rule: "lock-order".into(),
         path: "crates/wire/src/x.rs".into(),
         line: 3,
-        message: "`.unwrap()` on the \"query\" path".into(),
-        line_text: "let x = v.unwrap();\t// tail".into(),
+        message: "`recv()` on the \"query\" path".into(),
+        line_text: "let x = rx.recv();\t// tail".into(),
     };
     let findings = [finding];
     let a = tdb_lint::render_json(&findings);
