@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use tdb_obs::m;
 use tdb_storage::device::{DeviceId, IoSession};
-use tdb_storage::faults::FaultPlan;
+use tdb_storage::faults::{splitmix64, FaultPlan};
 use tdb_zorder::{decode3, encode3, Box3, MortonBlockDecoder};
 
 use crate::stats::CacheStats;
@@ -270,8 +270,8 @@ impl SemanticCache {
 fn rows_checksum(rows: &[ThresholdPoint]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for p in rows {
-        h = mix64(h ^ p.zindex);
-        h = mix64(h ^ u64::from(p.value.to_bits()));
+        h = splitmix64(h ^ p.zindex);
+        h = splitmix64(h ^ u64::from(p.value.to_bits()));
     }
     h
 }
@@ -283,20 +283,11 @@ fn rot(p: &mut ThresholdPoint) {
 
 /// Deterministic hash of a cache key, the identity fault plans roll on.
 fn key_hash(key: &CacheInfoKey) -> u64 {
-    let mut h = mix64(u64::from(key.timestep));
+    let mut h = splitmix64(u64::from(key.timestep));
     for b in key.dataset.bytes().chain(key.field.bytes()) {
-        h = mix64(h ^ u64::from(b));
+        h = splitmix64(h ^ u64::from(b));
     }
     h
-}
-
-/// SplitMix64 finaliser (same permutation the fault plan rolls with).
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

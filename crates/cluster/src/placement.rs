@@ -18,6 +18,7 @@
 //!   what makes node join/leave move only ~k/n of the chunks
 //!   (see `rebalance.rs`).
 
+use tdb_storage::faults::splitmix64;
 use tdb_zorder::{encode3, AtomCoord, Box3, ZRange, ATOM_WIDTH};
 
 /// One cubic tile of the atom lattice.
@@ -62,13 +63,6 @@ pub enum PlacementMode {
     /// The whole chain by rendezvous (HRW) hashing — minimal-movement
     /// join/leave.
     Rendezvous,
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The rendezvous weight of `node` for the chunk keyed by `chunk_key`.

@@ -10,7 +10,7 @@
 //! encoder always evaluates the *decoder's* arithmetic when deciding, so
 //! the configured bound holds by construction.
 
-use crate::varint::{get_u64, put_u64, unzigzag64, zigzag64};
+use crate::varint::{get_u64, put_u64, take, unzigzag64, zigzag64};
 use crate::CodecError;
 
 /// Residuals/values beyond this many quantisation steps escape to exact
@@ -114,12 +114,7 @@ pub(crate) fn decode(buf: &mut &[u8], q: f64, vals: &mut [f32]) -> Result<(), Co
             true
         };
         if exact {
-            if buf.len() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            let (head, rest) = buf.split_at(4);
-            *buf = rest;
-            *slot = f32::from_bits(u32::from_le_bytes([head[0], head[1], head[2], head[3]]));
+            *slot = f32::from_bits(take(buf).map(u32::from_le_bytes)?);
         }
     }
     Ok(())

@@ -33,7 +33,7 @@ use tdb_kernels::lagrange_basis;
 use tdb_zorder::{ATOM_POINTS, ATOM_WIDTH};
 
 use crate::corrections::{self, dequantised, MAX_STEPS};
-use crate::varint::{get_u64, put_u64, unzigzag64, zigzag64};
+use crate::varint::{get_u64, put_u64, take, unzigzag64, zigzag64};
 use crate::{lossless, CodecError};
 
 /// Mode byte: skipped samples repaired by sparse corrections only.
@@ -293,12 +293,7 @@ fn dense_decode(
             c = get_u64(buf)?;
         }
         if c == 0 {
-            if buf.len() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            let (head, rest) = buf.split_at(4);
-            *buf = rest;
-            vals[idx] = f32::from_bits(u32::from_le_bytes([head[0], head[1], head[2], head[3]]));
+            vals[idx] = f32::from_bits(take(buf).map(u32::from_le_bytes)?);
         } else {
             vals[idx] = dequantised(vals[idx], unzigzag64(c - 1), q);
         }
@@ -409,14 +404,7 @@ pub fn decode_into(mut body: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
     if get_u64(buf)? as usize != ATOM_POINTS {
         return Err(CodecError::Invalid("spatial plane size mismatch"));
     }
-    if buf.len() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    let q = f64::from_le_bytes([
-        head[0], head[1], head[2], head[3], head[4], head[5], head[6], head[7],
-    ]);
+    let q = take(buf).map(f64::from_le_bytes)?;
     if !q.is_finite() || q < 0.0 {
         return Err(CodecError::Invalid("spatial quantum out of range"));
     }

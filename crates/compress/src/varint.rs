@@ -1,8 +1,10 @@
-//! LEB128 varints and zigzag mapping.
+//! LEB128 varints, zigzag mapping and the fixed-width reader.
 //!
 //! The codecs store counts, run lengths and signed deltas as varints so
 //! small magnitudes — the overwhelmingly common case on smooth simulation
-//! fields — cost one byte.
+//! fields — cost one byte. Both readers take a `&mut &[u8]` cursor and
+//! return `Err` on a short buffer; the storage tier parses block and
+//! footer fields with the same [`take`].
 
 use crate::CodecError;
 
@@ -35,6 +37,16 @@ pub fn get_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
         }
         shift += 7;
     }
+}
+
+/// Reads `N` bytes from the front of `buf`, advancing it: the one way a
+/// fixed-width field comes off the disk (`take(buf).map(u32::from_be_bytes)`).
+/// A short buffer is an error that leaves the cursor where it was.
+pub fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let head = buf.get(..N).ok_or(CodecError::Truncated)?;
+    let head = <[u8; N]>::try_from(head).map_err(|_| CodecError::Truncated)?;
+    *buf = buf.get(N..).unwrap_or_default();
+    Ok(head)
 }
 
 /// Maps a signed value to an unsigned one with small magnitudes staying
@@ -79,7 +91,36 @@ mod tests {
         assert_eq!(get_u64(&mut s), Err(CodecError::Truncated));
     }
 
+    #[test]
+    fn take_reads_exactly_n_or_nothing() {
+        let mut s: &[u8] = &[1, 2, 3, 4, 5, 6, 7];
+        assert_eq!(take(&mut s).map(u32::from_be_bytes), Ok(0x0102_0304));
+        // short input: an error, and the cursor has not moved
+        assert_eq!(take::<4>(&mut s), Err(CodecError::Truncated));
+        assert_eq!(take(&mut s), Ok([5, 6, 7]));
+        assert_eq!(take(&mut s), Ok([]));
+        assert_eq!(take::<1>(&mut s), Err(CodecError::Truncated));
+    }
+
     proptest! {
+        #[test]
+        fn take_advances_n_or_leaves_the_cursor(
+            bytes in prop::collection::vec(any::<u8>(), 0..24),
+        ) {
+            let mut s = bytes.as_slice();
+            match take::<8>(&mut s) {
+                Ok(head) => {
+                    prop_assert_eq!(&head[..], &bytes[..8]);
+                    prop_assert_eq!(s, &bytes[8..]);
+                }
+                Err(e) => {
+                    prop_assert!(bytes.len() < 8);
+                    prop_assert_eq!(e, CodecError::Truncated);
+                    prop_assert_eq!(s, bytes.as_slice());
+                }
+            }
+        }
+
         #[test]
         fn varint_roundtrip(v in any::<u64>()) {
             let mut b = Vec::new();

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use tdb_compress::varint::take;
 use tdb_compress::{decode_plane_into, encode_plane, CompressionConfig};
 use tdb_zorder::ATOM_POINTS;
 
@@ -142,7 +142,7 @@ fn logical_bytes(records: &[AtomRecord]) -> u64 {
 }
 
 /// Appends `samples` as little-endian bytes, a plane-sized run at a time.
-fn put_f32s_le(out: &mut BytesMut, samples: &[f32]) {
+fn put_f32s_le(out: &mut Vec<u8>, samples: &[f32]) {
     let mut buf = [0u8; ATOM_POINTS * 4];
     for run in samples.chunks(ATOM_POINTS) {
         let (bytes, _) = buf.split_at_mut(run.len() * 4);
@@ -163,18 +163,24 @@ fn extend_f32s_le(out: &mut Vec<f32>, bytes: &[u8]) {
 }
 
 /// Serialises records into one V1 block: `magic | nrec | payload | crc`.
-pub fn encode_block(records: &[AtomRecord]) -> Bytes {
-    let mut out = BytesMut::with_capacity(logical_bytes(records) as usize + 12);
-    out.put_u32(BLOCK_MAGIC);
-    out.put_u32(records.len() as u32);
+pub fn encode_block(records: &[AtomRecord]) -> Arc<[u8]> {
+    let mut out = Vec::with_capacity(logical_bytes(records) as usize + 12);
+    out.extend_from_slice(&BLOCK_MAGIC.to_be_bytes());
+    out.extend_from_slice(&(records.len() as u32).to_be_bytes());
     for r in records {
-        r.key.encode(&mut out);
-        out.put_u8(r.ncomp);
+        out.extend_from_slice(&r.key.encode());
+        out.push(r.ncomp);
         put_f32s_le(&mut out, &r.data);
     }
+    seal(out)
+}
+
+/// Appends the CRC of `out` and freezes it into the shared buffer blocks
+/// travel in (an O(1) clone).
+fn seal(mut out: Vec<u8>) -> Arc<[u8]> {
     let crc = checksum(&out);
-    out.put_u32(crc);
-    out.freeze()
+    out.extend_from_slice(&crc.to_be_bytes());
+    out.into()
 }
 
 /// Serialises records under `codec`. [`CompressionMode::Off`] delegates
@@ -186,7 +192,7 @@ pub fn encode_block(records: &[AtomRecord]) -> Bytes {
 pub fn encode_block_with(
     records: &[AtomRecord],
     codec: &CompressionConfig,
-) -> (Bytes, BlockCodecStats) {
+) -> (Arc<[u8]>, BlockCodecStats) {
     let mut stats = BlockCodecStats {
         logical_bytes: logical_bytes(records),
         ..Default::default()
@@ -196,64 +202,51 @@ pub fn encode_block_with(
         stats.stored_bytes = blk.len() as u64;
         return (blk, stats);
     }
-    let mut out = BytesMut::new();
-    out.put_u32(BLOCK_MAGIC_V2);
-    out.put_u32(records.len() as u32);
+    let mut out = Vec::new();
+    out.extend_from_slice(&BLOCK_MAGIC_V2.to_be_bytes());
+    out.extend_from_slice(&(records.len() as u32).to_be_bytes());
     for r in records {
-        r.key.encode(&mut out);
-        out.put_u8(r.ncomp);
+        out.extend_from_slice(&r.key.encode());
+        out.push(r.ncomp);
         for c in 0..usize::from(r.ncomp) {
             let enc = encode_plane(codec, r.plane(c));
             stats.corrections += enc.corrections as u64;
             stats.max_error = stats.max_error.max(enc.max_error);
-            out.put_u32_le(enc.bytes.len() as u32);
+            out.extend_from_slice(&(enc.bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(&enc.bytes);
         }
     }
-    let crc = checksum(&out);
-    out.put_u32(crc);
-    let blk = out.freeze();
+    let blk = seal(out);
     stats.stored_bytes = blk.len() as u64;
     (blk, stats)
 }
 
-/// Decodes a block, validating magic and checksum.
-pub fn decode_block(data: Bytes, file: &str) -> StorageResult<Vec<AtomRecord>> {
-    decode_block_meta(data, file).map(|(records, _)| records)
-}
-
-/// Decodes a block (either format), also reporting which format it was
-/// and its decoded footprint.
-pub fn decode_block_meta(data: Bytes, file: &str) -> StorageResult<(Vec<AtomRecord>, BlockMeta)> {
-    decode_block_bytes(&data, file)
-}
-
-/// [`decode_block_meta`] over the bytes as read from the device. The CRC
-/// is verified once, before anything else is believed; every length the
-/// block then declares is checked against the bytes actually present
-/// before it sizes an allocation.
-pub(crate) fn decode_block_bytes(
-    data: &[u8],
+/// Decodes a block (either format) from the bytes as read from the
+/// device, also reporting which format it was and its decoded footprint.
+/// The CRC is verified once, before anything else is believed; every
+/// length the block then declares is checked against the bytes actually
+/// present before it sizes an allocation.
+pub fn decode_block_meta(
+    data: impl AsRef<[u8]>,
     file: &str,
 ) -> StorageResult<(Vec<AtomRecord>, BlockMeta)> {
+    let data = data.as_ref();
     let corrupt = |detail: String| StorageError::Corrupt {
         file: file.into(),
         detail,
     };
-    if data.len() < 12 {
-        return Err(corrupt("block shorter than header".into()));
-    }
-    let (body, mut tail) = data.split_at(data.len() - 4);
-    if checksum(body) != tail.get_u32() {
+    let short = |_| corrupt("block shorter than header".into());
+    let (mut payload, mut tail) = data.split_at(data.len().saturating_sub(4));
+    let crc = take(&mut tail).map(u32::from_be_bytes).map_err(short)?;
+    if checksum(payload) != crc {
         return Err(corrupt("crc mismatch".into()));
     }
-    let mut payload = body;
-    let compressed = match payload.get_u32() {
+    let compressed = match take(&mut payload).map(u32::from_be_bytes).map_err(short)? {
         BLOCK_MAGIC => false,
         BLOCK_MAGIC_V2 => true,
         other => return Err(corrupt(format!("bad magic {other:#x}"))),
     };
-    let nrec = payload.get_u32() as usize;
+    let nrec = take(&mut payload).map(u32::from_be_bytes).map_err(short)? as usize;
     if nrec > payload.len() / RECORD_HEADER_LEN {
         return Err(corrupt(format!(
             "{nrec} records cannot fit {} payload bytes",
@@ -265,11 +258,9 @@ pub(crate) fn decode_block_bytes(
     let mut samples: Vec<f32> = Vec::with_capacity(if compressed { 0 } else { payload.len() / 4 });
     let mut heads: Vec<(AtomKey, u8)> = Vec::with_capacity(nrec);
     for _ in 0..nrec {
-        if payload.len() < RECORD_HEADER_LEN {
-            return Err(corrupt("truncated record header".into()));
-        }
-        let key = AtomKey::decode(&mut payload);
-        let ncomp = payload.get_u8();
+        let [key @ .., ncomp] = take::<RECORD_HEADER_LEN>(&mut payload)
+            .map_err(|_| corrupt("truncated record header".into()))?;
+        let key = AtomKey::decode(key);
         if compressed {
             decode_compressed_planes(&mut payload, key, ncomp, &mut samples).map_err(&corrupt)?;
         } else {
@@ -322,10 +313,10 @@ fn decode_compressed_planes(
     samples: &mut Vec<f32>,
 ) -> Result<(), String> {
     for c in 0..ncomp {
-        if payload.len() < 4 {
-            return Err(format!("truncated plane {c} length (key {key:?})"));
-        }
-        let len = payload.get_u32_le() as usize;
+        let len = take(payload)
+            .map(u32::from_le_bytes)
+            .map_err(|_| format!("truncated plane {c} length (key {key:?})"))?
+            as usize;
         if payload.len() < len {
             return Err(format!("truncated plane {c} payload (key {key:?})"));
         }
@@ -388,14 +379,14 @@ mod tests {
     fn block_roundtrip() {
         let records: Vec<_> = (0..5).map(|i| rec(2, i * 3)).collect();
         let blk = encode_block(&records);
-        let back = decode_block(blk, "t").unwrap();
+        let back = decode_block_meta(blk, "t").unwrap().0;
         assert_eq!(back, records);
     }
 
     #[test]
     fn empty_block_roundtrip() {
         let blk = encode_block(&[]);
-        assert!(decode_block(blk, "t").unwrap().is_empty());
+        assert!(decode_block_meta(blk, "t").unwrap().0.is_empty());
     }
 
     #[test]
@@ -405,7 +396,7 @@ mod tests {
         for pos in [0usize, 5, 100, blk.len() - 1] {
             let mut bad = blk.to_vec();
             bad[pos] ^= 0x10;
-            let err = decode_block(Bytes::from(bad), "f").unwrap_err();
+            let err = decode_block_meta(bad, "f").unwrap_err();
             assert!(
                 matches!(err, StorageError::Corrupt { .. }),
                 "flip at {pos} not detected"
@@ -416,9 +407,8 @@ mod tests {
     #[test]
     fn truncated_block_is_detected() {
         let blk = encode_block(&[rec(0, 1)]);
-        let cut = blk.slice(0..blk.len() / 2);
-        assert!(decode_block(cut, "f").is_err());
-        assert!(decode_block(Bytes::from_static(&[1, 2, 3]), "f").is_err());
+        assert!(decode_block_meta(&blk[..blk.len() / 2], "f").is_err());
+        assert!(decode_block_meta([1, 2, 3], "f").is_err());
     }
 
     // Smooth in lattice coordinates (like a simulation field), not in the
@@ -497,7 +487,7 @@ mod tests {
             let mut bad = blk.to_vec();
             bad[pos] ^= 0x04;
             assert!(
-                decode_block(Bytes::from(bad), "f").is_err(),
+                decode_block_meta(bad, "f").is_err(),
                 "flip at {pos} not detected"
             );
         }
@@ -579,7 +569,7 @@ mod tests {
             let (blk, stats) = encode_block_with(&records, &codec);
             assert_eq!(&blk[..], want, "{:?} encoding drifted", codec.mode);
             assert_eq!(stats.stored_bytes, want.len() as u64);
-            let (back, meta) = decode_block_meta(Bytes::from(want), "golden").unwrap();
+            let (back, meta) = decode_block_meta(want, "golden").unwrap();
             assert_eq!(meta.compressed, codec.is_active());
             assert_eq!(meta.logical_bytes, stats.logical_bytes);
             assert_eq!(heads(&back), heads(&records));
@@ -674,7 +664,7 @@ mod tests {
                 if resealed {
                     reseal(&mut bad);
                 }
-                match decode_block_meta(Bytes::from(bad.clone()), "hostile.tdb") {
+                match decode_block_meta(&bad, "hostile.tdb") {
                     // bitwise: the pinned records hold NaNs
                     Ok((back, _)) => assert!(
                         (heads(&back) == heads(&original) && bits(&back) == bits(&original))

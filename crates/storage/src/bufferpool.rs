@@ -23,7 +23,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::device::IoSession;
@@ -44,7 +43,9 @@ pub trait PoolValue: Clone {
     fn weight(&self) -> usize;
 }
 
-impl PoolValue for Bytes {
+/// Raw bytes weigh their length (what the pool's own tests and the model
+/// checker cache in place of a decoded block).
+impl PoolValue for Arc<[u8]> {
     fn weight(&self) -> usize {
         self.len()
     }
@@ -135,7 +136,7 @@ impl<V: PoolValue> Drop for Claim<'_, V> {
 
 /// A byte-bounded cache of partition blocks, shared by all worker
 /// processes of a node.
-pub struct BufferPool<V: PoolValue = Bytes> {
+pub struct BufferPool<V: PoolValue> {
     inner: Mutex<PoolInner<V>>,
     faults: Option<Arc<FaultPlan>>,
 }
@@ -292,13 +293,15 @@ mod tests {
         }
     }
 
-    fn load_n(n: usize) -> impl FnOnce(&mut IoSession) -> StorageResult<Bytes> {
-        move |_s| Ok(Bytes::from(vec![0u8; n]))
+    type BytePool = BufferPool<Arc<[u8]>>;
+
+    fn load_n(n: usize) -> impl FnOnce(&mut IoSession) -> StorageResult<Arc<[u8]>> {
+        move |_s| Ok(vec![0u8; n].into())
     }
 
     #[test]
     fn hit_after_load() {
-        let pool: BufferPool = BufferPool::new(1024);
+        let pool = BytePool::new(1024);
         let mut s = IoSession::new();
         let a = pool.get_or_load(key(0), &mut s, load_n(10)).unwrap();
         let b = pool
@@ -310,7 +313,7 @@ mod tests {
 
     #[test]
     fn eviction_respects_lru_order() {
-        let pool: BufferPool = BufferPool::new(25);
+        let pool = BytePool::new(25);
         let mut s = IoSession::new();
         pool.get_or_load(key(0), &mut s, load_n(10)).unwrap();
         pool.get_or_load(key(1), &mut s, load_n(10)).unwrap();
@@ -326,7 +329,7 @@ mod tests {
         let mut reloaded = false;
         pool.get_or_load(key(1), &mut s, |_| {
             reloaded = true;
-            Ok(Bytes::from_static(&[0; 10]))
+            Ok([0; 10].into())
         })
         .unwrap();
         assert!(reloaded, "key 1 should have been evicted");
@@ -334,7 +337,7 @@ mod tests {
 
     #[test]
     fn clear_empties_pool() {
-        let pool: BufferPool = BufferPool::new(1024);
+        let pool = BytePool::new(1024);
         let mut s = IoSession::new();
         pool.get_or_load(key(0), &mut s, load_n(10)).unwrap();
         assert!(!pool.is_empty());
@@ -346,7 +349,7 @@ mod tests {
     #[test]
     fn oversized_block_still_cacheable_once() {
         // a single block larger than capacity is admitted (len > 1 guard)
-        let pool: BufferPool = BufferPool::new(5);
+        let pool = BytePool::new(5);
         let mut s = IoSession::new();
         pool.get_or_load(key(0), &mut s, load_n(50)).unwrap();
         assert_eq!(pool.len(), 1);
@@ -356,7 +359,7 @@ mod tests {
 
     #[test]
     fn load_error_propagates_and_does_not_cache() {
-        let pool: BufferPool = BufferPool::new(100);
+        let pool = BytePool::new(100);
         let mut s = IoSession::new();
         let r = pool.get_or_load(key(0), &mut s, |_| {
             Err(crate::error::StorageError::KeyOrder { detail: "x".into() })
@@ -367,7 +370,7 @@ mod tests {
 
     #[test]
     fn loader_runs_without_the_pool_lock() {
-        let pool: BufferPool = BufferPool::new(1024);
+        let pool = BytePool::new(1024);
         let mut s = IoSession::new();
         pool.get_or_load(key(0), &mut s, |s| {
             // both calls take the pool lock: they would self-deadlock if
@@ -385,7 +388,7 @@ mod tests {
         // block 1 becomes resident while block 0's load is in flight with a
         // second requester parked on it; when the load lands, the waiter's
         // hit leaves 0 the most recent block, so the overflow evicts 1
-        let pool: BufferPool = BufferPool::new(25);
+        let pool = BytePool::new(25);
         let (release, parked) = std::sync::mpsc::channel::<()>();
         let pool = &pool;
         std::thread::scope(|scope| {
@@ -393,7 +396,7 @@ mod tests {
                 let mut s = IoSession::new();
                 pool.get_or_load(key(0), &mut s, |_| {
                     parked.recv().unwrap();
-                    Ok(Bytes::from(vec![0u8; 10]))
+                    Ok([0; 10].into())
                 })
                 .unwrap();
                 assert_eq!((s.pool_hits, s.pool_misses), (0, 1));
@@ -418,7 +421,7 @@ mod tests {
         let mut reloaded = false;
         pool.get_or_load(key(1), &mut s, |_| {
             reloaded = true;
-            Ok(Bytes::from_static(&[0; 10]))
+            Ok([0; 10].into())
         })
         .unwrap();
         assert!(reloaded, "key 1 should have been the LRU victim");
@@ -495,7 +498,7 @@ mod tests {
             // each op packs (key, weight): key = op % 16, weight = 1 + op / 16
             ops in prop::collection::vec(0u32..16 * 59, 1..60usize),
         ) {
-            let pool: BufferPool = BufferPool::new(100);
+            let pool = BytePool::new(100);
             let mut s = IoSession::new();
             for &op in &ops {
                 let (k, n) = (op % 16, 1 + (op / 16) as usize);

@@ -6,14 +6,19 @@
 //! degradation policies are built on.
 
 use std::fmt;
+use std::sync::Arc;
 
-/// Errors surfaced by the storage engine.
-#[derive(Debug)]
+/// Errors surfaced by the storage engine. One failure fans out to every
+/// query of a shared-scan group and to every requester waiting on the same
+/// in-flight block load, so errors are `Clone`.
+#[derive(Debug, Clone)]
 pub enum StorageError {
-    /// Underlying file-system failure in the partition file `file`.
+    /// Underlying file-system failure in the partition file `file`. The
+    /// `io::Error` is shared, not re-synthesised: a copy keeps its kind,
+    /// message and OS code.
     Io {
         file: String,
-        source: std::io::Error,
+        source: Arc<std::io::Error>,
     },
     /// A block or footer failed validation.
     Corrupt { file: String, detail: String },
@@ -35,54 +40,6 @@ pub enum StorageError {
     /// surfaced as a typed error so one bad query fails cleanly over the
     /// wire instead of panicking its handler thread.
     Internal { detail: String },
-}
-
-/// `io::Error` is not `Clone`, so the variants are reconstructed field
-/// by field; a copied I/O error keeps its kind and message. One failure
-/// fans out to every query of a shared-scan group and to every requester
-/// waiting on the same in-flight block load.
-impl Clone for StorageError {
-    fn clone(&self) -> Self {
-        match self {
-            StorageError::Io { file, source } => StorageError::Io {
-                file: file.clone(),
-                source: std::io::Error::new(source.kind(), source.to_string()),
-            },
-            StorageError::Corrupt { file, detail } => StorageError::Corrupt {
-                file: file.clone(),
-                detail: detail.clone(),
-            },
-            StorageError::KeyOrder { detail } => StorageError::KeyOrder {
-                detail: detail.clone(),
-            },
-            StorageError::SchemaMismatch {
-                expected_ncomp,
-                got_ncomp,
-            } => StorageError::SchemaMismatch {
-                expected_ncomp: *expected_ncomp,
-                got_ncomp: *got_ncomp,
-            },
-            StorageError::MissingData { detail } => StorageError::MissingData {
-                detail: detail.clone(),
-            },
-            StorageError::Injected {
-                site,
-                detail,
-                transient,
-            } => StorageError::Injected {
-                site: site.clone(),
-                detail: detail.clone(),
-                transient: *transient,
-            },
-            StorageError::NodeUnavailable { node, detail } => StorageError::NodeUnavailable {
-                node: *node,
-                detail: detail.clone(),
-            },
-            StorageError::Internal { detail } => StorageError::Internal {
-                detail: detail.clone(),
-            },
-        }
-    }
 }
 
 impl StorageError {
@@ -148,7 +105,7 @@ impl<T> IoResultExt<T> for Result<T, std::io::Error> {
     fn at_file(self, file: impl AsRef<str>) -> StorageResult<T> {
         self.map_err(|source| StorageError::Io {
             file: file.as_ref().to_string(),
-            source,
+            source: Arc::new(source),
         })
     }
 }
@@ -193,7 +150,7 @@ impl fmt::Display for StorageError {
 impl std::error::Error for StorageError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            StorageError::Io { source, .. } => Some(source),
+            StorageError::Io { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -232,6 +189,21 @@ mod tests {
         let e = io_failure(std::io::ErrorKind::NotFound);
         assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("velocity_part_1.tdb"));
+    }
+
+    #[test]
+    fn a_cloned_io_error_keeps_kind_message_and_os_code() {
+        let e = Err::<(), _>(std::io::Error::from_raw_os_error(5)).at_file("node0/p_1.tdb");
+        let copy = e.clone().unwrap_err();
+        let source = std::error::Error::source(&copy)
+            .and_then(|s| s.downcast_ref::<std::io::Error>())
+            .expect("source() is still the io::Error");
+        assert_eq!(source.raw_os_error(), Some(5));
+        assert_eq!(source.kind(), std::io::Error::from_raw_os_error(5).kind());
+        assert_eq!(copy.to_string(), e.unwrap_err().to_string());
+        assert!(io_failure(std::io::ErrorKind::TimedOut)
+            .clone()
+            .is_transient());
     }
 
     #[test]

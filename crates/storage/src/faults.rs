@@ -294,8 +294,9 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64 finaliser: a well-mixed 64-bit permutation.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finaliser: a well-mixed 64-bit permutation. Fault rolls,
+/// replica placement and the cache's row checksums all mix with it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

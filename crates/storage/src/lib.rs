@@ -13,6 +13,7 @@
 //!   decode into one buffer per block),
 //! * [`sstable`] — immutable sorted partition files with a fence index
 //!   (the clustered index of the paper: lookups are key-range scans),
+//!   validated against the file before it is believed,
 //! * [`bufferpool`] — a shared LRU block cache (SQL Server's buffer pool)
 //!   with single-flight loads that run outside its lock,
 //! * [`table`] — a partitioned table spread over disk arrays,
@@ -22,6 +23,11 @@
 //!   mutable cache tables,
 //! * [`faults`] — deterministic, seeded fault injection threaded through
 //!   block reads, cache inserts and node evaluation (robustness testing).
+//!
+//! Bytes off the disk are parsed one way: every fixed-width field of a
+//! block, record, fence or trailer is [`tdb_compress::varint::take`] then
+//! `from_be_bytes` / `from_le_bytes`, so a short buffer is a
+//! [`StorageError::Corrupt`] naming the file, never a panic.
 
 // the query path returns typed errors, it does not panic (DESIGN.md §8)
 #![cfg_attr(

@@ -12,7 +12,6 @@
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
 use tdb_zorder::ATOM_POINTS;
 
 use crate::error::{StorageError, StorageResult};
@@ -33,17 +32,22 @@ impl AtomKey {
     /// Encoded size in bytes.
     pub const ENCODED_LEN: usize = 12;
 
-    /// Appends the key encoding (big-endian so byte order = key order).
-    pub fn encode(&self, out: &mut BytesMut) {
-        out.put_u32(self.timestep);
-        out.put_u64(self.zindex);
+    /// The key encoding (big-endian so byte order = key order).
+    pub fn encode(&self) -> [u8; Self::ENCODED_LEN] {
+        let mut out = [0u8; Self::ENCODED_LEN];
+        let (timestep, zindex) = out.split_at_mut(4);
+        timestep.copy_from_slice(&self.timestep.to_be_bytes());
+        zindex.copy_from_slice(&self.zindex.to_be_bytes());
+        out
     }
 
     /// Decodes a key.
-    pub fn decode(buf: &mut impl Buf) -> AtomKey {
-        let timestep = buf.get_u32();
-        let zindex = buf.get_u64();
-        AtomKey { timestep, zindex }
+    pub fn decode(bytes: [u8; Self::ENCODED_LEN]) -> AtomKey {
+        let [a, b, c, d, zindex @ ..] = bytes;
+        AtomKey {
+            timestep: u32::from_be_bytes([a, b, c, d]),
+            zindex: u64::from_be_bytes(zindex),
+        }
     }
 }
 
@@ -150,8 +154,7 @@ impl AtomRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{checksum, decode_block, encode_block};
-    use bytes::Bytes;
+    use crate::block::{checksum, decode_block_meta, encode_block};
     use proptest::prelude::*;
 
     #[test]
@@ -163,14 +166,8 @@ mod tests {
             AtomKey::new(1, u64::MAX),
             AtomKey::new(2, 0),
         ];
-        let mut encoded: Vec<Vec<u8>> = keys
-            .iter()
-            .map(|k| {
-                let mut b = BytesMut::new();
-                k.encode(&mut b);
-                b.to_vec()
-            })
-            .collect();
+        let mut encoded: Vec<_> = keys.iter().map(AtomKey::encode).collect();
+        assert!(encoded.iter().map(|&e| AtomKey::decode(e)).eq(keys));
         let sorted = encoded.clone();
         encoded.sort();
         assert_eq!(encoded, sorted, "big-endian encoding must sort like keys");
@@ -182,7 +179,7 @@ mod tests {
         let r = AtomRecord::new(AtomKey::new(7, 12345), 3, data).unwrap();
         let blk = encode_block(std::slice::from_ref(&r));
         assert_eq!(blk.len(), AtomRecord::encoded_len(3) + 12);
-        assert_eq!(decode_block(blk, "t").unwrap(), vec![r]);
+        assert_eq!(decode_block_meta(blk, "t").unwrap().0, vec![r]);
     }
 
     #[test]
@@ -198,7 +195,7 @@ mod tests {
         let blk = encode_block(&[r]);
         let mut cut = blk[..8 + 40].to_vec();
         cut.extend_from_slice(&checksum(&cut).to_be_bytes());
-        let err = decode_block(Bytes::from(cut), "f").unwrap_err();
+        let err = decode_block_meta(cut, "f").unwrap_err();
         assert!(
             err.to_string().contains("truncated record payload"),
             "{err}"
@@ -223,7 +220,7 @@ mod tests {
             let data: Vec<f32> = (0..n).map(|i| ((i as u32).wrapping_mul(seed)) as f32).collect();
             let r = AtomRecord::new(AtomKey::new(ts, z), ncomp, data).unwrap();
             let blk = encode_block(std::slice::from_ref(&r));
-            prop_assert_eq!(decode_block(blk, "t").unwrap(), vec![r]);
+            prop_assert_eq!(decode_block_meta(blk, "t").unwrap().0, vec![r]);
         }
     }
 }

@@ -17,10 +17,10 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use tdb_compress::varint::take;
 use tdb_compress::{CompressionConfig, CompressionMode};
 
-use crate::block::{decode_block_bytes, encode_block_with, TARGET_BLOCK_BYTES};
+use crate::block::{decode_block_meta, encode_block_with, TARGET_BLOCK_BYTES};
 use crate::bufferpool::{BlockKey, BufferPool, PoolValue};
 use crate::device::{DeviceId, IoSession};
 use crate::error::{IoResultExt, StorageError, StorageResult};
@@ -28,6 +28,12 @@ use crate::faults::FaultPlan;
 use crate::record::{AtomKey, AtomRecord};
 
 const FOOTER_MAGIC: u32 = 0x7db1_f007;
+/// The trailer that ends a file: `nfences u32 | ncomp u8 | footer_start u64 | magic u32`.
+const TRAILER_LEN: usize = 17;
+/// One fence of the index before the trailer: `first | last | offset u64 | len u32`.
+const FENCE_LEN: usize = 2 * AtomKey::ENCODED_LEN + 12;
+/// The smallest block: magic, record count and CRC around no records.
+const MIN_BLOCK_LEN: u32 = 12;
 
 /// Bounded retry budget for transient block-read failures.
 const MAX_READ_ATTEMPTS: u32 = 3;
@@ -179,17 +185,17 @@ impl PartitionWriter {
     /// Flushes the tail block and writes the footer.
     pub fn finish(mut self) -> StorageResult<PathBuf> {
         self.flush_block()?;
-        let mut footer = BytesMut::new();
+        let mut footer = Vec::with_capacity(self.fences.len() * FENCE_LEN + TRAILER_LEN);
         for f in &self.fences {
-            f.first.encode(&mut footer);
-            f.last.encode(&mut footer);
-            footer.put_u64(f.offset);
-            footer.put_u32(f.len);
+            footer.extend_from_slice(&f.first.encode());
+            footer.extend_from_slice(&f.last.encode());
+            footer.extend_from_slice(&f.offset.to_be_bytes());
+            footer.extend_from_slice(&f.len.to_be_bytes());
         }
-        footer.put_u32(self.fences.len() as u32);
-        footer.put_u8(self.ncomp);
-        footer.put_u64(self.offset); // start of footer
-        footer.put_u32(FOOTER_MAGIC);
+        footer.extend_from_slice(&(self.fences.len() as u32).to_be_bytes());
+        footer.push(self.ncomp);
+        footer.extend_from_slice(&self.offset.to_be_bytes()); // start of footer
+        footer.extend_from_slice(&FOOTER_MAGIC.to_be_bytes());
         let path_str = self.path.display().to_string();
         self.file.write_all(&footer).at_file(&path_str)?;
         self.file.sync_all().at_file(&path_str)?;
@@ -211,7 +217,13 @@ pub struct PartitionReader {
 }
 
 impl PartitionReader {
-    /// Opens a partition file and loads its fence index.
+    /// Opens a partition file and loads its fence index. The footer
+    /// carries no checksum, so nothing in it is believed before it is
+    /// checked against the file: the trailer's geometry must account for
+    /// every byte, and the fences must be key-ordered and tile the block
+    /// region `[0, footer_start)` without gap or overlap — which also
+    /// bounds every later block read by the file's length. What a fence
+    /// says about its block's keys is checked when the block is loaded.
     pub fn open(
         path: impl AsRef<Path>,
         file_id: u64,
@@ -219,51 +231,55 @@ impl PartitionReader {
         pool: Arc<BlockCache>,
     ) -> StorageResult<Self> {
         let path_str = path.as_ref().display().to_string();
+        let corrupt = |detail: String| StorageError::Corrupt {
+            file: path_str.clone(),
+            detail,
+        };
+        let short = |_| corrupt("truncated footer".into());
         let mut file = File::open(&path).at_file(&path_str)?;
         let total = file.seek(SeekFrom::End(0)).at_file(&path_str)?;
-        if total < 17 {
-            return Err(StorageError::Corrupt {
-                file: path_str,
-                detail: "file shorter than footer trailer".into(),
-            });
-        }
-        let mut trailer = [0u8; 17];
-        file.read_exact_at(&mut trailer, total - 17)
+        let trailer_at = total
+            .checked_sub(TRAILER_LEN as u64)
+            .ok_or_else(|| corrupt("file shorter than footer trailer".into()))?;
+        let mut trailer = [0u8; TRAILER_LEN];
+        file.read_exact_at(&mut trailer, trailer_at)
             .at_file(&path_str)?;
-        let mut t = &trailer[..];
-        let nfences = t.get_u32() as usize;
-        let ncomp = t.get_u8();
-        let footer_start = t.get_u64();
-        let magic = t.get_u32();
+        let mut t = trailer.as_slice();
+        let nfences = take(&mut t).map(u32::from_be_bytes).map_err(short)? as usize;
+        let [ncomp] = take(&mut t).map_err(short)?;
+        let footer_start = take(&mut t).map(u64::from_be_bytes).map_err(short)?;
+        let magic = take(&mut t).map(u32::from_be_bytes).map_err(short)?;
         if magic != FOOTER_MAGIC {
-            return Err(StorageError::Corrupt {
-                file: path_str,
-                detail: format!("bad footer magic {magic:#x}"),
-            });
+            return Err(corrupt(format!("bad footer magic {magic:#x}")));
         }
         let fence_bytes = nfences
-            .checked_mul(36)
-            .filter(|&n| footer_start + n as u64 + 17 == total)
-            .ok_or_else(|| StorageError::Corrupt {
-                file: path_str.clone(),
-                detail: "footer geometry inconsistent".into(),
-            })?;
+            .checked_mul(FENCE_LEN)
+            .filter(|&n| footer_start.checked_add(n as u64) == Some(trailer_at))
+            .ok_or_else(|| corrupt("footer geometry inconsistent".into()))?;
         let mut buf = vec![0u8; fence_bytes];
         file.read_exact_at(&mut buf, footer_start)
             .at_file(&path_str)?;
-        let mut b = Bytes::from(buf);
-        let mut fences = Vec::with_capacity(nfences);
-        for _ in 0..nfences {
-            let first = AtomKey::decode(&mut b);
-            let last = AtomKey::decode(&mut b);
-            let offset = b.get_u64();
-            let len = b.get_u32();
-            fences.push(Fence {
-                first,
-                last,
-                offset,
-                len,
-            });
+        let mut b = buf.as_slice();
+        let mut fences: Vec<Fence> = Vec::with_capacity(nfences);
+        let mut end = 0u64; // of the blocks accounted for so far
+        for i in 0..nfences {
+            let fence = Fence {
+                first: AtomKey::decode(take(&mut b).map_err(short)?),
+                last: AtomKey::decode(take(&mut b).map_err(short)?),
+                offset: take(&mut b).map(u64::from_be_bytes).map_err(short)?,
+                len: take(&mut b).map(u32::from_be_bytes).map_err(short)?,
+            };
+            if fence.first > fence.last || fences.last().is_some_and(|p| p.last >= fence.first) {
+                return Err(corrupt(format!("fence {i} keys out of order")));
+            }
+            if fence.offset != end || fence.len < MIN_BLOCK_LEN {
+                return Err(corrupt(format!("fence {i} is not the next block")));
+            }
+            end = end.saturating_add(u64::from(fence.len));
+            fences.push(fence);
+        }
+        if end != footer_start {
+            return Err(corrupt("blocks do not end at the footer".into()));
         }
         Ok(Self {
             file,
@@ -365,9 +381,20 @@ impl PartitionReader {
             .at_file(&self.path)?;
         s.charge(self.device, 1, u64::from(fence.len));
         let started = std::time::Instant::now();
-        let (records, meta) = decode_block_bytes(&buf, &self.path)?;
+        let (records, meta) = decode_block_meta(&buf, &self.path)?;
         if meta.compressed {
             tdb_obs::m::COMPRESS_RECONSTRUCT_S.observe(started.elapsed().as_secs_f64());
+        }
+        // the fence came from an unchecksummed footer: the block it leads
+        // to must be the one it describes
+        let keys = |r: Option<&AtomRecord>| r.map(|r| r.key);
+        if (keys(records.first()), keys(records.last())) != (Some(fence.first), Some(fence.last))
+            || records.iter().any(|r| r.ncomp != self.ncomp)
+        {
+            return Err(StorageError::Corrupt {
+                file: self.path.clone(),
+                detail: format!("block {idx} disagrees with its fence"),
+            });
         }
         Ok(DecodedBlock {
             records: Arc::new(records),
@@ -408,6 +435,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultRule;
     use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use tdb_zorder::ATOM_POINTS;
 
     fn rec(ts: u32, z: u64) -> AtomRecord {
@@ -417,16 +445,35 @@ mod tests {
         AtomRecord::new(AtomKey::new(ts, z), 1, data).unwrap()
     }
 
-    fn build(dir: &Path, keys: &[(u32, u64)]) -> PartitionReader {
-        let path = dir.join("part_0.tdb");
-        let mut w = PartitionWriter::create(&path, 1).unwrap();
-        for &(ts, z) in keys {
-            w.append(rec(ts, z)).unwrap();
+    fn write_records(
+        path: PathBuf,
+        codec: CompressionConfig,
+        records: impl IntoIterator<Item = AtomRecord>,
+    ) -> PathBuf {
+        let mut w = PartitionWriter::create_with(path, 1, codec).unwrap();
+        for r in records {
+            w.append(r).unwrap();
         }
-        w.finish().unwrap();
+        w.finish().unwrap()
+    }
+
+    fn write_partition(dir: &Path, name: &str, keys: &[(u32, u64)]) -> PathBuf {
+        let records = keys.iter().map(|&(ts, z)| rec(ts, z));
+        write_records(dir.join(name), CompressionConfig::default(), records)
+    }
+
+    fn open_with(path: &Path, pool: Arc<BlockCache>) -> StorageResult<PartitionReader> {
         let mut reg = crate::device::DeviceRegistry::new();
         let dev = reg.register(crate::device::DeviceProfile::hdd_array());
-        PartitionReader::open(&path, 1, dev, Arc::new(BlockCache::new(1 << 20))).unwrap()
+        PartitionReader::open(path, 1, dev, pool)
+    }
+
+    fn open_at(path: &Path) -> StorageResult<PartitionReader> {
+        open_with(path, Arc::new(BlockCache::new(1 << 22)))
+    }
+
+    fn build(dir: &Path, keys: &[(u32, u64)]) -> PartitionReader {
+        open_at(&write_partition(dir, "part_0.tdb", keys)).unwrap()
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -490,17 +537,10 @@ mod tests {
     fn fetched_records_outlive_eviction_and_clear() {
         let dir = tmpdir("views");
         let keys: Vec<(u32, u64)> = (0u32..200).map(|i| (0, u64::from(i))).collect();
-        let path = dir.join("part_v.tdb");
-        let mut w = PartitionWriter::create(&path, 1).unwrap();
-        for &(ts, z) in &keys {
-            w.append(rec(ts, z)).unwrap();
-        }
-        w.finish().unwrap();
-        let mut reg = crate::device::DeviceRegistry::new();
-        let dev = reg.register(crate::device::DeviceProfile::hdd_array());
+        let path = write_partition(&dir, "part_v.tdb", &keys);
         // room for two of the seven blocks
         let pool = Arc::new(BlockCache::new(2 * TARGET_BLOCK_BYTES + 4096));
-        let r = PartitionReader::open(&path, 1, dev, Arc::clone(&pool)).unwrap();
+        let r = open_with(&path, Arc::clone(&pool)).unwrap();
         let per_block = TARGET_BLOCK_BYTES.div_ceil(AtomRecord::encoded_len(1));
         let mut s = IoSession::new();
         let held = r
@@ -552,32 +592,229 @@ mod tests {
     #[test]
     fn corrupt_footer_detected() {
         let dir = tmpdir("corrupt");
-        let path = dir.join("p.tdb");
-        let mut w = PartitionWriter::create(&path, 1).unwrap();
-        w.append(rec(0, 1)).unwrap();
-        w.finish().unwrap();
+        let path = write_partition(&dir, "p.tdb", &[(0, 1)]);
         // flip a byte in the trailer
         let mut data = std::fs::read(&path).unwrap();
         let n = data.len();
         data[n - 2] ^= 0xff;
         std::fs::write(&path, &data).unwrap();
-        let mut reg = crate::device::DeviceRegistry::new();
-        let dev = reg.register(crate::device::DeviceProfile::hdd_array());
-        let r = PartitionReader::open(&path, 1, dev, Arc::new(BlockCache::new(1024)));
-        assert!(matches!(r, Err(StorageError::Corrupt { .. })));
+        assert!(matches!(open_at(&path), Err(StorageError::Corrupt { .. })));
+    }
+
+    /// A damaged file is `Corrupt`, and the error says which file.
+    fn names(err: &StorageError, path: &Path) -> bool {
+        matches!(err, StorageError::Corrupt { file, .. } if *file == path.display().to_string())
+    }
+
+    #[test]
+    fn forged_footer_start_is_corrupt_not_overflow() {
+        let dir = tmpdir("forged_start");
+        let keys: Vec<(u32, u64)> = (0u32..10).map(|i| (0, u64::from(i))).collect();
+        let path = write_partition(&dir, "p.tdb", &keys);
+        let mut data = std::fs::read(&path).unwrap();
+        let start_at = data.len() - 12; // footer_start, then the magic
+        data[start_at..start_at + 8].copy_from_slice(&(u64::MAX - 3).to_be_bytes());
+        std::fs::write(&path, &data).unwrap();
+        let err = open_at(&path).err().expect("the footer cannot start there");
+        assert!(names(&err, &path), "{err}");
+    }
+
+    #[test]
+    fn fence_disagreeing_with_its_block_is_corrupt() {
+        let dir = tmpdir("forged_fence");
+        let keys: Vec<(u32, u64)> = (0u32..40).map(|i| (0, u64::from(i))).collect();
+        let path = write_partition(&dir, "p.tdb", &keys);
+        let mut data = std::fs::read(&path).unwrap();
+        // the `last` key of the first of two fences, zeroed: it equals the
+        // fence's `first`, so nothing in the footer contradicts it
+        let last_at = data.len() - TRAILER_LEN - 2 * FENCE_LEN + AtomKey::ENCODED_LEN;
+        data[last_at..last_at + AtomKey::ENCODED_LEN].fill(0);
+        std::fs::write(&path, &data).unwrap();
+        let r = open_at(&path).unwrap();
+        assert_eq!(r.num_blocks(), 2);
+        let err = scan_all(&r).unwrap_err();
+        assert!(
+            names(&err, &path) && err.to_string().contains("block 0"),
+            "{err}"
+        );
+    }
+
+    /// 66 one-component records over two time-steps — two full blocks and
+    /// a two-record tail — of libm-free bit patterns, a NaN payload each.
+    fn pinned_records() -> Vec<AtomRecord> {
+        (0..66u32)
+            .map(|r| {
+                let mut data: Vec<f32> = (0..ATOM_POINTS)
+                    .map(|i| 0x3f80_0000 + (((i * 37 + r as usize * 1009) % 4096) << 8) as u32)
+                    .map(f32::from_bits)
+                    .collect();
+                data[r as usize * 31 % ATOM_POINTS] = f32::from_bits(0x7fc0_dead ^ r);
+                let key = AtomKey::new(3 + r / 40, u64::from(r % 40) << 33 | 5);
+                AtomRecord::new(key, 1, data).unwrap()
+            })
+            .collect()
+    }
+
+    /// Keys, component counts and sample bits (the records hold NaNs).
+    fn bits(records: &[AtomRecord]) -> Vec<(AtomKey, u8, Vec<u32>)> {
+        records
+            .iter()
+            .map(|r| (r.key, r.ncomp, r.data.iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    const GOLDEN_PARTITION: &[u8] = include_bytes!("../tests/golden/partition_v1.bin");
+
+    fn scan_all(r: &PartitionReader) -> StorageResult<Vec<AtomRecord>> {
+        let (lo, hi) = (AtomKey::new(0, 0), AtomKey::new(u32::MAX, u64::MAX));
+        r.scan_range(lo, hi, &mut IoSession::new())
+    }
+
+    /// Blocks, fence index and trailer together: the golden file was written
+    /// by the writer as it stood before the footer went through the checked
+    /// reader, and must keep coming out of, and reading back through, this one.
+    #[test]
+    fn partition_format_is_pinned_to_golden_bytes() {
+        let dir = tmpdir("golden");
+        let records = pinned_records();
+        let codec = CompressionConfig::default();
+        let written = write_records(dir.join("written.tdb"), codec, records.clone());
+        let written = std::fs::read(written).unwrap();
+        assert!(written == GOLDEN_PARTITION, "partition encoding drifted");
+        let path = dir.join("golden.tdb");
+        std::fs::write(&path, GOLDEN_PARTITION).unwrap();
+        let r = open_at(&path).unwrap();
+        assert_eq!((r.num_blocks(), r.ncomp()), (3, 1));
+        assert!(bits(&scan_all(&r).unwrap()) == bits(&records));
+    }
+
+    /// Hostile footers: seeded forgeries of the golden partition's trailer
+    /// and fence index, truncations and extensions of the file. `open`, a
+    /// full scan and a point scan per record reproduce the original records
+    /// bit for bit or fail `Corrupt` naming the file — never a panic, other
+    /// or fewer records, or a read sized by a forged length — and a forgery
+    /// the footer alone exposes is refused by `open` itself.
+    #[test]
+    fn hostile_footers_yield_corrupt_or_the_original() {
+        const KEY: usize = AtomKey::ENCODED_LEN;
+        let dir = tmpdir("hostile");
+        let path = dir.join("hostile.tdb");
+        let original = pinned_records();
+        let want = bits(&original);
+        let total = GOLDEN_PARTITION.len();
+        let trailer_at = total - TRAILER_LEN;
+        let nfences = 3;
+        let footer_at = trailer_at - nfences * FENCE_LEN;
+        let pick = |rng: &mut TestRng, n: usize| rng.below(n as u64) as usize;
+        // overwrites the big-endian field of `width` bytes at `at` with
+        // zero, its neighbours, the largest value, `extra` or noise
+        let forge = |bad: &mut [u8], rng: &mut TestRng, at: usize, width: usize, extra: u64| {
+            let max = u64::MAX >> (64 - 8 * width);
+            let old = bad[at..at + width]
+                .iter()
+                .fold(0, |v, &b| v << 8 | u64::from(b));
+            let forged = match rng.below(6) {
+                0 => 0,
+                1 => old.wrapping_add(1) & max,
+                2 => old.wrapping_sub(1) & max,
+                3 => max,
+                4 => extra,
+                _ => rng.next_u64() & max,
+            };
+            bad[at..at + width].copy_from_slice(&forged.to_be_bytes()[8 - width..]);
+        };
+        let mut rng = TestRng::deterministic("hostile_footers", 0);
+        for case in 0..3250usize {
+            let mut bad = GOLDEN_PARTITION.to_vec();
+            let fence_at = footer_at + pick(&mut rng, nfences) * FENCE_LEN;
+            match case % 13 {
+                // 0..=4 may leave a footer that is consistent in itself
+                // (noise can land on anything; ordered keys that are not
+                // the block's, and a component count, only the blocks can
+                // contradict): the rest `open` itself must refuse
+                0 => bad[footer_at + pick(&mut rng, total - footer_at)] ^= 1 << rng.below(8),
+                1 => {
+                    for _ in 0..=rng.below(16) {
+                        bad[footer_at + pick(&mut rng, total - footer_at)] = rng.next_u64() as u8;
+                    }
+                }
+                2 => bad.extend((0..=rng.below(64)).map(|_| rng.next_u64() as u8)),
+                3 => bad[trailer_at + 4] = 2 + rng.below(254) as u8, // ncomp
+                // `last` := `first` or the reverse, hiding a block's records
+                4 => {
+                    let (from, to) = [(0, KEY), (KEY, 0)][pick(&mut rng, 2)];
+                    bad.copy_within(fence_at + from..fence_at + from + KEY, fence_at + to);
+                }
+                // cut at every byte of the footer, then anywhere
+                5 => bad.truncate(match footer_at + case / 13 {
+                    cut if cut < total => cut,
+                    _ => pick(&mut rng, total),
+                }),
+                6 => forge(&mut bad, &mut rng, trailer_at, 4, 1), // nfences
+                7 => forge(&mut bad, &mut rng, trailer_at + 5, 8, u64::MAX - 3), // footer_start
+                8 => bad[total - 4 + pick(&mut rng, 4)] ^= 1 << rng.below(8), // magic
+                9 => forge(&mut bad, &mut rng, fence_at + 2 * KEY, 8, 1 << 63), // offset
+                10 => forge(&mut bad, &mut rng, fence_at + 2 * KEY + 8, 4, 11), // len
+                // keys out of order within a fence, or from fence to fence
+                11 => match rng.below(3) {
+                    0 => {
+                        let (first, last) = bad[fence_at..fence_at + 2 * KEY].split_at_mut(KEY);
+                        first.swap_with_slice(last);
+                    }
+                    1 => {
+                        bad.copy_within(footer_at + KEY..footer_at + 2 * KEY, footer_at + FENCE_LEN)
+                    }
+                    _ => bad[footer_at + FENCE_LEN..footer_at + FENCE_LEN + KEY].fill(0),
+                },
+                // two fences swapped, or the first block too short to be
+                // one, the second making up the difference
+                _ => match rng.below(2) {
+                    0 => {
+                        let (a, b) =
+                            bad[footer_at..footer_at + 2 * FENCE_LEN].split_at_mut(FENCE_LEN);
+                        a.swap_with_slice(b);
+                    }
+                    _ => {
+                        let short = rng.below(12);
+                        let rest = 2 * (32 * 2061 + 12) - short;
+                        let at = footer_at + 2 * KEY + 8; // len, then the next fence
+                        bad[at..at + 4].copy_from_slice(&(short as u32).to_be_bytes());
+                        bad[at + 28..at + 36].copy_from_slice(&short.to_be_bytes());
+                        bad[at + 36..at + 40].copy_from_slice(&(rest as u32).to_be_bytes());
+                    }
+                },
+            }
+            std::fs::write(&path, &bad).unwrap();
+            let opened = open_at(&path);
+            assert!(
+                opened.is_err() || case % 13 < 5 || bad == GOLDEN_PARTITION,
+                "case {case}: open believed a footer that contradicts itself"
+            );
+            let outcome = opened.and_then(|r| {
+                // no block read is sized beyond the file
+                assert!(r.fences.iter().all(|f| f.len as usize <= bad.len()));
+                assert!(bits(&scan_all(&r)?) == want, "case {case}: other records");
+                assert_eq!(r.ncomp(), 1, "case {case}: other component count");
+                for (rec, want) in original.iter().zip(&want) {
+                    let one = bits(&r.scan_range(rec.key, rec.key, &mut IoSession::new())?);
+                    assert!(
+                        one == std::slice::from_ref(want),
+                        "case {case}: {:?} lost",
+                        rec.key
+                    );
+                }
+                Ok(())
+            });
+            assert!(
+                outcome.map_or_else(|e| names(&e, &path), |()| true),
+                "case {case}"
+            );
+        }
     }
 
     fn build_faulted(dir: &Path, keys: &[(u32, u64)], plan: Arc<FaultPlan>) -> PartitionReader {
-        let path = dir.join("part_f.tdb");
-        let mut w = PartitionWriter::create(&path, 1).unwrap();
-        for &(ts, z) in keys {
-            w.append(rec(ts, z)).unwrap();
-        }
-        w.finish().unwrap();
-        let mut reg = crate::device::DeviceRegistry::new();
-        let dev = reg.register(crate::device::DeviceProfile::hdd_array());
         let pool = Arc::new(BlockCache::with_faults(1 << 20, Some(plan)));
-        PartitionReader::open(&path, 1, dev, pool).unwrap()
+        open_with(&write_partition(dir, "part_f.tdb", keys), pool).unwrap()
     }
 
     #[test]
@@ -685,15 +922,13 @@ mod tests {
         keys: &[(u32, u64)],
         codec: CompressionConfig,
     ) -> PartitionReader {
-        let path = dir.join(format!("{name}.tdb"));
-        let mut w = PartitionWriter::create_with(&path, 1, codec).unwrap();
-        for &(ts, z) in keys {
-            w.append(smooth_rec(ts, z)).unwrap();
-        }
-        w.finish().unwrap();
-        let mut reg = crate::device::DeviceRegistry::new();
-        let dev = reg.register(crate::device::DeviceProfile::hdd_array());
-        PartitionReader::open(&path, 1, dev, Arc::new(BlockCache::new(1 << 22))).unwrap()
+        let records = keys.iter().map(|&(ts, z)| smooth_rec(ts, z));
+        open_at(&write_records(
+            dir.join(format!("{name}.tdb")),
+            codec,
+            records,
+        ))
+        .unwrap()
     }
 
     #[test]
@@ -757,16 +992,14 @@ mod tests {
         let plan = FaultPlan::new(66)
             .with_rule(FaultRule::transient_reads(0.4))
             .shared();
-        let path = dir.join("comp_f.tdb");
-        let mut w = PartitionWriter::create_with(&path, 1, CompressionConfig::lossless()).unwrap();
-        for &(ts, z) in &keys {
-            w.append(smooth_rec(ts, z)).unwrap();
-        }
-        w.finish().unwrap();
-        let mut reg = crate::device::DeviceRegistry::new();
-        let dev = reg.register(crate::device::DeviceProfile::hdd_array());
+        let records = keys.iter().map(|&(ts, z)| smooth_rec(ts, z));
+        let path = write_records(
+            dir.join("comp_f.tdb"),
+            CompressionConfig::lossless(),
+            records,
+        );
         let pool = Arc::new(BlockCache::with_faults(1 << 22, Some(plan.clone())));
-        let faulted = PartitionReader::open(&path, 1, dev, pool).unwrap();
+        let faulted = open_with(&path, pool).unwrap();
         let clean = build_codec(&dir, "comp_c", &keys, CompressionConfig::lossless());
         let lo = AtomKey::new(0, 0);
         let hi = AtomKey::new(0, 149);

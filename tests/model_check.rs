@@ -20,15 +20,17 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 use tdb_cache::{CacheConfig, CacheInfoKey, CacheLookup, SemanticCache, ThresholdPoint};
 use tdb_check::{thread, FailureKind, Model};
 use tdb_storage::bufferpool::BlockKey;
 use tdb_storage::device::{DeviceProfile, DeviceRegistry};
-use tdb_storage::{BufferPool, IoSession, StorageError};
+use tdb_storage::{IoSession, StorageError};
 use tdb_wire::admission::{Admission, AdmissionConfig, AdmissionQueue, TenantSpec};
 use tdb_zorder::Box3;
+
+/// The real pool, caching raw bytes in place of decoded blocks.
+type BufferPool = tdb_storage::BufferPool<Arc<[u8]>>;
 
 // ---------------------------------------------------------------------
 // 1. ScanScheduler: leader/joiner batch close
@@ -263,21 +265,23 @@ fn admission_wfq_grant_evict_shed_passes() {
 // 4. BufferPool: eviction vs concurrent decode (real code)
 // ---------------------------------------------------------------------
 
+fn pool_key(i: u32) -> BlockKey {
+    BlockKey {
+        file_id: 1,
+        block_no: i,
+    }
+}
+
+fn pool_block(tag: u8) -> Arc<[u8]> {
+    [tag; 10].into()
+}
+
 /// The real `BufferPool` under the checker, sized so concurrent misses
 /// force evictions while another thread decodes. Decoded bytes must be
 /// identical whether they came from a hit or a (re)load, and the byte
 /// budget must hold at quiescence.
 #[test]
 fn bufferpool_eviction_vs_decode_passes() {
-    fn key(i: u32) -> BlockKey {
-        BlockKey {
-            file_id: 1,
-            block_no: i,
-        }
-    }
-    fn block(tag: u8) -> Bytes {
-        Bytes::from(vec![tag; 10])
-    }
     let report = Model::new("bufferpool: eviction vs decode")
         .budget(4096)
         .check_quiet(|| {
@@ -287,17 +291,17 @@ fn bufferpool_eviction_vs_decode_passes() {
                 let mut s = IoSession::new();
                 for tag in [1u8, 2] {
                     let got = p2
-                        .get_or_load(key(tag as u32), &mut s, |_| Ok(block(tag)))
+                        .get_or_load(pool_key(tag.into()), &mut s, |_| Ok(pool_block(tag)))
                         .expect("in-memory load cannot fail");
-                    assert_eq!(got, block(tag), "decode returned wrong bytes");
+                    assert_eq!(got, pool_block(tag), "decode returned wrong bytes");
                 }
             });
             let mut s = IoSession::new();
             for tag in [3u8, 1] {
                 let got = pool
-                    .get_or_load(key(tag as u32), &mut s, |_| Ok(block(tag)))
+                    .get_or_load(pool_key(tag.into()), &mut s, |_| Ok(pool_block(tag)))
                     .expect("in-memory load cannot fail");
-                assert_eq!(got, block(tag), "hit returned different bytes than load");
+                assert_eq!(got, pool_block(tag), "hit returned other bytes than load");
             }
             t.join();
             let (used, len) = (pool.used_bytes(), pool.len());
@@ -312,17 +316,6 @@ fn bufferpool_eviction_vs_decode_passes() {
 // ---------------------------------------------------------------------
 // 5. BufferPool: single-flight loads outside the pool lock (real code)
 // ---------------------------------------------------------------------
-
-fn pool_key(i: u32) -> BlockKey {
-    BlockKey {
-        file_id: 1,
-        block_no: i,
-    }
-}
-
-fn pool_block(tag: u8) -> Bytes {
-    Bytes::from(vec![tag; 10])
-}
 
 /// A one-shot latch on the shim primitives, so the checker sees it.
 #[derive(Default)]
