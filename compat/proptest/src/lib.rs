@@ -29,6 +29,13 @@ pub mod test_runner {
         }
     }
 
+    /// Path of the function a marker item `f` was declared in.
+    #[doc(hidden)]
+    pub fn enclosing_fn<F: Fn()>(_marker: F) -> &'static str {
+        let name = std::any::type_name::<F>();
+        name.rsplit_once("::").map_or(name, |(outer, _)| outer)
+    }
+
     /// Deterministic generator (splitmix64) seeded per test and case.
     #[derive(Debug, Clone)]
     pub struct TestRng {
@@ -549,17 +556,33 @@ pub mod array {
     }
 }
 
-/// Defines `#[test]` functions whose arguments are drawn from strategies.
+/// Defines `#[test]` functions whose arguments are drawn from strategies,
+/// or — `proptest!(config, |(x in strategy, ..)| { .. })` inside a test
+/// function — runs a closure body over the cases, so that what the cases
+/// share is built once, before it, and dropped after it.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
         $crate::__proptest_tests!{ ($cfg) $($rest)* }
     };
-    ($($rest:tt)*) => {
+    ($(#[$meta:meta])+ fn $($rest:tt)*) => {
         $crate::__proptest_tests!{
-            ($crate::test_runner::ProptestConfig::default()) $($rest)*
+            ($crate::test_runner::ProptestConfig::default()) $(#[$meta])+ fn $($rest)*
         }
     };
+    ($cfg:expr, |($($pat:pat in $strat:expr),+ $(,)?)| $body:block) => {{
+        // seeded by the enclosing function's path, as the other form is
+        // by the function it defines: moving a body between the two
+        // forms leaves its cases as they were
+        fn __here() {}
+        let __id = $crate::test_runner::enclosing_fn(__here);
+        let __cfg: $crate::test_runner::ProptestConfig = $cfg;
+        for __case in 0..__cfg.cases {
+            let mut __rng = $crate::test_runner::TestRng::deterministic(__id, __case);
+            $(let $pat = $crate::strategy::Strategy::sample(&($strat), &mut __rng);)+
+            $body
+        }
+    }};
 }
 
 #[doc(hidden)]
@@ -674,6 +697,24 @@ mod tests {
             ys.push(0);
             prop_assert!(ys.len() <= 4, "len {}", ys.len());
         }
+    }
+
+    #[test]
+    fn closure_form_draws_what_the_function_form_draws() {
+        let draw = |case| {
+            let id = concat!(
+                module_path!(),
+                "::closure_form_draws_what_the_function_form_draws"
+            );
+            let mut rng = crate::test_runner::TestRng::deterministic(id, case);
+            Strategy::sample(&(0u64..1 << 40), &mut rng)
+        };
+        let mut case = 0;
+        proptest!(ProptestConfig::with_cases(4), |(x in 0u64..1 << 40)| {
+            prop_assert_eq!(x, draw(case));
+            case += 1;
+        });
+        assert_eq!(case, 4);
     }
 
     proptest! {

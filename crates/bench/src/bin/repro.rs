@@ -19,14 +19,12 @@ use std::collections::BTreeMap;
 use tdb_wire::Json;
 
 use tdb_analysis::{fof_clusters_4d, SpaceTimePoint};
+use tdb_bench::{harness, TestService};
 use tdb_cluster::{ClusterConfig, CompressionConfig};
 use tdb_core::baseline::local_evaluation_estimate;
-use tdb_core::{
-    DerivedField, FdOrder, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService,
-};
+use tdb_core::{DerivedField, FdOrder, QueryMode, ThresholdQuery};
 use tdb_obs::m;
 use tdb_storage::{DeviceProfile, FaultPlan};
-use tdb_turbgen::SyntheticDataset;
 use tdb_zorder::{decompose_box, Box3};
 
 type Experiment = (&'static str, fn(&mut Repro));
@@ -59,7 +57,7 @@ const FRACTIONS: [(f64, &str, f64); 3] = [
 ];
 
 struct Repro {
-    service: TurbulenceService,
+    service: TestService,
     grid_n: usize,
     timesteps: u32,
     /// threshold per selectivity tier, per (field, derived)
@@ -107,7 +105,7 @@ fn main() {
     println!("== ThresholDB paper reproduction ==");
     println!("grid {grid_n}³ MHD-like dataset, {timesteps} time-steps, 4 nodes x 4 arrays\n");
     let t0 = std::time::Instant::now();
-    let service = build_service(grid_n, timesteps, 4, "repro_main");
+    let service = build_service(grid_n, timesteps, 4, "repro_main", |_| {});
     println!(
         "archive built and bulk-loaded in {:.1}s\n",
         t0.elapsed().as_secs_f64()
@@ -169,34 +167,26 @@ fn main() {
     println!("(machine-readable results written to {path})");
 }
 
-fn build_service(grid_n: usize, timesteps: u32, nodes: usize, tag: &str) -> TurbulenceService {
-    build_service_with(grid_n, timesteps, nodes, tag, |_| {})
-}
-
-fn build_service_with(
+/// The archive every experiment runs on: the harness's MHD service at
+/// the paper's node shape, in a scratch directory that goes with it.
+fn build_service(
     grid_n: usize,
     timesteps: u32,
     nodes: usize,
     tag: &str,
     tweak: impl FnOnce(&mut ClusterConfig),
-) -> TurbulenceService {
-    let mut cluster = ClusterConfig {
-        num_nodes: nodes,
-        procs_per_node: 4,
-        arrays_per_node: 4,
-        chunk_atoms: if grid_n >= 128 { 4 } else { 2 },
-        // stand-in for the 2.66 GHz 2008-era nodes (EXPERIMENTS.md)
-        compute_scale: 6.0,
-        ..ClusterConfig::default()
-    };
-    tweak(&mut cluster);
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(grid_n, timesteps, 0x7db2015),
-        cluster,
-        limits: Default::default(),
-        data_dir: std::env::temp_dir().join(format!("thresholdb_{tag}_{grid_n}")),
-    };
-    TurbulenceService::build(config).expect("service build")
+) -> TestService {
+    harness(tag, grid_n, timesteps)
+        .nodes(nodes)
+        .seed(0x7db2015)
+        .cluster(|c| {
+            c.procs_per_node = 4;
+            c.arrays_per_node = 4;
+            // stand-in for the 2.66 GHz 2008-era nodes (EXPERIMENTS.md)
+            c.compute_scale = 6.0;
+            tweak(c);
+        })
+        .build()
 }
 
 impl Repro {
@@ -418,7 +408,7 @@ impl Repro {
         for nodes in [1usize, 2, 4, 8] {
             services.push((
                 nodes,
-                build_service(self.grid_n, 1, nodes, &format!("repro_so{nodes}")),
+                build_service(self.grid_n, 1, nodes, &format!("repro_so{nodes}"), |_| {}),
             ));
         }
         println!(
@@ -647,7 +637,7 @@ impl Repro {
         for (label, codec) in modes {
             let logical0 = m::COMPRESS_BYTES_LOGICAL.get();
             let stored0 = m::COMPRESS_BYTES_STORED.get();
-            let svc = build_service_with(n, 1, 2, &format!("repro_comp_{label}"), |c| {
+            let svc = build_service(n, 1, 2, &format!("repro_comp_{label}"), |c| {
                 c.compression = codec;
             });
             let logical = m::COMPRESS_BYTES_LOGICAL.get() - logical0;
@@ -732,7 +722,7 @@ impl Repro {
         for k in [1usize, 2, 3] {
             let plan = FaultPlan::new(0x7411).shared();
             let faults = std::sync::Arc::clone(&plan);
-            let svc = build_service_with(n, 1, 4, &format!("repro_repl_{k}"), |c| {
+            let svc = build_service(n, 1, 4, &format!("repro_repl_{k}"), |c| {
                 c.replication = tdb_cluster::ReplicationConfig::k(k);
                 c.faults = Some(faults);
             });
@@ -802,7 +792,7 @@ impl Repro {
         ];
         let services = configs.map(|(fd_order, chunk_atoms)| {
             let tag = format!("repro_abl_o{}_c{chunk_atoms}", fd_order.order());
-            build_service_with(N, 1, 4, &tag, |c| {
+            build_service(N, 1, 4, &tag, |c| {
                 c.fd_order = fd_order;
                 c.chunk_atoms = chunk_atoms;
             })

@@ -63,8 +63,6 @@ pub struct ClusterConfig {
     pub arrays_per_node: usize,
     /// Buffer-pool capacity per node, bytes.
     pub bufferpool_bytes: usize,
-    /// Semantic-cache SSD budget per node, bytes (paper: ~200 GB SSD).
-    pub cache_budget_bytes: u64,
     /// Chunk edge length in atoms (chunk = `(8·chunk_atoms)³` grid points).
     /// Must be a power of two dividing the atom lattice on every axis.
     pub chunk_atoms: u32,
@@ -126,7 +124,6 @@ impl Default for ClusterConfig {
             procs_per_node: 4,
             arrays_per_node: 4,
             bufferpool_bytes: 256 << 20,
-            cache_budget_bytes: 200 << 30,
             chunk_atoms: 4,
             fd_order: FdOrder::O4,
             compute_scale: 1.0,

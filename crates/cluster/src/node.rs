@@ -14,6 +14,7 @@
 //! dead node's chunks at a surviving replica.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,6 +71,9 @@ pub struct NodeResult {
     pub session: IoSession,
 }
 
+/// Semantic-cache SSD budget per node, bytes (paper: ~200 GB SSD).
+const CACHE_BUDGET_BYTES: u64 = 200 << 30;
+
 /// One simulated database node.
 pub struct NodeRuntime {
     pub id: usize,
@@ -101,17 +105,16 @@ impl NodeRuntime {
                 (m::IO_OPS.with(name), m::IO_BYTES.with(name))
             })
             .collect();
-        let cache_budget_bytes = env.config.cache_budget_bytes;
         Self {
             id,
             tables,
             cache: SemanticCache::new(CacheConfig {
-                budget_bytes: cache_budget_bytes,
+                budget_bytes: CACHE_BUDGET_BYTES,
                 ssd: devices.ssd,
                 faults: env.config.faults.clone(),
             }),
             // histograms are tiny; a small slice of the SSD suffices
-            pdf_cache: PdfCache::new(devices.ssd, (cache_budget_bytes / 64).max(1 << 20)),
+            pdf_cache: PdfCache::new(devices.ssd, CACHE_BUDGET_BYTES / 64),
             pool,
             devices,
             env,
@@ -338,7 +341,7 @@ impl NodeRuntime {
         let halo = req.derived.halo(&self.env.scheme);
         let peak_scratch = AtomicUsize::new(0);
         let results: Vec<StorageResult<TaskOutcome>> =
-            self.run_workers(req.procs, &tasks, |scratch: &mut ScanScratch, task| {
+            run_workers(req.procs, &tasks, |scratch: &mut ScanScratch, task| {
                 let mut chunk_session = IoSession::new();
                 // I/O-only probes (Fig. 8) read exactly what the full
                 // evaluation reads — boundary bands included — they just
@@ -559,43 +562,51 @@ impl NodeRuntime {
             }
         }
     }
+}
 
-    /// Runs `procs` workers over the task list, collecting per-task
-    /// output. Each worker owns one `S` for all the tasks it handles.
-    fn run_workers<I: Sync, S: Default, T: Send>(
-        &self,
-        procs: usize,
-        tasks: &[I],
-        work: impl Fn(&mut S, &I) -> T + Sync,
-    ) -> Vec<T> {
-        // the time model scales with the *requested* process count; the
-        // real thread count is capped at the hardware so CPU-time
-        // measurements stay clean
-        let hw = std::thread::available_parallelism().map_or(8, |n| n.get());
-        let procs = procs.max(1).min(hw);
-        let next = AtomicUsize::new(0);
-        let out: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(tasks.len()));
-        let worker = || {
-            let mut state = S::default();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let r = work(&mut state, task);
-                out.lock().push((i, r));
-            }
-        };
-        // the calling thread is the first worker: a one-task scan spawns
-        // nothing, and a scan touches one thread (and allocator arena) fewer
-        std::thread::scope(|scope| {
-            for _ in 1..procs.min(tasks.len()) {
-                scope.spawn(worker);
-            }
-            worker();
-        });
-        let mut results = out.into_inner();
-        results.sort_by_key(|(i, _)| *i);
-        results.into_iter().map(|(_, r)| r).collect()
-    }
+/// The one fan-out: runs up to `procs` workers over the task list — a
+/// node's chunks, a scatter wave's nodes — and returns the per-task
+/// outcomes in task order. Each worker owns one `S` for all the tasks it
+/// handles; a task that panics is an [`StorageError::internal`] outcome,
+/// not a lost thread.
+pub(crate) fn run_workers<I: Sync, S: Default, T: Send>(
+    procs: usize,
+    tasks: &[I],
+    work: impl Fn(&mut S, &I) -> StorageResult<T> + Sync,
+) -> Vec<StorageResult<T>> {
+    // the time model scales with the *requested* process count; the
+    // real thread count is capped at the hardware so CPU-time
+    // measurements stay clean
+    let hw = std::thread::available_parallelism().map_or(8, |n| n.get());
+    let procs = procs.max(1).min(hw);
+    let next = AtomicUsize::new(0);
+    let out: Mutex<Vec<(usize, StorageResult<T>)>> = Mutex::new(Vec::with_capacity(tasks.len()));
+    let worker = || {
+        let mut state = S::default();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = tasks.get(i) else { break };
+            // what a panic leaves in `state` is not trusted: the worker
+            // starts its next task from a fresh one
+            let attempt = catch_unwind(AssertUnwindSafe(|| work(&mut state, task)));
+            let r = attempt.unwrap_or_else(|_| {
+                state = S::default();
+                Err(StorageError::internal("evaluation worker panicked"))
+            });
+            out.lock().push((i, r));
+        }
+    };
+    // the calling thread is the first worker: a one-task fan-out spawns
+    // nothing, and any other touches one thread (and allocator arena) fewer
+    std::thread::scope(|scope| {
+        for _ in 1..procs.min(tasks.len()) {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    let mut results = out.into_inner();
+    results.sort_by_key(|(i, _)| *i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// RAII increment of the `node.active_subqueries` gauge.

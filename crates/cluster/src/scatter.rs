@@ -14,7 +14,7 @@ use tdb_zorder::Box3;
 
 use crate::mediator::{BatchQuery, Cluster, ThresholdRequest};
 use crate::merge::{BatchAnswer, DegradedInfo, FailedNode};
-use crate::node::{NodeResult, QueryMode};
+use crate::node::{run_workers, NodeResult, QueryMode};
 use crate::placement::Chunk;
 use crate::scan::{ScanAssignment, ScanParticipant, SharedOutcome, SharedScanRequest};
 
@@ -141,35 +141,24 @@ impl Cluster {
                 participants: participants.clone(),
                 assignment,
             };
-            let mut wave: Vec<WaveEntry> = std::thread::scope(|scope| {
-                let handles: Vec<_> = targets
-                    .iter()
-                    .map(|(node, _)| {
-                        let req = &req;
-                        let peers = &topo.nodes;
-                        let node = *node;
-                        let runtime = peers.get(node).and_then(Option::as_ref).map(Arc::clone);
-                        scope.spawn(move || match runtime {
-                            Some(runtime) => runtime.evaluate_shared(peers, req),
-                            None => Err(StorageError::NodeUnavailable {
-                                node,
-                                detail: "scatter target is not a live member".into(),
-                            }),
-                        })
-                    })
-                    .collect();
-                targets
-                    .iter()
-                    .zip(handles)
-                    .map(|((node, cidxs), h)| WaveEntry {
-                        node: *node,
-                        chunk_idxs: cidxs.clone(),
-                        result: h.join().unwrap_or_else(|_| {
-                            Err(StorageError::internal("node evaluation thread panicked"))
-                        }),
-                    })
-                    .collect()
-            });
+            let peers = &topo.nodes;
+            let evaluate = |_: &mut (), (node, _): &(usize, Vec<usize>)| {
+                let runtime = peers.get(*node).and_then(Option::as_ref);
+                let runtime = runtime.ok_or_else(|| StorageError::NodeUnavailable {
+                    node: *node,
+                    detail: "scatter target is not a live member".into(),
+                })?;
+                runtime.evaluate_shared(peers, &req)
+            };
+            let mut wave: Vec<WaveEntry> = targets
+                .iter()
+                .zip(run_workers(targets.len(), targets, evaluate))
+                .map(|((node, cidxs), result)| WaveEntry {
+                    node: *node,
+                    chunk_idxs: cidxs.clone(),
+                    result,
+                })
+                .collect();
             for p in 0..participants.len() {
                 let mut answered: Vec<(usize, &mut NodeResult)> = wave
                     .iter_mut()

@@ -26,31 +26,23 @@ use crate::service::TurbulenceService;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
-/// What a batch job runs.
+/// What a batch job runs: a threshold query whose points land in
+/// `output_table`.
 #[derive(Debug, Clone)]
-pub enum JobSpec {
-    /// A threshold query whose points land in `output_table`.
-    Threshold {
-        query: ThresholdQuery,
-        output_table: String,
-    },
-    /// A top-k query whose points land in `output_table`.
-    TopK {
-        query: ThresholdQuery,
-        k: usize,
-        output_table: String,
-    },
+pub struct JobSpec {
+    pub query: ThresholdQuery,
+    pub output_table: String,
 }
 
-impl JobSpec {
-    fn output_table(&self) -> &str {
-        match self {
-            JobSpec::Threshold { output_table, .. } | JobSpec::TopK { output_table, .. } => {
-                output_table
-            }
-        }
-    }
-}
+/// Jobs a session holds queued or running at once; the next submission
+/// is refused until one finishes (a whole-time-step scan each: a client
+/// must not be able to queue them without limit).
+pub const MAX_PENDING_JOBS: usize = 64;
+
+/// Finished jobs a session remembers. A resident server sees jobs for as
+/// long as it lives; an older one's state is forgotten (its MyDB table is
+/// not) and asking for it answers "unknown job".
+pub const MAX_FINISHED_JOBS: usize = 1024;
 
 /// Life cycle of a job.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,12 +176,23 @@ impl BatchSession {
         }
     }
 
-    /// Enqueues a job and returns its id immediately. If the session is
+    /// Enqueues a job and returns its id immediately, or `None` while
+    /// [`MAX_PENDING_JOBS`] are queued or running. If the session is
     /// shutting down (queue closed or worker gone) the job lands directly
     /// in a terminal [`JobState::Failed`] instead of panicking.
-    pub fn submit(&self, spec: JobSpec) -> JobId {
-        let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        set_state(&self.board, id, JobState::Queued);
+    pub fn submit(&self, spec: JobSpec) -> Option<JobId> {
+        let id = {
+            // counted and queued under one lock: racing submitters cannot
+            // both take the last place
+            let mut states = self.board.states.lock();
+            let pending = states.values().filter(|s| !s.is_terminal()).count();
+            if pending >= MAX_PENDING_JOBS {
+                return None;
+            }
+            let id = JobId(self.next_id.fetch_add(1, Ordering::Relaxed));
+            states.insert(id, JobState::Queued);
+            id
+        };
         let sent = self
             .sender
             .as_ref()
@@ -201,12 +204,18 @@ impl BatchSession {
                 JobState::Failed("batch session is shut down".to_string()),
             );
         }
-        id
+        Some(id)
     }
 
-    /// Current state of a job.
+    /// Current state of a job; `None` for an id never issued or forgotten.
     pub fn status(&self, id: JobId) -> Option<JobState> {
         self.board.states.lock().get(&id).cloned()
+    }
+
+    /// How many jobs the session holds a state for, of any kind: at most
+    /// [`MAX_PENDING_JOBS`] + [`MAX_FINISHED_JOBS`].
+    pub fn tracked_jobs(&self) -> usize {
+        self.board.states.lock().len()
     }
 
     /// Blocks until the job reaches a terminal state. An id this session
@@ -227,13 +236,11 @@ impl BatchSession {
     pub fn mydb(&self) -> &MyDb {
         &self.mydb
     }
+}
 
-    /// Drains the queue and shuts the worker down.
-    pub fn close(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+/// Drains the queue and shuts the worker down.
+impl Drop for BatchSession {
+    fn drop(&mut self) {
         self.sender.take(); // closing the channel ends the worker loop
         if let Some(w) = self.worker.take() {
             let _ = w.join();
@@ -241,14 +248,18 @@ impl BatchSession {
     }
 }
 
-impl Drop for BatchSession {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 fn set_state(board: &JobBoard, id: JobId, state: JobState) {
-    board.states.lock().insert(id, state);
+    let mut states = board.states.lock();
+    let finished = state.is_terminal();
+    states.insert(id, state);
+    if finished && states.values().filter(|s| s.is_terminal()).count() > MAX_FINISHED_JOBS {
+        // ids grow with time: the first finished entry is the oldest
+        let oldest = states.iter().find(|(_, s)| s.is_terminal());
+        if let Some(id) = oldest.map(|(id, _)| *id) {
+            states.remove(&id);
+        }
+    }
+    drop(states);
     board.changed.notify_all();
 }
 
@@ -257,32 +268,22 @@ fn run_job(
     mydb: &MyDb,
     spec: &JobSpec,
 ) -> Result<(usize, f64), String> {
-    let (points, modelled_s, provenance) = match spec {
-        JobSpec::Threshold { query, .. } => {
-            let r = service.get_threshold(query).map_err(|e| e.to_string())?;
-            let prov = format!(
-                "threshold {}/{} t={} k={}",
-                query.raw_field,
-                query.derived.name(),
-                query.timestep,
-                query.threshold
-            );
-            (r.points, r.breakdown.total_s(), prov)
-        }
-        JobSpec::TopK { query, k, .. } => {
-            let r = service.get_topk(query, *k).map_err(|e| e.to_string())?;
-            let prov = format!(
-                "topk {}/{} t={} k={k}",
-                query.raw_field,
-                query.derived.name(),
-                query.timestep
-            );
-            (r.points, r.breakdown.total_s(), prov)
-        }
+    let query = &spec.query;
+    let r = service.get_threshold(query).map_err(|e| e.to_string())?;
+    let provenance = format!(
+        "threshold {}/{} t={} k={}",
+        query.raw_field,
+        query.derived.name(),
+        query.timestep,
+        query.threshold
+    );
+    let rows = r.points.len();
+    let table = MyDbTable {
+        provenance,
+        points: r.points,
     };
-    let rows = points.len();
-    mydb.put(spec.output_table(), MyDbTable { provenance, points })?;
-    Ok((rows, modelled_s))
+    mydb.put(&spec.output_table, table)?;
+    Ok((rows, r.breakdown.total_s()))
 }
 
 #[cfg(test)]
@@ -291,25 +292,37 @@ mod tests {
     use crate::service::ServiceConfig;
     use crate::DerivedField;
 
-    fn small_service(tag: &str) -> Arc<TurbulenceService> {
-        let mut config = ServiceConfig::small_mhd(
-            std::env::temp_dir().join(format!("tdb_batch_{tag}_{}", std::process::id())),
-        );
-        config.dataset = tdb_turbgen::SyntheticDataset::mhd(32, 2, 0xbeef);
-        config.cluster.chunk_atoms = 2;
+    /// Removes the archive's directory when the test is done with it.
+    struct RemoveOnDrop(std::path::PathBuf);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn small_service(tag: &str) -> (Arc<TurbulenceService>, RemoveOnDrop) {
+        let dir = std::env::temp_dir().join(format!("tdb_batch_{tag}_{}", std::process::id()));
+        let mut config = ServiceConfig::mhd(&dir, 32, 2, 0xbeef);
         config.cluster.num_nodes = 2;
-        Arc::new(TurbulenceService::build(config).expect("build"))
+        let service = TurbulenceService::build(config).expect("build");
+        (Arc::new(service), RemoveOnDrop(dir))
+    }
+
+    fn submit(session: &BatchSession, query: ThresholdQuery, output_table: &str) -> JobId {
+        let spec = JobSpec {
+            query,
+            output_table: output_table.into(),
+        };
+        session.submit(spec).expect("room on the job board")
     }
 
     #[test]
     fn jobs_run_and_results_land_in_mydb() {
-        let service = small_service("run");
+        let (service, _dir) = small_service("run");
         let session = BatchSession::open(Arc::clone(&service), 10 << 20);
         let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 30.0);
-        let job = session.submit(JobSpec::Threshold {
-            query: q.clone(),
-            output_table: "intense_t0".into(),
-        });
+        let job = submit(&session, q.clone(), "intense_t0");
         let state = session.wait(job);
         let JobState::Done { rows, modelled_s } = state else {
             panic!("job failed: {state:?}");
@@ -321,30 +334,25 @@ mod tests {
         // identical to running the query interactively
         let direct = service.get_threshold(&q).unwrap();
         assert_eq!(direct.points.len(), rows);
-        session.close();
+        drop(session); // drains the queue and joins the worker
     }
 
     #[test]
     fn jobs_execute_in_submission_order_and_states_progress() {
-        let service = small_service("order");
-        let session = BatchSession::open(service, 10 << 20);
-        let mk = |t: u32, table: &str| JobSpec::Threshold {
-            query: ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, t, 35.0),
-            output_table: table.into(),
-        };
-        let a = session.submit(mk(0, "a"));
-        let b = session.submit(mk(1, "b"));
-        let c = session.submit(JobSpec::TopK {
-            query: ThresholdQuery::whole_timestep("velocity", DerivedField::QCriterion, 0, 0.0),
-            k: 7,
-            output_table: "c".into(),
-        });
+        let (service, _dir) = small_service("order");
+        let session = BatchSession::open(Arc::clone(&service), 10 << 20);
+        let curl = |t| ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, t, 35.0);
+        let q_crit = ThresholdQuery::whole_timestep("velocity", DerivedField::QCriterion, 0, 400.0);
+        let a = submit(&session, curl(0), "a");
+        let b = submit(&session, curl(1), "b");
+        let c = submit(&session, q_crit.clone(), "c");
         assert!(session.wait(a).is_terminal());
         assert!(session.wait(b).is_terminal());
         let JobState::Done { rows, .. } = session.wait(c) else {
-            panic!("topk job failed");
+            panic!("Q-criterion job failed");
         };
-        assert_eq!(rows, 7);
+        assert!(rows > 0);
+        assert_eq!(rows, service.get_threshold(&q_crit).unwrap().points.len());
         let mut names = session.mydb().list();
         names.sort();
         assert_eq!(names, vec!["a", "b", "c"]);
@@ -352,12 +360,10 @@ mod tests {
 
     #[test]
     fn failed_jobs_report_the_query_error() {
-        let service = small_service("fail");
+        let (service, _dir) = small_service("fail");
         let session = BatchSession::open(service, 10 << 20);
-        let job = session.submit(JobSpec::Threshold {
-            query: ThresholdQuery::whole_timestep("bogus", DerivedField::Norm, 0, 1.0),
-            output_table: "never".into(),
-        });
+        let bogus = ThresholdQuery::whole_timestep("bogus", DerivedField::Norm, 0, 1.0);
+        let job = submit(&session, bogus, "never");
         let JobState::Failed(msg) = session.wait(job) else {
             panic!("expected failure");
         };
@@ -367,13 +373,11 @@ mod tests {
 
     #[test]
     fn mydb_quota_is_enforced() {
-        let service = small_service("quota");
+        let (service, _dir) = small_service("quota");
         // tiny quota: a whole-timestep low-threshold result cannot fit
         let session = BatchSession::open(service, 256);
-        let job = session.submit(JobSpec::Threshold {
-            query: ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 20.0),
-            output_table: "big".into(),
-        });
+        let low = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 20.0);
+        let job = submit(&session, low, "big");
         let JobState::Failed(msg) = session.wait(job) else {
             panic!("expected quota failure");
         };

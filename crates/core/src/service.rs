@@ -27,18 +27,27 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A laptop-scale MHD archive (64³, 4 time-steps, 4 nodes) for tests
-    /// and quickstarts.
-    pub fn small_mhd(dir: impl Into<PathBuf>) -> Self {
+    /// The synthetic MHD archive on an `n`-cube grid over the default
+    /// cluster — the one way a service configuration is made. Chunks are
+    /// 32³ points from 128³ up, where the halo band is a paper-like share
+    /// of what a chunk reads, and 16³ below, so that a small grid still
+    /// tiles into enough chunks to spread over the nodes.
+    pub fn mhd(data_dir: impl Into<PathBuf>, n: usize, timesteps: u32, seed: u64) -> Self {
         Self {
-            dataset: SyntheticDataset::mhd(64, 4, 0x7db),
+            dataset: SyntheticDataset::mhd(n, timesteps, seed),
             cluster: ClusterConfig {
-                chunk_atoms: 2,
+                chunk_atoms: if n >= 128 { 4 } else { 2 },
                 ..ClusterConfig::default()
             },
             limits: QueryLimits::default(),
-            data_dir: dir.into(),
+            data_dir: data_dir.into(),
         }
+    }
+
+    /// A laptop-scale MHD archive (64³, 4 time-steps, 4 nodes) for
+    /// quickstarts.
+    pub fn small_mhd(dir: impl Into<PathBuf>) -> Self {
+        Self::mhd(dir, 64, 4, 0x7db)
     }
 }
 

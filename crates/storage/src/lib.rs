@@ -63,3 +63,33 @@ pub use record::{AtomData, AtomKey, AtomRecord};
 pub use sstable::{BlockCache, DecodedBlock, PartitionReader, PartitionWriter};
 pub use table::{Table, TableBuilder};
 pub use tdb_compress::{CompressionConfig, CompressionMode};
+
+/// A directory for one unit test's partition files, removed with the
+/// files when the test is done with it.
+#[cfg(test)]
+pub(crate) struct TestDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl TestDir {
+    pub(crate) fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("tdb_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TestDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

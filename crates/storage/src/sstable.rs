@@ -476,10 +476,8 @@ mod tests {
         open_at(&write_partition(dir, "part_0.tdb", keys)).unwrap()
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("tdb_sstable_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmpdir(tag: &str) -> crate::TestDir {
+        crate::TestDir::new(&format!("sstable_{tag}"))
     }
 
     #[test]

@@ -250,14 +250,14 @@ mod tests {
         AtomRecord::new(AtomKey::new(ts, z), 1, vec![z as f32; ATOM_POINTS]).unwrap()
     }
 
-    fn setup(tag: &str, zones: Vec<ZRange>, timesteps: u32) -> (Table, DeviceRegistry) {
-        let dir = std::env::temp_dir().join(format!("tdb_table_{tag}_{}", std::process::id()));
+    fn setup(tag: &str, zones: Vec<ZRange>, timesteps: u32) -> (Table, crate::TestDir) {
+        let dir = crate::TestDir::new(&format!("table_{tag}"));
         let mut reg = DeviceRegistry::new();
         let devs: Vec<DeviceId> = (0..2)
             .map(|_| reg.register(DeviceProfile::hdd_array()))
             .collect();
         let mut b = TableBuilder::new(
-            &dir,
+            &*dir,
             "velocity",
             1,
             zones.clone(),
@@ -273,13 +273,13 @@ mod tests {
             b.append_timestep(t, recs).unwrap();
         }
         let table = b.finish(Arc::new(BlockCache::new(1 << 22)), 0).unwrap();
-        (table, reg)
+        (table, dir)
     }
 
     #[test]
     fn scan_honours_zranges_and_timestep() {
         let zones = vec![ZRange::new(0, 31), ZRange::new(32, 63)];
-        let (table, _) = setup("scan", zones, 3);
+        let (table, _dir) = setup("scan", zones, 3);
         assert_eq!(table.num_partitions(), 2);
         let mut s = IoSession::new();
         let got = table.scan(1, &[ZRange::new(10, 40)], &mut s).unwrap();
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn scan_multiple_ranges_sorted_output() {
         let zones = vec![ZRange::new(0, 63)];
-        let (table, _) = setup("multi", zones, 1);
+        let (table, _dir) = setup("multi", zones, 1);
         let mut s = IoSession::new();
         let got = table
             .scan(0, &[ZRange::new(5, 7), ZRange::new(20, 21)], &mut s)
@@ -305,7 +305,7 @@ mod tests {
         // the output order rests on the input order (no sort, no filter),
         // so a caller breaking the contract gets an error in any build
         let zones = vec![ZRange::new(0, 31), ZRange::new(32, 63)];
-        let (table, _) = setup("contract", zones, 1);
+        let (table, _dir) = setup("contract", zones, 1);
         let mut s = IoSession::new();
         let sorted = table.get_many(0, &[3, 4, 9, 40], &mut s).unwrap();
         let zs: Vec<u64> = sorted.iter().map(|r| r.key.zindex).collect();
@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn partitions_charge_different_devices() {
         let zones = vec![ZRange::new(0, 199), ZRange::new(200, 399)];
-        let (table, _reg) = setup("devices", zones, 1);
+        let (table, _dir) = setup("devices", zones, 1);
         let mut s = IoSession::new();
         table.scan(0, &[ZRange::new(0, 399)], &mut s).unwrap();
         // two partitions → two devices charged
@@ -336,11 +336,11 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_input() {
-        let dir = std::env::temp_dir().join(format!("tdb_table_bad_{}", std::process::id()));
+        let dir = crate::TestDir::new("table_bad");
         let mut reg = DeviceRegistry::new();
         let d = reg.register(DeviceProfile::hdd_array());
         let mut b = TableBuilder::new(
-            &dir,
+            &*dir,
             "f",
             1,
             vec![ZRange::new(0, 7)],

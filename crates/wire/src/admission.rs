@@ -201,7 +201,7 @@ pub enum Admission {
 
 /// Bounded in-flight counter plus a weighted-fair bounded wait queue.
 pub struct AdmissionQueue {
-    config: AdmissionConfig,
+    pub(crate) config: AdmissionConfig,
     inner: Mutex<Inner>,
     freed: Condvar,
 }

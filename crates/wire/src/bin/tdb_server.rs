@@ -7,9 +7,7 @@
 
 use std::sync::Arc;
 
-use tdb_cluster::ClusterConfig;
 use tdb_core::{ServiceConfig, TurbulenceService};
-use tdb_turbgen::SyntheticDataset;
 use tdb_wire::server::{Server, ServerConfig};
 
 struct Args {
@@ -81,16 +79,15 @@ fn main() {
         "building {0}³ MHD archive, {1} time-steps, {2} nodes ...",
         args.grid, args.timesteps, args.nodes
     );
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(args.grid, args.timesteps, args.seed),
-        cluster: ClusterConfig {
-            num_nodes: args.nodes,
-            chunk_atoms: if args.grid >= 128 { 4 } else { 2 },
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: std::env::temp_dir().join(format!("thresholdb_server_{}", args.seed)),
-    };
+    // the process id keeps two servers started with one seed out of each
+    // other's partition files
+    let data_dir = std::env::temp_dir().join(format!(
+        "thresholdb_server_{}_{}",
+        args.seed,
+        std::process::id()
+    ));
+    let mut config = ServiceConfig::mhd(data_dir, args.grid, args.timesteps, args.seed);
+    config.cluster.num_nodes = args.nodes;
     let service = match TurbulenceService::build(config) {
         Ok(s) => Arc::new(s),
         Err(e) => {

@@ -11,12 +11,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use tdb_core::batch::{BatchSession, JobId, JobSpec, JobState};
+use tdb_core::batch::{BatchSession, JobId, JobSpec, JobState, MAX_PENDING_JOBS};
 use tdb_core::{ThresholdQuery, TurbulenceService};
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionQueue};
 use crate::json::Json;
 use crate::proto::{member, Request, Response};
+
+/// Socket write timeout: a client that stops draining its responses
+/// cannot stall the handler thread indefinitely.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -32,9 +36,6 @@ pub struct ServerConfig {
     /// `wire.connection.timeout`) instead of pinning its thread forever.
     /// `None` waits indefinitely.
     pub read_timeout: Option<Duration>,
-    /// Socket write timeout; a client that stops draining its responses
-    /// cannot stall the handler thread indefinitely.
-    pub write_timeout: Option<Duration>,
     /// Largest accepted request line in bytes; longer requests get an
     /// error response and the connection is closed (the remainder of the
     /// line is never buffered).
@@ -48,7 +49,6 @@ impl Default for ServerConfig {
             admission: AdmissionConfig::default(),
             mydb_quota_bytes: 256 << 20,
             read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
             max_request_bytes: 1 << 20,
         }
     }
@@ -170,7 +170,7 @@ fn accept_loop(
         // peer's delayed ACK, ~40 ms per answer
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(config.read_timeout);
-        let _ = stream.set_write_timeout(config.write_timeout);
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let max_request_bytes = config.max_request_bytes;
         std::thread::spawn(move || {
             let _ = serve_connection(stream, &open.state, max_request_bytes, open.conn);
@@ -321,11 +321,19 @@ fn execute(request: &Request, state: &ServerState) -> Response {
             output_table,
         } => {
             let query = ThresholdQuery::whole_timestep(raw_field, *derived, *timestep, *threshold);
-            let JobId(id) = state.batch.submit(JobSpec::Threshold {
+            let spec = JobSpec {
                 query,
                 output_table: output_table.clone(),
-            });
-            Response::JobAccepted { job: id }
+            };
+            // not an admitted request (it returns at once), so the bound
+            // on queued scans is the job board's
+            match state.batch.submit(spec) {
+                Some(JobId(id)) => Response::JobAccepted { job: id },
+                None => Response::Busy {
+                    queue_depth: MAX_PENDING_JOBS as u64,
+                    retry_ms: state.admission.config.busy_retry_ms,
+                },
+            }
         }
         Request::JobStatus { job } => match state.batch.status(JobId(*job)) {
             Some(JobState::Queued) => Response::JobState {
@@ -500,9 +508,7 @@ fn execute(request: &Request, state: &ServerState) -> Response {
 mod tests {
     use super::*;
     use std::time::Instant;
-    use tdb_cluster::ClusterConfig;
     use tdb_core::ServiceConfig;
-    use tdb_turbgen::SyntheticDataset;
 
     /// A request line that makes `serve_connection` panic (test builds
     /// only), standing in for a bug in a handler.
@@ -513,17 +519,9 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("thresholdb_wire_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let service = TurbulenceService::build(ServiceConfig {
-            dataset: SyntheticDataset::mhd(16, 1, 0x7db),
-            cluster: ClusterConfig {
-                num_nodes: 1,
-                chunk_atoms: 2,
-                ..ClusterConfig::default()
-            },
-            limits: Default::default(),
-            data_dir: dir.clone(),
-        })
-        .expect("service build");
+        let mut archive = ServiceConfig::mhd(&dir, 16, 1, 0x7db);
+        archive.cluster.num_nodes = 1;
+        let service = TurbulenceService::build(archive).expect("service build");
         let state = Arc::new(ServerState::new(Arc::new(service), 1 << 20));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("local addr");
@@ -572,6 +570,49 @@ mod tests {
         eventually("every connection is forgotten", || {
             state.admission.tracked_connections() == 0
         });
+        stop();
+    }
+
+    /// A resident server is sent batch jobs for years, and a client may
+    /// send them as fast as it likes: the job board keeps the newest
+    /// finished ones and a bounded backlog, not one entry per job ever seen.
+    #[test]
+    fn finished_jobs_leave_a_bounded_job_board_behind() {
+        use tdb_core::batch::MAX_FINISHED_JOBS;
+        let (_addr, state, stop) = serve("jobs", ServerConfig::default());
+        let submit = r#"{"derived":"norm","field":"velocity","op":"submit_job","output_table":"t","threshold":1e9,"timestep":0}"#;
+        let (mut accepted, mut refused, mut last) = (0, 0, 0);
+        while accepted < 5000 {
+            match handle_line_admitted(submit, &state, 0) {
+                Response::JobAccepted { job } => {
+                    accepted += 1;
+                    last = job;
+                }
+                // the backlog is full: the worker needs a moment
+                Response::Busy { queue_depth, .. } => {
+                    assert_eq!(queue_depth, MAX_PENDING_JOBS as u64);
+                    refused += 1;
+                    std::thread::yield_now();
+                }
+                other => panic!("submit_job was answered with {other:?}"),
+            }
+            assert!(state.batch.tracked_jobs() <= MAX_PENDING_JOBS + MAX_FINISHED_JOBS);
+        }
+        assert!(
+            refused > 0,
+            "5000 back-to-back jobs never filled the backlog"
+        );
+        assert!(state.batch.wait(JobId(last)).is_terminal());
+        assert_eq!(state.batch.tracked_jobs(), MAX_FINISHED_JOBS);
+        // the first job finished long ago and is forgotten; the last is not
+        let status = |job: u64| {
+            handle_line_admitted(&format!(r#"{{"job":{job},"op":"job_status"}}"#), &state, 0)
+        };
+        let Response::Error { message } = status(1) else {
+            panic!("job 1 is still on the board")
+        };
+        assert!(message.contains("unknown job 1"), "{message}");
+        assert!(matches!(status(last), Response::JobState { .. }));
         stop();
     }
 

@@ -4,9 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use tdb_cluster::ClusterConfig;
 use tdb_core::{ServiceConfig, TurbulenceService};
-use tdb_turbgen::SyntheticDataset;
 use tdb_wire::admission::{Admission, AdmissionConfig, AdmissionQueue, TenantSpec};
 use tdb_wire::proto::Response;
 use tdb_wire::server::{handle_line_admitted, ServerState};
@@ -22,17 +20,9 @@ fn a_fresh_server_lists_metrics_it_has_never_reported() {
     let _serial = ONE_AT_A_TIME.lock().unwrap();
     let dir = std::env::temp_dir().join(format!("thresholdb_wire_fresh_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let service = TurbulenceService::build(ServiceConfig {
-        dataset: SyntheticDataset::mhd(16, 1, 0x7db),
-        cluster: ClusterConfig {
-            num_nodes: 1,
-            chunk_atoms: 2,
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: dir.clone(),
-    })
-    .expect("service build");
+    let mut config = ServiceConfig::mhd(&dir, 16, 1, 0x7db);
+    config.cluster.num_nodes = 1;
+    let service = TurbulenceService::build(config).expect("service build");
     let state = ServerState::new(Arc::new(service), 1 << 20);
     let Response::Metrics { counters, gauges } =
         handle_line_admitted(r#"{"op":"metrics"}"#, &state, 0)

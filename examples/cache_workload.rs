@@ -13,8 +13,8 @@ use tdb_core::{DerivedField, ServiceConfig, ThresholdQuery, TurbulenceService};
 use tdb_storage::DeviceProfile;
 
 fn main() {
-    let dir = std::env::temp_dir().join("thresholdb_cache_workload");
-    let service = TurbulenceService::build(ServiceConfig::small_mhd(&dir)).expect("build");
+    let dir = tdb_bench::ScratchDir::new("cache_workload");
+    let service = TurbulenceService::build(ServiceConfig::small_mhd(dir.path())).expect("build");
     let stats = service
         .derived_stats("velocity", DerivedField::CurlNorm, 0)
         .expect("stats");

@@ -10,8 +10,8 @@
 use tdb_core::{DerivedField, ServiceConfig, ThresholdQuery, TurbulenceService};
 
 fn main() {
-    let dir = std::env::temp_dir().join("thresholdb_field_explorer");
-    let service = TurbulenceService::build(ServiceConfig::small_mhd(&dir)).expect("build");
+    let dir = tdb_bench::ScratchDir::new("field_explorer");
+    let service = TurbulenceService::build(ServiceConfig::small_mhd(dir.path())).expect("build");
 
     // --- Fig. 2-style PDF of the vorticity norm -------------------------
     let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);

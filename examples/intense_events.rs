@@ -8,21 +8,14 @@
 //! ```
 
 use tdb_analysis::{fof_clusters_4d, SpaceTimePoint};
-use tdb_cluster::ClusterConfig;
 use tdb_core::{DerivedField, ServiceConfig, ThresholdQuery, TurbulenceService};
 use tdb_turbgen::SyntheticDataset;
 
 fn main() {
     let timesteps = 8;
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::isotropic(64, timesteps, 2025),
-        cluster: ClusterConfig {
-            chunk_atoms: 2,
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: std::env::temp_dir().join("thresholdb_intense_events"),
-    };
+    let dir = tdb_bench::ScratchDir::new("intense_events");
+    let mut config = ServiceConfig::mhd(dir.path(), 64, timesteps, 2025);
+    config.dataset = SyntheticDataset::isotropic(64, timesteps, 2025);
     println!("building a 64³ isotropic archive with {timesteps} time-steps ...");
     let service = TurbulenceService::build(config).expect("build");
     let dims = {

@@ -9,9 +9,15 @@
 use tdb_core::{DerivedField, ServiceConfig, ThresholdQuery, TurbulenceService};
 
 fn main() {
-    let dir = std::env::temp_dir().join("thresholdb_quickstart");
-    println!("building a 64³ MHD archive with 4 time-steps under {dir:?} ...");
-    let service = TurbulenceService::build(ServiceConfig::small_mhd(&dir)).expect("build service");
+    // a scratch directory, removed when `dir` goes out of scope; a real
+    // deployment names a directory it keeps
+    let dir = tdb_bench::ScratchDir::new("quickstart");
+    println!(
+        "building a 64³ MHD archive with 4 time-steps under {:?} ...",
+        dir.path()
+    );
+    let service =
+        TurbulenceService::build(ServiceConfig::small_mhd(dir.path())).expect("build service");
 
     // pick a threshold from the field statistics, like a scientist
     // consulting the PDF (paper Fig. 2) before querying

@@ -15,10 +15,10 @@ use tdb_wire::server::{Server, ServerConfig};
 use tdb_wire::Client;
 
 fn main() {
-    let dir = std::env::temp_dir().join("thresholdb_web_service");
+    let dir = tdb_bench::ScratchDir::new("web_service");
     println!("building the archive ...");
     let service =
-        Arc::new(TurbulenceService::build(ServiceConfig::small_mhd(&dir)).expect("build"));
+        Arc::new(TurbulenceService::build(ServiceConfig::small_mhd(dir.path())).expect("build"));
     let server =
         Server::start(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.addr();

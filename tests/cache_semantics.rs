@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use tdb_bench::{test_service, test_service_with};
+use tdb_bench::{harness, test_service};
 use tdb_cluster::CoalesceConfig;
 use tdb_core::{DerivedField, ThresholdPoint, ThresholdQuery};
 
@@ -190,12 +190,14 @@ fn mid_scan_queries_never_observe_partial_cache_entries() {
     // miss and scan for itself (possibly sharing the writer's scan), or
     // hit the freshly completed entry — never a half-built one. Any
     // partial entry would change the answer bytes.
-    let service = Arc::new(test_service_with("cache_snapshot", 32, 1, 2, |c| {
-        c.coalesce = Some(CoalesceConfig {
-            window_ms: 1,
-            max_batch: 4,
-        });
-    }));
+    let service = harness("cache_snapshot", 32, 1)
+        .cluster(|c| {
+            c.coalesce = Some(CoalesceConfig {
+                window_ms: 1,
+                max_batch: 4,
+            });
+        })
+        .build();
     let stats = service
         .derived_stats("velocity", DerivedField::CurlNorm, 0)
         .unwrap();

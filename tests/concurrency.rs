@@ -6,13 +6,13 @@
 //! body. The suite is then correct under `--test-threads=1` and under
 //! the default parallel runner alike (CI runs both).
 
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use proptest::prelude::*;
-use tdb_bench::{test_service, test_service_with};
+use tdb_bench::{bits, harness, ranked_bits, test_service};
 use tdb_cluster::mediator::ThresholdRequest;
 use tdb_cluster::{BatchAnswer, BatchQuery, CoalesceConfig};
-use tdb_core::{Box3, DerivedField, QueryMode, ThresholdPoint, ThresholdQuery, TurbulenceService};
+use tdb_core::{Box3, DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
 use tdb_storage::{FaultPlan, FaultRule};
 use tdb_wire::admission::AdmissionConfig;
 use tdb_wire::client::ClientError;
@@ -27,16 +27,6 @@ fn metrics_lock() -> MutexGuard<'static, ()> {
 
 fn counter(name: &str) -> u64 {
     tdb_obs::global().snapshot().counter(name)
-}
-
-/// Bit-exact, order-independent view of a threshold answer.
-fn point_bits(points: &[ThresholdPoint]) -> Vec<(u64, u32)> {
-    let mut v: Vec<(u64, u32)> = points
-        .iter()
-        .map(|p| (p.zindex, p.value.to_bits()))
-        .collect();
-    v.sort_unstable();
-    v
 }
 
 fn curl_query(threshold: f64) -> ThresholdQuery {
@@ -68,15 +58,15 @@ fn coalesced_batch_halves_atom_decodes_with_identical_answers() {
     let batch = service.get_threshold_batch(&vec![q; 4]);
     let shared_atoms = counter("node.atoms_scanned") - before;
 
-    let reference = point_bits(&sequential[0].points);
+    let reference = bits(&sequential[0].points);
     assert!(!reference.is_empty(), "threshold must select some points");
     for r in &sequential {
-        assert_eq!(point_bits(&r.points), reference);
+        assert_eq!(bits(&r.points), reference);
     }
     for r in batch {
         let r = r.expect("batched query must succeed");
         assert_eq!(
-            point_bits(&r.points),
+            bits(&r.points),
             reference,
             "coalesced answers must be byte-identical to independent ones"
         );
@@ -101,19 +91,20 @@ fn coalesced_batch_halves_atom_decodes_with_identical_answers() {
 #[test]
 fn scheduler_coalesces_concurrent_identical_queries() {
     let _g = metrics_lock();
-    let service = Arc::new(test_service_with("conc_sched", 32, 1, 2, |c| {
-        // a window far above thread-startup jitter plus a batch cap equal
-        // to the thread count makes the grouping deterministic: the batch
-        // closes the moment the fourth query joins, never by timeout
-        c.coalesce = Some(CoalesceConfig {
-            window_ms: 2000,
-            max_batch: 4,
-        });
-    }));
+    // a window far above thread-startup jitter plus a batch cap equal to
+    // the thread count makes the grouping deterministic: the batch closes
+    // the moment the fourth query joins, never by timeout
+    let coalesce = CoalesceConfig {
+        window_ms: 2000,
+        max_batch: 4,
+    };
+    let service = harness("conc_sched", 32, 1)
+        .cluster(|c| c.coalesce = Some(coalesce))
+        .build();
     let q = curl_query(25.0).without_cache();
     // reference through the direct batch path, which bypasses the
     // scheduler (no 2 s window wait for a solo query)
-    let reference = point_bits(
+    let reference = bits(
         &service.get_threshold_batch(std::slice::from_ref(&q))[0]
             .as_ref()
             .expect("reference query")
@@ -136,7 +127,7 @@ fn scheduler_coalesces_concurrent_identical_queries() {
         .collect();
     for h in handles {
         let r = h.join().unwrap();
-        assert_eq!(point_bits(&r.points), reference);
+        assert_eq!(bits(&r.points), reference);
     }
     assert_eq!(
         counter("scheduler.batches") - batches_before,
@@ -191,7 +182,7 @@ fn mixed_query_kinds_share_one_scan() {
     let mut answers = answers.into_iter();
     match answers.next().unwrap().unwrap() {
         BatchAnswer::Threshold(t) => {
-            assert_eq!(point_bits(&t.points), point_bits(&t_ref.points))
+            assert_eq!(bits(&t.points), bits(&t_ref.points))
         }
         other => panic!("expected a threshold answer, got {other:?}"),
     }
@@ -203,7 +194,7 @@ fn mixed_query_kinds_share_one_scan() {
     }
     match answers.next().unwrap().unwrap() {
         BatchAnswer::TopK(t) => {
-            assert_eq!(point_bits(&t.points), point_bits(&topk_ref.points))
+            assert_eq!(bits(&t.points), bits(&topk_ref.points))
         }
         other => panic!("expected a top-k answer, got {other:?}"),
     }
@@ -243,18 +234,12 @@ fn shared_scan_over_strict_sub_box_clips_equals_independent_execution() {
         Box3::new([3, 5, 17], [27, 29, 30]),
         Box3::new([13, 1, 2], [18, 30, 21]),
     ];
-    let exact = |points: &[ThresholdPoint]| -> Vec<(u64, u32)> {
-        points
-            .iter()
-            .map(|p| (p.zindex, p.value.to_bits()))
-            .collect()
-    };
     let mut batch = Vec::new();
     let mut want_points = Vec::new();
     let mut want_counts = Vec::new();
     let mut want_topk = Vec::new();
     for b in boxes {
-        want_points.push(exact(&cluster.get_threshold(&req(b)).unwrap().points));
+        want_points.push(ranked_bits(&cluster.get_threshold(&req(b)).unwrap().points));
         want_counts.push(
             cluster
                 .get_pdf(&req(b), -400.0, 50.0, 16)
@@ -263,7 +248,7 @@ fn shared_scan_over_strict_sub_box_clips_equals_independent_execution() {
                 .counts()
                 .to_vec(),
         );
-        want_topk.push(exact(&cluster.get_topk(&req(b), 7).unwrap().points));
+        want_topk.push(ranked_bits(&cluster.get_topk(&req(b), 7).unwrap().points));
         batch.push(BatchQuery::Threshold(req(b)));
         batch.push(BatchQuery::Pdf {
             req: req(b),
@@ -282,29 +267,11 @@ fn shared_scan_over_strict_sub_box_clips_equals_independent_execution() {
     );
     for (i, answer) in answers.into_iter().enumerate() {
         match answer.unwrap() {
-            BatchAnswer::Threshold(t) => assert_eq!(exact(&t.points), want_points[i / 3]),
+            BatchAnswer::Threshold(t) => assert_eq!(ranked_bits(&t.points), want_points[i / 3]),
             BatchAnswer::Pdf(p) => assert_eq!(p.histogram.counts(), want_counts[i / 3]),
-            BatchAnswer::TopK(t) => assert_eq!(exact(&t.points), want_topk[i / 3]),
+            BatchAnswer::TopK(t) => assert_eq!(ranked_bits(&t.points), want_topk[i / 3]),
         }
     }
-}
-
-fn prop_service() -> &'static TurbulenceService {
-    static S: OnceLock<TurbulenceService> = OnceLock::new();
-    S.get_or_init(|| test_service("conc_prop", 32, 1, 2))
-}
-
-fn faulted_service() -> &'static TurbulenceService {
-    static S: OnceLock<TurbulenceService> = OnceLock::new();
-    S.get_or_init(|| {
-        let seed = FaultPlan::seed_from_env(0x7411);
-        let plan = FaultPlan::new(seed)
-            .with_rule(FaultRule::transient_reads(0.2))
-            .shared();
-        test_service_with("conc_prop_faults", 32, 1, 2, move |c| {
-            c.faults = Some(plan);
-        })
-    })
 }
 
 /// Runs each query alone, then the whole set as one coalesced batch, and
@@ -321,29 +288,27 @@ fn assert_batch_equals_sequential(service: &TurbulenceService, queries: &[Thresh
     for (i, r) in service.get_threshold_batch(queries).into_iter().enumerate() {
         let r = r.expect("batched query must succeed");
         assert_eq!(
-            point_bits(&r.points),
-            point_bits(&sequential[i].points),
+            bits(&r.points),
+            bits(&sequential[i].points),
             "query {i} diverged between sequential and coalesced evaluation"
         );
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Random overlapping query sets answer identically whether each
-    /// query runs alone or the set runs as one coalesced batch — with
-    /// caching on (later queries may hit entries earlier ones built) and
-    /// with random sub-boxes that overlap arbitrarily.
-    #[test]
-    fn coalesced_equals_sequential_for_random_query_sets(
+/// Random overlapping query sets answer identically whether each
+/// query runs alone or the set runs as one coalesced batch — with
+/// caching on (later queries may hit entries earlier ones built) and
+/// with random sub-boxes that overlap arbitrarily.
+#[test]
+fn coalesced_equals_sequential_for_random_query_sets() {
+    let _g = metrics_lock();
+    let service = test_service("conc_prop", 32, 1, 2);
+    proptest!(ProptestConfig::with_cases(8), |(
         corner in prop::array::uniform3(0u32..16),
         sizes in prop::collection::vec(prop::array::uniform3(3u32..16), 3..6),
         thresholds in prop::collection::vec(5.0f64..60.0, 3..6),
         cached in prop::collection::vec(any::<bool>(), 3..6),
-    ) {
-        let _g = metrics_lock();
-        let service = prop_service();
+    )| {
         let queries: Vec<ThresholdQuery> = sizes
             .iter()
             .zip(&thresholds)
@@ -359,25 +324,33 @@ proptest! {
                 if use_cache { q } else { q.without_cache() }
             })
             .collect();
-        assert_batch_equals_sequential(service, &queries);
-    }
+        assert_batch_equals_sequential(&service, &queries);
+    });
+}
 
-    /// The same property under deterministic fault injection: transient
-    /// read faults fire (fixed `TDB_FAULT_SEED` default 0x7411) on both
-    /// paths and retries absorb them to the same byte-identical answers.
-    #[test]
-    fn coalesced_equals_sequential_under_injected_faults(
+/// The same property under deterministic fault injection: transient
+/// read faults fire (fixed `TDB_FAULT_SEED` default 0x7411) on both
+/// paths and retries absorb them to the same byte-identical answers.
+#[test]
+fn coalesced_equals_sequential_under_injected_faults() {
+    let _g = metrics_lock();
+    let seed = FaultPlan::seed_from_env(0x7411);
+    let plan = FaultPlan::new(seed)
+        .with_rule(FaultRule::transient_reads(0.2))
+        .shared();
+    let service = harness("conc_prop_faults", 32, 1)
+        .cluster(|c| c.faults = Some(plan))
+        .build();
+    proptest!(ProptestConfig::with_cases(8), |(
         thresholds in prop::collection::vec(10.0f64..50.0, 2..5),
-    ) {
-        let _g = metrics_lock();
-        let service = faulted_service();
+    )| {
         let queries: Vec<ThresholdQuery> = thresholds
             .iter()
             .map(|&t| curl_query(t).without_cache())
             .collect();
         service.cluster().clear_buffer_pools();
-        assert_batch_equals_sequential(service, &queries);
-    }
+        assert_batch_equals_sequential(&service, &queries);
+    });
 }
 
 /// Wire-level load shedding: with one in-flight slot and no queue, a
@@ -387,7 +360,7 @@ proptest! {
 #[test]
 fn wire_server_sheds_concurrent_burst_with_busy() {
     let _g = metrics_lock();
-    let service = Arc::new(test_service("conc_wire", 32, 1, 2));
+    let service = test_service("conc_wire", 32, 1, 2);
     let config = ServerConfig {
         admission: AdmissionConfig {
             max_inflight: 1,
@@ -400,7 +373,7 @@ fn wire_server_sheds_concurrent_burst_with_busy() {
     let server = Server::start(Arc::clone(&service), "127.0.0.1:0", config).expect("bind");
     let addr = server.addr();
 
-    let reference = point_bits(&service.get_threshold(&curl_query(25.0)).unwrap().points);
+    let reference = bits(&service.get_threshold(&curl_query(25.0)).unwrap().points);
     let shed_before = counter("admission.shed");
     let barrier = Arc::new(Barrier::new(4));
     let handles: Vec<_> = (0..4)
@@ -419,7 +392,7 @@ fn wire_server_sheds_concurrent_burst_with_busy() {
         match h.join().unwrap() {
             Ok(answer) => {
                 ok += 1;
-                assert_eq!(point_bits(&answer.points), reference);
+                assert_eq!(bits(&answer.points), reference);
             }
             Err(ClientError::Busy {
                 queue_depth,
@@ -449,7 +422,7 @@ fn wire_server_sheds_concurrent_burst_with_busy() {
             Err(e) => panic!("unexpected client error: {e}"),
         }
     };
-    assert_eq!(point_bits(&answer.points), reference);
+    assert_eq!(bits(&answer.points), reference);
     server.stop();
 }
 
@@ -458,7 +431,7 @@ fn wire_server_sheds_concurrent_burst_with_busy() {
 #[test]
 fn control_plane_requests_bypass_admission() {
     let _g = metrics_lock();
-    let service = Arc::new(test_service("conc_ctl", 32, 1, 2));
+    let service = test_service("conc_ctl", 32, 1, 2);
     let config = ServerConfig {
         admission: AdmissionConfig {
             max_inflight: 1,

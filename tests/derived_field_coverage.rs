@@ -2,9 +2,8 @@
 //! the full distributed stack, including the parameterized filtered norms
 //! and the channel-flow (wall-bounded, stretched-grid) dataset.
 
-use tdb_bench::{scratch_dir, test_service};
-use tdb_cluster::ClusterConfig;
-use tdb_core::{DerivedField, ServiceConfig, ThresholdQuery, TurbulenceService};
+use tdb_bench::{harness, ranked_bits, test_service};
+use tdb_core::{DerivedField, ThresholdQuery, TurbulenceService};
 use tdb_turbgen::SyntheticDataset;
 
 #[test]
@@ -60,19 +59,9 @@ fn filtered_norm_radius_changes_the_answer_and_the_cache_entry() {
 fn channel_flow_threshold_queries_respect_walls() {
     // wall-bounded in y, stretched grid: one-sided stencils at the walls,
     // periodic halo in x/z only
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::channel(32, 32, 32, 1, 0xc4a),
-        cluster: ClusterConfig {
-            num_nodes: 2,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: scratch_dir("cat_channel"),
-    };
-    let service = TurbulenceService::build(config).expect("build channel service");
+    let service = harness("cat_channel", 32, 1)
+        .dataset(SyntheticDataset::channel(32, 32, 32, 1, 0xc4a))
+        .build();
     let stats = service
         .derived_stats("velocity", DerivedField::Norm, 0)
         .unwrap();
@@ -98,29 +87,15 @@ fn channel_flow_threshold_queries_respect_walls() {
 #[test]
 fn channel_distributed_equals_single_node() {
     let build = |nodes: usize, tag: &str| {
-        let config = ServiceConfig {
-            dataset: SyntheticDataset::channel(32, 32, 32, 1, 0xc4b),
-            cluster: ClusterConfig {
-                num_nodes: nodes,
-                procs_per_node: 2,
-                arrays_per_node: 2,
-                chunk_atoms: 2,
-                ..ClusterConfig::default()
-            },
-            limits: Default::default(),
-            data_dir: scratch_dir(tag),
-        };
-        TurbulenceService::build(config).expect("build")
+        harness(tag, 32, 1)
+            .nodes(nodes)
+            .dataset(SyntheticDataset::channel(32, 32, 32, 1, 0xc4b))
+            .build()
     };
     let answer = |s: &TurbulenceService| {
         let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 2.0)
             .without_cache();
-        s.get_threshold(&q)
-            .unwrap()
-            .points
-            .into_iter()
-            .map(|p| (p.zindex, p.value))
-            .collect::<Vec<_>>()
+        ranked_bits(&s.get_threshold(&q).unwrap().points)
     };
     let one = answer(&build(1, "cat_ch1"));
     let four = answer(&build(4, "cat_ch4"));

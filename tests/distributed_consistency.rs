@@ -2,38 +2,29 @@
 //! or FD order of the *storage layout* must never change query answers —
 //! only their cost.
 
+use tdb_bench::{harness, ranked_bits, ScratchDir, TestService};
 use tdb_cluster::mediator::ThresholdRequest;
 use tdb_cluster::{BatchAnswer, BatchQuery, Cluster, ClusterBuilder, ClusterConfig};
-use tdb_core::{Box3, DerivedField, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService};
+use tdb_core::{Box3, DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
 use tdb_field::{Grid3, ScalarField};
-use tdb_turbgen::SyntheticDataset;
 
-fn build(nodes: usize, procs: usize, chunk_atoms: u32, tag: &str) -> TurbulenceService {
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(32, 1, 0xfeed),
-        cluster: ClusterConfig {
-            num_nodes: nodes,
-            procs_per_node: procs,
-            arrays_per_node: 2,
-            chunk_atoms,
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: tdb_bench::scratch_dir(tag),
-    };
-    TurbulenceService::build(config).expect("build")
+fn build(nodes: usize, procs: usize, chunk_atoms: u32, tag: &str) -> TestService {
+    harness(tag, 32, 1)
+        .nodes(nodes)
+        .seed(0xfeed)
+        .cluster(|c| {
+            c.procs_per_node = procs;
+            c.chunk_atoms = chunk_atoms;
+        })
+        .build()
 }
 
-fn answer(service: &TurbulenceService) -> Vec<(u64, f32)> {
+/// The answer in the order it arrived: distribution must not change that
+/// either.
+fn answer(service: &TurbulenceService) -> Vec<(u64, u32)> {
     let q =
         ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 28.0).without_cache();
-    service
-        .get_threshold(&q)
-        .unwrap()
-        .points
-        .into_iter()
-        .map(|p| (p.zindex, p.value))
-        .collect()
+    ranked_bits(&service.get_threshold(&q).unwrap().points)
 }
 
 #[test]
@@ -71,20 +62,14 @@ fn halo_exchange_is_exact_at_node_boundaries() {
     // kernel bug at node boundaries would corrupt many points: compare a
     // wide-halo (order-8) query across node counts.
     let mk = |nodes: usize, tag: &str| {
-        let config = ServiceConfig {
-            dataset: SyntheticDataset::mhd(32, 1, 0xbeef),
-            cluster: ClusterConfig {
-                num_nodes: nodes,
-                procs_per_node: 2,
-                arrays_per_node: 2,
-                chunk_atoms: 1,
-                fd_order: tdb_kernels::FdOrder::O8,
-                ..ClusterConfig::default()
-            },
-            limits: Default::default(),
-            data_dir: tdb_bench::scratch_dir(tag),
-        };
-        TurbulenceService::build(config).expect("build")
+        harness(tag, 32, 1)
+            .nodes(nodes)
+            .seed(0xbeef)
+            .cluster(|c| {
+                c.chunk_atoms = 1;
+                c.fd_order = tdb_kernels::FdOrder::O8;
+            })
+            .build()
     };
     let a = answer(&mk(1, "dc_h1"));
     let b = answer(&mk(8, "dc_h8"));
@@ -108,7 +93,7 @@ fn pdf_and_topk_are_distribution_transparent() {
 
 /// A 32³ scalar archive on `nodes` nodes (16³ chunks, so 4 nodes hold two
 /// chunks each and the node boundaries fall at y = 16 and z = 16).
-fn scalar_cluster(field: &ScalarField, nodes: usize, tag: &str) -> Cluster {
+fn scalar_cluster(field: &ScalarField, nodes: usize, tag: &str) -> (Cluster, ScratchDir) {
     let config = ClusterConfig {
         num_nodes: nodes,
         procs_per_node: 2,
@@ -116,8 +101,9 @@ fn scalar_cluster(field: &ScalarField, nodes: usize, tag: &str) -> Cluster {
         chunk_atoms: 2,
         ..ClusterConfig::default()
     };
+    let dir = ScratchDir::new(tag);
     let mut builder = ClusterBuilder::new(
-        tdb_bench::scratch_dir(tag),
+        dir.path(),
         "ties",
         Grid3::periodic_cube(32, std::f64::consts::TAU),
         &[("s", 1)],
@@ -127,7 +113,7 @@ fn scalar_cluster(field: &ScalarField, nodes: usize, tag: &str) -> Cluster {
     builder
         .ingest_timestep(0, "s", 1, |atom| field.extract_atom(atom).to_vec())
         .expect("ingest");
-    builder.finish().expect("cluster")
+    (builder.finish().expect("cluster"), dir)
 }
 
 /// Top-k ties are broken by one total order — value descending, then
@@ -171,12 +157,6 @@ fn topk_ties_break_identically_across_node_counts_and_batching() {
     let expect = |k: usize| -> Vec<(u64, u32)> {
         all.iter().take(k).map(|&(z, v)| (z, v.to_bits())).collect()
     };
-    let bits = |points: &[tdb_core::ThresholdPoint]| -> Vec<(u64, u32)> {
-        points
-            .iter()
-            .map(|p| (p.zindex, p.value.to_bits()))
-            .collect()
-    };
     let req = ThresholdRequest {
         raw_field: "s".into(),
         derived: DerivedField::Norm,
@@ -191,10 +171,14 @@ fn topk_ties_break_identically_across_node_counts_and_batching() {
     };
     // k = 5 cuts through the six 9.0s, k = 12 through the flat 0.5s
     for nodes in [1, 4] {
-        let cluster = scalar_cluster(&field, nodes, &format!("dc_ties{nodes}"));
+        let (cluster, _dir) = scalar_cluster(&field, nodes, &format!("dc_ties{nodes}"));
         for k in [5, 12] {
             let single = cluster.get_topk(&req, k).unwrap();
-            assert_eq!(bits(&single.points), expect(k), "{nodes} nodes, k = {k}");
+            assert_eq!(
+                ranked_bits(&single.points),
+                expect(k),
+                "{nodes} nodes, k = {k}"
+            );
         }
         let batch = cluster.run_batch(vec![
             BatchQuery::TopK {
@@ -211,7 +195,7 @@ fn topk_ties_break_identically_across_node_counts_and_batching() {
             match answer.unwrap() {
                 BatchAnswer::TopK(t) => {
                     assert_eq!(
-                        bits(&t.points),
+                        ranked_bits(&t.points),
                         expect(k),
                         "{nodes} nodes, coalesced, k = {k}"
                     )

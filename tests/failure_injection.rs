@@ -7,30 +7,27 @@
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::Arc;
 
-use tdb_cluster::ClusterConfig;
-use tdb_core::{
-    DerivedField, QueryError, QueryLimits, ServiceConfig, ThresholdPoint, ThresholdQuery,
-    TurbulenceService,
-};
+use tdb_bench::{bits, bits_outside, harness, points_outside, ranked_bits, Harness, TestService};
+use tdb_cluster::{ClusterConfig, CompressionConfig, ReplicationConfig};
+use tdb_core::{DerivedField, QueryError, QueryLimits, ThresholdQuery};
 use tdb_storage::{FaultPlan, FaultRule};
-use tdb_turbgen::SyntheticDataset;
 use tdb_zorder::Box3;
 
-fn build(tag: &str) -> (TurbulenceService, std::path::PathBuf) {
-    let dir = tdb_bench::scratch_dir(tag);
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
-        cluster: ClusterConfig {
-            num_nodes: 2,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: dir.clone(),
-    };
-    (TurbulenceService::build(config).expect("build"), dir)
+/// This suite's archive — 32³, one time-step, two nodes — before the
+/// faults, codec, replication or limits a test adds to it.
+fn archive(tag: &str) -> Harness {
+    harness(tag, 32, 1).seed(0xdead)
+}
+
+/// [`archive`] with a fault plan and a failure policy.
+fn faulted_archive(tag: &str, plan: &Arc<FaultPlan>, strict: bool) -> Harness {
+    let plan = Arc::clone(plan);
+    archive(tag)
+        .cluster(|c| c.faults = Some(plan))
+        .limits(QueryLimits {
+            strict,
+            ..Default::default()
+        })
 }
 
 /// Flips one byte in the middle of a data block of every velocity
@@ -64,34 +61,41 @@ fn corrupt_velocity_partitions(dir: &std::path::Path) -> usize {
     corrupted
 }
 
-#[test]
-fn corrupted_block_fails_the_query_loudly() {
-    let (service, dir) = build("fi_corrupt");
-    // sanity: the query works before corruption
-    let q =
-        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 25.0).without_cache();
+/// The query failed loudly: a backend error naming one of `causes`, not
+/// an answer and not another kind of error.
+fn assert_backend_error<T: std::fmt::Debug>(result: Result<T, QueryError>, causes: &[&str]) {
+    match result {
+        Err(QueryError::Backend(msg)) => assert!(
+            causes.iter().any(|cause| msg.contains(cause)),
+            "unexpected backend message: {msg}"
+        ),
+        other => panic!("expected a backend error ({causes:?}), got {other:?}"),
+    }
+}
+
+/// The query answers, then a byte of every velocity partition of node 0
+/// rots on disk, and the same query — cold again — is a loud error.
+fn assert_corruption_fails_loudly(service: &TestService) {
+    let q = curl_query().without_cache();
     let ok = service.get_threshold(&q).expect("pre-corruption query");
     assert!(!ok.points.is_empty());
-
-    assert!(corrupt_velocity_partitions(&dir) > 0, "no partitions found");
+    assert!(
+        corrupt_velocity_partitions(service.dir()) > 0,
+        "no partitions found"
+    );
     service.cluster().clear_buffer_pools(); // force re-reads from disk
+    assert_backend_error(service.get_threshold(&q), &["corrupt", "crc"]);
+}
 
-    match service.get_threshold(&q) {
-        Err(QueryError::Backend(msg)) => {
-            assert!(
-                msg.contains("corrupt") || msg.contains("crc"),
-                "unexpected backend message: {msg}"
-            );
-        }
-        Ok(_) => panic!("corrupted data must not produce an answer"),
-        Err(other) => panic!("expected Backend error, got {other:?}"),
-    }
+#[test]
+fn corrupted_block_fails_the_query_loudly() {
+    assert_corruption_fails_loudly(&archive("fi_corrupt").build());
 }
 
 #[test]
 fn corruption_in_one_field_leaves_others_usable() {
-    let (service, dir) = build("fi_isolated");
-    corrupt_velocity_partitions(&dir);
+    let service = archive("fi_isolated").build();
+    corrupt_velocity_partitions(service.dir());
     service.cluster().clear_buffer_pools();
     // magnetic-field queries never touch the corrupted velocity partitions
     let q = ThresholdQuery::whole_timestep("magnetic", DerivedField::Norm, 0, 2.0).without_cache();
@@ -99,52 +103,6 @@ fn corruption_in_one_field_leaves_others_usable() {
         .get_threshold(&q)
         .expect("unrelated field must work");
     assert!(!r.points.is_empty());
-}
-
-/// Same shape as [`build`] but with a fault plan and failure policy.
-fn build_faulted(tag: &str, plan: Option<Arc<FaultPlan>>, strict: bool) -> TurbulenceService {
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
-        cluster: ClusterConfig {
-            num_nodes: 2,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            faults: plan,
-            ..ClusterConfig::default()
-        },
-        limits: QueryLimits {
-            strict,
-            ..Default::default()
-        },
-        data_dir: tdb_bench::scratch_dir(tag),
-    };
-    TurbulenceService::build(config).expect("build")
-}
-
-/// Bit-exact, order-independent view of a threshold answer.
-fn point_bits(points: &[ThresholdPoint]) -> Vec<(u64, u32)> {
-    let mut v: Vec<(u64, u32)> = points
-        .iter()
-        .map(|p| (p.zindex, p.value.to_bits()))
-        .collect();
-    v.sort_unstable();
-    v
-}
-
-/// The fault-free answer restricted to points outside `missing` — what a
-/// degraded answer must equal bit for bit.
-fn surviving_bits(reference: &[ThresholdPoint], missing: &[Box3]) -> Vec<(u64, u32)> {
-    let mut v: Vec<(u64, u32)> = reference
-        .iter()
-        .filter(|p| {
-            let (x, y, z) = p.coords();
-            !missing.iter().any(|b| b.contains_point(x, y, z))
-        })
-        .map(|p| (p.zindex, p.value.to_bits()))
-        .collect();
-    v.sort_unstable();
-    v
 }
 
 fn curl_query() -> ThresholdQuery {
@@ -159,8 +117,8 @@ fn transient_read_faults_retry_to_a_byte_identical_answer() {
     let plan = FaultPlan::new(0x5eed)
         .with_rule(FaultRule::transient_reads(0.25))
         .shared();
-    let faulted = build_faulted("fi_transient", Some(Arc::clone(&plan)), false);
-    let (clean, _dir) = build("fi_transient_ref");
+    let faulted = faulted_archive("fi_transient", &plan, false).build();
+    let clean = archive("fi_transient_ref").build();
     // bulk load leaves the blocks in the pool; faults only fire on the
     // disk-load path, so make the query cold
     faulted.cluster().clear_buffer_pools();
@@ -169,7 +127,7 @@ fn transient_read_faults_retry_to_a_byte_identical_answer() {
         .get_threshold(&q)
         .expect("retries must absorb transient faults");
     let b = clean.get_threshold(&q).expect("clean reference");
-    assert_eq!(point_bits(&a.points), point_bits(&b.points));
+    assert_eq!(bits(&a.points), bits(&b.points));
     assert!(a.degraded.is_none());
     let counts = plan.counts();
     assert!(
@@ -178,9 +136,10 @@ fn transient_read_faults_retry_to_a_byte_identical_answer() {
     );
 }
 
-#[test]
-fn corrupted_cache_entry_is_quarantined_and_self_heals() {
-    let (service, _dir) = build("fi_heal");
+/// A warm cache entry rots: the next query quarantines it and recomputes
+/// from raw atoms, the one after hits the rebuilt entry — both
+/// bit-identical to the original cold scan.
+fn assert_cache_entry_self_heals(service: &TestService) {
     let q = curl_query();
     let cold = service.get_threshold(&q).expect("cold scan");
     let warm = service.get_threshold(&q).expect("warm hit");
@@ -196,20 +155,25 @@ fn corrupted_cache_entry_is_quarantined_and_self_heals() {
     // recomputes from raw atoms, bit-identical to the original cold scan
     let healed = service.get_threshold(&q).expect("healing query");
     assert_eq!(healed.cache_hits, 0, "a quarantined entry must not answer");
-    assert_eq!(point_bits(&healed.points), point_bits(&cold.points));
+    assert_eq!(bits(&healed.points), bits(&cold.points));
     assert!(service.cluster().cache_stats().quarantined >= corrupted as u64);
 
     // the recomputation rebuilt the entry: hits serve again, still identical
     let rewarm = service.get_threshold(&q).expect("rebuilt entry");
     assert_eq!(rewarm.cache_hits, rewarm.nodes, "healed entry must serve");
-    assert_eq!(point_bits(&rewarm.points), point_bits(&cold.points));
+    assert_eq!(bits(&rewarm.points), bits(&cold.points));
+}
+
+#[test]
+fn corrupted_cache_entry_is_quarantined_and_self_heals() {
+    assert_cache_entry_self_heals(&archive("fi_heal").build());
 }
 
 #[test]
 fn killed_node_yields_degraded_answer_with_exact_missing_boxes() {
     let plan = FaultPlan::new(1).shared();
-    let faulted = build_faulted("fi_down", Some(Arc::clone(&plan)), false);
-    let (clean, _dir) = build("fi_down_ref");
+    let faulted = faulted_archive("fi_down", &plan, false).build();
+    let clean = archive("fi_down_ref").build();
     let q = curl_query().without_cache();
     let full = clean.get_threshold(&q).expect("reference");
 
@@ -234,8 +198,8 @@ fn killed_node_yields_degraded_answer_with_exact_missing_boxes() {
 
     // surviving points are the fault-free answer outside those boxes
     assert_eq!(
-        point_bits(&r.points),
-        surviving_bits(&full.points, &degraded.missing_boxes)
+        bits(&r.points),
+        bits_outside(&full.points, &degraded.missing_boxes)
     );
     assert!(plan.counts().node_down > 0);
 
@@ -243,7 +207,7 @@ fn killed_node_yields_degraded_answer_with_exact_missing_boxes() {
     plan.set_node_down(1, false);
     let back = faulted.get_threshold(&q).expect("revived");
     assert!(back.degraded.is_none());
-    assert_eq!(point_bits(&back.points), point_bits(&full.points));
+    assert_eq!(bits(&back.points), bits(&full.points));
 }
 
 /// The one degradation path serves every kind of query: with a single
@@ -255,10 +219,10 @@ fn killed_node_yields_degraded_answer_with_exact_missing_boxes() {
 #[test]
 fn killed_node_degrades_pdf_and_topk_like_threshold() {
     let plan = FaultPlan::new(1).shared();
-    let faulted = build_faulted("fi_kinds", Some(Arc::clone(&plan)), false);
+    let faulted = faulted_archive("fi_kinds", &plan, false).build();
     let strict_plan = FaultPlan::new(1).shared();
-    let strict = build_faulted("fi_kinds_strict", Some(Arc::clone(&strict_plan)), true);
-    let (clean, _dir) = build("fi_kinds_ref");
+    let strict = faulted_archive("fi_kinds_strict", &strict_plan, true).build();
+    let clean = archive("fi_kinds_ref").build();
     plan.set_node_down(1, true);
     strict_plan.set_node_down(1, true);
 
@@ -299,25 +263,11 @@ fn killed_node_degrades_pdf_and_topk_like_threshold() {
     // top-k: the k best of the clean points outside the missing boxes
     let top = faulted.get_topk(&all, k).expect("top-k degrades");
     assert_eq!(top.degraded.as_ref(), Some(&degraded));
-    let mut survivors: Vec<ThresholdPoint> = clean
-        .get_threshold(&all)
-        .expect("clean reference")
-        .points
-        .into_iter()
-        .filter(|p| {
-            let (x, y, z) = p.coords();
-            !lost.iter().any(|b| b.contains_point(x, y, z))
-        })
-        .collect();
+    let everything = clean.get_threshold(&all).expect("clean reference");
+    let mut survivors = points_outside(&everything.points, &lost);
     tdb_cluster::select_topk(&mut survivors, k);
     survivors.sort_unstable_by(tdb_cluster::topk_order);
-    let ranked = |points: &[ThresholdPoint]| -> Vec<(u64, u32)> {
-        points
-            .iter()
-            .map(|p| (p.zindex, p.value.to_bits()))
-            .collect()
-    };
-    assert_eq!(ranked(&top.points), ranked(&survivors));
+    assert_eq!(ranked_bits(&top.points), ranked_bits(&survivors));
 
     // a box the dead node holds nothing of: complete, under either policy
     let inside = all.clone().in_box(surviving[0]);
@@ -329,40 +279,28 @@ fn killed_node_degrades_pdf_and_topk_like_threshold() {
         let top = service.get_topk(&inside, k).expect("complete top-k");
         assert!(t.degraded.is_none() && p.degraded.is_none() && top.degraded.is_none());
         let reference = clean.get_threshold(&inside).expect("clean reference");
-        assert_eq!(point_bits(&t.points), point_bits(&reference.points));
+        assert_eq!(bits(&t.points), bits(&reference.points));
         let reference = clean
             .get_pdf(&inside, origin, width, nbins)
             .expect("clean reference");
         assert_eq!(p.histogram.counts(), reference.histogram.counts());
         let reference = clean.get_topk(&inside, k).expect("clean reference");
-        assert_eq!(ranked(&top.points), ranked(&reference.points));
+        assert_eq!(ranked_bits(&top.points), ranked_bits(&reference.points));
     }
 
     // strict: each kind refuses the partial whole-grid answer
-    let unavailable = |r: Result<(), QueryError>| match r {
-        Err(QueryError::Backend(msg)) => {
-            assert!(msg.contains("unavailable"), "unexpected message: {msg}")
-        }
-        other => panic!("strict mode must fail with a backend error, got {other:?}"),
-    };
-    unavailable(strict.get_threshold(&all).map(|_| ()));
-    unavailable(strict.get_pdf(&all, origin, width, nbins).map(|_| ()));
-    unavailable(strict.get_topk(&all, k).map(|_| ()));
+    assert_backend_error(strict.get_threshold(&all), &["unavailable"]);
+    assert_backend_error(strict.get_pdf(&all, origin, width, nbins), &["unavailable"]);
+    assert_backend_error(strict.get_topk(&all, k), &["unavailable"]);
 }
 
 #[test]
 fn strict_mode_fails_loudly_when_a_node_is_down() {
     let plan = FaultPlan::new(2).shared();
-    let service = build_faulted("fi_strict", Some(Arc::clone(&plan)), true);
+    let service = faulted_archive("fi_strict", &plan, true).build();
     plan.set_node_down(0, true);
     let q = curl_query().without_cache();
-    match service.get_threshold(&q) {
-        Err(QueryError::Backend(msg)) => {
-            assert!(msg.contains("unavailable"), "unexpected message: {msg}");
-        }
-        Ok(_) => panic!("strict mode must not return a partial answer"),
-        Err(other) => panic!("expected Backend error, got {other:?}"),
-    }
+    assert_backend_error(service.get_threshold(&q), &["unavailable"]);
 }
 
 /// The issue's acceptance scenario end to end: 1% transient block reads, a
@@ -375,8 +313,8 @@ fn combined_faults_still_complete_a_full_box_query() {
     let plan = FaultPlan::new(seed)
         .with_rule(FaultRule::transient_reads(0.01))
         .shared();
-    let faulted = build_faulted("fi_combined", Some(Arc::clone(&plan)), false);
-    let (clean, _dir) = build("fi_combined_ref");
+    let faulted = faulted_archive("fi_combined", &plan, false).build();
+    let clean = archive("fi_combined_ref").build();
     let q = curl_query();
     let reference = clean.get_threshold(&q).expect("clean reference");
     let before = faulted.metrics_snapshot();
@@ -386,7 +324,7 @@ fn combined_faults_still_complete_a_full_box_query() {
     let warm = faulted
         .get_threshold(&q)
         .expect("warm under transient faults");
-    assert_eq!(point_bits(&warm.points), point_bits(&reference.points));
+    assert_eq!(bits(&warm.points), bits(&reference.points));
 
     // poison the cache, kill a node, drop the buffer pools
     let corrupted = faulted
@@ -405,8 +343,8 @@ fn combined_faults_still_complete_a_full_box_query() {
     // the surviving node healed its cache entry from raw atoms: the answer
     // is the fault-free one restricted to the live node's boxes
     assert_eq!(
-        point_bits(&r.points),
-        surviving_bits(&reference.points, &degraded.missing_boxes)
+        bits(&r.points),
+        bits_outside(&reference.points, &degraded.missing_boxes)
     );
 
     // the process-wide registry saw at least this plan's faults (other
@@ -425,30 +363,6 @@ fn combined_faults_still_complete_a_full_box_query() {
     }
 }
 
-/// Same shape as [`build_faulted`] but with a storage codec.
-fn build_codec(
-    tag: &str,
-    codec: tdb_cluster::CompressionConfig,
-    plan: Option<Arc<FaultPlan>>,
-) -> (TurbulenceService, std::path::PathBuf) {
-    let dir = tdb_bench::scratch_dir(tag);
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
-        cluster: ClusterConfig {
-            num_nodes: 2,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            compression: codec,
-            faults: plan,
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: dir.clone(),
-    };
-    (TurbulenceService::build(config).expect("build"), dir)
-}
-
 #[test]
 fn lossy_tier_under_transient_faults_stays_within_bound() {
     // transient read faults retry over *compressed* blocks too, and the
@@ -458,12 +372,10 @@ fn lossy_tier_under_transient_faults_stays_within_bound() {
     let plan = FaultPlan::new(0x5eed)
         .with_rule(FaultRule::transient_reads(0.25))
         .shared();
-    let (lossy, _dir) = build_codec(
-        "fi_lossy",
-        tdb_cluster::CompressionConfig::lossy(2, bound),
-        Some(Arc::clone(&plan)),
-    );
-    let (clean, _dir) = build("fi_lossy_ref");
+    let lossy = faulted_archive("fi_lossy", &plan, false)
+        .cluster(|c| c.compression = CompressionConfig::lossy(2, bound))
+        .build();
+    let clean = archive("fi_lossy_ref").build();
     lossy.cluster().clear_buffer_pools();
     let full = lossy.full_box();
     let (a, _) = lossy
@@ -490,25 +402,10 @@ fn lossy_tier_under_transient_faults_stays_within_bound() {
 fn corrupted_compressed_partition_fails_loudly() {
     // CRC protection covers compressed partitions identically: a flipped
     // byte is a loud backend error, never a silently wrong decode
-    let (service, dir) = build_codec(
-        "fi_comp_corrupt",
-        tdb_cluster::CompressionConfig::lossless(),
-        None,
-    );
-    let q = curl_query().without_cache();
-    service.get_threshold(&q).expect("pre-corruption query");
-    assert!(corrupt_velocity_partitions(&dir) > 0, "no partitions found");
-    service.cluster().clear_buffer_pools();
-    match service.get_threshold(&q) {
-        Err(QueryError::Backend(msg)) => {
-            assert!(
-                msg.contains("corrupt") || msg.contains("crc"),
-                "unexpected backend message: {msg}"
-            );
-        }
-        Ok(_) => panic!("corrupted compressed data must not produce an answer"),
-        Err(other) => panic!("expected Backend error, got {other:?}"),
-    }
+    let service = archive("fi_comp_corrupt")
+        .cluster(|c| c.compression = CompressionConfig::lossless())
+        .build();
+    assert_corruption_fails_loudly(&service);
 }
 
 #[test]
@@ -516,29 +413,10 @@ fn quarantined_cache_entry_heals_identically_over_compressed_tier() {
     // the self-heal path recomputes from *decoded* atoms; decode is
     // deterministic, so the rebuilt entry is byte-identical to the
     // original cold scan even under a lossy codec
-    let (service, _dir) = build_codec(
-        "fi_comp_heal",
-        tdb_cluster::CompressionConfig::lossy(2, 1e-2),
-        None,
-    );
-    let q = curl_query();
-    let cold = service.get_threshold(&q).expect("cold scan");
-    let warm = service.get_threshold(&q).expect("warm hit");
-    assert_eq!(warm.cache_hits, warm.nodes, "cache should be warm");
-
-    let corrupted = service
-        .cluster()
-        .corrupt_cache_entry("velocity", DerivedField::CurlNorm, 0);
-    assert!(corrupted > 0, "no cached entries to corrupt");
-    service.cluster().clear_buffer_pools();
-
-    let healed = service.get_threshold(&q).expect("healing query");
-    assert_eq!(healed.cache_hits, 0, "a quarantined entry must not answer");
-    assert_eq!(point_bits(&healed.points), point_bits(&cold.points));
-
-    let rewarm = service.get_threshold(&q).expect("rebuilt entry");
-    assert_eq!(rewarm.cache_hits, rewarm.nodes, "healed entry must serve");
-    assert_eq!(point_bits(&rewarm.points), point_bits(&cold.points));
+    let service = archive("fi_comp_heal")
+        .cluster(|c| c.compression = CompressionConfig::lossy(2, 1e-2))
+        .build();
+    assert_cache_entry_self_heals(&service);
 }
 
 #[test]
@@ -546,10 +424,10 @@ fn cached_results_survive_storage_corruption() {
     // the semantic cache holds *results*, so a warm entry keeps answering
     // even when the raw data underneath has rotted — and the paper's
     // recovery path (re-evaluating at a lower threshold) fails loudly.
-    let (service, dir) = build("fi_cache");
+    let service = archive("fi_cache").build();
     let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 25.0);
     let cold = service.get_threshold(&q).expect("warm the cache");
-    corrupt_velocity_partitions(&dir);
+    corrupt_velocity_partitions(service.dir());
     service.cluster().clear_buffer_pools();
     let warm = service
         .get_threshold(&q)
@@ -564,29 +442,12 @@ fn cached_results_survive_storage_corruption() {
     ));
 }
 
-/// Same shape as [`build_codec`] but replicated, with a failure policy.
-fn build_replicated_codec(
-    tag: &str,
-    codec: tdb_cluster::CompressionConfig,
-    plan: Option<Arc<FaultPlan>>,
-    limits: QueryLimits,
-) -> TurbulenceService {
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
-        cluster: ClusterConfig {
-            num_nodes: 2,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            compression: codec,
-            replication: tdb_cluster::ReplicationConfig::k(2),
-            faults: plan,
-            ..ClusterConfig::default()
-        },
-        limits,
-        data_dir: tdb_bench::scratch_dir(tag),
-    };
-    TurbulenceService::build(config).expect("build")
+/// The lossless compressed tier at replication factor `k`.
+fn lossless_k(k: usize) -> impl FnOnce(&mut ClusterConfig) {
+    move |c| {
+        c.compression = CompressionConfig::lossless();
+        c.replication = ReplicationConfig::k(k);
+    }
 }
 
 /// A replica node dies and revives *while a scan workload is running*
@@ -596,19 +457,12 @@ fn build_replicated_codec(
 #[test]
 fn kill_replica_mid_scan_completes_over_compressed_tier() {
     let plan = FaultPlan::new(FaultPlan::seed_from_env(0x7411)).shared();
-    let service = build_replicated_codec(
-        "fi_midscan",
-        tdb_cluster::CompressionConfig::lossless(),
-        Some(Arc::clone(&plan)),
-        Default::default(),
-    );
-    let (clean, _dir) = build_codec(
-        "fi_midscan_ref",
-        tdb_cluster::CompressionConfig::lossless(),
-        None,
-    );
+    let service = faulted_archive("fi_midscan", &plan, false)
+        .cluster(lossless_k(2))
+        .build();
+    let clean = archive("fi_midscan_ref").cluster(lossless_k(1)).build();
     let q = curl_query().without_cache();
-    let reference = point_bits(&clean.get_threshold(&q).expect("reference").points);
+    let reference = bits(&clean.get_threshold(&q).expect("reference").points);
 
     let toggler_plan = Arc::clone(&plan);
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -628,7 +482,7 @@ fn kill_replica_mid_scan_completes_over_compressed_tier() {
             .get_threshold(&q)
             .expect("scan under a flapping replica");
         assert!(r.degraded.is_none(), "k=2 must absorb the flapping node");
-        assert_eq!(point_bits(&r.points), reference);
+        assert_eq!(bits(&r.points), reference);
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     toggler.join().expect("toggler");
@@ -664,12 +518,10 @@ fn primary_timeout_fails_over_to_fast_replica() {
     let q = curl_query().without_cache();
 
     // control: without replicas the deadline drops node 0's boxes
-    let lone = build_codec_limits(
-        "fi_timeout_k1",
-        tdb_cluster::CompressionConfig::lossless(),
-        Some(slow_node_0()),
-        deadline,
-    );
+    let lone = faulted_archive("fi_timeout_k1", &slow_node_0(), false)
+        .cluster(lossless_k(1))
+        .limits(deadline)
+        .build();
     let degraded = lone
         .get_threshold(&q)
         .expect("deadline must degrade, not fail")
@@ -678,45 +530,15 @@ fn primary_timeout_fails_over_to_fast_replica() {
     assert!(degraded.failed_nodes[0].reason.contains("deadline"));
 
     // replicated: the same pathology fails over and completes
-    let replicated = build_replicated_codec(
-        "fi_timeout_k2",
-        tdb_cluster::CompressionConfig::lossless(),
-        Some(slow_node_0()),
-        deadline,
-    );
-    let (clean, _dir) = build_codec(
-        "fi_timeout_ref",
-        tdb_cluster::CompressionConfig::lossless(),
-        None,
-    );
+    let replicated = faulted_archive("fi_timeout_k2", &slow_node_0(), false)
+        .cluster(lossless_k(2))
+        .limits(deadline)
+        .build();
+    let clean = archive("fi_timeout_ref").cluster(lossless_k(1)).build();
     let r = replicated
         .get_threshold(&q)
         .expect("failover must beat the deadline");
     assert!(r.degraded.is_none(), "the fast replica must fill in");
     let reference = clean.get_threshold(&q).expect("reference");
-    assert_eq!(point_bits(&r.points), point_bits(&reference.points));
-}
-
-/// Same shape as [`build_codec`] but with query limits.
-fn build_codec_limits(
-    tag: &str,
-    codec: tdb_cluster::CompressionConfig,
-    plan: Option<Arc<FaultPlan>>,
-    limits: QueryLimits,
-) -> TurbulenceService {
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
-        cluster: ClusterConfig {
-            num_nodes: 2,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            compression: codec,
-            faults: plan,
-            ..ClusterConfig::default()
-        },
-        limits,
-        data_dir: tdb_bench::scratch_dir(tag),
-    };
-    TurbulenceService::build(config).expect("build")
+    assert_eq!(bits(&r.points), bits(&reference.points));
 }

@@ -11,10 +11,10 @@ use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use tdb_cluster::{ClusterConfig, ReplicationConfig};
-use tdb_core::{DerivedField, ServiceConfig, ThresholdPoint, ThresholdQuery, TurbulenceService};
+use tdb_bench::{bits, harness};
+use tdb_cluster::ReplicationConfig;
+use tdb_core::{DerivedField, ThresholdQuery};
 use tdb_storage::FaultPlan;
-use tdb_turbgen::SyntheticDataset;
 use tdb_wire::{Admission, AdmissionConfig, AdmissionQueue, TenantSpec};
 
 static NEXT_CONN: AtomicU64 = AtomicU64::new(1);
@@ -183,15 +183,6 @@ fn premium_tenant_is_never_shed_under_anonymous_flood() {
     );
 }
 
-fn point_bits(points: &[ThresholdPoint]) -> Vec<(u64, u32)> {
-    let mut v: Vec<(u64, u32)> = points
-        .iter()
-        .map(|p| (p.zindex, p.value.to_bits()))
-        .collect();
-    v.sort_unstable();
-    v
-}
-
 /// The issue's zero-drop guarantee: a mixed-tenant query storm runs
 /// against a k=2 cluster, a node dies halfway through, and every
 /// admitted query still returns a complete answer byte-identical to
@@ -200,21 +191,13 @@ fn point_bits(points: &[ThresholdPoint]) -> Vec<(u64, u32)> {
 #[test]
 fn node_death_mid_storm_drops_no_admitted_answers() {
     let plan = FaultPlan::new(FaultPlan::seed_from_env(0x7411)).shared();
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
-        cluster: ClusterConfig {
-            num_nodes: 2,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            replication: ReplicationConfig::k(2),
-            faults: Some(Arc::clone(&plan)),
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: tdb_bench::scratch_dir("qos_storm"),
-    };
-    let service = Arc::new(TurbulenceService::build(config).expect("build"));
+    let service = harness("qos_storm", 32, 1)
+        .seed(0xdead)
+        .cluster(|c| {
+            c.replication = ReplicationConfig::k(2);
+            c.faults = Some(Arc::clone(&plan));
+        })
+        .build();
     let thresholds = [15.0, 25.0, 40.0];
     let query = |threshold: f64| {
         let mut q =
@@ -225,7 +208,7 @@ fn node_death_mid_storm_drops_no_admitted_answers() {
     // healthy baselines, one per threshold in the mix
     let baselines: Vec<Vec<(u64, u32)>> = thresholds
         .iter()
-        .map(|&t| point_bits(&service.get_threshold(&query(t)).expect("baseline").points))
+        .map(|&t| bits(&service.get_threshold(&query(t)).expect("baseline").points))
         .collect();
 
     let queue = AdmissionQueue::new(AdmissionConfig {
@@ -261,7 +244,7 @@ fn node_death_mid_storm_drops_no_admitted_answers() {
                         Ok(r) if r.degraded.is_some() => {
                             Some(format!("worker {w} half {half}: degraded answer"))
                         }
-                        Ok(r) if point_bits(&r.points) != baselines[ti] => {
+                        Ok(r) if bits(&r.points) != baselines[ti] => {
                             Some(format!("worker {w} half {half}: wrong bytes"))
                         }
                         Ok(_) => None,

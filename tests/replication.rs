@@ -7,34 +7,14 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tdb_cluster::{ClusterConfig, PlacementMode, ReplicationConfig};
-use tdb_core::{
-    DerivedField, QueryLimits, ServiceConfig, ThresholdPoint, ThresholdQuery, TurbulenceService,
-};
+use tdb_bench::{bits, harness, ranked_bits, TestService};
+use tdb_cluster::{PlacementMode, ReplicationConfig};
+use tdb_core::{DerivedField, QueryLimits, ThresholdQuery, TurbulenceService};
 use tdb_storage::FaultPlan;
-use tdb_turbgen::SyntheticDataset;
 use tdb_zorder::Box3;
 
 fn curl_query() -> ThresholdQuery {
     ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 25.0)
-}
-
-/// Bit-exact, order-independent view of a threshold answer.
-fn point_bits(points: &[ThresholdPoint]) -> Vec<(u64, u32)> {
-    let mut v: Vec<(u64, u32)> = points
-        .iter()
-        .map(|p| (p.zindex, p.value.to_bits()))
-        .collect();
-    v.sort_unstable();
-    v
-}
-
-/// Bit-exact, order-*sensitive* view (top-k answers are ranked).
-fn ranked_bits(points: &[ThresholdPoint]) -> Vec<(u64, u32)> {
-    points
-        .iter()
-        .map(|p| (p.zindex, p.value.to_bits()))
-        .collect()
 }
 
 /// Every query family the mediator assembles, evaluated cold (caches
@@ -63,9 +43,9 @@ fn answer_surface(service: &TurbulenceService) -> AnswerSurface {
     let p = service.get_pdf(&pq, 0.0, 5.0, 16).expect("pdf answer");
     let k = service.get_topk(&pq, 20).expect("top-k answer");
     AnswerSurface {
-        threshold: point_bits(&t.points),
+        threshold: bits(&t.points),
         threshold_degraded: t.degraded.is_some(),
-        subbox: point_bits(&s.points),
+        subbox: bits(&s.points),
         pdf_counts: p.histogram.counts().to_vec(),
         pdf_degraded: p.degraded.is_some(),
         topk: ranked_bits(&k.points),
@@ -81,25 +61,19 @@ fn build_replicated(
     replication: ReplicationConfig,
     plan: Option<Arc<FaultPlan>>,
     strict: bool,
-) -> TurbulenceService {
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(32, 1, 0xdead),
-        cluster: ClusterConfig {
-            num_nodes: nodes,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            replication,
-            faults: plan,
-            ..ClusterConfig::default()
-        },
-        limits: QueryLimits {
+) -> TestService {
+    harness(tag, 32, 1)
+        .nodes(nodes)
+        .seed(0xdead)
+        .cluster(|c| {
+            c.replication = replication;
+            c.faults = plan;
+        })
+        .limits(QueryLimits {
             strict,
             ..Default::default()
-        },
-        data_dir: tdb_bench::scratch_dir(tag),
-    };
-    TurbulenceService::build(config).expect("build")
+        })
+        .build()
 }
 
 /// The acceptance scenario: the PR-3 fault seed that produces a
@@ -182,7 +156,7 @@ fn strict_mode_completes_at_k2_where_k1_fails() {
         .expect("strict query with replicas");
     assert!(r.degraded.is_none(), "failover must fill the gap");
     let reference = clean.get_threshold(&q).expect("reference");
-    assert_eq!(point_bits(&r.points), point_bits(&reference.points));
+    assert_eq!(bits(&r.points), bits(&reference.points));
 }
 
 proptest! {
@@ -230,7 +204,7 @@ proptest! {
         let a = faulted.get_threshold(&q).expect("faulted threshold");
         let b = clean.get_threshold(&q).expect("clean threshold");
         prop_assert!(a.degraded.is_none(), "k>=2 must absorb one dead node");
-        prop_assert_eq!(point_bits(&a.points), point_bits(&b.points));
+        prop_assert_eq!(bits(&a.points), bits(&b.points));
 
         let pq = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0)
             .without_cache();

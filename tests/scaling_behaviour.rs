@@ -2,32 +2,28 @@
 //! scale: scale-out is near-linear, scale-up saturates, I/O is a large
 //! share of cold queries, and cache hits collapse the total.
 
-use tdb_cluster::{ClusterConfig, NodeTimeModel};
-use tdb_core::{DerivedField, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService};
-use tdb_turbgen::SyntheticDataset;
+use tdb_bench::{harness, TestService};
+use tdb_cluster::NodeTimeModel;
+use tdb_core::{DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
 
-fn build_with(nodes: usize, tag: &str, synthetic: Option<f64>) -> TurbulenceService {
-    // 128³ with 32³ chunks keeps the halo band a realistic fraction of the
-    // data read (a 64³ grid with 16³ chunks nearly doubles every read,
-    // which drowns the scaling signal the paper measures at 1024³)
-    let config = ServiceConfig {
-        dataset: SyntheticDataset::mhd(128, 1, 0xabc),
-        cluster: ClusterConfig {
-            num_nodes: nodes,
-            procs_per_node: 1,
-            arrays_per_node: 4,
-            chunk_atoms: 4,
-            compute_scale: 6.0,
-            synthetic_compute_s_per_point: synthetic,
-            ..ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: tdb_bench::scratch_dir(tag),
-    };
-    TurbulenceService::build(config).expect("build")
+fn build_with(nodes: usize, tag: &str, synthetic: Option<f64>) -> TestService {
+    // 128³ with 32³ chunks (`ServiceConfig::mhd`'s choice at this size)
+    // keeps the halo band a realistic fraction of the data read (a 64³
+    // grid with 16³ chunks nearly doubles every read, which drowns the
+    // scaling signal the paper measures at 1024³)
+    harness(tag, 128, 1)
+        .nodes(nodes)
+        .seed(0xabc)
+        .cluster(|c| {
+            c.procs_per_node = 1;
+            c.arrays_per_node = 4;
+            c.compute_scale = 6.0;
+            c.synthetic_compute_s_per_point = synthetic;
+        })
+        .build()
 }
 
-fn build(nodes: usize, tag: &str) -> TurbulenceService {
+fn build(nodes: usize, tag: &str) -> TestService {
     // deterministic kernel-time model: the scaling assertions must not
     // depend on how loaded the host is
     build_with(nodes, tag, Some(2e-7))
@@ -41,19 +37,7 @@ fn cold_models(service: &TurbulenceService) -> Vec<NodeTimeModel> {
     let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 30.0)
         .without_cache()
         .with_procs(1);
-    let req = tdb_cluster::mediator::ThresholdRequest {
-        raw_field: q.raw_field.clone(),
-        derived: q.derived,
-        timestep: q.timestep,
-        query_box: tdb_zorder::Box3::grid(128, 128, 128),
-        threshold: q.threshold,
-        use_cache: false,
-        mode: QueryMode::Full,
-        procs_override: Some(1),
-        strict: false,
-        node_deadline_s: None,
-    };
-    let r = service.cluster().get_threshold(&req).unwrap();
+    let r = service.get_threshold(&q).unwrap();
     assert!(r.degraded.is_none());
     r.node_models
 }

@@ -1,50 +1,11 @@
 //! End-to-end correctness: generator → storage → cluster → query answers
 //! must match a direct whole-field evaluation of the same data.
 
-use tdb_bench::test_service;
+use tdb_bench::{reference_points, test_service};
 use tdb_core::{DerivedField, QueryError, ThresholdQuery};
-use tdb_field::{FieldStats, PaddedVector};
-use tdb_kernels::DiffScheme;
+use tdb_field::PaddedVector;
 use tdb_turbgen::dataset::FieldData;
-use tdb_zorder::{decode3, Box3};
-
-/// Reference evaluation: regenerate the time-step and compute the derived
-/// norm over the whole grid directly.
-fn reference_points(
-    service: &tdb_core::TurbulenceService,
-    raw_field: &str,
-    derived: DerivedField,
-    timestep: u32,
-    threshold: f64,
-) -> Vec<(u32, u32, u32, f32)> {
-    let step = service.dataset().generate(timestep);
-    let data = step
-        .fields
-        .iter()
-        .find(|(n, _)| *n == raw_field)
-        .map(|(_, d)| match d {
-            FieldData::Vector(v) => v.clone(),
-            FieldData::Scalar(s) => FieldData::Scalar(s.clone()).as_vector3(),
-        })
-        .unwrap();
-    let scheme = DiffScheme::new(&service.dataset().grid, service.cluster().config().fd_order);
-    let (nx, ny, nz) = data.dims();
-    let mut padded = PaddedVector::zeros(nx, ny, nz, derived.halo(&scheme));
-    padded.fill_periodic_from(&data, [0, 0, 0]);
-    let norm = derived.eval(&padded, &scheme, [0, 0, 0]);
-    let mut out = Vec::new();
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let v = norm.get(x, y, z);
-                if f64::from(v) >= threshold {
-                    out.push((x as u32, y as u32, z as u32, v));
-                }
-            }
-        }
-    }
-    out
-}
+use tdb_zorder::Box3;
 
 #[test]
 fn threshold_query_matches_direct_evaluation() {
@@ -58,10 +19,11 @@ fn threshold_query_matches_direct_evaluation() {
     let result = service.get_threshold(&q).unwrap();
     let mut expect = reference_points(&service, "velocity", DerivedField::CurlNorm, 1, threshold);
     assert!(!expect.is_empty(), "test threshold should select something");
-    expect.sort_by_key(|&(x, y, z, _)| tdb_zorder::encode3(x, y, z));
+    expect.sort_by_key(|e| e.zindex);
     assert_eq!(result.points.len(), expect.len());
-    for (p, (x, y, z, v)) in result.points.iter().zip(&expect) {
-        assert_eq!(p.coords(), (*x, *y, *z));
+    for (p, e) in result.points.iter().zip(&expect) {
+        assert_eq!(p.coords(), e.coords());
+        let v = e.value;
         assert!(
             (p.value - v).abs() <= 1e-5 * v.abs().max(1.0),
             "value mismatch at {:?}",
@@ -111,7 +73,10 @@ fn boxed_query_returns_only_points_inside() {
     let expect: Vec<_> =
         reference_points(&service, "velocity", DerivedField::CurlNorm, 0, threshold)
             .into_iter()
-            .filter(|&(x, y, z, _)| qbox.contains_point(x, y, z))
+            .filter(|e| {
+                let (x, y, z) = e.coords();
+                qbox.contains_point(x, y, z)
+            })
             .collect();
     assert_eq!(result.points.len(), expect.len());
 }
@@ -127,8 +92,8 @@ fn pdf_matches_direct_histogram_and_guides_thresholds() {
     // histogram matches a direct evaluation
     let expect = reference_points(&service, "velocity", DerivedField::CurlNorm, 0, 0.0);
     let mut direct = tdb_field::Histogram::new(0.0, 10.0, 9);
-    for (_, _, _, v) in expect {
-        direct.push(f64::from(v));
+    for e in expect {
+        direct.push(f64::from(e.value));
     }
     assert_eq!(pdf.histogram.counts(), direct.counts());
 }
@@ -141,9 +106,9 @@ fn topk_returns_the_global_maxima() {
     assert_eq!(top.points.len(), 10);
     // sorted descending and globally correct
     let mut expect = reference_points(&service, "velocity", DerivedField::CurlNorm, 0, 0.0);
-    expect.sort_by(|a, b| b.3.total_cmp(&a.3));
+    expect.sort_by(|a, b| b.value.total_cmp(&a.value));
     for (p, e) in top.points.iter().zip(expect.iter().take(10)) {
-        assert!((p.value - e.3).abs() < 1e-5 * e.3.abs().max(1.0));
+        assert!((p.value - e.value).abs() < 1e-5 * e.value.abs().max(1.0));
     }
     let stats = service
         .derived_stats("velocity", DerivedField::CurlNorm, 0)
@@ -239,9 +204,10 @@ fn cutout_pays_the_controller_like_every_other_read() {
     // read, so the controller every block also crosses is the busiest
     // device — for a cutout exactly as for a halo-free scan of the same
     // atoms with enough processes to keep all four arrays busy
-    let service = tdb_bench::test_service_with("e2e_cutout_ctrl", 32, 1, 1, |c| {
-        c.arrays_per_node = 4;
-    });
+    let service = tdb_bench::harness("e2e_cutout_ctrl", 32, 1)
+        .nodes(1)
+        .cluster(|c| c.arrays_per_node = 4)
+        .build();
     let whole = Box3::grid(32, 32, 32);
     service.cluster().clear_buffer_pools();
     let (_, cutout) = service.cluster().get_cutout("velocity", 0, &whole).unwrap();
@@ -356,11 +322,18 @@ fn query_validation_errors() {
 
 #[test]
 fn threshold_too_low_is_rejected() {
-    let mut config = tdb_core::ServiceConfig::small_mhd(tdb_bench::scratch_dir("e2e_limit"));
-    config.dataset = tdb_turbgen::SyntheticDataset::mhd(32, 1, 7);
-    config.cluster.chunk_atoms = 2;
-    config.limits.max_points = 100;
-    let service = tdb_core::TurbulenceService::build(config).unwrap();
+    let service = tdb_bench::harness("e2e_limit", 32, 1)
+        .nodes(4)
+        .seed(7)
+        .cluster(|c| {
+            c.procs_per_node = 4;
+            c.arrays_per_node = 4;
+        })
+        .limits(tdb_core::QueryLimits {
+            max_points: 100,
+            ..Default::default()
+        })
+        .build();
     let q =
         ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0).without_cache();
     match service.get_threshold(&q) {
@@ -390,6 +363,4 @@ fn derived_stats_match_field_stats() {
     let r = service.get_threshold(&q).unwrap();
     let frac = r.points.len() as f64 / 32.0_f64.powi(3);
     assert!((frac - 0.01).abs() < 0.003, "got fraction {frac}");
-    let _ = FieldStats::of; // silence unused-import lints in some configs
-    let _ = decode3;
 }

@@ -11,8 +11,8 @@ use tdb_core::{DerivedField, ThresholdQuery};
 use tdb_wire::server::{handle_line_admitted, Server, ServerConfig, ServerState};
 use tdb_wire::{Client, Request, Response};
 
-fn start_server(tag: &str) -> (Server, Arc<tdb_core::TurbulenceService>) {
-    let service = Arc::new(test_service(tag, 32, 2, 2));
+fn start_server(tag: &str) -> (Server, tdb_bench::TestService) {
+    let service = test_service(tag, 32, 2, 2);
     let server =
         Server::start(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     (server, service)
@@ -260,7 +260,7 @@ fn lines_over_the_write_buffer_do_not_stall_on_delayed_ack() {
 
 #[test]
 fn oversized_requests_are_rejected_and_the_connection_closed() {
-    let service = Arc::new(test_service("wire_oversize", 32, 1, 2));
+    let service = test_service("wire_oversize", 32, 1, 2);
     let config = ServerConfig {
         max_request_bytes: 256,
         ..ServerConfig::default()
@@ -293,7 +293,7 @@ fn oversized_requests_are_rejected_and_the_connection_closed() {
 
 #[test]
 fn idle_connections_time_out_and_close() {
-    let service = Arc::new(test_service("wire_idle", 32, 1, 2));
+    let service = test_service("wire_idle", 32, 1, 2);
     let config = ServerConfig {
         read_timeout: Some(Duration::from_millis(200)),
         ..ServerConfig::default()
@@ -321,20 +321,9 @@ fn idle_connections_time_out_and_close() {
 #[test]
 fn degraded_status_travels_the_wire() {
     let plan = tdb_storage::FaultPlan::new(3).shared();
-    let config = tdb_core::ServiceConfig {
-        dataset: tdb_turbgen::SyntheticDataset::mhd(32, 1, 0x7db),
-        cluster: tdb_cluster::ClusterConfig {
-            num_nodes: 2,
-            procs_per_node: 2,
-            arrays_per_node: 2,
-            chunk_atoms: 2,
-            faults: Some(Arc::clone(&plan)),
-            ..tdb_cluster::ClusterConfig::default()
-        },
-        limits: Default::default(),
-        data_dir: tdb_bench::scratch_dir("wire_degraded"),
-    };
-    let service = Arc::new(tdb_core::TurbulenceService::build(config).expect("build"));
+    let service = tdb_bench::harness("wire_degraded", 32, 1)
+        .cluster(|c| c.faults = Some(Arc::clone(&plan)))
+        .build();
     let server =
         Server::start(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
@@ -362,7 +351,8 @@ fn degraded_status_travels_the_wire() {
 
 #[test]
 fn malformed_lines_get_error_responses() {
-    let state = ServerState::new(Arc::new(test_service("wire_malformed", 32, 1, 2)), 1 << 20);
+    let service = test_service("wire_malformed", 32, 1, 2);
+    let state = ServerState::new(Arc::clone(&service), 1 << 20);
     for bad in [
         "not json at all",
         "{\"op\":\"launch_missiles\"}",
