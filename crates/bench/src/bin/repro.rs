@@ -808,7 +808,7 @@ impl Repro {
             for (svc, best) in services.iter().zip(&mut best) {
                 svc.cluster().clear_buffer_pools();
                 let r = svc.get_threshold(&q).expect("query");
-                if best.as_ref().map_or(true, |b| r.wall_s < b.wall_s) {
+                if best.as_ref().is_none_or(|b| r.wall_s < b.wall_s) {
                     *best = Some(r);
                 }
             }

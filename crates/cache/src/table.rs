@@ -106,7 +106,7 @@ impl<K: Ord + Clone, E> LruTable<K, E> {
     pub fn remove(&self, key: &K, only: Option<&Arc<Row<E>>>) {
         let mut txn = self.store.begin();
         let current = txn.get(key);
-        if current.is_some_and(|c| only.map_or(true, |o| Arc::ptr_eq(&c, o))) {
+        if current.is_some_and(|c| only.is_none_or(|o| Arc::ptr_eq(&c, o))) {
             txn.delete(key.clone());
             let _ = txn.commit();
         }

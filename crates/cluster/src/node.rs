@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -576,8 +576,10 @@ pub(crate) fn run_workers<I: Sync, S: Default, T: Send>(
 ) -> Vec<StorageResult<T>> {
     // the time model scales with the *requested* process count; the
     // real thread count is capped at the hardware so CPU-time
-    // measurements stay clean
-    let hw = std::thread::available_parallelism().map_or(8, |n| n.get());
+    // measurements stay clean. Asked once per process: on Linux every
+    // call re-reads the affinity mask and the cgroup files (~12 µs)
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| std::thread::available_parallelism().map_or(8, |n| n.get()));
     let procs = procs.max(1).min(hw);
     let next = AtomicUsize::new(0);
     let out: Mutex<Vec<(usize, StorageResult<T>)>> = Mutex::new(Vec::with_capacity(tasks.len()));

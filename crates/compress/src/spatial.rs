@@ -380,7 +380,7 @@ pub fn encode(plane: &[f32], stride: u32, max_error: f64, out: &mut Vec<u8>) -> 
         for mode in [MODE_SPARSE, MODE_DENSE] {
             let mut buf = Vec::new();
             let stats = encode_variant(plane, stride, &kept, q, max_error, mode, &mut buf);
-            if best.as_ref().map_or(true, |(b, _)| buf.len() < b.len()) {
+            if best.as_ref().is_none_or(|(b, _)| buf.len() < b.len()) {
                 best = Some((buf, stats));
             }
         }

@@ -110,7 +110,8 @@ impl Histogram {
     /// `nbins` regular bins of `width` starting at `origin`, plus an
     /// overflow bin; values below `origin` clamp into the first bin.
     pub fn new(origin: f64, width: f64, nbins: usize) -> Self {
-        assert!(width > 0.0 && nbins > 0);
+        // `push` indexes bins as `u32`
+        assert!(width > 0.0 && nbins > 0 && nbins < u32::MAX as usize);
         Self {
             origin,
             width,
@@ -126,7 +127,10 @@ impl Histogram {
     /// Adds one sample.
     #[inline]
     pub fn push(&mut self, v: f64) {
-        let i = ((v - self.origin) / self.width).floor().max(0.0) as usize;
+        // the saturating cast sends negatives and NaN to the first bin and
+        // truncates — `floor`, from zero up — the rest; to `u32` it is one
+        // `cvttsd2si`, to `usize` twice the work
+        let i = ((v - self.origin) / self.width) as u32 as usize;
         let i = i.min(self.counts.len() - 1);
         self.counts[i] += 1;
     }
@@ -252,6 +256,41 @@ mod tests {
             h1.merge(&h2);
             prop_assert_eq!(h1, whole.clone());
             prop_assert_eq!(whole.total(), xs.len() as u64);
+        }
+
+        #[test]
+        fn push_bins_like_the_floor_and_max_it_dropped(
+            origin in -100.0f64..100.0,
+            width in 0.001f64..50.0,
+            nbins in 1usize..40,
+            samples in prop::collection::vec(
+                prop_oneof![
+                    -1.0e4f64..1.0e4,
+                    Just(f64::NAN),
+                    Just(f64::INFINITY),
+                    Just(f64::NEG_INFINITY),
+                    Just(-0.0f64),
+                    Just(-1.0e300f64),
+                    // beyond the overflow bin, beyond `u32` and beyond `u64`
+                    Just(1.0e6f64),
+                    Just(1.0e12f64),
+                    Just(1.0e300f64),
+                ],
+                1..40,
+            ),
+            edges in prop::collection::vec(0usize..135, 1..20),
+        ) {
+            // exact bin edges, and their neighbours one ulp either side
+            let edges = edges.into_iter().map(|e| {
+                let edge = origin + width * (e / 3) as f64;
+                f64::from_bits((edge.to_bits() as i64 + (e % 3) as i64 - 1) as u64)
+            });
+            for v in samples.into_iter().chain(edges) {
+                let old = (((v - origin) / width).floor().max(0.0) as usize).min(nbins);
+                let mut h = Histogram::new(origin, width, nbins);
+                h.push(v);
+                prop_assert_eq!(h.counts().iter().position(|&c| c == 1), Some(old), "sample {}", v);
+            }
         }
     }
 }

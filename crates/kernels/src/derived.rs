@@ -6,7 +6,7 @@
 //! how to evaluate the *thresholded quantity* (the norm or absolute value
 //! the paper compares against `k`) over a padded chunk.
 
-use crate::diff::DiffScheme;
+use crate::diff::{map_row, DiffScheme};
 use tdb_field::{PaddedVector, ScalarField, VectorField};
 
 /// A field whose norm (or absolute value) can be thresholded.
@@ -133,6 +133,44 @@ impl DerivedField {
         scheme: &DiffScheme,
         origin: [usize; 3],
         scratch: &mut Vec<f32>,
+        visit: impl FnMut(usize, usize, &[f32]),
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the one precondition of a `#[target_feature]` function
+            // is that the CPU has the feature, and it was just detected; the
+            // body is safe Rust without intrinsics (DESIGN.md §8).
+            return unsafe { self.eval_rows_avx2(input, scheme, origin, scratch, visit) };
+        }
+        self.eval_rows_body(input, scheme, origin, scratch, visit)
+    }
+
+    /// The row loop compiled for 256-bit vectors. Not `fma`: a fused
+    /// multiply-add rounds once where `mul` + `add` round twice.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn eval_rows_avx2(
+        &self,
+        input: &PaddedVector<3>,
+        scheme: &DiffScheme,
+        origin: [usize; 3],
+        scratch: &mut Vec<f32>,
+        visit: impl FnMut(usize, usize, &[f32]),
+    ) {
+        self.eval_rows_body(input, scheme, origin, scratch, visit)
+    }
+
+    /// The whole `(z, y)` loop — stencils, reduction, `visit` — inlined
+    /// into each of its two instantiations, which therefore differ in
+    /// vector width only: lanes are points, and a point's operations and
+    /// their order are the same in both.
+    #[inline(always)]
+    fn eval_rows_body(
+        &self,
+        input: &PaddedVector<3>,
+        scheme: &DiffScheme,
+        origin: [usize; 3],
+        scratch: &mut Vec<f32>,
         mut visit: impl FnMut(usize, usize, &[f32]),
     ) {
         let (nx, ny, nz) = input.dims();
@@ -174,9 +212,9 @@ impl DerivedField {
                         let r0 = &input.comp(0).padded_row(yi, zi)[h..h + nx];
                         let r1 = &input.comp(1).padded_row(yi, zi)[h..h + nx];
                         let r2 = &input.comp(2).padded_row(yi, zi)[h..h + nx];
-                        for (((d, &a), &b), &c) in out.iter_mut().zip(r0).zip(r1).zip(r2) {
-                            *d = (a * a + b * b + c * c).sqrt();
-                        }
+                        map_row([r0, r1, r2], out, |v: &[f32; 3]| {
+                            (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()
+                        });
                     }
                     DerivedField::CurlNorm => reduce_rows(rows, out, |p: &[f32; 6]| {
                         norm3([p[0] - p[1], p[2] - p[3], p[4] - p[5]])
@@ -204,18 +242,18 @@ impl DerivedField {
 
 /// Reduces `N` equally long partial-derivative rows (laid end to end in
 /// `rows`) to one output row, point by point.
-#[inline]
+#[inline(always)]
 fn reduce_rows<const N: usize>(rows: &[f32], out: &mut [f32], f: impl Fn(&[f32; N]) -> f32) {
-    let nx = out.len();
-    let rows: [&[f32]; N] = std::array::from_fn(|k| &rows[k * nx..][..nx]);
-    for (i, d) in out.iter_mut().enumerate() {
-        *d = f(&std::array::from_fn(|k| rows[k][i]));
+    let mut src: [&[f32]; N] = [&[]; N];
+    for (k, row) in rows.chunks_exact(out.len()).enumerate() {
+        src[k] = row;
     }
+    map_row(src, out, f);
 }
 
 /// Euclidean norm summed from `0.0` component by component, as
 /// `VectorField::norm` does it plane by plane.
-#[inline]
+#[inline(always)]
 fn norm3(v: [f32; 3]) -> f32 {
     let mut s = 0.0f32;
     for c in v {
@@ -226,7 +264,7 @@ fn norm3(v: [f32; 3]) -> f32 {
 
 /// `Q = ½(‖Ω‖² − ‖S‖²)` where `S`/`Ω` are the symmetric/antisymmetric parts
 /// of the velocity gradient `a[3i+j] = ∂u_i/∂x_j`.
-#[inline]
+#[inline(always)]
 pub fn q_of_gradient(a: &[f32; 9]) -> f32 {
     let mut s2 = 0.0f32;
     let mut o2 = 0.0f32;
@@ -242,7 +280,7 @@ pub fn q_of_gradient(a: &[f32; 9]) -> f32 {
 }
 
 /// `R = −det(∇u)`.
-#[inline]
+#[inline(always)]
 pub fn r_of_gradient(a: &[f32; 9]) -> f32 {
     let det = a[0] * (a[4] * a[8] - a[5] * a[7]) - a[1] * (a[3] * a[8] - a[5] * a[6])
         + a[2] * (a[3] * a[7] - a[4] * a[6]);
@@ -250,7 +288,7 @@ pub fn r_of_gradient(a: &[f32; 9]) -> f32 {
 }
 
 /// `‖S‖ = sqrt(Σ S_ij²)`.
-#[inline]
+#[inline(always)]
 pub fn strain_norm_of_gradient(a: &[f32; 9]) -> f32 {
     let mut s2 = 0.0f32;
     for i in 0..3 {
@@ -604,6 +642,55 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    #[test]
+    fn portable_and_avx2_instantiations_agree_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            println!(
+                "note: no AVX2 on this host, the portable instantiation is compared to itself"
+            );
+        }
+        let vals: Vec<f32> = (0..997).map(crate::diff::tests::salted).collect();
+        let grid = Grid3::periodic_cube(16, TAU);
+        // row lengths below, at, above and not a multiple of the block width
+        for nx in 1..=40 {
+            for order in FdOrder::all() {
+                let scheme = DiffScheme::new(&grid, order);
+                for field in nine_fields() {
+                    let input = filled((nx, 3, 2), field.halo(&scheme), &vals[nx..]);
+                    // the portable body called directly; the dispatching
+                    // entry is the AVX2 instantiation wherever there is one
+                    let (mut portable, mut wide, o) = (Vec::new(), Vec::new(), [0, 0, 0]);
+                    field.eval_rows_body(&input, &scheme, o, &mut Vec::new(), |_, _, row| {
+                        portable.extend_from_slice(row)
+                    });
+                    field.eval_rows(&input, &scheme, o, &mut Vec::new(), |_, _, row| {
+                        wide.extend_from_slice(row)
+                    });
+                    let want = eval_planes(field, &input, &scheme, o);
+                    assert_eq!((portable.len(), wide.len()), (want.len(), want.len()));
+                    for (i, ((p, w), r)) in
+                        portable.iter().zip(&wide).zip(want.as_slice()).enumerate()
+                    {
+                        // NaNs as a class: which operand's payload an
+                        // invalid operation keeps is the encoding's choice
+                        let same = |a: &f32, b: &f32| {
+                            a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan()
+                        };
+                        assert!(
+                            same(p, w) && same(p, r),
+                            "{field:?} {order:?} nx {nx} point {i}: portable {:#010x}, avx2 {:#010x}, planes {:#010x}",
+                            p.to_bits(), w.to_bits(), r.to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

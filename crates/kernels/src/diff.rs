@@ -265,7 +265,7 @@ impl RowDeriv<'_> {
     /// `x`. The source row of the stencil term at offset `o` is the flat
     /// slice `o` strides away from the row itself: a shifted window of it
     /// along x, a neighbouring row along y or z.
-    #[inline]
+    #[inline(always)]
     pub fn row(&self, y: usize, z: usize, out: &mut [f32]) {
         let (h, nx) = (self.halo, out.len());
         let first = (h + self.sx * (y + h + self.sy * (z + h))) as isize;
@@ -291,7 +291,7 @@ impl RowDeriv<'_> {
 /// of each term. Centred and one-sided first-derivative stencils have
 /// 3/5/7/9 terms and take the unrolled kernel; anything else (bounded
 /// second derivatives) takes the per-point fold. Same sums either way.
-#[inline]
+#[inline(always)]
 fn apply_row<'a>(s: &Stencil, row_for: impl Fn(isize) -> &'a [f32] + Copy, out: &mut [f32]) {
     match s.offsets.len() {
         3 => apply_row_n::<3>(s, row_for, out),
@@ -310,15 +310,13 @@ fn apply_row<'a>(s: &Stencil, row_for: impl Fn(isize) -> &'a [f32] + Copy, out: 
 /// accumulated from `0.0` in stencil order — the additions of
 /// [`Stencil::apply`] in the same order, so the results are bit-identical
 /// to the per-point reference, the zero-weight centre tap included
-/// (`0·∞` is NaN and must stay NaN). With the term count a constant the
-/// inner loop unrolls and the row loop vectorizes over flat slices.
-#[inline]
+/// (`0·∞` is NaN and must stay NaN).
+#[inline(always)]
 fn apply_row_n<'a, const T: usize>(
     s: &Stencil,
     row_for: impl Fn(isize) -> &'a [f32],
     out: &mut [f32],
 ) {
-    let n = out.len();
     // filled by a plain loop, not `array::from_fn`: whether its closure
     // shim is inlined here depends on how the *calling* crate is split
     // into codegen units, and a call per term per row costs ~10 % of a scan
@@ -326,14 +324,55 @@ fn apply_row_n<'a, const T: usize>(
     let mut src: [&[f32]; T] = [&[]; T];
     for t in 0..T {
         w[t] = s.weights[t];
-        src[t] = &row_for(s.offsets[t])[..n];
+        src[t] = row_for(s.offsets[t]);
     }
-    for (i, d) in out.iter_mut().enumerate() {
+    map_row(src, out, |p: &[f32; T]| {
         let mut a = 0.0f64;
         for t in 0..T {
-            a += w[t] * f64::from(src[t][i]);
+            a += w[t] * f64::from(p[t]);
         }
-        *d = a as f32;
+        a as f32
+    });
+}
+
+/// Points per block of [`map_row`]: four 256-bit or eight 128-bit `f64`
+/// accumulators.
+const LANES: usize = 16;
+
+/// `out[i] = f(&[src[0][i], …, src[N-1][i]])` along a row, in blocks of
+/// [`LANES`] points and a per-point tail. A block's trip count is a
+/// constant and its stores follow all its loads, so whatever the row
+/// length it compiles to straight-line vector code — no alias check, no
+/// epilogue — and, lanes being independent points, to the same bits at
+/// any vector width.
+#[inline(always)]
+pub(crate) fn map_row<const N: usize>(
+    src: [&[f32]; N],
+    out: &mut [f32],
+    f: impl Fn(&[f32; N]) -> f32,
+) {
+    let full = out.len() - out.len() % LANES;
+    for i in (0..full).step_by(LANES) {
+        let mut block = src;
+        for k in 0..N {
+            block[k] = &src[k][i..i + LANES];
+        }
+        let mut vals = [0.0f32; LANES];
+        for l in 0..LANES {
+            let mut p = [0.0f32; N];
+            for k in 0..N {
+                p[k] = block[k][l];
+            }
+            vals[l] = f(&p);
+        }
+        out[i..i + LANES].copy_from_slice(&vals);
+    }
+    for i in full..out.len() {
+        let mut p = [0.0f32; N];
+        for k in 0..N {
+            p[k] = src[k][i];
+        }
+        out[i] = f(&p);
     }
 }
 
@@ -374,7 +413,7 @@ fn apply_axis_scalar(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::f64::consts::TAU;
     use tdb_field::ScalarField;
@@ -600,6 +639,113 @@ mod tests {
                 prop_assert!(second.is_ok(), "∂² axis {} {:?}: {:?}", axis, order, second);
             }
         }
+    }
+
+    /// Finite values salted with every special class: NaN, ±∞, −0 and
+    /// denormals of both signs.
+    pub(crate) fn salted(i: usize) -> f32 {
+        const SPECIAL: [f32; 6] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 4.0,
+        ];
+        let r = (i as u32).wrapping_mul(2654435761) >> 8;
+        if r % 13 == 0 {
+            SPECIAL[(r / 13) as usize % SPECIAL.len()]
+        } else {
+            (r as f32 / 16777216.0 - 0.5) * 2.0e3
+        }
+    }
+
+    fn salted_chunk(dims: (usize, usize, usize), h: usize, seed: usize) -> PaddedScalar {
+        let mut p = PaddedScalar::zeros(dims.0, dims.1, dims.2, h);
+        let mut i = seed;
+        p.fill(|_, _, _| {
+            i += 1;
+            salted(i)
+        });
+        p
+    }
+
+    #[test]
+    fn lane_blocks_match_the_per_point_reference_at_every_row_length() {
+        // rows below, at, above and not a multiple of the block width; the
+        // 3/5/7/9-tap kernels on every axis, and on the channel grid the
+        // per-row stencil table and the order + 2 taps of a bounded second
+        // derivative (the per-point fold)
+        let cube = Grid3::periodic_cube(16, TAU);
+        let channel = Grid3::channel(8, 33, 8, TAU, TAU, 1.7);
+        for order in FdOrder::all() {
+            for nx in 1..=40 {
+                for (grid, dims) in [(&cube, (nx, 3, 2)), (&channel, (nx, 33, 1))] {
+                    let scheme = DiffScheme::new(grid, order);
+                    let p = salted_chunk(dims, scheme.halo(), nx * 7919);
+                    for axis in 0..3 {
+                        let first = same_bits(
+                            &scheme.deriv_padded(&p, axis, [0, 0, 0]),
+                            &scheme.deriv_padded_reference(&p, axis, [0, 0, 0]),
+                        );
+                        assert!(first.is_ok(), "∂ axis {axis} {order:?} nx {nx}: {first:?}");
+                        let second = same_bits(
+                            &scheme.deriv2_padded(&p, axis, [0, 0, 0]),
+                            &deriv2_padded_reference(&scheme, &p, axis, [0, 0, 0]),
+                        );
+                        assert!(
+                            second.is_ok(),
+                            "∂² axis {axis} {order:?} nx {nx}: {second:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_weight_centre_tap_still_turns_infinity_into_nan() {
+        // one ∞ in a field of ones, in a block lane (x = 3) and in the tail
+        // (x = 37) of a 40-point row. The centre weight is 0 on a unit
+        // grid — `0·∞` is NaN — and a rounding error elsewhere — `ε·∞` is
+        // ∞; a kernel that skipped the tap would answer with a number
+        let mut nans = 0;
+        for (length, order) in [64.0, TAU]
+            .into_iter()
+            .flat_map(|l| FdOrder::all().map(|o| (l, o)))
+        {
+            let scheme = DiffScheme::new(&Grid3::periodic_cube(64, length), order);
+            let zero = scheme.axes[0].stencil(0).weights[order.half_width()] == 0.0;
+            for x_inf in [3isize, 37] {
+                let mut p = PaddedScalar::zeros(40, 1, 1, scheme.halo());
+                p.fill(|x, y, z| {
+                    if (x, y, z) == (x_inf, 0, 0) {
+                        f32::INFINITY
+                    } else {
+                        1.0
+                    }
+                });
+                for axis in 0..3 {
+                    let d = scheme.deriv_padded(&p, axis, [0, 0, 0]);
+                    let at_inf = d.get(x_inf as usize, 0, 0);
+                    assert!(
+                        if zero {
+                            at_inf.is_nan()
+                        } else {
+                            at_inf.is_infinite()
+                        },
+                        "{order:?} axis {axis}: {at_inf}"
+                    );
+                    nans += usize::from(at_inf.is_nan());
+                    let r = same_bits(&d, &scheme.deriv_padded_reference(&p, axis, [0, 0, 0]));
+                    assert!(r.is_ok(), "{order:?} axis {axis}: {r:?}");
+                }
+            }
+        }
+        assert!(
+            nans > 0,
+            "no stencil with an exactly zero centre weight was tried"
+        );
     }
 
     #[test]

@@ -105,8 +105,8 @@ impl FaultRule {
 
     fn matches_block(&self, file_id: u64, block_no: u32) -> bool {
         self.site == FaultSite::BlockRead
-            && self.file_id.map_or(true, |f| f == file_id)
-            && self.block_no.map_or(true, |b| b == block_no)
+            && self.file_id.is_none_or(|f| f == file_id)
+            && self.block_no.is_none_or(|b| b == block_no)
     }
 }
 

@@ -8,8 +8,8 @@
 //! ever checks `>=` — concurrent tests can add to a counter but never
 //! subtract from it.
 
-use tdb_bench::test_service;
-use tdb_core::{AttrValue, DerivedField, ThresholdQuery};
+use tdb_bench::{harness, test_service};
+use tdb_core::{AttrValue, DerivedField, FdOrder, ThresholdQuery};
 
 #[test]
 fn cold_then_warm_query_moves_bufferpool_and_cache_counters() {
@@ -121,6 +121,36 @@ fn pdf_and_topk_queries_return_traces_too() {
         t.span("phase.compute").unwrap().duration_s,
         topk.breakdown.compute_s
     );
+}
+
+#[test]
+fn scan_scratch_stays_within_twice_the_padded_cube() {
+    // ROADMAP item 5's memory gate: what a worker holds for one 32³ chunk
+    // at order 8 was 769 280 B at af2cacd — the padded cube, 3 × 40³ floats,
+    // plus ten rows — and no faster kernel may take more than twice that
+    let service = harness("obs_scratch", 64, 1)
+        .cluster(|c| {
+            c.chunk_atoms = 4;
+            c.fd_order = FdOrder::O8;
+        })
+        .build();
+    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::QCriterion, 0, 1.0e9)
+        .without_cache();
+    // a gauge is overwritten by whichever scan finished last, and the other
+    // tests of this binary scan smaller chunks at order 4: the largest of a
+    // few readings is this test's own
+    let peak = (0..3)
+        .map(|_| {
+            service.get_threshold(&q).unwrap();
+            service.metrics_snapshot().gauges["scan.scratch_bytes"]
+        })
+        .max()
+        .unwrap();
+    assert!(
+        peak >= 3 * 40 * 40 * 40 * 4,
+        "the padded cube is counted: {peak}"
+    );
+    assert!(peak <= 2 * 769_280, "scan.scratch_bytes {peak}");
 }
 
 #[test]
