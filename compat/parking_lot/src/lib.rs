@@ -4,12 +4,13 @@
 //! `Mutex` (a panicked holder does not poison the lock for everyone else)
 //! and a `Condvar` that waits on a `&mut MutexGuard`.
 //!
-//! Debug builds additionally carry a dynamic lock-order tracker (see
-//! [`lock_order`]): when enabled it maintains a per-thread stack of held
-//! locks and a global acquisition-order graph, and panics the moment an
-//! acquisition would close a cycle — turning a would-be deadlock that
-//! hangs a test into an immediate failure naming both locks. The static
-//! complement is tdb-lint's `lock-graph` rule.
+//! Every debug build additionally runs a lock-order tracker (see
+//! `lock_order`; release builds compile it out): a per-thread stack of
+//! held locks and a process-wide acquisition-order graph over the live
+//! `Mutex` and `RwLock` instances. It panics the moment an acquisition
+//! would close a cycle, or a condvar wait would sleep holding a second
+//! lock — turning a would-be deadlock that hangs a test into an immediate
+//! failure naming both locks. It sees the paths tests execute, exactly.
 //!
 //! Every primitive is additionally instrumented with *model-checker
 //! yield points* (see [`model`]): when the `tdb-check` deterministic
@@ -97,54 +98,62 @@ pub mod model {
     }
 }
 
-#[cfg(debug_assertions)]
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Dynamic lock-order inversion detection (debug builds only).
+/// Lock-order checking: on in every debug build, compiled out of release
+/// builds (where both types below are empty).
 ///
-/// Off by default; enabled for the whole process by the `TDB_LOCK_ORDER`
-/// environment variable (any value but `0`) or programmatically via
-/// [`force_enable`]. Every tracked acquisition records `held → acquired`
-/// edges in a global order graph; an acquisition whose reverse path
-/// already exists panics with both lock ids before blocking, so the
-/// inversion surfaces even when the other thread never arrives.
+/// Every `Mutex` and `RwLock` acquisition outside a model-checker run,
+/// shared or exclusive, is checked before it blocks:
+///
+/// * taking a lock the thread already holds panics (a self-deadlock);
+/// * taking lock B while holding A records the edge A → B in one
+///   process-wide order graph — or panics, naming both, when B already
+///   reaches A: two threads taking them in opposite orders can deadlock,
+///   and the panic fires even when the other thread never arrives;
+/// * a condvar wait while holding a lock other than the one the wait
+///   releases panics: the waiter would sleep with that lock held.
+///
+/// A node of the graph is one lock instance (a process-unique number
+/// taken on its first acquisition), and dropping the lock removes it, so
+/// the graph is bounded by the live locks. A thread that holds nothing
+/// touches only its own held stack.
 #[cfg(debug_assertions)]
-pub mod lock_order {
+mod lock_order {
     use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex as StdMutex, Once, OnceLock, PoisonError};
+    use std::collections::BTreeMap;
+    use std::fmt;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static INIT: Once = Once::new();
-
-    /// Whether tracking is active for this process.
-    pub fn enabled() -> bool {
-        INIT.call_once(|| {
-            if std::env::var_os("TDB_LOCK_ORDER").is_some_and(|v| v != "0") {
-                ENABLED.store(true, Ordering::Relaxed);
-            }
-        });
-        ENABLED.load(Ordering::Relaxed)
+    /// One lock as the messages name it.
+    #[derive(Debug, Clone, Copy)]
+    struct Lock {
+        id: u64,
+        name: &'static str,
     }
 
-    /// Turns tracking on regardless of the environment (test hook).
-    pub fn force_enable() {
-        INIT.call_once(|| {});
-        ENABLED.store(true, Ordering::Relaxed);
+    impl fmt::Display for Lock {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "#{} ({})", self.id, self.name)
+        }
     }
 
     thread_local! {
-        static HELD: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+        /// The locks this thread holds, in acquisition order.
+        static HELD: RefCell<Vec<Lock>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// `held → acquired-later` edges observed so far, process-wide.
-    fn graph() -> &'static StdMutex<HashMap<u64, Vec<u64>>> {
-        static GRAPH: OnceLock<StdMutex<HashMap<u64, Vec<u64>>>> = OnceLock::new();
-        GRAPH.get_or_init(|| StdMutex::new(HashMap::new()))
+    /// Lock → the locks taken while it was held, over every live lock
+    /// that has an edge; acyclic, because an edge that would close a cycle
+    /// panics instead of being added.
+    type Graph = BTreeMap<u64, Vec<u64>>;
+    static GRAPH: Mutex<Graph> = Mutex::new(BTreeMap::new());
+    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+    fn graph() -> MutexGuard<'static, Graph> {
+        GRAPH.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn reaches(g: &HashMap<u64, Vec<u64>>, from: u64, to: u64) -> bool {
+    fn reaches(g: &Graph, from: u64, to: u64) -> bool {
         let mut stack = vec![from];
         let mut seen = vec![from];
         while let Some(n) = stack.pop() {
@@ -161,64 +170,170 @@ pub mod lock_order {
         false
     }
 
-    /// Called before blocking on lock `id`: panics on a re-entrant
-    /// acquisition or an order inversion, then records the new edges.
-    pub(crate) fn check_acquire(id: u64) {
-        HELD.with(|held| {
-            let held = held.borrow();
-            if held.contains(&id) {
-                panic!("lock-order: recursive acquisition of lock #{id} on one thread");
+    /// Panics if taking `lock` while holding `held` could deadlock;
+    /// otherwise records the new edges.
+    fn check_order(held: &[Lock], lock: Lock) {
+        if held.iter().any(|h| h.id == lock.id) {
+            panic!("lock-order: recursive acquisition of lock {lock} on one thread");
+        }
+        let mut g = graph();
+        for h in held {
+            if g.get(&h.id).is_some_and(|after| after.contains(&lock.id)) {
+                continue;
             }
-            let mut g = graph().lock().unwrap_or_else(PoisonError::into_inner);
-            for &h in held.iter() {
-                if reaches(&g, id, h) {
+            if reaches(&g, lock.id, h.id) {
+                drop(g);
+                panic!(
+                    "lock-order inversion: acquiring lock {lock} while holding lock {h}, \
+                     but {h} is elsewhere acquired while {lock} is held — consistent \
+                     global order required"
+                );
+            }
+            g.entry(h.id).or_default().push(lock.id);
+            g.entry(lock.id).or_default();
+        }
+    }
+
+    /// A lock's identity; 0 until its first acquisition, so `new` stays
+    /// `const`.
+    #[derive(Debug, Default)]
+    pub(crate) struct LockId(AtomicU64);
+
+    impl LockId {
+        pub(crate) const fn new() -> Self {
+            Self(AtomicU64::new(0))
+        }
+
+        pub(crate) fn id(&self) -> u64 {
+            let id = self.0.load(Ordering::Relaxed);
+            if id != 0 {
+                return id;
+            }
+            let fresh = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+            let raced = self
+                .0
+                .compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed);
+            raced.err().unwrap_or(fresh)
+        }
+
+        /// Checks an acquisition of this lock (of type `name`) before it
+        /// blocks, and records the lock as held until the hold drops.
+        pub(crate) fn acquire(&self, name: &'static str) -> Hold {
+            let lock = Lock {
+                id: self.id(),
+                name,
+            };
+            // a lock taken in a thread-local destructor goes unchecked
+            let _ = HELD.try_with(|held| {
+                let mut held = held.borrow_mut();
+                if !held.is_empty() {
+                    check_order(&held, lock);
+                }
+                held.push(lock);
+            });
+            Hold(lock.id)
+        }
+    }
+
+    /// A dropped lock leaves the graph.
+    impl Drop for LockId {
+        fn drop(&mut self) {
+            let id = *self.0.get_mut();
+            if id == 0 {
+                return;
+            }
+            let mut g = graph();
+            if g.remove(&id).is_some() {
+                g.values_mut().for_each(|after| after.retain(|&a| a != id));
+            }
+        }
+    }
+
+    /// One hold of a lock; dropping it releases the lock in the tracker.
+    /// 0 = untracked (a model-checker grant).
+    #[derive(Debug)]
+    pub(crate) struct Hold(u64);
+
+    impl Hold {
+        pub(crate) const UNTRACKED: Self = Self(0);
+
+        /// Panics unless this is the only lock the thread holds: a condvar
+        /// wait releases this one and would sleep holding the other.
+        pub(crate) fn check_wait(&self) {
+            let _ = HELD.try_with(|held| {
+                let held = held.borrow();
+                let this = held.iter().find(|h| h.id == self.0);
+                if let (Some(this), Some(other)) = (this, held.iter().find(|h| h.id != self.0)) {
                     panic!(
-                        "lock-order inversion: acquiring lock #{id} while holding \
-                         lock #{h}, but #{h} is elsewhere acquired while #{id} is \
-                         held — consistent global order required"
+                        "lock-order: condvar wait releases lock {this} while lock {other} \
+                         stays held — the waiter would sleep holding it"
                     );
                 }
+            });
+        }
+    }
+
+    impl Drop for Hold {
+        fn drop(&mut self) {
+            if self.0 == 0 {
+                return;
             }
-            for &h in held.iter() {
-                let out = g.entry(h).or_default();
-                if !out.contains(&id) {
-                    out.push(id);
+            let _ = HELD.try_with(|held| {
+                let mut held = held.borrow_mut();
+                if let Some(pos) = held.iter().rposition(|h| h.id == self.0) {
+                    held.remove(pos);
                 }
-            }
-        });
+            });
+        }
     }
 
-    /// Called once lock `id` is held.
-    pub(crate) fn acquired(id: u64) {
-        HELD.with(|held| held.borrow_mut().push(id));
-    }
-
-    /// Called when the guard of lock `id` releases (drop or condvar wait).
-    pub(crate) fn released(id: u64) {
-        HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            if let Some(pos) = held.iter().rposition(|&h| h == id) {
-                held.remove(pos);
-            }
-        });
-    }
-
-    /// Number of locks the calling thread currently holds (test hook).
-    pub fn held_count() -> usize {
+    /// Number of locks the calling thread holds.
+    #[cfg(test)]
+    pub(crate) fn held_count() -> usize {
         HELD.with(|held| held.borrow().len())
+    }
+
+    /// Whether lock `id` is a node of the order graph.
+    #[cfg(test)]
+    pub(crate) fn in_graph(id: u64) -> bool {
+        graph().contains_key(&id)
     }
 }
 
-#[cfg(debug_assertions)]
-static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
+/// Release builds: the tracker compiles to nothing.
+#[cfg(not(debug_assertions))]
+mod lock_order {
+    #[derive(Debug, Default)]
+    pub(crate) struct LockId;
+
+    impl LockId {
+        pub(crate) const fn new() -> Self {
+            Self
+        }
+
+        #[inline(always)]
+        pub(crate) fn acquire(&self, _name: &'static str) -> Hold {
+            Hold
+        }
+    }
+
+    #[derive(Debug)]
+    pub(crate) struct Hold;
+
+    impl Hold {
+        pub(crate) const UNTRACKED: Self = Self;
+
+        #[inline(always)]
+        pub(crate) fn check_wait(&self) {}
+    }
+}
+
+use lock_order::{Hold, LockId};
 
 /// Mutual exclusion without lock poisoning.
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized> {
-    /// Unique id for the order tracker, assigned lazily on first lock
-    /// (0 = not yet assigned) so `new` stays `const`.
-    #[cfg(debug_assertions)]
-    order_id: AtomicU64,
+    order: LockId,
     inner: std::sync::Mutex<T>,
 }
 
@@ -226,8 +341,7 @@ impl<T> Mutex<T> {
     /// Wraps a value.
     pub const fn new(value: T) -> Self {
         Self {
-            #[cfg(debug_assertions)]
-            order_id: AtomicU64::new(0),
+            order: LockId::new(),
             inner: std::sync::Mutex::new(value),
         }
     }
@@ -243,64 +357,26 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        if let Some(h) = model::active_hooks() {
-            h.mutex_lock(model::addr(self as *const Self));
-            // granted by the scheduler: the std mutex below is free of
-            // virtual-thread holders, so this cannot park out of band
-            return MutexGuard {
-                lock: self,
-                inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-                order_id: 0,
-                model: true,
-            };
-        }
-        let order_id = self.tracked_id();
-        #[cfg(debug_assertions)]
-        if order_id != 0 {
-            lock_order::check_acquire(order_id);
-        }
-        let guard = MutexGuard {
+        let (hold, model) = match model::active_hooks() {
+            Some(h) => {
+                // granted by the scheduler: the std mutex below is free of
+                // virtual-thread holders, so this cannot park out of band
+                h.mutex_lock(model::addr(self as *const Self));
+                (Hold::UNTRACKED, true)
+            }
+            None => (self.order.acquire(std::any::type_name::<Self>()), false),
+        };
+        MutexGuard {
             lock: self,
             inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-            order_id,
-            model: false,
-        };
-        #[cfg(debug_assertions)]
-        if order_id != 0 {
-            lock_order::acquired(order_id);
+            hold,
+            model,
         }
-        guard
     }
 
     /// Mutable access without locking (requires exclusive ownership).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// This mutex's tracker id (assigned on first use), or 0 when the
-    /// tracker is off.
-    #[cfg(debug_assertions)]
-    fn tracked_id(&self) -> u64 {
-        if !lock_order::enabled() {
-            return 0;
-        }
-        let id = self.order_id.load(Ordering::Relaxed);
-        if id != 0 {
-            return id;
-        }
-        let fresh = NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed);
-        match self
-            .order_id
-            .compare_exchange(0, fresh, Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => fresh,
-            Err(existing) => existing,
-        }
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn tracked_id(&self) -> u64 {
-        0
     }
 }
 
@@ -314,9 +390,8 @@ pub struct MutexGuard<'a, T: ?Sized> {
     /// [`Condvar::wait`] can re-acquire it after parking.
     lock: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
-    /// Tracker id of the owning mutex (0 = untracked).
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    order_id: u64,
+    /// The lock-order tracker's record of this hold.
+    hold: Hold,
     /// Whether this guard was granted by the model scheduler (its drop
     /// must report the release back to the hooks).
     model: bool,
@@ -344,23 +419,16 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
             if let Some(h) = model::active_hooks() {
                 h.mutex_unlock(model::addr(self.lock as *const Mutex<T>));
             }
-            return;
-        }
-        #[cfg(debug_assertions)]
-        if self.order_id != 0 {
-            lock_order::released(self.order_id);
         }
     }
 }
 
-/// Reader-writer lock without poisoning.
-///
-/// Not wired into the lock-order tracker: shared-mode acquisitions are
-/// legitimately held concurrently (and briefly) across threads, which
-/// the exclusive-lock order graph would misreport as inversions. Keep
-/// critical sections short and never nest another lock under a guard.
+/// Reader-writer lock without poisoning. The lock-order tracker treats
+/// a shared and an exclusive acquisition alike: a reader waits behind a
+/// queued writer, so a cycle through shared holds deadlocks too.
 #[derive(Debug, Default)]
 pub struct RwLock<T: ?Sized> {
+    order: LockId,
     inner: std::sync::RwLock<T>,
 }
 
@@ -368,6 +436,7 @@ impl<T> RwLock<T> {
     /// Wraps a value.
     pub const fn new(value: T) -> Self {
         Self {
+            order: LockId::new(),
             inner: std::sync::RwLock::new(value),
         }
     }
@@ -383,31 +452,34 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let model_id = if let Some(h) = model::active_hooks() {
-            let id = model::addr(self as *const Self);
-            h.rw_lock(id, false);
-            id
-        } else {
-            0
-        };
+        let (model_id, hold) = self.enter(false);
         RwLockReadGuard {
             inner: Some(self.inner.read().unwrap_or_else(PoisonError::into_inner)),
             model_id,
+            _hold: hold,
         }
     }
 
     /// Acquires exclusive write access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let model_id = if let Some(h) = model::active_hooks() {
-            let id = model::addr(self as *const Self);
-            h.rw_lock(id, true);
-            id
-        } else {
-            0
-        };
+        let (model_id, hold) = self.enter(true);
         RwLockWriteGuard {
             inner: Some(self.inner.write().unwrap_or_else(PoisonError::into_inner)),
             model_id,
+            _hold: hold,
+        }
+    }
+
+    /// Asks the model scheduler for the grant inside a model run (its
+    /// identity is then non-zero), the lock-order tracker outside one.
+    fn enter(&self, write: bool) -> (usize, Hold) {
+        match model::active_hooks() {
+            Some(h) => {
+                let id = model::addr(self as *const Self);
+                h.rw_lock(id, write);
+                (id, Hold::UNTRACKED)
+            }
+            None => (0, self.order.acquire(std::any::type_name::<Self>())),
         }
     }
 
@@ -423,6 +495,8 @@ pub struct RwLockReadGuard<'a, T: ?Sized> {
     inner: Option<std::sync::RwLockReadGuard<'a, T>>,
     /// Model identity of the owning lock (0 = not a model grant).
     model_id: usize,
+    /// The lock-order tracker's record of this hold (released on drop).
+    _hold: Hold,
 }
 
 impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
@@ -449,6 +523,8 @@ pub struct RwLockWriteGuard<'a, T: ?Sized> {
     inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
     /// Model identity of the owning lock (0 = not a model grant).
     model_id: usize,
+    /// The lock-order tracker's record of this hold (released on drop).
+    _hold: Hold,
 }
 
 impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
@@ -509,19 +585,11 @@ impl Condvar {
                 return;
             }
         }
+        // the wait releases only this lock; with it the only one held,
+        // the thread holds it again on waking, so the held stack stands
+        guard.hold.check_wait();
         let held = guard.inner.take().expect("guard present");
-        // the wait releases the lock: the held stack must not show it as
-        // held while parked, and the re-acquisition re-checks ordering
-        #[cfg(debug_assertions)]
-        if guard.order_id != 0 {
-            lock_order::released(guard.order_id);
-        }
         let reacquired = self.0.wait(held).unwrap_or_else(PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        if guard.order_id != 0 {
-            lock_order::check_acquire(guard.order_id);
-            lock_order::acquired(guard.order_id);
-        }
         guard.inner = Some(reacquired);
     }
 
@@ -553,20 +621,12 @@ impl Condvar {
                 return WaitTimeoutResult(timed_out);
             }
         }
+        guard.hold.check_wait();
         let held = guard.inner.take().expect("guard present");
-        #[cfg(debug_assertions)]
-        if guard.order_id != 0 {
-            lock_order::released(guard.order_id);
-        }
         let (reacquired, result) = self
             .0
             .wait_timeout(held, timeout)
             .unwrap_or_else(PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        if guard.order_id != 0 {
-            lock_order::check_acquire(guard.order_id);
-            lock_order::acquired(guard.order_id);
-        }
         guard.inner = Some(reacquired);
         WaitTimeoutResult(result.timed_out())
     }
@@ -755,9 +815,12 @@ mod tests {
     fn rwlock_reads_share_and_writes_exclude() {
         let l = Arc::new(RwLock::new(1));
         {
+            // a second reader gets in while the first holds the lock (on
+            // another thread: a recursive read can deadlock behind a
+            // queued writer, and the lock-order tracker says so)
             let a = l.read();
-            let b = l.read();
-            assert_eq!((*a, *b), (1, 1));
+            let b = std::thread::scope(|s| s.spawn(|| *l.read()).join().unwrap());
+            assert_eq!((*a, b), (1, 1));
         }
         *l.write() += 1;
         assert_eq!(*l.read(), 2);
@@ -774,76 +837,109 @@ mod tests {
     #[cfg(debug_assertions)]
     mod tracker {
         use super::super::*;
-        use std::sync::Arc;
+
+        /// Runs `f` on a fresh thread, which must panic with a message
+        /// saying `what` and naming both `locks` by type.
+        fn assert_panics(what: &str, locks: [&str; 2], f: impl FnOnce() + Send) {
+            let err = std::thread::scope(|s| s.spawn(f).join()).expect_err("must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(what), "{msg}");
+            assert!(locks.iter().all(|lock| msg.contains(lock)), "{msg}");
+        }
 
         #[test]
         fn inversion_panics_and_consistent_order_does_not() {
-            lock_order::force_enable();
-            let a = Arc::new(Mutex::new(0u8));
-            let b = Arc::new(Mutex::new(0u8));
+            let (a, b) = (Mutex::new(0u8), Mutex::new(0u8));
             // consistent order on another thread: a then b
-            {
-                let (a, b) = (Arc::clone(&a), Arc::clone(&b));
-                std::thread::spawn(move || {
+            std::thread::scope(|s| {
+                s.spawn(|| {
                     let _ga = a.lock();
                     let _gb = b.lock();
-                })
-                .join()
-                .unwrap();
-            }
+                });
+            });
             // same order again is fine
             {
                 let _ga = a.lock();
                 let _gb = b.lock();
             }
             // reverse order must panic before blocking
-            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-            let r = std::thread::spawn(move || {
-                let _gb = b2.lock();
-                let _ga = a2.lock();
-            })
-            .join();
-            let err = r.expect_err("inversion must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("lock-order inversion"), "{msg}");
+            assert_panics("lock-order inversion", ["Mutex<u8>"; 2], || {
+                let _gb = b.lock();
+                let _ga = a.lock();
+            });
         }
 
         #[test]
         fn recursive_acquisition_panics() {
-            lock_order::force_enable();
-            let m = Arc::new(Mutex::new(0u8));
-            let m2 = Arc::clone(&m);
-            let r = std::thread::spawn(move || {
-                let _g1 = m2.lock();
-                let _g2 = m2.lock();
-            })
-            .join();
-            assert!(r.is_err(), "self-deadlock must panic, not hang");
+            let m = Mutex::new(0u8);
+            // a self-deadlock panics, it does not hang
+            assert_panics("recursive acquisition", ["Mutex<u8>"; 2], || {
+                let _g1 = m.lock();
+                let _g2 = m.lock();
+            });
         }
 
         #[test]
         fn condvar_wait_balances_held_stack() {
-            lock_order::force_enable();
-            let pair = Arc::new((Mutex::new(false), Condvar::new()));
-            let pair2 = Arc::clone(&pair);
-            let waiter = std::thread::spawn(move || {
-                let (lock, cv) = &*pair2;
-                let mut ready = lock.lock();
-                while !*ready {
+            let (lock, cv) = (Mutex::new(false), Condvar::new());
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut ready = lock.lock();
+                    while !*ready {
+                        assert_eq!(lock_order::held_count(), 1);
+                        cv.wait(&mut ready);
+                    }
                     assert_eq!(lock_order::held_count(), 1);
-                    cv.wait(&mut ready);
-                }
-                assert_eq!(lock_order::held_count(), 1);
-                drop(ready);
-                assert_eq!(lock_order::held_count(), 0);
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            {
-                let (lock, cv) = &*pair;
+                    drop(ready);
+                    assert_eq!(lock_order::held_count(), 0);
+                });
+                std::thread::sleep(std::time::Duration::from_millis(20));
                 *lock.lock() = true;
                 cv.notify_all();
-            }
-            waiter.join().unwrap();
+            });
+        }
+
+        #[test]
+        fn mutex_inversion_through_a_third_lock_panics_naming_both() {
+            let (a, b, c) = (Mutex::new(0u8), Mutex::new(0u16), Mutex::new(0u32));
+            drop((a.lock(), b.lock()));
+            drop((b.lock(), c.lock()));
+            // c → a closes a → b → c: no single pair was ever inverted
+            assert_panics("inversion", ["Mutex<u8>", "Mutex<u32>"], || {
+                let _gc = c.lock();
+                let _ga = a.lock();
+            });
+        }
+
+        #[test]
+        fn mutex_rwlock_inversion_panics_naming_both() {
+            let (m, l) = (Mutex::new(0u8), RwLock::new(0u16));
+            drop((m.lock(), l.read()));
+            // shared or exclusive, the RwLock is one node of the graph
+            assert_panics("inversion", ["Mutex<u8>", "RwLock<u16>"], || {
+                let _gl = l.write();
+                let _gm = m.lock();
+            });
+        }
+
+        #[test]
+        fn condvar_wait_under_a_second_lock_panics_naming_both() {
+            let (outer, lock, cv) = (Mutex::new(0u16), Mutex::new(false), Condvar::new());
+            assert_panics("condvar wait", ["Mutex<bool>", "Mutex<u16>"], || {
+                let _go = outer.lock();
+                let mut g = lock.lock();
+                cv.wait_for(&mut g, std::time::Duration::from_millis(1));
+            });
+        }
+
+        #[test]
+        fn a_dropped_lock_leaves_the_graph() {
+            let (a, b) = (Mutex::new(0u8), RwLock::new(0u8));
+            drop((a.lock(), b.read()));
+            let ids = [a.order.id(), b.order.id()];
+            assert!(ids.iter().all(|&id| lock_order::in_graph(id)));
+            drop((a, b));
+            assert!(!ids.iter().any(|&id| lock_order::in_graph(id)));
         }
     }
 }

@@ -190,6 +190,8 @@ pub fn reference_points(
         for y in 0..ny {
             for x in 0..nx {
                 let v = norm.get(x, y, z);
+                // spelled out, not `tdb_field::at_or_above`: an oracle must
+                // not share the code it checks
                 if f64::from(v) >= threshold {
                     out.push(ThresholdPoint::at(x as u32, y as u32, z as u32, v));
                 }

@@ -7,9 +7,9 @@
 //! the caller recomputes from raw data and re-inserts, rebuilding the
 //! entry byte-identically to a fault-free evaluation.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
+use tdb_field::at_or_above;
 use tdb_obs::m;
 use tdb_storage::device::{DeviceId, IoSession};
 use tdb_storage::faults::{splitmix64, FaultPlan};
@@ -128,9 +128,10 @@ impl SemanticCache {
     ) -> CacheLookup {
         // cacheInfo lookup: one clustered-index probe on the SSD
         session.charge(self.config.ssd, 1, INFO_ROW_BYTES);
+        // written so that it cannot hold for a NaN on either side: an
+        // entry stored at NaN would otherwise cover every later threshold
         let covering = self.table.get(key).filter(|row| {
-            let below = threshold.partial_cmp(&row.entry.threshold) == Some(Ordering::Less);
-            !below && row.entry.region.contains_box(query_box)
+            row.entry.threshold <= threshold && row.entry.region.contains_box(query_box)
         });
         let Some(row) = covering else {
             self.table
@@ -159,7 +160,7 @@ impl SemanticCache {
             .iter()
             .filter(|p| {
                 let (x, y, z) = decoder.decode(p.zindex);
-                f64::from(p.value) >= threshold && query_box.contains_point(x, y, z)
+                at_or_above(p.value, threshold) && query_box.contains_point(x, y, z)
             })
             .copied()
             .collect();
@@ -360,9 +361,19 @@ mod tests {
             }
             other => panic!("expected hit, got {other:?}"),
         }
-        // lower threshold than stored: the cache cannot answer
+        // lower threshold than stored: the cache cannot answer, and a NaN
+        // on either side covers nothing
         assert!(matches!(
             cache.lookup(&k, &region, 30.0, &mut s),
+            CacheLookup::Miss
+        ));
+        assert!(matches!(
+            cache.lookup(&k, &region, f64::NAN, &mut s),
+            CacheLookup::Miss
+        ));
+        cache.insert(&k, region, f64::NAN, &[], &mut s);
+        assert!(matches!(
+            cache.lookup(&k, &region, 69.0, &mut s),
             CacheLookup::Miss
         ));
     }

@@ -44,6 +44,9 @@ pub enum QueryError {
     UnknownTimestep { timestep: u32, available: u32 },
     /// The query box reaches outside the grid.
     RegionOutOfBounds,
+    /// A parameter breaks its rule (a non-finite threshold, PDF bins, the
+    /// top-k size); carries the rule, which is also the wire's error text.
+    InvalidParameter(&'static str),
     /// The storage or cluster layer failed (corrupt partition, missing
     /// data, I/O error). Carries the rendered cause.
     Backend(String),
@@ -66,6 +69,7 @@ impl fmt::Display for QueryError {
                 "time-step {timestep} out of range (archive holds 0..{available})"
             ),
             QueryError::RegionOutOfBounds => write!(f, "query box reaches outside the grid"),
+            QueryError::InvalidParameter(rule) => f.write_str(rule),
             QueryError::Backend(detail) => write!(f, "backend failure: {detail}"),
         }
     }

@@ -51,6 +51,16 @@ impl ServiceConfig {
     }
 }
 
+/// The top-k size rule, for the exact and the PDF-guided top-k alike.
+fn check_k(k: usize) -> Result<(), QueryError> {
+    if k == 0 || k > 100_000 {
+        return Err(QueryError::InvalidParameter(
+            "k must satisfy 0 < k <= 100000",
+        ));
+    }
+    Ok(())
+}
+
 /// The running service: the paper's Web-services layer, minus SOAP.
 pub struct TurbulenceService {
     dataset: SyntheticDataset,
@@ -137,6 +147,20 @@ impl TurbulenceService {
         Ok(())
     }
 
+    /// A validated threshold request: a threshold that is not a finite
+    /// number selects nothing sensible (and a NaN compares false both
+    /// ways), so it is refused as the wire refuses it.
+    fn threshold_request(&self, q: &ThresholdQuery) -> Result<ThresholdRequest, QueryError> {
+        if !q.threshold.is_finite() {
+            return Err(QueryError::InvalidParameter(
+                "threshold must be a finite number",
+            ));
+        }
+        let req = self.request(q);
+        self.validate(&q.raw_field, q.timestep, &req.query_box)?;
+        Ok(req)
+    }
+
     fn request(&self, q: &ThresholdQuery) -> ThresholdRequest {
         ThresholdRequest {
             raw_field: q.raw_field.clone(),
@@ -177,8 +201,7 @@ impl TurbulenceService {
     /// `GetThreshold`: all locations where the derived field's norm is at
     /// or above the threshold (paper Algorithm 1 end to end).
     pub fn get_threshold(&self, q: &ThresholdQuery) -> Result<ThresholdResult, QueryError> {
-        let req = self.request(q);
-        self.validate(&q.raw_field, q.timestep, &req.query_box)?;
+        let req = self.threshold_request(q)?;
         self.finish_threshold(self.cluster.get_threshold(&req))
     }
 
@@ -192,14 +215,8 @@ impl TurbulenceService {
     ) -> Vec<Result<ThresholdResult, QueryError>> {
         // validate everything up front; invalid queries never reach the
         // cluster but keep their slot in the result vector
-        let prepared: Vec<Result<ThresholdRequest, QueryError>> = queries
-            .iter()
-            .map(|q| {
-                let req = self.request(q);
-                self.validate(&q.raw_field, q.timestep, &req.query_box)?;
-                Ok(req)
-            })
-            .collect();
+        let prepared: Vec<Result<ThresholdRequest, QueryError>> =
+            queries.iter().map(|q| self.threshold_request(q)).collect();
         let valid: Vec<ThresholdRequest> = prepared
             .iter()
             .filter_map(|r| r.as_ref().ok().cloned())
@@ -231,6 +248,11 @@ impl TurbulenceService {
         bin_width: f64,
         nbins: usize,
     ) -> Result<PdfResponse, QueryError> {
+        if bin_width.is_nan() || bin_width <= 0.0 || nbins == 0 || nbins > 4096 {
+            return Err(QueryError::InvalidParameter(
+                "pdf bins must satisfy 0 < nbins <= 4096 and bin_width > 0",
+            ));
+        }
         let req = self.request(q);
         self.validate(&q.raw_field, q.timestep, &req.query_box)?;
         self.cluster
@@ -240,6 +262,7 @@ impl TurbulenceService {
 
     /// The k most intense locations of a derived field.
     pub fn get_topk(&self, q: &ThresholdQuery, k: usize) -> Result<TopKResponse, QueryError> {
+        check_k(k)?;
         let req = self.request(q);
         self.validate(&q.raw_field, q.timestep, &req.query_box)?;
         self.cluster
@@ -272,7 +295,7 @@ impl TurbulenceService {
         q: &ThresholdQuery,
         k: usize,
     ) -> Result<Vec<tdb_cache::ThresholdPoint>, QueryError> {
-        assert!(k >= 1);
+        check_k(k)?;
         let stats = self.derived_stats(&q.raw_field, q.derived, q.timestep)?;
         // PDF over [min, max] in 64 bins — served from the PDF cache on
         // repeats
@@ -375,8 +398,8 @@ impl TurbulenceService {
     ) -> Result<f64, QueryError> {
         assert!((0.0..=1.0).contains(&fraction));
         let norm = self.derived_norm(raw_field, derived, timestep)?;
-        // tdb-lint: allow(float-width) — selects an exact f32 data value
-        // as the threshold; the widening to f64 below is lossless
+        // selects an exact f32 data value as the threshold; the widening
+        // to f64 below is lossless
         let mut values: Vec<f32> = norm.as_slice().to_vec();
         let k = ((values.len() as f64) * fraction).round() as usize;
         let k = k.clamp(1, values.len());

@@ -25,3 +25,13 @@ pub use halo::{PaddedScalar, PaddedVector};
 pub use scalar::ScalarField;
 pub use stats::{FieldStats, Histogram};
 pub use vector::VectorField;
+
+/// Whether a stored value belongs to the answer of a threshold query: at
+/// or above the threshold, compared in `f64`. The value widens exactly;
+/// the threshold must not narrow — a threshold like `25.000000001` must
+/// exclude a stored `25.0`. The one comparison the scan kernels and the
+/// semantic cache's hit filter share.
+#[inline]
+pub fn at_or_above(value: f32, threshold: f64) -> bool {
+    f64::from(value) >= threshold
+}

@@ -15,12 +15,13 @@
 //!   over a materialised field (proptested bit-identical to the original
 //!   per-point loop, which lives on in this module's tests).
 //!
-//! All compare in `f64` (a threshold like `25.000000001` must exclude a
-//! stored `25.0`) and emit hits in ascending `(z, y, x)` grid order.
+//! All compare through [`at_or_above`] (in `f64`: a threshold like
+//! `25.000000001` must exclude a stored `25.0`) and emit hits in
+//! ascending `(z, y, x)` grid order.
 
 use std::ops::Range;
 
-use tdb_field::{Histogram, ScalarField};
+use tdb_field::{at_or_above, Histogram, ScalarField};
 use tdb_zorder::{Box3, MortonRow};
 
 /// One scan hit: the point's Morton code and its field value.
@@ -87,14 +88,14 @@ pub fn threshold_scan_row<P: From<ScanHit>>(
     // Branch-free prepass: autovectorizable count of row hits, so rows
     // with none (the common case at high thresholds) are skipped without
     // touching the output, and rows with some reserve exactly once.
-    let hits = row.iter().filter(|&&v| f64::from(v) >= threshold).count();
+    let hits = row.iter().filter(|&&v| at_or_above(v, threshold)).count();
     if hits == 0 {
         return;
     }
     out.reserve(hits);
     let mrow = MortonRow::new(y, z);
     for (x, &v) in row.iter().enumerate() {
-        if f64::from(v) >= threshold {
+        if at_or_above(v, threshold) {
             out.push(P::from((mrow.encode_x(x0 + x as u32), v)));
         }
     }
@@ -155,7 +156,8 @@ mod tests {
     use proptest::prelude::*;
     use tdb_zorder::encode3;
 
-    /// Per-point reference threshold scan (the pre-chunking implementation).
+    /// Per-point reference threshold scan (the pre-chunking implementation,
+    /// with its own comparison: an oracle must not share `at_or_above`).
     fn threshold_scan_clip_scalar(
         norm: &ScalarField,
         domain: &Box3,

@@ -15,7 +15,7 @@
 //! happens. The row makes it appear (at zero) in every snapshot, hence in
 //! `tdbql metrics` and `repro_results.json`; a name that is not in the
 //! table does not compile, and `every_declared_metric_is_reported`
-//! (`tests/lint_selftest.rs`) fails on a row nothing reports. A metric
+//! (`tests/observability.rs`) fails on a row nothing reports. A metric
 //! with a label (per device, per tenant) is a `family` row; resolve the
 //! member once with `m::IO_BYTES.with(label)` where the labelled thing
 //! is built and keep the handle.

@@ -428,9 +428,6 @@ fn execute(request: &Request, state: &ServerState) -> Response {
             bin_width,
             nbins,
         } => {
-            if *bin_width <= 0.0 || *nbins == 0 || *nbins > 4096 {
-                return error("pdf bins must satisfy 0 < nbins <= 4096 and bin_width > 0");
-            }
             let q = ThresholdQuery::whole_timestep(raw_field, *derived, *timestep, 0.0);
             match service.get_pdf(&q, *origin, *bin_width, *nbins as usize) {
                 Ok(r) => Response::Pdf {
@@ -448,9 +445,6 @@ fn execute(request: &Request, state: &ServerState) -> Response {
             timestep,
             k,
         } => {
-            if *k == 0 || *k > 100_000 {
-                return error("k must satisfy 0 < k <= 100000");
-            }
             let q = ThresholdQuery::whole_timestep(raw_field, *derived, *timestep, 0.0);
             match service.get_topk(&q, *k as usize) {
                 Ok(r) => Response::TopK {

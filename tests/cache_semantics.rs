@@ -5,9 +5,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use tdb_bench::{harness, test_service};
+use tdb_bench::{bits, harness, reference_points, test_service};
 use tdb_cluster::CoalesceConfig;
-use tdb_core::{DerivedField, ThresholdPoint, ThresholdQuery};
+use tdb_core::{DerivedField, QueryError, ThresholdPoint, ThresholdQuery};
 
 #[test]
 fn cache_hit_answers_are_identical_to_cold_answers() {
@@ -35,9 +35,18 @@ fn higher_threshold_is_served_from_cache_with_filtering() {
         .unwrap();
     let low = 2.0 * stats.rms;
     let high = 3.5 * stats.rms;
+    // a NaN threshold is refused — cached, it would cover every later
+    // threshold with its empty answer — so the warm-up at `low` below is
+    // a real evaluation
+    let q_nan = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, f64::NAN);
+    let refused = service.get_threshold(&q_nan).map(|r| r.points.len());
+    let rule = QueryError::InvalidParameter("threshold must be a finite number");
+    assert_eq!(refused, Err(rule));
     // warm at the low threshold
     let q_low = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, low);
     let cold_low = service.get_threshold(&q_low).unwrap();
+    let dense = reference_points(&service, "velocity", DerivedField::CurlNorm, 0, low);
+    assert_eq!(bits(&cold_low.points), bits(&dense));
     // higher threshold: must hit and equal a cold evaluation at `high`
     let q_high = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, high);
     let warm_high = service.get_threshold(&q_high).unwrap();

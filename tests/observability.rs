@@ -8,6 +8,8 @@
 //! ever checks `>=` — concurrent tests can add to a counter but never
 //! subtract from it.
 
+use std::path::{Path, PathBuf};
+
 use tdb_bench::{harness, test_service};
 use tdb_core::{AttrValue, DerivedField, FdOrder, ThresholdQuery};
 
@@ -194,4 +196,50 @@ fn warm_answers_are_byte_identical_at_non_f32_representable_thresholds() {
         assert_eq!(a.zindex, b.zindex);
         assert_eq!(a.value.to_bits(), b.value.to_bits());
     }
+}
+
+/// Metric names are checked by the compiler (a metric is a `static` of
+/// `tdb_obs::m`), but an unused `pub static` gets no dead-code warning: a
+/// row of the table that nothing reports would be a dashboard line stuck
+/// at zero forever. Reporting means production code outside `tdb-obs`:
+/// `crates/*/src`, each file before its first top-level `#[cfg(test)]`,
+/// comments aside.
+#[test]
+fn every_declared_metric_is_reported() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |p: &Path| std::fs::read_to_string(p).expect("readable source");
+    let table = read(&root.join("crates/obs/src/declared.rs"));
+    let kinds = ["counter", "gauge", "histogram", "family"];
+    let mut idle: Vec<&str> = table
+        .lines()
+        .filter_map(|row| match row.split_whitespace().collect::<Vec<_>>()[..] {
+            [kind, ident, _name] if kinds.contains(&kind) => Some(ident),
+            _ => None,
+        })
+        .collect();
+    assert!(idle.len() > 60, "table rows not recognised: {idle:?}");
+    let crates = root.join("crates").read_dir().expect("crates/");
+    let mut stack: Vec<PathBuf> = crates
+        .flatten()
+        .filter(|e| e.file_name() != "obs")
+        .map(|e| e.path().join("src"))
+        .collect();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    while let Some(path) = stack.pop() {
+        if path.is_dir() {
+            stack.extend(path.read_dir().expect("dir").flatten().map(|e| e.path()));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = read(&path);
+            let production = text.split("\n#[cfg(test)]").next().unwrap_or_default();
+            for line in production.lines().filter_map(|l| l.split("//").next()) {
+                idle.retain(|id| {
+                    !line.match_indices(id).any(|(i, _)| {
+                        !line[..i].ends_with(is_ident)
+                            && !line[i + id.len()..].starts_with(is_ident)
+                    })
+                });
+            }
+        }
+    }
+    assert!(idle.is_empty(), "declared but never reported: {idle:?}");
 }

@@ -1,7 +1,7 @@
 //! End-to-end correctness: generator → storage → cluster → query answers
 //! must match a direct whole-field evaluation of the same data.
 
-use tdb_bench::{reference_points, test_service};
+use tdb_bench::{bits, reference_points, test_service};
 use tdb_core::{DerivedField, QueryError, ThresholdQuery};
 use tdb_field::PaddedVector;
 use tdb_turbgen::dataset::FieldData;
@@ -134,6 +134,11 @@ fn guided_topk_equals_full_scan_topk() {
     // k = 1 degenerate case
     let one = service.get_topk_guided(&q, 1).unwrap();
     assert_eq!(one[0].zindex, full.points[0].zindex);
+    // k = 0 is refused like the exact top-k refuses it, not asserted
+    let refused = QueryError::InvalidParameter("k must satisfy 0 < k <= 100000");
+    for k in [0, 100_001] {
+        assert_eq!(service.get_topk_guided(&q, k), Err(refused.clone()));
+    }
 }
 
 #[test]
@@ -334,12 +339,30 @@ fn threshold_too_low_is_rejected() {
             ..Default::default()
         })
         .build();
-    let q =
-        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0).without_cache();
-    match service.get_threshold(&q) {
+    let at = |threshold| {
+        let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, threshold);
+        service.get_threshold(&q.without_cache())
+    };
+    match at(0.0) {
         Err(QueryError::ThresholdTooLow { points, limit }) => {
             assert_eq!(points, 32 * 32 * 32);
             assert_eq!(limit, 100);
+        }
+        other => panic!("expected ThresholdTooLow, got {other:?}"),
+    }
+    // the limit is on `points > max_points`: at the 100th-largest value
+    // the reference count equals max_points and the answer comes back;
+    // at the 101st it is max_points + 1 and it does not
+    let dense = |t| reference_points(&service, "velocity", DerivedField::CurlNorm, 0, t);
+    let mut values: Vec<f32> = dense(0.0).iter().map(|p| p.value).collect();
+    values.sort_by(|a, b| b.total_cmp(a));
+    let (at_limit, over) = (f64::from(values[99]), f64::from(values[100]));
+    assert!(at_limit > over, "the two values must be distinct");
+    let answer = at(at_limit).expect("exactly max_points points");
+    assert_eq!(bits(&answer.points), bits(&dense(at_limit)));
+    match at(over) {
+        Err(QueryError::ThresholdTooLow { points, limit }) => {
+            assert_eq!((points, limit), (101, 100))
         }
         other => panic!("expected ThresholdTooLow, got {other:?}"),
     }

@@ -120,6 +120,20 @@ fn server_reports_query_errors_cleanly() {
         .get_pdf("velocity", DerivedField::Norm, 99, 0.0, 1.0, 4)
         .expect_err("must fail");
     assert!(err.to_string().contains("out of range"));
+    // parameter rules are the service's; the wire passes their text on
+    let bins = client
+        .get_pdf("velocity", DerivedField::Norm, 0, 0.0, 0.0, 4)
+        .expect_err("must fail");
+    let k = client
+        .get_topk("velocity", DerivedField::Norm, 0, 0)
+        .expect_err("must fail");
+    assert_eq!(
+        [bins.to_string(), k.to_string()],
+        [
+            "server error: pdf bins must satisfy 0 < nbins <= 4096 and bin_width > 0",
+            "server error: k must satisfy 0 < k <= 100000",
+        ]
+    );
     server.stop();
 }
 
