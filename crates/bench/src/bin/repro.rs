@@ -773,12 +773,11 @@ impl Repro {
     /// The design choices DESIGN.md calls out, one at a time, at 64³
     /// whatever `TDB_GRID` says (chunks of 4 atoms need a 64³ grid to give
     /// each of the 4 nodes one): finite-difference order (halo width and
-    /// stencil cost), chunk granularity (halo-to-volume ratio), exact
-    /// z-range decomposition against one covering range, and top-k by full
-    /// scan against the PDF-guided plan. Each cold row is the fastest of
-    /// seven runs — its real `wall_s` beside its modelled breakdown — with
-    /// the configurations interleaved round by round, so a burst of host
-    /// slowness cannot cover every run of one of them.
+    /// stencil cost), chunk granularity (halo-to-volume ratio) and exact
+    /// z-range decomposition against one covering range. Each cold row is
+    /// the fastest of seven runs — its real `wall_s` beside its modelled
+    /// breakdown — with the configurations interleaved round by round, so a
+    /// burst of host slowness cannot cover every run of one of them.
     fn ablations(&mut self) {
         const N: usize = 64;
         println!("---- ablations: design choices, one at a time ({N}³, 4 nodes) ----");
@@ -870,32 +869,6 @@ impl Repro {
             ]));
         }
         println!();
-
-        // pools and caches warm for both plans: the strategies differ in
-        // how much they scan, not in what they read
-        let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);
-        let wall = |f: &dyn Fn()| {
-            f();
-            (0..5)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    f();
-                    t.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        let full = wall(&|| drop(baseline.get_topk(&q, 50).expect("top-k")));
-        let guided = wall(&|| drop(baseline.get_topk_guided(&q, 50).expect("guided top-k")));
-        println!(
-            "top-50: full scan {full:.4}s vs PDF-guided {guided:.4}s wall ({:.0}x)\n",
-            full / guided
-        );
-        self.results.push(Json::obj([
-            ("experiment", Json::Str("ablations".into())),
-            ("ablation", Json::Str("topk_strategy".into())),
-            ("full_scan_wall_s", Json::Num(full)),
-            ("pdf_guided_wall_s", Json::Num(guided)),
-        ]));
     }
 
     // --- §5.3: local evaluation baseline --------------------------------------

@@ -1,14 +1,13 @@
 //! The service facade: archive generation, bulk load, and query entry
 //! points.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
-use parking_lot::Mutex;
+use tdb_cache::ThresholdPoint;
 use tdb_cluster::mediator::ThresholdRequest;
 use tdb_cluster::{Cluster, ClusterBuilder, ClusterConfig, PdfResponse, TopKResponse};
 use tdb_field::{FieldStats, VectorField};
-use tdb_kernels::{DerivedField, DiffScheme};
+use tdb_kernels::DerivedField;
 use tdb_turbgen::dataset::FieldData;
 use tdb_turbgen::SyntheticDataset;
 use tdb_zorder::Box3;
@@ -51,23 +50,11 @@ impl ServiceConfig {
     }
 }
 
-/// The top-k size rule, for the exact and the PDF-guided top-k alike.
-fn check_k(k: usize) -> Result<(), QueryError> {
-    if k == 0 || k > 100_000 {
-        return Err(QueryError::InvalidParameter(
-            "k must satisfy 0 < k <= 100000",
-        ));
-    }
-    Ok(())
-}
-
 /// The running service: the paper's Web-services layer, minus SOAP.
 pub struct TurbulenceService {
     dataset: SyntheticDataset,
     cluster: Cluster,
     limits: QueryLimits,
-    /// Memoised whole-field statistics per (field, derived, timestep).
-    stats_cache: Mutex<HashMap<(String, String, u32), FieldStats>>,
 }
 
 impl TurbulenceService {
@@ -105,7 +92,6 @@ impl TurbulenceService {
             dataset: config.dataset,
             cluster: builder.finish()?,
             limits: config.limits,
-            stats_cache: Mutex::new(HashMap::new()),
         })
     }
 
@@ -262,7 +248,11 @@ impl TurbulenceService {
 
     /// The k most intense locations of a derived field.
     pub fn get_topk(&self, q: &ThresholdQuery, k: usize) -> Result<TopKResponse, QueryError> {
-        check_k(k)?;
+        if k == 0 || k > 100_000 {
+            return Err(QueryError::InvalidParameter(
+                "k must satisfy 0 < k <= 100000",
+            ));
+        }
         let req = self.request(q);
         self.validate(&q.raw_field, q.timestep, &req.query_box)?;
         self.cluster
@@ -284,51 +274,6 @@ impl TurbulenceService {
             .map_err(|e| QueryError::Backend(e.to_string()))
     }
 
-    /// Top-k with PDF-guided pruning: instead of scanning with an unbounded
-    /// threshold, consult the (cacheable) PDF to pick a threshold expected
-    /// to pass roughly `k` points, run a threshold query there, and lower
-    /// the threshold bin by bin if too few points survive. Warm PDFs make
-    /// this much cheaper than [`TurbulenceService::get_topk`] while
-    /// returning identical answers.
-    pub fn get_topk_guided(
-        &self,
-        q: &ThresholdQuery,
-        k: usize,
-    ) -> Result<Vec<tdb_cache::ThresholdPoint>, QueryError> {
-        check_k(k)?;
-        let stats = self.derived_stats(&q.raw_field, q.derived, q.timestep)?;
-        // PDF over [min, max] in 64 bins — served from the PDF cache on
-        // repeats
-        let span = (stats.max - stats.min).max(1e-12);
-        let nbins = 64usize;
-        let width = span / nbins as f64;
-        let pdf = self.get_pdf(q, stats.min, width, nbins)?;
-        // walk bins from the top until the cumulative count reaches k
-        let counts = pdf.histogram.counts();
-        let mut cumulative = 0u64;
-        let mut bin = counts.len();
-        while bin > 0 && cumulative < k as u64 {
-            bin -= 1;
-            cumulative += counts.get(bin).copied().unwrap_or(0);
-        }
-        let mut threshold = stats.min + width * bin as f64;
-        loop {
-            let probe = ThresholdQuery {
-                threshold,
-                ..q.clone()
-            };
-            let r = self.get_threshold(&probe)?;
-            if r.points.len() >= k || threshold <= stats.min {
-                let mut points = r.points;
-                tdb_cluster::select_topk(&mut points, k);
-                points.sort_unstable_by(tdb_cluster::topk_order);
-                return Ok(points);
-            }
-            // rounding starved us: step one bin down (floor at the minimum)
-            threshold = (threshold - width).max(stats.min);
-        }
-    }
-
     /// Interpolates a raw field at arbitrary positions (grid units, may
     /// be fractional) with 4/6/8-point Lagrange polynomials — the JHTDB
     /// `GetVelocity` family of point queries.
@@ -345,50 +290,56 @@ impl TurbulenceService {
             .map_err(|e| QueryError::Backend(e.to_string()))
     }
 
-    /// The norm of a derived quantity over a whole regenerated time-step:
-    /// the dense reference that statistics and thresholds are picked from.
-    fn derived_norm(
+    /// Every value of a derived field's time-step as the archive holds
+    /// it, in [`tdb_cluster::topk_order`]: a top-k of every grid point
+    /// through the one scan path (the mediator holds 16 B per point).
+    /// Strict, so a node outage fails the call rather than skewing what
+    /// is computed from a part of the grid.
+    fn archive_values(
         &self,
         raw_field: &str,
         derived: DerivedField,
         timestep: u32,
-    ) -> Result<tdb_field::ScalarField, QueryError> {
-        self.validate(raw_field, timestep, &self.full_box())?;
-        let step = self.dataset.generate(timestep);
-        let data = step
-            .fields
-            .iter()
-            .find(|(n, _)| *n == raw_field)
-            .map(|(_, d)| d.as_vector3())
-            .ok_or_else(|| QueryError::UnknownField(raw_field.to_string()))?;
-        let scheme = DiffScheme::new(&self.dataset.grid, self.cluster.config().fd_order);
-        let (nx, ny, nz) = data.dims();
-        let mut padded = tdb_field::PaddedVector::zeros(nx, ny, nz, derived.halo(&scheme));
-        padded.fill_periodic_from(&data, [0, 0, 0]);
-        Ok(derived.eval(&padded, &scheme, [0, 0, 0]))
+    ) -> Result<Vec<ThresholdPoint>, QueryError> {
+        let q = ThresholdQuery::whole_timestep(raw_field, derived, timestep, 0.0).without_cache();
+        let req = ThresholdRequest {
+            strict: true,
+            ..self.request(&q)
+        };
+        self.validate(raw_field, timestep, &req.query_box)?;
+        let all = req.query_box.num_points() as usize;
+        let top = self.cluster.get_topk(&req, all);
+        Ok(top.map_err(|e| QueryError::Backend(e.to_string()))?.points)
     }
 
-    /// Exact whole-field statistics of a derived quantity, computed from
-    /// the regenerated time-step (used to pick thresholds as multiples of
-    /// the RMS, as the experiments do). Memoised.
+    /// Whole-field statistics of a derived quantity over what the archive
+    /// holds (used to pick thresholds as multiples of the RMS, as the
+    /// experiments do). Each call is a scan.
     pub fn derived_stats(
         &self,
         raw_field: &str,
         derived: DerivedField,
         timestep: u32,
     ) -> Result<FieldStats, QueryError> {
-        let key = (raw_field.to_string(), derived.name(), timestep);
-        if let Some(s) = self.stats_cache.lock().get(&key) {
-            return Ok(*s);
+        let mut points = self.archive_values(raw_field, derived, timestep)?;
+        if points.is_empty() {
+            return Err(QueryError::Backend("the scan returned no value".into()));
         }
-        let stats = FieldStats::of(&self.derived_norm(raw_field, derived, timestep)?);
-        self.stats_cache.lock().insert(key, stats);
-        Ok(stats)
+        // accumulated x fastest, as a dense field holds them, so the sums
+        // round the same however the scan was split
+        points.sort_unstable_by_key(|p| {
+            let (x, y, z) = p.coords();
+            (z, y, x)
+        });
+        let mut acc = FieldStats::empty();
+        acc.extend(points.iter().map(|p| f64::from(p.value)));
+        Ok(acc.finish())
     }
 
-    /// Picks the threshold whose expected selectivity matches `fraction`
-    /// of all grid points (experiment calibration helper): the exact
-    /// `1 - fraction` quantile of the derived field's norm.
+    /// Picks the threshold whose selectivity matches `fraction` of all
+    /// grid points (experiment calibration helper): the k-th largest value
+    /// the archive holds, k = round(N · fraction) — at most N, raised to
+    /// at least 1 — an exact f32 data value, widened losslessly.
     pub fn threshold_for_fraction(
         &self,
         raw_field: &str,
@@ -396,15 +347,14 @@ impl TurbulenceService {
         timestep: u32,
         fraction: f64,
     ) -> Result<f64, QueryError> {
-        assert!((0.0..=1.0).contains(&fraction));
-        let norm = self.derived_norm(raw_field, derived, timestep)?;
-        // selects an exact f32 data value as the threshold; the widening
-        // to f64 below is lossless
-        let mut values: Vec<f32> = norm.as_slice().to_vec();
-        let k = ((values.len() as f64) * fraction).round() as usize;
-        let k = k.clamp(1, values.len());
-        let idx = values.len() - k;
-        let (_, pivot, _) = values.select_nth_unstable_by(idx, |a, b| a.total_cmp(b));
-        Ok(f64::from(*pivot))
+        if !(0.0..=1.0).contains(&fraction) {
+            return Err(QueryError::InvalidParameter(
+                "fraction must satisfy 0 <= fraction <= 1",
+            ));
+        }
+        let points = self.archive_values(raw_field, derived, timestep)?;
+        let k = ((points.len() as f64 * fraction).round() as usize).max(1);
+        let kth = points.get(k - 1).map(|p| f64::from(p.value));
+        kth.ok_or_else(|| QueryError::Backend("the scan returned no value".into()))
     }
 }

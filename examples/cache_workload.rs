@@ -18,6 +18,8 @@ fn main() {
     let stats = service
         .derived_stats("velocity", DerivedField::CurlNorm, 0)
         .expect("stats");
+    // the statistics were one scan of the archive: start the session cold
+    service.cluster().clear_buffer_pools();
 
     // a scientist zooming in: whole step at a conservative threshold, then
     // repeatedly raising the threshold over the same step — every refined
@@ -47,13 +49,13 @@ fn main() {
             t
         );
     }
-    let stats_cache = service.cluster().cache_stats();
+    let counters = service.cluster().cache_stats();
     println!(
         "cache counters: {} hits / {} misses (ratio {:.0}%), {} inserts",
-        stats_cache.hits,
-        stats_cache.misses,
-        stats_cache.hit_ratio().unwrap_or(0.0) * 100.0,
-        stats_cache.inserts
+        counters.hits,
+        counters.misses,
+        counters.hit_ratio().unwrap_or(0.0) * 100.0,
+        counters.inserts
     );
     println!(
         "whole session cost {:.3}s modelled; re-running it cold would cost ≈ {:.3}s",

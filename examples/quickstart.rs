@@ -29,6 +29,8 @@ fn main() {
         stats.rms, stats.max
     );
     let threshold = 4.0 * stats.rms;
+    // the statistics were one scan of the archive: start the query cold
+    service.cluster().clear_buffer_pools();
 
     let query = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, threshold);
 

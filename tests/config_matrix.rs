@@ -2,14 +2,15 @@
 //! threshold query — cache off, cold or warm; raw or lossless-compressed
 //! storage; one copy or two; every node up or one down — returns the
 //! points of the dense reference, bit for bit, or says exactly which boxes
-//! it could not reach. Everything here comes from the harness: a later
-//! slice adds rows, not helpers.
+//! it could not reach; the field's statistics are the healthy ones or an
+//! error, never numbers over part of the grid. Everything here comes from
+//! the harness: a later slice adds rows, not helpers.
 
 use std::sync::Arc;
 
 use tdb_bench::{bits, bits_outside, harness, reference_points};
 use tdb_cluster::{CompressionConfig, ReplicationConfig};
-use tdb_core::{DerivedField, ThresholdQuery};
+use tdb_core::{DerivedField, QueryError, ThresholdQuery};
 use tdb_storage::FaultPlan;
 use tdb_zorder::Box3;
 
@@ -48,9 +49,24 @@ fn every_configuration_answers_with_the_reference_points_or_names_what_is_missin
                 .iter()
                 .map(|c| c.grid_box())
                 .collect();
+            let healthy = service
+                .derived_stats("velocity", DerivedField::CurlNorm, 0)
+                .expect("every node up");
 
             for dead in [false, true] {
                 plan.set_node_down(1, dead);
+                // statistics vouch only for data the archive can serve whole
+                // (positive and finite, so == here is bit equality)
+                let stats = service.derived_stats("velocity", DerivedField::CurlNorm, 0);
+                let row = format!("{codec_name}, k = {k}, node 1 down: {dead}, stats");
+                if dead && k == 1 {
+                    assert!(
+                        matches!(stats, Err(QueryError::Backend(_))),
+                        "{row}: {stats:?}"
+                    );
+                } else {
+                    assert_eq!(stats, Ok(healthy), "{row}");
+                }
                 for threshold in [tie, above] {
                     let expected = dense(threshold);
                     service.cluster().clear_caches();

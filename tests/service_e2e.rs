@@ -1,7 +1,8 @@
 //! End-to-end correctness: generator → storage → cluster → query answers
 //! must match a direct whole-field evaluation of the same data.
 
-use tdb_bench::{bits, reference_points, test_service};
+use tdb_bench::{bits, harness, ranked_bits, reference_points, test_service};
+use tdb_cluster::CompressionConfig;
 use tdb_core::{DerivedField, QueryError, ThresholdQuery};
 use tdb_field::PaddedVector;
 use tdb_turbgen::dataset::FieldData;
@@ -38,6 +39,8 @@ fn raw_field_threshold_needs_no_kernel_and_matches() {
     let stats = service
         .derived_stats("magnetic", DerivedField::Norm, 0)
         .unwrap();
+    // picking the threshold scanned the archive: start the query cold
+    service.cluster().clear_buffer_pools();
     let threshold = 2.5 * stats.rms;
     let q = ThresholdQuery::whole_timestep("magnetic", DerivedField::Norm, 0, threshold)
         .without_cache();
@@ -102,42 +105,18 @@ fn pdf_matches_direct_histogram_and_guides_thresholds() {
 fn topk_returns_the_global_maxima() {
     let service = test_service("e2e_topk", 32, 1, 3);
     let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);
-    let top = service.get_topk(&q, 10).unwrap();
-    assert_eq!(top.points.len(), 10);
-    // sorted descending and globally correct
+    // ranked and globally correct, down to the degenerate k = 1
     let mut expect = reference_points(&service, "velocity", DerivedField::CurlNorm, 0, 0.0);
-    expect.sort_by(|a, b| b.value.total_cmp(&a.value));
-    for (p, e) in top.points.iter().zip(expect.iter().take(10)) {
-        assert!((p.value - e.value).abs() < 1e-5 * e.value.abs().max(1.0));
+    expect.sort_by(tdb_cluster::topk_order);
+    for k in [1, 10, 25] {
+        let top = ranked_bits(&service.get_topk(&q, k).unwrap().points);
+        assert_eq!(top, ranked_bits(&expect[..k]), "k = {k}");
     }
-    let stats = service
-        .derived_stats("velocity", DerivedField::CurlNorm, 0)
-        .unwrap();
-    assert!(f64::from(top.points[0].value) <= stats.max * (1.0 + 1e-6));
-}
-
-#[test]
-fn guided_topk_equals_full_scan_topk() {
-    let service = test_service("e2e_guided", 32, 1, 2);
-    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);
-    let full = service.get_topk(&q, 25).unwrap();
-    let guided = service.get_topk_guided(&q, 25).unwrap();
-    assert_eq!(guided.len(), 25);
-    for (a, b) in guided.iter().zip(&full.points) {
-        assert_eq!(a.zindex, b.zindex, "guided top-k must match the full scan");
-        assert_eq!(a.value, b.value);
-    }
-    // second run reuses the cached PDF and threshold entries
-    let again = service.get_topk_guided(&q, 25).unwrap();
-    assert_eq!(again.len(), 25);
-    assert!(service.cluster().cache_stats().hits > 0);
-    // k = 1 degenerate case
-    let one = service.get_topk_guided(&q, 1).unwrap();
-    assert_eq!(one[0].zindex, full.points[0].zindex);
-    // k = 0 is refused like the exact top-k refuses it, not asserted
+    // k = 0 and k past the cap are refused with the rule, not asserted
     let refused = QueryError::InvalidParameter("k must satisfy 0 < k <= 100000");
     for k in [0, 100_001] {
-        assert_eq!(service.get_topk_guided(&q, k), Err(refused.clone()));
+        let answer = service.get_topk(&q, k).map(|r| r.points.len());
+        assert_eq!(answer, Err(refused.clone()), "k = {k}");
     }
 }
 
@@ -370,20 +349,58 @@ fn threshold_too_low_is_rejected() {
 
 #[test]
 fn derived_stats_match_field_stats() {
-    let service = test_service("e2e_stats", 32, 1, 2);
-    let s = service
-        .derived_stats("velocity", DerivedField::CurlNorm, 0)
-        .unwrap();
-    // generator rescaled vorticity RMS to 10
-    assert!((s.rms - 10.0).abs() < 0.1, "rms {}", s.rms);
-    assert!(s.max > s.rms * 3.0);
-    // threshold_for_fraction is consistent with the PDF
-    let thr = service
-        .threshold_for_fraction("velocity", DerivedField::CurlNorm, 0, 0.01)
-        .unwrap();
-    let q =
-        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, thr).without_cache();
-    let r = service.get_threshold(&q).unwrap();
-    let frac = r.points.len() as f64 / 32.0_f64.powi(3);
-    assert!((frac - 0.01).abs() < 0.003, "got fraction {frac}");
+    // (codec, whether it stores the generated values bit for bit)
+    let codecs = [
+        ("raw", CompressionConfig::default(), true),
+        ("lossless", CompressionConfig::lossless(), true),
+        ("lossy", CompressionConfig::lossy(2, 5e-2), false),
+    ];
+    for (codec_name, codec, exact) in codecs {
+        let service = harness(&format!("e2e_stats_{codec_name}"), 32, 1)
+            .cluster(|c| c.compression = codec)
+            .build();
+        let s = service
+            .derived_stats("velocity", DerivedField::CurlNorm, 0)
+            .unwrap();
+        // generator rescaled vorticity RMS to 10
+        assert!((s.rms - 10.0).abs() < 0.1, "{codec_name}: rms {}", s.rms);
+        assert!(s.max > s.rms * 3.0, "{codec_name}");
+        let thr = service
+            .threshold_for_fraction("velocity", DerivedField::CurlNorm, 0, 0.01)
+            .unwrap();
+        if exact {
+            // the dense reference, accumulated x fastest as it comes
+            let mut dense = reference_points(
+                &service,
+                "velocity",
+                DerivedField::CurlNorm,
+                0,
+                f64::NEG_INFINITY,
+            );
+            let mut acc = tdb_field::FieldStats::empty();
+            acc.extend(dense.iter().map(|p| f64::from(p.value)));
+            let want = acc.finish();
+            let got_bits = [s.mean, s.rms, s.min, s.max].map(f64::to_bits);
+            let want_bits = [want.mean, want.rms, want.min, want.max].map(f64::to_bits);
+            assert_eq!((s.count, got_bits), (want.count, want_bits), "{codec_name}");
+            dense.sort_by(tdb_cluster::topk_order);
+            let kth = f64::from(dense[327].value);
+            assert_eq!(thr.to_bits(), kth.to_bits(), "{codec_name}");
+        }
+        // on every codec the threshold selects round(0.01 · 32³) points,
+        // and the largest value the archive holds is the reported maximum
+        let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, thr)
+            .without_cache();
+        let selected = service.get_threshold(&q).unwrap().points.len();
+        assert_eq!(selected, 328, "{codec_name}");
+        let top = service.get_topk(&q, 1).unwrap().points[0].value;
+        assert_eq!(f64::from(top).to_bits(), s.max.to_bits(), "{codec_name}");
+        // a fraction outside [0, 1] is refused, not asserted
+        let refused = QueryError::InvalidParameter("fraction must satisfy 0 <= fraction <= 1");
+        for fraction in [-0.1, 1.5, f64::NAN] {
+            let answer =
+                service.threshold_for_fraction("velocity", DerivedField::CurlNorm, 0, fraction);
+            assert_eq!(answer, Err(refused.clone()), "{codec_name}: {fraction}");
+        }
+    }
 }

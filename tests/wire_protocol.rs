@@ -29,10 +29,18 @@ fn wire_answers_match_in_process_answers() {
     assert_eq!(info.timesteps, 2);
     assert!(info.fields.iter().any(|(n, c)| n == "velocity" && *c == 3));
 
-    let (_, _, rms, _, max) = client
+    let (count, mean, rms, min, max) = client
         .get_stats("velocity", DerivedField::CurlNorm, 0)
         .expect("stats");
     assert!(max > rms);
+    // the wire's statistics are the service's, bit for bit
+    let s = service
+        .derived_stats("velocity", DerivedField::CurlNorm, 0)
+        .expect("local stats");
+    assert_eq!(
+        (count, [mean, rms, min, max].map(f64::to_bits)),
+        (s.count, [s.mean, s.rms, s.min, s.max].map(f64::to_bits))
+    );
     let threshold = 3.0 * rms;
 
     let wire = client
