@@ -572,7 +572,7 @@ impl Repro {
     }
 
     /// Shared-scan amplification: N clients issuing the same cold query,
-    /// evaluated independently (one scan each) vs as one coalesced batch
+    /// evaluated independently (one scan each) vs as one batch
     /// (one shared scan). Reports the atoms-decoded delta.
     fn concurrent(&mut self) {
         println!("---- concurrent clients: shared scan vs independent scans ----");

@@ -110,8 +110,8 @@ impl Harness {
         self
     }
 
-    /// Everything else — faults, codec, replication, coalescing, process
-    /// and array counts — is a field of the cluster configuration.
+    /// Everything else — faults, codec, replication, process and array
+    /// counts — is a field of the cluster configuration.
     pub fn cluster(mut self, tweak: impl FnOnce(&mut ClusterConfig)) -> Self {
         tweak(&mut self.config.cluster);
         self

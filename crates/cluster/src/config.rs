@@ -71,7 +71,7 @@ pub struct ClusterConfig {
     /// Calibration factor applied to measured kernel CPU time. The device
     /// models emulate the paper's 2008-era cluster, so pairing them with a
     /// modern host CPU would skew the I/O : compute ratio; the repro
-    /// harness sets ~8 to stand in for the 2.66 GHz Harpertown nodes
+    /// harness sets 6 to stand in for the 2.66 GHz Harpertown nodes
     /// (see EXPERIMENTS.md). Default 1.0 = report measured CPU time.
     pub compute_scale: f64,
     /// When set, kernel compute time is modelled as this many seconds per
@@ -79,11 +79,6 @@ pub struct ClusterConfig {
     /// the reported time model fully deterministic (used by the scaling
     /// tests so they cannot flake on loaded machines).
     pub synthetic_compute_s_per_point: Option<f64>,
-    /// Multi-query scan coalescing. `None` (default) evaluates every
-    /// query independently; `Some` routes queries through the mediator's
-    /// scan scheduler, which batches concurrent queries over the same
-    /// scan key into one shared atom scan.
-    pub coalesce: Option<CoalesceConfig>,
     /// Deterministic fault-injection plan threaded through every node's
     /// buffer pool, semantic cache and query evaluator. `None` (default)
     /// disables injection entirely.
@@ -98,25 +93,6 @@ pub struct ClusterConfig {
     pub replication: ReplicationConfig,
 }
 
-/// Scan-scheduler batching knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct CoalesceConfig {
-    /// How long the first query for a scan key holds the batch open
-    /// waiting for companions, in milliseconds.
-    pub window_ms: u64,
-    /// Close the batch early once this many queries joined.
-    pub max_batch: usize,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        Self {
-            window_ms: 2,
-            max_batch: 16,
-        }
-    }
-}
-
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
@@ -128,7 +104,6 @@ impl Default for ClusterConfig {
             fd_order: FdOrder::O4,
             compute_scale: 1.0,
             synthetic_compute_s_per_point: None,
-            coalesce: None,
             faults: None,
             compression: CompressionConfig::default(),
             replication: ReplicationConfig::default(),
@@ -137,44 +112,56 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Validates the configuration against a grid.
-    ///
-    /// # Panics
-    /// Panics when a constraint is violated; configuration errors are
-    /// programming errors in this embedded setting.
-    pub fn validate(&self, dims: (usize, usize, usize)) {
-        assert!(self.num_nodes >= 1, "need at least one node");
-        assert!(self.procs_per_node >= 1, "need at least one process");
-        assert!(self.arrays_per_node >= 1, "need at least one disk array");
-        assert!(
+    /// Checks the configuration against a grid and returns the first rule
+    /// it breaks.
+    pub fn validate(&self, dims: (usize, usize, usize)) -> Result<(), String> {
+        ensure(self.num_nodes >= 1, "need at least one node")?;
+        ensure(self.procs_per_node >= 1, "need at least one process")?;
+        ensure(self.arrays_per_node >= 1, "need at least one disk array")?;
+        ensure(
             self.chunk_atoms.is_power_of_two(),
-            "chunk_atoms must be a power of two for contiguous z-ranges"
-        );
+            "chunk_atoms must be a power of two for contiguous z-ranges",
+        )?;
         let w = 8 * self.chunk_atoms as usize;
         for (ax, n) in [dims.0, dims.1, dims.2].into_iter().enumerate() {
-            assert!(
+            ensure(
                 n % w == 0,
-                "grid axis {ax} extent {n} is not a multiple of the chunk width {w}"
-            );
+                format!("grid axis {ax} extent {n} is not a multiple of the chunk width {w}"),
+            )?;
         }
+        let chunks = [dims.0, dims.1, dims.2]
+            .into_iter()
+            .fold(1usize, |c, n| c.saturating_mul(n / w));
+        let nodes = self.num_nodes;
+        ensure(
+            chunks >= nodes,
+            format!("{chunks} chunks cannot be spread over {nodes} nodes"),
+        )?;
         let codec = self.compression;
-        assert!(
+        ensure(
             (1..=8).contains(&codec.stride),
-            "compression stride must be in 1..=8"
-        );
+            "compression stride must be in 1..=8",
+        )?;
         if codec.mode == CompressionMode::Lossy {
-            assert!(
+            ensure(
                 codec.max_error.is_finite() && codec.max_error >= 0.0,
-                "lossy compression needs a finite non-negative max_error"
-            );
+                "lossy compression needs a finite non-negative max_error",
+            )?;
         }
-        let r = self.replication;
-        assert!(
-            (1..=self.num_nodes).contains(&r.k),
-            "replication factor {} must be in 1..=num_nodes ({})",
-            r.k,
-            self.num_nodes
-        );
+        let k = self.replication.k;
+        ensure(
+            (1..=nodes).contains(&k),
+            format!("replication factor {k} must be in 1..=num_nodes ({nodes})"),
+        )
+    }
+}
+
+/// `Ok` when `holds`, else the rule.
+fn ensure(holds: bool, rule: impl Into<String>) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(rule.into())
     }
 }
 
@@ -188,24 +175,24 @@ mod tests {
         assert_eq!(c.num_nodes, 4);
         assert_eq!(c.procs_per_node, 4);
         assert_eq!(c.arrays_per_node, 4);
-        c.validate((64, 64, 64));
+        assert_eq!(c.validate((64, 64, 64)), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "not a multiple")]
     fn validate_rejects_indivisible_grid() {
-        ClusterConfig::default().validate((48, 64, 64));
+        let rule = ClusterConfig::default().validate((48, 64, 64)).unwrap_err();
+        assert!(rule.contains("not a multiple"), "{rule}");
     }
 
     #[test]
-    #[should_panic(expected = "replication factor")]
     fn validate_rejects_k_beyond_nodes() {
         let c = ClusterConfig {
             num_nodes: 2,
             replication: ReplicationConfig::k(3),
             ..Default::default()
         };
-        c.validate((64, 64, 64));
+        let rule = c.validate((64, 64, 64)).unwrap_err();
+        assert!(rule.contains("replication factor"), "{rule}");
     }
 
     #[test]
@@ -220,12 +207,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
     fn validate_rejects_non_power_chunk() {
         let c = ClusterConfig {
             chunk_atoms: 3,
             ..Default::default()
         };
-        c.validate((192, 192, 192));
+        let rule = c.validate((192, 192, 192)).unwrap_err();
+        assert!(rule.contains("power of two"), "{rule}");
     }
 }

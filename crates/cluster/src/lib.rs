@@ -38,13 +38,12 @@ pub mod placement;
 pub mod rebalance;
 pub mod scan;
 mod scatter;
-pub mod scheduler;
 pub mod sim;
 pub mod timing;
 mod topology;
 pub mod wire;
 
-pub use config::{ClusterConfig, CoalesceConfig, ReplicationConfig};
+pub use config::{ClusterConfig, ReplicationConfig};
 pub use mediator::{
     BatchAnswer, BatchQuery, Cluster, ClusterBuilder, DegradedInfo, FailedNode, PdfResponse,
     ThresholdResponse, TopKResponse,

@@ -24,7 +24,6 @@ use crate::config::ClusterConfig;
 use crate::node::{NodeRuntime, QueryMode};
 use crate::placement::Layout;
 use crate::scan::{self, ScanKernel, ScanParticipant};
-use crate::scheduler::ScanScheduler;
 use crate::timing::TimeBreakdown;
 use crate::topology::{routed_read, ClusterEnv, RebalanceState, Topology};
 use crate::wire;
@@ -127,9 +126,6 @@ pub struct Cluster {
     pub(crate) timesteps: Vec<u32>,
     /// Membership-change state; the lock serializes joins/leaves.
     pub(crate) rebalance: Mutex<RebalanceState>,
-    /// `Some` when [`ClusterConfig::coalesce`] is set: queries route
-    /// through the scan scheduler and may share atom scans.
-    pub(crate) scheduler: Option<ScanScheduler>,
     pub(crate) dir: PathBuf,
 }
 
@@ -185,21 +181,17 @@ impl Cluster {
         self.topology.read().live().map(|(id, _)| id).collect()
     }
 
-    /// Routes one query through the scan scheduler when coalescing is
-    /// configured, or runs it as a batch of one, and unwraps the answer
-    /// variant of its kind.
+    /// Runs one query as a batch of one and unwraps the answer variant of
+    /// its kind.
     fn submit<T>(
         &self,
         query: BatchQuery,
         pick: impl FnOnce(BatchAnswer) -> Option<T>,
     ) -> StorageResult<T> {
-        let answer = match &self.scheduler {
-            Some(s) => s.submit(self, query),
-            None => self
-                .run_batch(vec![query])
-                .pop()
-                .unwrap_or_else(|| Err(StorageError::internal("batch of one produced no answer"))),
-        };
+        let answer = self
+            .run_batch(vec![query])
+            .pop()
+            .unwrap_or_else(|| Err(StorageError::internal("batch of one produced no answer")));
         of_kind(answer, pick)
     }
 

@@ -7,8 +7,8 @@
 //! gaining nodes' new tables against the *old* topology (every source,
 //! including a voluntarily leaving node, is still readable), then
 //! atomically installs the next [`Topology`] generation. In-flight scans
-//! hold an `Arc` to the old generation and finish on it undisturbed —
-//! the shared-scan scheduler stays snapshot-consistent across the move.
+//! hold an `Arc` to the old generation and finish on it undisturbed, so
+//! a shared scan stays snapshot-consistent across the move.
 
 use std::sync::Arc;
 

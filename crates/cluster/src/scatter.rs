@@ -22,7 +22,7 @@ use crate::scan::{ScanAssignment, ScanParticipant, SharedOutcome, SharedScanRequ
 /// The threshold value, query box and kernel are per-participant; the
 /// degradation policy (strict / deadline) is part of the key so a group
 /// is filtered uniformly.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ScanGroupKey {
     raw_field: String,
     derived: DerivedField,

@@ -22,7 +22,6 @@ use crate::mediator::Cluster;
 use crate::node::NodeRuntime;
 use crate::placement::Layout;
 use crate::scan::ScanAssignment;
-use crate::scheduler::ScanScheduler;
 
 /// What every node of one cluster shares with the mediator: sizing,
 /// geometry, the differencing scheme and the (frozen) device registry.
@@ -227,7 +226,9 @@ pub struct ClusterBuilder {
 }
 
 impl ClusterBuilder {
-    /// Prepares storage for `fields` (`(name, ncomp)`) under `dir`.
+    /// Prepares storage for `fields` (`(name, ncomp)`) under `dir`. A
+    /// configuration that breaks a rule of [`ClusterConfig::validate`] is
+    /// an internal error: callers validate it first.
     pub fn new(
         dir: impl AsRef<Path>,
         dataset: &str,
@@ -235,7 +236,9 @@ impl ClusterBuilder {
         fields: &[(&str, u8)],
         config: ClusterConfig,
     ) -> StorageResult<Self> {
-        config.validate(grid.dims());
+        config
+            .validate(grid.dims())
+            .map_err(StorageError::internal)?;
         let layout = Arc::new(Layout::with_replication(
             grid.dims(),
             config.chunk_atoms,
@@ -336,7 +339,6 @@ impl ClusterBuilder {
             nodes.push(Some(Arc::new(node)));
         }
         Ok(Cluster {
-            scheduler: self.env.config.coalesce.map(ScanScheduler::new),
             env: self.env,
             dataset: self.dataset,
             topology: RwLock::new(Arc::new(Topology::new(self.layout, nodes, 0))),

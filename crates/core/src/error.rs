@@ -7,12 +7,16 @@ use tdb_storage::StorageError;
 /// Failure while building the archive and cluster.
 #[derive(Debug)]
 pub enum BuildError {
+    /// The cluster configuration breaks a rule of
+    /// `ClusterConfig::validate` for the dataset's grid; carries the rule.
+    InvalidConfig(String),
     Storage(StorageError),
 }
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            BuildError::InvalidConfig(rule) => f.write_str(rule),
             BuildError::Storage(e) => write!(f, "storage failure during build: {e}"),
         }
     }
@@ -21,6 +25,7 @@ impl fmt::Display for BuildError {
 impl std::error::Error for BuildError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            BuildError::InvalidConfig(_) => None,
             BuildError::Storage(e) => Some(e),
         }
     }

@@ -59,8 +59,13 @@ pub struct TurbulenceService {
 
 impl TurbulenceService {
     /// Generates every time-step of the dataset and bulk-loads it into a
-    /// fresh cluster.
+    /// fresh cluster. A cluster configuration the grid cannot hold is
+    /// refused before anything is generated or written.
     pub fn build(config: ServiceConfig) -> Result<Self, BuildError> {
+        config
+            .cluster
+            .validate(config.dataset.grid.dims())
+            .map_err(BuildError::InvalidConfig)?;
         let fields: Vec<(String, u8)> = config
             .dataset
             .raw_fields()
@@ -192,9 +197,9 @@ impl TurbulenceService {
     }
 
     /// Runs several threshold queries as one admitted batch: queries over
-    /// the same scan key share a single atom scan on every node (the
-    /// mediator's scan scheduler coalesces them), and each gets exactly
-    /// the answer it would have received alone.
+    /// the same scan key share a single atom scan on every node (one
+    /// `Cluster::run_batch`), and each gets exactly the answer it would
+    /// have received alone.
     pub fn get_threshold_batch(
         &self,
         queries: &[ThresholdQuery],
@@ -237,6 +242,13 @@ impl TurbulenceService {
         if bin_width.is_nan() || bin_width <= 0.0 || nbins == 0 || nbins > 4096 {
             return Err(QueryError::InvalidParameter(
                 "pdf bins must satisfy 0 < nbins <= 4096 and bin_width > 0",
+            ));
+        }
+        // a NaN origin or an infinite width would put every point in bin
+        // 0 and cache that under the non-finite value's bits
+        if !(origin.is_finite() && bin_width.is_finite()) {
+            return Err(QueryError::InvalidParameter(
+                "pdf origin and bin_width must be finite numbers",
             ));
         }
         let req = self.request(q);

@@ -102,8 +102,6 @@ metrics! {
     counter   SCAN_COALESCED_QUERIES            "scan.coalesced_queries";
     gauge     SCAN_SCRATCH_BYTES                "scan.scratch_bytes";
     counter   SCAN_SHARED                       "scan.shared";
-    counter   SCHEDULER_BATCHES                 "scheduler.batches";
-    counter   SCHEDULER_COALESCED               "scheduler.coalesced";
     counter   STORAGE_READ_RETRIES              "storage.read.retries";
     counter   STORAGE_READ_RETRY_SUCCESS        "storage.read.retry_success";
     counter   WIRE_CONNECTION_TIMEOUT           "wire.connection.timeout";

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use tdb_core::{ServiceConfig, TurbulenceService};
+use tdb_core::{BuildError, ServiceConfig, TurbulenceService};
 use tdb_wire::server::{Server, ServerConfig};
 
 struct Args {
@@ -90,6 +90,10 @@ fn main() {
     config.cluster.num_nodes = args.nodes;
     let service = match TurbulenceService::build(config) {
         Ok(s) => Arc::new(s),
+        Err(BuildError::InvalidConfig(rule)) => {
+            eprintln!("error: {rule}");
+            std::process::exit(2);
+        }
         Err(e) => {
             eprintln!("failed to build service: {e}");
             std::process::exit(1);

@@ -5,8 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use tdb_bench::{bits, harness, reference_points, test_service};
-use tdb_cluster::CoalesceConfig;
+use tdb_bench::{bits, reference_points, test_service};
 use tdb_core::{DerivedField, QueryError, ThresholdPoint, ThresholdQuery};
 
 #[test]
@@ -42,6 +41,17 @@ fn higher_threshold_is_served_from_cache_with_filtering() {
     let refused = service.get_threshold(&q_nan).map(|r| r.points.len());
     let rule = QueryError::InvalidParameter("threshold must be a finite number");
     assert_eq!(refused, Err(rule));
+    // a non-finite PDF binning is refused for the same reason
+    let q_pdf = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);
+    let rule = QueryError::InvalidParameter("pdf origin and bin_width must be finite numbers");
+    for (origin, bin_width) in [(f64::NAN, 10.0), (0.0, f64::INFINITY)] {
+        let refused = service.get_pdf(&q_pdf, origin, bin_width, 9).map(|_| ());
+        assert_eq!(
+            refused,
+            Err(rule.clone()),
+            "origin {origin}, bin_width {bin_width}"
+        );
+    }
     // warm at the low threshold
     let q_low = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, low);
     let cold_low = service.get_threshold(&q_low).unwrap();
@@ -194,21 +204,14 @@ fn pdf_queries_are_cached_too() {
 
 #[test]
 fn mid_scan_queries_never_observe_partial_cache_entries() {
-    // Snapshot isolation under the shared-scan scheduler: a writer thread
-    // repeatedly invalidates the cache entry and rebuilds it from a cold
-    // scan, while reader threads issue the same query the whole time. A
-    // reader admitted mid-rebuild must either hit the old complete entry,
-    // miss and scan for itself (possibly sharing the writer's scan), or
-    // hit the freshly completed entry — never a half-built one. Any
-    // partial entry would change the answer bytes.
-    let service = harness("cache_snapshot", 32, 1)
-        .cluster(|c| {
-            c.coalesce = Some(CoalesceConfig {
-                window_ms: 1,
-                max_batch: 4,
-            });
-        })
-        .build();
+    // Snapshot isolation (paper §4) under thread-per-connection traffic: a
+    // writer thread repeatedly invalidates the cache entry and rebuilds it
+    // from a cold scan, while reader threads issue the same query the whole
+    // time. A reader admitted mid-rebuild must either hit the old complete
+    // entry, miss and scan for itself, or hit the freshly completed entry —
+    // never a half-built one. Any partial entry would change the answer
+    // bytes.
+    let service = test_service("cache_snapshot", 32, 1, 2);
     let stats = service
         .derived_stats("velocity", DerivedField::CurlNorm, 0)
         .unwrap();

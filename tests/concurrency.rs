@@ -1,5 +1,5 @@
-//! Deterministic concurrency suite: shared-scan coalescing, the mediator
-//! scan scheduler, and wire-level admission control.
+//! Deterministic concurrency suite: explicit batches that share one scan,
+//! and wire-level admission control.
 //!
 //! Metric-delta assertions read process-wide counters, so every test in
 //! this binary that evaluates queries holds [`METRICS`] for its whole
@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use proptest::prelude::*;
 use tdb_bench::{bits, harness, ranked_bits, test_service};
 use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{BatchAnswer, BatchQuery, CoalesceConfig};
+use tdb_cluster::{BatchAnswer, BatchQuery};
 use tdb_core::{Box3, DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
 use tdb_storage::{FaultPlan, FaultRule};
 use tdb_wire::admission::AdmissionConfig;
@@ -81,60 +81,8 @@ fn coalesced_batch_halves_atom_decodes_with_identical_answers() {
     );
     assert!(
         counter("scan.atoms_saved") > saved_before,
-        "the scheduler must account its savings"
+        "the shared scan must account its savings"
     );
-}
-
-/// The scan scheduler: four threads admitted inside one coalescing
-/// window become exactly one batch, and each gets the answer it would
-/// have received alone.
-#[test]
-fn scheduler_coalesces_concurrent_identical_queries() {
-    let _g = metrics_lock();
-    // a window far above thread-startup jitter plus a batch cap equal to
-    // the thread count makes the grouping deterministic: the batch closes
-    // the moment the fourth query joins, never by timeout
-    let coalesce = CoalesceConfig {
-        window_ms: 2000,
-        max_batch: 4,
-    };
-    let service = harness("conc_sched", 32, 1)
-        .cluster(|c| c.coalesce = Some(coalesce))
-        .build();
-    let q = curl_query(25.0).without_cache();
-    // reference through the direct batch path, which bypasses the
-    // scheduler (no 2 s window wait for a solo query)
-    let reference = bits(
-        &service.get_threshold_batch(std::slice::from_ref(&q))[0]
-            .as_ref()
-            .expect("reference query")
-            .points,
-    );
-
-    let batches_before = counter("scheduler.batches");
-    let coalesced_before = counter("scheduler.coalesced");
-    let barrier = Arc::new(Barrier::new(4));
-    let handles: Vec<_> = (0..4)
-        .map(|_| {
-            let service = Arc::clone(&service);
-            let barrier = Arc::clone(&barrier);
-            let q = q.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                service.get_threshold(&q).unwrap()
-            })
-        })
-        .collect();
-    for h in handles {
-        let r = h.join().unwrap();
-        assert_eq!(bits(&r.points), reference);
-    }
-    assert_eq!(
-        counter("scheduler.batches") - batches_before,
-        1,
-        "all four queries must land in one batch"
-    );
-    assert_eq!(counter("scheduler.coalesced") - coalesced_before, 3);
 }
 
 /// Threshold, PDF and top-k queries over the same (field, derived,

@@ -1,24 +1,18 @@
 //! Component models under the `tdb-check` schedule-exploration checker.
 //!
-//! Five concurrency-critical components get a model each: the
-//! scan-scheduler batch close, the mediator's failover-vs-rebalance lock
-//! discipline, the admission queue's WFQ grant/evict/shed protocol (real
-//! code), the buffer pool's eviction-vs-decode path and single-flight
-//! loads outside the pool lock (real code), and the semantic cache's
-//! replace / lookup / invalidate on one snapshot-isolated table (real
-//! code).
-//! Where a PR fixed a real bug — the scan-scheduler batch overshoot, the
-//! cache entry torn over two stores — the *buggy* variant rides along as
-//! a regression model the checker must still catch.
-//!
-//! Closed models use `wait_for(..).timed_out()` with bounded retries as
-//! their loop exits: under the checker a timed wait is virtual time (the
-//! scheduler may fire the timeout at any point), so models terminate
-//! without wall-clock dependence.
+//! Four concurrency-critical components get models: the mediator's
+//! failover-vs-rebalance lock discipline, the admission queue's WFQ
+//! grant/evict/shed protocol (real code), the buffer pool's
+//! eviction-vs-decode path and single-flight loads outside the pool lock
+//! (real code), and the semantic cache's replace / lookup / invalidate on
+//! one snapshot-isolated table (real code).
+//! Where a PR fixed a real bug — the cache entry torn over two stores —
+//! the *buggy* variant rides along as a regression model the checker must
+//! still catch; the mediator's inverted lock order rides along the same
+//! way as a guard for its discipline.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use tdb_cache::{CacheConfig, CacheInfoKey, CacheLookup, SemanticCache, ThresholdPoint};
@@ -33,123 +27,7 @@ use tdb_zorder::Box3;
 type BufferPool = tdb_storage::BufferPool<Arc<[u8]>>;
 
 // ---------------------------------------------------------------------
-// 1. ScanScheduler: leader/joiner batch close
-// ---------------------------------------------------------------------
-
-/// Closed model of `tdb_cluster::scheduler::ScanScheduler::submit` for a
-/// single scan-group key: the batch is `Some(entries)` while open, the
-/// leader closes it by `take`-ing it. Mirrors the fixed protocol —
-/// joiners check fullness before pushing and wait for the close, the
-/// leader notifies on close.
-struct BatchModel {
-    open: Mutex<Option<Vec<usize>>>,
-    joined: Condvar,
-    ran: Mutex<Vec<Vec<usize>>>,
-}
-
-impl BatchModel {
-    fn new() -> Self {
-        Self {
-            open: Mutex::new(None),
-            joined: Condvar::new(),
-            ran: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn submit(&self, me: usize, max_batch: usize, overshoot_bug: bool) {
-        let leader = {
-            let mut open = self.open.lock();
-            loop {
-                match open.as_mut() {
-                    Some(batch) if overshoot_bug || batch.len() < max_batch => {
-                        batch.push(me);
-                        self.joined.notify_all();
-                        break false;
-                    }
-                    Some(_) => self.joined.wait(&mut open),
-                    None => {
-                        *open = Some(vec![me]);
-                        break true;
-                    }
-                }
-            }
-        };
-        if leader {
-            let mut open = self.open.lock();
-            // the coalescing window: bounded timed waits stand in for the
-            // Instant deadline of the real scheduler
-            let mut rounds = 0;
-            while open.as_ref().map_or(0, |b| b.len()) < max_batch {
-                if self
-                    .joined
-                    .wait_for(&mut open, Duration::from_millis(1))
-                    .timed_out()
-                {
-                    rounds += 1;
-                    if rounds > 2 {
-                        break;
-                    }
-                }
-            }
-            let batch = open.take().expect("batch vanished under its leader");
-            self.joined.notify_all();
-            drop(open);
-            assert!(
-                batch.len() <= max_batch,
-                "batch of {} overshot max_batch={max_batch}",
-                batch.len()
-            );
-            self.ran.lock().push(batch);
-        }
-    }
-}
-
-fn batch_close_model(overshoot_bug: bool) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let m = Arc::new(BatchModel::new());
-        let handles: Vec<_> = (1..3)
-            .map(|id| {
-                let m2 = Arc::clone(&m);
-                thread::spawn(move || m2.submit(id, 2, overshoot_bug))
-            })
-            .collect();
-        m.submit(0, 2, overshoot_bug);
-        for h in handles {
-            h.join();
-        }
-        // every submitter ran in exactly one closed batch
-        let mut served: Vec<usize> = m.ran.lock().iter().flatten().copied().collect();
-        served.sort_unstable();
-        assert_eq!(served, [0, 1, 2], "submitters lost or double-served");
-    }
-}
-
-#[test]
-fn scan_scheduler_batch_close_passes() {
-    let report = Model::new("scheduler: batch close")
-        .budget(4096)
-        .check_quiet(batch_close_model(false));
-    assert!(report.failure.is_none(), "{:?}", report.failure);
-}
-
-/// Regression: the pre-fix joiner pushed without checking fullness, so a
-/// burst could overshoot `max_batch` while the leader slept. The checker
-/// must find that interleaving.
-#[test]
-fn scan_scheduler_overshoot_regression_is_caught() {
-    let report = Model::new("scheduler: overshoot regression")
-        .budget(4096)
-        .check_quiet(batch_close_model(true));
-    let failure = report.failure.expect("checker must catch the overshoot");
-    assert_eq!(failure.kind, FailureKind::Panic, "{failure:?}");
-    assert!(
-        failure.message.contains("overshot max_batch"),
-        "{failure:?}"
-    );
-}
-
-// ---------------------------------------------------------------------
-// 2. Mediator: failover re-scatter vs topology generation swap
+// 1. Mediator: failover re-scatter vs topology generation swap
 // ---------------------------------------------------------------------
 
 /// Closed model of the mediator's lock discipline: both mutators (the
@@ -214,7 +92,7 @@ fn mediator_inverted_lock_order_is_caught() {
 }
 
 // ---------------------------------------------------------------------
-// 3. AdmissionQueue: WFQ grant / evict / shed (real code)
+// 2. AdmissionQueue: WFQ grant / evict / shed (real code)
 // ---------------------------------------------------------------------
 
 /// The real `AdmissionQueue` under the checker: one slot, one queue
@@ -262,7 +140,7 @@ fn admission_wfq_grant_evict_shed_passes() {
 }
 
 // ---------------------------------------------------------------------
-// 4. BufferPool: eviction vs concurrent decode (real code)
+// 3. BufferPool: eviction vs concurrent decode (real code)
 // ---------------------------------------------------------------------
 
 fn pool_key(i: u32) -> BlockKey {
@@ -314,7 +192,7 @@ fn bufferpool_eviction_vs_decode_passes() {
 }
 
 // ---------------------------------------------------------------------
-// 5. BufferPool: single-flight loads outside the pool lock (real code)
+// 4. BufferPool: single-flight loads outside the pool lock (real code)
 // ---------------------------------------------------------------------
 
 /// A one-shot latch on the shim primitives, so the checker sees it.
@@ -487,7 +365,7 @@ fn bufferpool_single_flight_passes() {
 }
 
 // ---------------------------------------------------------------------
-// 6. SemanticCache: replace vs lookup vs invalidate (real code)
+// 5. SemanticCache: replace vs lookup vs invalidate (real code)
 // ---------------------------------------------------------------------
 
 /// The real `SemanticCache` under the checker: one thread replaces a

@@ -1,9 +1,11 @@
 //! End-to-end correctness: generator → storage → cluster → query answers
 //! must match a direct whole-field evaluation of the same data.
 
-use tdb_bench::{bits, harness, ranked_bits, reference_points, test_service};
+use tdb_bench::{bits, harness, ranked_bits, reference_points, test_service, ScratchDir};
 use tdb_cluster::CompressionConfig;
-use tdb_core::{DerivedField, QueryError, ThresholdQuery};
+use tdb_core::{
+    BuildError, DerivedField, QueryError, ServiceConfig, ThresholdQuery, TurbulenceService,
+};
 use tdb_field::PaddedVector;
 use tdb_turbgen::dataset::FieldData;
 use tdb_zorder::Box3;
@@ -30,6 +32,30 @@ fn threshold_query_matches_direct_evaluation() {
             "value mismatch at {:?}",
             p.coords()
         );
+    }
+}
+
+/// A cluster the grid cannot hold is refused with the rule it breaks
+/// before anything is generated (`tdb-server` prints it and exits 2).
+#[test]
+fn unservable_cluster_configurations_are_build_errors_not_panics() {
+    let dir = ScratchDir::new("e2e_bad_config");
+    for (n, nodes, rule) in [
+        (32, 0, "need at least one node"),
+        (
+            40,
+            4,
+            "grid axis 0 extent 40 is not a multiple of the chunk width 16",
+        ),
+        (32, 100, "8 chunks cannot be spread over 100 nodes"),
+    ] {
+        let mut config = ServiceConfig::mhd(dir.path(), n, 1, 0x7db);
+        config.cluster.num_nodes = nodes;
+        match TurbulenceService::build(config) {
+            Err(BuildError::InvalidConfig(got)) => assert_eq!(got, rule),
+            Err(e) => panic!("{n}³ on {nodes} nodes: wrong error {e}"),
+            Ok(_) => panic!("{n}³ on {nodes} nodes was built"),
+        }
     }
 }
 
