@@ -20,9 +20,11 @@ use tdb_wire::Json;
 
 use tdb_analysis::{fof_clusters_4d, SpaceTimePoint};
 use tdb_bench::{harness, TestService};
+use tdb_cluster::TimeBreakdown;
 use tdb_cluster::{ClusterConfig, CompressionConfig};
 use tdb_core::baseline::local_evaluation_estimate;
-use tdb_core::{DerivedField, FdOrder, QueryMode, ThresholdQuery};
+use tdb_core::{DerivedField, FdOrder, QueryMode, ThresholdQuery, TurbulenceService};
+use tdb_field::at_or_above;
 use tdb_obs::m;
 use tdb_storage::{DeviceProfile, FaultPlan};
 use tdb_zorder::{decompose_box, Box3};
@@ -70,6 +72,9 @@ struct Repro {
     compression: Vec<Json>,
     /// its `replication`: availability/tail-latency vs replication factor
     replication: Vec<Json>,
+    /// its `pruning`: per tier, the atoms whose maximum survives and the
+    /// atoms a cold threshold query reads, against an unpruned read
+    pruning: Vec<Json>,
 }
 
 fn main() {
@@ -120,6 +125,7 @@ fn main() {
         concurrency: Vec::new(),
         compression: Vec::new(),
         replication: Vec::new(),
+        pruning: Vec::new(),
     };
     for (name, run) in wanted {
         let t = std::time::Instant::now();
@@ -140,6 +146,7 @@ fn main() {
         ("concurrency", Json::Arr(repro.concurrency)),
         ("compression", Json::Arr(repro.compression)),
         ("replication", Json::Arr(repro.replication)),
+        ("pruning", Json::Arr(repro.pruning)),
         (
             "counters",
             Json::Obj(
@@ -208,6 +215,91 @@ impl Repro {
     fn cold_query(&self, q: &ThresholdQuery) -> tdb_core::ThresholdResult {
         self.service.cluster().clear_buffer_pools();
         self.service.get_threshold(q).expect("query")
+    }
+
+    /// Per tier, the atoms whose stored vorticity maximum reaches the
+    /// threshold and the atoms a cold threshold query reads, beside what a
+    /// PDF of the whole box — which nothing prunes — reads.
+    fn pruning(&mut self, tiers: [f64; 3]) {
+        let service = &self.service;
+        let atoms_read = |run: &dyn Fn()| {
+            service.cluster().clear_buffer_pools();
+            let before = m::NODE_ATOMS_SCANNED.get();
+            run();
+            m::NODE_ATOMS_SCANNED.get() - before
+        };
+        let whole = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0)
+            .without_cache();
+        let unpruned = atoms_read(&|| {
+            service.get_pdf(&whole, 0.0, 10.0, 9).expect("pdf");
+        });
+        let all: Vec<_> = service.full_box().atoms().collect();
+        println!(
+            "{:>14} | {:>9} | {:>10} | {:>10} (of {} atoms; unpruned read {unpruned})",
+            "tier",
+            "surviving",
+            "atoms read",
+            "fraction",
+            all.len()
+        );
+        for (i, (frac, label, _)) in FRACTIONS.iter().enumerate() {
+            let max = |atom| {
+                let max = service
+                    .cluster()
+                    .atom_max("velocity", DerivedField::CurlNorm, 0, atom);
+                max.expect("curl norm has maxima")
+            };
+            let surviving = all
+                .iter()
+                .filter(|&&a| at_or_above(max(a), tiers[i]))
+                .count();
+            let q = ThresholdQuery {
+                threshold: tiers[i],
+                ..whole.clone()
+            };
+            let read = atoms_read(&|| {
+                service.get_threshold(&q).expect("query");
+            });
+            let share = read as f64 / unpruned as f64;
+            println!("{label:>14} | {surviving:>9} | {read:>10} | {share:>10.3}");
+            self.pruning.push(Json::obj([
+                ("tier", Json::Str(label.to_string())),
+                ("selectivity", Json::Num(*frac)),
+                ("atoms", Json::Num(all.len() as f64)),
+                ("surviving_atoms", Json::Num(surviving as f64)),
+                ("atoms_read", Json::Num(read as f64)),
+                ("unpruned_atoms_read", Json::Num(unpruned as f64)),
+            ]));
+        }
+        println!();
+    }
+
+    /// Modelled seconds (I/O + compute) of one cold vorticity evaluation
+    /// with `procs` processes per node: the threshold query at `threshold`,
+    /// or — `None` — the whole-box evaluation the paper's Figs. 7 and 8
+    /// time, a PDF, which derives every point and which nothing prunes.
+    fn cold_curl(
+        service: &TurbulenceService,
+        threshold: Option<f64>,
+        procs: usize,
+        mode: QueryMode,
+    ) -> TimeBreakdown {
+        service.cluster().clear_buffer_pools();
+        let q = ThresholdQuery {
+            mode,
+            ..ThresholdQuery::whole_timestep(
+                "velocity",
+                DerivedField::CurlNorm,
+                0,
+                threshold.unwrap_or(0.0),
+            )
+            .without_cache()
+            .with_procs(procs)
+        };
+        match threshold {
+            Some(_) => service.get_threshold(&q).expect("query").breakdown,
+            None => service.get_pdf(&q, 0.0, 10.0, 9).expect("pdf").breakdown,
+        }
     }
 
     // --- Figure 2: PDF of the vorticity norm -----------------------------
@@ -312,6 +404,7 @@ impl Repro {
     fn table1(&mut self) {
         println!("---- Table 1 / Figure 6: effectiveness of caching ----");
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
+        self.pruning(tiers);
         println!(
             "{:>14} | {:>9} | {:>12} | {:>12} | {:>12}",
             "tier", "points", "no cache (s)", "miss (s)", "hit (s)"
@@ -373,29 +466,21 @@ impl Repro {
         println!("---- Figure 7(a): scale-up, 1-8 processes per node (4 nodes) ----");
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         println!(
-            "{:>14} | {:>7} | {:>7} | {:>7} | {:>7}",
-            "tier", "p=1", "p=2", "p=4", "p=8"
+            "{:>16} | {:>7} | {:>7} | {:>7} | {:>7}",
+            "query", "p=1", "p=2", "p=4", "p=8"
         );
-        for (i, (_, label, _)) in FRACTIONS.iter().enumerate() {
-            let k = tiers[i];
-            let mut times = Vec::new();
-            for procs in [1usize, 2, 4, 8] {
-                let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, k)
-                    .without_cache()
-                    .with_procs(procs);
-                let b = self.cold_query(&q).breakdown;
-                times.push(b.io_s + b.compute_s);
-            }
-            let s: Vec<String> = times
-                .iter()
-                .map(|t| format!("{:.2}x", times[0] / t))
-                .collect();
+        for (label, threshold) in curl_rows(&tiers) {
+            let times = [1usize, 2, 4, 8].map(|procs| {
+                let b = Self::cold_curl(&self.service, threshold, procs, QueryMode::Full);
+                b.io_s + b.compute_s
+            });
+            let s = times.map(|t| format!("{:.2}x", times[0] / t));
             println!(
-                "{label:>14} | {:>7} | {:>7} | {:>7} | {:>7}",
+                "{label:>16} | {:>7} | {:>7} | {:>7} | {:>7}",
                 s[0], s[1], s[2], s[3]
             );
         }
-        println!("paper: ≈2x at p=2, ≈2.6x at p=4, little further gain at p=8\n");
+        println!("paper (whole box): ≈2x at p=2, ≈2.6x at p=4, little further gain at p=8\n");
     }
 
     // --- Figure 7(b): scale-out --------------------------------------------
@@ -404,79 +489,64 @@ impl Repro {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         // smaller grid per-cluster build cost: reuse main grid but build
         // separate clusters with 1, 2, 4, 8 nodes
-        let mut services = Vec::new();
-        for nodes in [1usize, 2, 4, 8] {
-            services.push((
-                nodes,
-                build_service(self.grid_n, 1, nodes, &format!("repro_so{nodes}"), |_| {}),
-            ));
-        }
+        let services = [1usize, 2, 4, 8]
+            .map(|nodes| build_service(self.grid_n, 1, nodes, &format!("repro_so{nodes}"), |_| {}));
         println!(
-            "{:>14} | {:>7} | {:>7} | {:>7} | {:>7}",
-            "tier", "n=1", "n=2", "n=4", "n=8"
+            "{:>16} | {:>7} | {:>7} | {:>7} | {:>7}",
+            "query", "n=1", "n=2", "n=4", "n=8"
         );
-        for (i, (_, label, _)) in FRACTIONS.iter().enumerate() {
-            let k = tiers[i];
-            let mut times = Vec::new();
-            for (_, svc) in &services {
-                let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, k)
-                    .without_cache()
-                    .with_procs(1);
-                svc.cluster().clear_buffer_pools();
-                let b = svc.get_threshold(&q).expect("query").breakdown;
-                times.push(b.io_s + b.compute_s);
-            }
-            let s: Vec<String> = times
-                .iter()
-                .map(|t| format!("{:.2}x", times[0] / t))
-                .collect();
+        for (label, threshold) in curl_rows(&tiers) {
+            let times = services.each_ref().map(|svc| {
+                let b = Self::cold_curl(svc, threshold, 1, QueryMode::Full);
+                b.io_s + b.compute_s
+            });
+            let s = times.map(|t| format!("{:.2}x", times[0] / t));
             println!(
-                "{label:>14} | {:>7} | {:>7} | {:>7} | {:>7}",
+                "{label:>16} | {:>7} | {:>7} | {:>7} | {:>7}",
                 s[0], s[1], s[2], s[3]
             );
         }
-        println!("paper: nearly perfect linear speedup\n");
+        println!("paper (whole box): nearly perfect linear speedup\n");
     }
 
     // --- Figure 8: total vs I/O-only ----------------------------------------
     fn fig8(&mut self) {
-        println!("---- Figure 8: total running time vs I/O-only (medium threshold) ----");
+        println!("---- Figure 8: total running time vs I/O-only ----");
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let k = tiers[1];
         println!(
-            "{:>6} | {:>10} | {:>10} | {:>6}",
-            "procs", "total (s)", "io-only (s)", "io %"
+            "{:>6} | {:>10} | {:>10} | {:>6} || medium threshold: {:>10} | {:>10}",
+            "procs", "total (s)", "io-only (s)", "io %", "total (s)", "io-only (s)"
         );
         for procs in [1usize, 2, 4, 8] {
-            let full = {
-                let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, k)
-                    .without_cache()
-                    .with_procs(procs);
-                let b = self.cold_query(&q).breakdown;
+            // the whole box, as the paper measures it, and the pruned query
+            let [full, io_only, pruned, pruned_io] = [
+                (None, QueryMode::Full),
+                (None, QueryMode::IoOnly),
+                (Some(k), QueryMode::Full),
+                (Some(k), QueryMode::IoOnly),
+            ]
+            .map(|(threshold, mode)| {
+                let b = Self::cold_curl(&self.service, threshold, procs, mode);
                 b.io_s + b.compute_s
-            };
-            let io_only = {
-                let q = ThresholdQuery {
-                    mode: QueryMode::IoOnly,
-                    ..ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, k)
-                        .without_cache()
-                        .with_procs(procs)
-                };
-                let b = self.cold_query(&q).breakdown;
-                b.io_s
-            };
+            });
             println!(
-                "{procs:>6} | {full:>10.3} | {io_only:>10.3} | {:>5.0}%",
-                100.0 * io_only / full
+                "{procs:>6} | {full:>10.3} | {io_only:>10.3} | {:>5.0}% || {:>28.3} | {pruned_io:>10.3}",
+                100.0 * io_only / full,
+                pruned
             );
             self.results.push(Json::obj([
                 ("experiment", Json::Str("fig8".into())),
                 ("procs", Json::Num(procs as f64)),
                 ("total_s", Json::Num(full)),
                 ("io_only_s", Json::Num(io_only)),
+                ("threshold_total_s", Json::Num(pruned)),
+                ("threshold_io_only_s", Json::Num(pruned_io)),
             ]));
         }
-        println!("paper: I/O ≈ half of total at p=1; total at p=4-8 ≈ I/O-only at p=1\n");
+        println!(
+            "paper (whole box): I/O ≈ half of total at p=1; total at p=4-8 ≈ I/O-only at p=1\n"
+        );
     }
 
     // --- Figure 9: per-field breakdowns --------------------------------------
@@ -904,6 +974,17 @@ impl Repro {
         );
         println!();
     }
+}
+
+/// The rows of Figs. 7(a) and 7(b): the whole-box evaluation (`None`),
+/// then the threshold query at each tier.
+fn curl_rows(tiers: &[f64; 3]) -> [(&'static str, Option<f64>); 4] {
+    [
+        ("whole box (pdf)", None),
+        (FRACTIONS[0].1, Some(tiers[0])),
+        (FRACTIONS[1].1, Some(tiers[1])),
+        (FRACTIONS[2].1, Some(tiers[2])),
+    ]
 }
 
 fn avg(n: usize, mut f: impl FnMut() -> f64) -> f64 {

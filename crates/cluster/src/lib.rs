@@ -31,6 +31,7 @@
 pub mod assemble;
 pub mod config;
 pub mod cputime;
+mod maxima;
 pub mod mediator;
 mod merge;
 pub mod node;

@@ -495,7 +495,8 @@ mod tests {
         (builder.finish().unwrap(), dir)
     }
 
-    /// One cold whole-grid curl-norm scan with one process per node.
+    /// One cold whole-grid curl-norm scan with one process per node. A
+    /// norm is never below 0, so no atom is pruned: this reads everything.
     fn cold_scan(cluster: &Cluster, mode: QueryMode) -> ThresholdResponse {
         cluster.clear_buffer_pools();
         cluster
@@ -504,7 +505,7 @@ mod tests {
                 derived: DerivedField::CurlNorm,
                 timestep: 0,
                 query_box: Box3::grid(32, 32, 32),
-                threshold: 1e12,
+                threshold: 0.0,
                 use_cache: false,
                 mode,
                 procs_override: Some(1),

@@ -203,6 +203,7 @@ impl Cluster {
             let mut node = TraceSpan::new(format!("node.{id}"), t, r.io_s)
                 .with_attr("cache", if r.cache_hit { "hit" } else { "miss" })
                 .with_attr("atoms_scanned", r.atoms_scanned)
+                .with_attr("atoms_pruned", r.atoms_pruned)
                 .with_attr("points", *points)
                 .with_attr("pool_hits", r.session.pool_hits)
                 .with_attr("pool_misses", r.session.pool_misses)

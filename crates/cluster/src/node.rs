@@ -30,8 +30,12 @@ use tdb_storage::device::{DeviceId, IoSession};
 use tdb_storage::{AtomRecord, BlockCache, StorageError, StorageResult, Table};
 use tdb_zorder::Box3;
 
+use tdb_kernels::DerivedField;
+
 use crate::assemble::{assemble_padded_into, needed_atoms};
 use crate::cputime::thread_cpu_time_s;
+use crate::maxima::{atoms_needed, surviving_domains};
+use crate::placement::Layout;
 use crate::scan::{ScanKernel, SharedOutcome, SharedScanRequest};
 use crate::sim::NodeTimeModel;
 use crate::topology::{routed_read, ClusterEnv, NodeDevices};
@@ -64,6 +68,9 @@ pub struct NodeResult {
     pub wall_s: f64,
     /// Atoms fetched (local + halo) while evaluating from raw data.
     pub atoms_scanned: u64,
+    /// Atoms the unpruned scan would have fetched on top of
+    /// [`Self::atoms_scanned`], skipped by their maxima (DESIGN.md §9).
+    pub atoms_pruned: u64,
     /// Closed-form time model of this node's scan (zero on cache hits);
     /// lets callers evaluate `t(p)` at any process count from one run.
     pub model: NodeTimeModel,
@@ -187,6 +194,61 @@ impl NodeRuntime {
         Ok(records)
     }
 
+    /// The one scan worker, run by query scans and by the build pass of
+    /// the atom maxima alike: one [`routed_read`] of every atom the
+    /// `domains` and their `halo` need, then per domain the padded cube
+    /// and, per field of `derived`, its rows handed to
+    /// `visit(domain, field, y, z, row)` as they appear (`y`, `z` relative
+    /// to the domain). An empty `derived` only reads. Returns the atoms
+    /// read and the thread CPU seconds spent after the read.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn derive_domains(
+        &self,
+        layout: &Layout,
+        peers: &[Option<Arc<NodeRuntime>>],
+        field: &str,
+        timestep: u32,
+        domains: &[Box3],
+        halo: usize,
+        derived: &[DerivedField],
+        scratch: &mut ScanScratch,
+        session: &mut IoSession,
+        mut visit: impl FnMut(usize, usize, usize, usize, &[f32]),
+    ) -> StorageResult<(u64, f64)> {
+        let (dims, periodic) = (self.env.grid.dims(), self.env.grid.periodic);
+        let needed = domains
+            .iter()
+            .flat_map(|d| needed_atoms(d, halo, dims, periodic));
+        let atoms = routed_read(layout, peers, Some(self), field, timestep, needed, session)?;
+        let read = atoms.len() as u64;
+        if derived.is_empty() {
+            return Ok((read, 0.0));
+        }
+        let c0 = thread_cpu_time_s();
+        let last = domains.len().saturating_sub(1);
+        let mut atoms = Some(atoms);
+        for (d, domain) in domains.iter().enumerate() {
+            let Some(records) = &atoms else { break };
+            assemble_padded_into(&mut scratch.padded, domain, halo, dims, periodic, records)?;
+            if d == last {
+                // the records are copied into the cube: release them before
+                // the answers start to grow
+                atoms = None;
+            }
+            let (x, y, z) = domain.lo3();
+            for (f, kernel) in derived.iter().enumerate() {
+                kernel.eval_rows(
+                    &scratch.padded,
+                    &self.env.scheme,
+                    [x as usize, y as usize, z as usize],
+                    &mut scratch.rows,
+                    |y, z, row| visit(d, f, y, z, row),
+                );
+            }
+        }
+        Ok((read, (thread_cpu_time_s() - c0).max(0.0)))
+    }
+
     /// Evaluates a group of queries against one shared atom scan.
     ///
     /// Every participant's cache is probed first; the remaining misses
@@ -303,12 +365,29 @@ impl NodeRuntime {
 
         // --- shared scan over all pending participants -------------------
         // per chunk, scan the hull of every pending clip so each atom is
-        // decoded once no matter how many queries need it
+        // decoded once no matter how many queries need it — or, when every
+        // pending participant is a threshold kernel, only the atoms whose
+        // maximum can answer one of them (DESIGN.md §9)
         struct ScanTask {
-            domain: Box3,
+            domains: Vec<Box3>,
             clips: Vec<(usize, Box3)>,
+            /// Atoms the unpruned hull would have read (0: not pruned).
+            unpruned: u64,
         }
+        let grid = &self.env.grid;
+        let halo = req.derived.halo(&self.env.scheme);
+        let thresholds: Option<Vec<(usize, f64)>> = (pending.iter())
+            .map(|&i| match req.participants.get(i).map(|p| &p.kernel) {
+                Some(ScanKernel::Threshold { threshold }) => Some((i, *threshold)),
+                _ => None,
+            })
+            .collect();
+        let maxima = thresholds.as_ref().and_then(|_| {
+            let maxima = self.env.maxima.get()?;
+            maxima.of(&req.raw_field, req.derived, req.timestep)
+        });
         let mut tasks: Vec<ScanTask> = Vec::new();
+        let mut atoms_pruned = 0u64;
         for c in req.assignment.chunks_of(self.id) {
             let grid_box = c.grid_box();
             let mut clips = Vec::new();
@@ -323,8 +402,34 @@ impl NodeRuntime {
             let Some(&(_, first)) = clips.first() else {
                 continue;
             };
-            let domain = clips.iter().skip(1).fold(first, |d, (_, b)| d.hull(b));
-            tasks.push(ScanTask { domain, clips });
+            let hull = clips.iter().skip(1).fold(first, |d, (_, b)| d.hull(b));
+            let survivors = maxima.zip(thresholds.as_ref()).and_then(|(maxima, ts)| {
+                let threshold = |i: usize| ts.iter().find(|(j, _)| *j == i).map(|(_, t)| *t);
+                let clips: Vec<(f64, Box3)> = (clips.iter())
+                    .map(|&(i, clip)| (threshold(i).unwrap_or(f64::NEG_INFINITY), clip))
+                    .collect();
+                surviving_domains(maxima, &hull, &clips, halo)
+            });
+            let task = match survivors {
+                None => ScanTask {
+                    domains: vec![hull],
+                    clips,
+                    unpruned: 0,
+                },
+                Some(domains) => {
+                    let unpruned = atoms_needed(&[hull], halo, grid.dims(), grid.periodic);
+                    if domains.is_empty() {
+                        atoms_pruned += unpruned;
+                        continue;
+                    }
+                    ScanTask {
+                        domains,
+                        clips,
+                        unpruned,
+                    }
+                }
+            };
+            tasks.push(task);
         }
 
         // what a clip reduces its part of the derived rows to
@@ -335,43 +440,18 @@ impl NodeRuntime {
             },
             Hist(Histogram),
         }
-        // reduced clips, kernel seconds, device charges, atoms, atoms saved
-        type TaskOutcome = (Vec<(usize, ClipRows, Reducer)>, f64, IoSession, u64, u64);
-        let grid = &self.env.grid;
-        let halo = req.derived.halo(&self.env.scheme);
+        // reduced clips, kernel seconds, device charges, atoms, atoms saved,
+        // atoms pruned
+        type TaskOutcome = (Vec<(usize, Reducer)>, f64, IoSession, u64, u64, u64);
+        let full = req.mode == QueryMode::Full;
         let peak_scratch = AtomicUsize::new(0);
         let results: Vec<StorageResult<TaskOutcome>> =
             run_workers(req.procs, &tasks, |scratch: &mut ScanScratch, task| {
                 let mut chunk_session = IoSession::new();
-                // I/O-only probes (Fig. 8) read exactly what the full
-                // evaluation reads — boundary bands included — they just
-                // skip the kernel
-                let atoms = routed_read(
-                    &req.assignment.layout,
-                    peers,
-                    Some(self),
-                    &req.raw_field,
-                    req.timestep,
-                    needed_atoms(&task.domain, halo, grid.dims(), grid.periodic),
-                    &mut chunk_session,
-                )?;
-                let chunk_atoms = atoms.len() as u64;
-                let saved = chunk_atoms * (task.clips.len() as u64 - 1);
-                let mut outs: Vec<(usize, ClipRows, Reducer)> = Vec::new();
-                let mut compute_s = 0.0;
-                if req.mode == QueryMode::Full {
-                    let c0 = thread_cpu_time_s();
-                    assemble_padded_into(
-                        &mut scratch.padded,
-                        &task.domain,
-                        halo,
-                        grid.dims(),
-                        grid.periodic,
-                        &atoms,
-                    )?;
-                    // the records are copied into the cube: release them
-                    // before the answers start to grow
-                    drop(atoms);
+                let mut outs: Vec<(usize, Reducer)> = Vec::new();
+                // per domain, the clips that meet it and the reducer each feeds
+                let mut rows: Vec<Vec<(ClipRows, usize)>> = Vec::new();
+                if full {
                     for (i, clip) in &task.clips {
                         let Some(part) = req.participants.get(*i) else {
                             continue;
@@ -393,47 +473,79 @@ impl NodeRuntime {
                                 nbins,
                             } => Reducer::Hist(Histogram::new(*origin, *width, *nbins)),
                         };
-                        outs.push((*i, ClipRows::new(&task.domain, clip), reducer));
+                        outs.push((*i, reducer));
                     }
-                    // one pass: each derived row meets every clip's reducer
-                    // as it appears; the derived field is never stored
-                    let (dlx, dly, dlz) = task.domain.lo3();
-                    req.derived.eval_rows(
-                        &scratch.padded,
-                        &self.env.scheme,
-                        [dlx as usize, dly as usize, dlz as usize],
-                        &mut scratch.rows,
-                        |y, z, row| {
-                            for (_, clip, reducer) in &mut outs {
-                                let Some((sub, global)) = clip.slice(y, z, row) else {
-                                    continue;
-                                };
-                                match reducer {
-                                    Reducer::Points { threshold, points } => {
-                                        threshold_scan_row(sub, global, *threshold, points)
-                                    }
-                                    Reducer::Hist(hist) => pdf_scan_row(sub, hist),
+                    rows = (task.domains.iter())
+                        .map(|domain| {
+                            (task.clips.iter().enumerate())
+                                .filter_map(|(r, (_, clip))| {
+                                    let clip = clip.intersect(domain)?;
+                                    Some((ClipRows::new(domain, &clip), r))
+                                })
+                                .collect()
+                        })
+                        .collect();
+                }
+                // I/O-only probes (Fig. 8) read exactly what the full
+                // evaluation reads — boundary bands included — they just
+                // skip the kernel
+                let derived = if full {
+                    std::slice::from_ref(&req.derived)
+                } else {
+                    &[]
+                };
+                // one pass: each derived row meets every clip's reducer as
+                // it appears; the derived field is never stored
+                let (chunk_atoms, cpu_s) = self.derive_domains(
+                    &req.assignment.layout,
+                    peers,
+                    &req.raw_field,
+                    req.timestep,
+                    &task.domains,
+                    halo,
+                    derived,
+                    scratch,
+                    &mut chunk_session,
+                    |d, _, y, z, row| {
+                        for (clip, r) in rows.get(d).into_iter().flatten() {
+                            let (Some((sub, global)), Some((_, reducer))) =
+                                (clip.slice(y, z, row), outs.get_mut(*r))
+                            else {
+                                continue;
+                            };
+                            match reducer {
+                                Reducer::Points { threshold, points } => {
+                                    threshold_scan_row(sub, global, *threshold, points)
                                 }
+                                Reducer::Hist(hist) => pdf_scan_row(sub, hist),
                             }
-                        },
-                    );
+                        }
+                    },
+                )?;
+                let saved = chunk_atoms * (task.clips.len() as u64 - 1);
+                let pruned = task.unpruned.saturating_sub(chunk_atoms);
+                let mut compute_s = 0.0;
+                if full {
                     peak_scratch.fetch_max(
                         scratch.padded.heap_bytes() + std::mem::size_of_val(&*scratch.rows),
                         Ordering::Relaxed,
                     );
-                    let measured =
-                        (thread_cpu_time_s() - c0).max(0.0) * self.env.config.compute_scale;
                     // when set, a deterministic per-point cost replaces the
                     // measurement, making the time model load-immune
                     compute_s = match self.env.config.synthetic_compute_s_per_point {
-                        Some(rate) => task.domain.num_points() as f64 * rate,
-                        None => measured,
+                        Some(rate) => {
+                            let points: u64 = task.domains.iter().map(Box3::num_points).sum();
+                            points as f64 * rate
+                        }
+                        None => cpu_s * self.env.config.compute_scale,
                     };
                 }
-                Ok((outs, compute_s, chunk_session, chunk_atoms, saved))
+                Ok((outs, compute_s, chunk_session, chunk_atoms, saved, pruned))
             });
-        if req.mode == QueryMode::Full {
-            m::SCAN_SCRATCH_BYTES.set(peak_scratch.into_inner() as i64);
+        // a scan its maxima pruned whole assembled nothing to report
+        let peak_scratch = peak_scratch.into_inner();
+        if peak_scratch > 0 {
+            m::SCAN_SCRATCH_BYTES.set(peak_scratch as i64);
         }
 
         let mut acc_points: Vec<Vec<ThresholdPoint>> =
@@ -444,8 +556,8 @@ impl NodeRuntime {
         let mut atoms_scanned = 0u64;
         let mut atoms_saved = 0u64;
         for r in results {
-            let (outs, compute_s, chunk_session, chunk_atoms, saved) = r?;
-            for (i, _, out) in outs {
+            let (outs, compute_s, chunk_session, chunk_atoms, saved, pruned) = r?;
+            for (i, out) in outs {
                 match out {
                     Reducer::Points { mut points, .. } => match acc_points.get_mut(i) {
                         Some(acc) if acc.is_empty() => *acc = points,
@@ -462,6 +574,7 @@ impl NodeRuntime {
             chunk_compute.push(compute_s);
             atoms_scanned += chunk_atoms;
             atoms_saved += saved;
+            atoms_pruned += pruned;
             shared_session.merge(&chunk_session);
         }
         // --- serial-phase timing (DESIGN.md §4) --------------------------
@@ -472,6 +585,7 @@ impl NodeRuntime {
             m::SCAN_ATOMS_SAVED.add(atoms_saved);
         }
         m::NODE_ATOMS_SCANNED.add(atoms_scanned);
+        m::SCAN_ATOMS_PRUNED.add(atoms_pruned);
 
         // --- per-participant assembly and cache fills --------------------
         let mut report = IoSession::new();
@@ -542,6 +656,7 @@ impl NodeRuntime {
                     compute_s: model.compute_s(req.procs),
                     wall_s: wall.elapsed().as_secs_f64(),
                     atoms_scanned,
+                    atoms_pruned,
                     model,
                     session,
                 },
@@ -631,7 +746,7 @@ impl Drop for ActiveGuard {
 /// and the partial-derivative rows of the derive kernels. This is all the
 /// memory a chunk's evaluation takes besides its answers.
 #[derive(Default)]
-struct ScanScratch {
+pub(crate) struct ScanScratch {
     padded: PaddedVector<3>,
     rows: Vec<f32>,
 }

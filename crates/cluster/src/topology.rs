@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use tdb_field::Grid3;
@@ -18,6 +18,7 @@ use tdb_storage::{AtomKey, AtomRecord, BlockCache, StorageError, StorageResult, 
 use tdb_zorder::{AtomCoord, ZRange};
 
 use crate::config::ClusterConfig;
+use crate::maxima::AtomMaxima;
 use crate::mediator::Cluster;
 use crate::node::NodeRuntime;
 use crate::placement::Layout;
@@ -32,6 +33,8 @@ pub(crate) struct ClusterEnv {
     pub registry: DeviceRegistry,
     pub lan: DeviceId,
     pub wan: DeviceId,
+    /// The per-atom maxima, set once by [`ClusterBuilder::finish`].
+    pub maxima: OnceLock<AtomMaxima>,
 }
 
 /// The devices racked for one node: its disk arrays, semantic-cache SSD
@@ -268,6 +271,7 @@ impl ClusterBuilder {
             registry,
             lan,
             wan,
+            maxima: OnceLock::new(),
         });
         let dir = dir.as_ref().to_path_buf();
         let fields: Vec<(String, u8)> = fields
@@ -330,7 +334,9 @@ impl ClusterBuilder {
         Ok(())
     }
 
-    /// Seals the tables and brings the node runtimes up.
+    /// Seals the tables, brings the node runtimes up and computes the
+    /// per-atom maxima, which leaves the buffer pools empty: the first
+    /// query starts cold.
     pub fn finish(self) -> StorageResult<Cluster> {
         let mut next_file_id = 0u64;
         let mut nodes = Vec::with_capacity(self.nodes.len());
@@ -338,7 +344,7 @@ impl ClusterBuilder {
             let node = start_node(&self.env, id, builders, devices, &mut next_file_id)?;
             nodes.push(Some(Arc::new(node)));
         }
-        Ok(Cluster {
+        let cluster = Cluster {
             env: self.env,
             dataset: self.dataset,
             topology: RwLock::new(Arc::new(Topology::new(self.layout, nodes, 0))),
@@ -349,7 +355,11 @@ impl ClusterBuilder {
                 next_file_id,
             }),
             dir: self.dir,
-        })
+        };
+        let maxima = cluster.compute_atom_maxima();
+        // a freshly built environment: nothing else sets it
+        let _ = cluster.env.maxima.set(maxima);
+        Ok(cluster)
     }
 }
 

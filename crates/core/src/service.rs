@@ -288,7 +288,9 @@ impl TurbulenceService {
 
     /// Interpolates a raw field at arbitrary positions (grid units, may
     /// be fractional) with 4/6/8-point Lagrange polynomials — the JHTDB
-    /// `GetVelocity` family of point queries.
+    /// `GetVelocity` family of point queries. A position that is not a
+    /// finite number is refused: it would wrap to NaN on a periodic axis
+    /// and clamp onto the wall on a bounded one.
     pub fn interpolate_at(
         &self,
         raw_field: &str,
@@ -296,6 +298,11 @@ impl TurbulenceService {
         positions: &[[f64; 3]],
         order: tdb_kernels::interp::LagOrder,
     ) -> Result<(Vec<[f32; 3]>, tdb_cluster::TimeBreakdown), QueryError> {
+        if !positions.iter().flatten().all(|v| v.is_finite()) {
+            return Err(QueryError::InvalidParameter(
+                "positions must be finite numbers",
+            ));
+        }
         self.validate(raw_field, timestep, &self.full_box())?;
         self.cluster
             .get_points(raw_field, timestep, positions, order)

@@ -133,16 +133,36 @@ impl DerivedField {
         scheme: &DiffScheme,
         origin: [usize; 3],
         scratch: &mut Vec<f32>,
-        visit: impl FnMut(usize, usize, &[f32]),
+        mut visit: impl FnMut(usize, usize, &[f32]),
+    ) {
+        let fields = std::slice::from_ref(self);
+        Self::eval_rows_many(fields, input, scheme, origin, scratch, |_, y, z, row| {
+            visit(y, z, row)
+        })
+    }
+
+    /// [`Self::eval_rows`] of several fields over one padded cube, handing
+    /// `visit(field, y, z, row)` each field's rows (`field` indexes
+    /// `fields`), in ascending `(z, y)` order per field. Every partial row
+    /// any of them reduces is computed once per output row; a partial row
+    /// does not depend on which field asked for it, so each field's rows
+    /// are bit-identical to its own `eval_rows`.
+    pub fn eval_rows_many(
+        fields: &[DerivedField],
+        input: &PaddedVector<3>,
+        scheme: &DiffScheme,
+        origin: [usize; 3],
+        scratch: &mut Vec<f32>,
+        visit: impl FnMut(usize, usize, usize, &[f32]),
     ) {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the one precondition of a `#[target_feature]` function
             // is that the CPU has the feature, and it was just detected; the
             // body is safe Rust without intrinsics (DESIGN.md §8).
-            return unsafe { self.eval_rows_avx2(input, scheme, origin, scratch, visit) };
+            return unsafe { Self::eval_rows_avx2(fields, input, scheme, origin, scratch, visit) };
         }
-        self.eval_rows_body(input, scheme, origin, scratch, visit)
+        Self::eval_rows_body(fields, input, scheme, origin, scratch, visit)
     }
 
     /// The row loop compiled for 256-bit vectors. Not `fma`: a fused
@@ -150,14 +170,14 @@ impl DerivedField {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn eval_rows_avx2(
-        &self,
+        fields: &[DerivedField],
         input: &PaddedVector<3>,
         scheme: &DiffScheme,
         origin: [usize; 3],
         scratch: &mut Vec<f32>,
-        visit: impl FnMut(usize, usize, &[f32]),
+        visit: impl FnMut(usize, usize, usize, &[f32]),
     ) {
-        self.eval_rows_body(input, scheme, origin, scratch, visit)
+        Self::eval_rows_body(fields, input, scheme, origin, scratch, visit)
     }
 
     /// The whole `(z, y)` loop — stencils, reduction, `visit` — inlined
@@ -166,15 +186,18 @@ impl DerivedField {
     /// their order are the same in both.
     #[inline(always)]
     fn eval_rows_body(
-        &self,
+        fields: &[DerivedField],
         input: &PaddedVector<3>,
         scheme: &DiffScheme,
         origin: [usize; 3],
         scratch: &mut Vec<f32>,
-        mut visit: impl FnMut(usize, usize, &[f32]),
+        mut visit: impl FnMut(usize, usize, usize, &[f32]),
     ) {
         let (nx, ny, nz) = input.dims();
-        if let DerivedField::BoxFilteredNorm { radius } = self {
+        for (f, field) in fields.iter().enumerate() {
+            let DerivedField::BoxFilteredNorm { radius } = field else {
+                continue;
+            };
             // the separable filter rounds to f32 between its three passes,
             // so an output row needs whole filtered planes: it alone still
             // materialises, and only its rows are handed on
@@ -186,16 +209,35 @@ impl DerivedField {
             .norm();
             for z in 0..nz {
                 for y in 0..ny {
-                    visit(y, z, norm.row(y, z));
+                    visit(f, y, z, norm.row(y, z));
                 }
             }
+        }
+        // every (component, axis, second) partial any field reduces, once;
+        // per field, where its partials sit, in the order it reads them
+        let mut needed: Vec<(usize, usize, bool)> = Vec::new();
+        let slots: Vec<Vec<usize>> = (fields.iter())
+            .map(|field| {
+                let second = matches!(field, DerivedField::LaplacianNorm);
+                (field.partials().iter())
+                    .map(|&(comp, axis)| {
+                        let key = (comp, axis, second);
+                        needed.iter().position(|k| *k == key).unwrap_or_else(|| {
+                            needed.push(key);
+                            needed.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        if fields
+            .iter()
+            .all(|f| matches!(f, DerivedField::BoxFilteredNorm { .. }))
+        {
             return;
         }
-        let second = matches!(self, DerivedField::LaplacianNorm);
-        let partials: Vec<_> = self
-            .partials()
-            .iter()
-            .map(|&(comp, axis)| scheme.deriv_rows(input.comp(comp), axis, second, origin))
+        let partials: Vec<_> = (needed.iter())
+            .map(|&(comp, axis, second)| scheme.deriv_rows(input.comp(comp), axis, second, origin))
             .collect();
         scratch.clear();
         scratch.resize((partials.len() + 1) * nx, 0.0);
@@ -206,49 +248,60 @@ impl DerivedField {
                 for (row, partial) in rows.chunks_exact_mut(nx).zip(&partials) {
                     partial.row(y, z, row);
                 }
-                match self {
-                    DerivedField::Norm => {
-                        let (yi, zi) = (y as isize, z as isize);
-                        let r0 = &input.comp(0).padded_row(yi, zi)[h..h + nx];
-                        let r1 = &input.comp(1).padded_row(yi, zi)[h..h + nx];
-                        let r2 = &input.comp(2).padded_row(yi, zi)[h..h + nx];
-                        map_row([r0, r1, r2], out, |v: &[f32; 3]| {
-                            (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()
-                        });
+                for (f, (field, slot)) in fields.iter().zip(&slots).enumerate() {
+                    match field {
+                        DerivedField::Norm => {
+                            let (yi, zi) = (y as isize, z as isize);
+                            let r0 = &input.comp(0).padded_row(yi, zi)[h..h + nx];
+                            let r1 = &input.comp(1).padded_row(yi, zi)[h..h + nx];
+                            let r2 = &input.comp(2).padded_row(yi, zi)[h..h + nx];
+                            map_row([r0, r1, r2], out, |v: &[f32; 3]| {
+                                (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt()
+                            });
+                        }
+                        DerivedField::CurlNorm => {
+                            map_row(gather(rows, slot, nx), out, |p: &[f32; 6]| {
+                                norm3([p[0] - p[1], p[2] - p[3], p[4] - p[5]])
+                            })
+                        }
+                        DerivedField::QCriterion => map_row(gather(rows, slot, nx), out, q_of_gradient),
+                        DerivedField::RInvariant => map_row(gather(rows, slot, nx), out, r_of_gradient),
+                        DerivedField::GradientNorm => {
+                            map_row(gather(rows, slot, nx), out, |a: &[f32; 9]| {
+                                a.iter().map(|v| v * v).sum::<f32>().sqrt()
+                            })
+                        }
+                        DerivedField::StrainRateNorm => {
+                            map_row(gather(rows, slot, nx), out, strain_norm_of_gradient)
+                        }
+                        DerivedField::DivergenceAbs => {
+                            map_row(gather(rows, slot, nx), out, |p: &[f32; 3]| {
+                                (p[0] + p[1] + p[2]).abs()
+                            })
+                        }
+                        DerivedField::LaplacianNorm => {
+                            map_row(gather(rows, slot, nx), out, |p: &[f32; 9]| {
+                                norm3([p[0] + p[1] + p[2], p[3] + p[4] + p[5], p[6] + p[7] + p[8]])
+                            })
+                        }
+                        // handed on above
+                        DerivedField::BoxFilteredNorm { .. } => continue,
                     }
-                    DerivedField::CurlNorm => reduce_rows(rows, out, |p: &[f32; 6]| {
-                        norm3([p[0] - p[1], p[2] - p[3], p[4] - p[5]])
-                    }),
-                    DerivedField::QCriterion => reduce_rows(rows, out, q_of_gradient),
-                    DerivedField::RInvariant => reduce_rows(rows, out, r_of_gradient),
-                    DerivedField::GradientNorm => reduce_rows(rows, out, |a: &[f32; 9]| {
-                        a.iter().map(|v| v * v).sum::<f32>().sqrt()
-                    }),
-                    DerivedField::StrainRateNorm => reduce_rows(rows, out, strain_norm_of_gradient),
-                    DerivedField::DivergenceAbs => {
-                        reduce_rows(rows, out, |p: &[f32; 3]| (p[0] + p[1] + p[2]).abs())
-                    }
-                    DerivedField::LaplacianNorm => reduce_rows(rows, out, |p: &[f32; 9]| {
-                        norm3([p[0] + p[1] + p[2], p[3] + p[4] + p[5], p[6] + p[7] + p[8]])
-                    }),
-                    // returned above
-                    DerivedField::BoxFilteredNorm { .. } => {}
+                    visit(f, y, z, out);
                 }
-                visit(y, z, out);
             }
         }
     }
 }
 
-/// Reduces `N` equally long partial-derivative rows (laid end to end in
-/// `rows`) to one output row, point by point.
+/// The `N` partial rows a field reduces, by `slot`, from the shared rows
+/// of length `nx` laid end to end in `rows`.
 #[inline(always)]
-fn reduce_rows<const N: usize>(rows: &[f32], out: &mut [f32], f: impl Fn(&[f32; N]) -> f32) {
-    let mut src: [&[f32]; N] = [&[]; N];
-    for (k, row) in rows.chunks_exact(out.len()).enumerate() {
-        src[k] = row;
-    }
-    map_row(src, out, f);
+fn gather<'a, const N: usize>(rows: &'a [f32], slot: &[usize], nx: usize) -> [&'a [f32]; N] {
+    std::array::from_fn(|k| {
+        let s = slot.get(k).copied().unwrap_or(0);
+        rows.get(s * nx..(s + 1) * nx).unwrap_or(&[])
+    })
 }
 
 /// Euclidean norm summed from `0.0` component by component, as
@@ -666,7 +719,8 @@ mod tests {
                     // the portable body called directly; the dispatching
                     // entry is the AVX2 instantiation wherever there is one
                     let (mut portable, mut wide, o) = (Vec::new(), Vec::new(), [0, 0, 0]);
-                    field.eval_rows_body(&input, &scheme, o, &mut Vec::new(), |_, _, row| {
+                    let one = [field];
+                    DerivedField::eval_rows_body(&one, &input, &scheme, o, &mut Vec::new(), |_, _, _, row| {
                         portable.extend_from_slice(row)
                     });
                     field.eval_rows(&input, &scheme, o, &mut Vec::new(), |_, _, row| {
@@ -687,6 +741,54 @@ mod tests {
                             "{field:?} {order:?} nx {nx} point {i}: portable {:#010x}, avx2 {:#010x}, planes {:#010x}",
                             p.to_bits(), w.to_bits(), r.to_bits()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every field of one `eval_rows_many` pass — which computes each
+    /// partial row once for all of them — equals its own `eval_rows`, bit
+    /// for bit, in `(z, y)` order, on both grid kinds and every order.
+    #[test]
+    fn eval_rows_many_equals_each_fields_own_eval_rows() {
+        let vals: Vec<f32> = (0..997).map(crate::diff::tests::salted).collect();
+        let hostile = [f32::NAN, f32::INFINITY, -0.0, f32::NEG_INFINITY, 1.5];
+        let mut channel = Grid3::channel(12, 17, 4, TAU, TAU, 1.7);
+        channel.periodic[0] = false;
+        for (grid, dims) in [
+            (Grid3::periodic_cube(16, TAU), (7, 5, 3)),
+            (channel, (12, 17, 4)),
+        ] {
+            for order in FdOrder::all() {
+                let scheme = DiffScheme::new(&grid, order);
+                let fields = nine_fields();
+                let halo = fields.iter().map(|f| f.halo(&scheme)).max().unwrap();
+                for vals in [&vals[..], &hostile[..]] {
+                    let input = filled(dims, halo, vals);
+                    let mut many: Vec<Vec<(usize, usize, Vec<u32>)>> = vec![Vec::new(); fields.len()];
+                    DerivedField::eval_rows_many(
+                        &fields,
+                        &input,
+                        &scheme,
+                        [0, 0, 0],
+                        &mut Vec::new(),
+                        |f, y, z, row| many[f].push((y, z, row.iter().map(|v| v.to_bits()).collect())),
+                    );
+                    for (field, many) in fields.iter().zip(&many) {
+                        let mut own = Vec::new();
+                        field.eval_rows(&input, &scheme, [0, 0, 0], &mut Vec::new(), |y, z, row| {
+                            own.push((y, z, row.iter().map(|v| v.to_bits()).collect::<Vec<_>>()))
+                        });
+                        let nan_class = |rows: &[(usize, usize, Vec<u32>)]| -> Vec<(usize, usize, Vec<u32>)> {
+                            (rows.iter())
+                                .map(|(y, z, r)| {
+                                    let r = r.iter().map(|&b| if f32::from_bits(b).is_nan() { u32::MAX } else { b });
+                                    (*y, *z, r.collect())
+                                })
+                                .collect()
+                        };
+                        assert_eq!(nan_class(many), nan_class(&own), "{field:?} {order:?}");
                     }
                 }
             }

@@ -98,6 +98,7 @@ metrics! {
     counter   REPLICATION_REBALANCE_CHUNKS_MOVED "replication.rebalance.chunks_moved";
     counter   REPLICATION_REBALANCE_JOINS       "replication.rebalance.joins";
     counter   REPLICATION_REBALANCE_LEAVES      "replication.rebalance.leaves";
+    counter   SCAN_ATOMS_PRUNED                 "scan.atoms_pruned";
     counter   SCAN_ATOMS_SAVED                  "scan.atoms_saved";
     counter   SCAN_COALESCED_QUERIES            "scan.coalesced_queries";
     gauge     SCAN_SCRATCH_BYTES                "scan.scratch_bytes";

@@ -55,6 +55,14 @@ impl AtomCoord {
         (self.x * w, self.y * w, self.z * w)
     }
 
+    /// The grid points this atom covers, as a box.
+    #[inline]
+    pub fn grid_box(&self) -> crate::Box3 {
+        let (ox, oy, oz) = self.grid_origin();
+        let e = ATOM_WIDTH as u32 - 1;
+        crate::Box3::new([ox, oy, oz], [ox + e, oy + e, oz + e])
+    }
+
     /// Iterates over the grid points covered by this atom, in the
     /// `x`-fastest order used by the storage record layout.
     pub fn grid_points(&self) -> impl Iterator<Item = (u32, u32, u32)> {

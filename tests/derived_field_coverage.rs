@@ -3,8 +3,10 @@
 //! and the channel-flow (wall-bounded, stretched-grid) dataset.
 
 use tdb_bench::{harness, ranked_bits, test_service};
+use tdb_cluster::CompressionConfig;
 use tdb_core::{DerivedField, ThresholdQuery, TurbulenceService};
 use tdb_turbgen::SyntheticDataset;
+use tdb_zorder::{AtomCoord, Box3};
 
 #[test]
 fn every_catalogue_field_evaluates_and_caches() {
@@ -34,6 +36,51 @@ fn every_catalogue_field_evaluates_and_caches() {
             "{}: fraction {frac}",
             derived.name()
         );
+    }
+}
+
+/// Every atom's stored maximum (DESIGN.md §9) is, bit for bit, the largest
+/// value the archive itself holds there — read back through a top-k of
+/// every grid point, which nothing prunes — on every codec, raw field and
+/// parameter-free derived field.
+#[test]
+fn stored_atom_maxima_are_the_maxima_of_the_archive_values() {
+    let codecs = [
+        ("raw", CompressionConfig::default()),
+        ("lossless", CompressionConfig::lossless()),
+        ("lossy", CompressionConfig::lossy(2, 5e-2)),
+    ];
+    for (codec_name, codec) in codecs {
+        let service = harness(&format!("cat_maxima_{codec_name}"), 32, 1)
+            .cluster(|c| c.compression = codec)
+            .build();
+        for field in ["velocity", "magnetic", "pressure"] {
+            for derived in DerivedField::all() {
+                let row = format!("{codec_name}, {field}, {}", derived.name());
+                let q = ThresholdQuery::whole_timestep(field, derived, 0, 0.0).without_cache();
+                let every = service.get_topk(&q, 32 * 32 * 32).unwrap().points;
+                assert_eq!(every.len(), 32 * 32 * 32, "{row}");
+                // the largest non-NaN value in `total_cmp` order (+0 above −0)
+                let mut want = [f32::NAN; 64];
+                for p in &every {
+                    let (x, y, z) = p.coords();
+                    let atom = AtomCoord::containing(x, y, z);
+                    let max = &mut want[(atom.x + 4 * (atom.y + 4 * atom.z)) as usize];
+                    if !p.value.is_nan() && (max.is_nan() || p.value.total_cmp(max).is_gt()) {
+                        *max = p.value;
+                    }
+                }
+                for atom in Box3::cube(32).atoms() {
+                    let got = service.cluster().atom_max(field, derived, 0, atom);
+                    let want = want[(atom.x + 4 * (atom.y + 4 * atom.z)) as usize];
+                    assert_eq!(
+                        got.map(f32::to_bits),
+                        Some(want.to_bits()),
+                        "{row}, {atom:?}"
+                    );
+                }
+            }
+        }
     }
 }
 

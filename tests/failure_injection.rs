@@ -317,7 +317,8 @@ fn combined_faults_still_complete_a_full_box_query() {
     let clean = archive("fi_combined_ref").build();
     let q = curl_query();
     let reference = clean.get_threshold(&q).expect("clean reference");
-    let before = faulted.metrics_snapshot();
+    // the build pass of the atom maxima read through the plan too
+    let (before, built) = (faulted.metrics_snapshot(), plan.counts());
 
     // warm the cache under transient read faults: already byte-identical
     faulted.cluster().clear_buffer_pools();
@@ -352,14 +353,15 @@ fn combined_faults_still_complete_a_full_box_query() {
     let after = faulted.metrics_snapshot();
     let delta = |name: &str| after.counter(name) - before.counter(name);
     let counts = plan.counts();
+    let transient = counts.transient - built.transient;
     assert!(counts.node_down >= 1);
-    assert!(delta("faults.injected.node_down") >= counts.node_down);
-    assert!(delta("faults.injected.transient") >= counts.transient);
+    assert!(delta("faults.injected.node_down") >= counts.node_down - built.node_down);
+    assert!(delta("faults.injected.transient") >= transient);
     assert!(delta("cache.semantic.quarantined") >= 1);
     assert!(delta("cache.semantic.rebuilt") >= 1);
     assert!(delta("query.degraded") >= 1);
-    if counts.transient > 0 {
-        assert!(delta("storage.read.retries") >= counts.transient);
+    if transient > 0 {
+        assert!(delta("storage.read.retries") >= transient);
     }
 }
 

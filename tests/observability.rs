@@ -138,14 +138,15 @@ fn scan_scratch_stays_within_twice_the_padded_cube() {
             c.fd_order = FdOrder::O8;
         })
         .build();
-    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::QCriterion, 0, 1.0e9)
+    // a PDF scans every chunk whole: no maximum prunes it
+    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::QCriterion, 0, 0.0)
         .without_cache();
     // a gauge is overwritten by whichever scan finished last, and the other
     // tests of this binary scan smaller chunks at order 4: the largest of a
     // few readings is this test's own
     let peak = (0..3)
         .map(|_| {
-            service.get_threshold(&q).unwrap();
+            service.get_pdf(&q, 0.0, 1.0, 16).unwrap();
             service.metrics_snapshot().gauges["scan.scratch_bytes"]
         })
         .max()
@@ -155,6 +156,56 @@ fn scan_scratch_stays_within_twice_the_padded_cube() {
         "the padded cube is counted: {peak}"
     );
     assert!(peak <= 2 * 769_280, "scan.scratch_bytes {peak}");
+}
+
+/// The per-atom maxima show in the system's own output: at the paper's
+/// medium selectivity a cold whole-grid query fetches at least 5× fewer
+/// atoms than a PDF of the same box — which nothing prunes — and fewer bytes
+/// on every device (a 64 KiB block holds ~10 atoms, and the survivors' halos
+/// reach into many blocks); a threshold of 0 on a norm reads exactly what
+/// the PDF reads.
+#[test]
+fn a_cold_medium_tier_query_reads_a_fifth_of_the_atoms_of_a_whole_box() {
+    // `cold_scan`'s geometry: 64³ in 32³ chunks
+    let service = harness("obs_pruned", 64, 1)
+        .cluster(|c| c.chunk_atoms = 4)
+        .build();
+    let medium = service
+        .threshold_for_fraction("velocity", DerivedField::CurlNorm, 0, 8.06e-5)
+        .unwrap();
+    // per trace: atoms scanned and bytes per device, summed over the nodes
+    let reads = |trace: &tdb_core::QueryTrace| {
+        let mut sums: std::collections::BTreeMap<String, u64> = Default::default();
+        for node in &trace.span("phase.io").unwrap().children {
+            for (key, value) in &node.attrs {
+                let counted = key.starts_with("bytes.") || key.starts_with("atoms_");
+                if let (true, AttrValue::U64(n)) = (counted, value) {
+                    *sums.entry(key.clone()).or_default() += n;
+                }
+            }
+        }
+        sums
+    };
+    let q = |t| ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, t);
+    service.cluster().clear_buffer_pools();
+    let pdf = service.get_pdf(&q(0.0).without_cache(), 0.0, 10.0, 9).unwrap();
+    let whole = reads(pdf.trace.as_ref().unwrap());
+    service.cluster().clear_buffer_pools();
+    let pruned = service.get_threshold(&q(medium).without_cache()).unwrap();
+    let pruned = reads(pruned.trace.as_ref().unwrap());
+    service.cluster().clear_buffer_pools();
+    let zero = service.get_threshold(&q(0.0).without_cache()).unwrap();
+    let zero = reads(zero.trace.as_ref().unwrap());
+
+    assert_eq!(zero, whole, "a norm at or above 0 prunes nothing");
+    assert_eq!(whole["atoms_pruned"], 0);
+    assert!(pruned["atoms_pruned"] > 0, "{pruned:?}");
+    let (read, all) = (pruned["atoms_scanned"], whole["atoms_scanned"]);
+    assert!(5 * read <= all, "atoms: {read} of {all}");
+    for (key, &all) in whole.iter().filter(|(k, _)| k.starts_with("bytes.")) {
+        let read = pruned.get(key).copied().unwrap_or(0);
+        assert!(read < all, "{key}: {read} of {all}");
+    }
 }
 
 #[test]

@@ -4,16 +4,21 @@
 
 use tdb_bench::{harness, TestService};
 use tdb_cluster::NodeTimeModel;
-use tdb_core::{DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
+use tdb_core::{DerivedField, QueryLimits, QueryMode, ThresholdQuery, TurbulenceService};
 
 fn build_with(nodes: usize, tag: &str, synthetic: Option<f64>) -> TestService {
     // 128³ with 32³ chunks (`ServiceConfig::mhd`'s choice at this size)
     // keeps the halo band a realistic fraction of the data read (a 64³
     // grid with 16³ chunks nearly doubles every read, which drowns the
-    // scaling signal the paper measures at 1024³)
+    // scaling signal the paper measures at 1024³). The limit admits a
+    // whole-grid answer: `cold_models` reads everything.
     harness(tag, 128, 1)
         .nodes(nodes)
         .seed(0xabc)
+        .limits(QueryLimits {
+            max_points: 128 * 128 * 128,
+            ..Default::default()
+        })
         .cluster(|c| {
             c.procs_per_node = 1;
             c.arrays_per_node = 4;
@@ -29,12 +34,14 @@ fn build(nodes: usize, tag: &str) -> TestService {
     build_with(nodes, tag, Some(2e-7))
 }
 
-/// Runs one cold scan and returns the per-node closed-form time models;
-/// `t(p)` is then evaluated from the models instead of re-running the
-/// query, so the derived speedups cannot flake on wall-clock noise.
+/// Runs one cold scan of the whole box and returns the per-node
+/// closed-form time models; `t(p)` is then evaluated from the models
+/// instead of re-running the query, so the derived speedups cannot flake
+/// on wall-clock noise. A norm is never below 0, so no atom is pruned:
+/// this is the whole-box evaluation whose scaling the paper measures.
 fn cold_models(service: &TurbulenceService) -> Vec<NodeTimeModel> {
     service.cluster().clear_buffer_pools();
-    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 30.0)
+    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0)
         .without_cache()
         .with_procs(1);
     let r = service.get_threshold(&q).unwrap();
@@ -129,7 +136,8 @@ fn derived_fields_cost_more_compute_than_raw_fields() {
     // and host-speed bursts only ever inflate a measurement, so the
     // minimum over five runs is a stable per-kernel estimate — with the
     // fields interleaved round by round, so a burst lasting a few hundred
-    // milliseconds cannot cover every run of one field.
+    // milliseconds cannot cover every run of one field. A PDF derives
+    // every point of the box: nothing prunes it.
     let service = build_with(2, "fieldcost", None);
     let fields = [
         ("velocity", DerivedField::CurlNorm),
@@ -141,8 +149,8 @@ fn derived_fields_cost_more_compute_than_raw_fields() {
     for _ in 0..5 {
         for ((raw, derived), (compute, io)) in fields.iter().zip(&mut best) {
             service.cluster().clear_buffer_pools();
-            let q = ThresholdQuery::whole_timestep(raw, *derived, 0, 1e12).without_cache();
-            let b = service.get_threshold(&q).unwrap().breakdown;
+            let q = ThresholdQuery::whole_timestep(raw, *derived, 0, 0.0).without_cache();
+            let b = service.get_pdf(&q, 0.0, 1.0, 16).unwrap().breakdown;
             *compute = compute.min(b.compute_s);
             *io = io.min(b.io_s);
         }

@@ -213,7 +213,8 @@ fn cutout_pays_the_controller_like_every_other_read() {
     // one node, four arrays: the arrays share the blocks of a whole-grid
     // read, so the controller every block also crosses is the busiest
     // device — for a cutout exactly as for a halo-free scan of the same
-    // atoms with enough processes to keep all four arrays busy
+    // atoms with enough processes to keep all four arrays busy (at a
+    // threshold of 0 a norm prunes no atom)
     let service = tdb_bench::harness("e2e_cutout_ctrl", 32, 1)
         .nodes(1)
         .cluster(|c| c.arrays_per_node = 4)
@@ -224,7 +225,7 @@ fn cutout_pays_the_controller_like_every_other_read() {
     service.cluster().clear_buffer_pools();
     let scan = ThresholdQuery {
         mode: tdb_core::QueryMode::IoOnly,
-        ..ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 0, 1e12)
+        ..ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 0, 0.0)
             .without_cache()
             .with_procs(64)
     };
@@ -304,6 +305,22 @@ fn point_interpolation_matches_direct_evaluation() {
         .interpolate_at("velocity", 0, &[[1.5, 2.0, 2.0]], tdb_core::LagOrder::Lag4)
         .unwrap();
     assert_eq!(a[0], b[0]);
+}
+
+#[test]
+fn non_finite_interpolation_positions_are_refused() {
+    let service = test_service("e2e_interp_nan", 32, 1, 2);
+    let refused = QueryError::InvalidParameter("positions must be finite numbers");
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for axis in 0..3 {
+            let mut pos = [[1.5, 2.0, 2.0], [4.0, 5.0, 6.0]];
+            pos[1][axis] = bad;
+            let answer = service
+                .interpolate_at("velocity", 0, &pos, tdb_core::LagOrder::Lag4)
+                .map(|(vals, _)| vals);
+            assert_eq!(answer, Err(refused.clone()), "{bad} on axis {axis}");
+        }
+    }
 }
 
 #[test]
