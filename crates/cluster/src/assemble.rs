@@ -13,6 +13,18 @@ use tdb_field::PaddedVector;
 use tdb_storage::{AtomRecord, StorageError, StorageResult};
 use tdb_zorder::{AtomCoord, Box3, ATOM_WIDTH};
 
+/// Which ghosts of a padded cube a kernel reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// Every ghost: the whole dilated box.
+    Cube,
+    /// Only the ghosts in line with an interior point along one axis, which
+    /// is all that axis-aligned difference stencils read (every field of
+    /// `DerivedField::all()`). The cube's edges and corners stay zero, and
+    /// the atoms only they would need are not read.
+    Axes,
+}
+
 /// Atoms (by zindex) covering `domain` dilated by `halo`, with periodic
 /// wrapping (or clamping on wall axes). Sorted and unique.
 pub fn needed_atoms(
@@ -21,14 +33,49 @@ pub fn needed_atoms(
     dims: (usize, usize, usize),
     periodic: [bool; 3],
 ) -> Vec<AtomCoord> {
+    atoms_within(domain, [halo; 3], dims, periodic)
+}
+
+/// The atoms a kernel with `reach` over `domain` reads: [`needed_atoms`]
+/// for [`Reach::Cube`], the union of the three one-axis dilations for
+/// [`Reach::Axes`]. Sorted and unique.
+pub fn reached_atoms(
+    domain: &Box3,
+    halo: usize,
+    reach: Reach,
+    dims: (usize, usize, usize),
+    periodic: [bool; 3],
+) -> Vec<AtomCoord> {
+    if reach == Reach::Cube || halo == 0 {
+        return needed_atoms(domain, halo, dims, periodic);
+    }
+    let mut out: Vec<AtomCoord> = (0..3)
+        .flat_map(|axis| {
+            let dilation = [0, 1, 2].map(|a| if a == axis { halo } else { 0 });
+            atoms_within(domain, dilation, dims, periodic)
+        })
+        .collect();
+    out.sort_by_key(AtomCoord::zindex);
+    out.dedup();
+    out
+}
+
+/// Atoms covering `domain` dilated by `halo[axis]` along each axis.
+fn atoms_within(
+    domain: &Box3,
+    halo: [usize; 3],
+    dims: (usize, usize, usize),
+    periodic: [bool; 3],
+) -> Vec<AtomCoord> {
     let w = ATOM_WIDTH as i64;
     let dims = [dims.0 as i64, dims.1 as i64, dims.2 as i64];
     let mut axis_atoms: [Vec<i64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (((axis, &n), &per), (&lo, &hi)) in axis_atoms
+    for ((((axis, &n), &per), (&lo, &hi)), &halo) in axis_atoms
         .iter_mut()
         .zip(&dims)
         .zip(&periodic)
         .zip(domain.lo.iter().zip(&domain.hi))
+        .zip(&halo)
     {
         let lo = i64::from(lo) - halo as i64;
         let hi = i64::from(hi) + halo as i64;
@@ -137,6 +184,22 @@ pub fn assemble_padded_into(
     periodic: [bool; 3],
     atoms: &HashMap<u64, AtomRecord>,
 ) -> StorageResult<()> {
+    assemble_reach_into(padded, domain, halo, Reach::Cube, dims, periodic, atoms)
+}
+
+/// [`assemble_padded_into`] of the ghosts `reach` names; `atoms` must hold
+/// every atom [`reached_atoms`] returns. Under [`Reach::Axes`] a row in line
+/// with the domain along y or z alone gets its interior x only, and a row
+/// outside it along both is left at zero.
+pub(crate) fn assemble_reach_into(
+    padded: &mut PaddedVector<3>,
+    domain: &Box3,
+    halo: usize,
+    reach: Reach,
+    dims: (usize, usize, usize),
+    periodic: [bool; 3],
+    atoms: &HashMap<u64, AtomRecord>,
+) -> StorageResult<()> {
     let (ex, ey, ez) = domain.extent3();
     padded.reset(ex, ey, ez, halo);
     let [lx, ly, lz] = domain.lo;
@@ -146,35 +209,50 @@ pub fn assemble_padded_into(
     let zruns = axis_runs(lz, ez, halo, dims.2, per_z);
     let short = || StorageError::internal("atom row segment outside its record or padded row");
     let h = halo as isize;
-    // per atom of the row, its component planes (empty past `ncomp`)
-    let mut planes: Vec<[&[f32]; 3]> = Vec::with_capacity(xruns.len());
+    let inside = |i: usize, extent: usize| (halo..halo + extent).contains(&i);
+    // per atom of the row, its component planes (empty past `ncomp`);
+    // `None` for an atom the fetch did not return
+    let mut planes: Vec<Option<[&[f32]; 3]>> = Vec::with_capacity(xruns.len());
     for zrun in &zruns {
         for yrun in &yruns {
             planes.clear();
-            for xrun in &xruns {
+            planes.extend(xruns.iter().map(|xrun| {
                 let atom = AtomCoord::new(xrun.atom, yrun.atom, zrun.atom);
-                let rec = atoms.get(&atom.zindex()).ok_or_else(|| {
-                    StorageError::internal(format!("atom {atom:?} missing from the fetch result"))
-                })?;
-                planes.push([0, 1, 2].map(|c| rec.plane(c)));
-            }
+                let rec = atoms.get(&atom.zindex())?;
+                Some([0, 1, 2].map(|c| rec.plane(c)))
+            }));
             for dz in 0..zrun.len {
                 for dy in 0..yrun.len {
+                    let (py, pz) = (yrun.start + dy, zrun.start + dz);
+                    // the padded x range this row needs
+                    let xs = match (reach, inside(py, ey), inside(pz, ez)) {
+                        (Reach::Cube, ..) | (Reach::Axes, true, true) => 0..ex + 2 * halo,
+                        (Reach::Axes, false, false) => continue,
+                        (Reach::Axes, ..) => halo..halo + ex,
+                    };
                     let src_row = ATOM_WIDTH * (yrun.offset + dy + ATOM_WIDTH * (zrun.offset + dz));
-                    let (y, z) = (
-                        (yrun.start + dy) as isize - h,
-                        (zrun.start + dz) as isize - h,
-                    );
+                    let (y, z) = (py as isize - h, pz as isize - h);
                     for (c, comp) in padded.comps_mut().iter_mut().enumerate() {
                         let row = comp.padded_row_mut(y, z);
                         for (xrun, atom) in xruns.iter().zip(&planes) {
+                            let lo = xrun.start.max(xs.start);
+                            let hi = (xrun.start + xrun.len).min(xs.end);
+                            if lo >= hi {
+                                continue;
+                            }
+                            let atom = atom.ok_or_else(|| {
+                                let atom = AtomCoord::new(xrun.atom, yrun.atom, zrun.atom);
+                                StorageError::internal(format!(
+                                    "atom {atom:?} missing from the fetch result"
+                                ))
+                            })?;
                             let Some(plane) = atom.get(c).filter(|p| !p.is_empty()) else {
                                 continue;
                             };
-                            let src = src_row + xrun.offset;
-                            row.get_mut(xrun.start..xrun.start + xrun.len)
-                                .ok_or_else(short)?
-                                .copy_from_slice(plane.get(src..src + xrun.len).ok_or_else(short)?);
+                            let src = src_row + xrun.offset + (lo - xrun.start);
+                            row.get_mut(lo..hi).ok_or_else(short)?.copy_from_slice(
+                                plane.get(src..src + (hi - lo)).ok_or_else(short)?,
+                            );
                         }
                     }
                 }
@@ -438,5 +516,62 @@ mod tests {
         assert!(matches!(got, StorageError::Internal { .. }), "{got:?}");
         // and no error without the halo that reaches it
         assert!(assemble_padded(&domain, 0, dims, [true; 3], &atoms).is_ok());
+    }
+
+    /// Every field of `DerivedField::all()` reads its padded cube along the
+    /// axes only: assembled under `Reach::Axes` from just the atoms
+    /// `reached_atoms` names (the cube's edges and corners left at zero),
+    /// it derives the bits it derives from the whole cube, at every order,
+    /// on an atom, on a box that cuts atoms and wraps the grid, and on a point.
+    #[test]
+    fn axis_reach_derives_the_bits_of_the_whole_cube() {
+        use tdb_field::Grid3;
+        use tdb_kernels::{DerivedField, DiffScheme, FdOrder};
+
+        let (dims, periodic) = ((32, 32, 32), [true; 3]);
+        let all = atom_map(dims, 3);
+        let grid = Grid3::periodic_cube(32, std::f64::consts::TAU);
+        let atom = Box3::new([8, 8, 8], [15, 15, 15]);
+        for order in FdOrder::all() {
+            let scheme = DiffScheme::new(&grid, order);
+            let halo = scheme.halo();
+            let reached = |d: &Box3| reached_atoms(d, halo, Reach::Axes, dims, periodic);
+            // an atom and its six face neighbours, of the 27 the cube needs
+            assert_eq!(reached(&atom).len(), 7);
+            assert_eq!(needed_atoms(&atom, halo, dims, periodic).len(), 27);
+            for domain in [
+                atom,
+                Box3::new([0, 3, 29], [12, 3, 31]),
+                Box3::new([5, 17, 9], [5, 17, 9]),
+            ] {
+                let needed = needed_atoms(&domain, halo, dims, periodic);
+                let reached = reached(&domain);
+                assert!(reached.iter().all(|a| needed.contains(a)), "{domain:?}");
+                let subset: HashMap<u64, AtomRecord> = (reached.iter())
+                    .map(|a| (a.zindex(), all[&a.zindex()].clone()))
+                    .collect();
+                let cube = assemble_padded(&domain, halo, dims, periodic, &all).unwrap();
+                let mut axes = PaddedVector::zeros(3, 5, 7, 2);
+                axes.comp_mut(0).fill(|_, _, _| f32::NAN);
+                assemble_reach_into(
+                    &mut axes,
+                    &domain,
+                    halo,
+                    Reach::Axes,
+                    dims,
+                    periodic,
+                    &subset,
+                )
+                .unwrap();
+                let origin = domain.lo.map(|l| l as usize);
+                for field in DerivedField::all() {
+                    let bits = |p: &PaddedVector<3>| -> Vec<u32> {
+                        let f = field.eval(p, &scheme, origin);
+                        f.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&cube), bits(&axes), "{field:?} {order:?} {domain:?}");
+                }
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@ use tdb_storage::device::IoSession;
 use tdb_storage::StorageResult;
 use tdb_zorder::{AtomCoord, Box3, ATOM_WIDTH};
 
-use crate::assemble::needed_atoms;
+use crate::assemble::{needed_atoms, Reach};
 use crate::mediator::Cluster;
 use crate::node::{run_workers, NodeRuntime, ScanScratch};
 use crate::topology::Topology;
@@ -263,6 +263,7 @@ fn block_maxima(
         timestep,
         &[block],
         halo,
+        Reach::Cube,
         &derived,
         scratch,
         &mut IoSession::new(),

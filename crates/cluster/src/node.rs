@@ -32,7 +32,7 @@ use tdb_zorder::Box3;
 
 use tdb_kernels::DerivedField;
 
-use crate::assemble::{assemble_padded_into, needed_atoms};
+use crate::assemble::{assemble_reach_into, reached_atoms, Reach};
 use crate::cputime::thread_cpu_time_s;
 use crate::maxima::{atoms_needed, surviving_domains};
 use crate::placement::Layout;
@@ -196,8 +196,8 @@ impl NodeRuntime {
 
     /// The one scan worker, run by query scans and by the build pass of
     /// the atom maxima alike: one [`routed_read`] of every atom the
-    /// `domains` and their `halo` need, then per domain the padded cube
-    /// and, per field of `derived`, its rows handed to
+    /// `domains` and their `halo` reach under `reach`, then per domain the
+    /// padded cube and, per field of `derived`, its rows handed to
     /// `visit(domain, field, y, z, row)` as they appear (`y`, `z` relative
     /// to the domain). An empty `derived` only reads. Returns the atoms
     /// read and the thread CPU seconds spent after the read.
@@ -210,6 +210,7 @@ impl NodeRuntime {
         timestep: u32,
         domains: &[Box3],
         halo: usize,
+        reach: Reach,
         derived: &[DerivedField],
         scratch: &mut ScanScratch,
         session: &mut IoSession,
@@ -218,7 +219,7 @@ impl NodeRuntime {
         let (dims, periodic) = (self.env.grid.dims(), self.env.grid.periodic);
         let needed = domains
             .iter()
-            .flat_map(|d| needed_atoms(d, halo, dims, periodic));
+            .flat_map(|d| reached_atoms(d, halo, reach, dims, periodic));
         let atoms = routed_read(layout, peers, Some(self), field, timestep, needed, session)?;
         let read = atoms.len() as u64;
         if derived.is_empty() {
@@ -229,7 +230,15 @@ impl NodeRuntime {
         let mut atoms = Some(atoms);
         for (d, domain) in domains.iter().enumerate() {
             let Some(records) = &atoms else { break };
-            assemble_padded_into(&mut scratch.padded, domain, halo, dims, periodic, records)?;
+            assemble_reach_into(
+                &mut scratch.padded,
+                domain,
+                halo,
+                reach,
+                dims,
+                periodic,
+                records,
+            )?;
             if d == last {
                 // the records are copied into the cube: release them before
                 // the answers start to grow
@@ -370,6 +379,9 @@ impl NodeRuntime {
         // maximum can answer one of them (DESIGN.md §9)
         struct ScanTask {
             domains: Vec<Box3>,
+            /// `Axes` for survivors (no field with maxima reads the cube's
+            /// edges and corners), `Cube` for the unpruned hull
+            reach: Reach,
             clips: Vec<(usize, Box3)>,
             /// Atoms the unpruned hull would have read (0: not pruned).
             unpruned: u64,
@@ -413,6 +425,7 @@ impl NodeRuntime {
             let task = match survivors {
                 None => ScanTask {
                     domains: vec![hull],
+                    reach: Reach::Cube,
                     clips,
                     unpruned: 0,
                 },
@@ -424,6 +437,7 @@ impl NodeRuntime {
                     }
                     ScanTask {
                         domains,
+                        reach: Reach::Axes,
                         clips,
                         unpruned,
                     }
@@ -503,6 +517,7 @@ impl NodeRuntime {
                     req.timestep,
                     &task.domains,
                     halo,
+                    task.reach,
                     derived,
                     scratch,
                     &mut chunk_session,

@@ -264,8 +264,12 @@ impl DerivedField {
                                 norm3([p[0] - p[1], p[2] - p[3], p[4] - p[5]])
                             })
                         }
-                        DerivedField::QCriterion => map_row(gather(rows, slot, nx), out, q_of_gradient),
-                        DerivedField::RInvariant => map_row(gather(rows, slot, nx), out, r_of_gradient),
+                        DerivedField::QCriterion => {
+                            map_row(gather(rows, slot, nx), out, q_of_gradient)
+                        }
+                        DerivedField::RInvariant => {
+                            map_row(gather(rows, slot, nx), out, r_of_gradient)
+                        }
                         DerivedField::GradientNorm => {
                             map_row(gather(rows, slot, nx), out, |a: &[f32; 9]| {
                                 a.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -720,9 +724,14 @@ mod tests {
                     // entry is the AVX2 instantiation wherever there is one
                     let (mut portable, mut wide, o) = (Vec::new(), Vec::new(), [0, 0, 0]);
                     let one = [field];
-                    DerivedField::eval_rows_body(&one, &input, &scheme, o, &mut Vec::new(), |_, _, _, row| {
-                        portable.extend_from_slice(row)
-                    });
+                    DerivedField::eval_rows_body(
+                        &one,
+                        &input,
+                        &scheme,
+                        o,
+                        &mut Vec::new(),
+                        |_, _, _, row| portable.extend_from_slice(row),
+                    );
                     field.eval_rows(&input, &scheme, o, &mut Vec::new(), |_, _, row| {
                         wide.extend_from_slice(row)
                     });
@@ -766,28 +775,48 @@ mod tests {
                 let halo = fields.iter().map(|f| f.halo(&scheme)).max().unwrap();
                 for vals in [&vals[..], &hostile[..]] {
                     let input = filled(dims, halo, vals);
-                    let mut many: Vec<Vec<(usize, usize, Vec<u32>)>> = vec![Vec::new(); fields.len()];
+                    let mut many: Vec<Vec<(usize, usize, Vec<u32>)>> =
+                        vec![Vec::new(); fields.len()];
                     DerivedField::eval_rows_many(
                         &fields,
                         &input,
                         &scheme,
                         [0, 0, 0],
                         &mut Vec::new(),
-                        |f, y, z, row| many[f].push((y, z, row.iter().map(|v| v.to_bits()).collect())),
+                        |f, y, z, row| {
+                            many[f].push((y, z, row.iter().map(|v| v.to_bits()).collect()))
+                        },
                     );
                     for (field, many) in fields.iter().zip(&many) {
                         let mut own = Vec::new();
-                        field.eval_rows(&input, &scheme, [0, 0, 0], &mut Vec::new(), |y, z, row| {
-                            own.push((y, z, row.iter().map(|v| v.to_bits()).collect::<Vec<_>>()))
-                        });
-                        let nan_class = |rows: &[(usize, usize, Vec<u32>)]| -> Vec<(usize, usize, Vec<u32>)> {
-                            (rows.iter())
-                                .map(|(y, z, r)| {
-                                    let r = r.iter().map(|&b| if f32::from_bits(b).is_nan() { u32::MAX } else { b });
-                                    (*y, *z, r.collect())
-                                })
-                                .collect()
-                        };
+                        field.eval_rows(
+                            &input,
+                            &scheme,
+                            [0, 0, 0],
+                            &mut Vec::new(),
+                            |y, z, row| {
+                                own.push((
+                                    y,
+                                    z,
+                                    row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                                ))
+                            },
+                        );
+                        let nan_class =
+                            |rows: &[(usize, usize, Vec<u32>)]| -> Vec<(usize, usize, Vec<u32>)> {
+                                (rows.iter())
+                                    .map(|(y, z, r)| {
+                                        let r = r.iter().map(|&b| {
+                                            if f32::from_bits(b).is_nan() {
+                                                u32::MAX
+                                            } else {
+                                                b
+                                            }
+                                        });
+                                        (*y, *z, r.collect())
+                                    })
+                                    .collect()
+                            };
                         assert_eq!(nan_class(many), nan_class(&own), "{field:?} {order:?}");
                     }
                 }

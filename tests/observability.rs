@@ -188,7 +188,9 @@ fn a_cold_medium_tier_query_reads_a_fifth_of_the_atoms_of_a_whole_box() {
     };
     let q = |t| ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, t);
     service.cluster().clear_buffer_pools();
-    let pdf = service.get_pdf(&q(0.0).without_cache(), 0.0, 10.0, 9).unwrap();
+    let pdf = service
+        .get_pdf(&q(0.0).without_cache(), 0.0, 10.0, 9)
+        .unwrap();
     let whole = reads(pdf.trace.as_ref().unwrap());
     service.cluster().clear_buffer_pools();
     let pruned = service.get_threshold(&q(medium).without_cache()).unwrap();
