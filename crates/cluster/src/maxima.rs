@@ -1,15 +1,17 @@
-//! Exact per-atom maxima of every parameter-free derived field, and the
-//! scan domains they leave a threshold query (DESIGN.md §9).
+//! Exact maxima of every parameter-free derived field over each octant
+//! (4³ eighth) of every atom, and the scan domains they leave a threshold
+//! query (DESIGN.md §9).
 //!
 //! When the archive is loaded, every node derives each field of
 //! [`DerivedField::all`] over its primary chunks of every (raw field,
 //! time-step) with the same worker a query scan runs, and keeps the
-//! largest value of each atom. A threshold scan then reads and derives
-//! only the atoms whose maximum passes [`at_or_above`]. The skip is exact,
-//! not a bound: the stored maximum is one of the very f32s the scan
-//! compares (the derived value at a point does not depend on the domain
-//! it was evaluated over), the comparison is monotone, and a NaN passes
-//! it neither as a value nor as a maximum. An atom whose maximum could not
+//! largest value of each octant. A threshold scan then reads and derives
+//! only the octants whose maximum passes [`at_or_above`], and of their
+//! halo only the face neighbours it reaches. The skip is exact, not a
+//! bound: the stored maximum is one of the very f32s the scan compares
+//! (the derived value at a point does not depend on the domain it was
+//! evaluated over), the comparison is monotone, and a NaN passes it
+//! neither as a value nor as a maximum. An octant whose maximum could not
 //! be computed holds +∞ and is always scanned.
 
 use tdb_field::at_or_above;
@@ -23,7 +25,10 @@ use crate::mediator::Cluster;
 use crate::node::{run_workers, NodeRuntime, ScanScratch};
 use crate::topology::Topology;
 
-/// The per-atom maxima of one archive: 4 B per atom per (raw field,
+/// Points per axis of an octant, the unit a maximum covers.
+const OCTANT_WIDTH: u32 = ATOM_WIDTH as u32 / 2;
+
+/// The per-octant maxima of one archive: 32 B per atom per (raw field,
 /// time-step, derived field). Built once, never changed: placement does
 /// not change an atom's values, so it survives join and leave.
 pub(crate) struct AtomMaxima {
@@ -33,7 +38,8 @@ pub(crate) struct AtomMaxima {
 }
 
 /// The maxima of one (raw field, time-step): one table per field of
-/// [`DerivedField::all`], one value per atom, x fastest.
+/// [`DerivedField::all`], eight values per atom (atoms x fastest, then
+/// octants in [`octant_box`] order).
 struct KeyMaxima {
     raw_field: String,
     timestep: u32,
@@ -67,10 +73,14 @@ impl AtomMaxima {
 }
 
 impl FieldMaxima<'_> {
-    /// The atom's maximum (+∞, always scanned, for an atom off the table).
-    pub(crate) fn get(&self, atom: AtomCoord) -> f32 {
-        let i = lattice_index(self.atoms, atom);
-        self.values.get(i).copied().unwrap_or(f32::INFINITY)
+    /// The atom's eight octant maxima in [`octant_box`] order (+∞, always
+    /// scanned, for an atom off the table).
+    pub(crate) fn octants(&self, atom: AtomCoord) -> [f32; 8] {
+        let i = 8 * lattice_index(self.atoms, atom);
+        match self.values.get(i..i + 8) {
+            Some(v) => std::array::from_fn(|o| v.get(o).copied().unwrap_or(f32::INFINITY)),
+            None => [f32::INFINITY; 8],
+        }
     }
 }
 
@@ -79,9 +89,17 @@ fn lattice_index([nx, ny, _]: [usize; 3], atom: AtomCoord) -> usize {
     atom.x as usize + nx * (atom.y as usize + ny * atom.z as usize)
 }
 
+/// Octant `o` of `atom`, in grid points: the half along x, y, z given by
+/// bit 0, 1, 2 of `o`.
+fn octant_box(atom: AtomCoord, o: usize) -> Box3 {
+    let (x, y, z) = atom.grid_origin();
+    let lo = [(x, 0), (y, 1), (z, 2)].map(|(c, axis)| c + OCTANT_WIDTH * ((o >> axis) & 1) as u32);
+    Box3::new(lo, lo.map(|l| l + OCTANT_WIDTH - 1))
+}
+
 /// `f32::max`, which drops NaN, with the sign of a zero maximum fixed
-/// (+0.0 above −0.0): an atom's maximum has the same bits whatever order
-/// its points are folded in. NaN only when both are.
+/// (+0.0 above −0.0): a maximum has the same bits whatever order its
+/// points are folded in. NaN only when both are.
 #[inline(always)]
 pub(crate) fn max_dropping_nan(a: f32, b: f32) -> f32 {
     let m = a.max(b);
@@ -93,12 +111,14 @@ pub(crate) fn max_dropping_nan(a: f32, b: f32) -> f32 {
 }
 
 /// What a chunk scans for `clips` (each a participant's threshold and its
-/// clip of the chunk) whose hull is `hull`: the atoms some clip touches
-/// and whose maximum passes that clip's threshold survive. `None` when
-/// every touched atom survives (the chunk scans `hull`, as without
-/// maxima); otherwise each survivor clipped to the clips it passes, or
-/// the hull of the survivors, whichever assembles fewer padded points —
-/// empty when nothing survives.
+/// clip of the chunk) whose hull is `hull`: per atom, the hull of the
+/// parts of its octants that some clip touches and whose maximum passes
+/// that clip's threshold. `None` when every touched octant survives (the
+/// chunk scans `hull`, as without maxima); otherwise each atom's
+/// survivors, or the hull of them all, whichever assembles fewer padded
+/// points — empty when nothing survives. With a halo of at most an
+/// octant's width, an atom's survivors reach the same face neighbours
+/// together as one by one.
 pub(crate) fn surviving_domains(
     maxima: FieldMaxima<'_>,
     hull: &Box3,
@@ -106,24 +126,29 @@ pub(crate) fn surviving_domains(
     halo: usize,
 ) -> Option<Vec<Box3>> {
     let mut survivors: Vec<Box3> = Vec::new();
-    let mut touched = 0usize;
+    let (mut touched, mut kept) = (0usize, 0usize);
     for atom in hull.atoms() {
-        let (abox, max) = (atom.grid_box(), maxima.get(atom));
         let mut domain: Option<Box3> = None;
-        let mut touches = false;
-        for (threshold, clip) in clips {
-            let Some(c) = abox.intersect(clip) else {
-                continue;
-            };
-            touches = true;
-            if at_or_above(max, *threshold) {
-                domain = Some(domain.map_or(c, |d| d.hull(&c)));
+        for (o, max) in maxima.octants(atom).into_iter().enumerate() {
+            let obox = octant_box(atom, o);
+            let mut touches = false;
+            let mut passes = false;
+            for (threshold, clip) in clips {
+                let Some(c) = obox.intersect(clip) else {
+                    continue;
+                };
+                touches = true;
+                if at_or_above(max, *threshold) {
+                    passes = true;
+                    domain = Some(domain.map_or(c, |d| d.hull(&c)));
+                }
             }
+            touched += usize::from(touches);
+            kept += usize::from(passes);
         }
-        touched += usize::from(touches);
         survivors.extend(domain);
     }
-    if survivors.len() == touched {
+    if kept == touched {
         return None;
     }
     let Some(&first) = survivors.first() else {
@@ -166,17 +191,31 @@ impl Cluster {
         timestep: u32,
         atom: AtomCoord,
     ) -> Option<f32> {
+        let octants = self.octant_maxima(raw_field, derived, timestep, atom)?;
+        Some(octants.into_iter().fold(f32::NAN, max_dropping_nan))
+    }
+
+    /// The stored maxima of the atom's eight octants, as
+    /// [`Cluster::atom_max`]: octant `o` is the atom's 4³ eighth whose half
+    /// along x, y and z is bit 0, 1 and 2 of `o`.
+    pub fn octant_maxima(
+        &self,
+        raw_field: &str,
+        derived: DerivedField,
+        timestep: u32,
+        atom: AtomCoord,
+    ) -> Option<[f32; 8]> {
         let maxima = self.env.maxima.get()?.of(raw_field, derived, timestep)?;
-        Some(maxima.get(atom))
+        Some(maxima.octants(atom))
     }
 
     /// The build pass: every field of [`DerivedField::all`] is derived
     /// over every (raw field, time-step) through the worker a query scan
-    /// runs, block by block, and each atom keeps its maximum. A block is
+    /// runs, block by block, and each octant keeps its maximum. A block is
     /// an aligned cube of [`BUILD_EDGE`] points (or a chunk, when chunks
     /// are larger), read and assembled once for all eight fields by the
     /// node that stores its first atom. A block that fails to read leaves
-    /// +∞ on its atoms. The buffer pools are emptied after each (raw
+    /// +∞ on its octants. The buffer pools are emptied after each (raw
     /// field, time-step), so they hold one at a time and none at the end.
     pub(crate) fn compute_atom_maxima(&self) -> AtomMaxima {
         let topo = self.topology_snapshot();
@@ -210,17 +249,18 @@ impl Cluster {
                 let maxima = run_workers(procs, &blocks, |scratch, &(node, block)| {
                     block_maxima(node, &topo, field, timestep, block, halo, scratch)
                 });
-                let table = vec![f32::INFINITY; atoms.iter().product()].into_boxed_slice();
-                let mut fields = vec![table; derived.len()];
+                let table = vec![f32::INFINITY; 8 * atoms.iter().product::<usize>()];
+                let mut fields = vec![table.into_boxed_slice(); derived.len()];
                 for ((_, block), maxima) in blocks.iter().zip(maxima) {
                     let Ok(maxima) = maxima else {
                         continue;
                     };
                     let per_field = (maxima.len() / derived.len()).max(1);
                     for (table, values) in fields.iter_mut().zip(maxima.chunks(per_field)) {
-                        for (atom, &max) in block.atoms().zip(values) {
-                            if let Some(slot) = table.get_mut(lattice_index(atoms, atom)) {
-                                *slot = max;
+                        for (atom, octants) in block.atoms().zip(values.chunks(8)) {
+                            let i = 8 * lattice_index(atoms, atom);
+                            if let Some(slots) = table.get_mut(i..i + octants.len()) {
+                                slots.copy_from_slice(octants);
                             }
                         }
                     }
@@ -242,7 +282,7 @@ impl Cluster {
 const BUILD_EDGE: u32 = 32;
 
 /// One atom-aligned block's maxima: per field of [`DerivedField::all`],
-/// one value per atom of the block in [`Box3::atoms`] order.
+/// eight values per atom of the block, atoms in [`Box3::atoms`] order.
 fn block_maxima(
     node: &NodeRuntime,
     topo: &Topology,
@@ -254,8 +294,9 @@ fn block_maxima(
 ) -> StorageResult<Vec<f32>> {
     let derived = DerivedField::all();
     let [cx, cy, cz] = block.atom_box().extent().map(|e| e as usize);
-    let n = cx * cy * cz;
+    let n = 8 * cx * cy * cz;
     let mut maxima = vec![f32::NAN; derived.len() * n];
+    let half = OCTANT_WIDTH as usize;
     node.derive_domains(
         &topo.layout,
         &topo.nodes,
@@ -268,9 +309,11 @@ fn block_maxima(
         scratch,
         &mut IoSession::new(),
         |_, f, y, z, row| {
-            let base = f * n + cx * (y / ATOM_WIDTH + cy * (z / ATOM_WIDTH));
-            for (ax, seg) in row.chunks(ATOM_WIDTH).enumerate() {
-                if let Some(m) = maxima.get_mut(base + ax) {
+            let atom_row = cx * (y / ATOM_WIDTH + cy * (z / ATOM_WIDTH));
+            let octant_row = 2 * (y % ATOM_WIDTH / half) + 4 * (z % ATOM_WIDTH / half);
+            for (sx, seg) in row.chunks(half).enumerate() {
+                let slot = f * n + 8 * (atom_row + sx / 2) + sx % 2 + octant_row;
+                if let Some(m) = maxima.get_mut(slot) {
                     *m = seg.iter().fold(*m, |m, &v| max_dropping_nan(m, v));
                 }
             }

@@ -375,8 +375,8 @@ impl NodeRuntime {
         // --- shared scan over all pending participants -------------------
         // per chunk, scan the hull of every pending clip so each atom is
         // decoded once no matter how many queries need it — or, when every
-        // pending participant is a threshold kernel, only the atoms whose
-        // maximum can answer one of them (DESIGN.md §9)
+        // pending participant is a threshold kernel, only the atom octants
+        // whose maximum can answer one of them (DESIGN.md §9)
         struct ScanTask {
             domains: Vec<Box3>,
             /// `Axes` for survivors (no field with maxima reads the cube's

@@ -33,7 +33,7 @@ pub(crate) struct ClusterEnv {
     pub registry: DeviceRegistry,
     pub lan: DeviceId,
     pub wan: DeviceId,
-    /// The per-atom maxima, set once by [`ClusterBuilder::finish`].
+    /// The per-octant maxima, set once by [`ClusterBuilder::finish`].
     pub maxima: OnceLock<AtomMaxima>,
 }
 
@@ -335,7 +335,7 @@ impl ClusterBuilder {
     }
 
     /// Seals the tables, brings the node runtimes up and computes the
-    /// per-atom maxima, which leaves the buffer pools empty: the first
+    /// per-octant maxima, which leaves the buffer pools empty: the first
     /// query starts cold.
     pub fn finish(self) -> StorageResult<Cluster> {
         let mut next_file_id = 0u64;

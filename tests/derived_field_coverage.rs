@@ -39,10 +39,10 @@ fn every_catalogue_field_evaluates_and_caches() {
     }
 }
 
-/// Every atom's stored maximum (DESIGN.md §9) is, bit for bit, the largest
-/// value the archive itself holds there — read back through a top-k of
-/// every grid point, which nothing prunes — on every codec, raw field and
-/// parameter-free derived field.
+/// Every atom's and every octant's stored maximum (DESIGN.md §9) is, bit
+/// for bit, the largest value the archive itself holds there — read back
+/// through a top-k of every grid point, which nothing prunes — on every
+/// codec, raw field and parameter-free derived field.
 #[test]
 fn stored_atom_maxima_are_the_maxima_of_the_archive_values() {
     let codecs = [
@@ -60,22 +60,31 @@ fn stored_atom_maxima_are_the_maxima_of_the_archive_values() {
                 let q = ThresholdQuery::whole_timestep(field, derived, 0, 0.0).without_cache();
                 let every = service.get_topk(&q, 32 * 32 * 32).unwrap().points;
                 assert_eq!(every.len(), 32 * 32 * 32, "{row}");
-                // the largest non-NaN value in `total_cmp` order (+0 above −0)
-                let mut want = [f32::NAN; 64];
+                // the largest non-NaN value in `total_cmp` order (+0 above −0),
+                // per atom and per octant (its half along x, y, z: bits 0–2)
+                let mut want = [[f32::NAN; 9]; 64];
                 for p in &every {
                     let (x, y, z) = p.coords();
                     let atom = AtomCoord::containing(x, y, z);
-                    let max = &mut want[(atom.x + 4 * (atom.y + 4 * atom.z)) as usize];
-                    if !p.value.is_nan() && (max.is_nan() || p.value.total_cmp(max).is_gt()) {
-                        *max = p.value;
+                    let octant = (x % 8 / 4 + 2 * (y % 8 / 4) + 4 * (z % 8 / 4)) as usize;
+                    let maxima = &mut want[(atom.x + 4 * (atom.y + 4 * atom.z)) as usize];
+                    for i in [octant, 8] {
+                        let max = &mut maxima[i];
+                        if !p.value.is_nan() && (max.is_nan() || p.value.total_cmp(max).is_gt()) {
+                            *max = p.value;
+                        }
                     }
                 }
                 for atom in Box3::cube(32).atoms() {
-                    let got = service.cluster().atom_max(field, derived, 0, atom);
+                    let cluster = service.cluster();
                     let want = want[(atom.x + 4 * (atom.y + 4 * atom.z)) as usize];
+                    let got = cluster.octant_maxima(field, derived, 0, atom).unwrap();
+                    let octants: [u32; 8] = std::array::from_fn(|o| want[o].to_bits());
+                    assert_eq!(got.map(f32::to_bits), octants, "{row}, {atom:?}");
+                    let got = cluster.atom_max(field, derived, 0, atom);
                     assert_eq!(
                         got.map(f32::to_bits),
-                        Some(want.to_bits()),
+                        Some(want[8].to_bits()),
                         "{row}, {atom:?}"
                     );
                 }
