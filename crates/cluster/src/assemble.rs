@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 
 use tdb_field::PaddedVector;
+use tdb_kernels::{DerivedField, DiffScheme};
 use tdb_storage::{AtomRecord, StorageError, StorageResult};
 use tdb_zorder::{AtomCoord, Box3, ATOM_WIDTH};
 
@@ -18,11 +19,23 @@ use tdb_zorder::{AtomCoord, Box3, ATOM_WIDTH};
 pub enum Reach {
     /// Every ghost: the whole dilated box.
     Cube,
-    /// Only the ghosts in line with an interior point along one axis, which
-    /// is all that axis-aligned difference stencils read (every field of
-    /// `DerivedField::all()`). The cube's edges and corners stay zero, and
-    /// the atoms only they would need are not read.
+    /// Only the ghosts in line with an interior point along one axis. The
+    /// cube's edges and corners stay zero, and the atoms only they would
+    /// need are not read.
     Axes,
+}
+
+/// The halo and reach of a scan deriving `fields`, the one rule every scan
+/// reads under: the widest half-width, along the axes only when every
+/// field's stencil reads nothing else ([`DerivedField::reads_axes_only`]).
+pub(crate) fn scan_reach(fields: &[DerivedField], scheme: &DiffScheme) -> (usize, Reach) {
+    let halo = fields.iter().map(|f| f.halo(scheme)).max().unwrap_or(0);
+    let reach = if fields.iter().all(DerivedField::reads_axes_only) {
+        Reach::Axes
+    } else {
+        Reach::Cube
+    };
+    (halo, reach)
 }
 
 /// Atoms (by zindex) covering `domain` dilated by `halo`, with periodic
@@ -33,7 +46,7 @@ pub fn needed_atoms(
     dims: (usize, usize, usize),
     periodic: [bool; 3],
 ) -> Vec<AtomCoord> {
-    atoms_within(domain, [halo; 3], dims, periodic)
+    reached_atoms(domain, halo, Reach::Cube, dims, periodic)
 }
 
 /// The atoms a kernel with `reach` over `domain` reads: [`needed_atoms`]
@@ -46,21 +59,24 @@ pub fn reached_atoms(
     dims: (usize, usize, usize),
     periodic: [bool; 3],
 ) -> Vec<AtomCoord> {
-    if reach == Reach::Cube || halo == 0 {
-        return needed_atoms(domain, halo, dims, periodic);
-    }
-    let mut out: Vec<AtomCoord> = (0..3)
-        .flat_map(|axis| {
-            let dilation = [0, 1, 2].map(|a| if a == axis { halo } else { 0 });
-            atoms_within(domain, dilation, dims, periodic)
-        })
-        .collect();
-    out.sort_by_key(AtomCoord::zindex);
+    let mut out = if reach == Reach::Cube || halo == 0 {
+        atoms_within(domain, [halo; 3], dims, periodic)
+    } else {
+        (0..3)
+            .flat_map(|axis| {
+                let dilation = [0, 1, 2].map(|a| if a == axis { halo } else { 0 });
+                atoms_within(domain, dilation, dims, periodic)
+            })
+            .collect()
+    };
+    // the key is a Morton encode: once per atom, not once per comparison
+    out.sort_by_cached_key(AtomCoord::zindex);
     out.dedup();
     out
 }
 
-/// Atoms covering `domain` dilated by `halo[axis]` along each axis.
+/// Atoms covering `domain` dilated by `halo[axis]` along each axis, each
+/// once, in no particular order.
 fn atoms_within(
     domain: &Box3,
     halo: [usize; 3],
@@ -102,8 +118,6 @@ fn atoms_within(
             }
         }
     }
-    out.sort_by_key(AtomCoord::zindex);
-    out.dedup();
     out
 }
 
@@ -518,58 +532,82 @@ mod tests {
         assert!(assemble_padded(&domain, 0, dims, [true; 3], &atoms).is_ok());
     }
 
-    /// Every field of `DerivedField::all()` reads its padded cube along the
-    /// axes only: assembled under `Reach::Axes` from just the atoms
+    /// The reach declaration holds. Every field [`scan_reach`] reads along
+    /// the axes, assembled under `Reach::Axes` from just the atoms
     /// `reached_atoms` names (the cube's edges and corners left at zero),
-    /// it derives the bits it derives from the whole cube, at every order,
-    /// on an atom, on a box that cuts atoms and wraps the grid, and on a point.
+    /// derives the bits it derives from the whole cube: at every order, on
+    /// periodic axes, a wall axis and a stretched channel grid, on an atom,
+    /// on boxes that cut atoms and wrap the grid or meet a wall, and on a
+    /// point. The box filter, declared to read the cube, derives other bits
+    /// from the axes: the declaration is what keeps its answers right.
     #[test]
     fn axis_reach_derives_the_bits_of_the_whole_cube() {
+        use std::f64::consts::TAU;
         use tdb_field::Grid3;
-        use tdb_kernels::{DerivedField, DiffScheme, FdOrder};
+        use tdb_kernels::FdOrder;
 
-        let (dims, periodic) = ((32, 32, 32), [true; 3]);
+        let dims = (32, 32, 32);
         let all = atom_map(dims, 3);
-        let grid = Grid3::periodic_cube(32, std::f64::consts::TAU);
+        let mut wall = Grid3::periodic_cube(32, TAU);
+        wall.periodic = [true, false, true];
+        let channel = Grid3::channel(32, 32, 32, TAU, TAU, 1.7);
+        let mut fields = DerivedField::all().to_vec();
+        fields.extend([1, 2].map(|radius| DerivedField::BoxFilteredNorm { radius }));
         let atom = Box3::new([8, 8, 8], [15, 15, 15]);
-        for order in FdOrder::all() {
-            let scheme = DiffScheme::new(&grid, order);
-            let halo = scheme.halo();
-            let reached = |d: &Box3| reached_atoms(d, halo, Reach::Axes, dims, periodic);
-            // an atom and its six face neighbours, of the 27 the cube needs
-            assert_eq!(reached(&atom).len(), 7);
-            assert_eq!(needed_atoms(&atom, halo, dims, periodic).len(), 27);
-            for domain in [
-                atom,
-                Box3::new([0, 3, 29], [12, 3, 31]),
-                Box3::new([5, 17, 9], [5, 17, 9]),
-            ] {
-                let needed = needed_atoms(&domain, halo, dims, periodic);
-                let reached = reached(&domain);
-                assert!(reached.iter().all(|a| needed.contains(a)), "{domain:?}");
-                let subset: HashMap<u64, AtomRecord> = (reached.iter())
-                    .map(|a| (a.zindex(), all[&a.zindex()].clone()))
-                    .collect();
-                let cube = assemble_padded(&domain, halo, dims, periodic, &all).unwrap();
-                let mut axes = PaddedVector::zeros(3, 5, 7, 2);
-                axes.comp_mut(0).fill(|_, _, _| f32::NAN);
-                assemble_reach_into(
-                    &mut axes,
-                    &domain,
-                    halo,
-                    Reach::Axes,
-                    dims,
-                    periodic,
-                    &subset,
-                )
-                .unwrap();
-                let origin = domain.lo.map(|l| l as usize);
-                for field in DerivedField::all() {
-                    let bits = |p: &PaddedVector<3>| -> Vec<u32> {
-                        let f = field.eval(p, &scheme, origin);
-                        f.as_slice().iter().map(|v| v.to_bits()).collect()
-                    };
-                    assert_eq!(bits(&cube), bits(&axes), "{field:?} {order:?} {domain:?}");
+        for grid in [Grid3::periodic_cube(32, TAU), wall, channel] {
+            let periodic = grid.periodic;
+            for order in FdOrder::all() {
+                let scheme = DiffScheme::new(&grid, order);
+                // an atom and its six face neighbours, of the 27 the cube needs
+                let halo = scheme.halo();
+                assert_eq!(
+                    reached_atoms(&atom, halo, Reach::Axes, dims, periodic).len(),
+                    7
+                );
+                assert_eq!(needed_atoms(&atom, halo, dims, periodic).len(), 27);
+                for domain in [
+                    atom,
+                    Box3::new([0, 0, 29], [12, 7, 31]),
+                    Box3::new([20, 24, 4], [27, 31, 11]),
+                    Box3::new([5, 17, 9], [5, 17, 9]),
+                ] {
+                    let origin = domain.lo.map(|l| l as usize);
+                    for &field in &fields {
+                        let (halo, reach) = scan_reach(&[field], &scheme);
+                        assert_eq!(reach == Reach::Axes, field.reads_axes_only());
+                        // a wall's second-derivative stencil (order + 2
+                        // nodes) reaches one ghost past the halo
+                        let halo = halo + usize::from(periodic.contains(&false));
+                        let needed = needed_atoms(&domain, halo, dims, periodic);
+                        let reached = reached_atoms(&domain, halo, Reach::Axes, dims, periodic);
+                        assert!(reached.iter().all(|a| needed.contains(a)), "{domain:?}");
+                        let subset: HashMap<u64, AtomRecord> = (reached.iter())
+                            .map(|a| (a.zindex(), all[&a.zindex()].clone()))
+                            .collect();
+                        let cube = assemble_padded(&domain, halo, dims, periodic, &all).unwrap();
+                        let mut axes = PaddedVector::zeros(3, 5, 7, 2);
+                        axes.comp_mut(0).fill(|_, _, _| f32::NAN);
+                        assemble_reach_into(
+                            &mut axes,
+                            &domain,
+                            halo,
+                            Reach::Axes,
+                            dims,
+                            periodic,
+                            &subset,
+                        )
+                        .unwrap();
+                        let bits = |p: &PaddedVector<3>| -> Vec<u32> {
+                            let f = field.eval(p, &scheme, origin);
+                            f.as_slice().iter().map(|v| v.to_bits()).collect()
+                        };
+                        let row = format!("{field:?} {order:?} {periodic:?} {domain:?}");
+                        if field.reads_axes_only() {
+                            assert_eq!(bits(&cube), bits(&axes), "{row}");
+                        } else {
+                            assert_ne!(bits(&cube), bits(&axes), "{row}");
+                        }
+                    }
                 }
             }
         }

@@ -6,13 +6,12 @@
 //! [`DerivedField::all`] over its primary chunks of every (raw field,
 //! time-step) with the same worker a query scan runs, and keeps the
 //! largest value of each octant. A threshold scan then reads and derives
-//! only the octants whose maximum passes [`at_or_above`], and of their
-//! halo only the face neighbours it reaches. The skip is exact, not a
-//! bound: the stored maximum is one of the very f32s the scan compares
-//! (the derived value at a point does not depend on the domain it was
-//! evaluated over), the comparison is monotone, and a NaN passes it
-//! neither as a value nor as a maximum. An octant whose maximum could not
-//! be computed holds +∞ and is always scanned.
+//! only the octants whose maximum passes [`at_or_above`]. The skip is
+//! exact, not a bound: the stored maximum is one of the very f32s the
+//! scan compares (the derived value at a point does not depend on the
+//! domain it was evaluated over), the comparison is monotone, and a NaN
+//! passes it neither as a value nor as a maximum. An octant whose maximum
+//! could not be computed holds +∞ and is always scanned.
 
 use tdb_field::at_or_above;
 use tdb_kernels::DerivedField;
@@ -20,9 +19,8 @@ use tdb_storage::device::IoSession;
 use tdb_storage::StorageResult;
 use tdb_zorder::{AtomCoord, Box3, ATOM_WIDTH};
 
-use crate::assemble::{needed_atoms, Reach};
 use crate::mediator::Cluster;
-use crate::node::{run_workers, NodeRuntime, ScanScratch};
+use crate::node::{run_workers, NodeRuntime, QueryMode, ScanScratch};
 use crate::topology::Topology;
 
 /// Points per axis of an octant, the unit a maximum covers.
@@ -110,21 +108,24 @@ pub(crate) fn max_dropping_nan(a: f32, b: f32) -> f32 {
     }
 }
 
-/// What a chunk scans for `clips` (each a participant's threshold and its
-/// clip of the chunk) whose hull is `hull`: per atom, the hull of the
-/// parts of its octants that some clip touches and whose maximum passes
-/// that clip's threshold. `None` when every touched octant survives (the
-/// chunk scans `hull`, as without maxima); otherwise each atom's
-/// survivors, or the hull of them all, whichever assembles fewer padded
-/// points — empty when nothing survives. With a halo of at most an
-/// octant's width, an atom's survivors reach the same face neighbours
-/// together as one by one.
+/// What a chunk scans for `clips` (each a participant's prune floor and
+/// its clip of the chunk) whose hull is `hull`: per atom, the hull of the
+/// parts of its octants that some clip touches and whose maximum reaches
+/// that clip's floor (a clip without one keeps all it touches). The hull
+/// when there are no `maxima` or every touched octant survives; otherwise
+/// each atom's survivors, or the hull of them all, whichever assembles
+/// fewer padded points — empty when nothing survives. With a halo of at
+/// most an octant's width, an atom's survivors reach the same face
+/// neighbours together as one by one.
 pub(crate) fn surviving_domains(
-    maxima: FieldMaxima<'_>,
+    maxima: Option<FieldMaxima<'_>>,
     hull: &Box3,
-    clips: &[(f64, Box3)],
+    clips: &[(Option<f64>, Box3)],
     halo: usize,
-) -> Option<Vec<Box3>> {
+) -> Vec<Box3> {
+    let Some(maxima) = maxima else {
+        return vec![*hull];
+    };
     let mut survivors: Vec<Box3> = Vec::new();
     let (mut touched, mut kept) = (0usize, 0usize);
     for atom in hull.atoms() {
@@ -133,12 +134,12 @@ pub(crate) fn surviving_domains(
             let obox = octant_box(atom, o);
             let mut touches = false;
             let mut passes = false;
-            for (threshold, clip) in clips {
+            for (floor, clip) in clips {
                 let Some(c) = obox.intersect(clip) else {
                     continue;
                 };
                 touches = true;
-                if at_or_above(max, *threshold) {
+                if floor.is_none_or(|t| at_or_above(max, t)) {
                     passes = true;
                     domain = Some(domain.map_or(c, |d| d.hull(&c)));
                 }
@@ -149,35 +150,19 @@ pub(crate) fn surviving_domains(
         survivors.extend(domain);
     }
     if kept == touched {
-        return None;
+        return vec![*hull];
     }
     let Some(&first) = survivors.first() else {
-        return Some(survivors);
+        return survivors;
     };
     let padded = |b: &Box3| -> u64 { b.extent().iter().map(|e| e + 2 * halo as u64).product() };
     let survivors_hull = survivors.iter().fold(first, |h, b| h.hull(b));
     let per_atom: u64 = survivors.iter().map(padded).sum();
-    Some(if per_atom < padded(&survivors_hull) {
+    if per_atom < padded(&survivors_hull) {
         survivors
     } else {
         vec![survivors_hull]
-    })
-}
-
-/// The atoms a read of `domains` with `halo` fetches, counted once each.
-pub(crate) fn atoms_needed(
-    domains: &[Box3],
-    halo: usize,
-    dims: (usize, usize, usize),
-    periodic: [bool; 3],
-) -> u64 {
-    let mut atoms: Vec<AtomCoord> = domains
-        .iter()
-        .flat_map(|d| needed_atoms(d, halo, dims, periodic))
-        .collect();
-    atoms.sort_unstable();
-    atoms.dedup();
-    atoms.len() as u64
+    }
 }
 
 impl Cluster {
@@ -213,20 +198,16 @@ impl Cluster {
     /// over every (raw field, time-step) through the worker a query scan
     /// runs, block by block, and each octant keeps its maximum. A block is
     /// an aligned cube of [`BUILD_EDGE`] points (or a chunk, when chunks
-    /// are larger), read and assembled once for all eight fields by the
-    /// node that stores its first atom. A block that fails to read leaves
-    /// +∞ on its octants. The buffer pools are emptied after each (raw
-    /// field, time-step), so they hold one at a time and none at the end.
+    /// are larger), read and assembled once for all eight fields, whose
+    /// shared partial rows are derived once, by the node that stores its
+    /// first atom. A block that fails to read leaves +∞ on its octants.
+    /// The buffer pools are emptied after each (raw field, time-step), so
+    /// they hold one at a time and none at the end.
     pub(crate) fn compute_atom_maxima(&self) -> AtomMaxima {
         let topo = self.topology_snapshot();
         let (nx, ny, nz) = self.env.grid.dims();
         let atoms = [nx, ny, nz].map(|n| n / ATOM_WIDTH);
         let derived = DerivedField::all();
-        let halo = derived
-            .iter()
-            .map(|d| d.halo(&self.env.scheme))
-            .max()
-            .unwrap_or(0);
         let edge = (ATOM_WIDTH as u32 * self.env.config.chunk_atoms).max(BUILD_EDGE);
         let grid = Box3::grid(nx as u32, ny as u32, nz as u32);
         let corners = |n: usize| (0..n as u32).step_by(edge as usize);
@@ -247,7 +228,7 @@ impl Cluster {
         for &timestep in &self.timesteps {
             for (field, _) in &self.fields {
                 let maxima = run_workers(procs, &blocks, |scratch, &(node, block)| {
-                    block_maxima(node, &topo, field, timestep, block, halo, scratch)
+                    block_maxima(node, &topo, field, timestep, block, scratch)
                 });
                 let table = vec![f32::INFINITY; 8 * atoms.iter().product::<usize>()];
                 let mut fields = vec![table.into_boxed_slice(); derived.len()];
@@ -289,7 +270,6 @@ fn block_maxima(
     field: &str,
     timestep: u32,
     block: Box3,
-    halo: usize,
     scratch: &mut ScanScratch,
 ) -> StorageResult<Vec<f32>> {
     let derived = DerivedField::all();
@@ -303,9 +283,8 @@ fn block_maxima(
         field,
         timestep,
         &[block],
-        halo,
-        Reach::Cube,
         &derived,
+        QueryMode::Full,
         scratch,
         &mut IoSession::new(),
         |_, f, y, z, row| {
@@ -327,7 +306,6 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::mediator::{ClusterBuilder, ThresholdRequest, ThresholdResponse};
-    use crate::node::QueryMode;
     use tdb_field::{Grid3, PaddedVector, ScalarField, VectorField};
     use tdb_kernels::DiffScheme;
     use tdb_obs::AttrValue;

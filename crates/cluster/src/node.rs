@@ -32,9 +32,9 @@ use tdb_zorder::Box3;
 
 use tdb_kernels::DerivedField;
 
-use crate::assemble::{assemble_reach_into, reached_atoms, Reach};
+use crate::assemble::{assemble_reach_into, reached_atoms, scan_reach};
 use crate::cputime::thread_cpu_time_s;
-use crate::maxima::{atoms_needed, surviving_domains};
+use crate::maxima::surviving_domains;
 use crate::placement::Layout;
 use crate::scan::{ScanKernel, SharedOutcome, SharedScanRequest};
 use crate::sim::NodeTimeModel;
@@ -196,11 +196,12 @@ impl NodeRuntime {
 
     /// The one scan worker, run by query scans and by the build pass of
     /// the atom maxima alike: one [`routed_read`] of every atom the
-    /// `domains` and their `halo` reach under `reach`, then per domain the
-    /// padded cube and, per field of `derived`, its rows handed to
-    /// `visit(domain, field, y, z, row)` as they appear (`y`, `z` relative
-    /// to the domain). An empty `derived` only reads. Returns the atoms
-    /// read and the thread CPU seconds spent after the read.
+    /// `domains` and the halo of the `derived` fields reach ([`scan_reach`]),
+    /// then per domain the padded cube and the rows of every field of
+    /// `derived`, handed to `visit(domain, field, y, z, row)` as they appear
+    /// (`y`, `z` relative to the domain). [`QueryMode::IoOnly`] stops after
+    /// the read. Returns the atoms read and the thread CPU seconds spent
+    /// after the read.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn derive_domains(
         &self,
@@ -209,20 +210,20 @@ impl NodeRuntime {
         field: &str,
         timestep: u32,
         domains: &[Box3],
-        halo: usize,
-        reach: Reach,
         derived: &[DerivedField],
+        mode: QueryMode,
         scratch: &mut ScanScratch,
         session: &mut IoSession,
         mut visit: impl FnMut(usize, usize, usize, usize, &[f32]),
     ) -> StorageResult<(u64, f64)> {
         let (dims, periodic) = (self.env.grid.dims(), self.env.grid.periodic);
+        let (halo, reach) = scan_reach(derived, &self.env.scheme);
         let needed = domains
             .iter()
             .flat_map(|d| reached_atoms(d, halo, reach, dims, periodic));
         let atoms = routed_read(layout, peers, Some(self), field, timestep, needed, session)?;
         let read = atoms.len() as u64;
-        if derived.is_empty() {
+        if mode == QueryMode::IoOnly {
             return Ok((read, 0.0));
         }
         let c0 = thread_cpu_time_s();
@@ -245,15 +246,14 @@ impl NodeRuntime {
                 atoms = None;
             }
             let (x, y, z) = domain.lo3();
-            for (f, kernel) in derived.iter().enumerate() {
-                kernel.eval_rows(
-                    &scratch.padded,
-                    &self.env.scheme,
-                    [x as usize, y as usize, z as usize],
-                    &mut scratch.rows,
-                    |y, z, row| visit(d, f, y, z, row),
-                );
-            }
+            DerivedField::eval_rows_many(
+                derived,
+                &scratch.padded,
+                &self.env.scheme,
+                [x as usize, y as usize, z as usize],
+                &mut scratch.rows,
+                |f, y, z, row| visit(d, f, y, z, row),
+            );
         }
         Ok((read, (thread_cpu_time_s() - c0).max(0.0)))
     }
@@ -374,76 +374,55 @@ impl NodeRuntime {
 
         // --- shared scan over all pending participants -------------------
         // per chunk, scan the hull of every pending clip so each atom is
-        // decoded once no matter how many queries need it — or, when every
-        // pending participant is a threshold kernel, only the atom octants
-        // whose maximum can answer one of them (DESIGN.md §9)
+        // decoded once no matter how many queries need it, less the atom
+        // octants whose maximum answers none of them (DESIGN.md §9)
         struct ScanTask {
             domains: Vec<Box3>,
-            /// `Axes` for survivors (no field with maxima reads the cube's
-            /// edges and corners), `Cube` for the unpruned hull
-            reach: Reach,
             clips: Vec<(usize, Box3)>,
-            /// Atoms the unpruned hull would have read (0: not pruned).
+            /// Atoms the hull would have read.
             unpruned: u64,
         }
         let grid = &self.env.grid;
-        let halo = req.derived.halo(&self.env.scheme);
-        let thresholds: Option<Vec<(usize, f64)>> = (pending.iter())
-            .map(|&i| match req.participants.get(i).map(|p| &p.kernel) {
-                Some(ScanKernel::Threshold { threshold }) => Some((i, *threshold)),
-                _ => None,
-            })
-            .collect();
-        let maxima = thresholds.as_ref().and_then(|_| {
-            let maxima = self.env.maxima.get()?;
-            maxima.of(&req.raw_field, req.derived, req.timestep)
-        });
+        let derived = std::slice::from_ref(&req.derived);
+        let (halo, reach) = scan_reach(derived, &self.env.scheme);
+        let maxima = (self.env.maxima.get())
+            .and_then(|maxima| maxima.of(&req.raw_field, req.derived, req.timestep));
         let mut tasks: Vec<ScanTask> = Vec::new();
         let mut atoms_pruned = 0u64;
         for c in req.assignment.chunks_of(self.id) {
             let grid_box = c.grid_box();
-            let mut clips = Vec::new();
+            // each clip with the floor an octant's maximum must reach to be
+            // read for it: a threshold's own value; a PDF or top-k has none
+            let (mut clips, mut floors) = (Vec::new(), Vec::new());
             for &i in &pending {
                 let Some(part) = req.participants.get(i) else {
                     continue;
                 };
                 if let Some(clip) = grid_box.intersect(&part.query_box) {
+                    let floor = match part.kernel {
+                        ScanKernel::Threshold { threshold } => Some(threshold),
+                        ScanKernel::Pdf { .. } | ScanKernel::TopK => None,
+                    };
                     clips.push((i, clip));
+                    floors.push((floor, clip));
                 }
             }
             let Some(&(_, first)) = clips.first() else {
                 continue;
             };
             let hull = clips.iter().skip(1).fold(first, |d, (_, b)| d.hull(b));
-            let survivors = maxima.zip(thresholds.as_ref()).and_then(|(maxima, ts)| {
-                let threshold = |i: usize| ts.iter().find(|(j, _)| *j == i).map(|(_, t)| *t);
-                let clips: Vec<(f64, Box3)> = (clips.iter())
-                    .map(|&(i, clip)| (threshold(i).unwrap_or(f64::NEG_INFINITY), clip))
-                    .collect();
-                surviving_domains(maxima, &hull, &clips, halo)
+            let domains = surviving_domains(maxima, &hull, &floors, halo);
+            let unpruned =
+                reached_atoms(&hull, halo, reach, grid.dims(), grid.periodic).len() as u64;
+            if domains.is_empty() {
+                atoms_pruned += unpruned;
+                continue;
+            }
+            tasks.push(ScanTask {
+                domains,
+                clips,
+                unpruned,
             });
-            let task = match survivors {
-                None => ScanTask {
-                    domains: vec![hull],
-                    reach: Reach::Cube,
-                    clips,
-                    unpruned: 0,
-                },
-                Some(domains) => {
-                    let unpruned = atoms_needed(&[hull], halo, grid.dims(), grid.periodic);
-                    if domains.is_empty() {
-                        atoms_pruned += unpruned;
-                        continue;
-                    }
-                    ScanTask {
-                        domains,
-                        reach: Reach::Axes,
-                        clips,
-                        unpruned,
-                    }
-                }
-            };
-            tasks.push(task);
         }
 
         // what a clip reduces its part of the derived rows to
@@ -500,25 +479,17 @@ impl NodeRuntime {
                         })
                         .collect();
                 }
-                // I/O-only probes (Fig. 8) read exactly what the full
-                // evaluation reads — boundary bands included — they just
-                // skip the kernel
-                let derived = if full {
-                    std::slice::from_ref(&req.derived)
-                } else {
-                    &[]
-                };
                 // one pass: each derived row meets every clip's reducer as
-                // it appears; the derived field is never stored
+                // it appears; the derived field is never stored. I/O-only
+                // probes (Fig. 8) read exactly what it reads, then stop
                 let (chunk_atoms, cpu_s) = self.derive_domains(
                     &req.assignment.layout,
                     peers,
                     &req.raw_field,
                     req.timestep,
                     &task.domains,
-                    halo,
-                    task.reach,
                     derived,
+                    req.mode,
                     scratch,
                     &mut chunk_session,
                     |d, _, y, z, row| {

@@ -88,6 +88,14 @@ impl DerivedField {
         }
     }
 
+    /// Whether the field's stencil reads only ghosts in line with the point
+    /// it derives, along one axis: true for every difference stencil (and
+    /// for `Norm`, which reads none); false for the box filter, whose
+    /// separable passes reach the padded cube's edges and corners.
+    pub fn reads_axes_only(&self) -> bool {
+        !matches!(self, DerivedField::BoxFilteredNorm { .. })
+    }
+
     /// Evaluates the thresholded quantity over the interior of a padded
     /// chunk whose interior origin is at global coordinates `origin`.
     pub fn eval(

@@ -2,12 +2,15 @@
 //! the full distributed stack, including the parameterized filtered norms
 //! and the channel-flow (wall-bounded, stretched-grid) dataset.
 
-use tdb_bench::{harness, ranked_bits, test_service};
+use tdb_bench::{bits, harness, ranked_bits, reference_points, test_service};
 use tdb_cluster::CompressionConfig;
 use tdb_core::{DerivedField, ThresholdQuery, TurbulenceService};
 use tdb_turbgen::SyntheticDataset;
 use tdb_zorder::{AtomCoord, Box3};
 
+/// Every field, the box filter included, answers a cold threshold query
+/// with the dense reference's points, bit for bit, and re-issues it as a
+/// cache hit.
 #[test]
 fn every_catalogue_field_evaluates_and_caches() {
     let service = test_service("cat_all", 32, 1, 2);
@@ -29,6 +32,8 @@ fn every_catalogue_field_evaluates_and_caches() {
             derived.name()
         );
         assert_eq!(cold.points.len(), warm.points.len(), "{}", derived.name());
+        let want = reference_points(&service, "velocity", derived, 0, thr);
+        assert_eq!(bits(&cold.points), bits(&want), "{}", derived.name());
         // ~1% selectivity by construction
         let frac = cold.points.len() as f64 / 32f64.powi(3);
         assert!(

@@ -163,7 +163,10 @@ fn scan_scratch_stays_within_twice_the_padded_cube() {
 /// atoms than a PDF of the same box — which nothing prunes — and fewer bytes
 /// on every device (a 64 KiB block holds ~10 atoms, and the survivors' halos
 /// reach into many blocks); a threshold of 0 on a norm reads exactly what
-/// the PDF reads.
+/// the PDF reads. The PDF's halo is read along the axes like every other
+/// scan's: a chunk of 4³ atoms and its face neighbours, 64 + 6 × 16 = 160
+/// atoms, not the 6³ = 216 of the whole dilated cube; and what the pruned
+/// query scanned plus what it skipped is that read.
 #[test]
 fn a_cold_medium_tier_query_reads_a_fifth_of_the_atoms_of_a_whole_box() {
     // `cold_scan`'s geometry: 64³ in 32³ chunks
@@ -201,7 +204,13 @@ fn a_cold_medium_tier_query_reads_a_fifth_of_the_atoms_of_a_whole_box() {
 
     assert_eq!(zero, whole, "a norm at or above 0 prunes nothing");
     assert_eq!(whole["atoms_pruned"], 0);
+    assert_eq!(whole["atoms_scanned"], 8 * 160, "eight chunks, axes only");
     assert!(pruned["atoms_pruned"] > 0, "{pruned:?}");
+    assert_eq!(
+        pruned["atoms_scanned"] + pruned["atoms_pruned"],
+        whole["atoms_scanned"],
+        "{pruned:?}"
+    );
     let (read, all) = (pruned["atoms_scanned"], whole["atoms_scanned"]);
     assert!(5 * read <= all, "atoms: {read} of {all}");
     for (key, &all) in whole.iter().filter(|(k, _)| k.starts_with("bytes.")) {

@@ -62,10 +62,15 @@ fn scale_out_is_nearly_linear() {
     let speedup = t1 / t4;
     // deterministic (fixed kernel-time model, I/O charged to the rack that
     // served it). One process per node, so `sim::io_phase` is in its
-    // `serial_s / p` term on both sides: a node's arrays serve its quarter
-    // of the grid plus the halo shell its neighbours read from it, and
-    // that shell is what keeps 3.945 under 4. (The repro harness at 128³+
-    // with paper-sized chunks lands closer to the paper's near-perfect
+    // `serial_s / p` term on both sides: what a node's arrays served. That
+    // is every block of its quarter of the grid once: the halo shell its
+    // neighbours read from it (along the axes, 10 240 atoms in all) comes
+    // from blocks its own chunks load anyway, as pool hits, and only the
+    // LAN carries it, which binds at no process count here. What keeps
+    // 3.945 under 4 is block granularity: four nodes' sixteen partition
+    // files hold the grid in 384 blocks, one node's four in 376, and every
+    // block read pays its own access. (The repro harness at 128³+ with
+    // paper-sized chunks lands closer to the paper's near-perfect
     // scaling.)
     assert!(
         (speedup / 3.945 - 1.0).abs() < 0.01,
@@ -92,10 +97,11 @@ fn scale_up_speedup_diminishes() {
         (s2 / 2.0 - 1.0).abs() < 0.01,
         "2-process speedup should read 2.000 ± 1 %, got {s2:.4}"
     );
-    // At p = 8 I/O is pinned to the `busiest_s` term (the controller does
-    // not get faster with more readers: "the time to perform I/O does not
-    // scale", §5.3) while compute falls to an eighth: saturation well
-    // below linear, at 2.548.
+    // At p = 8 I/O is pinned to the `busiest_s` term — the controller,
+    // which does not get faster with more readers ("the time to perform
+    // I/O does not scale", §5.3), not the LAN that carries the halo shell
+    // — while compute falls to an eighth: saturation well below linear,
+    // at 2.548.
     assert!(
         (s8 / 2.548 - 1.0).abs() < 0.01,
         "8-process speedup should read 2.548 ± 1 %, got {s8:.4}"
