@@ -3,8 +3,8 @@
 //! "The data are read into memory and the particular field requested is
 //! computed at each of the locations on the grid" (paper §4). A chunk's
 //! computation domain is its grid box clipped to the query box, dilated by
-//! the kernel half-width; this module figures out which atoms cover that
-//! dilated box (wrapping on periodic axes) and scatters their payloads
+//! as far as its stencils reach; this module figures out which atoms cover
+//! that dilated box (wrapping on periodic axes) and scatters their payloads
 //! into a [`PaddedVector`].
 
 use std::collections::HashMap;
@@ -25,17 +25,19 @@ pub enum Reach {
     Axes,
 }
 
-/// The halo and reach of a scan deriving `fields`, the one rule every scan
-/// reads under: the widest half-width, along the axes only when every
+/// The halo and reach of a scan deriving `fields` over the domain `d`, the
+/// one rule every scan reads under: as far as any field's stencils reach
+/// past `d` ([`DerivedField::reach`]), along the axes only when every
 /// field's stencil reads nothing else ([`DerivedField::reads_axes_only`]).
-pub(crate) fn scan_reach(fields: &[DerivedField], scheme: &DiffScheme) -> (usize, Reach) {
-    let halo = fields.iter().map(|f| f.halo(scheme)).max().unwrap_or(0);
+pub(crate) fn scan_reach(fields: &[DerivedField], scheme: &DiffScheme, d: &Box3) -> (usize, Reach) {
+    let (lo, extent) = (d.lo.map(|l| l as usize), d.extent().map(|e| e as usize));
+    let halo = fields.iter().map(|f| f.reach(scheme, lo, extent)).max();
     let reach = if fields.iter().all(DerivedField::reads_axes_only) {
         Reach::Axes
     } else {
         Reach::Cube
     };
-    (halo, reach)
+    (halo.unwrap_or(0), reach)
 }
 
 /// Atoms (by zindex) covering `domain` dilated by `halo`, with periodic
@@ -537,9 +539,10 @@ mod tests {
     /// `reached_atoms` names (the cube's edges and corners left at zero),
     /// derives the bits it derives from the whole cube: at every order, on
     /// periodic axes, a wall axis and a stretched channel grid, on an atom,
-    /// on boxes that cut atoms and wrap the grid or meet a wall, and on a
-    /// point. The box filter, declared to read the cube, derives other bits
-    /// from the axes: the declaration is what keeps its answers right.
+    /// on boxes that cut atoms and wrap the grid or meet a wall, on a
+    /// two-point wall slab, a 4³ wall octant and a point, each padded by its
+    /// own halo. The box filter, declared to read the cube, derives other
+    /// bits from the axes: the declaration is what keeps its answers right.
     #[test]
     fn axis_reach_derives_the_bits_of_the_whole_cube() {
         use std::f64::consts::TAU;
@@ -570,14 +573,13 @@ mod tests {
                     Box3::new([0, 0, 29], [12, 7, 31]),
                     Box3::new([20, 24, 4], [27, 31, 11]),
                     Box3::new([5, 17, 9], [5, 17, 9]),
+                    Box3::new([0, 0, 0], [31, 1, 31]),
+                    Box3::new([12, 28, 20], [15, 31, 23]),
                 ] {
                     let origin = domain.lo.map(|l| l as usize);
                     for &field in &fields {
-                        let (halo, reach) = scan_reach(&[field], &scheme);
+                        let (halo, reach) = scan_reach(&[field], &scheme, &domain);
                         assert_eq!(reach == Reach::Axes, field.reads_axes_only());
-                        // a wall's second-derivative stencil (order + 2
-                        // nodes) reaches one ghost past the halo
-                        let halo = halo + usize::from(periodic.contains(&false));
                         let needed = needed_atoms(&domain, halo, dims, periodic);
                         let reached = reached_atoms(&domain, halo, Reach::Axes, dims, periodic);
                         assert!(reached.iter().all(|a| needed.contains(a)), "{domain:?}");

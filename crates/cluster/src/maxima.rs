@@ -114,14 +114,14 @@ pub(crate) fn max_dropping_nan(a: f32, b: f32) -> f32 {
 /// that clip's floor (a clip without one keeps all it touches). The hull
 /// when there are no `maxima` or every touched octant survives; otherwise
 /// each atom's survivors, or the hull of them all, whichever assembles
-/// fewer padded points — empty when nothing survives. With a halo of at
-/// most an octant's width, an atom's survivors reach the same face
-/// neighbours together as one by one.
+/// fewer padded points — empty when nothing survives. Each box pads by its
+/// own `halo`, which at a wall can exceed an octant's width: there one
+/// octant alone reaches its atom's face neighbours on both sides.
 pub(crate) fn surviving_domains(
     maxima: Option<FieldMaxima<'_>>,
     hull: &Box3,
     clips: &[(Option<f64>, Box3)],
-    halo: usize,
+    halo: impl Fn(&Box3) -> usize,
 ) -> Vec<Box3> {
     let Some(maxima) = maxima else {
         return vec![*hull];
@@ -155,7 +155,7 @@ pub(crate) fn surviving_domains(
     let Some(&first) = survivors.first() else {
         return survivors;
     };
-    let padded = |b: &Box3| -> u64 { b.extent().iter().map(|e| e + 2 * halo as u64).product() };
+    let padded = |b: &Box3| -> u64 { b.extent().iter().map(|e| e + 2 * halo(b) as u64).product() };
     let survivors_hull = survivors.iter().fold(first, |h, b| h.hull(b));
     let per_atom: u64 = survivors.iter().map(padded).sum();
     if per_atom < padded(&survivors_hull) {

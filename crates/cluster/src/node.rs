@@ -196,12 +196,12 @@ impl NodeRuntime {
 
     /// The one scan worker, run by query scans and by the build pass of
     /// the atom maxima alike: one [`routed_read`] of every atom the
-    /// `domains` and the halo of the `derived` fields reach ([`scan_reach`]),
-    /// then per domain the padded cube and the rows of every field of
-    /// `derived`, handed to `visit(domain, field, y, z, row)` as they appear
-    /// (`y`, `z` relative to the domain). [`QueryMode::IoOnly`] stops after
-    /// the read. Returns the atoms read and the thread CPU seconds spent
-    /// after the read.
+    /// `domains` and their halos reach ([`scan_reach`] of each domain and
+    /// the `derived` fields), then per domain the padded cube and the rows
+    /// of every field of `derived`, handed to `visit(domain, field, y, z,
+    /// row)` as they appear (`y`, `z` relative to the domain).
+    /// [`QueryMode::IoOnly`] stops after the read. Returns the atoms read
+    /// and the thread CPU seconds spent after the read.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn derive_domains(
         &self,
@@ -217,10 +217,11 @@ impl NodeRuntime {
         mut visit: impl FnMut(usize, usize, usize, usize, &[f32]),
     ) -> StorageResult<(u64, f64)> {
         let (dims, periodic) = (self.env.grid.dims(), self.env.grid.periodic);
-        let (halo, reach) = scan_reach(derived, &self.env.scheme);
-        let needed = domains
-            .iter()
-            .flat_map(|d| reached_atoms(d, halo, reach, dims, periodic));
+        let reach_of = |d: &Box3| scan_reach(derived, &self.env.scheme, d);
+        let needed = domains.iter().flat_map(|d| {
+            let (halo, reach) = reach_of(d);
+            reached_atoms(d, halo, reach, dims, periodic)
+        });
         let atoms = routed_read(layout, peers, Some(self), field, timestep, needed, session)?;
         let read = atoms.len() as u64;
         if mode == QueryMode::IoOnly {
@@ -231,6 +232,7 @@ impl NodeRuntime {
         let mut atoms = Some(atoms);
         for (d, domain) in domains.iter().enumerate() {
             let Some(records) = &atoms else { break };
+            let (halo, reach) = reach_of(domain);
             assemble_reach_into(
                 &mut scratch.padded,
                 domain,
@@ -384,7 +386,7 @@ impl NodeRuntime {
         }
         let grid = &self.env.grid;
         let derived = std::slice::from_ref(&req.derived);
-        let (halo, reach) = scan_reach(derived, &self.env.scheme);
+        let reach_of = |b: &Box3| scan_reach(derived, &self.env.scheme, b);
         let maxima = (self.env.maxima.get())
             .and_then(|maxima| maxima.of(&req.raw_field, req.derived, req.timestep));
         let mut tasks: Vec<ScanTask> = Vec::new();
@@ -411,7 +413,8 @@ impl NodeRuntime {
                 continue;
             };
             let hull = clips.iter().skip(1).fold(first, |d, (_, b)| d.hull(b));
-            let domains = surviving_domains(maxima, &hull, &floors, halo);
+            let domains = surviving_domains(maxima, &hull, &floors, |b| reach_of(b).0);
+            let (halo, reach) = reach_of(&hull);
             let unpruned =
                 reached_atoms(&hull, halo, reach, grid.dims(), grid.periodic).len() as u64;
             if domains.is_empty() {
@@ -693,6 +696,7 @@ pub(crate) fn run_workers<I: Sync, S: Default, T: Send>(
             // starts its next task from a fresh one
             let attempt = catch_unwind(AssertUnwindSafe(|| work(&mut state, task)));
             let r = attempt.unwrap_or_else(|_| {
+                m::NODE_WORKER_PANICS.inc();
                 state = S::default();
                 Err(StorageError::internal("evaluation worker panicked"))
             });
@@ -782,6 +786,28 @@ mod tests {
         let pts = threshold_scan(&f, &domain, thr);
         assert_eq!(pts.len(), 1, "the 25.0 point must be excluded");
         assert_eq!(pts[0].value, 26.0);
+    }
+
+    /// A task that panics is an `Internal` outcome in its own slot and one
+    /// `node.worker_panics`; every other task's result is intact and in
+    /// task order.
+    #[test]
+    fn a_panicking_task_is_an_internal_error_in_its_own_slot_and_one_count() {
+        let before = m::NODE_WORKER_PANICS.get();
+        let tasks: Vec<u32> = (0..9).collect();
+        let results = run_workers(2, &tasks, |_: &mut (), &task| {
+            assert_ne!(task, 4, "the seeded panic");
+            Ok(10 * task)
+        });
+        assert_eq!(m::NODE_WORKER_PANICS.get() - before, 1);
+        assert_eq!(results.len(), tasks.len());
+        for (task, r) in tasks.iter().zip(&results) {
+            match r {
+                Err(StorageError::Internal { .. }) if *task == 4 => {}
+                Ok(v) if *task != 4 => assert_eq!(*v, 10 * task),
+                other => panic!("task {task}: {other:?}"),
+            }
+        }
     }
 
     #[test]

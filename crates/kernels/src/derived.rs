@@ -2,9 +2,9 @@
 //!
 //! "The stored procedure performing the evaluation must have an
 //! implementation for each derived field of interest" (paper §7). This
-//! module is that catalogue: each variant knows its kernel half-width and
-//! how to evaluate the *thresholded quantity* (the norm or absolute value
-//! the paper compares against `k`) over a padded chunk.
+//! module is that catalogue: each variant knows how far its stencils reach
+//! and how to evaluate the *thresholded quantity* (the norm or absolute
+//! value the paper compares against `k`) over a padded chunk.
 
 use crate::diff::{map_row, DiffScheme};
 use tdb_field::{PaddedVector, ScalarField, VectorField};
@@ -78,14 +78,19 @@ impl DerivedField {
         Self::all().into_iter().find(|f| f.name() == s)
     }
 
-    /// Kernel half-width: the band of neighbour data needed on every side
-    /// of the computation domain (paper §4). Raw-field norms need none.
-    pub fn halo(&self, scheme: &DiffScheme) -> usize {
+    /// How far the field's stencils reach past the box `origin .. origin +
+    /// extent`: the halo its computation domain is dilated by (paper §4).
+    pub fn reach(&self, scheme: &DiffScheme, origin: [usize; 3], extent: [usize; 3]) -> usize {
         match self {
             DerivedField::Norm => 0,
             DerivedField::BoxFilteredNorm { radius } => usize::from(*radius),
-            _ => scheme.halo(),
+            _ => scheme.reach(*self == DerivedField::LaplacianNorm, origin, extent),
         }
+    }
+
+    /// [`Self::reach`] of the whole grid.
+    pub fn halo(&self, scheme: &DiffScheme) -> usize {
+        self.reach(scheme, [0; 3], scheme.dims)
     }
 
     /// Whether the field's stencil reads only ghosts in line with the point

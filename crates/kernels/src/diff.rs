@@ -32,7 +32,7 @@ pub struct DiffScheme {
     axes: [AxisScheme; 3],
     /// Second-derivative stencils (Laplacian).
     axes2: [AxisScheme; 3],
-    dims: (usize, usize, usize),
+    pub(crate) dims: [usize; 3],
 }
 
 impl DiffScheme {
@@ -72,7 +72,7 @@ impl DiffScheme {
             order,
             axes: build(false),
             axes2: build(true),
-            dims: grid.dims(),
+            dims: grid.dims().into(),
         }
     }
 
@@ -81,12 +81,30 @@ impl DiffScheme {
         self.order
     }
 
-    /// Halo half-width a computation domain needs on every side.
-    ///
-    /// One-sided wall stencils only reach *into* the domain, so the halo
-    /// requirement is the centred half-width on all axes.
+    /// The halo of the whole grid: [`DiffScheme::reach`] of every point,
+    /// which is the centred half-width when any axis is periodic.
     pub fn halo(&self) -> usize {
-        self.order.half_width()
+        self.reach(false, [0; 3], self.dims)
+    }
+
+    /// How far the stencils of the box `origin .. origin + extent` reach
+    /// past it, on any side of any axis: the halo a padded box needs for
+    /// its first derivatives (second ones when `second`). `order / 2` on a
+    /// periodic axis; on a bounded one, what the node table says, which
+    /// near a wall can be up to `order + 1` points.
+    pub fn reach(&self, second: bool, origin: [usize; 3], extent: [usize; 3]) -> usize {
+        let (table, mut reach) = (if second { &self.axes2 } else { &self.axes }, 0);
+        for (ax, axis) in table.iter().enumerate() {
+            let last = extent[ax] as isize - 1;
+            // a periodic axis has one centred stencil: its first node says all
+            let nodes = last * isize::from(matches!(axis, AxisScheme::Bounded(_)));
+            for (local, global) in (0..=nodes).zip(origin[ax]..) {
+                for o in &axis.stencil(global).offsets {
+                    reach = reach.max(-local - o).max(local + o - last);
+                }
+            }
+        }
+        reach.unsigned_abs()
     }
 
     /// ∂f/∂axis over the interior of a padded chunk whose interior origin
@@ -102,7 +120,7 @@ impl DiffScheme {
 
     /// ∂f/∂axis (∂²f/∂axis² when `second`) of a padded chunk, to be taken
     /// one interior row at a time — the entry point of the fused pipeline.
-    /// Panics if a bounded-axis stencil would reach outside chunk + halo.
+    /// Panics if the chunk's halo is narrower than its [`DiffScheme::reach`].
     pub fn deriv_rows<'a>(
         &'a self,
         f: &'a PaddedScalar,
@@ -112,8 +130,7 @@ impl DiffScheme {
     ) -> RowDeriv<'a> {
         assert!(axis < 3);
         let table = if second { &self.axes2 } else { &self.axes };
-        let (nx, ny, nz) = f.dims();
-        self.check_bounded_reach(table, axis, origin[axis], [nx, ny, nz][axis], f.halo());
+        assert!(f.halo() >= self.reach(second, origin, f.dims().into()));
         let (sx, sy, _) = f.padded().dims();
         RowDeriv {
             scheme: &table[axis],
@@ -139,7 +156,7 @@ impl DiffScheme {
     ) -> ScalarField {
         assert!(axis < 3);
         let (nx, ny, nz) = f.dims();
-        self.check_bounded_reach(&self.axes, axis, origin[axis], [nx, ny, nz][axis], f.halo());
+        assert!(f.halo() >= self.reach(false, origin, [nx, ny, nz]));
         let mut out = ScalarField::zeros(nx, ny, nz);
         apply_axis_scalar(&self.axes[axis], f, axis, origin, &mut out);
         out
@@ -161,31 +178,6 @@ impl DiffScheme {
             }
         }
         out
-    }
-
-    /// For bounded axes, panics unless every stencil used inside the chunk
-    /// stays within the available data (interior + halo).
-    fn check_bounded_reach(
-        &self,
-        axes: &[AxisScheme; 3],
-        axis: usize,
-        origin: usize,
-        extent: usize,
-        halo: usize,
-    ) {
-        if let AxisScheme::Bounded(table) = &axes[axis] {
-            for local in 0..extent {
-                let s = &table[origin + local];
-                for &o in &s.offsets {
-                    let target = local as isize + o;
-                    assert!(
-                        target >= -(halo as isize) && target < (extent + halo) as isize,
-                        "stencil at global node {} reaches outside chunk+halo",
-                        origin + local
-                    );
-                }
-            }
-        }
     }
 
     /// Full velocity-gradient tensor `∂u_i/∂x_j` (row-major: index `3i+j`).
@@ -237,7 +229,11 @@ impl DiffScheme {
     }
 
     fn pad_whole(&self, v: &VectorField<3>) -> PaddedVector<3> {
-        assert_eq!(v.dims(), self.dims, "field does not span the scheme's grid");
+        assert_eq!(
+            v.dims(),
+            self.dims.into(),
+            "field does not span the scheme's grid"
+        );
         let (nx, ny, nz) = v.dims();
         let mut p = PaddedVector::zeros(nx, ny, nz, self.halo());
         p.fill_periodic_from(v, [0, 0, 0]);
@@ -416,7 +412,9 @@ fn apply_axis_scalar(
 pub(crate) mod tests {
     use super::*;
     use std::f64::consts::TAU;
+    use std::panic::AssertUnwindSafe;
     use tdb_field::ScalarField;
+    use tdb_zorder::Box3;
 
     fn wave_field(n: usize) -> (Grid3, VectorField<3>) {
         let grid = Grid3::periodic_cube(n, TAU);
@@ -745,6 +743,111 @@ pub(crate) mod tests {
         assert!(
             nans > 0,
             "no stencil with an exactly zero centre weight was tried"
+        );
+    }
+
+    /// The reach is tight. On a channel grid and a cube with one wall axis,
+    /// at every order, for boxes of extent 1..=order at both walls and
+    /// inside: a box padded by exactly its [`DiffScheme::reach`] derives
+    /// the bits of the whole-axis derivative, its outermost ghost shell is
+    /// read (a NaN there shows), and one ghost less trips the check. On
+    /// periodic axes every box reaches the centred half-width; at a wall
+    /// many reach further, which a halo of `order / 2` would not hold.
+    #[test]
+    fn a_box_padded_by_its_reach_derives_the_whole_axis_bits_and_one_ghost_less_panics() {
+        let mut wider = 0;
+        let mut wall = Grid3::periodic_cube(16, TAU);
+        wall.periodic = [true, false, true];
+        let channel = Grid3::channel(16, 33, 16, TAU, TAU, 1.7);
+        let cube = Grid3::periodic_cube(16, TAU);
+        for order in FdOrder::all() {
+            for grid in [&wall, &channel] {
+                let scheme = DiffScheme::new(grid, order);
+                let [nx, ny, nz] = scheme.dims;
+                let n = scheme.dims.map(|n| n as isize);
+                // wrapped on a periodic axis, clamped on a wall
+                let at = |p: [isize; 3]| {
+                    let [x, y, z] = std::array::from_fn(|a| match grid.periodic[a] {
+                        true => p[a].rem_euclid(n[a]),
+                        false => p[a].clamp(0, n[a] - 1),
+                    });
+                    ((x * 7 + y * 13 + z * 29) % 97) as f32 / 97.0 - 0.5
+                };
+                let deriv = |second, f: &PaddedScalar, axis, origin| match second {
+                    true => scheme.deriv2_padded(f, axis, origin),
+                    false => scheme.deriv_padded(f, axis, origin),
+                };
+                let mut whole = PaddedScalar::zeros(nx, ny, nz, scheme.halo());
+                whole.fill(|x, y, z| at([x, y, z]));
+                for second in [false, true] {
+                    let wants: [ScalarField; 3] =
+                        std::array::from_fn(|axis| deriv(second, &whole, axis, [0; 3]));
+                    for e in 1..=order.order() {
+                        for origin in [0, ny - e, ny / 2 - e / 2].map(|y| [3, y, 14]) {
+                            let extent = [2, e, 3];
+                            let row = format!("{order:?} {grid:?} second {second} at {origin:?}");
+                            let reach = scheme.reach(second, origin, extent);
+                            wider += usize::from(reach > order.half_width());
+                            let centred = DiffScheme::new(&cube, order);
+                            assert_eq!(
+                                centred.reach(second, origin, extent),
+                                order.half_width(),
+                                "{row}"
+                            );
+                            // the box and `halo` ghosts, the outermost NaN
+                            // when `poison`
+                            let padded = |halo: usize, poison: bool| {
+                                let mut p = PaddedScalar::zeros(2, e, 3, halo);
+                                let h = halo as isize;
+                                let hi = extent.map(|e| e as isize - 1 + h);
+                                p.fill(|x, y, z| {
+                                    let l = [x, y, z];
+                                    if poison && (0..3).any(|a| l[a] == -h || l[a] == hi[a]) {
+                                        f32::NAN
+                                    } else {
+                                        at(std::array::from_fn(|a| l[a] + origin[a] as isize))
+                                    }
+                                });
+                                p
+                            };
+                            let exact = padded(reach, false);
+                            for (axis, want) in wants.iter().enumerate() {
+                                let got = deriv(second, &exact, axis, origin);
+                                for (x, y, z) in Box3::new([0; 3], [1, e as u32 - 1, 2]).points() {
+                                    let (x, y, z) = (x as usize, y as usize, z as usize);
+                                    let w = want.get(
+                                        origin[0] + x,
+                                        origin[1] + y,
+                                        (origin[2] + z) % nz,
+                                    );
+                                    assert_eq!(
+                                        got.get(x, y, z).to_bits(),
+                                        w.to_bits(),
+                                        "{row}, axis {axis} at ({x}, {y}, {z})"
+                                    );
+                                }
+                            }
+                            let poisoned = padded(reach, true);
+                            assert!(
+                                (0..3).any(|axis| deriv(second, &poisoned, axis, origin)
+                                    .as_slice()
+                                    .iter()
+                                    .any(|v| v.is_nan())),
+                                "{row}: the outermost ghosts of a reach of {reach} are never read"
+                            );
+                            let thin = padded(reach - 1, false);
+                            let tried = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                                deriv(second, &thin, 1, origin)
+                            }));
+                            assert!(tried.is_err(), "{row}: a halo of {} passes", reach - 1);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            wider > 100,
+            "{wider} boxes reach past the centred half-width"
         );
     }
 

@@ -7,8 +7,9 @@
 //! algorithm, so uniform-grid weights are a special case that is verified
 //! against the classical closed forms in tests.
 
-/// Finite-difference accuracy order. The kernel half-width (and therefore
-/// the halo a node must fetch from its neighbours) is `order / 2`.
+/// Finite-difference accuracy order. `order / 2` is the half-width of the
+/// centred stencils; a halo is what the stencils reach past a box, wall
+/// tables included ([`crate::DiffScheme::reach`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FdOrder {
     O2,
@@ -28,7 +29,7 @@ impl FdOrder {
         }
     }
 
-    /// Kernel half-width of the centred first-derivative stencil.
+    /// Half-width of the centred stencils (not a halo: see [`FdOrder`]).
     pub fn half_width(self) -> usize {
         self.order() / 2
     }

@@ -76,6 +76,7 @@ metrics! {
     counter   NODE_ATOMS_SCANNED                "node.atoms_scanned";
     counter   NODE_DEADLINE_EXCEEDED            "node.deadline_exceeded";
     counter   NODE_UNAVAILABLE                  "node.unavailable";
+    counter   NODE_WORKER_PANICS                "node.worker_panics";
     family    QOS_ADMITTED                      "qos.admitted.";
     counter   QOS_EVICTED                       "qos.evicted";
     family    QOS_SHED                          "qos.shed.";

@@ -4,14 +4,15 @@
 //! one point, one x-row or a box that cuts atoms on every face — returns the
 //! points of the dense reference, bit for bit, or says exactly which boxes
 //! it could not reach; the field's statistics are the healthy ones or an
-//! error, never numbers over part of the grid. Everything here comes from
-//! the harness: a later slice adds rows, not helpers.
+//! error, never numbers over part of the grid. The channel slice does the
+//! same on a wall-bounded grid at every order, for every field. Everything
+//! here comes from the harness: a later slice adds rows, not helpers.
 
 use std::sync::Arc;
 
 use tdb_bench::{bits, bits_outside, harness, reference_points};
 use tdb_cluster::{CompressionConfig, ReplicationConfig};
-use tdb_core::{DerivedField, QueryError, ThresholdQuery};
+use tdb_core::{DerivedField, FdOrder, QueryError, SyntheticDataset, ThresholdQuery};
 use tdb_storage::FaultPlan;
 use tdb_zorder::Box3;
 
@@ -139,4 +140,86 @@ fn every_configuration_answers_with_the_reference_points_or_names_what_is_missin
             }
         }
     }
+}
+
+/// The channel slice: a 64³ wall-bounded, stretched-grid archive in 16³
+/// chunks on four nodes — so chunks, octants and build blocks all meet a
+/// wall — answers at every order, for every field and both box filters,
+/// over the whole grid, each wall's two-point slab and a box that cuts
+/// atoms at a wall, with cache off, cold and warm, with the points of the
+/// dense reference at its 10⁻³ tier, bit for bit; at O4 also stored
+/// lossless in two copies. No scan worker panics on the way.
+#[test]
+fn every_order_and_field_on_a_wall_bounded_grid_answers_with_the_reference_points() {
+    let started = std::time::Instant::now();
+    let panics = tdb_obs::m::NODE_WORKER_PANICS.get();
+    let mut fields = DerivedField::all().to_vec();
+    fields.extend([1, 2].map(|radius| DerivedField::BoxFilteredNorm { radius }));
+    let boxes = [
+        Box3::cube(64),
+        Box3::new([0, 0, 0], [63, 1, 63]),
+        Box3::new([0, 62, 0], [63, 63, 63]),
+        Box3::new([5, 50, 3], [42, 63, 29]),
+    ];
+    let raw = CompressionConfig::default;
+    let archives = [
+        (FdOrder::O2, "raw", raw(), 1),
+        (FdOrder::O4, "raw", raw(), 1),
+        (FdOrder::O4, "lossless", CompressionConfig::lossless(), 2),
+        (FdOrder::O6, "raw", raw(), 1),
+        (FdOrder::O8, "raw", raw(), 1),
+    ];
+    for (order, codec_name, codec, k) in archives {
+        let archive = format!("{order:?}, {codec_name}, k = {k}");
+        let service = harness(&format!("matrix_channel_{order:?}_{codec_name}"), 64, 1)
+            .nodes(4)
+            .dataset(SyntheticDataset::channel(64, 64, 64, 1, 0xc4c))
+            .cluster(|c| {
+                c.fd_order = order;
+                c.compression = codec;
+                c.replication = ReplicationConfig::k(k);
+            })
+            .build();
+        for &derived in &fields {
+            // one dense reference per field: every point, and its 10⁻³ tier
+            let every = reference_points(&service, "velocity", derived, 0, f64::NEG_INFINITY);
+            let mut values: Vec<f32> = every.iter().map(|p| p.value).collect();
+            values.sort_by(f32::total_cmp);
+            let threshold = f64::from(values[values.len() - values.len() / 1000]);
+            for qbox in boxes {
+                let expected: Vec<_> = (every.iter())
+                    .filter(|p| {
+                        let (x, y, z) = p.coords();
+                        f64::from(p.value) >= threshold && qbox.contains_point(x, y, z)
+                    })
+                    .copied()
+                    .collect();
+                service.cluster().clear_caches();
+                service.cluster().clear_buffer_pools();
+                let cached =
+                    ThresholdQuery::whole_timestep("velocity", derived, 0, threshold).in_box(qbox);
+                let modes = [
+                    ("cache off", cached.clone().without_cache(), false),
+                    ("cold", cached.clone(), false),
+                    ("warm", cached, true),
+                ];
+                for (mode, q, warm) in modes {
+                    let row = format!("{archive}, {}, box {qbox:?}, {mode}", derived.name());
+                    let answer = service
+                        .get_threshold(&q)
+                        .unwrap_or_else(|e| panic!("{row}: {e}"));
+                    assert!(answer.degraded.is_none(), "{row}: nothing is lost");
+                    assert_eq!(bits(&answer.points), bits(&expected), "{row}");
+                    let hits = if warm { answer.nodes } else { 0 };
+                    assert_eq!(answer.cache_hits, hits, "{row}");
+                }
+            }
+        }
+    }
+    assert_eq!(
+        tdb_obs::m::NODE_WORKER_PANICS.get(),
+        panics,
+        "a scan worker panicked"
+    );
+    println!("channel slice: {:.1} s", started.elapsed().as_secs_f64());
 }

@@ -47,32 +47,49 @@ fn every_catalogue_field_evaluates_and_caches() {
 /// Every atom's and every octant's stored maximum (DESIGN.md §9) is, bit
 /// for bit, the largest value the archive itself holds there — read back
 /// through a top-k of every grid point, which nothing prunes — on every
-/// codec, raw field and parameter-free derived field.
+/// codec, raw field and parameter-free derived field, and on a 64³
+/// wall-bounded grid whose build blocks meet a wall; none is the +∞ of a
+/// block the build could not derive.
 #[test]
 fn stored_atom_maxima_are_the_maxima_of_the_archive_values() {
-    let codecs = [
-        ("raw", CompressionConfig::default()),
-        ("lossless", CompressionConfig::lossless()),
-        ("lossy", CompressionConfig::lossy(2, 5e-2)),
+    let archives = [
+        ("raw", 32, CompressionConfig::default(), None),
+        ("lossless", 32, CompressionConfig::lossless(), None),
+        ("lossy", 32, CompressionConfig::lossy(2, 5e-2), None),
+        ("channel", 64, CompressionConfig::default(), Some(0xc4c)),
     ];
-    for (codec_name, codec) in codecs {
-        let service = harness(&format!("cat_maxima_{codec_name}"), 32, 1)
-            .cluster(|c| c.compression = codec)
-            .build();
-        for field in ["velocity", "magnetic", "pressure"] {
+    for (name, n, codec, channel) in archives {
+        let mut build =
+            harness(&format!("cat_maxima_{name}"), n, 1).cluster(|c| c.compression = codec);
+        if let Some(seed) = channel {
+            build = build
+                .nodes(4)
+                .dataset(SyntheticDataset::channel(n, n, n, 1, seed));
+        }
+        let service = build.build();
+        let atoms = n as u32 / 8;
+        for field in service.dataset().raw_fields().iter().map(|f| f.name) {
             for derived in DerivedField::all() {
-                let row = format!("{codec_name}, {field}, {}", derived.name());
+                let row = format!("{name}, {field}, {}", derived.name());
                 let q = ThresholdQuery::whole_timestep(field, derived, 0, 0.0).without_cache();
-                let every = service.get_topk(&q, 32 * 32 * 32).unwrap().points;
-                assert_eq!(every.len(), 32 * 32 * 32, "{row}");
+                // in slabs of 16 planes: a top-k is at most 100 000 points
+                let every: Vec<_> = (0..n as u32)
+                    .step_by(16)
+                    .flat_map(|z| {
+                        let slab = Box3::new([0, 0, z], [n as u32 - 1, n as u32 - 1, z + 15]);
+                        let k = slab.num_points() as usize;
+                        service.get_topk(&q.clone().in_box(slab), k).unwrap().points
+                    })
+                    .collect();
+                assert_eq!(every.len(), n * n * n, "{row}");
                 // the largest non-NaN value in `total_cmp` order (+0 above −0),
                 // per atom and per octant (its half along x, y, z: bits 0–2)
-                let mut want = [[f32::NAN; 9]; 64];
+                let mut want = vec![[f32::NAN; 9]; (atoms * atoms * atoms) as usize];
                 for p in &every {
                     let (x, y, z) = p.coords();
                     let atom = AtomCoord::containing(x, y, z);
                     let octant = (x % 8 / 4 + 2 * (y % 8 / 4) + 4 * (z % 8 / 4)) as usize;
-                    let maxima = &mut want[(atom.x + 4 * (atom.y + 4 * atom.z)) as usize];
+                    let maxima = &mut want[(atom.x + atoms * (atom.y + atoms * atom.z)) as usize];
                     for i in [octant, 8] {
                         let max = &mut maxima[i];
                         if !p.value.is_nan() && (max.is_nan() || p.value.total_cmp(max).is_gt()) {
@@ -80,9 +97,14 @@ fn stored_atom_maxima_are_the_maxima_of_the_archive_values() {
                         }
                     }
                 }
-                for atom in Box3::cube(32).atoms() {
-                    let cluster = service.cluster();
-                    let want = want[(atom.x + 4 * (atom.y + 4 * atom.z)) as usize];
+                let cluster = service.cluster();
+                let unbuilt: usize = (Box3::cube(n as u32).atoms())
+                    .map(|atom| cluster.octant_maxima(field, derived, 0, atom).unwrap())
+                    .map(|got| got.iter().filter(|&&m| m == f32::INFINITY).count())
+                    .sum();
+                assert_eq!(unbuilt, 0, "{row}: octant maxima at +∞");
+                for atom in Box3::cube(n as u32).atoms() {
+                    let want = want[(atom.x + atoms * (atom.y + atoms * atom.z)) as usize];
                     let got = cluster.octant_maxima(field, derived, 0, atom).unwrap();
                     let octants: [u32; 8] = std::array::from_fn(|o| want[o].to_bits());
                     assert_eq!(got.map(f32::to_bits), octants, "{row}, {atom:?}");
