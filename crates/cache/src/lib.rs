@@ -17,13 +17,14 @@
 //! Misses are recomputed from raw data and the entry replaced.
 //!
 //! "All modifications of and queries to the cache are executed within a
-//! transaction with snapshot isolation level" (§4): the table is a
-//! [`tdb_storage::mvcc`] store, a lookup is one read-only snapshot (it
-//! sees an entry whole or not at all, and writes nothing — the LRU stamp
-//! is an atomic beside the entry), and an insert — replacement and
-//! least-recently-used eviction across all quantities included — is one
-//! commit. The threshold cache ([`semantic`]) and the histogram cache
-//! ([`pdf`]) are two instances of that one table.
+//! transaction with snapshot isolation level to avoid dirty-reads or an
+//! inconsistent view of the cache" (§4). Here the table is one locked map
+//! of immutable, shared rows: a lookup takes one row's pointer and sees
+//! the entry whole or not at all (and writes nothing — the LRU stamp is
+//! an atomic beside the entry), and an insert — replacement and
+//! least-recently-used eviction across all quantities included — lands in
+//! one critical section. The threshold cache ([`semantic`]) and the
+//! histogram cache ([`pdf`]) are two instances of that one table.
 
 // the query path returns typed errors, it does not panic (DESIGN.md §8)
 #![cfg_attr(

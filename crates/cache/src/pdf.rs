@@ -91,19 +91,20 @@ impl PdfCache {
         let bytes = entry_bytes(counts.len());
         session.charge(self.ssd, 1, bytes);
         let entry = PdfEntry { region, counts };
-        let (conflicts, evictions) = self.table.insert(key, entry, bytes);
+        let evictions = self.table.insert(key, entry, bytes);
+        self.table.add(&m::CACHE_PDF_INSERTS, 1, |s| &mut s.inserts);
         self.table
-            .add(&m::CACHE_PDF_CONFLICTS, conflicts, |s| &mut s.conflicts);
-        if let Some(evictions) = evictions {
-            self.table.add(&m::CACHE_PDF_INSERTS, 1, |s| &mut s.inserts);
-            self.table
-                .add(&m::CACHE_PDF_EVICTIONS, evictions, |s| &mut s.evictions);
-        }
+            .add(&m::CACHE_PDF_EVICTIONS, evictions, |s| &mut s.evictions);
+    }
+
+    /// Drops every binning cached for one quantity.
+    pub fn invalidate(&self, base: &CacheInfoKey) {
+        self.table.remove_where(|k| k.base == *base);
     }
 
     /// Drops everything.
     pub fn clear(&self) {
-        self.table.clear();
+        self.table.remove_where(|_| true);
     }
 
     /// Number of live entries.
@@ -211,6 +212,22 @@ mod tests {
             PdfLookup::Hit(_)
         ));
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn invalidate_drops_every_binning_of_one_quantity() {
+        let (cache, _) = mk();
+        let mut s = IoSession::new();
+        let region = Box3::cube(8);
+        for (ts, nbins) in [(0, 10), (0, 20), (1, 10)] {
+            cache.insert(&key(ts, nbins), region, vec![1; 11], &mut s);
+        }
+        cache.invalidate(&key(0, 10).base);
+        assert_eq!(cache.len(), 1);
+        assert!(matches!(
+            cache.lookup(&key(1, 10), &region, &mut s),
+            PdfLookup::Hit(_)
+        ));
     }
 
     #[test]

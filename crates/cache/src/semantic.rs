@@ -118,7 +118,7 @@ impl SemanticCache {
 
     /// Algorithm 1, lines 4–28: looks up `(key)` and answers from the cache
     /// when the stored entry covers `query_box` at a threshold no higher
-    /// than `threshold`. One read-only snapshot; a hit writes nothing.
+    /// than `threshold`. A hit reads one whole entry and writes nothing.
     pub fn lookup(
         &self,
         key: &CacheInfoKey,
@@ -172,12 +172,7 @@ impl SemanticCache {
     /// Algorithm 1, line 37: stores a freshly evaluated result, replacing
     /// any previous entry for `key` and evicting least-recently-used
     /// entries (across all quantities) until the byte budget holds — all
-    /// in one commit.
-    ///
-    /// Retries once on a snapshot-isolation conflict; if the retry also
-    /// conflicts the insert is abandoned. Hits write nothing, so it lost
-    /// twice to inserts or evictions of this very key: a competitor
-    /// cached an equivalent result.
+    /// at once, so no lookup sees the one without the other.
     pub fn insert(
         &self,
         key: &CacheInfoKey,
@@ -207,16 +202,11 @@ impl SemanticCache {
             rows,
         };
         let table = &self.table;
-        let (conflicts, evictions) = table.insert(key, entry, bytes);
-        table.add(&m::CACHE_SEMANTIC_CONFLICTS, conflicts, |s| {
-            &mut s.conflicts
+        let evictions = table.insert(key, entry, bytes);
+        table.add(&m::CACHE_SEMANTIC_INSERTS, 1, |s| &mut s.inserts);
+        table.add(&m::CACHE_SEMANTIC_EVICTIONS, evictions, |s| {
+            &mut s.evictions
         });
-        if let Some(evictions) = evictions {
-            table.add(&m::CACHE_SEMANTIC_INSERTS, 1, |s| &mut s.inserts);
-            table.add(&m::CACHE_SEMANTIC_EVICTIONS, evictions, |s| {
-                &mut s.evictions
-            });
-        }
     }
 
     /// Chaos hook: flips the bits of one stored data row of `key`'s entry
@@ -233,7 +223,8 @@ impl SemanticCache {
         };
         rot(first);
         let rotten = Entry { rows, ..row.entry };
-        self.table.insert(key, rotten, row.bytes).1.is_some()
+        self.table.insert(key, rotten, row.bytes);
+        true
     }
 
     /// Drops the entry for one key (used by experiments to force misses).
@@ -243,7 +234,7 @@ impl SemanticCache {
 
     /// Drops everything.
     pub fn clear(&self) {
-        self.table.clear();
+        self.table.remove_where(|_| true);
     }
 
     /// Bytes currently used by live entries.
@@ -680,8 +671,7 @@ mod tests {
             CacheLookup::Hit(_)
         ));
         let st = cache.stats();
-        // hits write nothing: nobody for the one writer to conflict with
-        assert_eq!((st.quarantined, st.conflicts, st.misses), (0, 0, 0));
+        assert_eq!((st.quarantined, st.misses), (0, 0));
     }
 
     #[test]

@@ -11,8 +11,6 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
-    /// Commit retries caused by snapshot-isolation write conflicts.
-    pub conflicts: u64,
     /// Entries dropped because their stored rows failed checksum
     /// validation on lookup (the caller recomputes and re-inserts).
     pub quarantined: u64,

@@ -403,6 +403,7 @@ impl Cluster {
         let key = scan::cache_key(&self.dataset, raw_field, derived, timestep);
         for n in self.topology.read().nodes.iter().flatten() {
             n.cache.invalidate(&key);
+            n.pdf_cache.invalidate(&key);
         }
     }
 
@@ -437,7 +438,6 @@ impl Cluster {
                 total.misses += s.misses;
                 total.inserts += s.inserts;
                 total.evictions += s.evictions;
-                total.conflicts += s.conflicts;
                 total.quarantined += s.quarantined;
             }
         }

@@ -47,12 +47,10 @@ metrics! {
     counter   BUFFERPOOL_EVICTIONS              "bufferpool.evictions";
     counter   BUFFERPOOL_HITS                   "bufferpool.hits";
     counter   BUFFERPOOL_MISSES                 "bufferpool.misses";
-    counter   CACHE_PDF_CONFLICTS               "cache.pdf.conflicts";
     counter   CACHE_PDF_EVICTIONS               "cache.pdf.evictions";
     counter   CACHE_PDF_HITS                    "cache.pdf.hits";
     counter   CACHE_PDF_INSERTS                 "cache.pdf.inserts";
     counter   CACHE_PDF_MISSES                  "cache.pdf.misses";
-    counter   CACHE_SEMANTIC_CONFLICTS          "cache.semantic.conflicts";
     counter   CACHE_SEMANTIC_EVICTIONS          "cache.semantic.evictions";
     counter   CACHE_SEMANTIC_HITS               "cache.semantic.hits";
     counter   CACHE_SEMANTIC_INSERTS            "cache.semantic.inserts";

@@ -3,9 +3,9 @@
 //! Each JHTDB database node stores its share of the simulation in tables
 //! "partitioned spatially along contiguous ranges of the Morton z-curve",
 //! with "the data for each partition resid\[ing\] in one database file"
-//! striped over four RAID-5 disk arrays, plus SSD-resident cache tables
-//! queried under snapshot isolation (paper §2, §4, §5.1). This crate is
-//! that engine, built from scratch:
+//! striped over four RAID-5 disk arrays (paper §2, §5.1). This crate is
+//! that engine, built from scratch (the SSD-resident cache tables are
+//! `tdb-cache`'s):
 //!
 //! * [`record`] — the `(timestep, zindex) → atom payload` record, its
 //!   samples a shared view of the decoded block they came from,
@@ -19,8 +19,6 @@
 //! * [`table`] — a partitioned table spread over disk arrays,
 //! * [`device`] — device profiles and per-query I/O accounting used by the
 //!   evaluation's modelled time breakdown (DESIGN.md §4),
-//! * [`mvcc`] — a multi-version store with snapshot isolation for the
-//!   mutable cache tables,
 //! * [`faults`] — deterministic, seeded fault injection threaded through
 //!   block reads, cache inserts and node evaluation (robustness testing).
 //!
@@ -48,7 +46,6 @@ pub mod bufferpool;
 pub mod device;
 pub mod error;
 pub mod faults;
-pub mod mvcc;
 pub mod record;
 pub mod sstable;
 pub mod table;
@@ -58,7 +55,6 @@ pub use bufferpool::BufferPool;
 pub use device::{DeviceId, DeviceProfile, DeviceRegistry, IoSession};
 pub use error::{IoResultExt, StorageError, StorageResult};
 pub use faults::{BlockReadFault, FaultCounts, FaultKind, FaultPlan, FaultRule, FaultSite};
-pub use mvcc::{CommitError, MvccStore, Txn};
 pub use record::{AtomData, AtomKey, AtomRecord};
 pub use sstable::{BlockCache, DecodedBlock, PartitionReader, PartitionWriter};
 pub use table::{Table, TableBuilder};

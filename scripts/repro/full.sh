@@ -4,7 +4,7 @@
 # workloads, 20 s each, end to end and traced, and `warm_cache` once more at
 # 60 s: a resident node must not grow with the number of hits it has served,
 # so the two `peak_rss_mib` are printed side by side (informational — the
-# gate is the MVCC version-count tests). Everything lands in out/; any
+# gate is the cache table's row-reclamation test). Everything lands in out/; any
 # failure (a wrong answer included) exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")/../.."

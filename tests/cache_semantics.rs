@@ -200,6 +200,13 @@ fn pdf_queries_are_cached_too() {
     assert_eq!(sub_cold.histogram.total(), 16 * 16 * 16);
     let sub_warm = service.get_pdf(&sub, 0.0, 10.0, 9).unwrap();
     assert_eq!(sub_warm.breakdown.io_s, 0.0);
+    // dropping the quantity's cache entries drops its PDFs too
+    service
+        .cluster()
+        .invalidate_cache_entry("velocity", DerivedField::CurlNorm, 0);
+    let dropped = service.get_pdf(&sub, 0.0, 10.0, 9).unwrap();
+    assert!(dropped.breakdown.io_s > 0.0, "dropped PDF must re-scan");
+    assert_eq!(dropped.histogram.counts(), sub_cold.histogram.counts());
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! grant/evict/shed protocol (real code), the buffer pool's
 //! eviction-vs-decode path and single-flight loads outside the pool lock
 //! (real code), and the semantic cache's replace / lookup / invalidate on
-//! one snapshot-isolated table (real code).
+//! one locked table of immutable rows (real code).
 //! Where a PR fixed a real bug — the cache entry torn over two stores —
 //! the *buggy* variant rides along as a regression model the checker must
 //! still catch; the mediator's inverted lock order rides along the same
@@ -416,8 +416,8 @@ fn semantic_cache_replace_vs_lookup_passes() {
             look();
             replacer.join();
             dropper.join();
-            // whichever of the two writers committed last decided the key;
-            // the insert loses at most one commit to the single invalidate
+            // whichever of the two writers took the lock last decided the
+            // key; an insert always lands, so both are counted
             let st = cache.stats();
             assert_eq!((st.quarantined, st.inserts), (0, 2), "{st:?}");
             assert_eq!(look(), cache.len() == 1);
