@@ -170,6 +170,37 @@ mod tests {
     }
 
     #[test]
+    fn a_fetched_row_stays_whole_while_writers_replace_it() {
+        let table = Arc::new(LruTable::<u32, Vec<u32>>::new(1 << 20));
+        table.insert(&1, vec![0; 256], 8);
+        let held = table.get(&1).unwrap();
+        let writers: Vec<_> = (1..=2u32)
+            .map(|t| {
+                let table = Arc::clone(&table);
+                std::thread::spawn(move || {
+                    for i in 0..500 {
+                        table.insert(&1, vec![t * 1000 + i; 256], 8);
+                    }
+                })
+            })
+            .collect();
+        // every fetch during the replacements is one writer's whole entry
+        for _ in 0..500 {
+            let now = table.get(&1).unwrap();
+            assert!(now.entry.iter().all(|&v| v == now.entry[0]));
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        // the row fetched before them is unchanged; a new fetch sees a
+        // writer's last entry
+        assert_eq!(held.entry, vec![0; 256]);
+        let last = table.get(&1).unwrap().entry[0];
+        assert!(last == 1499 || last == 2499, "{last}");
+        assert_eq!(table.len(), 1);
+    }
+
+    #[test]
     fn overwrites_with_no_reader_leave_one_row() {
         let table = LruTable::<u32, u32>::new(1 << 20);
         table.insert(&0, 0, 8);
