@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use tdb_wire::Json;
 
 use tdb_analysis::{fof_clusters_4d, SpaceTimePoint};
-use tdb_bench::{harness, TestService};
+use tdb_bench::{harness, TestService, FRACTIONS};
 use tdb_cluster::TimeBreakdown;
 use tdb_cluster::{ClusterConfig, CompressionConfig};
 use tdb_core::baseline::local_evaluation_estimate;
@@ -47,15 +47,6 @@ const EXPERIMENTS: [Experiment; 14] = [
     ("compression", Repro::compression),
     ("replication", Repro::replication),
     ("ablations", Repro::ablations),
-];
-
-/// The paper's threshold selectivities on the MHD dataset: fractions of
-/// all grid points above thresholds 80 / 60 / 44 (≈4 300, 87 000 and
-/// 909 000 points of 1024³).
-const FRACTIONS: [(f64, &str, f64); 3] = [
-    (3.95e-6, "high (80.0)", 80.0),
-    (8.06e-5, "medium (60.0)", 60.0),
-    (8.47e-4, "low (44.0)", 44.0),
 ];
 
 struct Repro {

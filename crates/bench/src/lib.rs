@@ -2,7 +2,8 @@
 //! the repo-level integration tests and the examples: how a service is
 //! stood up ([`harness`]), how two answers are compared ([`bits`],
 //! [`ranked_bits`], [`bits_outside`]) and what they are compared against
-//! ([`reference_points`]).
+//! ([`reference_points`]), and the paper's selectivity tiers
+//! ([`FRACTIONS`]).
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
@@ -15,6 +16,15 @@ use tdb_field::PaddedVector;
 use tdb_kernels::DiffScheme;
 use tdb_turbgen::SyntheticDataset;
 use tdb_zorder::Box3;
+
+/// The paper's threshold selectivities on the MHD dataset: fractions of
+/// all grid points above thresholds 80 / 60 / 44 (≈4 300, 87 000 and
+/// 909 000 points of 1024³), with the tier's label and threshold.
+pub const FRACTIONS: [(f64, &str, f64); 3] = [
+    (3.95e-6, "high (80.0)", 80.0),
+    (8.06e-5, "medium (60.0)", 60.0),
+    (8.47e-4, "low (44.0)", 44.0),
+];
 
 static UNIQUE: AtomicU64 = AtomicU64::new(0);
 

@@ -1,6 +1,6 @@
 //! Exact maxima of every parameter-free derived field over each octant
-//! (4³ eighth) of every atom, and the scan domains they leave a threshold
-//! query (DESIGN.md §9).
+//! (4³ eighth) of every atom, the scan domains they leave a threshold
+//! query, and the floor they set a top-k (DESIGN.md §9).
 //!
 //! When the archive is loaded, every node derives each field of
 //! [`DerivedField::all`] over its primary chunks of every (raw field,
@@ -11,7 +11,9 @@
 //! scan compares (the derived value at a point does not depend on the
 //! domain it was evaluated over), the comparison is monotone, and a NaN
 //! passes it neither as a value nor as a maximum. An octant whose maximum
-//! could not be computed holds +∞ and is always scanned.
+//! could not be computed holds +∞ and is always scanned. A top-k scans as
+//! a threshold at [`topk_floor`]: each octant wholly inside its box holds
+//! a point of exactly its stored maximum.
 
 use tdb_field::at_or_above;
 use tdb_kernels::DerivedField;
@@ -165,6 +167,27 @@ pub(crate) fn surviving_domains(
     }
 }
 
+/// The floor of a top-`k` over `query_box`: the k-th largest stored
+/// maximum, under `total_cmp`, of the octants wholly inside the box — its
+/// *witnesses*, each holding a point of exactly that value — so the k-th
+/// largest value in the box is at or above it and a threshold scan at the
+/// floor returns every point of the answer. NaN and +∞ (which may mean
+/// "could not be computed") are never witnesses. `None` with fewer than k.
+pub(crate) fn topk_floor(maxima: FieldMaxima<'_>, query_box: &Box3, k: usize) -> Option<f64> {
+    let mut witnesses: Vec<f32> = query_box
+        .atoms()
+        .flat_map(|atom| {
+            let octants = maxima.octants(atom).into_iter().enumerate();
+            octants.filter(move |&(o, _)| query_box.contains_box(&octant_box(atom, o)))
+        })
+        .map(|(_, max)| max)
+        .filter(|max| !max.is_nan() && *max != f32::INFINITY)
+        .collect();
+    let rank = k.checked_sub(1).filter(|&r| r < witnesses.len())?;
+    let (_, floor, _) = witnesses.select_nth_unstable_by(rank, |a, b| b.total_cmp(a));
+    Some(f64::from(*floor))
+}
+
 impl Cluster {
     /// The stored maximum of `derived` over `raw_field` at `timestep` in
     /// `atom`: NaN when every value there is, +∞ when it could not be
@@ -306,13 +329,17 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::mediator::{ClusterBuilder, ThresholdRequest, ThresholdResponse};
+    use crate::scan::topk_order;
+    use std::path::PathBuf;
+    use tdb_cache::ThresholdPoint;
     use tdb_field::{Grid3, PaddedVector, ScalarField, VectorField};
     use tdb_kernels::DiffScheme;
-    use tdb_obs::AttrValue;
+    use tdb_obs::{AttrValue, QueryTrace};
     use tdb_zorder::encode3;
 
     /// Component `c` of a 32³ archive at grid point `(x, y, z)`: values in
-    /// [0, 1) except in three atoms of chunk 0 and a spike in chunk 7.
+    /// [0, 1) except in three atoms of chunk 0 and a spike of norm 50 in
+    /// each of chunks 6 and 7.
     fn hostile(c: usize, [x, y, z]: [u32; 3]) -> f32 {
         let base = ((x * 7 + y * 13 + z * 29 + c as u32 * 31) % 97) as f32 / 97.0;
         match ([x / 8, y / 8, z / 8], [x % 8, y % 8, z % 8]) {
@@ -322,18 +349,15 @@ mod tests {
             ([1, 0, 0], [3, 3, 3]) => f32::NAN,
             ([0, 1, 0], _) if c == 2 => -0.0,
             // norm 50 exactly, well inside its atom
-            ([3, 3, 3], [4, 4, 4]) => [30.0, 40.0, 0.0][c],
+            ([3, 3, 3] | [0, 3, 3], [4, 4, 4]) => [30.0, 40.0, 0.0][c],
             _ => base,
         }
     }
 
-    /// NaN, ±∞, −0.0, an all-NaN atom and a maximum equal to the threshold
-    /// go through the pruned scan: the answers are the dense evaluation's,
-    /// bit for bit, the tie point is in them, and one f64 step above the
-    /// spike atom's maximum the atom is pruned and answers nothing.
-    #[test]
-    fn hostile_stored_values_prune_exactly() {
-        let dir = std::env::temp_dir().join(format!("tdb_hostile_{}", std::process::id()));
+    /// The hostile archive on two nodes in 16³ chunks, its directory, and
+    /// the dense evaluation of a field over the same values.
+    fn hostile_archive(tag: &str) -> (Cluster, PathBuf, impl Fn(DerivedField) -> ScalarField) {
+        let dir = std::env::temp_dir().join(format!("tdb_hostile_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = ClusterConfig {
             num_nodes: 2,
@@ -362,20 +386,48 @@ mod tests {
         });
         let mut padded = PaddedVector::zeros(32, 32, 32, scheme.halo());
         padded.fill_periodic_from(&VectorField::from_components(comps), [0, 0, 0]);
+        let dense = move |derived: DerivedField| derived.eval(&padded, &scheme, [0, 0, 0]);
+        (cluster, dir, dense)
+    }
+
+    /// An uncached whole-grid request for `derived` at `threshold`.
+    fn whole_grid(derived: DerivedField, threshold: f64) -> ThresholdRequest {
+        ThresholdRequest {
+            raw_field: "u".into(),
+            derived,
+            timestep: 0,
+            query_box: Box3::cube(32),
+            threshold,
+            use_cache: false,
+            mode: QueryMode::Full,
+            procs_override: None,
+            strict: true,
+            node_deadline_s: None,
+        }
+    }
+
+    /// The sum of `key` over a trace's per-node spans.
+    fn nodes_sum(trace: Option<&QueryTrace>, key: &str) -> u64 {
+        let io = trace.unwrap().span("phase.io").unwrap();
+        (io.children.iter())
+            .map(|span| match span.attr(key) {
+                Some(AttrValue::U64(n)) => *n,
+                other => panic!("{key}: {other:?}"),
+            })
+            .sum()
+    }
+
+    /// NaN, ±∞, −0.0, an all-NaN atom and a maximum equal to the threshold
+    /// go through the pruned scan: the answers are the dense evaluation's,
+    /// bit for bit, the tie point is in them, and one f64 step above the
+    /// spike atom's maximum the atom is pruned and answers nothing.
+    #[test]
+    fn hostile_stored_values_prune_exactly() {
+        let (cluster, dir, dense_of) = hostile_archive("prune");
         let ask = |derived, threshold| -> ThresholdResponse {
-            let req = ThresholdRequest {
-                raw_field: "u".into(),
-                derived,
-                timestep: 0,
-                query_box: Box3::cube(32),
-                threshold,
-                use_cache: false,
-                mode: QueryMode::Full,
-                procs_override: None,
-                strict: true,
-                node_deadline_s: None,
-            };
-            cluster.get_threshold(&req).unwrap()
+            cluster
+                .get_threshold(&whole_grid(derived, threshold))
+                .unwrap()
         };
         let bits = |r: &ThresholdResponse| {
             let mut got: Vec<(u64, u32)> = r
@@ -385,15 +437,6 @@ mod tests {
                 .collect();
             got.sort_unstable();
             got
-        };
-        let nodes_sum = |r: &ThresholdResponse, key: &str| -> u64 {
-            let io = r.trace.as_ref().unwrap().span("phase.io").unwrap();
-            (io.children.iter())
-                .map(|span| match span.attr(key) {
-                    Some(AttrValue::U64(n)) => *n,
-                    other => panic!("{key}: {other:?}"),
-                })
-                .sum()
         };
         let spike = AtomCoord::new(3, 3, 3);
         let max_of = |derived| cluster.atom_max("u", derived, 0, AtomCoord::new(0, 0, 0));
@@ -405,7 +448,7 @@ mod tests {
 
         for derived in [DerivedField::Norm, DerivedField::CurlNorm] {
             let name = derived.name();
-            let dense = derived.eval(&padded, &scheme, [0, 0, 0]);
+            let dense = dense_of(derived);
             let want = |t: f64| -> Vec<(u64, u32)> {
                 let mut want: Vec<(u64, u32)> = (Box3::cube(32).points())
                     .map(|(x, y, z)| (x, y, z, dense.get(x as usize, y as usize, z as usize)))
@@ -440,15 +483,60 @@ mod tests {
             let past = ask(derived, above);
             assert!(in_spike(&past).is_empty(), "{name}");
             // the spike's chunk has nothing else to read: it is skipped
+            let (past, at_tie) = (past.trace.as_ref(), at_tie.trace.as_ref());
             assert!(
-                nodes_sum(&past, "atoms_scanned") < nodes_sum(&at_tie, "atoms_scanned"),
+                nodes_sum(past, "atoms_scanned") < nodes_sum(at_tie, "atoms_scanned"),
                 "{name}"
             );
             assert!(
-                nodes_sum(&past, "atoms_pruned") > nodes_sum(&at_tie, "atoms_pruned"),
+                nodes_sum(past, "atoms_pruned") > nodes_sum(at_tie, "atoms_pruned"),
                 "{name}"
             );
         }
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A top-k over the same values is a threshold scan at its floor, and
+    /// answers the dense ranking with NaN dropped, bit for bit: the two +∞
+    /// points first, though their octant is no witness, the all-NaN atom
+    /// never. The norm's floor at k = 1 and 2 is the tie of the two spikes'
+    /// octants; every answer prunes, and none is scanned again.
+    #[test]
+    fn hostile_stored_values_answer_topk_exactly() {
+        let (cluster, dir, dense_of) = hostile_archive("topk");
+        let maxima = |derived| {
+            let maxima = cluster.env.maxima.get().unwrap();
+            maxima.of("u", derived, 0).unwrap()
+        };
+        let floor = |k| topk_floor(maxima(DerivedField::Norm), &Box3::cube(32), k);
+        assert_eq!([1, 2].map(floor), [Some(50.0); 2], "the spikes' tie");
+        assert!(floor(3).unwrap() < 50.0);
+
+        let rescans = tdb_obs::m::SCAN_TOPK_RESCANS.get();
+        for derived in [DerivedField::Norm, DerivedField::CurlNorm] {
+            let name = derived.name();
+            let dense = dense_of(derived);
+            let mut ranked: Vec<ThresholdPoint> = (Box3::cube(32).points())
+                .map(|(x, y, z)| {
+                    ThresholdPoint::at(x, y, z, dense.get(x as usize, y as usize, z as usize))
+                })
+                .filter(|p| !p.value.is_nan())
+                .collect();
+            ranked.sort_by(topk_order);
+            let rank = |points: &[ThresholdPoint]| -> Vec<(u64, u32)> {
+                (points.iter())
+                    .map(|p| (p.zindex, p.value.to_bits()))
+                    .collect()
+            };
+            for k in [1, 2, 8, 64] {
+                let got = cluster.get_topk(&whole_grid(derived, 0.0), k).unwrap();
+                assert_eq!(rank(&got.points), rank(&ranked[..k]), "{name}, k = {k}");
+                let pruned = nodes_sum(got.trace.as_ref(), "atoms_pruned");
+                assert!(pruned > 0, "{name}, k = {k}: the floor prunes");
+            }
+        }
+        assert_eq!(tdb_obs::m::SCAN_TOPK_RESCANS.get(), rescans);
         drop(cluster);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -81,7 +81,11 @@ impl BatchQuery {
         }
     }
 
-    pub(crate) fn participant(&self) -> ScanParticipant {
+    /// What the query asks of a shared scan. A top-k with a `floor`
+    /// ([`crate::maxima::topk_floor`]) is a threshold scan at it, which
+    /// holds every point of its answer; without one it collects every
+    /// point of its box.
+    pub(crate) fn participant(&self, floor: Option<f64>) -> ScanParticipant {
         let req = self.request();
         let (kernel, use_cache) = match *self {
             BatchQuery::Threshold(_) => {
@@ -101,7 +105,10 @@ impl BatchQuery {
                 };
                 (kernel, req.use_cache)
             }
-            BatchQuery::TopK { .. } => (ScanKernel::TopK, false),
+            BatchQuery::TopK { .. } => match floor {
+                Some(threshold) => (ScanKernel::Threshold { threshold }, false),
+                None => (ScanKernel::TopK, false),
+            },
         };
         ScanParticipant {
             query_box: req.query_box,
@@ -222,8 +229,14 @@ impl Cluster {
         })
     }
 
-    /// Evaluates a top-k query (no caching: results are tiny but the scan
-    /// is the same as a threshold query).
+    /// Evaluates a top-k query: the `k` largest values in the box under
+    /// [`crate::topk_order`], NaN dropped, bit for bit those of a ranking
+    /// of every point. Uncached. In [`QueryMode::Full`] with at least `k`
+    /// octants wholly inside the box, it is a threshold scan at the floor
+    /// their stored maxima set (DESIGN.md §9), which reads only the octants
+    /// that can hold the answer; a floored answer short of `k` points (a
+    /// chunk no replica answered held a witness) is scanned again without
+    /// one (`scan.topk_rescans`).
     pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<TopKResponse> {
         let req = req.clone();
         self.submit(BatchQuery::TopK { req, k }, |a| match a {

@@ -394,7 +394,8 @@ impl NodeRuntime {
         for c in req.assignment.chunks_of(self.id) {
             let grid_box = c.grid_box();
             // each clip with the floor an octant's maximum must reach to be
-            // read for it: a threshold's own value; a PDF or top-k has none
+            // read for it: a threshold's own value (a floored top-k arrives
+            // as one); a PDF or an unfloored top-k has none
             let (mut clips, mut floors) = (Vec::new(), Vec::new());
             for &i in &pending {
                 let Some(part) = req.participants.get(i) else {

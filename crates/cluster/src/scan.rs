@@ -29,8 +29,10 @@ pub enum ScanKernel {
         width: f64,
         nbins: usize,
     },
-    /// Unbounded point collection; the caller keeps the k best
-    /// (equivalent to a threshold scan at `-inf`).
+    /// Every point of the box; the mediator keeps the k best (a threshold
+    /// scan at −∞). Only a top-k without a floor scans so: one whose box
+    /// holds k octants with stored maxima is a [`ScanKernel::Threshold`] at
+    /// the k-th largest of them (DESIGN.md §9).
     TopK,
 }
 

@@ -12,6 +12,7 @@ use tdb_kernels::DerivedField;
 use tdb_storage::{StorageError, StorageResult};
 use tdb_zorder::Box3;
 
+use crate::maxima::topk_floor;
 use crate::mediator::{BatchQuery, Cluster, ThresholdRequest};
 use crate::merge::{BatchAnswer, DegradedInfo, FailedNode};
 use crate::node::{run_workers, NodeResult, QueryMode};
@@ -62,20 +63,30 @@ impl Cluster {
     /// [`ScanGroupKey`] group. Answers are positionally aligned with the
     /// input; a per-node failure inside a group is fanned out to every
     /// query of that group (and degraded per query by the usual policy).
+    ///
+    /// A top-k in [`QueryMode::Full`] scans at the floor its box's octant
+    /// maxima set (`maxima::topk_floor`); one whose floored answer comes back
+    /// short of k points lost a witness to a chunk no replica answered, and
+    /// is scanned once more without a floor, so its answer is the unfloored
+    /// one, degraded or not.
     pub fn run_batch(&self, queries: Vec<BatchQuery>) -> Vec<StorageResult<BatchAnswer>> {
         let wall = std::time::Instant::now();
         let mut answers: Vec<Option<StorageResult<BatchAnswer>>> =
             queries.iter().map(|_| None).collect();
-        let mut groups: Vec<(ScanGroupKey, Vec<usize>)> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            let key = ScanGroupKey::of(q.request());
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((key, vec![i])),
-            }
-        }
-        for (_, idxs) in &groups {
-            self.run_group(&queries, idxs, &mut answers, wall);
+        let floors: Vec<Option<f64>> = queries.iter().map(|q| self.floor_of(q)).collect();
+        self.run_groups(&queries, &floors, 0..queries.len(), &mut answers, wall);
+        let short: Vec<usize> = (queries.iter().zip(&floors).zip(&answers).enumerate())
+            .filter(|(_, ((q, floor), answer))| {
+                floor.is_some()
+                    && matches!((q, answer), (BatchQuery::TopK { k, .. }, Some(Ok(BatchAnswer::TopK(r))))
+                        if r.points.len() < *k)
+            })
+            .map(|(i, _)| i)
+            .collect();
+        if !short.is_empty() {
+            tdb_obs::m::SCAN_TOPK_RESCANS.add(short.len() as u64);
+            let unfloored = vec![None; queries.len()];
+            self.run_groups(&queries, &unfloored, short, &mut answers, wall);
         }
         answers
             .into_iter()
@@ -85,6 +96,45 @@ impl Cluster {
                 })
             })
             .collect()
+    }
+
+    /// The floor a top-k scans at, if its maxima set one.
+    fn floor_of(&self, query: &BatchQuery) -> Option<f64> {
+        let BatchQuery::TopK { req, k } = query else {
+            return None;
+        };
+        if req.mode != QueryMode::Full {
+            return None;
+        }
+        let maxima = self.env.maxima.get()?;
+        let maxima = maxima.of(&req.raw_field, req.derived, req.timestep)?;
+        topk_floor(maxima, &req.query_box, *k)
+    }
+
+    /// Runs the queries `idxs` names, one shared scan per [`ScanGroupKey`]
+    /// group, each participant at its `floors` entry.
+    fn run_groups(
+        &self,
+        queries: &[BatchQuery],
+        floors: &[Option<f64>],
+        idxs: impl IntoIterator<Item = usize>,
+        answers: &mut [Option<StorageResult<BatchAnswer>>],
+        wall: std::time::Instant,
+    ) {
+        let mut groups: Vec<(ScanGroupKey, Vec<usize>)> = Vec::new();
+        for i in idxs {
+            let Some(q) = queries.get(i) else {
+                continue;
+            };
+            let key = ScanGroupKey::of(q.request());
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((key, vec![i])),
+            }
+        }
+        for (_, idxs) in &groups {
+            self.run_group(queries, floors, idxs, answers, wall);
+        }
     }
 
     /// Runs one shared-scan group: scatter a [`SharedScanRequest`] over
@@ -103,6 +153,7 @@ impl Cluster {
     fn run_group(
         &self,
         queries: &[BatchQuery],
+        floors: &[Option<f64>],
         idxs: &[usize],
         answers: &mut [Option<StorageResult<BatchAnswer>>],
         wall: std::time::Instant,
@@ -122,8 +173,7 @@ impl Cluster {
         let deadline = first.node_deadline_s;
         let participants: Vec<ScanParticipant> = idxs
             .iter()
-            .filter_map(|&i| queries.get(i))
-            .map(BatchQuery::participant)
+            .filter_map(|&i| Some(queries.get(i)?.participant(floors.get(i).copied()?)))
             .collect();
         let modelled_time =
             |o: &SharedOutcome| o.result.cache_lookup_s + o.result.io_s + o.result.compute_s;

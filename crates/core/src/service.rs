@@ -309,16 +309,17 @@ impl TurbulenceService {
             .map_err(|e| QueryError::Backend(e.to_string()))
     }
 
-    /// Every value of a derived field's time-step as the archive holds
-    /// it, in [`tdb_cluster::topk_order`]: a top-k of every grid point
-    /// through the one scan path (the mediator holds 16 B per point).
-    /// Strict, so a node outage fails the call rather than skewing what
-    /// is computed from a part of the grid.
-    fn archive_values(
+    /// The `k` largest values of a derived field's time-step as the archive
+    /// holds them, in [`tdb_cluster::topk_order`]: a top-k of the whole
+    /// grid through the one scan path (the mediator holds 16 B per point
+    /// it collects). Strict, so a node outage fails the call rather than
+    /// skewing what is computed from a part of the grid.
+    fn archive_topk(
         &self,
         raw_field: &str,
         derived: DerivedField,
         timestep: u32,
+        k: usize,
     ) -> Result<Vec<ThresholdPoint>, QueryError> {
         let q = ThresholdQuery::whole_timestep(raw_field, derived, timestep, 0.0).without_cache();
         let req = ThresholdRequest {
@@ -326,8 +327,7 @@ impl TurbulenceService {
             ..self.request(&q)
         };
         self.validate(raw_field, timestep, &req.query_box)?;
-        let all = req.query_box.num_points() as usize;
-        let top = self.cluster.get_topk(&req, all);
+        let top = self.cluster.get_topk(&req, k);
         Ok(top.map_err(|e| QueryError::Backend(e.to_string()))?.points)
     }
 
@@ -340,7 +340,8 @@ impl TurbulenceService {
         derived: DerivedField,
         timestep: u32,
     ) -> Result<FieldStats, QueryError> {
-        let mut points = self.archive_values(raw_field, derived, timestep)?;
+        let n = self.full_box().num_points() as usize;
+        let mut points = self.archive_topk(raw_field, derived, timestep, n)?;
         if points.is_empty() {
             return Err(QueryError::Backend("the scan returned no value".into()));
         }
@@ -371,9 +372,10 @@ impl TurbulenceService {
                 "fraction must satisfy 0 <= fraction <= 1",
             ));
         }
-        let points = self.archive_values(raw_field, derived, timestep)?;
-        let k = ((points.len() as f64 * fraction).round() as usize).max(1);
-        let kth = points.get(k - 1).map(|p| f64::from(p.value));
+        let n = self.full_box().num_points() as f64;
+        let k = ((n * fraction).round() as usize).max(1);
+        let points = self.archive_topk(raw_field, derived, timestep, k)?;
+        let kth = points.last().map(|p| f64::from(p.value));
         kth.ok_or_else(|| QueryError::Backend("the scan returned no value".into()))
     }
 }

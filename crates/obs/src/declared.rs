@@ -102,6 +102,7 @@ metrics! {
     counter   SCAN_COALESCED_QUERIES            "scan.coalesced_queries";
     gauge     SCAN_SCRATCH_BYTES                "scan.scratch_bytes";
     counter   SCAN_SHARED                       "scan.shared";
+    counter   SCAN_TOPK_RESCANS                 "scan.topk_rescans";
     counter   STORAGE_READ_RETRIES              "storage.read.retries";
     counter   STORAGE_READ_RETRY_SUCCESS        "storage.read.retry_success";
     counter   WIRE_CONNECTION_TIMEOUT           "wire.connection.timeout";

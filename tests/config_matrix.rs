@@ -3,15 +3,18 @@
 //! storage; one copy or two; every node up or one down; over the whole grid,
 //! one point, one x-row or a box that cuts atoms on every face — returns the
 //! points of the dense reference, bit for bit, or says exactly which boxes
-//! it could not reach; the field's statistics are the healthy ones or an
-//! error, never numbers over part of the grid. The channel slice does the
+//! it could not reach; a top-k at k = 1, 10, 100 or 1000 returns the
+//! reference's ranking of what it could reach, scanned a second time only
+//! when a lost chunk held a witness of its floor; the field's statistics
+//! are the healthy ones or an error, never numbers over part of the grid.
+//! The channel slice does the
 //! same on a wall-bounded grid at every order, for every field. Everything
 //! here comes from the harness: a later slice adds rows, not helpers.
 
 use std::sync::Arc;
 
-use tdb_bench::{bits, bits_outside, harness, reference_points};
-use tdb_cluster::{CompressionConfig, ReplicationConfig};
+use tdb_bench::{bits, bits_outside, harness, points_outside, ranked_bits, reference_points};
+use tdb_cluster::{topk_order, CompressionConfig, ReplicationConfig};
 use tdb_core::{DerivedField, FdOrder, QueryError, SyntheticDataset, ThresholdQuery};
 use tdb_storage::FaultPlan;
 use tdb_zorder::Box3;
@@ -64,6 +67,9 @@ fn every_configuration_answers_with_the_reference_points_or_names_what_is_missin
             let healthy = service
                 .derived_stats("velocity", DerivedField::CurlNorm, 0)
                 .expect("every node up");
+            let mut every = dense(f64::NEG_INFINITY);
+            every.sort_by(topk_order);
+            let mut rescanned = 0;
 
             for dead in [false, true] {
                 plan.set_node_down(1, dead);
@@ -137,7 +143,50 @@ fn every_configuration_answers_with_the_reference_points_or_names_what_is_missin
                         }
                     }
                 }
+                // a top-k is the reference's ranking of the box, less what is
+                // lost; it is scanned twice only when a lost chunk held one of
+                // the witnesses its floor was taken from (512 octants: k = 1000
+                // has no floor)
+                for (top, qbox) in [1, 10, 100, 1000]
+                    .into_iter()
+                    .flat_map(|top| boxes.map(|b| (top, b)))
+                {
+                    let row = format!(
+                        "{codec_name}, k = {k}, node 1 {}, top {top}, box {qbox:?}",
+                        if dead { "down" } else { "up" }
+                    );
+                    let missing: Vec<Box3> =
+                        lost.iter().filter_map(|b| b.intersect(&qbox)).collect();
+                    let degraded = dead && k == 1 && !missing.is_empty();
+                    let mut expected: Vec<_> = (every.iter())
+                        .filter(|p| {
+                            let (x, y, z) = p.coords();
+                            qbox.contains_point(x, y, z)
+                        })
+                        .copied()
+                        .collect();
+                    if degraded {
+                        expected = points_outside(&expected, &missing);
+                    }
+                    expected.truncate(top);
+                    let q =
+                        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0)
+                            .in_box(qbox);
+                    let before = tdb_obs::m::SCAN_TOPK_RESCANS.get();
+                    let answer = service
+                        .get_topk(&q, top)
+                        .unwrap_or_else(|e| panic!("{row}: {e}"));
+                    let rescans = tdb_obs::m::SCAN_TOPK_RESCANS.get() - before;
+                    assert_eq!(ranked_bits(&answer.points), ranked_bits(&expected), "{row}");
+                    let flagged = answer.degraded.map(|d| d.missing_boxes);
+                    assert_eq!(flagged, degraded.then_some(missing), "{row}");
+                    assert!(rescans <= u64::from(degraded), "{row}: {rescans}");
+                    rescanned += rescans;
+                }
             }
+            // with one copy, node 1 held the witness of a top-1 (the box that
+            // cuts atoms): that row ran the re-scan
+            assert_eq!(rescanned > 0, k == 1, "{codec_name}, k = {k}: {rescanned}");
         }
     }
 }

@@ -447,3 +447,25 @@ fn derived_stats_match_field_stats() {
         }
     }
 }
+
+/// Every selectivity tier `repro` picks a threshold for is, bit for bit,
+/// the k-th largest value of the dense reference, k = round(N · fraction)
+/// raised to 1 — the last point of a top-k of k points — for each
+/// parameter-free field at 32³.
+#[test]
+fn threshold_for_fraction_is_the_kth_dense_value_at_every_repro_tier() {
+    let service = test_service("e2e_fractions", 32, 1, 2);
+    let n = 32 * 32 * 32;
+    for derived in DerivedField::all() {
+        let mut dense = reference_points(&service, "velocity", derived, 0, f64::NEG_INFINITY);
+        dense.sort_by(tdb_cluster::topk_order);
+        for (fraction, tier, _) in tdb_bench::FRACTIONS {
+            let k = ((n as f64 * fraction).round() as usize).max(1);
+            let got = service
+                .threshold_for_fraction("velocity", derived, 0, fraction)
+                .unwrap();
+            let want = f64::from(dense[k - 1].value);
+            assert_eq!(got.to_bits(), want.to_bits(), "{}, {tier}", derived.name());
+        }
+    }
+}
