@@ -7,14 +7,17 @@
 //! ```
 //!
 //! Experiments: `fig2 fig3 fig4 table1 fig7a fig7b fig8 fig9 local
-//! hitratio concurrent compression replication ablations`; an unknown name
-//! exits 2 before anything is built. Absolute numbers differ from the
-//! paper (simulated cluster, smaller grid); EXPERIMENTS.md records the
-//! paper-vs-measured comparison. Every recorded row lands in one document,
-//! `repro_results.json`. How *fast* the code is is not measured here: that
-//! is the frozen benchmark's job (`perfbench/`, BENCHMARK.json).
+//! hitratio concurrent compression replication ablations`; an unknown name,
+//! or a `TDB_GRID` the cluster cannot hold, exits 2 before anything is
+//! built. Absolute numbers differ from the paper (simulated cluster,
+//! smaller grid); EXPERIMENTS.md records the paper-vs-measured comparison.
+//! Each experiment is one [`Table`]: what is printed is what lands under
+//! `tables.<experiment>` of `repro_results.json`, beside the run's
+//! `counters` and `gauges`. How *fast* the code is is not measured here:
+//! that is the frozen benchmark's job (`perfbench/`, BENCHMARK.json).
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 use tdb_wire::Json;
 
@@ -23,13 +26,15 @@ use tdb_bench::{harness, TestService, FRACTIONS};
 use tdb_cluster::TimeBreakdown;
 use tdb_cluster::{ClusterConfig, CompressionConfig};
 use tdb_core::baseline::local_evaluation_estimate;
-use tdb_core::{DerivedField, FdOrder, QueryMode, ThresholdQuery, TurbulenceService};
+use tdb_core::{
+    DerivedField, FdOrder, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService,
+};
 use tdb_field::at_or_above;
 use tdb_obs::m;
 use tdb_storage::{DeviceProfile, FaultPlan};
 use tdb_zorder::{decompose_box, Box3};
 
-type Experiment = (&'static str, fn(&mut Repro));
+type Experiment = (&'static str, fn(&mut Repro) -> Table);
 
 /// Every experiment, in the order a bare `repro` runs them.
 const EXPERIMENTS: [Experiment; 14] = [
@@ -49,23 +54,105 @@ const EXPERIMENTS: [Experiment; 14] = [
     ("ablations", Repro::ablations),
 ];
 
+/// The node counts of Fig. 7(b); the widest is the most any archive of
+/// `TDB_GRID` points a side is spread over.
+const SCALE_OUT: [usize; 4] = [1, 2, 4, 8];
+
+/// One experiment's result: named columns, rows of cells and the shape the
+/// paper reports, as a note.
+struct Table {
+    title: &'static str,
+    columns: Vec<&'static str>,
+    rows: Vec<Vec<Json>>,
+    note: String,
+}
+
+/// A value a table cell holds.
+trait Cell {
+    fn cell(self) -> Json;
+}
+
+/// Numbers are JSON numbers, whatever their width.
+macro_rules! numeric_cells {
+    ($($t:ty),+) => {
+        $(impl Cell for $t {
+            fn cell(self) -> Json {
+                Json::Num(self as f64)
+            }
+        })+
+    };
+}
+numeric_cells!(f64, f32, u64, i64, usize, u32);
+
+impl Cell for &str {
+    fn cell(self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
+impl<T: Cell> Cell for Option<T> {
+    fn cell(self) -> Json {
+        self.map_or(Json::Null, Cell::cell)
+    }
+}
+
+/// Appends one row, a cell per column, to a [`Table`].
+macro_rules! row {
+    ($table:expr, $($cell:expr),+ $(,)?) => {
+        $table.push(vec![$(Cell::cell($cell)),+])
+    };
+}
+
+impl Table {
+    /// A table of `columns`, named in one whitespace-separated string.
+    fn new(title: &'static str, columns: &'static str) -> Self {
+        Self {
+            title,
+            columns: columns.split_whitespace().collect(),
+            rows: Vec::new(),
+            note: String::new(),
+        }
+    }
+
+    fn push(&mut self, row: Vec<Json>) {
+        assert_eq!(row.len(), self.columns.len(), "{}", self.title);
+        self.rows.push(row);
+    }
+
+    fn note(self, note: impl Into<String>) -> Self {
+        Self {
+            note: note.into(),
+            ..self
+        }
+    }
+}
+
+/// A cell as printed: a whole number in full, any other to four
+/// significant digits, a missing value as `-`.
+fn render(cell: &Json) -> String {
+    match cell {
+        Json::Str(s) => s.clone(),
+        Json::Num(x) if x.fract() == 0.0 && x.abs() < 1e15 => format!("{x}"),
+        Json::Num(x) if x.is_finite() => {
+            let magnitude = x.abs().log10().floor();
+            if (-3.0..6.0).contains(&magnitude) {
+                format!("{x:.*}", (3.0 - magnitude).max(0.0) as usize)
+            } else {
+                format!("{x:.3e}")
+            }
+        }
+        _ => "-".into(),
+    }
+}
+
 struct Repro {
     service: TestService,
     grid_n: usize,
     timesteps: u32,
     /// threshold per selectivity tier, per (field, derived)
     thresholds: BTreeMap<(String, String), [f64; 3]>,
-    /// `results` of repro_results.json: rows tagged with their experiment
-    results: Vec<Json>,
-    /// its `concurrency`: shared-vs-independent decode deltas
-    concurrency: Vec<Json>,
-    /// its `compression`: per-codec byte/accuracy sweep rows
-    compression: Vec<Json>,
-    /// its `replication`: availability/tail-latency vs replication factor
-    replication: Vec<Json>,
-    /// its `pruning`: per tier, the atoms whose maximum survives and the
-    /// atoms a cold threshold query reads, against an unpruned read
-    pruning: Vec<Json>,
+    /// `tables` of repro_results.json: every experiment run, by name
+    tables: BTreeMap<String, Json>,
 }
 
 fn main() {
@@ -77,21 +164,17 @@ fn main() {
     let lookup = |name: &String| EXPERIMENTS.iter().find(|(known, _)| known == name);
     if let Some(unknown) = args.iter().find(|a| lookup(a).is_none()) {
         let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-        eprintln!(
+        refuse(format!(
             "unknown experiment '{unknown}'; valid: {} (fig6 = table1)",
             names.join(" ")
-        );
-        std::process::exit(2);
+        ));
     }
     let wanted: Vec<_> = if args.is_empty() {
         EXPERIMENTS.iter().collect()
     } else {
         args.iter().filter_map(lookup).collect()
     };
-    let grid_n: usize = std::env::var("TDB_GRID")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128);
+    let grid_n = grid_n().unwrap_or_else(|rule| refuse(rule));
     let timesteps: u32 = if wanted.iter().any(|(name, _)| *name == "fig3") {
         8
     } else {
@@ -112,50 +195,26 @@ fn main() {
         grid_n,
         timesteps,
         thresholds: BTreeMap::new(),
-        results: Vec::new(),
-        concurrency: Vec::new(),
-        compression: Vec::new(),
-        replication: Vec::new(),
-        pruning: Vec::new(),
+        tables: BTreeMap::new(),
     };
     for (name, run) in wanted {
         let t = std::time::Instant::now();
-        run(&mut repro);
-        repro.results.push(Json::obj([
-            ("experiment", Json::Str(name.to_string())),
-            ("harness_wall_s", Json::Num(t.elapsed().as_secs_f64())),
-        ]));
+        let table = run(&mut repro);
+        repro.record(name, table, t.elapsed().as_secs_f64());
     }
-    // every recorded row, plus the process-wide observability counters
+    // every table, plus the process-wide observability counters
     // accumulated across the whole run: buffer-pool traffic, cache
     // hits/misses, per-device I/O, query outcomes
     let snap = repro.service.metrics_snapshot();
+    fn numbers(pairs: BTreeMap<String, impl Cell>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k, v.cell())).collect())
+    }
     let doc = Json::obj([
         ("grid", Json::Num(grid_n as f64)),
         ("timesteps", Json::Num(f64::from(timesteps))),
-        ("results", Json::Arr(repro.results)),
-        ("concurrency", Json::Arr(repro.concurrency)),
-        ("compression", Json::Arr(repro.compression)),
-        ("replication", Json::Arr(repro.replication)),
-        ("pruning", Json::Arr(repro.pruning)),
-        (
-            "counters",
-            Json::Obj(
-                snap.counters
-                    .into_iter()
-                    .map(|(k, v)| (k, Json::Num(v as f64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Json::Obj(
-                snap.gauges
-                    .into_iter()
-                    .map(|(k, v)| (k, Json::Num(v as f64)))
-                    .collect(),
-            ),
-        ),
+        ("tables", Json::Obj(repro.tables)),
+        ("counters", numbers(snap.counters)),
+        ("gauges", numbers(snap.gauges)),
     ]);
     let path = "repro_results.json";
     if let Err(e) = std::fs::write(path, doc.encode()) {
@@ -163,6 +222,31 @@ fn main() {
         std::process::exit(1);
     }
     println!("(machine-readable results written to {path})");
+}
+
+/// Exits 2 with `why` on one line, before anything is built.
+fn refuse(why: String) -> ! {
+    eprintln!("{why}");
+    std::process::exit(2);
+}
+
+/// `TDB_GRID` (128 when unset), or the rule it breaks: an archive of that
+/// size must hold the widest cluster of Fig. 7(b), and so every other.
+fn grid_n() -> Result<usize, String> {
+    let Ok(value) = std::env::var("TDB_GRID") else {
+        return Ok(128);
+    };
+    let n = value
+        .parse::<NonZeroUsize>()
+        .map_err(|_| format!("TDB_GRID={value}: the grid size must be a positive integer"))?
+        .get();
+    let widest = ClusterConfig {
+        num_nodes: SCALE_OUT[3],
+        ..ServiceConfig::mhd("", n, 1, 0).cluster
+    };
+    let rule = widest.validate((n, n, n));
+    rule.map(|()| n)
+        .map_err(|rule| format!("TDB_GRID={value}: {rule}"))
 }
 
 /// The archive every experiment runs on: the harness's MHD service at
@@ -187,7 +271,59 @@ fn build_service(
         .build()
 }
 
+/// What `run` returns and the atoms the nodes scanned meanwhile.
+fn scanned<T>(run: impl FnOnce() -> T) -> (T, u64) {
+    let before = m::NODE_ATOMS_SCANNED.get();
+    let out = run();
+    (out, m::NODE_ATOMS_SCANNED.get() - before)
+}
+
 impl Repro {
+    /// Prints `table` aligned under its title, then its note, and keeps
+    /// the same table, with the experiment's wall time, as
+    /// `tables.<name>`.
+    fn record(&mut self, name: &str, table: Table, wall_s: f64) {
+        println!("---- {name}: {} ----", table.title);
+        let cells: Vec<Vec<String>> = table
+            .rows
+            .iter()
+            .map(|row| row.iter().map(render).collect())
+            .collect();
+        let widths: Vec<usize> = (0..table.columns.len())
+            .map(|c| {
+                let widest = cells.iter().map(|row| row[c].chars().count());
+                widest.fold(table.columns[c].len(), usize::max)
+            })
+            .collect();
+        let line = |cells: &mut dyn Iterator<Item = &str>| {
+            let padded: Vec<String> = cells
+                .zip(&widths)
+                .map(|(cell, width)| format!("{cell:>width$}"))
+                .collect();
+            println!("{}", padded.join(" | "));
+        };
+        line(&mut table.columns.iter().copied());
+        for row in &cells {
+            line(&mut row.iter().map(String::as_str));
+        }
+        println!("{}\n", table.note);
+
+        let columns = || table.columns.iter().map(|c| c.to_string());
+        let rows = table
+            .rows
+            .into_iter()
+            .map(|row| Json::Obj(columns().zip(row).collect()))
+            .collect();
+        let recorded = Json::obj([
+            ("title", Json::Str(table.title.into())),
+            ("columns", Json::Arr(columns().map(Json::Str).collect())),
+            ("rows", Json::Arr(rows)),
+            ("note", Json::Str(table.note)),
+            ("harness_wall_s", Json::Num(wall_s)),
+        ]);
+        self.tables.insert(name.into(), recorded);
+    }
+
     /// Thresholds matching the paper's three selectivity tiers.
     fn tiers(&mut self, raw: &str, derived: DerivedField) -> [f64; 3] {
         let key = (raw.to_string(), derived.name());
@@ -206,63 +342,6 @@ impl Repro {
     fn cold_query(&self, q: &ThresholdQuery) -> tdb_core::ThresholdResult {
         self.service.cluster().clear_buffer_pools();
         self.service.get_threshold(q).expect("query")
-    }
-
-    /// Per tier, the atoms whose stored vorticity maximum reaches the
-    /// threshold and the atoms a cold threshold query reads, beside what a
-    /// PDF of the whole box — which nothing prunes — reads.
-    fn pruning(&mut self, tiers: [f64; 3]) {
-        let service = &self.service;
-        let atoms_read = |run: &dyn Fn()| {
-            service.cluster().clear_buffer_pools();
-            let before = m::NODE_ATOMS_SCANNED.get();
-            run();
-            m::NODE_ATOMS_SCANNED.get() - before
-        };
-        let whole = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0)
-            .without_cache();
-        let unpruned = atoms_read(&|| {
-            service.get_pdf(&whole, 0.0, 10.0, 9).expect("pdf");
-        });
-        let all: Vec<_> = service.full_box().atoms().collect();
-        println!(
-            "{:>14} | {:>9} | {:>10} | {:>10} (of {} atoms; unpruned read {unpruned})",
-            "tier",
-            "surviving",
-            "atoms read",
-            "fraction",
-            all.len()
-        );
-        for (i, (frac, label, _)) in FRACTIONS.iter().enumerate() {
-            let max = |atom| {
-                let max = service
-                    .cluster()
-                    .atom_max("velocity", DerivedField::CurlNorm, 0, atom);
-                max.expect("curl norm has maxima")
-            };
-            let surviving = all
-                .iter()
-                .filter(|&&a| at_or_above(max(a), tiers[i]))
-                .count();
-            let q = ThresholdQuery {
-                threshold: tiers[i],
-                ..whole.clone()
-            };
-            let read = atoms_read(&|| {
-                service.get_threshold(&q).expect("query");
-            });
-            let share = read as f64 / unpruned as f64;
-            println!("{label:>14} | {surviving:>9} | {read:>10} | {share:>10.3}");
-            self.pruning.push(Json::obj([
-                ("tier", Json::Str(label.to_string())),
-                ("selectivity", Json::Num(*frac)),
-                ("atoms", Json::Num(all.len() as f64)),
-                ("surviving_atoms", Json::Num(surviving as f64)),
-                ("atoms_read", Json::Num(read as f64)),
-                ("unpruned_atoms_read", Json::Num(unpruned as f64)),
-            ]));
-        }
-        println!();
     }
 
     /// Modelled seconds (I/O + compute) of one cold vorticity evaluation
@@ -294,32 +373,25 @@ impl Repro {
     }
 
     // --- Figure 2: PDF of the vorticity norm -----------------------------
-    fn fig2(&mut self) {
-        println!("---- Figure 2: PDF of the vorticity norm (one time-step) ----");
+    fn fig2(&mut self) -> Table {
         let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);
         let pdf = self.service.get_pdf(&q, 0.0, 10.0, 9).expect("pdf");
-        println!("{:>10} | {:>12} | log10", "bin", "points");
+        let mut table = Table::new(
+            "Figure 2: PDF of the vorticity norm (one time-step)",
+            "bin_lo bin_hi points",
+        );
         for i in 0..=pdf.histogram.nbins() {
             let (lo, hi) = pdf.histogram.bin_range(i);
-            let label = if hi.is_infinite() {
-                format!("[{lo:.0},..)")
-            } else {
-                format!("[{lo:.0},{hi:.0})")
-            };
-            let c = pdf.histogram.count(i);
-            let log = if c > 0 {
-                (c as f64).log10()
-            } else {
-                f64::NEG_INFINITY
-            };
-            println!("{label:>10} | {c:>12} | {log:5.2}");
+            let hi = Some(hi).filter(|hi| hi.is_finite());
+            row!(table, lo, hi, pdf.histogram.count(i));
         }
-        println!("paper shape: monotone log-decay from ~1e9 to ~1e1 over bins [0,10)..[90,..)\n");
+        table.note("paper shape: monotone log-decay from ~1e9 to ~1e1 over bins [0,10)..[90,..)")
     }
 
     // --- Figure 3: 4-D FoF cluster of the most intense event --------------
-    fn fig3(&mut self) {
-        println!("---- Figure 3: 4-D cluster containing the most intense event ----");
+    /// Per time-step: the points above the low tier, the 4-D clusters with
+    /// a member there, and the strongest cluster's members and peak.
+    fn fig3(&mut self) -> Table {
         let [_, _, low] = self.tiers("velocity", DerivedField::CurlNorm);
         let mut spacetime: Vec<SpaceTimePoint> = Vec::new();
         for t in 0..self.timesteps {
@@ -336,72 +408,72 @@ impl Repro {
             (nx as u32, ny as u32, nz as u32)
         };
         let clusters = fof_clusters_4d(&spacetime, dims, 2, 1);
-        println!(
-            "{} space-time points clustered into {} 4-D clusters",
-            spacetime.len(),
-            clusters.len()
+        let mut table = Table::new(
+            "Figure 3: the 4-D cluster containing the most intense event",
+            "timestep points clusters members peak",
         );
-        let c = &clusters[0];
-        println!(
-            "most intense event: |ω| = {:.1} at {:?}, t = {} — cluster of {} points spanning {} steps",
-            c.peak_value, c.peak_location, c.peak_timestep, c.size, c.timespan
-        );
-        let per_step: Vec<usize> = (0..self.timesteps)
-            .map(|t| {
-                c.members
-                    .iter()
-                    .filter(|&&m| spacetime[m].timestep == t)
-                    .count()
-            })
-            .collect();
-        println!("members per time-step: {per_step:?}");
-        println!("paper shape: the strongest cluster develops over several steps and interacts with multiple worms\n");
+        for t in 0..self.timesteps {
+            let at_t = |&m: &usize| spacetime[m].timestep == t;
+            let members = clusters[0].members.iter().filter(|m| at_t(m));
+            let peak = members.clone().map(|&m| spacetime[m].point.value);
+            let points = spacetime.iter().filter(|p| p.timestep == t).count();
+            let active = clusters.iter().filter(|c| c.members.iter().any(at_t));
+            row!(
+                table,
+                t,
+                points,
+                active.count(),
+                members.count(),
+                peak.reduce(f32::max)
+            );
+        }
+        table.note("paper shape: the strongest cluster develops over several steps and interacts with multiple worms")
     }
 
     // --- Figure 4: points above 7x RMS ------------------------------------
-    fn fig4(&mut self) {
-        println!("---- Figure 4: points above multiples of the vorticity RMS ----");
+    /// The points at or above the vorticity maximum and 7x and 8x its RMS.
+    fn fig4(&mut self) -> Table {
         let stats = self
             .service
             .derived_stats("velocity", DerivedField::CurlNorm, 0)
             .expect("stats");
         let total = self.service.dataset().grid.num_points() as f64;
-        println!(
-            "vorticity rms = {:.2}, max = {:.2} ({:.1}x rms)",
-            stats.rms,
-            stats.max,
-            stats.max / stats.rms
+        let mut table = Table::new(
+            "Figure 4: points above multiples of the vorticity RMS",
+            "rms_multiple threshold points grid_fraction",
         );
-        for k in [7.0, 8.0] {
-            let q = ThresholdQuery::whole_timestep(
-                "velocity",
-                DerivedField::CurlNorm,
-                0,
-                k * stats.rms,
-            );
-            let r = self.service.get_threshold(&q).expect("query");
-            println!(
-                "|ω| >= {k}x rms: {} points ({:.5}% of grid)",
-                r.points.len(),
-                100.0 * r.points.len() as f64 / total
-            );
+        for threshold in [stats.max, 7.0 * stats.rms, 8.0 * stats.rms] {
+            let q =
+                ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, threshold);
+            let points = self.service.get_threshold(&q).expect("query").points.len();
+            let share = points as f64 / total;
+            row!(table, threshold / stats.rms, threshold, points, share);
         }
-        println!(
-            "paper: 2.4e5 points above 7x rms, 2.6e5 above 8x rms (0.022% / 0.024% of 1024³)\n"
-        );
+        table
+            .note("paper: 2.4e5 points above 7x rms, 2.6e5 above 8x rms (0.022% / 0.024% of 1024³)")
     }
 
     // --- Table 1 / Figure 6: cache effectiveness ---------------------------
-    fn table1(&mut self) {
-        println!("---- Table 1 / Figure 6: effectiveness of caching ----");
+    /// Per tier, the modelled seconds without the cache, on a miss and on a
+    /// hit, and what pruning saves: the atoms whose stored vorticity
+    /// maximum reaches the threshold and the atoms a cold query reads,
+    /// beside what a PDF of the whole box — which nothing prunes — reads.
+    fn table1(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
-        self.pruning(tiers);
-        println!(
-            "{:>14} | {:>9} | {:>12} | {:>12} | {:>12}",
-            "tier", "points", "no cache (s)", "miss (s)", "hit (s)"
+        let cluster = self.service.cluster();
+        let all: Vec<_> = self.service.full_box().atoms().collect();
+        let (_, unpruned) = scanned(|| Self::cold_curl(&self.service, None, 1, QueryMode::Full));
+        let mut table = Table::new(
+            "Table 1 / Figure 6: effectiveness of caching",
+            "tier selectivity points no_cache_s miss_s hit_s atoms surviving_atoms atoms_read unpruned_atoms_read",
         );
         for (i, (frac, label, _)) in FRACTIONS.iter().enumerate() {
             let k = tiers[i];
+            let max = |atom| {
+                let max = cluster.atom_max("velocity", DerivedField::CurlNorm, 0, atom);
+                max.expect("curl norm has maxima")
+            };
+            let surviving = all.iter().filter(|&&a| at_or_above(max(a), k)).count();
             let mk = |use_cache: bool| {
                 let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, k);
                 if use_cache {
@@ -411,19 +483,19 @@ impl Repro {
                 }
             };
             // no cache
-            let no_cache = avg(3, || self.cold_query(&mk(false)).breakdown.total_s());
+            let mut read = 0;
+            let no_cache = avg(3, || {
+                let (r, atoms) = scanned(|| self.cold_query(&mk(false)));
+                read = atoms;
+                r.breakdown.total_s()
+            });
             // cache miss: drop the entry before each run (paper protocol)
             let miss = avg(3, || {
-                self.service.cluster().invalidate_cache_entry(
-                    "velocity",
-                    DerivedField::CurlNorm,
-                    0,
-                );
+                cluster.invalidate_cache_entry("velocity", DerivedField::CurlNorm, 0);
                 self.cold_query(&mk(true)).breakdown.total_s()
             });
             // cache hit: warm once, then measure
             let warm = self.service.get_threshold(&mk(true)).expect("warm");
-            let npoints = warm.points.len();
             let hit = avg(3, || {
                 self.service
                     .get_threshold(&mk(true))
@@ -431,86 +503,81 @@ impl Repro {
                     .breakdown
                     .total_s()
             });
-            println!("{label:>14} | {npoints:>9} | {no_cache:>12.3} | {miss:>12.3} | {hit:>12.3}");
-            self.results.push(Json::obj([
-                ("experiment", Json::Str("table1".into())),
-                ("tier", Json::Str(label.to_string())),
-                ("selectivity", Json::Num(*frac)),
-                ("points", Json::Num(npoints as f64)),
-                ("no_cache_s", Json::Num(no_cache)),
-                ("miss_s", Json::Num(miss)),
-                ("hit_s", Json::Num(hit)),
-            ]));
+            row!(
+                table,
+                *label,
+                *frac,
+                warm.points.len(),
+                no_cache,
+                miss,
+                hit,
+                all.len(),
+                surviving,
+                read,
+                unpruned,
+            );
         }
-        println!("paper (1024³, 4 nodes): 97.1/100.2/0.5  113.7/115.9/1.2  111.6/115.0/9.1 s");
-        println!("shape: miss ≈ no-cache (probe overhead <3%), hit >10x faster");
-        println!(
-            "note: at {0}³ the user round-trip floors the hit column; the server-side",
+        table.note(format!(
+            "paper (1024³, 4 nodes): 97.1/100.2/0.5  113.7/115.9/1.2  111.6/115.0/9.1 s\n\
+             shape: miss ≈ no-cache (probe overhead <3%), hit >10x faster\n\
+             note: at {0}³ the user round-trip floors the hit column; the server-side\n\
+             \x20     (cache+io+compute) hit/miss ratio and larger grids (TDB_GRID=256)\n\
+             \x20     recover the paper's >10x end-to-end gap",
             self.grid_n
-        );
-        println!("      (cache+io+compute) hit/miss ratio and larger grids (TDB_GRID=256)");
-        println!("      recover the paper's >10x end-to-end gap\n");
+        ))
     }
 
     // --- Figure 7(a): scale-up ---------------------------------------------
-    fn fig7a(&mut self) {
-        println!("---- Figure 7(a): scale-up, 1-8 processes per node (4 nodes) ----");
+    fn fig7a(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
-        println!(
-            "{:>16} | {:>7} | {:>7} | {:>7} | {:>7}",
-            "query", "p=1", "p=2", "p=4", "p=8"
+        let mut table = Table::new(
+            "Figure 7(a): scale-up, speed-up at 1-8 processes per node (4 nodes)",
+            "query p1 p2 p4 p8",
         );
         for (label, threshold) in curl_rows(&tiers) {
             let times = [1usize, 2, 4, 8].map(|procs| {
                 let b = Self::cold_curl(&self.service, threshold, procs, QueryMode::Full);
                 b.io_s + b.compute_s
             });
-            let s = times.map(|t| format!("{:.2}x", times[0] / t));
-            println!(
-                "{label:>16} | {:>7} | {:>7} | {:>7} | {:>7}",
-                s[0], s[1], s[2], s[3]
-            );
+            let [s1, s2, s4, s8] = times.map(|t| times[0] / t);
+            row!(table, label, s1, s2, s4, s8);
         }
-        println!("paper (whole box): ≈2x at p=2, ≈2.6x at p=4, little further gain at p=8\n");
+        table.note("paper (whole box): ≈2x at p=2, ≈2.6x at p=4, little further gain at p=8")
     }
 
     // --- Figure 7(b): scale-out --------------------------------------------
-    fn fig7b(&mut self) {
-        println!("---- Figure 7(b): scale-out, 1-8 nodes (1 process per node) ----");
+    fn fig7b(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         // smaller grid per-cluster build cost: reuse main grid but build
         // separate clusters with 1, 2, 4, 8 nodes
-        let services = [1usize, 2, 4, 8]
+        let services = SCALE_OUT
             .map(|nodes| build_service(self.grid_n, 1, nodes, &format!("repro_so{nodes}"), |_| {}));
-        println!(
-            "{:>16} | {:>7} | {:>7} | {:>7} | {:>7}",
-            "query", "n=1", "n=2", "n=4", "n=8"
+        let mut table = Table::new(
+            "Figure 7(b): scale-out, speed-up at 1-8 nodes (1 process per node)",
+            "query n1 n2 n4 n8",
         );
         for (label, threshold) in curl_rows(&tiers) {
             let times = services.each_ref().map(|svc| {
                 let b = Self::cold_curl(svc, threshold, 1, QueryMode::Full);
                 b.io_s + b.compute_s
             });
-            let s = times.map(|t| format!("{:.2}x", times[0] / t));
-            println!(
-                "{label:>16} | {:>7} | {:>7} | {:>7} | {:>7}",
-                s[0], s[1], s[2], s[3]
-            );
+            let [s1, s2, s4, s8] = times.map(|t| times[0] / t);
+            row!(table, label, s1, s2, s4, s8);
         }
-        println!("paper (whole box): nearly perfect linear speedup\n");
+        table.note("paper (whole box): nearly perfect linear speedup")
     }
 
     // --- Figure 8: total vs I/O-only ----------------------------------------
-    fn fig8(&mut self) {
-        println!("---- Figure 8: total running time vs I/O-only ----");
+    /// The whole box, as the paper measures it, and the medium-tier
+    /// threshold query, in full and I/O only.
+    fn fig8(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let k = tiers[1];
-        println!(
-            "{:>6} | {:>10} | {:>10} | {:>6} || medium threshold: {:>10} | {:>10}",
-            "procs", "total (s)", "io-only (s)", "io %", "total (s)", "io-only (s)"
+        let mut table = Table::new(
+            "Figure 8: total running time vs I/O-only",
+            "procs total_s io_only_s threshold_total_s threshold_io_only_s",
         );
         for procs in [1usize, 2, 4, 8] {
-            // the whole box, as the paper measures it, and the pruned query
             let [full, io_only, pruned, pruned_io] = [
                 (None, QueryMode::Full),
                 (None, QueryMode::IoOnly),
@@ -521,85 +588,70 @@ impl Repro {
                 let b = Self::cold_curl(&self.service, threshold, procs, mode);
                 b.io_s + b.compute_s
             });
-            println!(
-                "{procs:>6} | {full:>10.3} | {io_only:>10.3} | {:>5.0}% || {:>28.3} | {pruned_io:>10.3}",
-                100.0 * io_only / full,
-                pruned
-            );
-            self.results.push(Json::obj([
-                ("experiment", Json::Str("fig8".into())),
-                ("procs", Json::Num(procs as f64)),
-                ("total_s", Json::Num(full)),
-                ("io_only_s", Json::Num(io_only)),
-                ("threshold_total_s", Json::Num(pruned)),
-                ("threshold_io_only_s", Json::Num(pruned_io)),
-            ]));
+            row!(table, procs, full, io_only, pruned, pruned_io);
         }
-        println!(
-            "paper (whole box): I/O ≈ half of total at p=1; total at p=4-8 ≈ I/O-only at p=1\n"
-        );
+        table
+            .note("paper (whole box): I/O ≈ half of total at p=1; total at p=4-8 ≈ I/O-only at p=1")
     }
 
     // --- Figure 9: per-field breakdowns --------------------------------------
-    fn fig9(&mut self) {
-        println!("---- Figure 9: execution-time breakdown by field and threshold ----");
+    /// Per field and tier, the breakdown of a cold (cache miss) run, then
+    /// of a warm (cache hit) one.
+    fn fig9(&mut self) -> Table {
         let fields: [(&str, DerivedField, &str); 3] = [
             ("velocity", DerivedField::CurlNorm, "vorticity"),
             ("velocity", DerivedField::QCriterion, "Q-criterion"),
             ("magnetic", DerivedField::Norm, "magnetic (raw)"),
         ];
+        let mut table = Table::new(
+            "Figure 9: execution-time breakdown by field and threshold",
+            "field cache tier points cache_s io_s compute_s mediator_db_s mediator_user_s",
+        );
         for (raw, derived, label) in fields {
             let tiers = self.tiers(raw, derived);
-            println!("\n  [{label}] cold (cache miss) runs:");
-            println!(
-                "  {:>14} | {:>8} | {:>8} | {:>8} | {:>8} | {:>8} | {:>8}",
-                "tier", "points", "cache", "io", "compute", "med-db", "med-user"
-            );
-            for (i, (_, tier_label, _)) in FRACTIONS.iter().enumerate() {
-                let q = ThresholdQuery::whole_timestep(raw, derived, 0, tiers[i]);
-                self.service
-                    .cluster()
-                    .invalidate_cache_entry(raw, derived, 0);
-                let r = self.cold_query(&q);
-                let b = r.breakdown;
-                println!(
-                    "  {tier_label:>14} | {:>8} | {:>8.4} | {:>8.3} | {:>8.3} | {:>8.4} | {:>8.4}",
-                    r.points.len(),
-                    b.cache_lookup_s,
-                    b.io_s,
-                    b.compute_s,
-                    b.mediator_db_s,
-                    b.mediator_user_s
-                );
-            }
-            println!("  [{label}] warm (cache hit) runs:");
-            for (i, (_, tier_label, _)) in FRACTIONS.iter().enumerate() {
-                let q = ThresholdQuery::whole_timestep(raw, derived, 0, tiers[i]);
-                let r = self.service.get_threshold(&q).expect("query");
-                let b = r.breakdown;
-                println!(
-                    "  {tier_label:>14} | {:>8} | {:>8.4} | {:>8.3} | {:>8.3} | {:>8.4} | {:>8.4}",
-                    r.points.len(),
-                    b.cache_lookup_s,
-                    b.io_s,
-                    b.compute_s,
-                    b.mediator_db_s,
-                    b.mediator_user_s
-                );
+            for cache in ["miss", "hit"] {
+                for (i, (_, tier_label, _)) in FRACTIONS.iter().enumerate() {
+                    let q = ThresholdQuery::whole_timestep(raw, derived, 0, tiers[i]);
+                    let r = if cache == "miss" {
+                        self.service
+                            .cluster()
+                            .invalidate_cache_entry(raw, derived, 0);
+                        self.cold_query(&q)
+                    } else {
+                        self.service.get_threshold(&q).expect("query")
+                    };
+                    let b = r.breakdown;
+                    row!(
+                        table,
+                        label,
+                        cache,
+                        *tier_label,
+                        r.points.len(),
+                        b.cache_lookup_s,
+                        b.io_s,
+                        b.compute_s,
+                        b.mediator_db_s,
+                        b.mediator_user_s,
+                    );
+                }
             }
         }
-        println!("\npaper shapes: Q-criterion compute > vorticity compute; raw field ≈ no compute and less I/O (no halo);");
-        println!("hits dominated by result transfer; cache lookup negligible in all cases\n");
+        table.note(
+            "paper shapes: Q-criterion compute > vorticity compute; raw field ≈ no compute and less I/O (no halo);\n\
+             hits dominated by result transfer; cache lookup negligible in all cases",
+        )
     }
 
     // --- §5.2: hit ratio of a structured exploration workload -----------------
-    fn hitratio(&mut self) {
-        println!("---- §5.2: cache-hit ratio of a structured workload ----");
+    /// Counts the workload's own lookups, not those of the experiments
+    /// that ran before it on the same archive.
+    fn hitratio(&mut self) -> Table {
         // "queries tend to examine the same regions in space and time":
         // a scientist sweeps thresholds downward-then-upward over a few
         // time-steps and fields, revisiting the interesting ones
         self.service.cluster().clear_caches();
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
+        let before = self.service.cluster().cache_stats();
         let steps: Vec<u32> = (0..self.timesteps.min(2)).collect();
         let mut issued = 0u32;
         for &t in &steps {
@@ -614,60 +666,52 @@ impl Repro {
             self.service.get_pdf(&q, 0.0, 10.0, 9).expect("pdf");
             issued += 2;
         }
-        let stats = self.service.cluster().cache_stats();
-        let ratio = stats.hit_ratio().unwrap_or(0.0);
-        println!(
-            "{issued} queries issued → {} hits / {} misses per node-subquery (ratio {:.0}%)",
-            stats.hits,
-            stats.misses,
-            ratio * 100.0
+        let after = self.service.cluster().cache_stats();
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        let mut table = Table::new(
+            "§5.2: cache hits per node-subquery of a structured workload",
+            "queries hits misses ratio",
         );
-        println!("paper: \"fairly high cache-hit ratios as the workload is very structured\"\n");
-        self.results.push(Json::obj([
-            ("experiment", Json::Str("hitratio".into())),
-            ("queries", Json::Num(f64::from(issued))),
-            ("hits", Json::Num(stats.hits as f64)),
-            ("misses", Json::Num(stats.misses as f64)),
-            ("ratio", Json::Num(ratio)),
-        ]));
+        let ratio = hits as f64 / (hits + misses) as f64;
+        row!(table, issued, hits, misses, ratio);
+        table.note("paper: \"fairly high cache-hit ratios as the workload is very structured\"")
     }
 
     /// Shared-scan amplification: N clients issuing the same cold query,
     /// evaluated independently (one scan each) vs as one batch
     /// (one shared scan). Reports the atoms-decoded delta.
-    fn concurrent(&mut self) {
-        println!("---- concurrent clients: shared scan vs independent scans ----");
+    fn concurrent(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, tiers[1])
             .without_cache();
-        let atoms = || m::NODE_ATOMS_SCANNED.get();
+        let mut table = Table::new(
+            "N concurrent clients: one shared scan vs N independent scans",
+            "clients atoms_decoded_independent atoms_decoded_shared atoms_saved amplification",
+        );
         for clients in [1usize, 4, 16] {
             self.service.cluster().clear_buffer_pools();
-            let before = atoms();
-            for _ in 0..clients {
-                self.service.get_threshold(&q).expect("query");
-            }
-            let independent = atoms() - before;
+            let ((), independent) = scanned(|| {
+                for _ in 0..clients {
+                    self.service.get_threshold(&q).expect("query");
+                }
+            });
             self.service.cluster().clear_buffer_pools();
-            let before = atoms();
-            let qs = vec![q.clone(); clients];
-            for r in self.service.get_threshold_batch(&qs) {
-                r.expect("batched query");
-            }
-            let shared = atoms() - before;
+            let ((), shared) = scanned(|| {
+                for r in self.service.get_threshold_batch(&vec![q.clone(); clients]) {
+                    r.expect("batched query");
+                }
+            });
             let saved = independent as f64 / shared.max(1) as f64;
-            println!(
-                "{clients:>2} clients: atoms decoded independent={independent} shared={shared} ({saved:.1}x saved)"
+            row!(
+                table,
+                clients,
+                independent,
+                shared,
+                independent - shared,
+                saved
             );
-            self.concurrency.push(Json::obj([
-                ("clients", Json::Num(clients as f64)),
-                ("atoms_decoded_independent", Json::Num(independent as f64)),
-                ("atoms_decoded_shared", Json::Num(shared as f64)),
-                ("atoms_saved", Json::Num((independent - shared) as f64)),
-                ("amplification", Json::Num(saved)),
-            ]));
         }
-        println!("(one decode serves every concurrently admitted query over the span)\n");
+        table.note("(one decode serves every concurrently admitted query over the span)")
     }
 
     /// Byte/accuracy sweep of the compressed atom tier: the same dataset
@@ -675,8 +719,7 @@ impl Repro {
     /// threshold scan measures how many modelled device bytes the arrays
     /// actually move, and the returned points are compared against the
     /// uncompressed answer.
-    fn compression(&mut self) {
-        println!("---- compression: compressed atom tier, byte / accuracy sweep ----");
+    fn compression(&mut self) -> Table {
         let n = self.grid_n.min(64);
         // lossy bounds are absolute; the synthetic velocity field has an
         // RMS of ~1.4, so the sweep spans ~0.07% to ~3.5% of RMS
@@ -689,11 +732,10 @@ impl Repro {
         ];
         let array_bytes = m::IO_BYTES.with("hdd-raid5");
         let mut thresh: Option<f64> = None;
-        let mut baseline: Option<std::collections::BTreeMap<(u32, u32, u32), f32>> = None;
-        let mut off_scan_bytes = 0u64;
-        println!(
-            "{:>12} | {:>9} | {:>14} | {:>8} | {:>7} | {:>12}",
-            "mode", "stored", "cold scan (B)", "vs off", "points", "max |Δvalue|"
+        let mut baseline: Option<BTreeMap<(u32, u32, u32), f32>> = None;
+        let mut table = Table::new(
+            "compressed atom tier, byte / accuracy sweep",
+            "mode bytes_logical bytes_stored stored_ratio cold_scan_array_bytes points max_value_delta max_error_micro",
         );
         for (label, codec) in modes {
             let logical0 = m::COMPRESS_BYTES_LOGICAL.get();
@@ -718,12 +760,6 @@ impl Repro {
             } else {
                 1.0
             };
-            let vs_off = if off_scan_bytes > 0 {
-                off_scan_bytes as f64 / scan_bytes.max(1) as f64
-            } else {
-                off_scan_bytes = scan_bytes;
-                1.0
-            };
             let max_dv = match &baseline {
                 None => {
                     baseline = Some(r.points.iter().map(|p| (p.coords(), p.value)).collect());
@@ -738,33 +774,25 @@ impl Repro {
                     })
                     .fold(0.0, f64::max),
             };
-            println!(
-                "{label:>12} | {stored_ratio:>8.2}x | {scan_bytes:>14} | {vs_off:>7.2}x | {:>7} | {max_dv:>12.2e}",
-                r.points.len()
+            row!(
+                table,
+                label,
+                logical,
+                stored,
+                stored_ratio,
+                scan_bytes,
+                r.points.len(),
+                max_dv,
+                m::COMPRESS_MAX_ERROR_MICRO.get(),
             );
-            let row = Json::obj([
-                ("mode", Json::Str(label.to_string())),
-                ("bytes_logical", Json::Num(logical as f64)),
-                ("bytes_stored", Json::Num(stored as f64)),
-                ("stored_ratio", Json::Num(stored_ratio)),
-                ("cold_scan_array_bytes", Json::Num(scan_bytes as f64)),
-                ("array_bytes_vs_off", Json::Num(vs_off)),
-                ("points", Json::Num(r.points.len() as f64)),
-                ("max_value_delta", Json::Num(max_dv)),
-                (
-                    "max_error_micro",
-                    Json::Num(m::COMPRESS_MAX_ERROR_MICRO.get() as f64),
-                ),
-            ]);
-            self.compression.push(row);
         }
-        println!(
+        table.note(
             "(a cold threshold scan over the lossy tier should move ≥4x fewer array bytes\n\
              \x20than the uncompressed tier; stored samples reconstruct within the\n\
              \x20configured bound, and derived values — CurlNorm differentiates the\n\
              \x20samples — inherit a finite-difference-amplified but still proportional\n\
-             \x20error, the max |Δvalue| column — see DESIGN.md §10)\n"
-        );
+             \x20error, the max_value_delta column — see DESIGN.md §10)",
+        )
     }
 
     /// Availability and modelled tail latency of cold threshold scans
@@ -772,13 +800,12 @@ impl Repro {
     /// factor grows. At k=1 every whole-box query loses the dead node's
     /// boxes; at k≥2 read failover completes every answer, paying a
     /// failover round on the latency tail.
-    fn replication(&mut self) {
-        println!("---- replication: availability / tail latency vs k, one node down ----");
+    fn replication(&mut self) -> Table {
         let n = self.grid_n.min(64);
         let mut thresh: Option<f64> = None;
-        println!(
-            "{:>3} | {:>12} | {:>9} | {:>9} | {:>9}",
-            "k", "availability", "p50 (s)", "p95 (s)", "max (s)"
+        let mut table = Table::new(
+            "availability / tail latency vs replication factor k, one node down",
+            "k availability queries p50_s p95_s max_s",
         );
         for k in [1usize, 2, 3] {
             let plan = FaultPlan::new(0x7411).shared();
@@ -807,28 +834,14 @@ impl Repro {
             }
             lat.sort_by(f64::total_cmp);
             let availability = complete as f64 / total as f64;
-            let p50 = lat[total / 2];
-            let p95 = lat[(total * 95) / 100];
-            let max = lat[total - 1];
-            println!(
-                "{k:>3} | {:>11.0}% | {p50:>9.3} | {p95:>9.3} | {max:>9.3}",
-                availability * 100.0
-            );
-            let row = Json::obj([
-                ("k", Json::Num(k as f64)),
-                ("availability", Json::Num(availability)),
-                ("queries", Json::Num(total as f64)),
-                ("p50_s", Json::Num(p50)),
-                ("p95_s", Json::Num(p95)),
-                ("max_s", Json::Num(max)),
-            ]);
-            self.replication.push(row);
+            let (p50, p95, max) = (lat[total / 2], lat[(total * 95) / 100], lat[total - 1]);
+            row!(table, k, availability, total, p50, p95, max);
         }
-        println!(
-            "(k=1 answers lose the dead node's boxes — availability 0% for whole-box\n\
+        table.note(
+            "(k=1 answers lose the dead node's boxes — availability 0 for whole-box\n\
              \x20queries; k>=2 completes everything via read failover, and the extra\n\
-             \x20failover round shows up in the latency tail)\n"
-        );
+             \x20failover round shows up in the latency tail)",
+        )
     }
 
     /// The design choices DESIGN.md calls out, one at a time, at 64³
@@ -839,9 +852,8 @@ impl Repro {
     /// the fastest of seven runs — its real `wall_s` beside its modelled
     /// breakdown — with the configurations interleaved round by round, so a
     /// burst of host slowness cannot cover every run of one of them.
-    fn ablations(&mut self) {
+    fn ablations(&mut self) -> Table {
         const N: usize = 64;
-        println!("---- ablations: design choices, one at a time ({N}³, 4 nodes) ----");
         let configs = [
             (FdOrder::O2, 2u32),
             (FdOrder::O4, 2),
@@ -873,37 +885,27 @@ impl Repro {
                 }
             }
         }
-        let mut table = |ablation: &'static str, rows: &[(usize, usize)]| {
-            println!(
-                "{ablation:>11} | {:>8} | {:>8} | {:>11} | {:>12}",
-                "wall (s)", "io (s)", "compute (s)", "modelled (s)"
-            );
-            for &(value, config) in rows {
-                let r = best[config].as_ref().expect("seven rounds ran");
-                let b = r.breakdown;
-                println!(
-                    "{value:>11} | {:>8.4} | {:>8.3} | {:>11.3} | {:>12.3}",
-                    r.wall_s,
-                    b.io_s,
-                    b.compute_s,
-                    b.total_s()
-                );
-                self.results.push(Json::obj([
-                    ("experiment", Json::Str("ablations".into())),
-                    ("ablation", Json::Str(ablation.into())),
-                    ("value", Json::Num(value as f64)),
-                    ("wall_s", Json::Num(r.wall_s)),
-                    ("io_s", Json::Num(b.io_s)),
-                    ("compute_s", Json::Num(b.compute_s)),
-                    ("modelled_s", Json::Num(b.total_s())),
-                ]));
-            }
-        };
-        // (swept value, index into `configs`)
-        table("fd_order", &[(2, 0), (4, 1), (6, 2), (8, 3)]);
-        println!("(wider stencils: cold cost rises with the order)\n");
-        table("chunk_atoms", &[(1, 4), (2, 1), (4, 5)]);
-        println!("(8³-point chunks re-read their halo many times over; ≥ 16³ amortise it)\n");
+        let mut table = Table::new(
+            "design choices, one at a time (64³, 4 nodes)",
+            "ablation value wall_s io_s compute_s modelled_s ranges atoms_exact atoms_covering saved",
+        );
+        // (ablation, swept value, index into `configs`)
+        for (ablation, value, config) in [
+            ("fd_order", 2u32, 0),
+            ("fd_order", 4, 1),
+            ("fd_order", 6, 2),
+            ("fd_order", 8, 3),
+            ("chunk_atoms", 1, 4),
+            ("chunk_atoms", 2, 1),
+            ("chunk_atoms", 4, 5),
+        ] {
+            let r = best[config].as_ref().expect("seven rounds ran");
+            let b = r.breakdown;
+            let mut cells = vec![ablation.cell(), value.cell()];
+            cells.extend([r.wall_s, b.io_s, b.compute_s, b.total_s()].map(Cell::cell));
+            cells.resize(table.columns.len(), Json::Null);
+            table.push(cells);
+        }
         let n = N as u32;
         for (label, b3) in [
             ("thin slab", Box3::new([0, 0, 12], [n - 1, n - 1, 19])),
@@ -914,27 +916,22 @@ impl Repro {
             let exact: u64 = ranges.iter().map(|r| r.len()).sum();
             let (first, last) = (&ranges[0], &ranges[ranges.len() - 1]);
             let cover = last.end - first.start + 1;
-            let saved = cover as f64 / exact as f64;
-            println!(
-                "z-ranges [{label}]: {} ranges, {exact} atoms exact vs {cover} in one covering range ({saved:.1}x saved)",
-                ranges.len()
-            );
-            self.results.push(Json::obj([
-                ("experiment", Json::Str("ablations".into())),
-                ("ablation", Json::Str("zrange_decomposition".into())),
-                ("box", Json::Str(label.into())),
-                ("ranges", Json::Num(ranges.len() as f64)),
-                ("atoms_exact", Json::Num(exact as f64)),
-                ("atoms_covering", Json::Num(cover as f64)),
-                ("saved", Json::Num(saved)),
-            ]));
+            // no query ran: `wall_s` to `modelled_s` stay empty
+            let mut cells = vec!["zrange_decomposition".cell(), label.cell()];
+            cells.resize(6, Json::Null);
+            cells.extend([ranges.len() as u64, exact, cover].map(Cell::cell));
+            cells.push((cover as f64 / exact as f64).cell());
+            table.push(cells);
         }
-        println!();
+        table.note(
+            "(wider stencils: cold cost rises with the order; 8³-point chunks re-read their\n\
+             \x20halo many times over, ≥ 16³ amortise it; exact z-ranges read fewer atoms\n\
+             \x20than one covering range)",
+        )
     }
 
     // --- §5.3: local evaluation baseline --------------------------------------
-    fn local(&mut self) {
-        println!("---- §5.3: integrated evaluation vs local (client-side) evaluation ----");
+    fn local(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, tiers[1])
             .without_cache();
@@ -950,20 +947,19 @@ impl Repro {
             &DeviceProfile::user_wan(),
         )
         .expect("baseline estimate");
-        let integrated_total = integrated.breakdown.total_s();
-        println!("integrated (server-side): {integrated_total:.2}s modelled");
-        println!(
-            "local evaluation: {} subqueries, {:.1} GB download ({} gradient components, XML-wrapped)",
+        let mut table = Table::new(
+            "§5.3: integrated evaluation vs local (client-side) evaluation, modelled",
+            "integrated_s subqueries download_bytes components_shipped local_s",
+        );
+        row!(
+            table,
+            integrated.breakdown.total_s(),
             report.num_subqueries,
-            report.download_bytes as f64 / 1e9,
-            report.ncomp_shipped
-        );
-        println!(
-            "local evaluation total: {:.1}s modelled = {:.0}x slower (paper: 20+ hours vs ~2 minutes, ≈600x)",
+            report.download_bytes,
+            report.ncomp_shipped,
             report.total_s,
-            report.total_s / integrated_total
         );
-        println!();
+        table.note("paper: 20+ hours local (XML-wrapped gradient download) vs ~2 minutes integrated, ≈600x")
     }
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # The full run: every `repro` experiment at 128³ (EXPERIMENTS.md's numbers;
-# TDB_GRID=256 for the appendix), then the frozen benchmark's four
+# TDB_GRID=256 for the appendix; each experiment one table, printed to
+# out/repro.txt as it is recorded under `tables.<experiment>` of
+# out/repro_results.json), then the frozen benchmark's four
 # workloads, 20 s each, end to end and traced, and `warm_cache` once more at
 # 60 s: a resident node must not grow with the number of hits it has served,
 # so the two `peak_rss_mib` are printed side by side (informational — the

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Kick the tires, in minutes: the must-run list (ci/must-run.txt: the
 # tests that pin the invariants ran and passed), every `repro` experiment
-# at 32³ (paper tables and figures, sweeps, ablations), then the frozen
-# benchmark's four workloads and their traces at 32³. Everything lands in
-# out/; any failure (a wrong answer included) exits non-zero.
+# at 32³ (paper tables and figures, sweeps, ablations: each one table,
+# printed to out/repro.txt as it is recorded under `tables.<experiment>` of
+# out/repro_results.json), then the frozen benchmark's four workloads and
+# their traces at 32³. Everything lands in out/; any failure (a wrong
+# answer included) exits non-zero.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 rm -rf out && mkdir out

@@ -469,3 +469,55 @@ fn threshold_for_fraction_is_the_kth_dense_value_at_every_repro_tier() {
         }
     }
 }
+
+/// `repro` records every experiment it runs as one table whose rows each
+/// hold exactly the table's columns, and refuses an unknown experiment or
+/// a `TDB_GRID` the cluster cannot hold with exit 2 before it writes
+/// anything.
+#[test]
+fn repro_records_every_experiment_as_one_table_and_refuses_bad_input() {
+    let dir = ScratchDir::new("e2e_repro");
+    let repro = |grid: &str, args: &[&str]| {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .env("TDB_GRID", grid)
+            .current_dir(dir.path())
+            .output()
+            .expect("repro starts");
+        let stderr = String::from_utf8_lossy(&run.stderr).into_owned();
+        (run.status.code(), stderr)
+    };
+    let results = dir.path().join("repro_results.json");
+    let (code, stderr) = repro("32", &[]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let doc = tdb_wire::Json::parse(&std::fs::read_to_string(&results).unwrap()).unwrap();
+    let Some(tdb_wire::Json::Obj(tables)) = doc.get("tables") else {
+        panic!("repro_results.json has no `tables` object");
+    };
+    let mut all: Vec<&str> = "fig2 fig3 fig4 table1 fig7a fig7b fig8 fig9 local hitratio \
+                              concurrent compression replication ablations"
+        .split_whitespace()
+        .collect();
+    all.sort_unstable();
+    assert!(tables.keys().eq(&all), "{:?}", tables.keys());
+    for (name, table) in tables {
+        let columns = table.get("columns").and_then(|c| c.as_arr()).unwrap();
+        let mut columns: Vec<&str> = columns.iter().map(|c| c.as_str().unwrap()).collect();
+        columns.sort_unstable();
+        let rows = table.get("rows").and_then(|r| r.as_arr()).unwrap();
+        assert!(!rows.is_empty(), "{name} recorded no rows");
+        for row in rows {
+            let tdb_wire::Json::Obj(cells) = row else {
+                panic!("{name}: {}", row.encode());
+            };
+            assert!(cells.keys().eq(&columns), "{name}: {}", row.encode());
+        }
+    }
+    std::fs::remove_file(&results).unwrap();
+    for (grid, args) in [("32", &["fig5"][..]), ("abc", &[]), ("40", &[])] {
+        let (code, stderr) = repro(grid, args);
+        assert_eq!(code, Some(2), "TDB_GRID={grid} {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(!results.exists(), "TDB_GRID={grid} {args:?} wrote results");
+    }
+}
