@@ -258,14 +258,26 @@ impl SemanticCache {
     }
 }
 
-/// Checksum over `(zindex, value)` rows in slab (zindex) order.
+/// Checksum over `(zindex, value)` rows in slab (zindex) order: row `i`
+/// feeds lane `i % 4`, one `splitmix64` chain per lane, so the four chains
+/// run side by side; the lanes and the row count fold into the result.
+/// Every step is a bijection of its lane, so changing any one row changes
+/// the checksum.
 fn rows_checksum(rows: &[ThresholdPoint]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for p in rows {
-        h = splitmix64(h ^ p.zindex);
-        h = splitmix64(h ^ u64::from(p.value.to_bits()));
+    fn step(h: u64, p: &ThresholdPoint) -> u64 {
+        splitmix64(splitmix64(h ^ p.zindex) ^ u64::from(p.value.to_bits()))
     }
-    h
+    let mut lanes = [0u64, 1, 2, 3].map(|lane| 0xcbf2_9ce4_8422_2325 ^ lane);
+    let mut quads = rows.chunks_exact(4);
+    for quad in &mut quads {
+        for (h, p) in lanes.iter_mut().zip(quad) {
+            *h = step(*h, p);
+        }
+    }
+    for (h, p) in lanes.iter_mut().zip(quads.remainder()) {
+        *h = step(*h, p);
+    }
+    (lanes.iter()).fold(splitmix64(rows.len() as u64), |acc, &h| splitmix64(acc ^ h))
 }
 
 /// Bit-rot of one stored row: its value's bits flipped.
@@ -672,6 +684,64 @@ mod tests {
         ));
         let st = cache.stats();
         assert_eq!((st.quarantined, st.misses), (0, 0));
+    }
+
+    /// The four-lane checksum still sees every row: one flipped bit of any
+    /// row's value or zindex, two swapped rows and a dropped last row
+    /// each change it.
+    #[test]
+    fn every_row_edit_changes_the_checksum() {
+        let entry = |n: u64| -> Vec<ThresholdPoint> {
+            (0..n)
+                .map(|i| ThresholdPoint {
+                    zindex: 3 * i + 1,
+                    value: f32::from_bits((splitmix64(i) >> 40) as u32 | 0x4000_0000),
+                })
+                .collect()
+        };
+        for n in (0..10).chain([650]) {
+            let rows = entry(n);
+            let sum = rows_checksum(&rows);
+            let edited = |edit: &dyn Fn(&mut Vec<ThresholdPoint>), what: &str| {
+                let mut rows = rows.clone();
+                edit(&mut rows);
+                assert_ne!(rows_checksum(&rows), sum, "{n} rows: {what}");
+            };
+            // every bit of the small entries, a spread of bits of the large
+            let bits: Vec<u32> = if n < 10 {
+                (0..64).collect()
+            } else {
+                vec![0, 17, 31, 45, 62]
+            };
+            for i in 0..n as usize {
+                for &b in &bits {
+                    edited(
+                        &|r| r[i].zindex ^= 1 << b,
+                        &format!("zindex bit {b} of row {i}"),
+                    );
+                    if b < 32 {
+                        let flip = |r: &mut Vec<ThresholdPoint>| {
+                            r[i].value = f32::from_bits(r[i].value.to_bits() ^ (1 << b))
+                        };
+                        edited(&flip, &format!("value bit {b} of row {i}"));
+                    }
+                }
+            }
+            let pairs: Vec<(usize, usize)> = if n < 10 {
+                let n = n as usize;
+                (0..n)
+                    .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                    .collect()
+            } else {
+                vec![(0, 1), (0, 4), (3, 7), (100, 101), (0, 649), (320, 648)]
+            };
+            for (i, j) in pairs {
+                edited(&|r| r.swap(i, j), &format!("rows {i} and {j} swapped"));
+            }
+            if n > 0 {
+                edited(&|r| r.truncate(r.len() - 1), "last row dropped");
+            }
+        }
     }
 
     #[test]

@@ -250,7 +250,7 @@ impl Cluster {
         let mut tables = Vec::with_capacity(self.timesteps.len() * self.fields.len());
         for &timestep in &self.timesteps {
             for (field, _) in &self.fields {
-                let maxima = run_workers(procs, &blocks, |scratch, &(node, block)| {
+                let maxima = run_workers(procs, blocks.clone(), |scratch, (node, block)| {
                     block_maxima(node, &topo, field, timestep, block, scratch)
                 });
                 let table = vec![f32::INFINITY; 8 * atoms.iter().product::<usize>()];

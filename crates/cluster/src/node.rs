@@ -4,7 +4,9 @@
 //! stores a replica of), a buffer pool, and a semantic cache on its SSD.
 //! Threshold subqueries follow Algorithm 1: probe the cache, otherwise
 //! evaluate from the raw data chunk-by-chunk with `procs` worker
-//! processes and update the cache.
+//! processes and update the cache. The two halves are two calls,
+//! [`NodeRuntime::probe`] and [`NodeRuntime::scan`]: the mediator probes
+//! every node on its own thread and fans out only the scans.
 //!
 //! A node holds no placement state of its own: which chunks it scans
 //! arrives with every [`SharedScanRequest`] as a
@@ -76,6 +78,40 @@ pub struct NodeResult {
     pub model: NodeTimeModel,
     /// Device accesses of the whole subquery.
     pub session: IoSession,
+}
+
+/// What [`NodeRuntime::probe`] leaves for [`NodeRuntime::scan`]: per
+/// participant of the request, its answer when the cache held one.
+pub(crate) struct Probe {
+    slots: Vec<Slot>,
+    /// When the evaluation started.
+    wall: Instant,
+    /// Holds `node.active_subqueries` from the probe to the scan's end.
+    _active: ActiveGuard,
+}
+
+impl Probe {
+    /// Whether a participant is left for [`NodeRuntime::scan`].
+    pub(crate) fn pending(&self) -> bool {
+        self.slots.iter().any(|s| s.outcome.is_none())
+    }
+}
+
+/// One participant's probe: its outcome on a hit, else what the probe
+/// cost and whether it quarantined the entry the scan then rebuilds.
+#[derive(Default)]
+struct Slot {
+    outcome: Option<SharedOutcome>,
+    cache_lookup_s: f64,
+    probe_session: IoSession,
+    healing: bool,
+}
+
+impl Slot {
+    fn take_outcome(self) -> StorageResult<SharedOutcome> {
+        self.outcome
+            .ok_or_else(|| StorageError::internal("participant slot never produced an outcome"))
+    }
 }
 
 /// Semantic-cache SSD budget per node, bytes (paper: ~200 GB SSD).
@@ -260,7 +296,8 @@ impl NodeRuntime {
         Ok((read, (thread_cpu_time_s() - c0).max(0.0)))
     }
 
-    /// Evaluates a group of queries against one shared atom scan.
+    /// Evaluates a group of queries against one shared atom scan:
+    /// [`Self::probe`], then [`Self::scan`] of whatever the probes left.
     ///
     /// Every participant's cache is probed first; the remaining misses
     /// share one pass over this node's chunks. Per chunk the scanned
@@ -269,36 +306,30 @@ impl NodeRuntime {
     /// kernel is applied over its own clip. Results are byte-identical to
     /// independent execution (kernels are pointwise over halo stencils),
     /// and every cache-eligible participant's entry is filled afterwards.
-    ///
-    /// Caches are only consulted (or filled) when the assignment is
-    /// canonical: entries are keyed by the full query box but hold
-    /// exactly this node's primary points, so a failover re-scan of
-    /// another node's chunks must bypass them in both directions.
     pub fn evaluate_shared(
         &self,
         peers: &[Option<Arc<NodeRuntime>>],
         req: &SharedScanRequest,
     ) -> StorageResult<Vec<SharedOutcome>> {
+        let probe = self.probe(req)?;
+        self.scan(peers, req, probe)
+    }
+
+    /// The first half of [`Self::evaluate_shared`]: checks that the node
+    /// is available (once per evaluation) and probes every participant's
+    /// cache, answering the hits. Cheap enough for the caller's thread.
+    ///
+    /// Caches are only consulted (or filled) when the assignment is
+    /// canonical: entries are keyed by the full query box but hold
+    /// exactly this node's primary points, so a failover re-scan of
+    /// another node's chunks must bypass them in both directions.
+    pub(crate) fn probe(&self, req: &SharedScanRequest) -> StorageResult<Probe> {
         self.check_available()?;
-        let _active = ActiveGuard::new();
+        let active = ActiveGuard::new();
         let wall = Instant::now();
         let key = req.cache_key();
         let cacheable = req.assignment.canonical;
-
-        #[derive(Default)]
-        struct Slot {
-            outcome: Option<SharedOutcome>,
-            cache_lookup_s: f64,
-            probe_session: IoSession,
-            healing: bool,
-        }
-        fn take_outcome(s: Slot) -> StorageResult<SharedOutcome> {
-            s.outcome
-                .ok_or_else(|| StorageError::internal("participant slot never produced an outcome"))
-        }
         let mut slots: Vec<Slot> = req.participants.iter().map(|_| Slot::default()).collect();
-
-        // --- per-participant cache probes --------------------------------
         for (slot, part) in slots.iter_mut().zip(&req.participants) {
             if !part.use_cache || !cacheable {
                 continue;
@@ -313,7 +344,7 @@ impl NodeRuntime {
                     {
                         CacheLookup::Hit(points) => Some((points, None)),
                         // a quarantined entry falls through to the raw
-                        // evaluation, whose insert below rebuilds it
+                        // evaluation, whose insert rebuilds it
                         CacheLookup::Quarantined => {
                             slot.healing = true;
                             None
@@ -363,7 +394,28 @@ impl NodeRuntime {
                 None => slot.probe_session = probe_session,
             }
         }
+        Ok(Probe {
+            slots,
+            wall,
+            _active: active,
+        })
+    }
 
+    /// The second half of [`Self::evaluate_shared`]: one shared scan for
+    /// the participants `probe` left without an answer, filling their
+    /// cache entries; returns at once when it left none. Every
+    /// participant's outcome comes back in request order.
+    pub(crate) fn scan(
+        &self,
+        peers: &[Option<Arc<NodeRuntime>>],
+        req: &SharedScanRequest,
+        probe: Probe,
+    ) -> StorageResult<Vec<SharedOutcome>> {
+        let Probe {
+            mut slots,
+            wall,
+            _active,
+        } = probe;
         let pending: Vec<usize> = slots
             .iter()
             .enumerate()
@@ -371,8 +423,10 @@ impl NodeRuntime {
             .map(|(i, _)| i)
             .collect();
         if pending.is_empty() {
-            return slots.into_iter().map(take_outcome).collect();
+            return slots.into_iter().map(Slot::take_outcome).collect();
         }
+        let key = req.cache_key();
+        let cacheable = req.assignment.canonical;
 
         // --- shared scan over all pending participants -------------------
         // per chunk, scan the hull of every pending clip so each atom is
@@ -443,7 +497,7 @@ impl NodeRuntime {
         let full = req.mode == QueryMode::Full;
         let peak_scratch = AtomicUsize::new(0);
         let results: Vec<StorageResult<TaskOutcome>> =
-            run_workers(req.procs, &tasks, |scratch: &mut ScanScratch, task| {
+            run_workers(req.procs, tasks, |scratch: &mut ScanScratch, task| {
                 let mut chunk_session = IoSession::new();
                 let mut outs: Vec<(usize, Reducer)> = Vec::new();
                 // per domain, the clips that meet it and the reducer each feeds
@@ -654,7 +708,7 @@ impl NodeRuntime {
             });
         }
         self.report_session(&report);
-        slots.into_iter().map(take_outcome).collect()
+        slots.into_iter().map(Slot::take_outcome).collect()
     }
 
     /// Mirrors a subquery's device charges into the global metrics
@@ -670,14 +724,14 @@ impl NodeRuntime {
 }
 
 /// The one fan-out: runs up to `procs` workers over the task list — a
-/// node's chunks, a scatter wave's nodes — and returns the per-task
-/// outcomes in task order. Each worker owns one `S` for all the tasks it
-/// handles; a task that panics is an [`StorageError::internal`] outcome,
-/// not a lost thread.
-pub(crate) fn run_workers<I: Sync, S: Default, T: Send>(
+/// node's chunks, a scatter wave's scans — and returns the per-task
+/// outcomes in task order. Each task goes to one worker, which owns one
+/// `S` for all the tasks it handles; a task that panics is an
+/// [`StorageError::internal`] outcome, not a lost thread.
+pub(crate) fn run_workers<I: Send, S: Default, T: Send>(
     procs: usize,
-    tasks: &[I],
-    work: impl Fn(&mut S, &I) -> StorageResult<T> + Sync,
+    tasks: Vec<I>,
+    work: impl Fn(&mut S, I) -> StorageResult<T> + Sync,
 ) -> Vec<StorageResult<T>> {
     // the time model scales with the *requested* process count; the
     // real thread count is capped at the hardware so CPU-time
@@ -685,14 +739,16 @@ pub(crate) fn run_workers<I: Sync, S: Default, T: Send>(
     // call re-reads the affinity mask and the cgroup files (~12 µs)
     static HW: OnceLock<usize> = OnceLock::new();
     let hw = *HW.get_or_init(|| std::thread::available_parallelism().map_or(8, |n| n.get()));
-    let procs = procs.max(1).min(hw);
-    let next = AtomicUsize::new(0);
-    let out: Mutex<Vec<(usize, StorageResult<T>)>> = Mutex::new(Vec::with_capacity(tasks.len()));
+    let n = tasks.len();
+    let procs = procs.max(1).min(hw).min(n);
+    let next = Mutex::new(tasks.into_iter().enumerate());
+    let out: Mutex<Vec<(usize, StorageResult<T>)>> = Mutex::new(Vec::with_capacity(n));
     let worker = || {
         let mut state = S::default();
         loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = tasks.get(i) else { break };
+            let Some((i, task)) = next.lock().next() else {
+                break;
+            };
             // what a panic leaves in `state` is not trusted: the worker
             // starts its next task from a fresh one
             let attempt = catch_unwind(AssertUnwindSafe(|| work(&mut state, task)));
@@ -707,7 +763,8 @@ pub(crate) fn run_workers<I: Sync, S: Default, T: Send>(
     // the calling thread is the first worker: a one-task fan-out spawns
     // nothing, and any other touches one thread (and allocator arena) fewer
     std::thread::scope(|scope| {
-        for _ in 1..procs.min(tasks.len()) {
+        for _ in 1..procs {
+            m::NODE_WORKER_THREADS.inc();
             scope.spawn(worker);
         }
         worker();
@@ -796,7 +853,7 @@ mod tests {
     fn a_panicking_task_is_an_internal_error_in_its_own_slot_and_one_count() {
         let before = m::NODE_WORKER_PANICS.get();
         let tasks: Vec<u32> = (0..9).collect();
-        let results = run_workers(2, &tasks, |_: &mut (), &task| {
+        let results = run_workers(2, tasks.clone(), |_: &mut (), task| {
             assert_ne!(task, 4, "the seeded panic");
             Ok(10 * task)
         });

@@ -1,9 +1,10 @@
 //! Scatter: "each part is asynchronously submitted for evaluation to the
 //! database which stores the data needed" (paper §2) — a batch grouped by
-//! [`ScanGroupKey`], each group run as waves of `evaluate_shared` calls
-//! over one topology snapshot, the chunks of an unavailable or
-//! deadline-blown node moved down their replica chains, and every query's
-//! per-node outcomes handed to [`Cluster::assemble`].
+//! [`ScanGroupKey`], each group run as waves over one topology snapshot,
+//! the chunks of an unavailable or deadline-blown node moved down their
+//! replica chains, and every query's per-node outcomes handed to
+//! [`Cluster::assemble`]. In a wave every node probes its caches on the
+//! caller's thread; only the nodes left with a scan are fanned out.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -177,9 +178,10 @@ impl Cluster {
             .collect();
         let modelled_time =
             |o: &SharedOutcome| o.result.cache_lookup_s + o.result.io_s + o.result.compute_s;
-        // one scatter wave: targeted nodes evaluate their assigned chunks
-        // in parallel against the snapshot; once all have answered, each
-        // node's I/O phase is what its arrays served in the wave
+        // one scatter wave: every targeted node probes its caches on this
+        // thread, then the nodes left with a scan scan their assigned
+        // chunks in parallel against the snapshot; once all have answered,
+        // each node's I/O phase is what its arrays served in the wave
         let scatter = |targets: &[(usize, Vec<usize>)], assignment: Arc<ScanAssignment>| {
             let req = SharedScanRequest {
                 dataset: self.dataset.clone(),
@@ -192,21 +194,37 @@ impl Cluster {
                 assignment,
             };
             let peers = &topo.nodes;
-            let evaluate = |_: &mut (), (node, _): &(usize, Vec<usize>)| {
-                let runtime = peers.get(*node).and_then(Option::as_ref);
-                let runtime = runtime.ok_or_else(|| StorageError::NodeUnavailable {
-                    node: *node,
-                    detail: "scatter target is not a live member".into(),
-                })?;
-                runtime.evaluate_shared(peers, &req)
-            };
-            let mut wave: Vec<WaveEntry> = targets
-                .iter()
-                .zip(run_workers(targets.len(), targets, evaluate))
+            // a probe's error is its node's result, like a scan's
+            let mut scans = Vec::new();
+            let probed: Vec<Option<StorageResult<Vec<SharedOutcome>>>> = (targets.iter())
+                .map(|(node, _)| {
+                    let runtime = peers.get(*node).and_then(Option::as_ref);
+                    let runtime = runtime.ok_or_else(|| StorageError::NodeUnavailable {
+                        node: *node,
+                        detail: "scatter target is not a live member".into(),
+                    });
+                    match runtime.and_then(|runtime| Ok((runtime, runtime.probe(&req)?))) {
+                        Ok((runtime, probe)) if probe.pending() => {
+                            scans.push((runtime, probe));
+                            None
+                        }
+                        Ok((runtime, probe)) => Some(runtime.scan(peers, &req, probe)),
+                        Err(err) => Some(Err(err)),
+                    }
+                })
+                .collect();
+            let mut scanned = run_workers(scans.len(), scans, |_: &mut (), (runtime, probe)| {
+                runtime.scan(peers, &req, probe)
+            })
+            .into_iter();
+            let mut wave: Vec<WaveEntry> = (targets.iter().zip(probed))
                 .map(|((node, cidxs), result)| WaveEntry {
                     node: *node,
                     chunk_idxs: cidxs.clone(),
-                    result,
+                    // the scans answer in the order their probes left them
+                    result: result.or_else(|| scanned.next()).unwrap_or_else(|| {
+                        Err(StorageError::internal("scatter target was never evaluated"))
+                    }),
                 })
                 .collect();
             for p in 0..participants.len() {

@@ -75,6 +75,7 @@ metrics! {
     counter   NODE_DEADLINE_EXCEEDED            "node.deadline_exceeded";
     counter   NODE_UNAVAILABLE                  "node.unavailable";
     counter   NODE_WORKER_PANICS                "node.worker_panics";
+    counter   NODE_WORKER_THREADS               "node.worker_threads";
     family    QOS_ADMITTED                      "qos.admitted.";
     counter   QOS_EVICTED                       "qos.evicted";
     family    QOS_SHED                          "qos.shed.";

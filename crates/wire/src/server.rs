@@ -86,6 +86,7 @@ impl ServerState {
 /// A running front-end server.
 pub struct Server {
     addr: SocketAddr,
+    admission: Arc<AdmissionQueue>,
     shutdown: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -107,9 +108,11 @@ impl Server {
             config.mydb_quota_bytes,
             config.admission.clone(),
         ));
+        let admission = Arc::clone(&state.admission);
         let handle = std::thread::spawn(move || accept_loop(listener, state, config, flag));
         Ok(Server {
             addr: local,
+            admission,
             shutdown,
             handle: Some(handle),
         })
@@ -118,6 +121,11 @@ impl Server {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The admission queue every connection's data queries pass.
+    pub fn admission(&self) -> &Arc<AdmissionQueue> {
+        &self.admission
     }
 
     /// Requests shutdown and waits for the accept loop to finish — what

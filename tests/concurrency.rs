@@ -1,5 +1,5 @@
 //! Deterministic concurrency suite: explicit batches that share one scan,
-//! and wire-level admission control.
+//! the threads a scatter creates, and wire-level admission control.
 //!
 //! Metric-delta assertions read process-wide counters, so every test in
 //! this binary that evaluates queries holds [`METRICS`] for its whole
@@ -11,10 +11,10 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use proptest::prelude::*;
 use tdb_bench::{bits, harness, ranked_bits, test_service};
 use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{BatchAnswer, BatchQuery};
+use tdb_cluster::{BatchAnswer, BatchQuery, ReplicationConfig};
 use tdb_core::{Box3, DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
 use tdb_storage::{FaultPlan, FaultRule};
-use tdb_wire::admission::AdmissionConfig;
+use tdb_wire::admission::{Admission, AdmissionConfig};
 use tdb_wire::client::ClientError;
 use tdb_wire::server::{Server, ServerConfig};
 
@@ -309,10 +309,11 @@ fn coalesced_equals_sequential_under_injected_faults() {
     });
 }
 
-/// Wire-level load shedding: with one in-flight slot and no queue, a
-/// burst of four concurrent clients gets at least one `Busy` and at
-/// least one full answer; every admitted answer is correct, and a shed
-/// client that retries after the hint eventually succeeds.
+/// Wire-level load shedding: with its one in-flight slot held and no
+/// queue, the server sheds every request of a burst of four concurrent
+/// clients with `Busy` and the configured hint; once the slot is free,
+/// each shed client that retries after the hint, and a fresh one, gets a
+/// correct answer.
 #[test]
 fn wire_server_sheds_concurrent_burst_with_busy() {
     let _g = metrics_lock();
@@ -331,6 +332,11 @@ fn wire_server_sheds_concurrent_burst_with_busy() {
 
     let reference = bits(&service.get_threshold(&curl_query(25.0)).unwrap().points);
     let shed_before = counter("admission.shed");
+    // the test holds the one slot itself, so the burst is shed however
+    // fast a query runs
+    let Admission::Granted(held) = server.admission().admit(u64::MAX) else {
+        panic!("an idle server must grant its one slot");
+    };
     let barrier = Arc::new(Barrier::new(4));
     let handles: Vec<_> = (0..4)
         .map(|_| {
@@ -338,14 +344,17 @@ fn wire_server_sheds_concurrent_burst_with_busy() {
             std::thread::spawn(move || {
                 let mut client = tdb_wire::Client::connect(addr).expect("connect");
                 barrier.wait();
-                client.get_threshold("velocity", DerivedField::CurlNorm, 0, None, 25.0)
+                let reply = client.get_threshold("velocity", DerivedField::CurlNorm, 0, None, 25.0);
+                (client, reply)
             })
         })
         .collect();
     let mut ok = 0usize;
     let mut busy = 0usize;
+    let mut clients = Vec::new();
     for h in handles {
-        match h.join().unwrap() {
+        let (client, reply) = h.join().unwrap();
+        match reply {
             Ok(answer) => {
                 ok += 1;
                 assert_eq!(bits(&answer.points), reference);
@@ -360,26 +369,167 @@ fn wire_server_sheds_concurrent_burst_with_busy() {
             }
             Err(e) => panic!("unexpected client error: {e}"),
         }
+        clients.push(client);
     }
     assert_eq!(ok + busy, 4);
-    assert!(ok >= 1, "at least one query must be admitted");
-    assert!(busy >= 1, "a burst of 4 with one slot must shed");
+    assert_eq!(busy, 4, "a burst of 4 with its one slot held must shed");
     assert!(counter("admission.shed") > shed_before);
+    drop(held);
 
-    // back-off and retry drains: a fresh client keeps retrying on Busy
-    // and must get through once the burst is over
-    let mut client = tdb_wire::Client::connect(addr).expect("connect");
-    let answer = loop {
-        match client.get_threshold("velocity", DerivedField::CurlNorm, 0, None, 25.0) {
-            Ok(a) => break a,
-            Err(ClientError::Busy { retry_ms, .. }) => {
-                std::thread::sleep(std::time::Duration::from_millis(retry_ms));
-            }
-            Err(e) => panic!("unexpected client error: {e}"),
-        }
-    };
-    assert_eq!(bits(&answer.points), reference);
+    // back-off and retry drains: every shed client and a fresh one keep
+    // retrying on Busy and must all get through once the slot is free
+    clients.push(tdb_wire::Client::connect(addr).expect("connect"));
+    let drains: Vec<_> = (clients.into_iter())
+        .map(|mut client| {
+            std::thread::spawn(move || loop {
+                match client.get_threshold("velocity", DerivedField::CurlNorm, 0, None, 25.0) {
+                    Ok(a) => break a,
+                    Err(ClientError::Busy { retry_ms, .. }) => {
+                        std::thread::sleep(std::time::Duration::from_millis(retry_ms));
+                    }
+                    Err(e) => panic!("unexpected client error: {e}"),
+                }
+            })
+        })
+        .collect();
+    for h in drains {
+        let answer = h.join().unwrap();
+        ok += 1;
+        assert_eq!(bits(&answer.points), reference);
+    }
+    assert!(ok >= 1, "at least one query must be admitted");
     server.stop();
+}
+
+/// A query every node answers from its cache — threshold over the whole
+/// grid or an octant, or a PDF — runs on the caller's thread: 100 rounds
+/// of hits leave `node.worker_threads` where priming left it, and answer
+/// bit-identically to evaluations that bypass the cache. One uncached
+/// query does move the counter on a host with two cores or more.
+#[test]
+fn queries_every_node_answers_from_cache_create_no_thread() {
+    let _g = metrics_lock();
+    let service = test_service("conc_hits", 32, 1, 4);
+    let whole = curl_query(25.0);
+    // one entry per quantity: the octant is answered from the whole grid's
+    let octant = curl_query(30.0).in_box(Box3::new([0, 0, 0], [15, 15, 15]));
+    let pdf = curl_query(0.0);
+    let counts = |q: &ThresholdQuery| {
+        let answer = service.get_pdf(q, 0.0, 5.0, 16).unwrap();
+        answer.histogram.counts().to_vec()
+    };
+    let want_whole = bits(
+        &service
+            .get_threshold(&whole.clone().without_cache())
+            .unwrap()
+            .points,
+    );
+    let want_octant = bits(
+        &service
+            .get_threshold(&octant.clone().without_cache())
+            .unwrap()
+            .points,
+    );
+    let want_pdf = counts(&pdf.clone().without_cache());
+    assert!(!want_whole.is_empty() && !want_octant.is_empty());
+    // priming fills every node's entries
+    service.get_threshold(&whole).unwrap();
+    counts(&pdf);
+
+    let threads = counter("node.worker_threads");
+    let pdf_hits = counter("cache.pdf.hits");
+    for _ in 0..100 {
+        for (q, want) in [(&whole, &want_whole), (&octant, &want_octant)] {
+            let answer = service.get_threshold(q).unwrap();
+            assert_eq!(answer.cache_hits, answer.nodes);
+            assert_eq!(&bits(&answer.points), want);
+        }
+        assert_eq!(counts(&pdf), want_pdf);
+    }
+    assert_eq!(
+        counter("cache.pdf.hits") - pdf_hits,
+        100 * 4,
+        "every PDF node probe hits"
+    );
+    assert_eq!(
+        counter("node.worker_threads"),
+        threads,
+        "a query answered from cache alone must not spawn"
+    );
+
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        service.get_threshold(&whole.without_cache()).unwrap();
+        assert!(
+            counter("node.worker_threads") > threads,
+            "an uncached whole-grid query fans out"
+        );
+    }
+}
+
+/// A partial hit scans only the node that missed, and a failed probe
+/// fails over like a failed scan. At k = 2 with node 1 down, node 0 also
+/// scans node 1's chunks — under a failover assignment, which caches
+/// nothing. With node 1 back, node 0 answers from its cache, node 1 alone
+/// scans and fills its entry, and the answer is unchanged. The outage
+/// counts once per unavailable evaluation.
+#[test]
+fn a_partial_hit_scans_only_the_node_that_missed() {
+    let _g = metrics_lock();
+    let plan = FaultPlan::new(1).shared();
+    let service = harness("conc_partial", 32, 1)
+        .nodes(2)
+        .cluster(|c| {
+            c.replication = ReplicationConfig::k(2);
+            c.faults = Some(Arc::clone(&plan));
+        })
+        .build();
+    let nodes = service.cluster().nodes();
+    let stats = |n: usize| nodes[n].cache.stats();
+    let q = curl_query(25.0);
+    let reference = bits(
+        &service
+            .get_threshold(&q.clone().without_cache())
+            .unwrap()
+            .points,
+    );
+    assert!(!reference.is_empty());
+
+    plan.set_node_down(1, true);
+    let down_before = (
+        plan.counts().node_down,
+        counter("faults.injected.node_down"),
+    );
+    let unavailable_before = counter("node.unavailable");
+    let failed_over = service.get_threshold(&q).unwrap();
+    assert!(
+        failed_over.degraded.is_none(),
+        "node 0 holds a replica of every chunk"
+    );
+    assert_eq!(bits(&failed_over.points), reference);
+    assert_eq!(plan.counts().node_down - down_before.0, 1);
+    assert_eq!(counter("faults.injected.node_down") - down_before.1, 1);
+    assert_eq!(counter("node.unavailable") - unavailable_before, 1);
+    // node 0's entry holds its own chunks only; node 1 has none
+    assert_eq!((nodes[0].cache.len(), nodes[1].cache.len()), (1, 0));
+
+    plan.set_node_down(1, false);
+    let before = [stats(0), stats(1)];
+    let revived = service.get_threshold(&q).unwrap();
+    assert_eq!(bits(&revived.points), reference);
+    assert_eq!(revived.cache_hits, revived.nodes - 1);
+    let after = [stats(0), stats(1)];
+    assert_eq!(
+        after[0].hits - before[0].hits,
+        1,
+        "node 0 answers from its cache"
+    );
+    assert_eq!(after[0].inserts, before[0].inserts, "node 0 does not scan");
+    assert_eq!(after[1].misses - before[1].misses, 1, "node 1 missed");
+    assert_eq!(
+        after[1].inserts - before[1].inserts,
+        1,
+        "node 1 scans and fills"
+    );
 }
 
 /// Control-plane requests are never shed: even with a zero-size queue
