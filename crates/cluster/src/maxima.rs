@@ -501,7 +501,9 @@ mod tests {
     /// answers the dense ranking with NaN dropped, bit for bit: the two +∞
     /// points first, though their octant is no witness, the all-NaN atom
     /// never. The norm's floor at k = 1 and 2 is the tie of the two spikes'
-    /// octants; every answer prunes, and none is scanned again.
+    /// octants; every floored answer prunes, and none is scanned again. A
+    /// k of the whole box is past the witnesses: it is the scan at −∞, and
+    /// answers the whole ranking.
     #[test]
     fn hostile_stored_values_answer_topk_exactly() {
         let (cluster, dir, dense_of) = hostile_archive("topk");
@@ -512,6 +514,8 @@ mod tests {
         let floor = |k| topk_floor(maxima(DerivedField::Norm), &Box3::cube(32), k);
         assert_eq!([1, 2].map(floor), [Some(50.0); 2], "the spikes' tie");
         assert!(floor(3).unwrap() < 50.0);
+        let whole = Box3::cube(32).num_points() as usize;
+        assert_eq!(floor(whole), None, "past the witnesses");
 
         let rescans = tdb_obs::m::SCAN_TOPK_RESCANS.get();
         for derived in [DerivedField::Norm, DerivedField::CurlNorm] {
@@ -534,6 +538,22 @@ mod tests {
                 assert_eq!(rank(&got.points), rank(&ranked[..k]), "{name}, k = {k}");
                 let pruned = nodes_sum(got.trace.as_ref(), "atoms_pruned");
                 assert!(pruned > 0, "{name}, k = {k}: the floor prunes");
+            }
+            let got = cluster.get_topk(&whole_grid(derived, 0.0), whole).unwrap();
+            assert_eq!(
+                rank(&got.points),
+                rank(&ranked),
+                "{name}: the whole ranking"
+            );
+            let nan_atom = |p: &ThresholdPoint| {
+                let (x, y, z) = p.coords();
+                AtomCoord::containing(x, y, z) == AtomCoord::new(0, 0, 0)
+            };
+            assert!(!got.points.iter().any(nan_atom), "{name}: the all-NaN atom");
+            if derived == DerivedField::Norm {
+                let top: Vec<f32> = got.points.iter().take(3).map(|p| p.value).collect();
+                assert_eq!(top[..2], [f32::INFINITY; 2], "both +∞ points first");
+                assert!(top[2] < f32::INFINITY);
             }
         }
         assert_eq!(tdb_obs::m::SCAN_TOPK_RESCANS.get(), rescans);

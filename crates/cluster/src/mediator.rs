@@ -81,10 +81,10 @@ impl BatchQuery {
         }
     }
 
-    /// What the query asks of a shared scan. A top-k with a `floor`
-    /// ([`crate::maxima::topk_floor`]) is a threshold scan at it, which
-    /// holds every point of its answer; without one it collects every
-    /// point of its box.
+    /// What the query asks of a shared scan. A top-k is an uncached
+    /// threshold scan: at its `floor` ([`crate::maxima::topk_floor`]),
+    /// which holds every point of its answer, or without one at −∞, which
+    /// holds every point of its box but NaN.
     pub(crate) fn participant(&self, floor: Option<f64>) -> ScanParticipant {
         let req = self.request();
         let (kernel, use_cache) = match *self {
@@ -105,10 +105,10 @@ impl BatchQuery {
                 };
                 (kernel, req.use_cache)
             }
-            BatchQuery::TopK { .. } => match floor {
-                Some(threshold) => (ScanKernel::Threshold { threshold }, false),
-                None => (ScanKernel::TopK, false),
-            },
+            BatchQuery::TopK { .. } => {
+                let threshold = floor.unwrap_or(f64::NEG_INFINITY);
+                (ScanKernel::Threshold { threshold }, false)
+            }
         };
         ScanParticipant {
             query_box: req.query_box,
@@ -231,12 +231,12 @@ impl Cluster {
 
     /// Evaluates a top-k query: the `k` largest values in the box under
     /// [`crate::topk_order`], NaN dropped, bit for bit those of a ranking
-    /// of every point. Uncached. In [`QueryMode::Full`] with at least `k`
-    /// octants wholly inside the box, it is a threshold scan at the floor
-    /// their stored maxima set (DESIGN.md §9), which reads only the octants
-    /// that can hold the answer; a floored answer short of `k` points (a
-    /// chunk no replica answered held a witness) is scanned again without
-    /// one (`scan.topk_rescans`).
+    /// of every point. Uncached, and always a threshold scan (DESIGN.md
+    /// §9): in [`QueryMode::Full`] with at least `k` octants wholly inside
+    /// the box, at the floor their stored maxima set, which reads only the
+    /// octants that can hold the answer; otherwise at −∞. A floored answer
+    /// short of `k` points (a chunk no replica answered held a witness) is
+    /// scanned again at −∞ (`scan.topk_rescans`).
     pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<TopKResponse> {
         let req = req.clone();
         self.submit(BatchQuery::TopK { req, k }, |a| match a {
@@ -526,6 +526,34 @@ mod tests {
                 node_deadline_s: None,
             })
             .unwrap()
+    }
+
+    /// A top-k leaves the mediator as an uncached threshold scan: at its
+    /// floor, or at −∞ without one.
+    #[test]
+    fn an_unfloored_topk_is_a_threshold_scan_at_negative_infinity() {
+        let req = ThresholdRequest {
+            raw_field: "u".into(),
+            derived: DerivedField::CurlNorm,
+            timestep: 0,
+            query_box: Box3::grid(32, 32, 32),
+            threshold: 0.0,
+            use_cache: true,
+            mode: QueryMode::Full,
+            procs_override: None,
+            strict: false,
+            node_deadline_s: None,
+        };
+        let topk = BatchQuery::TopK { req, k: 3 };
+        for (floor, want) in [(Some(2.5), 2.5), (None, f64::NEG_INFINITY)] {
+            let part = topk.participant(floor);
+            assert!(
+                matches!(part.kernel, ScanKernel::Threshold { threshold } if threshold == want),
+                "floor {floor:?}: {:?}",
+                part.kernel
+            );
+            assert!(!part.use_cache, "floor {floor:?}");
+        }
     }
 
     /// Wave 0 of every query borrows the generation's canonical assignment

@@ -38,7 +38,7 @@ use crate::assemble::{assemble_reach_into, reached_atoms, scan_reach};
 use crate::cputime::thread_cpu_time_s;
 use crate::maxima::surviving_domains;
 use crate::placement::Layout;
-use crate::scan::{ScanKernel, SharedOutcome, SharedScanRequest};
+use crate::scan::{ScanKernel, ScanParticipant, SharedOutcome, SharedScanRequest};
 use crate::sim::NodeTimeModel;
 use crate::topology::{routed_read, ClusterEnv, NodeDevices};
 
@@ -111,6 +111,51 @@ impl Slot {
     fn take_outcome(self) -> StorageResult<SharedOutcome> {
         self.outcome
             .ok_or_else(|| StorageError::internal("participant slot never produced an outcome"))
+    }
+}
+
+/// What a clip reduces its part of the derived rows to.
+#[derive(Clone)]
+enum Reducer {
+    Points {
+        threshold: f64,
+        points: Vec<ThresholdPoint>,
+    },
+    Hist(Histogram),
+}
+
+impl Reducer {
+    /// The one reading of a participant's kernel: the reducer its clips
+    /// feed, and whether it probes and fills the cache of that reducer's
+    /// kind (semantic for points, PDF for a histogram). The frozen top-k
+    /// kernel is the threshold scan at −∞, uncached: every point of its
+    /// box but NaN (DESIGN.md §9).
+    fn of(part: &ScanParticipant) -> (Self, bool) {
+        let (threshold, cached) = match part.kernel {
+            ScanKernel::Threshold { threshold } => (threshold, part.use_cache),
+            ScanKernel::TopK => (f64::NEG_INFINITY, false),
+            ScanKernel::Pdf {
+                origin,
+                width,
+                nbins,
+            } => {
+                let hist = Histogram::new(origin, width, nbins);
+                return (Reducer::Hist(hist), part.use_cache);
+            }
+        };
+        let points = Vec::new();
+        (Reducer::Points { threshold, points }, cached)
+    }
+
+    /// Folds another clip's reduction for the same participant into this.
+    fn merge(&mut self, other: Reducer) {
+        match (self, other) {
+            (Reducer::Points { points, .. }, Reducer::Points { points: more, .. }) => {
+                points.extend(more)
+            }
+            (Reducer::Hist(hist), Reducer::Hist(more)) => hist.merge(&more),
+            _ => {}
+        }
     }
 }
 
@@ -331,16 +376,17 @@ impl NodeRuntime {
         let cacheable = req.assignment.canonical;
         let mut slots: Vec<Slot> = req.participants.iter().map(|_| Slot::default()).collect();
         for (slot, part) in slots.iter_mut().zip(&req.participants) {
-            if !part.use_cache || !cacheable {
+            let (reducer, cached) = Reducer::of(part);
+            if !cached || !cacheable {
                 continue;
             }
             let probe = thread_cpu_time_s();
             let mut probe_session = IoSession::new();
-            let found = match &part.kernel {
-                ScanKernel::Threshold { threshold } => {
+            let found = match reducer {
+                Reducer::Points { threshold, .. } => {
                     match self
                         .cache
-                        .lookup(&key, &part.query_box, *threshold, &mut probe_session)
+                        .lookup(&key, &part.query_box, threshold, &mut probe_session)
                     {
                         CacheLookup::Hit(points) => Some((points, None)),
                         // a quarantined entry falls through to the raw
@@ -352,25 +398,17 @@ impl NodeRuntime {
                         CacheLookup::Miss => None,
                     }
                 }
-                ScanKernel::Pdf {
-                    origin,
-                    width,
-                    nbins,
-                } => {
-                    let pdf_key = PdfKey::new(key.clone(), *origin, *width, *nbins as u32);
-                    match self
-                        .pdf_cache
-                        .lookup(&pdf_key, &part.query_box, &mut probe_session)
-                    {
+                Reducer::Hist(mut hist) => {
+                    let (origin, width, nbins) = hist.binning();
+                    let pdf_key = PdfKey::new(key.clone(), origin, width, nbins as u32);
+                    match (self.pdf_cache).lookup(&pdf_key, &part.query_box, &mut probe_session) {
                         PdfLookup::Hit(counts) => {
-                            let mut hist = Histogram::new(*origin, *width, *nbins);
                             hist.set_counts(&counts);
                             Some((Vec::new(), Some(hist)))
                         }
                         PdfLookup::Miss => None,
                     }
                 }
-                ScanKernel::TopK => continue,
             };
             slot.cache_lookup_s =
                 (thread_cpu_time_s() - probe).max(0.0) + probe_session.makespan(&self.env.registry);
@@ -427,6 +465,9 @@ impl NodeRuntime {
         }
         let key = req.cache_key();
         let cacheable = req.assignment.canonical;
+        // every participant's kernel, read once; a pending one's reducer
+        // then gathers what the chunks reduced its clips to
+        let mut reduced: Vec<(Reducer, bool)> = req.participants.iter().map(Reducer::of).collect();
 
         // --- shared scan over all pending participants -------------------
         // per chunk, scan the hull of every pending clip so each atom is
@@ -448,17 +489,17 @@ impl NodeRuntime {
         for c in req.assignment.chunks_of(self.id) {
             let grid_box = c.grid_box();
             // each clip with the floor an octant's maximum must reach to be
-            // read for it: a threshold's own value (a floored top-k arrives
-            // as one); a PDF or an unfloored top-k has none
+            // read for it: a point reducer's threshold; a histogram has none
             let (mut clips, mut floors) = (Vec::new(), Vec::new());
             for &i in &pending {
-                let Some(part) = req.participants.get(i) else {
+                let (Some(part), Some((reducer, _))) = (req.participants.get(i), reduced.get(i))
+                else {
                     continue;
                 };
                 if let Some(clip) = grid_box.intersect(&part.query_box) {
-                    let floor = match part.kernel {
-                        ScanKernel::Threshold { threshold } => Some(threshold),
-                        ScanKernel::Pdf { .. } | ScanKernel::TopK => None,
+                    let floor = match reducer {
+                        Reducer::Points { threshold, .. } => Some(*threshold),
+                        Reducer::Hist(_) => None,
                     };
                     clips.push((i, clip));
                     floors.push((floor, clip));
@@ -483,14 +524,6 @@ impl NodeRuntime {
             });
         }
 
-        // what a clip reduces its part of the derived rows to
-        enum Reducer {
-            Points {
-                threshold: f64,
-                points: Vec<ThresholdPoint>,
-            },
-            Hist(Histogram),
-        }
         // reduced clips, kernel seconds, device charges, atoms, atoms saved,
         // atoms pruned
         type TaskOutcome = (Vec<(usize, Reducer)>, f64, IoSession, u64, u64, u64);
@@ -503,29 +536,9 @@ impl NodeRuntime {
                 // per domain, the clips that meet it and the reducer each feeds
                 let mut rows: Vec<Vec<(ClipRows, usize)>> = Vec::new();
                 if full {
-                    for (i, clip) in &task.clips {
-                        let Some(part) = req.participants.get(*i) else {
-                            continue;
-                        };
-                        let reducer = match &part.kernel {
-                            ScanKernel::Threshold { threshold } => Reducer::Points {
-                                threshold: *threshold,
-                                points: Vec::new(),
-                            },
-                            // the mediator keeps the k best; nodes collect
-                            // every point of the clip, so its size is known
-                            ScanKernel::TopK => Reducer::Points {
-                                threshold: f64::NEG_INFINITY,
-                                points: Vec::with_capacity(clip.num_points() as usize),
-                            },
-                            ScanKernel::Pdf {
-                                origin,
-                                width,
-                                nbins,
-                            } => Reducer::Hist(Histogram::new(*origin, *width, *nbins)),
-                        };
-                        outs.push((*i, reducer));
-                    }
+                    outs = (task.clips.iter())
+                        .filter_map(|&(i, _)| Some((i, reduced.get(i)?.0.clone())))
+                        .collect();
                     rows = (task.domains.iter())
                         .map(|domain| {
                             (task.clips.iter().enumerate())
@@ -592,9 +605,6 @@ impl NodeRuntime {
             m::SCAN_SCRATCH_BYTES.set(peak_scratch as i64);
         }
 
-        let mut acc_points: Vec<Vec<ThresholdPoint>> =
-            (0..slots.len()).map(|_| Vec::new()).collect();
-        let mut acc_hist: Vec<Option<Histogram>> = (0..slots.len()).map(|_| None).collect();
         let mut shared_session = IoSession::new();
         let mut chunk_compute = Vec::with_capacity(results.len());
         let mut atoms_scanned = 0u64;
@@ -602,17 +612,8 @@ impl NodeRuntime {
         for r in results {
             let (outs, compute_s, chunk_session, chunk_atoms, saved, pruned) = r?;
             for (i, out) in outs {
-                match out {
-                    Reducer::Points { mut points, .. } => match acc_points.get_mut(i) {
-                        Some(acc) if acc.is_empty() => *acc = points,
-                        Some(acc) => acc.append(&mut points),
-                        None => {}
-                    },
-                    Reducer::Hist(h) => match acc_hist.get_mut(i) {
-                        Some(Some(acc)) => acc.merge(&h),
-                        Some(slot) => *slot = Some(h),
-                        None => {}
-                    },
+                if let Some((reducer, _)) = reduced.get_mut(i) {
+                    reducer.merge(out);
                 }
             }
             chunk_compute.push(compute_s);
@@ -634,29 +635,30 @@ impl NodeRuntime {
         // --- per-participant assembly and cache fills --------------------
         let mut report = IoSession::new();
         report.merge(&shared_session);
-        for &i in &pending {
-            let (Some(part), Some(slot)) = (req.participants.get(i), slots.get_mut(i)) else {
+        let parts = req.participants.iter().zip(&mut slots).zip(reduced);
+        for ((part, slot), (reducer, cached)) in parts {
+            if slot.outcome.is_some() {
                 continue;
-            };
+            }
             let mut session = IoSession::new();
             session.merge(&slot.probe_session);
             session.merge(&shared_session);
             report.merge(&slot.probe_session);
-            let mut points = acc_points
-                .get_mut(i)
-                .map(std::mem::take)
-                .unwrap_or_default();
-            let mut histogram = None;
-            let fill = part.use_cache && cacheable && req.mode == QueryMode::Full;
+            let fill = cached && cacheable && req.mode == QueryMode::Full;
             let mut fill_session = IoSession::new();
-            match &part.kernel {
-                ScanKernel::Threshold { threshold } => {
-                    points.sort_unstable_by_key(|p| p.zindex);
+            // the mediator orders every answer's points itself; only a
+            // cache entry needs them in Morton order here
+            let (points, histogram) = match reducer {
+                Reducer::Points {
+                    threshold,
+                    mut points,
+                } => {
                     if fill {
+                        points.sort_unstable_by_key(|p| p.zindex);
                         self.cache.insert(
                             &key,
                             part.query_box,
-                            *threshold,
+                            threshold,
                             &points,
                             &mut fill_session,
                         );
@@ -664,20 +666,12 @@ impl NodeRuntime {
                             m::CACHE_SEMANTIC_REBUILT.inc();
                         }
                     }
+                    (points, None)
                 }
-                // the mediator orders top-k candidates itself (by value)
-                ScanKernel::TopK => {}
-                ScanKernel::Pdf {
-                    origin,
-                    width,
-                    nbins,
-                } => {
-                    let hist = acc_hist
-                        .get_mut(i)
-                        .and_then(Option::take)
-                        .unwrap_or_else(|| Histogram::new(*origin, *width, *nbins));
+                Reducer::Hist(hist) => {
                     if fill {
-                        let pdf_key = PdfKey::new(key.clone(), *origin, *width, *nbins as u32);
+                        let (origin, width, nbins) = hist.binning();
+                        let pdf_key = PdfKey::new(key.clone(), origin, width, nbins as u32);
                         self.pdf_cache.insert(
                             &pdf_key,
                             part.query_box,
@@ -685,9 +679,9 @@ impl NodeRuntime {
                             &mut fill_session,
                         );
                     }
-                    histogram = Some(hist);
+                    (Vec::new(), Some(hist))
                 }
-            }
+            };
             session.merge(&fill_session);
             report.merge(&fill_session);
             slot.outcome = Some(SharedOutcome {

@@ -29,10 +29,10 @@ pub enum ScanKernel {
         width: f64,
         nbins: usize,
     },
-    /// Every point of the box; the mediator keeps the k best (a threshold
-    /// scan at −∞). Only a top-k without a floor scans so: one whose box
-    /// holds k octants with stored maxima is a [`ScanKernel::Threshold`] at
-    /// the k-th largest of them (DESIGN.md §9).
+    /// Every point of the box but NaN: a node reads it as a
+    /// [`ScanKernel::Threshold`] at −∞. The mediator never sends it (every
+    /// top-k leaves it as a threshold scan, DESIGN.md §9); it is kept only
+    /// because the frozen benchmark builds it for `evaluate_shared`.
     TopK,
 }
 

@@ -21,9 +21,9 @@ use crate::placement::Chunk;
 use crate::scan::{ScanAssignment, ScanParticipant, SharedOutcome, SharedScanRequest};
 
 /// Everything that must agree for two queries to share one atom scan.
-/// The threshold value, query box and kernel are per-participant; the
-/// degradation policy (strict / deadline) is part of the key so a group
-/// is filtered uniformly.
+/// The threshold value, query box and kernel are per-participant, and so
+/// is `strict`, applied to each answer after the scan; the node deadline
+/// is part of the key because it shapes the waves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ScanGroupKey {
     raw_field: String,
@@ -31,7 +31,6 @@ pub(crate) struct ScanGroupKey {
     timestep: u32,
     full_mode: bool,
     procs_override: Option<usize>,
-    strict: bool,
     deadline_bits: Option<u64>,
 }
 
@@ -43,7 +42,6 @@ impl ScanGroupKey {
             timestep: req.timestep,
             full_mode: req.mode == QueryMode::Full,
             procs_override: req.procs_override,
-            strict: req.strict,
             deadline_bits: req.node_deadline_s.map(f64::to_bits),
         }
     }
@@ -65,17 +63,21 @@ impl Cluster {
     /// input; a per-node failure inside a group is fanned out to every
     /// query of that group (and degraded per query by the usual policy).
     ///
-    /// A top-k in [`QueryMode::Full`] scans at the floor its box's octant
-    /// maxima set (`maxima::topk_floor`); one whose floored answer comes back
-    /// short of k points lost a witness to a chunk no replica answered, and
-    /// is scanned once more without a floor, so its answer is the unfloored
-    /// one, degraded or not.
+    /// Every top-k is a threshold scan ([`BatchQuery::participant`]): in
+    /// [`QueryMode::Full`] at the floor its box's octant maxima set
+    /// (`maxima::topk_floor`), else at −∞. One whose floored answer comes
+    /// back short of k points lost a witness to a chunk no replica
+    /// answered, and is scanned once more at −∞, so its answer is the
+    /// unfloored one, degraded or not.
     pub fn run_batch(&self, queries: Vec<BatchQuery>) -> Vec<StorageResult<BatchAnswer>> {
         let wall = std::time::Instant::now();
         let mut answers: Vec<Option<StorageResult<BatchAnswer>>> =
             queries.iter().map(|_| None).collect();
         let floors: Vec<Option<f64>> = queries.iter().map(|q| self.floor_of(q)).collect();
-        self.run_groups(&queries, &floors, 0..queries.len(), &mut answers, wall);
+        let parts: Vec<_> = (queries.iter().zip(&floors))
+            .map(|(q, floor)| q.participant(*floor))
+            .collect();
+        self.run_groups(&queries, &parts, 0..queries.len(), &mut answers, wall);
         let short: Vec<usize> = (queries.iter().zip(&floors).zip(&answers).enumerate())
             .filter(|(_, ((q, floor), answer))| {
                 floor.is_some()
@@ -86,7 +88,7 @@ impl Cluster {
             .collect();
         if !short.is_empty() {
             tdb_obs::m::SCAN_TOPK_RESCANS.add(short.len() as u64);
-            let unfloored = vec![None; queries.len()];
+            let unfloored: Vec<_> = queries.iter().map(|q| q.participant(None)).collect();
             self.run_groups(&queries, &unfloored, short, &mut answers, wall);
         }
         answers
@@ -113,11 +115,11 @@ impl Cluster {
     }
 
     /// Runs the queries `idxs` names, one shared scan per [`ScanGroupKey`]
-    /// group, each participant at its `floors` entry.
+    /// group, each as its entry of `participants`.
     fn run_groups(
         &self,
         queries: &[BatchQuery],
-        floors: &[Option<f64>],
+        participants: &[ScanParticipant],
         idxs: impl IntoIterator<Item = usize>,
         answers: &mut [Option<StorageResult<BatchAnswer>>],
         wall: std::time::Instant,
@@ -134,7 +136,7 @@ impl Cluster {
             }
         }
         for (_, idxs) in &groups {
-            self.run_group(queries, floors, idxs, answers, wall);
+            self.run_group(queries, participants, idxs, answers, wall);
         }
     }
 
@@ -154,7 +156,7 @@ impl Cluster {
     fn run_group(
         &self,
         queries: &[BatchQuery],
-        floors: &[Option<f64>],
+        participants: &[ScanParticipant],
         idxs: &[usize],
         answers: &mut [Option<StorageResult<BatchAnswer>>],
         wall: std::time::Instant,
@@ -174,7 +176,7 @@ impl Cluster {
         let deadline = first.node_deadline_s;
         let participants: Vec<ScanParticipant> = idxs
             .iter()
-            .filter_map(|&i| Some(queries.get(i)?.participant(floors.get(i).copied()?)))
+            .filter_map(|&i| participants.get(i).cloned())
             .collect();
         let modelled_time =
             |o: &SharedOutcome| o.result.cache_lookup_s + o.result.io_s + o.result.compute_s;

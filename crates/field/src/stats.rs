@@ -119,6 +119,11 @@ impl Histogram {
         }
     }
 
+    /// The binning `(origin, width, nbins)` it was made with.
+    pub fn binning(&self) -> (f64, f64, usize) {
+        (self.origin, self.width, self.nbins())
+    }
+
     /// Number of regular bins (excluding overflow).
     pub fn nbins(&self) -> usize {
         self.counts.len() - 1

@@ -2,14 +2,10 @@
 //!
 //! 3-D codes interleave 21 bits per dimension into a 63-bit code with bit
 //! layout `… z2 y2 x2 z1 y1 x1 z0 y0 x0` (x occupies the least significant
-//! position of each triple). 4-D codes interleave 15 bits per dimension and
-//! are used by the friends-of-friends spatial hash.
+//! position of each triple).
 
 /// Largest coordinate representable in a 3-D Morton code (21 bits).
 pub const MAX_COORD3: u32 = (1 << 21) - 1;
-
-/// Largest coordinate representable in a 4-D Morton code (15 bits).
-pub const MAX_COORD4: u32 = (1 << 15) - 1;
 
 /// Spreads the low 21 bits of `x` so that consecutive input bits land three
 /// positions apart (`b0 -> bit 0`, `b1 -> bit 3`, ...).
@@ -153,44 +149,6 @@ impl MortonBlockDecoder {
     }
 }
 
-#[inline]
-fn spread4(x: u32) -> u64 {
-    debug_assert!(x <= MAX_COORD4, "coordinate {x} exceeds 15 bits");
-    let mut v = u64::from(x) & 0x7fff;
-    v = (v | (v << 24)) & 0x0000_00ff_0000_00ff;
-    v = (v | (v << 12)) & 0x000f_000f_000f_000f;
-    v = (v | (v << 6)) & 0x0303_0303_0303_0303;
-    v = (v | (v << 3)) & 0x1111_1111_1111_1111;
-    v
-}
-
-#[inline]
-fn compact4(v: u64) -> u32 {
-    let mut v = v & 0x1111_1111_1111_1111;
-    v = (v | (v >> 3)) & 0x0303_0303_0303_0303;
-    v = (v | (v >> 6)) & 0x000f_000f_000f_000f;
-    v = (v | (v >> 12)) & 0x0000_00ff_0000_00ff;
-    v = (v | (v >> 24)) & 0x7fff;
-    v as u32
-}
-
-/// Encodes `(x, y, z, t)` into a 4-D Morton code (15 bits per dimension).
-#[inline]
-pub fn encode4(x: u32, y: u32, z: u32, t: u32) -> u64 {
-    spread4(x) | (spread4(y) << 1) | (spread4(z) << 2) | (spread4(t) << 3)
-}
-
-/// Decodes a 4-D Morton code back into `(x, y, z, t)`.
-#[inline]
-pub fn decode4(code: u64) -> (u32, u32, u32, u32) {
-    (
-        compact4(code),
-        compact4(code >> 1),
-        compact4(code >> 2),
-        compact4(code >> 3),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,13 +170,6 @@ mod tests {
     fn encode3_max_coordinate_roundtrips() {
         let c = encode3(MAX_COORD3, MAX_COORD3, MAX_COORD3);
         assert_eq!(decode3(c), (MAX_COORD3, MAX_COORD3, MAX_COORD3));
-    }
-
-    #[test]
-    fn encode4_known_values() {
-        assert_eq!(encode4(0, 0, 0, 0), 0);
-        assert_eq!(encode4(1, 1, 1, 1), 0b1111);
-        assert_eq!(encode4(1, 0, 0, 1), 0b1001);
     }
 
     #[test]
@@ -278,12 +229,6 @@ mod tests {
             for c in sorted.iter().chain(&codes) {
                 prop_assert_eq!(d.decode(*c), decode3(*c));
             }
-        }
-
-        #[test]
-        fn roundtrip4(x in 0..=MAX_COORD4, y in 0..=MAX_COORD4,
-                      z in 0..=MAX_COORD4, t in 0..=MAX_COORD4) {
-            prop_assert_eq!(decode4(encode4(x, y, z, t)), (x, y, z, t));
         }
 
         #[test]

@@ -9,11 +9,11 @@
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
 use proptest::prelude::*;
-use tdb_bench::{bits, harness, ranked_bits, test_service};
+use tdb_bench::{bits, bits_outside, harness, ranked_bits, reference_points, test_service};
 use tdb_cluster::mediator::ThresholdRequest;
 use tdb_cluster::{BatchAnswer, BatchQuery, ReplicationConfig};
 use tdb_core::{Box3, DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
-use tdb_storage::{FaultPlan, FaultRule};
+use tdb_storage::{FaultPlan, FaultRule, StorageError};
 use tdb_wire::admission::{Admission, AdmissionConfig};
 use tdb_wire::client::ClientError;
 use tdb_wire::server::{Server, ServerConfig};
@@ -158,6 +158,65 @@ fn mixed_query_kinds_share_one_scan() {
         shared_atoms < independent_atoms,
         "three kernels over one scan: shared {shared_atoms} vs independent {independent_atoms}"
     );
+}
+
+/// Strictness is applied to each answer after the scan, so it does not
+/// split one: at k = 1 with node 1 down, a strict and a lenient query over
+/// one key share a scan. The strict one fails with `NodeUnavailable`; the
+/// lenient one is degraded and equals the reference outside what it names
+/// missing.
+#[test]
+fn strict_and_lenient_queries_over_one_key_share_one_scan() {
+    let _g = metrics_lock();
+    let plan = FaultPlan::new(1).shared();
+    let service = harness("conc_strict", 32, 1)
+        .nodes(2)
+        .cluster(|c| {
+            c.replication = ReplicationConfig::k(1);
+            c.faults = Some(Arc::clone(&plan));
+        })
+        .build();
+    let lenient = ThresholdRequest {
+        raw_field: "velocity".into(),
+        derived: DerivedField::CurlNorm,
+        timestep: 0,
+        query_box: Box3::grid(32, 32, 32),
+        threshold: 25.0,
+        use_cache: false,
+        mode: QueryMode::Full,
+        procs_override: None,
+        strict: false,
+        node_deadline_s: None,
+    };
+    let strict = ThresholdRequest {
+        strict: true,
+        ..lenient.clone()
+    };
+    let reference = reference_points(&service, "velocity", DerivedField::CurlNorm, 0, 25.0);
+    assert!(!reference.is_empty());
+
+    plan.set_node_down(1, true);
+    let coalesced = counter("scan.coalesced_queries");
+    let answers = service.cluster().get_threshold_batch(&[strict, lenient]);
+    plan.set_node_down(1, false);
+    assert_eq!(
+        counter("scan.coalesced_queries") - coalesced,
+        1,
+        "the two queries share node 0's scan"
+    );
+    let mut answers = answers.into_iter();
+    match answers.next().unwrap() {
+        Err(StorageError::NodeUnavailable { node: 1, .. }) => {}
+        other => panic!("the strict query must fail naming node 1, got {other:?}"),
+    }
+    let lenient = answers.next().unwrap().expect("the lenient query degrades");
+    let missing = &lenient
+        .degraded
+        .as_ref()
+        .expect("node 1's chunks are lost")
+        .missing_boxes;
+    assert!(!missing.is_empty());
+    assert_eq!(bits(&lenient.points), bits_outside(&reference, missing));
 }
 
 /// Clips that are strict sub-boxes of the scanned hull on all three
