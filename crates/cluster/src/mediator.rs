@@ -6,7 +6,9 @@
 //! Web-server assembles the results from the distributed computation and
 //! sends them back to the client." (paper §2) — one module per verb:
 //! `topology`, `scatter`, `merge`. This one holds [`Cluster`], the
-//! requests it accepts and the reads that need no scan (cutouts, points).
+//! requests it accepts, their lowering to scan participants (a top-k's
+//! floor and rescan included) and the reads that need no scan (cutouts,
+//! points).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -21,6 +23,7 @@ use tdb_zorder::Box3;
 
 use crate::assemble::{assemble_padded_into, needed_atoms};
 use crate::config::ClusterConfig;
+use crate::maxima::topk_floor;
 use crate::node::{NodeRuntime, QueryMode};
 use crate::placement::Layout;
 use crate::scan::{self, ScanKernel, ScanParticipant};
@@ -81,7 +84,8 @@ impl BatchQuery {
         }
     }
 
-    /// What the query asks of a shared scan. A top-k is an uncached
+    /// What the query asks of a shared scan — its lowering, which
+    /// [`Cluster::run_batch`] hands to the scatter. A top-k is an uncached
     /// threshold scan: at its `floor` ([`crate::maxima::topk_floor`]),
     /// which holds every point of its answer, or without one at −∞, which
     /// holds every point of its box but NaN.
@@ -202,6 +206,66 @@ impl Cluster {
         of_kind(answer, pick)
     }
 
+    /// Evaluates a set of queries, sharing one atom scan per group of
+    /// queries with one `ScanGroupKey` (`scatter.rs`). Answers are
+    /// positionally aligned with the input; a per-node failure inside a
+    /// group is fanned out to every query of that group (and degraded per
+    /// query by the usual policy).
+    ///
+    /// Here each query is lowered to the participant it scans as
+    /// ([`BatchQuery::participant`]): a top-k in [`QueryMode::Full`] at the
+    /// floor its box's octant maxima set (`floor_of`), else at −∞. One
+    /// whose floored answer comes back short of k points lost a witness to
+    /// a chunk no replica answered; it alone is lowered again at −∞ and
+    /// rescanned (`scan.topk_rescans`), so its answer is the unfloored
+    /// one, degraded or not.
+    pub fn run_batch(&self, queries: Vec<BatchQuery>) -> Vec<StorageResult<BatchAnswer>> {
+        let wall = std::time::Instant::now();
+        let mut answers: Vec<Option<StorageResult<BatchAnswer>>> =
+            queries.iter().map(|_| None).collect();
+        let floors: Vec<Option<f64>> = queries.iter().map(|q| self.floor_of(q)).collect();
+        let parts = (queries.iter().zip(&floors))
+            .map(|(q, floor)| q.participant(*floor))
+            .enumerate()
+            .collect();
+        self.run_groups(&queries, parts, &mut answers, wall);
+        let short: Vec<(usize, ScanParticipant)> = (queries.iter().zip(&floors).zip(&answers))
+            .enumerate()
+            .filter(|(_, ((q, floor), answer))| {
+                floor.is_some()
+                    && matches!((q, answer), (BatchQuery::TopK { k, .. }, Some(Ok(BatchAnswer::TopK(r))))
+                        if r.points.len() < *k)
+            })
+            .map(|(i, ((q, _), _))| (i, q.participant(None)))
+            .collect();
+        if !short.is_empty() {
+            tdb_obs::m::SCAN_TOPK_RESCANS.add(short.len() as u64);
+            self.run_groups(&queries, short, &mut answers, wall);
+        }
+        answers
+            .into_iter()
+            .map(|a| {
+                a.unwrap_or_else(|| {
+                    Err(StorageError::internal("query was never assigned an answer"))
+                })
+            })
+            .collect()
+    }
+
+    /// The floor a top-k scans at, if its maxima set one
+    /// ([`crate::maxima::topk_floor`]).
+    fn floor_of(&self, query: &BatchQuery) -> Option<f64> {
+        let BatchQuery::TopK { req, k } = query else {
+            return None;
+        };
+        if req.mode != QueryMode::Full {
+            return None;
+        }
+        let maxima = self.env.maxima.get()?;
+        let maxima = maxima.of(&req.raw_field, req.derived, req.timestep)?;
+        topk_floor(maxima, &req.query_box, *k)
+    }
+
     /// Evaluates a threshold query: scatter to nodes, gather, assemble.
     /// Node outages (and deadline violations) degrade the answer instead
     /// of failing it unless [`ThresholdRequest::strict`] is set.
@@ -290,12 +354,12 @@ impl Cluster {
         let mut padded = PaddedVector::default();
         assemble_padded_into(&mut padded, cutout, 0, grid.dims(), grid.periodic, &atoms)?;
         let npoints = cutout.num_points();
-        let breakdown = self.direct_read_breakdown(
-            &topo,
-            &session,
-            npoints * ncomp * 4,
-            wire::xml_cutout_bytes(npoints, ncomp),
-        );
+        let user_bytes = wire::xml_cutout_bytes(npoints, ncomp);
+        // the devices the read touched run in parallel
+        let breakdown = TimeBreakdown {
+            io_s: session.makespan(self.registry()),
+            ..self.transfer(&topo, npoints * ncomp * 4, user_bytes)
+        };
         Ok((padded.interior(), breakdown))
     }
 
@@ -316,30 +380,11 @@ impl Cluster {
         let out =
             self.interpolate_points(&topo, raw_field, timestep, positions, order, &mut session)?;
         let n = positions.len() as u64;
-        let breakdown =
-            self.direct_read_breakdown(&topo, &session, n * 12, wire::xml_cutout_bytes(n, 3));
+        let breakdown = TimeBreakdown {
+            io_s: session.makespan(self.registry()),
+            ..self.transfer(&topo, n * 12, wire::xml_cutout_bytes(n, 3))
+        };
         Ok((out, breakdown))
-    }
-
-    /// The modelled time of a read the mediator issues itself: the
-    /// devices it touched run in parallel, then the answer crosses the
-    /// LAN in binary (`db_bytes`) and the WAN as XML (`user_bytes`).
-    fn direct_read_breakdown(
-        &self,
-        topo: &Topology,
-        session: &IoSession,
-        db_bytes: u64,
-        user_bytes: u64,
-    ) -> TimeBreakdown {
-        let registry = &self.env.registry;
-        TimeBreakdown {
-            io_s: session.makespan(registry),
-            mediator_db_s: registry
-                .profile(self.env.lan)
-                .time(2 * topo.live_count() as u64, db_bytes),
-            mediator_user_s: registry.profile(self.env.wan).time(2, user_bytes),
-            ..Default::default()
-        }
     }
 
     /// The reads and arithmetic of [`Cluster::get_points`], charged to
@@ -621,9 +666,9 @@ mod tests {
             let phase = cluster.cluster_io(&topo, &split.iter().collect::<Vec<_>>(), 1);
             assert_eq!(phase, time(own0, 14));
             let mut answered: Vec<_> = split.iter_mut().enumerate().collect();
-            cluster.node_io(&topo, &mut answered, 1);
-            assert_eq!(split[0].io_s, time(own0, 14));
-            assert_eq!(split[1].io_s, time(own1, 10));
+            cluster.node_io(&topo, &mut answered);
+            assert_eq!(split[0].model.io_s(1), time(own0, 14));
+            assert_eq!(split[1].model.io_s(1), time(own1, 10));
         }
 
         let first = cold_scan(&cluster, QueryMode::Full).breakdown.io_s;

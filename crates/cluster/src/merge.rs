@@ -101,8 +101,9 @@ impl Cluster {
         self.env.registry.profile(*dev).time(a.ops, a.bytes)
     }
 
-    /// Fills in the I/O phase of every node of one scatter wave (one
-    /// participant's results, each with the id of its node): what the
+    /// Fills in the I/O half of the time model of every node of one
+    /// scatter wave (one participant's results, each with the id of its
+    /// node), from which its I/O phase is read: what the
     /// node's *own rack* served, whoever asked — its arrays as the serial
     /// schedule; its busiest array, controller or cache SSD as the bound
     /// ([`io_phase`]) — so it is a function of the blocks read, not of
@@ -110,12 +111,7 @@ impl Cluster {
     /// session come the LAN time of the halo atoms it fetched (fixed by
     /// the atoms needed), which joins the bound, and injected stalls,
     /// which block the worker that met them.
-    pub(crate) fn node_io(
-        &self,
-        topo: &Topology,
-        answered: &mut [(usize, &mut NodeResult)],
-        procs: usize,
-    ) {
+    pub(crate) fn node_io(&self, topo: &Topology, answered: &mut [(usize, &mut NodeResult)]) {
         let reads = merged_reads(answered.iter().map(|(_, r)| &**r));
         for (node, r) in answered.iter_mut().filter(|(_, r)| !r.cache_hit) {
             let Some(rack) = topo.nodes.get(*node).and_then(Option::as_ref) else {
@@ -129,7 +125,6 @@ impl Cluster {
                 .chain([&rack.ssd, &rack.controller].map(|d| self.served(&reads, d)))
                 .fold(self.served(&r.session, &self.env.lan), f64::max)
                 + stall;
-            r.io_s = r.model.io_s(procs);
         }
     }
 
@@ -170,6 +165,7 @@ impl Cluster {
         node_ids: &[usize],
         node_points: &[u64],
         breakdown: &TimeBreakdown,
+        procs: usize,
         points_returned: u64,
         wall_s: f64,
         degraded: Option<&DegradedInfo>,
@@ -200,7 +196,7 @@ impl Cluster {
         t += breakdown.cache_lookup_s;
         let mut io = TraceSpan::new("phase.io", t, breakdown.io_s);
         for ((r, id), points) in results.iter().zip(node_ids).zip(node_points) {
-            let mut node = TraceSpan::new(format!("node.{id}"), t, r.io_s)
+            let mut node = TraceSpan::new(format!("node.{id}"), t, r.model.io_s(procs))
                 .with_attr("cache", if r.cache_hit { "hit" } else { "miss" })
                 .with_attr("atoms_scanned", r.atoms_scanned)
                 .with_attr("atoms_pruned", r.atoms_pruned)
@@ -208,7 +204,7 @@ impl Cluster {
                 .with_attr("pool_hits", r.session.pool_hits)
                 .with_attr("pool_misses", r.session.pool_misses)
                 .with_attr("cache_lookup_s", r.cache_lookup_s)
-                .with_attr("compute_s", r.compute_s)
+                .with_attr("compute_s", r.model.compute_s(procs))
                 .with_attr("node_wall_s", r.wall_s);
             // several devices can share a profile name (a node has many
             // identical disk arrays), so aggregate bytes per name
@@ -239,6 +235,18 @@ impl Cluster {
             breakdown.mediator_user_s,
         ));
         QueryTrace::new(root)
+    }
+
+    /// What moving an answer costs the mediator: `db` bytes of binary
+    /// rows from every live node over the LAN, then `user` bytes of XML to
+    /// the user over the WAN. Every other phase is zero.
+    pub(crate) fn transfer(&self, topo: &Topology, db: u64, user: u64) -> TimeBreakdown {
+        let registry = &self.env.registry;
+        TimeBreakdown {
+            mediator_db_s: (registry.profile(self.env.lan)).time(2 * topo.live_count() as u64, db),
+            mediator_user_s: registry.profile(self.env.wan).time(2, user),
+            ..TimeBreakdown::default()
+        }
     }
 
     /// Merges one query's per-node outcomes into its answer. Only the
@@ -305,18 +313,14 @@ impl Cluster {
             None => (wire::binary_result_bytes(n), wire::xml_result_bytes(n)),
         };
         // nodes run in parallel: a measured phase is its slowest node's
-        let slowest = |phase: fn(&NodeResult) -> f64| {
+        let slowest = |phase: &dyn Fn(&NodeResult) -> f64| {
             node_results.iter().map(|r| phase(r)).fold(0.0, f64::max)
         };
-        let registry = &self.env.registry;
         let breakdown = TimeBreakdown {
-            cache_lookup_s: slowest(|r| r.cache_lookup_s),
+            cache_lookup_s: slowest(&|r| r.cache_lookup_s),
             io_s: self.cluster_io(topo, &node_results, procs),
-            compute_s: slowest(|r| r.compute_s),
-            mediator_db_s: registry
-                .profile(self.env.lan)
-                .time(2 * nnodes as u64, db_bytes),
-            mediator_user_s: registry.profile(self.env.wan).time(2, user_bytes),
+            compute_s: slowest(&|r| r.model.compute_s(procs)),
+            ..self.transfer(topo, db_bytes, user_bytes)
         };
         let wall_s = wall.elapsed().as_secs_f64();
         let trace = Some(self.build_trace(
@@ -325,6 +329,7 @@ impl Cluster {
             node_ids,
             &node_points,
             &breakdown,
+            procs,
             n,
             wall_s,
             degraded.as_ref(),

@@ -57,15 +57,6 @@ pub struct NodeResult {
     pub cache_hit: bool,
     /// Modelled + measured cache-probe time.
     pub cache_lookup_s: f64,
-    /// Modelled I/O phase at the configured process count: what this
-    /// node's own rack served for the query, whoever asked (DESIGN.md §4).
-    /// Only the mediator sees every node's reads, so the node reports 0
-    /// here and in the I/O half of [`Self::model`], and the mediator
-    /// fills both in when the scatter wave has answered.
-    pub io_s: f64,
-    /// Modelled compute residency (total pipeline − I/O schedule), i.e.
-    /// the measured kernel time as overlapped by the worker pipeline.
-    pub compute_s: f64,
     /// Raw measured wall-clock of the node evaluation.
     pub wall_s: f64,
     /// Atoms fetched (local + halo) while evaluating from raw data.
@@ -73,8 +64,12 @@ pub struct NodeResult {
     /// Atoms the unpruned scan would have fetched on top of
     /// [`Self::atoms_scanned`], skipped by their maxima (DESIGN.md §9).
     pub atoms_pruned: u64,
-    /// Closed-form time model of this node's scan (zero on cache hits);
-    /// lets callers evaluate `t(p)` at any process count from one run.
+    /// Closed-form time model of this node's scan (zero on cache hits),
+    /// the one copy of its phase times: `model.io_s(p)` and
+    /// `model.compute_s(p)` at any process count from one run. The node
+    /// fills the compute half; only the mediator sees every node's reads,
+    /// so it fills the I/O half once the scatter wave has answered
+    /// (`Cluster::node_io`, DESIGN.md §4).
     pub model: NodeTimeModel,
     /// Device accesses of the whole subquery.
     pub session: IoSession,
@@ -689,9 +684,6 @@ impl NodeRuntime {
                     points,
                     cache_hit: false,
                     cache_lookup_s: slot.cache_lookup_s,
-                    // the mediator's to fill in (DESIGN.md §4)
-                    io_s: 0.0,
-                    compute_s: model.compute_s(req.procs),
                     wall_s: wall.elapsed().as_secs_f64(),
                     atoms_scanned,
                     atoms_pruned,

@@ -1,6 +1,7 @@
 //! Scatter: "each part is asynchronously submitted for evaluation to the
-//! database which stores the data needed" (paper §2) — a batch grouped by
-//! [`ScanGroupKey`], each group run as waves over one topology snapshot,
+//! database which stores the data needed" (paper §2) — the participants
+//! the mediator lowered a batch to, grouped by [`ScanGroupKey`], each
+//! group run as waves over one topology snapshot,
 //! the chunks of an unavailable or deadline-blown node moved down their
 //! replica chains, and every query's per-node outcomes handed to
 //! [`Cluster::assemble`]. In a wave every node probes its caches on the
@@ -13,7 +14,6 @@ use tdb_kernels::DerivedField;
 use tdb_storage::{StorageError, StorageResult};
 use tdb_zorder::Box3;
 
-use crate::maxima::topk_floor;
 use crate::mediator::{BatchQuery, Cluster, ThresholdRequest};
 use crate::merge::{BatchAnswer, DegradedInfo, FailedNode};
 use crate::node::{run_workers, NodeResult, QueryMode};
@@ -58,85 +58,29 @@ struct WaveEntry {
 }
 
 impl Cluster {
-    /// Evaluates a set of queries, sharing one atom scan per
-    /// [`ScanGroupKey`] group. Answers are positionally aligned with the
-    /// input; a per-node failure inside a group is fanned out to every
-    /// query of that group (and degraded per query by the usual policy).
-    ///
-    /// Every top-k is a threshold scan ([`BatchQuery::participant`]): in
-    /// [`QueryMode::Full`] at the floor its box's octant maxima set
-    /// (`maxima::topk_floor`), else at −∞. One whose floored answer comes
-    /// back short of k points lost a witness to a chunk no replica
-    /// answered, and is scanned once more at −∞, so its answer is the
-    /// unfloored one, degraded or not.
-    pub fn run_batch(&self, queries: Vec<BatchQuery>) -> Vec<StorageResult<BatchAnswer>> {
-        let wall = std::time::Instant::now();
-        let mut answers: Vec<Option<StorageResult<BatchAnswer>>> =
-            queries.iter().map(|_| None).collect();
-        let floors: Vec<Option<f64>> = queries.iter().map(|q| self.floor_of(q)).collect();
-        let parts: Vec<_> = (queries.iter().zip(&floors))
-            .map(|(q, floor)| q.participant(*floor))
-            .collect();
-        self.run_groups(&queries, &parts, 0..queries.len(), &mut answers, wall);
-        let short: Vec<usize> = (queries.iter().zip(&floors).zip(&answers).enumerate())
-            .filter(|(_, ((q, floor), answer))| {
-                floor.is_some()
-                    && matches!((q, answer), (BatchQuery::TopK { k, .. }, Some(Ok(BatchAnswer::TopK(r))))
-                        if r.points.len() < *k)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !short.is_empty() {
-            tdb_obs::m::SCAN_TOPK_RESCANS.add(short.len() as u64);
-            let unfloored: Vec<_> = queries.iter().map(|q| q.participant(None)).collect();
-            self.run_groups(&queries, &unfloored, short, &mut answers, wall);
-        }
-        answers
-            .into_iter()
-            .map(|a| {
-                a.unwrap_or_else(|| {
-                    Err(StorageError::internal("query was never assigned an answer"))
-                })
-            })
-            .collect()
-    }
-
-    /// The floor a top-k scans at, if its maxima set one.
-    fn floor_of(&self, query: &BatchQuery) -> Option<f64> {
-        let BatchQuery::TopK { req, k } = query else {
-            return None;
-        };
-        if req.mode != QueryMode::Full {
-            return None;
-        }
-        let maxima = self.env.maxima.get()?;
-        let maxima = maxima.of(&req.raw_field, req.derived, req.timestep)?;
-        topk_floor(maxima, &req.query_box, *k)
-    }
-
-    /// Runs the queries `idxs` names, one shared scan per [`ScanGroupKey`]
-    /// group, each as its entry of `participants`.
-    fn run_groups(
+    /// Runs each `(query index, participant)` pair as its query, one
+    /// shared scan per [`ScanGroupKey`] group, and puts the answer in that
+    /// query's slot of `answers`.
+    pub(crate) fn run_groups(
         &self,
         queries: &[BatchQuery],
-        participants: &[ScanParticipant],
-        idxs: impl IntoIterator<Item = usize>,
+        parts: Vec<(usize, ScanParticipant)>,
         answers: &mut [Option<StorageResult<BatchAnswer>>],
         wall: std::time::Instant,
     ) {
-        let mut groups: Vec<(ScanGroupKey, Vec<usize>)> = Vec::new();
-        for i in idxs {
+        let mut groups: Vec<(ScanGroupKey, Vec<(usize, ScanParticipant)>)> = Vec::new();
+        for (i, part) in parts {
             let Some(q) = queries.get(i) else {
                 continue;
             };
             let key = ScanGroupKey::of(q.request());
             match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((key, vec![i])),
+                Some((_, group)) => group.push((i, part)),
+                None => groups.push((key, vec![(i, part)])),
             }
         }
-        for (_, idxs) in &groups {
-            self.run_group(queries, participants, idxs, answers, wall);
+        for (_, group) in groups {
+            self.run_group(queries, group, answers, wall);
         }
     }
 
@@ -156,11 +100,11 @@ impl Cluster {
     fn run_group(
         &self,
         queries: &[BatchQuery],
-        participants: &[ScanParticipant],
-        idxs: &[usize],
+        group: Vec<(usize, ScanParticipant)>,
         answers: &mut [Option<StorageResult<BatchAnswer>>],
         wall: std::time::Instant,
     ) {
+        let (idxs, participants): (Vec<usize>, Vec<ScanParticipant>) = group.into_iter().unzip();
         let Some(first) = idxs
             .first()
             .and_then(|&i| queries.get(i))
@@ -174,12 +118,10 @@ impl Cluster {
         let topo = self.topology_snapshot();
         let layout = Arc::clone(&topo.layout);
         let deadline = first.node_deadline_s;
-        let participants: Vec<ScanParticipant> = idxs
-            .iter()
-            .filter_map(|&i| participants.get(i).cloned())
-            .collect();
-        let modelled_time =
-            |o: &SharedOutcome| o.result.cache_lookup_s + o.result.io_s + o.result.compute_s;
+        let modelled_time = |o: &SharedOutcome| {
+            let r = &o.result;
+            r.cache_lookup_s + r.model.io_s(procs) + r.model.compute_s(procs)
+        };
         // one scatter wave: every targeted node probes its caches on this
         // thread, then the nodes left with a scan scan their assigned
         // chunks in parallel against the snapshot; once all have answered,
@@ -237,7 +179,7 @@ impl Cluster {
                         Some((e.node, &mut outcome.result))
                     })
                     .collect();
-                self.node_io(&topo, &mut answered, procs);
+                self.node_io(&topo, &mut answered);
             }
             wave
         };
@@ -336,7 +278,7 @@ impl Cluster {
             tdb_obs::m::REPLICATION_LOST_CHUNKS.add(lost_chunks.len() as u64);
         }
         let node_ids: Vec<usize> = done.iter().map(|(node, _)| *node).collect();
-        for &qi in idxs {
+        for qi in idxs {
             // every node answers the participants in the order they were sent
             let results: Option<Vec<SharedOutcome>> =
                 done.iter_mut().map(|(_, outs)| outs.next()).collect();

@@ -40,12 +40,12 @@ fn usage() -> ! {
          \x20 info\n\
          \x20 ping\n\
          \x20 stats FIELD DERIVED TIMESTEP\n\
-         \x20 threshold FIELD DERIVED TIMESTEP K\n\
+         \x20 threshold FIELD DERIVED TIMESTEP THRESHOLD\n\
          \x20 pdf FIELD DERIVED TIMESTEP ORIGIN WIDTH NBINS\n\
          \x20 topk FIELD DERIVED TIMESTEP K\n\
          \x20 points FIELD TIMESTEP LAGWIDTH X,Y,Z [X,Y,Z ...]\n\
          \x20 metrics\n\
-         \x20 trace FIELD DERIVED TIMESTEP K"
+         \x20 trace FIELD DERIVED TIMESTEP THRESHOLD"
     );
     std::process::exit(2);
 }
@@ -133,8 +133,8 @@ fn run(client: &mut Client, cmd: &str, rest: &[String]) -> Result<(), Box<dyn st
             let (count, mean, rms, min, max) = client.get_stats(f, derived(d), t.parse()?)?;
             println!("count {count}  mean {mean:.4}  rms {rms:.4}  min {min:.4}  max {max:.4}");
         }
-        ("threshold", [f, d, t, k]) => {
-            let a = client.get_threshold(f, derived(d), t.parse()?, None, k.parse()?)?;
+        ("threshold", [f, d, t, th]) => {
+            let a = client.get_threshold(f, derived(d), t.parse()?, None, th.parse()?)?;
             println!(
                 "{} points ({}/{} nodes hit cache); modelled {}",
                 a.points.len(),
@@ -223,8 +223,8 @@ fn run(client: &mut Client, cmd: &str, rest: &[String]) -> Result<(), Box<dyn st
                 println!("  {name} = {v} (gauge)");
             }
         }
-        ("trace", [f, d, t, k]) => {
-            let trace = client.get_trace(f, derived(d), t.parse()?, None, k.parse()?)?;
+        ("trace", [f, d, t, th]) => {
+            let trace = client.get_trace(f, derived(d), t.parse()?, None, th.parse()?)?;
             print!("{}", trace.render());
         }
         _ => usage(),

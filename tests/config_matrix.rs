@@ -4,8 +4,9 @@
 //! one point, one x-row or a box that cuts atoms on every face — returns the
 //! points of the dense reference, bit for bit, or says exactly which boxes
 //! it could not reach; a top-k at k = 1, 10, 100 or 1000 returns the
-//! reference's ranking of what it could reach, scanned a second time only
-//! when a lost chunk held a witness of its floor; the field's statistics
+//! reference's ranking of what it could reach, whatever threshold entry the
+//! cache holds, scanned a second time only when a lost chunk held a witness
+//! of its floor; the field's statistics
 //! are the healthy ones or an error, never numbers over part of the grid.
 //! The channel slice does the
 //! same on a wall-bounded grid at every order, for every field. Everything
@@ -146,15 +147,13 @@ fn every_configuration_answers_with_the_reference_points_or_names_what_is_missin
                 // a top-k is the reference's ranking of the box, less what is
                 // lost; it is scanned twice only when a lost chunk held one of
                 // the witnesses its floor was taken from (512 octants: k = 1000
-                // has no floor)
+                // has no floor). A whole-grid top-1 or top-100 answers the same
+                // after the cache took a whole-grid threshold entry at its k-th
+                // value, at the next lower value, or above the maximum.
                 for (top, qbox) in [1, 10, 100, 1000]
                     .into_iter()
                     .flat_map(|top| boxes.map(|b| (top, b)))
                 {
-                    let row = format!(
-                        "{codec_name}, k = {k}, node 1 {}, top {top}, box {qbox:?}",
-                        if dead { "down" } else { "up" }
-                    );
                     let missing: Vec<Box3> =
                         lost.iter().filter_map(|b| b.intersect(&qbox)).collect();
                     let degraded = dead && k == 1 && !missing.is_empty();
@@ -168,20 +167,46 @@ fn every_configuration_answers_with_the_reference_points_or_names_what_is_missin
                     if degraded {
                         expected = points_outside(&expected, &missing);
                     }
+                    let mut warm = vec![None];
+                    if qbox == Box3::cube(32) && matches!(top, 1 | 100) {
+                        let kth = expected[top - 1].value;
+                        let lower = expected[top..].iter().find(|p| p.value < kth);
+                        let lower = lower.expect("a lower value").value;
+                        warm.extend([f64::from(kth), f64::from(lower), above].map(Some));
+                    }
                     expected.truncate(top);
                     let q =
                         ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0)
                             .in_box(qbox);
-                    let before = tdb_obs::m::SCAN_TOPK_RESCANS.get();
-                    let answer = service
-                        .get_topk(&q, top)
-                        .unwrap_or_else(|e| panic!("{row}: {e}"));
-                    let rescans = tdb_obs::m::SCAN_TOPK_RESCANS.get() - before;
-                    assert_eq!(ranked_bits(&answer.points), ranked_bits(&expected), "{row}");
-                    let flagged = answer.degraded.map(|d| d.missing_boxes);
-                    assert_eq!(flagged, degraded.then_some(missing), "{row}");
-                    assert!(rescans <= u64::from(degraded), "{row}: {rescans}");
-                    rescanned += rescans;
+                    for entry in warm {
+                        let row = format!(
+                            "{codec_name}, k = {k}, node 1 {}, top {top}, box {qbox:?}, \
+                             cached entry at {entry:?}",
+                            if dead { "down" } else { "up" }
+                        );
+                        if let Some(threshold) = entry {
+                            service.cluster().clear_caches();
+                            let fill = ThresholdQuery::whole_timestep(
+                                "velocity",
+                                DerivedField::CurlNorm,
+                                0,
+                                threshold,
+                            );
+                            service
+                                .get_threshold(&fill)
+                                .unwrap_or_else(|e| panic!("{row}: {e}"));
+                        }
+                        let before = tdb_obs::m::SCAN_TOPK_RESCANS.get();
+                        let answer = service
+                            .get_topk(&q, top)
+                            .unwrap_or_else(|e| panic!("{row}: {e}"));
+                        let rescans = tdb_obs::m::SCAN_TOPK_RESCANS.get() - before;
+                        assert_eq!(ranked_bits(&answer.points), ranked_bits(&expected), "{row}");
+                        let flagged = answer.degraded.map(|d| d.missing_boxes);
+                        assert_eq!(flagged, degraded.then(|| missing.clone()), "{row}");
+                        assert!(rescans <= u64::from(degraded), "{row}: {rescans}");
+                        rescanned += rescans;
+                    }
                 }
             }
             // with one copy, node 1 held the witness of a top-1 (the box that
