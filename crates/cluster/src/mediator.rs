@@ -617,18 +617,22 @@ mod tests {
             assert!(Arc::ptr_eq(&topo.canonical.layout, &topo.layout), "{when}");
             assert!(topo.canonical.canonical, "{when}");
             assert_eq!(topo.canonical.chunks, want.chunks, "{when}");
-            for (node, idxs) in topo.primary_chunks.iter().enumerate() {
+            for (node, idxs) in topo.canonical.chunks.iter().enumerate() {
                 let chunks: Vec<_> = idxs.iter().map(|&c| topo.layout.chunks()[c]).collect();
-                assert_eq!(chunks, want.chunks_of(node), "{when}, node {node}");
+                assert_eq!(
+                    chunks,
+                    want.chunks_of(node).collect::<Vec<_>>(),
+                    "{when}, node {node}"
+                );
             }
         };
         check("as built");
         let joined = cluster.join_node().unwrap().node;
         check("after the join");
-        assert!(!cluster.topology_snapshot().primary_chunks[joined].is_empty());
+        assert!(!cluster.topology_snapshot().canonical.chunks[joined].is_empty());
         cluster.leave_node(0).unwrap();
         check("after the leave");
-        assert!(cluster.topology_snapshot().primary_chunks[0].is_empty());
+        assert!(cluster.topology_snapshot().canonical.chunks[0].is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

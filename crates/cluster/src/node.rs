@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use tdb_cache::{
-    CacheConfig, CacheLookup, PdfCache, PdfKey, PdfLookup, SemanticCache, ThresholdPoint,
+    CacheConfig, CacheInfoKey, CacheLookup, PdfCache, PdfKey, PdfLookup, SemanticCache,
+    ThresholdPoint,
 };
 use tdb_field::{Histogram, PaddedVector};
 use tdb_kernels::scan::{pdf_scan_row, threshold_scan_row, ClipRows};
@@ -43,7 +44,8 @@ use crate::sim::NodeTimeModel;
 use crate::topology::{routed_read, ClusterEnv, NodeDevices};
 
 /// Whether a query does real work or only the disk reads (Fig. 8's
-/// "I/O only" series).
+/// "I/O only" series). An I/O-only query neither reads nor fills a cache:
+/// it reads exactly what the same query reads cold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMode {
     Full,
@@ -75,9 +77,11 @@ pub struct NodeResult {
     pub session: IoSession,
 }
 
-/// What [`NodeRuntime::probe`] leaves for [`NodeRuntime::scan`]: per
-/// participant of the request, its answer when the cache held one.
+/// What [`NodeRuntime::probe`] leaves for [`NodeRuntime::scan`]: the
+/// request's cache key and, per participant, the probe's one reading of
+/// it — its reducer, whether it uses its cache, its answer on a hit.
 pub(crate) struct Probe {
+    key: CacheInfoKey,
     slots: Vec<Slot>,
     /// When the evaluation started.
     wall: Instant,
@@ -92,10 +96,13 @@ impl Probe {
     }
 }
 
-/// One participant's probe: its outcome on a hit, else what the probe
-/// cost and whether it quarantined the entry the scan then rebuilds.
-#[derive(Default)]
+/// One participant's probe: its reducer and cache decision, its outcome
+/// on a hit, else what the probe cost and whether it quarantined the
+/// entry the scan then rebuilds.
 struct Slot {
+    reducer: Reducer,
+    /// Whether the probe read its cache, and so the scan fills it.
+    cached: bool,
     outcome: Option<SharedOutcome>,
     cache_lookup_s: f64,
     probe_session: IoSession,
@@ -121,7 +128,7 @@ enum Reducer {
 
 impl Reducer {
     /// The one reading of a participant's kernel: the reducer its clips
-    /// feed, and whether it probes and fills the cache of that reducer's
+    /// feed, and whether the kernel asks for the cache of that reducer's
     /// kind (semantic for points, PDF for a histogram). The frozen top-k
     /// kernel is the threshold scan at −∞, uncached: every point of its
     /// box but NaN (DESIGN.md §9).
@@ -356,32 +363,46 @@ impl NodeRuntime {
     }
 
     /// The first half of [`Self::evaluate_shared`]: checks that the node
-    /// is available (once per evaluation) and probes every participant's
-    /// cache, answering the hits. Cheap enough for the caller's thread.
+    /// is available (once per evaluation), reads every participant once
+    /// and probes the caches it uses, answering the hits. Cheap enough for
+    /// the caller's thread.
     ///
-    /// Caches are only consulted (or filled) when the assignment is
-    /// canonical: entries are keyed by the full query box but hold
-    /// exactly this node's primary points, so a failover re-scan of
-    /// another node's chunks must bypass them in both directions.
+    /// The one cache rule, for lookup and fill alike: a participant uses
+    /// its cache when its kernel asks for it, the assignment is canonical
+    /// and the query is [`QueryMode::Full`]. Entries are keyed by the full
+    /// query box but hold exactly this node's primary points, so a
+    /// failover re-scan of another node's chunks bypasses them; an
+    /// I/O-only query computes nothing to answer from or fill them with.
     pub(crate) fn probe(&self, req: &SharedScanRequest) -> StorageResult<Probe> {
         self.check_available()?;
         let active = ActiveGuard::new();
         let wall = Instant::now();
         let key = req.cache_key();
-        let cacheable = req.assignment.canonical;
-        let mut slots: Vec<Slot> = req.participants.iter().map(|_| Slot::default()).collect();
+        let cacheable = req.assignment.canonical && req.mode == QueryMode::Full;
+        let mut slots: Vec<Slot> = (req.participants.iter())
+            .map(|part| {
+                let (reducer, cached) = Reducer::of(part);
+                Slot {
+                    reducer,
+                    cached: cached && cacheable,
+                    outcome: None,
+                    cache_lookup_s: 0.0,
+                    probe_session: IoSession::new(),
+                    healing: false,
+                }
+            })
+            .collect();
         for (slot, part) in slots.iter_mut().zip(&req.participants) {
-            let (reducer, cached) = Reducer::of(part);
-            if !cached || !cacheable {
+            if !slot.cached {
                 continue;
             }
             let probe = thread_cpu_time_s();
             let mut probe_session = IoSession::new();
-            let found = match reducer {
+            let found = match &slot.reducer {
                 Reducer::Points { threshold, .. } => {
                     match self
                         .cache
-                        .lookup(&key, &part.query_box, threshold, &mut probe_session)
+                        .lookup(&key, &part.query_box, *threshold, &mut probe_session)
                     {
                         CacheLookup::Hit(points) => Some((points, None)),
                         // a quarantined entry falls through to the raw
@@ -393,11 +414,12 @@ impl NodeRuntime {
                         CacheLookup::Miss => None,
                     }
                 }
-                Reducer::Hist(mut hist) => {
+                Reducer::Hist(hist) => {
                     let (origin, width, nbins) = hist.binning();
                     let pdf_key = PdfKey::new(key.clone(), origin, width, nbins as u32);
                     match (self.pdf_cache).lookup(&pdf_key, &part.query_box, &mut probe_session) {
                         PdfLookup::Hit(counts) => {
+                            let mut hist = hist.clone();
                             hist.set_counts(&counts);
                             Some((Vec::new(), Some(hist)))
                         }
@@ -428,6 +450,7 @@ impl NodeRuntime {
             }
         }
         Ok(Probe {
+            key,
             slots,
             wall,
             _active: active,
@@ -435,9 +458,10 @@ impl NodeRuntime {
     }
 
     /// The second half of [`Self::evaluate_shared`]: one shared scan for
-    /// the participants `probe` left without an answer, filling their
-    /// cache entries; returns at once when it left none. Every
-    /// participant's outcome comes back in request order.
+    /// the participants `probe` left without an answer, feeding the
+    /// reducers it read and filling exactly the caches it probed; returns
+    /// at once when it left none. Every participant's outcome comes back
+    /// in request order.
     pub(crate) fn scan(
         &self,
         peers: &[Option<Arc<NodeRuntime>>],
@@ -445,24 +469,17 @@ impl NodeRuntime {
         probe: Probe,
     ) -> StorageResult<Vec<SharedOutcome>> {
         let Probe {
+            key,
             mut slots,
             wall,
             _active,
         } = probe;
-        let pending: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.outcome.is_none())
-            .map(|(i, _)| i)
+        let pending: Vec<usize> = (slots.iter().enumerate())
+            .filter_map(|(i, s)| s.outcome.is_none().then_some(i))
             .collect();
         if pending.is_empty() {
             return slots.into_iter().map(Slot::take_outcome).collect();
         }
-        let key = req.cache_key();
-        let cacheable = req.assignment.canonical;
-        // every participant's kernel, read once; a pending one's reducer
-        // then gathers what the chunks reduced its clips to
-        let mut reduced: Vec<(Reducer, bool)> = req.participants.iter().map(Reducer::of).collect();
 
         // --- shared scan over all pending participants -------------------
         // per chunk, scan the hull of every pending clip so each atom is
@@ -487,13 +504,12 @@ impl NodeRuntime {
             // read for it: a point reducer's threshold; a histogram has none
             let (mut clips, mut floors) = (Vec::new(), Vec::new());
             for &i in &pending {
-                let (Some(part), Some((reducer, _))) = (req.participants.get(i), reduced.get(i))
-                else {
+                let (Some(part), Some(slot)) = (req.participants.get(i), slots.get(i)) else {
                     continue;
                 };
                 if let Some(clip) = grid_box.intersect(&part.query_box) {
-                    let floor = match reducer {
-                        Reducer::Points { threshold, .. } => Some(*threshold),
+                    let floor = match slot.reducer {
+                        Reducer::Points { threshold, .. } => Some(threshold),
                         Reducer::Hist(_) => None,
                     };
                     clips.push((i, clip));
@@ -532,7 +548,7 @@ impl NodeRuntime {
                 let mut rows: Vec<Vec<(ClipRows, usize)>> = Vec::new();
                 if full {
                     outs = (task.clips.iter())
-                        .filter_map(|&(i, _)| Some((i, reduced.get(i)?.0.clone())))
+                        .filter_map(|&(i, _)| Some((i, slots.get(i)?.reducer.clone())))
                         .collect();
                     rows = (task.domains.iter())
                         .map(|domain| {
@@ -607,8 +623,8 @@ impl NodeRuntime {
         for r in results {
             let (outs, compute_s, chunk_session, chunk_atoms, saved, pruned) = r?;
             for (i, out) in outs {
-                if let Some((reducer, _)) = reduced.get_mut(i) {
-                    reducer.merge(out);
+                if let Some(slot) = slots.get_mut(i) {
+                    slot.reducer.merge(out);
                 }
             }
             chunk_compute.push(compute_s);
@@ -630,26 +646,21 @@ impl NodeRuntime {
         // --- per-participant assembly and cache fills --------------------
         let mut report = IoSession::new();
         report.merge(&shared_session);
-        let parts = req.participants.iter().zip(&mut slots).zip(reduced);
-        for ((part, slot), (reducer, cached)) in parts {
-            if slot.outcome.is_some() {
+        let mut outcomes = Vec::with_capacity(slots.len());
+        for (part, slot) in req.participants.iter().zip(slots) {
+            if let Some(outcome) = slot.outcome {
+                outcomes.push(outcome);
                 continue;
             }
-            let mut session = IoSession::new();
-            session.merge(&slot.probe_session);
+            let mut session = slot.probe_session;
+            report.merge(&session);
             session.merge(&shared_session);
-            report.merge(&slot.probe_session);
-            let fill = cached && cacheable && req.mode == QueryMode::Full;
             let mut fill_session = IoSession::new();
-            // the mediator orders every answer's points itself; only a
-            // cache entry needs them in Morton order here
-            let (points, histogram) = match reducer {
-                Reducer::Points {
-                    threshold,
-                    mut points,
-                } => {
-                    if fill {
-                        points.sort_unstable_by_key(|p| p.zindex);
+            // the points stay in scan order: the cache sorts its own copy
+            // and the mediator every answer
+            let (points, histogram) = match slot.reducer {
+                Reducer::Points { threshold, points } => {
+                    if slot.cached {
                         self.cache.insert(
                             &key,
                             part.query_box,
@@ -664,7 +675,7 @@ impl NodeRuntime {
                     (points, None)
                 }
                 Reducer::Hist(hist) => {
-                    if fill {
+                    if slot.cached {
                         let (origin, width, nbins) = hist.binning();
                         let pdf_key = PdfKey::new(key.clone(), origin, width, nbins as u32);
                         self.pdf_cache.insert(
@@ -679,7 +690,7 @@ impl NodeRuntime {
             };
             session.merge(&fill_session);
             report.merge(&fill_session);
-            slot.outcome = Some(SharedOutcome {
+            outcomes.push(SharedOutcome {
                 result: NodeResult {
                     points,
                     cache_hit: false,
@@ -694,7 +705,7 @@ impl NodeRuntime {
             });
         }
         self.report_session(&report);
-        slots.into_iter().map(Slot::take_outcome).collect()
+        Ok(outcomes)
     }
 
     /// Mirrors a subquery's device charges into the global metrics

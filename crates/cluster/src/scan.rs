@@ -62,7 +62,7 @@ pub struct ScanParticipant {
     /// The participant's own region; clipped per chunk during the scan.
     pub query_box: Box3,
     pub kernel: ScanKernel,
-    /// Whether this participant probes and fills the node caches.
+    /// Whether this participant asks to probe and fill the node caches.
     pub use_cache: bool,
 }
 
@@ -76,8 +76,9 @@ pub struct ScanAssignment {
     /// The placement snapshot the assignment was computed from (also
     /// used for halo-atom routing during the scan).
     pub layout: Arc<Layout>,
-    /// `chunks[node]` = chunks that node must scan.
-    pub chunks: Vec<Vec<Chunk>>,
+    /// `chunks[node]` = indices into `layout.chunks()` of the chunks that
+    /// node must scan; [`Self::chunks_of`] looks them up.
+    pub chunks: Vec<Vec<usize>>,
     /// Whether this is the canonical primary-ownership assignment.
     /// Semantic-cache entries hold exactly a node's *primary* points for
     /// the full query box, so cache probes and fills are only sound on
@@ -89,7 +90,7 @@ impl ScanAssignment {
     /// The canonical assignment: every node scans its primary chunks.
     pub fn canonical(layout: &Arc<Layout>) -> Self {
         let chunks = (0..layout.num_nodes())
-            .map(|node| layout.chunks_of_node(node))
+            .map(|node| layout.chunk_indices_of_node(node))
             .collect();
         Self {
             layout: Arc::clone(layout),
@@ -98,9 +99,11 @@ impl ScanAssignment {
         }
     }
 
-    /// The chunks assigned to `node` (empty when out of range).
-    pub fn chunks_of(&self, node: usize) -> &[Chunk] {
-        self.chunks.get(node).map(Vec::as_slice).unwrap_or(&[])
+    /// The chunks assigned to `node`, looked up in the layout by index
+    /// (none when out of range).
+    pub fn chunks_of(&self, node: usize) -> impl Iterator<Item = Chunk> + '_ {
+        let idxs = self.chunks.get(node).map_or(&[][..], Vec::as_slice);
+        (idxs.iter()).filter_map(|&c| self.layout.chunks().get(c).copied())
     }
 }
 

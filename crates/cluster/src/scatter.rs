@@ -7,7 +7,7 @@
 //! [`Cluster::assemble`]. In a wave every node probes its caches on the
 //! caller's thread; only the nodes left with a scan are fanned out.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use tdb_kernels::DerivedField;
@@ -17,7 +17,6 @@ use tdb_zorder::Box3;
 use crate::mediator::{BatchQuery, Cluster, ThresholdRequest};
 use crate::merge::{BatchAnswer, DegradedInfo, FailedNode};
 use crate::node::{run_workers, NodeResult, QueryMode};
-use crate::placement::Chunk;
 use crate::scan::{ScanAssignment, ScanParticipant, SharedOutcome, SharedScanRequest};
 
 /// Everything that must agree for two queries to share one atom scan.
@@ -48,9 +47,10 @@ impl ScanGroupKey {
 }
 
 /// One node's share of a scatter wave: which chunks it was asked to scan
-/// and what came back. `chunk_idxs` (indices into `Layout::chunks`) are
-/// kept so a failed node orphans exactly its own assignment — including
-/// failover chunks it inherited in a previous round — and nothing else.
+/// and what came back. `chunk_idxs` (its list of the wave's
+/// [`ScanAssignment`]) are kept so a failed node orphans exactly its own
+/// assignment — including failover chunks it inherited in a previous
+/// round — and nothing else.
 struct WaveEntry {
     node: usize,
     chunk_idxs: Vec<usize>,
@@ -126,7 +126,7 @@ impl Cluster {
         // thread, then the nodes left with a scan scan their assigned
         // chunks in parallel against the snapshot; once all have answered,
         // each node's I/O phase is what its arrays served in the wave
-        let scatter = |targets: &[(usize, Vec<usize>)], assignment: Arc<ScanAssignment>| {
+        let scatter = |targets: &[usize], assignment: Arc<ScanAssignment>| {
             let req = SharedScanRequest {
                 dataset: self.dataset.clone(),
                 raw_field: first.raw_field.clone(),
@@ -141,7 +141,7 @@ impl Cluster {
             // a probe's error is its node's result, like a scan's
             let mut scans = Vec::new();
             let probed: Vec<Option<StorageResult<Vec<SharedOutcome>>>> = (targets.iter())
-                .map(|(node, _)| {
+                .map(|node| {
                     let runtime = peers.get(*node).and_then(Option::as_ref);
                     let runtime = runtime.ok_or_else(|| StorageError::NodeUnavailable {
                         node: *node,
@@ -162,9 +162,9 @@ impl Cluster {
             })
             .into_iter();
             let mut wave: Vec<WaveEntry> = (targets.iter().zip(probed))
-                .map(|((node, cidxs), result)| WaveEntry {
-                    node: *node,
-                    chunk_idxs: cidxs.clone(),
+                .map(|(&node, result)| WaveEntry {
+                    node,
+                    chunk_idxs: req.assignment.chunks.get(node).cloned().unwrap_or_default(),
                     // the scans answer in the order their probes left them
                     result: result.or_else(|| scanned.next()).unwrap_or_else(|| {
                         Err(StorageError::internal("scatter target was never evaluated"))
@@ -186,10 +186,7 @@ impl Cluster {
         // wave 0: the generation's canonical assignment over every live
         // node. Entries land in `done` in wave order (node-id order within
         // a wave).
-        let initial: Vec<(usize, Vec<usize>)> = topo
-            .live()
-            .map(|(id, _)| (id, topo.primary_chunks.get(id).cloned().unwrap_or_default()))
-            .collect();
+        let initial: Vec<usize> = topo.live().map(|(id, _)| id).collect();
         let mut wave = scatter(&initial, Arc::clone(&topo.canonical));
         let mut done: Vec<(usize, std::vec::IntoIter<SharedOutcome>)> = Vec::new();
         let mut excluded: HashSet<usize> = HashSet::new();
@@ -237,32 +234,26 @@ impl Cluster {
             orphans.dedup();
             // a one-element chain has no replacement: single-copy clusters
             // take this loop with zero re-scatter rounds
-            let mut retargets: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); topo.nodes.len()];
             for c in orphans {
                 let replacement = layout.replicas_of_chunk(c).iter().copied().find(|r| {
                     !excluded.contains(r) && topo.nodes.get(*r).is_some_and(Option::is_some)
                 });
-                match replacement {
-                    Some(r) => retargets.entry(r).or_default().push(c),
+                match replacement.and_then(|r| chunks.get_mut(r)) {
+                    Some(retargeted) => retargeted.push(c),
                     None => lost_chunks.push(c),
                 }
             }
-            if retargets.is_empty() {
+            // a failover wave scans exactly the re-targeted chunks
+            let targets: Vec<usize> = (chunks.iter().enumerate())
+                .filter_map(|(node, cidxs)| (!cidxs.is_empty()).then_some(node))
+                .collect();
+            if targets.is_empty() {
                 break;
             }
             rounds += 1;
-            let moved: u64 = retargets.values().map(|v| v.len() as u64).sum();
+            let moved: u64 = chunks.iter().map(|v| v.len() as u64).sum();
             tdb_obs::m::REPLICATION_FAILOVER_CHUNKS.add(moved);
-            // a failover wave scans exactly the re-targeted chunks
-            let targets: Vec<(usize, Vec<usize>)> = retargets.into_iter().collect();
-            let mut chunks: Vec<Vec<Chunk>> = vec![Vec::new(); topo.nodes.len()];
-            for (node, cidxs) in &targets {
-                if let Some(slot) = chunks.get_mut(*node) {
-                    *slot = (cidxs.iter())
-                        .filter_map(|&c| layout.chunks().get(c).copied())
-                        .collect();
-                }
-            }
             let partial = ScanAssignment {
                 layout: Arc::clone(&layout),
                 chunks,

@@ -67,12 +67,9 @@ pub(crate) struct Topology {
     pub nodes: Vec<Option<Arc<NodeRuntime>>>,
     /// Monotone generation counter, bumped per join/leave.
     pub epoch: u64,
-    /// Every node scanning its primary chunks of `layout`: the first
-    /// scatter wave of every query of this generation.
+    /// The one copy of every node's primary chunks of `layout`, as chunk
+    /// indices: the first scatter wave of every query of this generation.
     pub canonical: Arc<ScanAssignment>,
-    /// `primary_chunks[node]` = indices into `Layout::chunks` of the
-    /// chunks `canonical` gives that node.
-    pub primary_chunks: Vec<Vec<usize>>,
 }
 
 impl Topology {
@@ -80,9 +77,6 @@ impl Topology {
     pub fn new(layout: Arc<Layout>, nodes: Vec<Option<Arc<NodeRuntime>>>, epoch: u64) -> Self {
         Self {
             canonical: Arc::new(ScanAssignment::canonical(&layout)),
-            primary_chunks: (0..layout.num_nodes())
-                .map(|node| layout.chunk_indices_of_node(node))
-                .collect(),
             layout,
             nodes,
             epoch,

@@ -172,10 +172,28 @@ fn io_only_mode_reads_without_computing() {
         ..ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 10.0)
             .without_cache()
     };
+    service.cluster().clear_buffer_pools();
     let r = service.get_threshold(&q).unwrap();
     assert!(r.points.is_empty(), "I/O-only runs return no points");
     assert!(r.breakdown.io_s > 0.0);
     assert!(r.breakdown.compute_s < 1e-4);
+    // one cache rule for lookup and fill: a warm entry of the same query
+    // does not answer an I/O-only run, which reads what it reads cold
+    let cached = ThresholdQuery {
+        use_cache: true,
+        ..q.clone()
+    };
+    let full = ThresholdQuery {
+        mode: tdb_core::QueryMode::Full,
+        ..cached.clone()
+    };
+    service.cluster().clear_buffer_pools();
+    assert!(!service.get_threshold(&full).unwrap().points.is_empty());
+    service.cluster().clear_buffer_pools();
+    let warm = service.get_threshold(&cached).unwrap();
+    assert!(warm.points.is_empty(), "I/O-only runs return no points");
+    assert_eq!(warm.cache_hits, 0, "I/O-only runs do not read a cache");
+    assert_eq!(warm.breakdown.io_s.to_bits(), r.breakdown.io_s.to_bits());
 }
 
 #[test]

@@ -3,10 +3,11 @@
 //! storage; one copy or two; every node up or one down; over the whole grid,
 //! one point, one x-row or a box that cuts atoms on every face — returns the
 //! points of the dense reference, bit for bit, or says exactly which boxes
-//! it could not reach; a top-k at k = 1, 10, 100 or 1000 returns the
-//! reference's ranking of what it could reach, whatever threshold entry the
-//! cache holds, scanned a second time only when a lost chunk held a witness
-//! of its floor; the field's statistics
+//! it could not reach; a PDF over the whole grid or that box is the
+//! histogram of the reference's values it could reach; a top-k at k = 1,
+//! 10, 100 or 1000 returns the reference's ranking of what it could reach,
+//! whatever threshold entry the cache holds, scanned a second time only
+//! when a lost chunk held a witness of its floor; the field's statistics
 //! are the healthy ones or an error, never numbers over part of the grid.
 //! The channel slice does the
 //! same on a wall-bounded grid at every order, for every field. Everything
@@ -69,6 +70,7 @@ fn every_configuration_answers_with_the_reference_points_or_names_what_is_missin
                 .derived_stats("velocity", DerivedField::CurlNorm, 0)
                 .expect("every node up");
             let mut every = dense(f64::NEG_INFINITY);
+            assert_eq!(every.len(), 32 * 32 * 32, "the field holds no NaN");
             every.sort_by(topk_order);
             let mut rescanned = 0;
 
@@ -141,6 +143,59 @@ fn every_configuration_answers_with_the_reference_points_or_names_what_is_missin
                             assert_eq!(answer.cache_hits, 0, "{row}");
                         } else if !dead {
                             assert_eq!(answer.cache_hits, answer.nodes, "{row}");
+                        }
+                    }
+                }
+                // a PDF is the histogram of the reference's values in the
+                // box, less what is lost, binned so that the overflow bin
+                // holds the values at or above `tie`
+                for qbox in [boxes[0], boxes[3]] {
+                    let missing: Vec<Box3> =
+                        lost.iter().filter_map(|b| b.intersect(&qbox)).collect();
+                    let degraded = dead && k == 1 && !missing.is_empty();
+                    let mut inside: Vec<_> = (every.iter())
+                        .filter(|p| {
+                            let (x, y, z) = p.coords();
+                            qbox.contains_point(x, y, z)
+                        })
+                        .copied()
+                        .collect();
+                    if degraded {
+                        inside = points_outside(&inside, &missing);
+                    }
+                    let mut expected = tdb_field::Histogram::new(0.0, tie / 4.0, 4);
+                    inside
+                        .iter()
+                        .for_each(|p| expected.push(f64::from(p.value)));
+                    service.cluster().clear_caches();
+                    service.cluster().clear_buffer_pools();
+                    let cached =
+                        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0)
+                            .in_box(qbox);
+                    let modes = [
+                        ("cache off", cached.clone().without_cache()),
+                        ("cold", cached.clone()),
+                        ("warm", cached),
+                    ];
+                    for (mode, q) in modes {
+                        let row = format!(
+                            "{codec_name}, k = {k}, node 1 {}, pdf, box {qbox:?}, {mode}",
+                            if dead { "down" } else { "up" }
+                        );
+                        let answer = service
+                            .get_pdf(&q, 0.0, tie / 4.0, 4)
+                            .unwrap_or_else(|e| panic!("{row}: {e}"));
+                        assert_eq!(answer.histogram.counts(), expected.counts(), "{row}");
+                        if degraded {
+                            let degraded = answer.degraded.unwrap_or_else(|| {
+                                panic!("{row}: a partial answer is not flagged")
+                            });
+                            let failed: Vec<usize> =
+                                degraded.failed_nodes.iter().map(|f| f.node).collect();
+                            assert_eq!(failed, [1], "{row}");
+                            assert_eq!(degraded.missing_boxes, missing, "{row}");
+                        } else {
+                            assert!(answer.degraded.is_none(), "{row}: nothing is lost");
                         }
                     }
                 }
