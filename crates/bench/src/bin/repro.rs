@@ -26,9 +26,7 @@ use tdb_bench::{harness, TestService, FRACTIONS};
 use tdb_cluster::TimeBreakdown;
 use tdb_cluster::{ClusterConfig, CompressionConfig};
 use tdb_core::baseline::local_evaluation_estimate;
-use tdb_core::{
-    DerivedField, FdOrder, QueryMode, ServiceConfig, ThresholdQuery, TurbulenceService,
-};
+use tdb_core::{DerivedField, FdOrder, ServiceConfig, ThresholdQuery, TurbulenceService};
 use tdb_field::at_or_above;
 use tdb_obs::m;
 use tdb_storage::{DeviceProfile, FaultPlan};
@@ -352,20 +350,16 @@ impl Repro {
         service: &TurbulenceService,
         threshold: Option<f64>,
         procs: usize,
-        mode: QueryMode,
     ) -> TimeBreakdown {
         service.cluster().clear_buffer_pools();
-        let q = ThresholdQuery {
-            mode,
-            ..ThresholdQuery::whole_timestep(
-                "velocity",
-                DerivedField::CurlNorm,
-                0,
-                threshold.unwrap_or(0.0),
-            )
-            .without_cache()
-            .with_procs(procs)
-        };
+        let q = ThresholdQuery::whole_timestep(
+            "velocity",
+            DerivedField::CurlNorm,
+            0,
+            threshold.unwrap_or(0.0),
+        )
+        .without_cache()
+        .with_procs(procs);
         match threshold {
             Some(_) => service.get_threshold(&q).expect("query").breakdown,
             None => service.get_pdf(&q, 0.0, 10.0, 9).expect("pdf").breakdown,
@@ -462,7 +456,7 @@ impl Repro {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let cluster = self.service.cluster();
         let all: Vec<_> = self.service.full_box().atoms().collect();
-        let (_, unpruned) = scanned(|| Self::cold_curl(&self.service, None, 1, QueryMode::Full));
+        let (_, unpruned) = scanned(|| Self::cold_curl(&self.service, None, 1));
         let mut table = Table::new(
             "Table 1 / Figure 6: effectiveness of caching",
             "tier selectivity points no_cache_s miss_s hit_s atoms surviving_atoms atoms_read unpruned_atoms_read",
@@ -536,7 +530,7 @@ impl Repro {
         );
         for (label, threshold) in curl_rows(&tiers) {
             let times = [1usize, 2, 4, 8].map(|procs| {
-                let b = Self::cold_curl(&self.service, threshold, procs, QueryMode::Full);
+                let b = Self::cold_curl(&self.service, threshold, procs);
                 b.io_s + b.compute_s
             });
             let [s1, s2, s4, s8] = times.map(|t| times[0] / t);
@@ -558,7 +552,7 @@ impl Repro {
         );
         for (label, threshold) in curl_rows(&tiers) {
             let times = services.each_ref().map(|svc| {
-                let b = Self::cold_curl(svc, threshold, 1, QueryMode::Full);
+                let b = Self::cold_curl(svc, threshold, 1);
                 b.io_s + b.compute_s
             });
             let [s1, s2, s4, s8] = times.map(|t| times[0] / t);
@@ -569,7 +563,9 @@ impl Repro {
 
     // --- Figure 8: total vs I/O-only ----------------------------------------
     /// The whole box, as the paper measures it, and the medium-tier
-    /// threshold query, in full and I/O only.
+    /// threshold query: one cold run each, read twice — its total and its
+    /// modelled I/O phase, which is all an I/O-only run would report
+    /// (DESIGN.md §4).
     fn fig8(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let k = tiers[1];
@@ -578,15 +574,9 @@ impl Repro {
             "procs total_s io_only_s threshold_total_s threshold_io_only_s",
         );
         for procs in [1usize, 2, 4, 8] {
-            let [full, io_only, pruned, pruned_io] = [
-                (None, QueryMode::Full),
-                (None, QueryMode::IoOnly),
-                (Some(k), QueryMode::Full),
-                (Some(k), QueryMode::IoOnly),
-            ]
-            .map(|(threshold, mode)| {
-                let b = Self::cold_curl(&self.service, threshold, procs, mode);
-                b.io_s + b.compute_s
+            let [(full, io_only), (pruned, pruned_io)] = [None, Some(k)].map(|threshold| {
+                let b = Self::cold_curl(&self.service, threshold, procs);
+                (b.io_s + b.compute_s, b.io_s)
             });
             row!(table, procs, full, io_only, pruned, pruned_io);
         }

@@ -22,7 +22,7 @@ use tdb_storage::StorageResult;
 use tdb_zorder::{AtomCoord, Box3, ATOM_WIDTH};
 
 use crate::mediator::Cluster;
-use crate::node::{run_workers, NodeRuntime, QueryMode, ScanScratch};
+use crate::node::{run_workers, NodeRuntime, ScanScratch};
 use crate::topology::Topology;
 
 /// Points per axis of an octant, the unit a maximum covers.
@@ -307,7 +307,6 @@ fn block_maxima(
         timestep,
         &[block],
         &derived,
-        QueryMode::Full,
         scratch,
         &mut IoSession::new(),
         |_, f, y, z, row| {
@@ -329,6 +328,7 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::mediator::{ClusterBuilder, ThresholdRequest, ThresholdResponse};
+    use crate::node::QueryMode;
     use crate::scan::topk_order;
     use std::path::PathBuf;
     use tdb_cache::ThresholdPoint;
@@ -407,8 +407,8 @@ mod tests {
     }
 
     /// The sum of `key` over a trace's per-node spans.
-    fn nodes_sum(trace: Option<&QueryTrace>, key: &str) -> u64 {
-        let io = trace.unwrap().span("phase.io").unwrap();
+    fn nodes_sum(trace: &QueryTrace, key: &str) -> u64 {
+        let io = trace.span("phase.io").unwrap();
         (io.children.iter())
             .map(|span| match span.attr(key) {
                 Some(AttrValue::U64(n)) => *n,
@@ -483,7 +483,7 @@ mod tests {
             let past = ask(derived, above);
             assert!(in_spike(&past).is_empty(), "{name}");
             // the spike's chunk has nothing else to read: it is skipped
-            let (past, at_tie) = (past.trace.as_ref(), at_tie.trace.as_ref());
+            let (past, at_tie) = (&past.trace, &at_tie.trace);
             assert!(
                 nodes_sum(past, "atoms_scanned") < nodes_sum(at_tie, "atoms_scanned"),
                 "{name}"
@@ -536,7 +536,7 @@ mod tests {
             for k in [1, 2, 8, 64] {
                 let got = cluster.get_topk(&whole_grid(derived, 0.0), k).unwrap();
                 assert_eq!(rank(&got.points), rank(&ranked[..k]), "{name}, k = {k}");
-                let pruned = nodes_sum(got.trace.as_ref(), "atoms_pruned");
+                let pruned = nodes_sum(&got.trace, "atoms_pruned");
                 assert!(pruned > 0, "{name}, k = {k}: the floor prunes");
             }
             let got = cluster.get_topk(&whole_grid(derived, 0.0), whole).unwrap();

@@ -45,6 +45,7 @@ pub struct ThresholdRequest {
     pub query_box: Box3,
     pub threshold: f64,
     pub use_cache: bool,
+    /// Frozen-benchmark surface: `perfbench` names it, nothing reads it.
     pub mode: QueryMode,
     /// Worker processes per node; defaults to the cluster configuration.
     pub procs_override: Option<usize>,
@@ -213,12 +214,12 @@ impl Cluster {
     /// query by the usual policy).
     ///
     /// Here each query is lowered to the participant it scans as
-    /// ([`BatchQuery::participant`]): a top-k in [`QueryMode::Full`] at the
-    /// floor its box's octant maxima set (`floor_of`), else at −∞. One
-    /// whose floored answer comes back short of k points lost a witness to
-    /// a chunk no replica answered; it alone is lowered again at −∞ and
-    /// rescanned (`scan.topk_rescans`), so its answer is the unfloored
-    /// one, degraded or not.
+    /// ([`BatchQuery::participant`]): a top-k at the floor its box's octant
+    /// maxima set (`floor_of`), else at −∞. One whose floored answer comes
+    /// back short of k points lost a witness to a chunk no replica
+    /// answered; it alone is lowered again at −∞ and rescanned
+    /// (`scan.topk_rescans`), so its answer is the unfloored one, degraded
+    /// or not.
     pub fn run_batch(&self, queries: Vec<BatchQuery>) -> Vec<StorageResult<BatchAnswer>> {
         let wall = std::time::Instant::now();
         let mut answers: Vec<Option<StorageResult<BatchAnswer>>> =
@@ -258,9 +259,6 @@ impl Cluster {
         let BatchQuery::TopK { req, k } = query else {
             return None;
         };
-        if req.mode != QueryMode::Full {
-            return None;
-        }
         let maxima = self.env.maxima.get()?;
         let maxima = maxima.of(&req.raw_field, req.derived, req.timestep)?;
         topk_floor(maxima, &req.query_box, *k)
@@ -296,11 +294,11 @@ impl Cluster {
     /// Evaluates a top-k query: the `k` largest values in the box under
     /// [`crate::topk_order`], NaN dropped, bit for bit those of a ranking
     /// of every point. Uncached, and always a threshold scan (DESIGN.md
-    /// §9): in [`QueryMode::Full`] with at least `k` octants wholly inside
-    /// the box, at the floor their stored maxima set, which reads only the
-    /// octants that can hold the answer; otherwise at −∞. A floored answer
-    /// short of `k` points (a chunk no replica answered held a witness) is
-    /// scanned again at −∞ (`scan.topk_rescans`).
+    /// §9): with at least `k` octants wholly inside the box, at the floor
+    /// their stored maxima set, which reads only the octants that can hold
+    /// the answer; otherwise at −∞. A floored answer short of `k` points (a
+    /// chunk no replica answered held a witness) is scanned again at −∞
+    /// (`scan.topk_rescans`).
     pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<TopKResponse> {
         let req = req.clone();
         self.submit(BatchQuery::TopK { req, k }, |a| match a {
@@ -555,7 +553,7 @@ mod tests {
 
     /// One cold whole-grid curl-norm scan with one process per node. A
     /// norm is never below 0, so no atom is pruned: this reads everything.
-    fn cold_scan(cluster: &Cluster, mode: QueryMode) -> ThresholdResponse {
+    fn cold_scan(cluster: &Cluster) -> ThresholdResponse {
         cluster.clear_buffer_pools();
         cluster
             .get_threshold(&ThresholdRequest {
@@ -565,7 +563,7 @@ mod tests {
                 query_box: Box3::grid(32, 32, 32),
                 threshold: 0.0,
                 use_cache: false,
-                mode,
+                mode: QueryMode::Full,
                 procs_override: Some(1),
                 strict: true,
                 node_deadline_s: None,
@@ -639,8 +637,7 @@ mod tests {
     /// Two nodes both need some blocks of node 0's array; each is read
     /// once, by whichever worker gets there first. Neither the cluster's
     /// phase nor either node's may depend on who that was — and a real
-    /// cold scan must report the same `io_s` run after run, and in
-    /// I/O-only mode.
+    /// cold scan must report the same `io_s` run after run.
     #[test]
     fn io_phase_does_not_depend_on_who_touched_a_shared_block_first() {
         use crate::node::NodeResult;
@@ -675,11 +672,10 @@ mod tests {
             assert_eq!(split[1].model.io_s(1), time(own1, 10));
         }
 
-        let first = cold_scan(&cluster, QueryMode::Full).breakdown.io_s;
+        let first = cold_scan(&cluster).breakdown.io_s;
         assert!(first > 0.0);
         for _ in 0..4 {
-            assert_eq!(cold_scan(&cluster, QueryMode::Full).breakdown.io_s, first);
-            assert_eq!(cold_scan(&cluster, QueryMode::IoOnly).breakdown.io_s, first);
+            assert_eq!(cold_scan(&cluster).breakdown.io_s, first);
         }
         drop(cluster);
         let _ = std::fs::remove_dir_all(&dir);
@@ -693,7 +689,7 @@ mod tests {
     fn per_node_io_is_bit_equal_across_cold_runs() {
         let (cluster, dir) = halo_sharing_cluster("nodeio");
         let per_node = |r: &ThresholdResponse| -> Vec<[u64; 3]> {
-            let trace = r.trace.as_ref().unwrap();
+            let trace = &r.trace;
             let spans = &trace.span("phase.io").unwrap().children;
             assert_eq!(spans.len(), r.node_models.len());
             spans
@@ -705,11 +701,11 @@ mod tests {
                 })
                 .collect()
         };
-        let first = per_node(&cold_scan(&cluster, QueryMode::Full));
+        let first = per_node(&cold_scan(&cluster));
         assert_eq!(first.len(), 4);
         assert!(first.iter().all(|n| f64::from_bits(n[0]) > 0.0));
         for _ in 0..4 {
-            assert_eq!(per_node(&cold_scan(&cluster, QueryMode::Full)), first);
+            assert_eq!(per_node(&cold_scan(&cluster)), first);
         }
         drop(cluster);
         let _ = std::fs::remove_dir_all(&dir);

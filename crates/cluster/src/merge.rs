@@ -49,7 +49,7 @@ pub struct ThresholdResponse {
     /// letting callers evaluate `t(p)` at any process count deterministically.
     pub node_models: Vec<NodeTimeModel>,
     /// Span tree of the query's phases and per-node work.
-    pub trace: Option<QueryTrace>,
+    pub trace: QueryTrace,
     /// `Some` when one or more nodes failed and the answer is partial.
     pub degraded: Option<DegradedInfo>,
 }
@@ -60,7 +60,7 @@ pub struct PdfResponse {
     pub histogram: Histogram,
     pub breakdown: TimeBreakdown,
     pub wall_s: f64,
-    pub trace: Option<QueryTrace>,
+    pub trace: QueryTrace,
     /// `Some` when one or more nodes failed and the answer is partial.
     pub degraded: Option<DegradedInfo>,
 }
@@ -71,7 +71,7 @@ pub struct TopKResponse {
     pub points: Vec<ThresholdPoint>,
     pub breakdown: TimeBreakdown,
     pub wall_s: f64,
-    pub trace: Option<QueryTrace>,
+    pub trace: QueryTrace,
     /// `Some` when one or more nodes failed and the answer is partial.
     pub degraded: Option<DegradedInfo>,
 }
@@ -323,7 +323,7 @@ impl Cluster {
             ..self.transfer(topo, db_bytes, user_bytes)
         };
         let wall_s = wall.elapsed().as_secs_f64();
-        let trace = Some(self.build_trace(
+        let trace = self.build_trace(
             kind,
             &node_results,
             node_ids,
@@ -333,7 +333,7 @@ impl Cluster {
             n,
             wall_s,
             degraded.as_ref(),
-        ));
+        );
         match (histogram, query) {
             (Some(histogram), _) => {
                 tdb_obs::m::QUERY_PDF_COUNT.inc();

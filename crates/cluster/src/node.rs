@@ -43,13 +43,13 @@ use crate::scan::{ScanKernel, ScanParticipant, SharedOutcome, SharedScanRequest}
 use crate::sim::NodeTimeModel;
 use crate::topology::{routed_read, ClusterEnv, NodeDevices};
 
-/// Whether a query does real work or only the disk reads (Fig. 8's
-/// "I/O only" series). An I/O-only query neither reads nor fills a cache:
-/// it reads exactly what the same query reads cold.
+/// Frozen-benchmark surface: the type of [`SharedScanRequest::mode`] and
+/// `ThresholdRequest::mode`, which the frozen `perfbench` names in its
+/// literals. Nothing reads it; every query does its full work, and Fig. 8's
+/// I/O-only series is the cold run's modelled `io_s` (DESIGN.md §4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMode {
     Full,
-    IoOnly,
 }
 
 /// Outcome of one node's threshold subquery.
@@ -282,9 +282,8 @@ impl NodeRuntime {
     /// `domains` and their halos reach ([`scan_reach`] of each domain and
     /// the `derived` fields), then per domain the padded cube and the rows
     /// of every field of `derived`, handed to `visit(domain, field, y, z,
-    /// row)` as they appear (`y`, `z` relative to the domain).
-    /// [`QueryMode::IoOnly`] stops after the read. Returns the atoms read
-    /// and the thread CPU seconds spent after the read.
+    /// row)` as they appear (`y`, `z` relative to the domain). Returns the
+    /// atoms read and the thread CPU seconds spent after the read.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn derive_domains(
         &self,
@@ -294,7 +293,6 @@ impl NodeRuntime {
         timestep: u32,
         domains: &[Box3],
         derived: &[DerivedField],
-        mode: QueryMode,
         scratch: &mut ScanScratch,
         session: &mut IoSession,
         mut visit: impl FnMut(usize, usize, usize, usize, &[f32]),
@@ -307,9 +305,6 @@ impl NodeRuntime {
         });
         let atoms = routed_read(layout, peers, Some(self), field, timestep, needed, session)?;
         let read = atoms.len() as u64;
-        if mode == QueryMode::IoOnly {
-            return Ok((read, 0.0));
-        }
         let c0 = thread_cpu_time_s();
         let last = domains.len().saturating_sub(1);
         let mut atoms = Some(atoms);
@@ -368,23 +363,21 @@ impl NodeRuntime {
     /// the caller's thread.
     ///
     /// The one cache rule, for lookup and fill alike: a participant uses
-    /// its cache when its kernel asks for it, the assignment is canonical
-    /// and the query is [`QueryMode::Full`]. Entries are keyed by the full
-    /// query box but hold exactly this node's primary points, so a
-    /// failover re-scan of another node's chunks bypasses them; an
-    /// I/O-only query computes nothing to answer from or fill them with.
+    /// its cache when its kernel asks for it and the assignment is
+    /// canonical. Entries are keyed by the full query box but hold exactly
+    /// this node's primary points, so a failover re-scan of another node's
+    /// chunks bypasses them.
     pub(crate) fn probe(&self, req: &SharedScanRequest) -> StorageResult<Probe> {
         self.check_available()?;
         let active = ActiveGuard::new();
         let wall = Instant::now();
         let key = req.cache_key();
-        let cacheable = req.assignment.canonical && req.mode == QueryMode::Full;
         let mut slots: Vec<Slot> = (req.participants.iter())
             .map(|part| {
                 let (reducer, cached) = Reducer::of(part);
                 Slot {
                     reducer,
-                    cached: cached && cacheable,
+                    cached: cached && req.assignment.canonical,
                     outcome: None,
                     cache_lookup_s: 0.0,
                     probe_session: IoSession::new(),
@@ -538,32 +531,26 @@ impl NodeRuntime {
         // reduced clips, kernel seconds, device charges, atoms, atoms saved,
         // atoms pruned
         type TaskOutcome = (Vec<(usize, Reducer)>, f64, IoSession, u64, u64, u64);
-        let full = req.mode == QueryMode::Full;
         let peak_scratch = AtomicUsize::new(0);
         let results: Vec<StorageResult<TaskOutcome>> =
             run_workers(req.procs, tasks, |scratch: &mut ScanScratch, task| {
                 let mut chunk_session = IoSession::new();
-                let mut outs: Vec<(usize, Reducer)> = Vec::new();
+                let mut outs: Vec<(usize, Reducer)> = (task.clips.iter())
+                    .filter_map(|&(i, _)| Some((i, slots.get(i)?.reducer.clone())))
+                    .collect();
                 // per domain, the clips that meet it and the reducer each feeds
-                let mut rows: Vec<Vec<(ClipRows, usize)>> = Vec::new();
-                if full {
-                    outs = (task.clips.iter())
-                        .filter_map(|&(i, _)| Some((i, slots.get(i)?.reducer.clone())))
-                        .collect();
-                    rows = (task.domains.iter())
-                        .map(|domain| {
-                            (task.clips.iter().enumerate())
-                                .filter_map(|(r, (_, clip))| {
-                                    let clip = clip.intersect(domain)?;
-                                    Some((ClipRows::new(domain, &clip), r))
-                                })
-                                .collect()
-                        })
-                        .collect();
-                }
+                let rows: Vec<Vec<(ClipRows, usize)>> = (task.domains.iter())
+                    .map(|domain| {
+                        (task.clips.iter().enumerate())
+                            .filter_map(|(r, (_, clip))| {
+                                let clip = clip.intersect(domain)?;
+                                Some((ClipRows::new(domain, &clip), r))
+                            })
+                            .collect()
+                    })
+                    .collect();
                 // one pass: each derived row meets every clip's reducer as
-                // it appears; the derived field is never stored. I/O-only
-                // probes (Fig. 8) read exactly what it reads, then stop
+                // it appears; the derived field is never stored
                 let (chunk_atoms, cpu_s) = self.derive_domains(
                     &req.assignment.layout,
                     peers,
@@ -571,7 +558,6 @@ impl NodeRuntime {
                     req.timestep,
                     &task.domains,
                     derived,
-                    req.mode,
                     scratch,
                     &mut chunk_session,
                     |d, _, y, z, row| {
@@ -592,22 +578,19 @@ impl NodeRuntime {
                 )?;
                 let saved = chunk_atoms * (task.clips.len() as u64 - 1);
                 let pruned = task.unpruned.saturating_sub(chunk_atoms);
-                let mut compute_s = 0.0;
-                if full {
-                    peak_scratch.fetch_max(
-                        scratch.padded.heap_bytes() + std::mem::size_of_val(&*scratch.rows),
-                        Ordering::Relaxed,
-                    );
-                    // when set, a deterministic per-point cost replaces the
-                    // measurement, making the time model load-immune
-                    compute_s = match self.env.config.synthetic_compute_s_per_point {
-                        Some(rate) => {
-                            let points: u64 = task.domains.iter().map(Box3::num_points).sum();
-                            points as f64 * rate
-                        }
-                        None => cpu_s * self.env.config.compute_scale,
-                    };
-                }
+                peak_scratch.fetch_max(
+                    scratch.padded.heap_bytes() + std::mem::size_of_val(&*scratch.rows),
+                    Ordering::Relaxed,
+                );
+                // when set, a deterministic per-point cost replaces the
+                // measurement, making the time model load-immune
+                let compute_s = match self.env.config.synthetic_compute_s_per_point {
+                    Some(rate) => {
+                        let points: u64 = task.domains.iter().map(Box3::num_points).sum();
+                        points as f64 * rate
+                    }
+                    None => cpu_s * self.env.config.compute_scale,
+                };
                 Ok((outs, compute_s, chunk_session, chunk_atoms, saved, pruned))
             });
         // a scan its maxima pruned whole assembled nothing to report

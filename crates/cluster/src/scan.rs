@@ -116,6 +116,7 @@ pub struct SharedScanRequest {
     pub raw_field: String,
     pub derived: DerivedField,
     pub timestep: u32,
+    /// Frozen-benchmark surface: `perfbench` names it, nothing reads it.
     pub mode: QueryMode,
     /// Worker processes per node for the shared scan.
     pub procs: usize,

@@ -28,7 +28,6 @@ pub(crate) struct ScanGroupKey {
     raw_field: String,
     derived: DerivedField,
     timestep: u32,
-    full_mode: bool,
     procs_override: Option<usize>,
     deadline_bits: Option<u64>,
 }
@@ -39,7 +38,6 @@ impl ScanGroupKey {
             raw_field: req.raw_field.clone(),
             derived: req.derived,
             timestep: req.timestep,
-            full_mode: req.mode == QueryMode::Full,
             procs_override: req.procs_override,
             deadline_bits: req.node_deadline_s.map(f64::to_bits),
         }
@@ -132,7 +130,7 @@ impl Cluster {
                 raw_field: first.raw_field.clone(),
                 derived: first.derived,
                 timestep: first.timestep,
-                mode: first.mode,
+                mode: QueryMode::Full,
                 procs,
                 participants: participants.clone(),
                 assignment,

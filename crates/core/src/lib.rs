@@ -50,7 +50,7 @@ pub use service::{ServiceConfig, TurbulenceService};
 
 // Re-export the vocabulary types users need alongside the service.
 pub use tdb_cache::ThresholdPoint;
-pub use tdb_cluster::{DegradedInfo, FailedNode, QueryMode, TimeBreakdown};
+pub use tdb_cluster::{DegradedInfo, FailedNode, TimeBreakdown};
 pub use tdb_kernels::interp::LagOrder;
 pub use tdb_kernels::{DerivedField, FdOrder};
 pub use tdb_obs::{AttrValue, MetricsSnapshot, QueryTrace, TraceSpan};

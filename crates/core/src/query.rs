@@ -1,6 +1,5 @@
 //! Query and result types.
 
-use tdb_cluster::QueryMode;
 use tdb_kernels::DerivedField;
 use tdb_zorder::Box3;
 
@@ -43,8 +42,6 @@ pub struct ThresholdQuery {
     pub threshold: f64,
     /// Whether to consult/update the semantic cache.
     pub use_cache: bool,
-    /// Full evaluation or the I/O-only probe of Fig. 8.
-    pub mode: QueryMode,
     /// Worker processes per node (scaling experiments); `None` uses the
     /// cluster default.
     pub procs_override: Option<usize>,
@@ -65,7 +62,6 @@ impl ThresholdQuery {
             query_box: None,
             threshold,
             use_cache: true,
-            mode: QueryMode::Full,
             procs_override: None,
         }
     }

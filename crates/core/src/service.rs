@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use tdb_cache::ThresholdPoint;
 use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{Cluster, ClusterBuilder, ClusterConfig, PdfResponse, TopKResponse};
+use tdb_cluster::{Cluster, ClusterBuilder, ClusterConfig, PdfResponse, QueryMode, TopKResponse};
 use tdb_field::{FieldStats, VectorField};
 use tdb_kernels::DerivedField;
 use tdb_turbgen::dataset::FieldData;
@@ -160,7 +160,7 @@ impl TurbulenceService {
             query_box: q.query_box.unwrap_or_else(|| self.full_box()),
             threshold: q.threshold,
             use_cache: q.use_cache,
-            mode: q.mode,
+            mode: QueryMode::Full,
             procs_override: q.procs_override,
             strict: self.limits.strict,
             node_deadline_s: self.limits.node_deadline_s,

@@ -414,10 +414,9 @@ fn execute(request: &Request, state: &ServerState) -> Response {
             q.query_box = *query_box;
             q.use_cache = *use_cache;
             match service.get_threshold(&q) {
-                Ok(r) if matches!(request, Request::GetTrace { .. }) => match r.trace {
-                    Some(trace) => Response::Trace { trace },
-                    None => error("query produced no trace"),
-                },
+                Ok(r) if matches!(request, Request::GetTrace { .. }) => {
+                    Response::Trace { trace: r.trace }
+                }
                 Ok(r) => Response::Threshold {
                     points: r.points,
                     breakdown: r.breakdown,

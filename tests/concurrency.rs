@@ -11,8 +11,8 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use proptest::prelude::*;
 use tdb_bench::{bits, bits_outside, harness, ranked_bits, reference_points, test_service};
 use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{BatchAnswer, BatchQuery, ReplicationConfig};
-use tdb_core::{Box3, DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
+use tdb_cluster::{BatchAnswer, BatchQuery, QueryMode, ReplicationConfig};
+use tdb_core::{Box3, DerivedField, ThresholdQuery, TurbulenceService};
 use tdb_storage::{FaultPlan, FaultRule, StorageError};
 use tdb_wire::admission::{Admission, AdmissionConfig};
 use tdb_wire::client::ClientError;

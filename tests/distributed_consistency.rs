@@ -4,8 +4,8 @@
 
 use tdb_bench::{harness, ranked_bits, ScratchDir, TestService};
 use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{BatchAnswer, BatchQuery, Cluster, ClusterBuilder, ClusterConfig};
-use tdb_core::{Box3, DerivedField, QueryMode, ThresholdQuery, TurbulenceService};
+use tdb_cluster::{BatchAnswer, BatchQuery, Cluster, ClusterBuilder, ClusterConfig, QueryMode};
+use tdb_core::{Box3, DerivedField, ThresholdQuery, TurbulenceService};
 use tdb_field::{Grid3, ScalarField};
 
 fn build(nodes: usize, procs: usize, chunk_atoms: u32, tag: &str) -> TestService {

@@ -70,7 +70,7 @@ fn trace_phase_durations_match_the_time_breakdown() {
         .unwrap();
     let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 2.5 * stats.rms);
     let r = service.get_threshold(&q).unwrap();
-    let trace = r.trace.as_ref().expect("threshold queries carry a trace");
+    let trace = &r.trace;
     let b = &r.breakdown;
 
     let phase = |name: &str| {
@@ -114,12 +114,12 @@ fn pdf_and_topk_queries_return_traces_too() {
     let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0);
 
     let pdf = service.get_pdf(&q, 0.0, 10.0, 9).unwrap();
-    let t = pdf.trace.as_ref().expect("pdf queries carry a trace");
+    let t = &pdf.trace;
     assert_eq!(t.root.name, "query.pdf");
     assert_eq!(t.span("phase.io").unwrap().duration_s, pdf.breakdown.io_s);
 
     let topk = service.get_topk(&q, 5).unwrap();
-    let t = topk.trace.as_ref().expect("topk queries carry a trace");
+    let t = &topk.trace;
     assert_eq!(t.root.name, "query.topk");
     assert_eq!(
         t.span("phase.compute").unwrap().duration_s,
@@ -205,13 +205,13 @@ fn a_cold_medium_tier_query_reads_a_fifth_of_the_atoms_of_a_whole_box() {
         let pdf = service
             .get_pdf(&q(0.0).without_cache(), 0.0, 10.0, 9)
             .unwrap();
-        let whole = reads(pdf.trace.as_ref().unwrap());
+        let whole = reads(&pdf.trace);
         service.cluster().clear_buffer_pools();
         let pruned = service.get_threshold(&q(medium).without_cache()).unwrap();
-        let pruned = reads(pruned.trace.as_ref().unwrap());
+        let pruned = reads(&pruned.trace);
         service.cluster().clear_buffer_pools();
         let zero = service.get_threshold(&q(0.0).without_cache()).unwrap();
-        let zero = reads(zero.trace.as_ref().unwrap());
+        let zero = reads(&zero.trace);
 
         assert_eq!(zero, whole, "{name}: a norm at or above 0 prunes nothing");
         assert_eq!(whole["atoms_pruned"], 0, "{name}");
@@ -240,8 +240,8 @@ fn a_cold_medium_tier_query_reads_a_fifth_of_the_atoms_of_a_whole_box() {
 #[test]
 fn a_whole_grid_topk_reads_only_the_octants_that_can_hold_its_answer() {
     let service = harness("obs_topk", 64, 1).nodes(4).build();
-    let scanned = |trace: Option<&tdb_core::QueryTrace>| -> u64 {
-        let nodes = &trace.unwrap().span("phase.io").unwrap().children;
+    let scanned = |trace: &tdb_core::QueryTrace| -> u64 {
+        let nodes = &trace.span("phase.io").unwrap().children;
         (nodes.iter())
             .map(|node| match node.attr("atoms_scanned") {
                 Some(AttrValue::U64(n)) => *n,
@@ -261,7 +261,7 @@ fn a_whole_grid_topk_reads_only_the_octants_that_can_hold_its_answer() {
         ranked.sort_by(tdb_cluster::topk_order);
         let q = ThresholdQuery::whole_timestep("velocity", derived, 0, 0.0).without_cache();
         let pdf = service.get_pdf(&q, 0.0, 10.0, 9).unwrap();
-        let whole = scanned(pdf.trace.as_ref());
+        let whole = scanned(&pdf.trace);
         assert_eq!(whole, 64 * 32, "{name}: the whole box");
         for (k, fewer) in [(1, 50), (10, 50), (100, 6), (1000, 1), (10_000, 1)] {
             let rescans = tdb_obs::m::SCAN_TOPK_RESCANS.get();
@@ -271,7 +271,7 @@ fn a_whole_grid_topk_reads_only_the_octants_that_can_hold_its_answer() {
                 ranked_bits(&ranked[..k]),
                 "{name}, k = {k}"
             );
-            let read = scanned(top.trace.as_ref());
+            let read = scanned(&top.trace);
             assert!(fewer * read <= whole, "{name}, k = {k}: {read} of {whole}");
             assert_eq!(tdb_obs::m::SCAN_TOPK_RESCANS.get(), rescans, "{name}");
         }

@@ -223,12 +223,9 @@ fn cutout_pays_the_controller_like_every_other_read() {
     service.cluster().clear_buffer_pools();
     let (_, cutout) = service.cluster().get_cutout("velocity", 0, &whole).unwrap();
     service.cluster().clear_buffer_pools();
-    let scan = ThresholdQuery {
-        mode: tdb_core::QueryMode::IoOnly,
-        ..ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 0, 0.0)
-            .without_cache()
-            .with_procs(64)
-    };
+    let scan = ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 0, 0.0)
+        .without_cache()
+        .with_procs(64);
     let scan = service.get_threshold(&scan).unwrap().breakdown;
     assert!(cutout.io_s > 0.0);
     assert_eq!(cutout.io_s, scan.io_s);
@@ -512,6 +509,34 @@ fn repro_records_every_experiment_as_one_table_and_refuses_bad_input() {
             };
             assert!(cells.keys().eq(&columns), "{name}: {}", row.encode());
         }
+    }
+    // Fig. 8 reads each cold run twice: its I/O-only columns are the run's
+    // modelled I/O, a part of its total, less for the pruned threshold
+    // query than for the whole box, and falling with the process count
+    // until the controller caps it (the paper's halve-then-flatten shape)
+    let fig8 = tables.get("fig8").and_then(|t| t.get("rows"));
+    let rows = fig8.and_then(|r| r.as_arr()).unwrap();
+    let cell =
+        |row: &tdb_wire::Json, column: &str| row.get(column).and_then(|c| c.as_f64()).unwrap();
+    let mut previous = [f64::INFINITY; 2];
+    for row in rows {
+        let procs = cell(row, "procs");
+        let (io, total) = (cell(row, "io_only_s"), cell(row, "total_s"));
+        let (pruned_io, pruned) = (
+            cell(row, "threshold_io_only_s"),
+            cell(row, "threshold_total_s"),
+        );
+        assert!(0.0 < io && io <= total, "p={procs}: {io} of {total}");
+        assert!(
+            0.0 < pruned_io && pruned_io <= pruned,
+            "p={procs}: {pruned_io} of {pruned}"
+        );
+        assert!(pruned_io <= io, "p={procs}: {pruned_io} against {io}");
+        assert!(
+            io <= previous[0] && pruned_io <= previous[1],
+            "p={procs}: {previous:?}"
+        );
+        previous = [io, pruned_io];
     }
     std::fs::remove_file(&results).unwrap();
     for (grid, args) in [("32", &["fig5"][..]), ("abc", &[]), ("40", &[])] {
