@@ -23,8 +23,7 @@ use tdb_wire::Json;
 
 use tdb_analysis::{fof_clusters_4d, SpaceTimePoint};
 use tdb_bench::{harness, TestService, FRACTIONS};
-use tdb_cluster::TimeBreakdown;
-use tdb_cluster::{ClusterConfig, CompressionConfig};
+use tdb_cluster::{ClusterConfig, CompressionConfig, NodeTimeModel};
 use tdb_core::baseline::local_evaluation_estimate;
 use tdb_core::{DerivedField, FdOrder, ServiceConfig, ThresholdQuery, TurbulenceService};
 use tdb_field::at_or_above;
@@ -342,15 +341,12 @@ impl Repro {
         self.service.get_threshold(q).expect("query")
     }
 
-    /// Modelled seconds (I/O + compute) of one cold vorticity evaluation
-    /// with `procs` processes per node: the threshold query at `threshold`,
-    /// or — `None` — the whole-box evaluation the paper's Figs. 7 and 8
-    /// time, a PDF, which derives every point and which nothing prunes.
-    fn cold_curl(
-        service: &TurbulenceService,
-        threshold: Option<f64>,
-        procs: usize,
-    ) -> TimeBreakdown {
+    /// The time model of one cold vorticity evaluation, which the
+    /// scaling figures read at every process count: the threshold query at
+    /// `threshold`, or — `None` — the whole-box evaluation the paper's
+    /// Figs. 7 and 8 time, a PDF, which derives every point and which
+    /// nothing prunes.
+    fn cold_curl(service: &TurbulenceService, threshold: Option<f64>) -> NodeTimeModel {
         service.cluster().clear_buffer_pools();
         let q = ThresholdQuery::whole_timestep(
             "velocity",
@@ -358,11 +354,10 @@ impl Repro {
             0,
             threshold.unwrap_or(0.0),
         )
-        .without_cache()
-        .with_procs(procs);
+        .without_cache();
         match threshold {
-            Some(_) => service.get_threshold(&q).expect("query").breakdown,
-            None => service.get_pdf(&q, 0.0, 10.0, 9).expect("pdf").breakdown,
+            Some(_) => service.get_threshold(&q).expect("query").model,
+            None => service.get_pdf(&q, 0.0, 10.0, 9).expect("pdf").model,
         }
     }
 
@@ -456,7 +451,7 @@ impl Repro {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let cluster = self.service.cluster();
         let all: Vec<_> = self.service.full_box().atoms().collect();
-        let (_, unpruned) = scanned(|| Self::cold_curl(&self.service, None, 1));
+        let (_, unpruned) = scanned(|| Self::cold_curl(&self.service, None));
         let mut table = Table::new(
             "Table 1 / Figure 6: effectiveness of caching",
             "tier selectivity points no_cache_s miss_s hit_s atoms surviving_atoms atoms_read unpruned_atoms_read",
@@ -522,6 +517,7 @@ impl Repro {
     }
 
     // --- Figure 7(a): scale-up ---------------------------------------------
+    /// One cold run per query, read at 1, 2, 4 and 8 processes per node.
     fn fig7a(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let mut table = Table::new(
@@ -529,10 +525,8 @@ impl Repro {
             "query p1 p2 p4 p8",
         );
         for (label, threshold) in curl_rows(&tiers) {
-            let times = [1usize, 2, 4, 8].map(|procs| {
-                let b = Self::cold_curl(&self.service, threshold, procs);
-                b.io_s + b.compute_s
-            });
+            let model = Self::cold_curl(&self.service, threshold);
+            let times = [1, 2, 4, 8].map(|procs| model.total_s(procs));
             let [s1, s2, s4, s8] = times.map(|t| times[0] / t);
             row!(table, label, s1, s2, s4, s8);
         }
@@ -540,6 +534,8 @@ impl Repro {
     }
 
     // --- Figure 7(b): scale-out --------------------------------------------
+    /// One cold run per query and cluster size, read at one process per
+    /// node.
     fn fig7b(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         // smaller grid per-cluster build cost: reuse main grid but build
@@ -551,10 +547,9 @@ impl Repro {
             "query n1 n2 n4 n8",
         );
         for (label, threshold) in curl_rows(&tiers) {
-            let times = services.each_ref().map(|svc| {
-                let b = Self::cold_curl(svc, threshold, 1);
-                b.io_s + b.compute_s
-            });
+            let times = services
+                .each_ref()
+                .map(|svc| Self::cold_curl(svc, threshold).total_s(1));
             let [s1, s2, s4, s8] = times.map(|t| times[0] / t);
             row!(table, label, s1, s2, s4, s8);
         }
@@ -563,9 +558,9 @@ impl Repro {
 
     // --- Figure 8: total vs I/O-only ----------------------------------------
     /// The whole box, as the paper measures it, and the medium-tier
-    /// threshold query: one cold run each, read twice — its total and its
-    /// modelled I/O phase, which is all an I/O-only run would report
-    /// (DESIGN.md §4).
+    /// threshold query: one cold run each, read at 1, 2, 4 and 8 processes
+    /// per node for its total and its modelled I/O phase, which is all an
+    /// I/O-only run would report (DESIGN.md §4).
     fn fig8(&mut self) -> Table {
         let tiers = self.tiers("velocity", DerivedField::CurlNorm);
         let k = tiers[1];
@@ -573,11 +568,10 @@ impl Repro {
             "Figure 8: total running time vs I/O-only",
             "procs total_s io_only_s threshold_total_s threshold_io_only_s",
         );
+        let models = [None, Some(k)].map(|threshold| Self::cold_curl(&self.service, threshold));
         for procs in [1usize, 2, 4, 8] {
-            let [(full, io_only), (pruned, pruned_io)] = [None, Some(k)].map(|threshold| {
-                let b = Self::cold_curl(&self.service, threshold, procs);
-                (b.io_s + b.compute_s, b.io_s)
-            });
+            let [(full, io_only), (pruned, pruned_io)] =
+                models.map(|m| (m.total_s(procs), m.io_s(procs)));
             row!(table, procs, full, io_only, pruned, pruned_io);
         }
         table

@@ -47,7 +47,9 @@ pub struct ThresholdRequest {
     pub use_cache: bool,
     /// Frozen-benchmark surface: `perfbench` names it, nothing reads it.
     pub mode: QueryMode,
-    /// Worker processes per node; defaults to the cluster configuration.
+    /// Frozen-benchmark surface: `perfbench` names it, nothing reads it.
+    /// Every scan runs at [`ClusterConfig::procs_per_node`], and an
+    /// answer's `model` gives its time at any other process count.
     pub procs_override: Option<usize>,
     /// Fail-fast mode: a node failure or deadline violation that leaves
     /// part of the query box unanswered fails the query instead of
@@ -538,6 +540,7 @@ mod tests {
             num_nodes: 4,
             chunk_atoms: 2,
             synthetic_compute_s_per_point: Some(2e-7),
+            procs_per_node: 1,
             replication,
             ..ClusterConfig::default()
         };
@@ -564,7 +567,7 @@ mod tests {
                 threshold: 0.0,
                 use_cache: false,
                 mode: QueryMode::Full,
-                procs_override: Some(1),
+                procs_override: None,
                 strict: true,
                 node_deadline_s: None,
             })
@@ -664,7 +667,9 @@ mod tests {
         let mixed = [node(&[(own0, 11)]), node(&[(own1, 10), (own0, 3)])];
         let time = |dev, blocks| cluster.registry().profile(dev).time(blocks, blocks * block);
         for mut split in [node0_first, node1_first, mixed] {
-            let phase = cluster.cluster_io(&topo, &split.iter().collect::<Vec<_>>(), 1);
+            let phase = cluster
+                .query_model(&topo, &split.iter().collect::<Vec<_>>())
+                .io_s(1);
             assert_eq!(phase, time(own0, 14));
             let mut answered: Vec<_> = split.iter_mut().enumerate().collect();
             cluster.node_io(&topo, &mut answered);

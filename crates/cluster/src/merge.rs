@@ -14,7 +14,7 @@ use tdb_zorder::Box3;
 use crate::mediator::{BatchQuery, Cluster};
 use crate::node::NodeResult;
 use crate::scan::{select_topk, topk_order, SharedOutcome};
-use crate::sim::{io_phase, NodeTimeModel};
+use crate::sim::NodeTimeModel;
 use crate::timing::TimeBreakdown;
 use crate::topology::Topology;
 use crate::wire;
@@ -40,6 +40,10 @@ pub struct DegradedInfo {
 pub struct ThresholdResponse {
     pub points: Vec<ThresholdPoint>,
     pub breakdown: TimeBreakdown,
+    /// The query-wide closed-form time model: `breakdown.io_s` and
+    /// `compute_s` are it read at the configured process count, and
+    /// `t(p)` at any other count is read the same way.
+    pub model: NodeTimeModel,
     /// How many nodes answered from their cache.
     pub cache_hits: usize,
     pub nodes: usize,
@@ -59,6 +63,8 @@ pub struct ThresholdResponse {
 pub struct PdfResponse {
     pub histogram: Histogram,
     pub breakdown: TimeBreakdown,
+    /// The query-wide time model, as [`ThresholdResponse::model`].
+    pub model: NodeTimeModel,
     pub wall_s: f64,
     pub trace: QueryTrace,
     /// `Some` when one or more nodes failed and the answer is partial.
@@ -103,14 +109,14 @@ impl Cluster {
 
     /// Fills in the I/O half of the time model of every node of one
     /// scatter wave (one participant's results, each with the id of its
-    /// node), from which its I/O phase is read: what the
-    /// node's *own rack* served, whoever asked — its arrays as the serial
-    /// schedule; its busiest array, controller or cache SSD as the bound
-    /// ([`io_phase`]) — so it is a function of the blocks read, not of
-    /// which neighbour touched a shared block first. From the node's own
-    /// session come the LAN time of the halo atoms it fetched (fixed by
-    /// the atoms needed), which joins the bound, and injected stalls,
-    /// which block the worker that met them.
+    /// node), from which its I/O phase is read: what the node's *own
+    /// rack* served, whoever asked — its arrays as the serial schedule; its
+    /// busiest array, controller or cache SSD as the bound
+    /// ([`NodeTimeModel::io_s`]) — so it is a function of the blocks
+    /// read, not of which neighbour touched a shared block first. From the
+    /// node's own session come the LAN time of the halo atoms it fetched
+    /// (fixed by the atoms needed), which joins the bound, and injected
+    /// stalls, which block the worker that met them.
     pub(crate) fn node_io(&self, topo: &Topology, answered: &mut [(usize, &mut NodeResult)]) {
         let reads = merged_reads(answered.iter().map(|(_, r)| &**r));
         for (node, r) in answered.iter_mut().filter(|(_, r)| !r.cache_hit) {
@@ -128,13 +134,13 @@ impl Cluster {
         }
     }
 
-    /// The cluster-wide I/O phase of one query, by the rule of
-    /// [`Cluster::node_io`] over every rack at once: nodes run in
-    /// parallel, so the busiest rack's arrays are the serial schedule,
-    /// bounded by the busiest single device anywhere (a peer fetching halo
-    /// atoms still occupies the owner's arrays and controller, and the
-    /// LAN carries everyone's), with every worker's stalls.
-    pub(crate) fn cluster_io(&self, topo: &Topology, results: &[&NodeResult], procs: usize) -> f64 {
+    /// The time model of one query, by the rule of [`Cluster::node_io`]
+    /// over every rack at once: nodes run in parallel, so the busiest
+    /// rack's arrays are the serial schedule, bounded by the busiest single
+    /// device anywhere (a peer fetching halo atoms still occupies the
+    /// owner's arrays and controller, and the LAN carries everyone's), with
+    /// every worker's stalls; the compute halves are the slowest node's.
+    pub(crate) fn query_model(&self, topo: &Topology, results: &[&NodeResult]) -> NodeTimeModel {
         let reads = merged_reads(results.iter().copied());
         let busiest_rack = topo
             .nodes
@@ -145,11 +151,15 @@ impl Cluster {
                 arrays.map(|d| self.served(&reads, d)).sum::<f64>()
             })
             .fold(0.0f64, f64::max);
-        io_phase(
-            busiest_rack + reads.injected_delay_s,
-            reads.makespan(&self.env.registry),
-            procs,
-        )
+        let slowest = |half: fn(&NodeTimeModel) -> f64| {
+            results.iter().map(|r| half(&r.model)).fold(0.0, f64::max)
+        };
+        NodeTimeModel {
+            io_served: busiest_rack + reads.injected_delay_s,
+            io_busiest: reads.makespan(&self.env.registry),
+            compute_total: slowest(|m| m.compute_total),
+            compute_max_chunk: slowest(|m| m.compute_max_chunk),
+        }
     }
 
     /// Builds the span tree of a finished query. Phase spans carry the
@@ -165,11 +175,11 @@ impl Cluster {
         node_ids: &[usize],
         node_points: &[u64],
         breakdown: &TimeBreakdown,
-        procs: usize,
         points_returned: u64,
         wall_s: f64,
         degraded: Option<&DegradedInfo>,
     ) -> QueryTrace {
+        let procs = self.env.config.procs_per_node;
         let mut root = TraceSpan::new(format!("query.{kind}"), 0.0, breakdown.total_s())
             .with_attr("points", points_returned)
             .with_attr("nodes", results.len() as u64)
@@ -253,14 +263,12 @@ impl Cluster {
     /// merge of the payloads and the wrapping of the answer differ by
     /// kind; the time breakdown, wall clock and span tree in between are
     /// computed one way for all of them.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         &self,
         query: &BatchQuery,
         mut results: Vec<SharedOutcome>,
         node_ids: &[usize],
         degraded: Option<DegradedInfo>,
-        procs: usize,
         topo: &Topology,
         wall: std::time::Instant,
     ) -> BatchAnswer {
@@ -312,14 +320,15 @@ impl Cluster {
             Some(h) => ((h.nbins() as u64 + 1) * 16, (h.nbins() as u64 + 1) * 64),
             None => (wire::binary_result_bytes(n), wire::xml_result_bytes(n)),
         };
-        // nodes run in parallel: a measured phase is its slowest node's
-        let slowest = |phase: &dyn Fn(&NodeResult) -> f64| {
-            node_results.iter().map(|r| phase(r)).fold(0.0, f64::max)
-        };
+        // nodes run in parallel: the cache probe is the slowest node's, and
+        // the I/O and compute phases are the query's model read at the
+        // configured process count
+        let procs = self.env.config.procs_per_node;
+        let model = self.query_model(topo, &node_results);
         let breakdown = TimeBreakdown {
-            cache_lookup_s: slowest(&|r| r.cache_lookup_s),
-            io_s: self.cluster_io(topo, &node_results, procs),
-            compute_s: slowest(&|r| r.model.compute_s(procs)),
+            cache_lookup_s: (node_results.iter().map(|r| r.cache_lookup_s)).fold(0.0, f64::max),
+            io_s: model.io_s(procs),
+            compute_s: model.compute_s(procs),
             ..self.transfer(topo, db_bytes, user_bytes)
         };
         let wall_s = wall.elapsed().as_secs_f64();
@@ -329,7 +338,6 @@ impl Cluster {
             node_ids,
             &node_points,
             &breakdown,
-            procs,
             n,
             wall_s,
             degraded.as_ref(),
@@ -341,6 +349,7 @@ impl Cluster {
                 BatchAnswer::Pdf(PdfResponse {
                     histogram,
                     breakdown,
+                    model,
                     wall_s,
                     trace,
                     degraded,
@@ -365,6 +374,7 @@ impl Cluster {
                 BatchAnswer::Threshold(ThresholdResponse {
                     points,
                     breakdown,
+                    model,
                     cache_hits: node_results.iter().filter(|r| r.cache_hit).count(),
                     nodes: nnodes,
                     wall_s,

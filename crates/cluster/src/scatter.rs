@@ -28,7 +28,6 @@ pub(crate) struct ScanGroupKey {
     raw_field: String,
     derived: DerivedField,
     timestep: u32,
-    procs_override: Option<usize>,
     deadline_bits: Option<u64>,
 }
 
@@ -38,7 +37,6 @@ impl ScanGroupKey {
             raw_field: req.raw_field.clone(),
             derived: req.derived,
             timestep: req.timestep,
-            procs_override: req.procs_override,
             deadline_bits: req.node_deadline_s.map(f64::to_bits),
         }
     }
@@ -110,9 +108,7 @@ impl Cluster {
         else {
             return;
         };
-        let procs = first
-            .procs_override
-            .unwrap_or(self.env.config.procs_per_node);
+        let procs = self.env.config.procs_per_node;
         let topo = self.topology_snapshot();
         let layout = Arc::clone(&topo.layout);
         let deadline = first.node_deadline_s;
@@ -296,7 +292,7 @@ impl Cluster {
                     }
                 });
                 results
-                    .map(|r| self.assemble(query, r, &node_ids, degraded, procs, &topo, wall))
+                    .map(|r| self.assemble(query, r, &node_ids, degraded, &topo, wall))
                     .ok_or_else(|| StorageError::internal("a node answered too few participants"))
             });
         }

@@ -7,23 +7,11 @@
 //! serial-phase node time whose scaling with `p` is that of Figs. 7(a)
 //! and 8.
 
-/// The I/O-phase rule, for a node and for the cluster alike (DESIGN.md
-/// §4): one process reads strictly serially; `p` processes drive the
-/// partitioned files on different arrays in parallel until the busiest
-/// single device (an array, a disk controller, the LAN) becomes the
-/// bound — "the time to perform I/O does not \[scale\] as the data ...
-/// reside on the same set of disks" (§5.3). `serial_s` is what the disk
-/// arrays served; pass-through devices never join it (a serial process
-/// already waits on the end device of each request) but do bound it.
-pub(crate) fn io_phase(serial_s: f64, busiest_s: f64, p: usize) -> f64 {
-    (serial_s / p.max(1) as f64).max(busiest_s)
-}
-
 /// Closed-form serial-phase node-time model.
 ///
 /// The paper's per-process evaluation is synchronous: read a region, then
 /// compute over it, so a node's time is `io(p) + compute(p)` with `io(p)`
-/// by [`io_phase`] over what the node's own rack served and
+/// by [`Self::io_s`] over what the node's own rack served and
 /// `compute(p) = max(C/p, longest chunk)` — embarrassingly parallel
 /// kernel work, limited only by chunk granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -52,9 +40,17 @@ impl NodeTimeModel {
         model
     }
 
-    /// Modelled I/O phase time with `p` processes.
+    /// Modelled I/O phase time with `p` processes, by the one I/O-phase
+    /// rule for a node and for a query alike (DESIGN.md §4): one process
+    /// reads strictly serially; `p` processes drive the partitioned files
+    /// on different arrays in parallel until the busiest single device (an
+    /// array, a disk controller, the LAN) becomes the bound — "the time to
+    /// perform I/O does not \[scale\] as the data ... reside on the same
+    /// set of disks" (§5.3). `io_served` is what the disk arrays served;
+    /// pass-through devices never join it (a serial process already waits
+    /// on the end device of each request) but do bound it.
     pub fn io_s(&self, p: usize) -> f64 {
-        io_phase(self.io_served, self.io_busiest, p)
+        (self.io_served / p.max(1) as f64).max(self.io_busiest)
     }
 
     /// Modelled compute phase time with `p` processes.

@@ -42,9 +42,6 @@ pub struct ThresholdQuery {
     pub threshold: f64,
     /// Whether to consult/update the semantic cache.
     pub use_cache: bool,
-    /// Worker processes per node (scaling experiments); `None` uses the
-    /// cluster default.
-    pub procs_override: Option<usize>,
 }
 
 impl ThresholdQuery {
@@ -62,7 +59,6 @@ impl ThresholdQuery {
             query_box: None,
             threshold,
             use_cache: true,
-            procs_override: None,
         }
     }
 
@@ -77,17 +73,12 @@ impl ThresholdQuery {
         self.query_box = Some(b);
         self
     }
-
-    /// Overrides the per-node process count.
-    pub fn with_procs(mut self, procs: usize) -> Self {
-        self.procs_override = Some(procs);
-        self
-    }
 }
 
 /// Result of a threshold query: the mediator's assembled answer as it
 /// is — locations (Morton-coded) with the field norm at each, the
-/// modelled/measured time breakdown (Fig. 9 phases), how many of the
+/// modelled/measured time breakdown (Fig. 9 phases) and the time model it
+/// is read from at the configured process count, how many of the
 /// participating nodes answered from their semantic cache, the span tree,
 /// and, when nodes failed and the answer is partial, which nodes and which
 /// grid boxes are missing.
@@ -101,11 +92,9 @@ mod tests {
     fn builder_helpers_compose() {
         let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 2, 44.0)
             .without_cache()
-            .in_box(Box3::cube(32))
-            .with_procs(8);
+            .in_box(Box3::cube(32));
         assert!(!q.use_cache);
         assert_eq!(q.query_box, Some(Box3::cube(32)));
-        assert_eq!(q.procs_override, Some(8));
         assert_eq!(q.timestep, 2);
     }
 

@@ -161,7 +161,7 @@ impl TurbulenceService {
             threshold: q.threshold,
             use_cache: q.use_cache,
             mode: QueryMode::Full,
-            procs_override: q.procs_override,
+            procs_override: None,
             strict: self.limits.strict,
             node_deadline_s: self.limits.node_deadline_s,
         }

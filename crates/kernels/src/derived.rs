@@ -8,6 +8,7 @@
 
 use crate::diff::{map_row, DiffScheme};
 use tdb_field::{PaddedVector, ScalarField, VectorField};
+use tdb_zorder::ATOM_WIDTH;
 
 /// A field whose norm (or absolute value) can be thresholded.
 ///
@@ -33,6 +34,8 @@ pub enum DerivedField {
     DivergenceAbs,
     /// Norm of the box-filtered field (top-hat of half-width `radius`
     /// grid points per axis) — the JHTDB's filtered quantities.
+    /// [`Self::parse`] admits radii `1 ..= ATOM_WIDTH`, so the halo reaches
+    /// only face-neighbour atoms, like every difference stencil.
     BoxFilteredNorm { radius: u8 },
     /// Norm of the component-wise Laplacian `∇²u` (diffusion-term
     /// intensity).
@@ -72,7 +75,8 @@ impl DerivedField {
     /// Parses a [`DerivedField::name`] string.
     pub fn parse(s: &str) -> Option<DerivedField> {
         if let Some(r) = s.strip_prefix("box_filtered_norm:") {
-            let radius: u8 = r.parse().ok().filter(|&r| r >= 1)?;
+            let in_one_atom = |r: &u8| (1..=ATOM_WIDTH).contains(&usize::from(*r));
+            let radius = r.parse().ok().filter(in_one_atom)?;
             return Some(DerivedField::BoxFilteredNorm { radius });
         }
         Self::all().into_iter().find(|f| f.name() == s)
@@ -396,6 +400,12 @@ mod tests {
         assert_eq!(DerivedField::parse("box_filtered_norm:2"), Some(f));
         assert_eq!(DerivedField::parse("box_filtered_norm:0"), None);
         assert_eq!(DerivedField::parse("box_filtered_norm:x"), None);
+        // the radius is capped at one atom width: a wire line cannot ask a
+        // scan worker for a halo of gigabytes
+        let widest = DerivedField::BoxFilteredNorm { radius: 8 };
+        assert_eq!(DerivedField::parse("box_filtered_norm:8"), Some(widest));
+        assert_eq!(DerivedField::parse("box_filtered_norm:9"), None);
+        assert_eq!(DerivedField::parse("box_filtered_norm:255"), None);
     }
 
     #[test]

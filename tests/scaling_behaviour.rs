@@ -41,9 +41,8 @@ fn build(nodes: usize, tag: &str) -> TestService {
 /// this is the whole-box evaluation whose scaling the paper measures.
 fn cold_models(service: &TurbulenceService) -> Vec<NodeTimeModel> {
     service.cluster().clear_buffer_pools();
-    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0)
-        .without_cache()
-        .with_procs(1);
+    let q =
+        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 0.0).without_cache();
     let r = service.get_threshold(&q).unwrap();
     assert!(r.degraded.is_none());
     r.node_models
@@ -61,8 +60,8 @@ fn scale_out_is_nearly_linear() {
     let t4 = modelled_total(&cold_models(&build(4, "so4")), 1);
     let speedup = t1 / t4;
     // deterministic (fixed kernel-time model, I/O charged to the rack that
-    // served it). One process per node, so `sim::io_phase` is in its
-    // `serial_s / p` term on both sides: what a node's arrays served. That
+    // served it). One process per node, so `NodeTimeModel::io_s` is in its
+    // `io_served / p` term on both sides: what a node's arrays served. That
     // is every block of its quarter of the grid once: the halo shell its
     // neighbours read from it (along the axes, 10 240 atoms in all) comes
     // from blocks its own chunks load anyway, as pool hits, and only the
@@ -89,15 +88,15 @@ fn scale_up_speedup_diminishes() {
     let t8 = modelled_total(&models, 8);
     let s2 = t1 / t2;
     let s8 = t1 / t8;
-    // both deterministic. At p = 2 `sim::io_phase` sits exactly where its
-    // two terms meet — `serial_s / 2` equals `busiest_s`, the rack's
-    // controller, which carries all the traffic of the node's arrays —
-    // and compute halves, so the speedup is 2 to the last digit.
+    // both deterministic. At p = 2 `NodeTimeModel::io_s` sits exactly
+    // where its two terms meet — `io_served / 2` equals `io_busiest`, the
+    // rack's controller, which carries all the traffic of the node's
+    // arrays — and compute halves, so the speedup is 2 to the last digit.
     assert!(
         (s2 / 2.0 - 1.0).abs() < 0.01,
         "2-process speedup should read 2.000 ± 1 %, got {s2:.4}"
     );
-    // At p = 8 I/O is pinned to the `busiest_s` term — the controller,
+    // At p = 8 I/O is pinned to the `io_busiest` term — the controller,
     // which does not get faster with more readers ("the time to perform
     // I/O does not scale", §5.3), not the LAN that carries the halo shell
     // — while compute falls to an eighth: saturation well below linear,
@@ -113,15 +112,28 @@ fn io_is_substantial_share_of_cold_queries() {
     // Fig. 8: the I/O time is about half of the total running time
     let service = build(4, "ioshare");
     service.cluster().clear_buffer_pools();
-    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 30.0)
-        .without_cache()
-        .with_procs(1);
+    let q =
+        ThresholdQuery::whole_timestep("velocity", DerivedField::CurlNorm, 0, 30.0).without_cache();
     let r = service.get_threshold(&q).unwrap();
     let share = r.breakdown.io_s / (r.breakdown.io_s + r.breakdown.compute_s);
     assert!(
         (0.15..=0.98).contains(&share),
         "I/O share out of plausible range: {share:.2}"
     );
+    // a cold answer's breakdown is its query model read at the configured
+    // process count, to the last bit, for a threshold and a PDF alike
+    let p = service.cluster().config().procs_per_node;
+    service.cluster().clear_buffer_pools();
+    let pdf = service.get_pdf(&q, 0.0, 10.0, 9).unwrap();
+    for (kind, breakdown, model) in [
+        ("threshold", &r.breakdown, &r.model),
+        ("pdf", &pdf.breakdown, &pdf.model),
+    ] {
+        assert!(breakdown.io_s > 0.0 && breakdown.compute_s > 0.0, "{kind}");
+        assert_eq!(breakdown.io_s.to_bits(), model.io_s(p).to_bits(), "{kind}");
+        let compute = model.compute_s(p).to_bits();
+        assert_eq!(breakdown.compute_s.to_bits(), compute, "{kind}");
+    }
 }
 
 #[test]

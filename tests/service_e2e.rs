@@ -213,7 +213,7 @@ fn cutout_pays_the_controller_like_every_other_read() {
     // one node, four arrays: the arrays share the blocks of a whole-grid
     // read, so the controller every block also crosses is the busiest
     // device — for a cutout exactly as for a halo-free scan of the same
-    // atoms with enough processes to keep all four arrays busy (at a
+    // atoms read at enough processes to keep all four arrays busy (at a
     // threshold of 0 a norm prunes no atom)
     let service = tdb_bench::harness("e2e_cutout_ctrl", 32, 1)
         .nodes(1)
@@ -223,12 +223,11 @@ fn cutout_pays_the_controller_like_every_other_read() {
     service.cluster().clear_buffer_pools();
     let (_, cutout) = service.cluster().get_cutout("velocity", 0, &whole).unwrap();
     service.cluster().clear_buffer_pools();
-    let scan = ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 0, 0.0)
-        .without_cache()
-        .with_procs(64);
-    let scan = service.get_threshold(&scan).unwrap().breakdown;
+    let scan =
+        ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 0, 0.0).without_cache();
+    let scan = service.get_threshold(&scan).unwrap().model;
     assert!(cutout.io_s > 0.0);
-    assert_eq!(cutout.io_s, scan.io_s);
+    assert_eq!(cutout.io_s, scan.io_s(64));
 }
 
 #[test]
@@ -510,16 +509,26 @@ fn repro_records_every_experiment_as_one_table_and_refuses_bad_input() {
             assert!(cells.keys().eq(&columns), "{name}: {}", row.encode());
         }
     }
-    // Fig. 8 reads each cold run twice: its I/O-only columns are the run's
-    // modelled I/O, a part of its total, less for the pruned threshold
-    // query than for the whole box, and falling with the process count
-    // until the controller caps it (the paper's halve-then-flatten shape)
-    let fig8 = tables.get("fig8").and_then(|t| t.get("rows"));
-    let rows = fig8.and_then(|r| r.as_arr()).unwrap();
+    // the scaling figures read one cold run per query at every process
+    // count, so their shapes are the model's, exact at any grid: Fig. 7(a)'s
+    // speed-ups start at 1 and never fall, and Fig. 8's columns are each
+    // run's total and its modelled I/O, a part of its total, less for the
+    // pruned threshold query than for the whole box, and never rising with
+    // the process count (I/O halves, then flattens at the controller: the
+    // paper's shape)
+    let rows = |name: &str| {
+        let rows = tables.get(name).and_then(|t| t.get("rows"));
+        rows.and_then(|r| r.as_arr()).unwrap()
+    };
     let cell =
         |row: &tdb_wire::Json, column: &str| row.get(column).and_then(|c| c.as_f64()).unwrap();
-    let mut previous = [f64::INFINITY; 2];
-    for row in rows {
+    for row in rows("fig7a") {
+        let speedups = ["p1", "p2", "p4", "p8"].map(|p| cell(row, p));
+        assert_eq!(speedups[0], 1.0, "{}", row.encode());
+        assert!(speedups.is_sorted(), "{}", row.encode());
+    }
+    let mut previous = [f64::INFINITY; 4];
+    for row in rows("fig8") {
         let procs = cell(row, "procs");
         let (io, total) = (cell(row, "io_only_s"), cell(row, "total_s"));
         let (pruned_io, pruned) = (
@@ -532,11 +541,12 @@ fn repro_records_every_experiment_as_one_table_and_refuses_bad_input() {
             "p={procs}: {pruned_io} of {pruned}"
         );
         assert!(pruned_io <= io, "p={procs}: {pruned_io} against {io}");
+        let now = [io, pruned_io, total, pruned];
         assert!(
-            io <= previous[0] && pruned_io <= previous[1],
-            "p={procs}: {previous:?}"
+            now.iter().zip(&previous).all(|(now, before)| now <= before),
+            "p={procs}: {now:?} after {previous:?}"
         );
-        previous = [io, pruned_io];
+        previous = now;
     }
     std::fs::remove_file(&results).unwrap();
     for (grid, args) in [("32", &["fig5"][..]), ("abc", &[]), ("40", &[])] {

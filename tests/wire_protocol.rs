@@ -385,6 +385,8 @@ fn malformed_lines_get_error_responses() {
         "{\"op\":\"get_threshold\",\"field\":\"velocity\",\"derived\":\"curl_norm\",\"timestep\":4294967296,\"threshold\":1}",
         "{\"op\":\"get_topk\",\"field\":\"velocity\",\"derived\":\"norm\",\"timestep\":0,\"k\":4294967297}",
         "{\"op\":\"get_points\",\"field\":\"velocity\",\"timestep\":0,\"lag_width\":4294967300,\"positions\":[[1,1,1]]}",
+        // a box-filter radius past one atom width is refused before any scan
+        "{\"op\":\"get_threshold\",\"field\":\"velocity\",\"derived\":\"box_filtered_norm:9\",\"timestep\":0,\"threshold\":1}",
     ] {
         match handle_line_admitted(bad, &state, 0) {
             Response::Error { .. } => {}
