@@ -24,7 +24,7 @@ use std::sync::PoisonError;
 
 /// Model-checker instrumentation seam.
 ///
-/// `tdb-check` installs a process-global [`Hooks`] implementation once;
+/// `tdb-check` installs a process-global [`model::Hooks`] implementation once;
 /// the hooks decide per-thread whether they are active (only the
 /// checker's virtual threads are). When active, blocking is *virtual*:
 /// the primitive asks the hooks for the operation, the hooks park the

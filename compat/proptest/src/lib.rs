@@ -437,7 +437,7 @@ pub mod collection {
         VecStrategy { element, sizes }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -20,8 +20,8 @@
 //! transaction with snapshot isolation level to avoid dirty-reads or an
 //! inconsistent view of the cache" (§4). Here the table is one locked map
 //! of immutable, shared rows: a lookup takes one row's pointer and sees
-//! the entry whole or not at all (and writes nothing — the LRU stamp is
-//! an atomic beside the entry), and an insert — replacement and
+//! the entry whole or not at all (and restamps the key's recency under
+//! that lock, nothing else), and an insert — replacement and
 //! least-recently-used eviction across all quantities included — lands in
 //! one critical section. The threshold cache ([`semantic`]) and the
 //! histogram cache ([`pdf`]) are two instances of that one table.

@@ -17,7 +17,7 @@ use crate::stats::CacheStats;
 use crate::table::LruTable;
 
 /// Key of a cached PDF: the quantity plus the exact binning.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PdfKey {
     pub base: CacheInfoKey,
     /// Bit patterns of the f64 binning parameters (exact match).
@@ -75,7 +75,6 @@ impl PdfCache {
         session.charge(self.ssd, 1, entry_bytes(key.nbins as usize));
         match self.table.get(key) {
             Some(row) if row.entry.region == *region => {
-                self.table.touch(&row);
                 self.table.add(&m::CACHE_PDF_HITS, 1, |s| &mut s.hits);
                 PdfLookup::Hit(row.entry.counts.clone())
             }

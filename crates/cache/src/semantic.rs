@@ -118,7 +118,7 @@ impl SemanticCache {
 
     /// Algorithm 1, lines 4–28: looks up `(key)` and answers from the cache
     /// when the stored entry covers `query_box` at a threshold no higher
-    /// than `threshold`. A hit reads one whole entry and writes nothing.
+    /// than `threshold`. A hit reads one whole entry and writes only its recency.
     pub fn lookup(
         &self,
         key: &CacheInfoKey,
@@ -164,7 +164,6 @@ impl SemanticCache {
             })
             .copied()
             .collect();
-        self.table.touch(&row);
         self.table.add(&m::CACHE_SEMANTIC_HITS, 1, |s| &mut s.hits);
         CacheLookup::Hit(points)
     }
@@ -488,6 +487,14 @@ mod tests {
         cache.insert(&key(0), region, 5.0, &npts(20), &mut s);
         assert!(cache.used_bytes() <= budget, "{} B", cache.used_bytes());
         assert_eq!((cache.len(), cache.stats().evictions), (1, 1));
+        // an entry larger than the whole budget is stored alone and hits
+        let wide = Box3::cube(128);
+        cache.insert(&key(2), wide, 5.0, &npts(100), &mut s);
+        assert!(entry(100) > budget);
+        assert_eq!((cache.len(), cache.used_bytes()), (1, entry(100)));
+        assert_eq!(cache.stats().evictions, 2);
+        let hit = cache.lookup(&key(2), &wide, 5.0, &mut s);
+        assert!(matches!(hit, CacheLookup::Hit(p) if p.len() == 100));
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! The table both caches are rows of: key → one immutable entry, read and
-//! replaced under one lock, evicted least-recently-used to a byte budget.
+//! replaced under one lock, evicted by the storage crate's [`LruMap`], the
+//! one least-recently-used policy, to a byte budget.
 //!
 //! A row is shared behind an `Arc`, so a lookup clones one pointer under
 //! the lock and reads the entry after releasing it: it holds the whole
-//! entry, old or new, however long it reads. A replacement swaps the
-//! pointer and evicts in the same critical section, so no reader sees the
-//! one without the other. The LRU stamp is an atomic beside the entry —
-//! recency is a hint for eviction, not state a query reads — so a hit
-//! writes nothing else. Rows leaving the table are freed after the lock is
-//! released, so dropping a large slab never stalls a lookup.
+//! entry, old or new, however long it reads. The lookup restamps its key
+//! under that same lock. A replacement swaps the pointer and evicts in the
+//! same critical section, so no reader sees the one without the other.
+//! Rows leaving the table are freed after the lock is released, so
+//! dropping a large slab never stalls a lookup.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use tdb_storage::lru::LruMap;
 
 use crate::stats::CacheStats;
 
@@ -23,22 +22,17 @@ pub(crate) struct Row<E> {
     pub entry: E,
     /// Modelled on-SSD footprint, what the budget counts.
     pub bytes: u64,
-    last_used: AtomicU64,
 }
 
 pub(crate) struct LruTable<K, E> {
-    rows: Mutex<BTreeMap<K, Arc<Row<E>>>>,
-    budget_bytes: u64,
-    lru_clock: AtomicU64,
+    rows: Mutex<LruMap<K, Arc<Row<E>>>>,
     stats: Mutex<CacheStats>,
 }
 
-impl<K: Ord + Clone, E> LruTable<K, E> {
+impl<K: std::hash::Hash + Eq + Clone, E> LruTable<K, E> {
     pub fn new(budget_bytes: u64) -> Self {
         Self {
-            rows: Mutex::new(BTreeMap::new()),
-            budget_bytes,
-            lru_clock: AtomicU64::new(1),
+            rows: Mutex::new(LruMap::new(budget_bytes)),
             stats: Mutex::new(CacheStats::default()),
         }
     }
@@ -54,75 +48,34 @@ impl<K: Ord + Clone, E> LruTable<K, E> {
         *self.stats.lock()
     }
 
-    /// The entry `key` holds now.
+    /// The entry `key` holds now, which becomes the most recently used.
     pub fn get(&self, key: &K) -> Option<Arc<Row<E>>> {
         self.rows.lock().get(key).cloned()
-    }
-
-    /// Stamps `row` most recently used.
-    pub fn touch(&self, row: &Row<E>) {
-        let now = self.lru_clock.fetch_add(1, Ordering::Relaxed);
-        row.last_used.store(now, Ordering::Relaxed);
     }
 
     /// Stores `entry` under `key`: it replaces whatever the key held, and
     /// the least recently used other entries go until the budget holds,
     /// all under one lock. Returns how many were evicted.
     pub fn insert(&self, key: &K, entry: E, bytes: u64) -> u64 {
-        let row = Arc::new(Row {
-            entry,
-            bytes,
-            last_used: AtomicU64::new(0),
-        });
-        self.touch(&row);
-        let mut rows = self.rows.lock();
-        let _replaced = rows.insert(key.clone(), row);
-        let mut others: Vec<(u64, u64, &K)> = rows
-            .iter()
-            .filter(|(k, _)| *k != key)
-            .map(|(k, r)| (r.last_used.load(Ordering::Relaxed), r.bytes, k))
-            .collect();
-        let mut used: u64 = others.iter().map(|&(_, b, _)| b).sum();
-        others.sort_unstable_by_key(|&(stamp, _, _)| stamp);
-        let mut victims = Vec::new();
-        for (_, b, victim) in others {
-            if used + bytes <= self.budget_bytes {
-                break;
-            }
-            used -= b;
-            victims.push(victim.clone());
-        }
-        let evicted: Vec<_> = victims.iter().filter_map(|v| rows.remove(v)).collect();
-        drop(rows);
-        // `_replaced` and `evicted` are freed here, outside the lock
+        let row = Arc::new(Row { entry, bytes });
+        let (_replaced, evicted) = self.rows.lock().insert(key.clone(), row, bytes);
         evicted.len() as u64
     }
 
     /// Drops `key`'s entry; with `only`, just if it still is that one.
     pub fn remove(&self, key: &K, only: Option<&Arc<Row<E>>>) {
-        let mut rows = self.rows.lock();
-        let current = rows.get(key);
-        if current.is_some_and(|c| only.is_none_or(|o| Arc::ptr_eq(c, o))) {
-            let gone = rows.remove(key);
-            drop(rows);
-            drop(gone);
-        }
+        let is_doomed = |c: &Arc<Row<E>>| only.is_none_or(|o| Arc::ptr_eq(c, o));
+        let _gone = self.rows.lock().remove_if(key, is_doomed);
     }
 
     /// Drops every entry whose key is `doomed`.
     pub fn remove_where(&self, mut doomed: impl FnMut(&K) -> bool) {
-        let mut rows = self.rows.lock();
-        let (gone, kept): (BTreeMap<_, _>, _) = std::mem::take(&mut *rows)
-            .into_iter()
-            .partition(|(k, _)| doomed(k));
-        *rows = kept;
-        drop(rows);
-        drop(gone);
+        let _gone = self.rows.lock().retain(|k| !doomed(k));
     }
 
     /// Budget bytes held by live entries.
     pub fn used_bytes(&self) -> u64 {
-        self.rows.lock().values().map(|r| r.bytes).sum()
+        self.rows.lock().used()
     }
 
     pub fn len(&self) -> usize {
@@ -134,18 +87,21 @@ impl<K: Ord + Clone, E> LruTable<K, E> {
 mod tests {
     use super::*;
 
-    /// The stamp is the one thing a hit moves; everything else of a row
-    /// is what the table's dump compares.
     impl<E> std::fmt::Debug for Row<E> {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             write!(f, "Row({:p}, {} B)", self, self.bytes)
         }
     }
 
-    impl<K: std::fmt::Debug, E> LruTable<K, E> {
-        /// The whole table: keys and entries by address.
+    impl<K: std::hash::Hash + Eq + Clone + Ord + std::fmt::Debug, E> LruTable<K, E> {
+        /// The whole table in key order: keys and entries by address. The
+        /// recency stamps, the one thing a hit moves, are left out.
         pub fn dump(&self) -> String {
-            format!("{:?}", *self.rows.lock())
+            let rows = self.rows.lock();
+            format!(
+                "{:?}",
+                rows.iter().collect::<std::collections::BTreeMap<_, _>>()
+            )
         }
     }
 

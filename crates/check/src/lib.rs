@@ -1,7 +1,7 @@
 //! `tdb-check`: a loom-style deterministic concurrency model checker.
 //!
 //! Small *closed models* of the workspace's concurrent components run on
-//! virtual threads under a controlled scheduler (see [`sched`]): every
+//! virtual threads under a controlled scheduler (see `sched`): every
 //! `parking_lot` shim operation — mutex lock/unlock, rwlock access,
 //! condvar wait/notify, [`parking_lot::AtomicCell`] step — is a yield
 //! point, and the checker decides which thread moves at each one. The

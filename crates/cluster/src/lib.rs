@@ -47,7 +47,7 @@ pub mod wire;
 pub use config::{ClusterConfig, ReplicationConfig};
 pub use mediator::{
     BatchAnswer, BatchQuery, Cluster, ClusterBuilder, DegradedInfo, FailedNode, PdfResponse,
-    ThresholdResponse, TopKResponse,
+    ThresholdResponse,
 };
 pub use node::QueryMode;
 pub use placement::{Chunk, Layout, PlacementMode};

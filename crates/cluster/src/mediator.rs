@@ -31,9 +31,7 @@ use crate::timing::TimeBreakdown;
 use crate::topology::{routed_read, ClusterEnv, RebalanceState, Topology};
 use crate::wire;
 
-pub use crate::merge::{
-    BatchAnswer, DegradedInfo, FailedNode, PdfResponse, ThresholdResponse, TopKResponse,
-};
+pub use crate::merge::{BatchAnswer, DegradedInfo, FailedNode, PdfResponse, ThresholdResponse};
 pub use crate::topology::ClusterBuilder;
 
 /// A threshold query as the mediator receives it.
@@ -216,7 +214,7 @@ impl Cluster {
     /// query by the usual policy).
     ///
     /// Here each query is lowered to the participant it scans as
-    /// ([`BatchQuery::participant`]): a top-k at the floor its box's octant
+    /// (`BatchQuery::participant`): a top-k at the floor its box's octant
     /// maxima set (`floor_of`), else at −∞. One whose floored answer comes
     /// back short of k points lost a witness to a chunk no replica
     /// answered; it alone is lowered again at −∞ and rescanned
@@ -301,7 +299,7 @@ impl Cluster {
     /// the answer; otherwise at −∞. A floored answer short of `k` points (a
     /// chunk no replica answered held a witness) is scanned again at −∞
     /// (`scan.topk_rescans`).
-    pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<TopKResponse> {
+    pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<ThresholdResponse> {
         let req = req.clone();
         self.submit(BatchQuery::TopK { req, k }, |a| match a {
             BatchAnswer::TopK(r) => Some(r),

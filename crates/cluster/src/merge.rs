@@ -35,7 +35,8 @@ pub struct DegradedInfo {
     pub missing_boxes: Vec<Box3>,
 }
 
-/// Assembled answer of a threshold query.
+/// Assembled answer of a threshold query, and of a top-k, which is
+/// lowered to a threshold scan (DESIGN.md §9).
 #[derive(Debug)]
 pub struct ThresholdResponse {
     pub points: Vec<ThresholdPoint>,
@@ -71,23 +72,12 @@ pub struct PdfResponse {
     pub degraded: Option<DegradedInfo>,
 }
 
-/// Assembled answer of a top-k query.
-#[derive(Debug)]
-pub struct TopKResponse {
-    pub points: Vec<ThresholdPoint>,
-    pub breakdown: TimeBreakdown,
-    pub wall_s: f64,
-    pub trace: QueryTrace,
-    /// `Some` when one or more nodes failed and the answer is partial.
-    pub degraded: Option<DegradedInfo>,
-}
-
 /// The per-kind answer of a [`BatchQuery`].
 #[derive(Debug)]
 pub enum BatchAnswer {
     Threshold(ThresholdResponse),
     Pdf(PdfResponse),
-    TopK(TopKResponse),
+    TopK(ThresholdResponse),
 }
 
 /// Every device access of the results that read raw data. Which worker
@@ -355,23 +345,9 @@ impl Cluster {
                     degraded,
                 })
             }
-            (None, BatchQuery::TopK { .. }) => {
-                tdb_obs::m::QUERY_TOPK_COUNT.inc();
-                tdb_obs::m::QUERY_POINTS_RETURNED.add(n);
-                tdb_obs::m::QUERY_TOPK_WALL_S.observe(wall_s);
-                BatchAnswer::TopK(TopKResponse {
-                    points,
-                    breakdown,
-                    wall_s,
-                    trace,
-                    degraded,
-                })
-            }
             (None, _) => {
-                tdb_obs::m::QUERY_THRESHOLD_COUNT.inc();
                 tdb_obs::m::QUERY_POINTS_RETURNED.add(n);
-                tdb_obs::m::QUERY_THRESHOLD_WALL_S.observe(wall_s);
-                BatchAnswer::Threshold(ThresholdResponse {
+                let answer = ThresholdResponse {
                     points,
                     breakdown,
                     model,
@@ -381,7 +357,16 @@ impl Cluster {
                     node_models: node_results.iter().map(|r| r.model).collect(),
                     trace,
                     degraded,
-                })
+                };
+                if let BatchQuery::TopK { .. } = query {
+                    tdb_obs::m::QUERY_TOPK_COUNT.inc();
+                    tdb_obs::m::QUERY_TOPK_WALL_S.observe(wall_s);
+                    BatchAnswer::TopK(answer)
+                } else {
+                    tdb_obs::m::QUERY_THRESHOLD_COUNT.inc();
+                    tdb_obs::m::QUERY_THRESHOLD_WALL_S.observe(wall_s);
+                    BatchAnswer::Threshold(answer)
+                }
             }
         }
     }

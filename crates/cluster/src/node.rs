@@ -5,7 +5,7 @@
 //! Threshold subqueries follow Algorithm 1: probe the cache, otherwise
 //! evaluate from the raw data chunk-by-chunk with `procs` worker
 //! processes and update the cache. The two halves are two calls,
-//! [`NodeRuntime::probe`] and [`NodeRuntime::scan`]: the mediator probes
+//! `NodeRuntime::probe` and `NodeRuntime::scan`: the mediator probes
 //! every node on its own thread and fans out only the scans.
 //!
 //! A node holds no placement state of its own: which chunks it scans
@@ -246,7 +246,7 @@ impl NodeRuntime {
     /// many atoms (sorted, unique zindexes), served by clustered-index
     /// range scans. Every atom asked for comes back, or the fetch fails
     /// with `MissingData`. Callers that do not already know which node
-    /// stores an atom go through [`routed_read`].
+    /// stores an atom go through `topology::routed_read`.
     pub fn fetch_atoms(
         &self,
         field: &str,
@@ -339,7 +339,7 @@ impl NodeRuntime {
     }
 
     /// Evaluates a group of queries against one shared atom scan:
-    /// [`Self::probe`], then [`Self::scan`] of whatever the probes left.
+    /// `Self::probe`, then `Self::scan` of whatever the probes left.
     ///
     /// Every participant's cache is probed first; the remaining misses
     /// share one pass over this node's chunks. Per chunk the scanned

@@ -6,7 +6,7 @@
 //! chunks whose chains contained the departed node. A change builds the
 //! gaining nodes' new tables against the *old* topology (every source,
 //! including a voluntarily leaving node, is still readable), then
-//! atomically installs the next [`Topology`] generation. In-flight scans
+//! atomically installs the next `Topology` generation. In-flight scans
 //! hold an `Arc` to the old generation and finish on it undisturbed, so
 //! a shared scan stays snapshot-consistent across the move.
 

@@ -8,10 +8,10 @@
 //! by more than `max_error` are repaired by one of two arms, chosen
 //! per plane (a mode byte in the header):
 //!
-//! * **sparse** ([`MODE_SPARSE`]) — index-delta-coded corrections
-//!   ([`crate::corrections`]); cheapest when the interpolant rarely
+//! * **sparse** (`MODE_SPARSE`) — index-delta-coded corrections
+//!   (`crate::corrections`); cheapest when the interpolant rarely
 //!   misses (smooth, well-resolved data),
-//! * **dense** ([`MODE_DENSE`]) — a bit-packed quantised residual for
+//! * **dense** (`MODE_DENSE`) — a bit-packed quantised residual for
 //!   *every* skipped sample, with varint overflow and exact-bits escape
 //!   codes; cheapest on rough data where sparse corrections would cover
 //!   most of the plane anyway.

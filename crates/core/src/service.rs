@@ -5,7 +5,7 @@ use std::path::PathBuf;
 
 use tdb_cache::ThresholdPoint;
 use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{Cluster, ClusterBuilder, ClusterConfig, PdfResponse, QueryMode, TopKResponse};
+use tdb_cluster::{Cluster, ClusterBuilder, ClusterConfig, PdfResponse, QueryMode};
 use tdb_field::{FieldStats, VectorField};
 use tdb_kernels::DerivedField;
 use tdb_turbgen::dataset::FieldData;
@@ -259,7 +259,7 @@ impl TurbulenceService {
     }
 
     /// The k most intense locations of a derived field.
-    pub fn get_topk(&self, q: &ThresholdQuery, k: usize) -> Result<TopKResponse, QueryError> {
+    pub fn get_topk(&self, q: &ThresholdQuery, k: usize) -> Result<ThresholdResult, QueryError> {
         if k == 0 || k > 100_000 {
             return Err(QueryError::InvalidParameter(
                 "k must satisfy 0 < k <= 100000",

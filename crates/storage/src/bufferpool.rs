@@ -8,10 +8,10 @@
 //! The pool is generic over the cached value so callers can cache the
 //! *decoded* form of a block (checksum verified and records parsed once,
 //! on the miss path) while the eviction budget still tracks the on-disk
-//! footprint through [`PoolValue::weight`]. The victim is the least
-//! recently used block, as in the paper's SQL Server substrate (DESIGN.md
-//! §9); a lone block larger than the budget is still admitted (the
-//! `len() > 1` guard).
+//! footprint through [`PoolValue::weight`]. The resident blocks are an
+//! [`LruMap`]: the victim is the least recently used block, as in the
+//! paper's SQL Server substrate (DESIGN.md §9), and a lone block larger
+//! than the budget is still admitted.
 //!
 //! A miss runs its loader (device read, CRC, decode) *outside* the pool
 //! lock, single-flight per key: the first requester of an absent block
@@ -20,7 +20,7 @@
 //! miss is therefore still one `bufferpool.misses`, one loader run and
 //! one device charge, however many workers wanted the block at once.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -28,6 +28,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::device::IoSession;
 use crate::error::{StorageError, StorageResult};
 use crate::faults::FaultPlan;
+use crate::lru::LruMap;
 
 /// Cache key: a block within a partition file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,47 +52,11 @@ impl PoolValue for Arc<[u8]> {
     }
 }
 
-/// Recency of the resident blocks: every insert and hit stamps the key
-/// with a logical clock, and the `BTreeMap` keyed by stamp keeps the least
-/// recently used key at the front.
-#[derive(Default)]
-struct Lru {
-    clock: u64,
-    stamps: HashMap<BlockKey, u64>,
-    order: BTreeMap<u64, BlockKey>,
-}
-
-impl Lru {
-    /// `key` was inserted or hit: it becomes the most recent.
-    fn touch(&mut self, key: BlockKey) {
-        self.clock += 1;
-        if let Some(old) = self.stamps.insert(key, self.clock) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.clock, key);
-    }
-
-    /// Chooses and forgets the least recently used key.
-    fn evict(&mut self) -> Option<BlockKey> {
-        let (_, key) = self.order.pop_first()?;
-        self.stamps.remove(&key);
-        Some(key)
-    }
-
-    fn clear(&mut self) {
-        self.stamps.clear();
-        self.order.clear();
-    }
-}
-
 struct PoolInner<V> {
-    capacity_bytes: usize,
-    used_bytes: usize,
-    blocks: HashMap<BlockKey, V>,
-    /// Keys whose loader is running. A loading key is in neither `blocks`
-    /// nor `lru`, so it can be neither hit nor chosen as a victim.
+    resident: LruMap<BlockKey, V>,
+    /// Keys whose loader is running. A loading key is not resident, so it
+    /// can be neither hit nor chosen as a victim.
     loading: HashMap<BlockKey, Arc<Flight<V>>>,
-    lru: Lru,
 }
 
 /// One load in progress: where its loader leaves the outcome for the
@@ -118,7 +83,11 @@ impl<V: PoolValue> Claim<'_, V> {
             let mut inner = self.pool.inner.lock();
             inner.loading.remove(&self.key);
             if let Ok(data) = &outcome {
-                self.pool.admit(&mut inner, self.key, data.clone());
+                // a fresh block evicts down to the byte budget
+                let weight = data.weight() as u64;
+                let (replaced, evicted) = inner.resident.insert(self.key, data.clone(), weight);
+                debug_assert!(replaced.is_none(), "single-flight admits a key once");
+                tdb_obs::m::BUFFERPOOL_EVICTIONS.add(evicted.len() as u64);
             }
         }
         *self.flight.outcome.lock() = Some(outcome);
@@ -153,11 +122,8 @@ impl<V: PoolValue> BufferPool<V> {
     pub fn with_faults(capacity_bytes: usize, faults: Option<Arc<FaultPlan>>) -> Self {
         Self {
             inner: Mutex::new(PoolInner {
-                capacity_bytes,
-                used_bytes: 0,
-                blocks: HashMap::new(),
+                resident: LruMap::new(capacity_bytes as u64),
                 loading: HashMap::new(),
-                lru: Lru::default(),
             }),
             faults,
         }
@@ -183,9 +149,7 @@ impl<V: PoolValue> BufferPool<V> {
     ) -> StorageResult<V> {
         let (flight, ours) = {
             let mut inner = self.inner.lock();
-            if let Some(data) = inner.blocks.get(&key) {
-                let data = data.clone();
-                inner.lru.touch(key);
+            if let Some(data) = inner.resident.get(&key).cloned() {
                 session.pool_hits += 1;
                 tdb_obs::m::BUFFERPOOL_HITS.inc();
                 return Ok(data);
@@ -215,10 +179,7 @@ impl<V: PoolValue> BufferPool<V> {
             if shared.is_ok() {
                 // a hit like any other: it refreshes the block's recency,
                 // unless the block was already evicted again
-                let mut inner = self.inner.lock();
-                if inner.blocks.contains_key(&key) {
-                    inner.lru.touch(key);
-                }
+                self.inner.lock().resident.get(&key);
                 session.pool_hits += 1;
                 tdb_obs::m::BUFFERPOOL_HITS.inc();
             }
@@ -239,40 +200,20 @@ impl<V: PoolValue> BufferPool<V> {
         outcome
     }
 
-    /// Caches a freshly loaded block and evicts down to the byte budget.
-    fn admit(&self, inner: &mut PoolInner<V>, key: BlockKey, data: V) {
-        inner.used_bytes += data.weight();
-        let displaced = inner.blocks.insert(key, data);
-        debug_assert!(displaced.is_none(), "single-flight admits a key once");
-        inner.lru.touch(key);
-        while inner.used_bytes > inner.capacity_bytes && inner.blocks.len() > 1 {
-            let Some(victim) = inner.lru.evict() else {
-                break;
-            };
-            if let Some(evicted) = inner.blocks.remove(&victim) {
-                inner.used_bytes -= evicted.weight();
-                tdb_obs::m::BUFFERPOOL_EVICTIONS.inc();
-            }
-        }
-    }
-
     /// Drops every cached block (cold-cache experiment setup). A load in
     /// flight is not cancelled: its block is admitted when it lands.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.blocks.clear();
-        inner.lru.clear();
-        inner.used_bytes = 0;
+        let _gone = self.inner.lock().resident.retain(|_| false);
     }
 
     /// Bytes currently cached (by [`PoolValue::weight`]).
     pub fn used_bytes(&self) -> usize {
-        self.inner.lock().used_bytes
+        self.inner.lock().resident.used() as usize
     }
 
     /// Number of cached blocks.
     pub fn len(&self) -> usize {
-        self.inner.lock().blocks.len()
+        self.inner.lock().resident.len()
     }
 
     /// Whether the pool is empty.
@@ -451,46 +392,7 @@ mod tests {
         assert_eq!(v, Weighted(1, 60));
     }
 
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut lru = Lru::default();
-        lru.touch(key(0));
-        lru.touch(key(1));
-        lru.touch(key(2));
-        lru.touch(key(0)); // 1 is now least recent
-        assert_eq!(lru.evict(), Some(key(1)));
-        assert_eq!(lru.evict(), Some(key(2)));
-        assert_eq!(lru.evict(), Some(key(0)));
-        assert_eq!(lru.evict(), None);
-    }
-
     proptest! {
-        // Whatever the hit pattern, draining the LRU returns each tracked
-        // key exactly once.
-        #[test]
-        fn lru_drains_to_a_permutation(
-            inserts in prop::collection::vec(0u32..32, 1..40usize),
-            hits in prop::collection::vec(0u32..32, 0..40usize),
-        ) {
-            let mut lru = Lru::default();
-            let mut resident = std::collections::BTreeSet::new();
-            for &i in &inserts {
-                if resident.insert(i) {
-                    lru.touch(key(i));
-                }
-            }
-            for &h in &hits {
-                if resident.contains(&h) {
-                    lru.touch(key(h));
-                }
-            }
-            let mut drained = std::collections::BTreeSet::new();
-            while let Some(k) = lru.evict() {
-                prop_assert!(drained.insert(k.block_no), "key {} evicted twice", k.block_no);
-            }
-            prop_assert_eq!(&drained, &resident);
-        }
-
         // After any access sequence the pool is within capacity unless a
         // single oversized block remains.
         #[test]

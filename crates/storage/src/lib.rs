@@ -16,6 +16,8 @@
 //!   validated against the file before it is believed,
 //! * [`bufferpool`] — a shared LRU block cache (SQL Server's buffer pool)
 //!   with single-flight loads that run outside its lock,
+//! * [`lru`] — the one eviction policy, least recently used to a byte
+//!   budget, of the buffer pool and both result caches,
 //! * [`table`] — a partitioned table spread over disk arrays,
 //! * [`device`] — device profiles and per-query I/O accounting used by the
 //!   evaluation's modelled time breakdown (DESIGN.md §4),
@@ -46,6 +48,7 @@ pub mod bufferpool;
 pub mod device;
 pub mod error;
 pub mod faults;
+pub mod lru;
 pub mod record;
 pub mod sstable;
 pub mod table;

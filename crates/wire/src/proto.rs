@@ -6,7 +6,7 @@
 //! paper reports, this protocol is the *functional* interface.
 //!
 //! Everything is said once. A value type's wire form — both directions,
-//! range checks included — is its [`Wire`] impl (structs of named
+//! range checks included — is its `Wire` impl (structs of named
 //! members: one `wire_record!` line). A message is its enum variant plus
 //! its row in the `wire_messages!` table under the enum: the tag, then
 //! `"wire name": field` pairs; `to_json` and `from_json` are generated

@@ -121,13 +121,21 @@ fn io_is_substantial_share_of_cold_queries() {
         "I/O share out of plausible range: {share:.2}"
     );
     // a cold answer's breakdown is its query model read at the configured
-    // process count, to the last bit, for a threshold and a PDF alike
+    // process count, to the last bit, for a threshold, a PDF and a top-k
+    // (a threshold answer too) alike
     let p = service.cluster().config().procs_per_node;
     service.cluster().clear_buffer_pools();
     let pdf = service.get_pdf(&q, 0.0, 10.0, 9).unwrap();
+    service.cluster().clear_buffer_pools();
+    let top = service.get_topk(&q, 10).unwrap();
+    assert_eq!(
+        (top.nodes, top.node_models.len(), top.cache_hits),
+        (4, 4, 0)
+    );
     for (kind, breakdown, model) in [
         ("threshold", &r.breakdown, &r.model),
         ("pdf", &pdf.breakdown, &pdf.model),
+        ("topk", &top.breakdown, &top.model),
     ] {
         assert!(breakdown.io_s > 0.0 && breakdown.compute_s > 0.0, "{kind}");
         assert_eq!(breakdown.io_s.to_bits(), model.io_s(p).to_bits(), "{kind}");
