@@ -188,23 +188,11 @@ impl Cluster {
             .collect()
     }
 
-    /// Ids of the live nodes, ascending.
-    pub fn live_node_ids(&self) -> Vec<usize> {
-        self.topology.read().live().map(|(id, _)| id).collect()
-    }
-
-    /// Runs one query as a batch of one and unwraps the answer variant of
-    /// its kind.
-    fn submit<T>(
-        &self,
-        query: BatchQuery,
-        pick: impl FnOnce(BatchAnswer) -> Option<T>,
-    ) -> StorageResult<T> {
-        let answer = self
-            .run_batch(vec![query])
+    /// Runs one query as a batch of one.
+    fn submit(&self, query: BatchQuery) -> StorageResult<BatchAnswer> {
+        self.run_batch(vec![query])
             .pop()
-            .unwrap_or_else(|| Err(StorageError::internal("batch of one produced no answer")));
-        of_kind(answer, pick)
+            .unwrap_or_else(|| Err(StorageError::internal("batch of one produced no answer")))
     }
 
     /// Evaluates a set of queries, sharing one atom scan per group of
@@ -234,7 +222,7 @@ impl Cluster {
             .enumerate()
             .filter(|(_, ((q, floor), answer))| {
                 floor.is_some()
-                    && matches!((q, answer), (BatchQuery::TopK { k, .. }, Some(Ok(BatchAnswer::TopK(r))))
+                    && matches!((q, answer), (BatchQuery::TopK { k, .. }, Some(Ok(BatchAnswer::Threshold(r))))
                         if r.points.len() < *k)
             })
             .map(|(i, ((q, _), _))| (i, q.participant(None)))
@@ -268,7 +256,8 @@ impl Cluster {
     /// Node outages (and deadline violations) degrade the answer instead
     /// of failing it unless [`ThresholdRequest::strict`] is set.
     pub fn get_threshold(&self, req: &ThresholdRequest) -> StorageResult<ThresholdResponse> {
-        self.submit(BatchQuery::Threshold(req.clone()), threshold_answer)
+        self.submit(BatchQuery::Threshold(req.clone()))?
+            .into_threshold()
     }
 
     /// Evaluates a PDF query over the same scan machinery (paper Fig. 2).
@@ -285,10 +274,7 @@ impl Cluster {
             width,
             nbins,
         };
-        self.submit(query, |a| match a {
-            BatchAnswer::Pdf(r) => Some(r),
-            _ => None,
-        })
+        self.submit(query)?.into_pdf()
     }
 
     /// Evaluates a top-k query: the `k` largest values in the box under
@@ -301,23 +287,7 @@ impl Cluster {
     /// (`scan.topk_rescans`).
     pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<ThresholdResponse> {
         let req = req.clone();
-        self.submit(BatchQuery::TopK { req, k }, |a| match a {
-            BatchAnswer::TopK(r) => Some(r),
-            _ => None,
-        })
-    }
-
-    /// Evaluates many threshold queries as one batch: queries over the
-    /// same scan key share atom scans (each atom decoded once per group
-    /// instead of once per query), with byte-identical results.
-    pub fn get_threshold_batch(
-        &self,
-        reqs: &[ThresholdRequest],
-    ) -> Vec<StorageResult<ThresholdResponse>> {
-        self.run_batch(reqs.iter().cloned().map(BatchQuery::Threshold).collect())
-            .into_iter()
-            .map(|answer| of_kind(answer, threshold_answer))
-            .collect()
+        self.submit(BatchQuery::TopK { req, k })?.into_threshold()
     }
 
     /// Reads a raw-field cutout (no kernel), as a user downloading data
@@ -498,22 +468,6 @@ impl Cluster {
             }
         }
         total
-    }
-}
-
-/// Unwraps the answer variant `pick` selects — the one a query of that
-/// kind always produces.
-fn of_kind<T>(
-    answer: StorageResult<BatchAnswer>,
-    pick: impl FnOnce(BatchAnswer) -> Option<T>,
-) -> StorageResult<T> {
-    pick(answer?).ok_or_else(|| StorageError::internal("query yielded an answer of another kind"))
-}
-
-fn threshold_answer(answer: BatchAnswer) -> Option<ThresholdResponse> {
-    match answer {
-        BatchAnswer::Threshold(r) => Some(r),
-        _ => None,
     }
 }
 

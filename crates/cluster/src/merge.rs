@@ -7,8 +7,9 @@ use std::collections::BTreeMap;
 
 use tdb_cache::ThresholdPoint;
 use tdb_field::Histogram;
-use tdb_obs::{QueryTrace, TraceSpan};
+use tdb_obs::{m, QueryTrace, TraceSpan};
 use tdb_storage::device::{DeviceId, IoSession};
+use tdb_storage::{StorageError, StorageResult};
 use tdb_zorder::Box3;
 
 use crate::mediator::{BatchQuery, Cluster};
@@ -72,12 +73,32 @@ pub struct PdfResponse {
     pub degraded: Option<DegradedInfo>,
 }
 
-/// The per-kind answer of a [`BatchQuery`].
+/// The answer of a [`BatchQuery`], by what it carries: points (a
+/// threshold or a top-k) or a histogram (a PDF).
 #[derive(Debug)]
 pub enum BatchAnswer {
     Threshold(ThresholdResponse),
     Pdf(PdfResponse),
-    TopK(ThresholdResponse),
+}
+
+impl BatchAnswer {
+    /// The points of a threshold or top-k answer.
+    pub fn into_threshold(self) -> StorageResult<ThresholdResponse> {
+        match self {
+            BatchAnswer::Threshold(r) => Ok(r),
+            BatchAnswer::Pdf(_) => Err(StorageError::internal("a histogram where points were due")),
+        }
+    }
+
+    /// The histogram of a PDF answer.
+    pub fn into_pdf(self) -> StorageResult<PdfResponse> {
+        match self {
+            BatchAnswer::Pdf(r) => Ok(r),
+            BatchAnswer::Threshold(_) => {
+                Err(StorageError::internal("points where a histogram was due"))
+            }
+        }
+    }
 }
 
 /// Every device access of the results that read raw data. Which worker
@@ -250,9 +271,9 @@ impl Cluster {
     }
 
     /// Merges one query's per-node outcomes into its answer. Only the
-    /// merge of the payloads and the wrapping of the answer differ by
-    /// kind; the time breakdown, wall clock and span tree in between are
-    /// computed one way for all of them.
+    /// merge of the payloads and the `query.*` counts differ by kind; the
+    /// time breakdown, wall clock and span tree are computed one way for
+    /// all of them, and the answer is wrapped by what it carries.
     pub(crate) fn assemble(
         &self,
         query: &BatchQuery,
@@ -266,14 +287,15 @@ impl Cluster {
         let mut points = Vec::new();
         let mut node_points = vec![0u64; results.len()];
         let mut histogram = None;
-        let kind = match query {
+        let (kind, count, wall_hist) = match query {
             BatchQuery::Threshold(_) => {
                 for (o, n) in results.iter_mut().zip(&mut node_points) {
                     *n = o.result.points.len() as u64;
                     points.append(&mut o.result.points);
                 }
                 points.sort_unstable_by_key(|p| p.zindex);
-                "threshold"
+                let (count, wall) = (&m::QUERY_THRESHOLD_COUNT, &m::QUERY_THRESHOLD_WALL_S);
+                ("threshold", count, wall)
             }
             BatchQuery::Pdf {
                 origin,
@@ -285,7 +307,7 @@ impl Cluster {
                 for h in results.iter_mut().filter_map(|o| o.histogram.take()) {
                     merged.merge(&h);
                 }
-                "pdf"
+                ("pdf", &m::QUERY_PDF_COUNT, &m::QUERY_PDF_WALL_S)
             }
             // each node contributes at most its own k best, then the
             // mediator keeps the global k best: a selection per list and
@@ -300,7 +322,7 @@ impl Cluster {
                 }
                 select_topk(&mut points, *k);
                 points.sort_unstable_by(topk_order);
-                "topk"
+                ("topk", &m::QUERY_TOPK_COUNT, &m::QUERY_TOPK_WALL_S)
             }
         };
         let n = points.len() as u64;
@@ -332,22 +354,20 @@ impl Cluster {
             wall_s,
             degraded.as_ref(),
         );
-        match (histogram, query) {
-            (Some(histogram), _) => {
-                tdb_obs::m::QUERY_PDF_COUNT.inc();
-                tdb_obs::m::QUERY_PDF_WALL_S.observe(wall_s);
-                BatchAnswer::Pdf(PdfResponse {
-                    histogram,
-                    breakdown,
-                    model,
-                    wall_s,
-                    trace,
-                    degraded,
-                })
-            }
-            (None, _) => {
-                tdb_obs::m::QUERY_POINTS_RETURNED.add(n);
-                let answer = ThresholdResponse {
+        count.inc();
+        wall_hist.observe(wall_s);
+        match histogram {
+            Some(histogram) => BatchAnswer::Pdf(PdfResponse {
+                histogram,
+                breakdown,
+                model,
+                wall_s,
+                trace,
+                degraded,
+            }),
+            None => {
+                m::QUERY_POINTS_RETURNED.add(n);
+                BatchAnswer::Threshold(ThresholdResponse {
                     points,
                     breakdown,
                     model,
@@ -357,16 +377,7 @@ impl Cluster {
                     node_models: node_results.iter().map(|r| r.model).collect(),
                     trace,
                     degraded,
-                };
-                if let BatchQuery::TopK { .. } = query {
-                    tdb_obs::m::QUERY_TOPK_COUNT.inc();
-                    tdb_obs::m::QUERY_TOPK_WALL_S.observe(wall_s);
-                    BatchAnswer::TopK(answer)
-                } else {
-                    tdb_obs::m::QUERY_THRESHOLD_COUNT.inc();
-                    tdb_obs::m::QUERY_THRESHOLD_WALL_S.observe(wall_s);
-                    BatchAnswer::Threshold(answer)
-                }
+                })
             }
         }
     }

@@ -5,7 +5,9 @@ use std::path::PathBuf;
 
 use tdb_cache::ThresholdPoint;
 use tdb_cluster::mediator::ThresholdRequest;
-use tdb_cluster::{Cluster, ClusterBuilder, ClusterConfig, PdfResponse, QueryMode};
+use tdb_cluster::{
+    BatchAnswer, BatchQuery, Cluster, ClusterBuilder, ClusterConfig, PdfResponse, QueryMode,
+};
 use tdb_field::{FieldStats, VectorField};
 use tdb_kernels::DerivedField;
 use tdb_turbgen::dataset::FieldData;
@@ -147,13 +149,13 @@ impl TurbulenceService {
                 "threshold must be a finite number",
             ));
         }
-        let req = self.request(q);
-        self.validate(&q.raw_field, q.timestep, &req.query_box)?;
-        Ok(req)
+        self.request(q)
     }
 
-    fn request(&self, q: &ThresholdQuery) -> ThresholdRequest {
-        ThresholdRequest {
+    /// The one way a query becomes a [`ThresholdRequest`]: its field,
+    /// time-step and box validated. Each kind checks its own parameters.
+    fn request(&self, q: &ThresholdQuery) -> Result<ThresholdRequest, QueryError> {
+        let req = ThresholdRequest {
             raw_field: q.raw_field.clone(),
             derived: q.derived,
             timestep: q.timestep,
@@ -164,7 +166,9 @@ impl TurbulenceService {
             procs_override: None,
             strict: self.limits.strict,
             node_deadline_s: self.limits.node_deadline_s,
-        }
+        };
+        self.validate(&req.raw_field, req.timestep, &req.query_box)?;
+        Ok(req)
     }
 
     /// The end of every threshold query, single or batched: backend
@@ -208,11 +212,10 @@ impl TurbulenceService {
         // cluster but keep their slot in the result vector
         let prepared: Vec<Result<ThresholdRequest, QueryError>> =
             queries.iter().map(|q| self.threshold_request(q)).collect();
-        let valid: Vec<ThresholdRequest> = prepared
-            .iter()
-            .filter_map(|r| r.as_ref().ok().cloned())
+        let batch = (prepared.iter().filter_map(|r| r.as_ref().ok().cloned()))
+            .map(BatchQuery::Threshold)
             .collect();
-        let mut responses = self.cluster.get_threshold_batch(&valid).into_iter();
+        let mut responses = self.cluster.run_batch(batch).into_iter();
         prepared
             .into_iter()
             .map(|slot| {
@@ -220,7 +223,7 @@ impl TurbulenceService {
                 let response = responses.next().ok_or_else(|| {
                     QueryError::Backend("batch executor returned too few responses".to_string())
                 })?;
-                self.finish_threshold(response)
+                self.finish_threshold(response.and_then(BatchAnswer::into_threshold))
             })
             .collect()
     }
@@ -251,8 +254,7 @@ impl TurbulenceService {
                 "pdf origin and bin_width must be finite numbers",
             ));
         }
-        let req = self.request(q);
-        self.validate(&q.raw_field, q.timestep, &req.query_box)?;
+        let req = self.request(q)?;
         self.cluster
             .get_pdf(&req, origin, bin_width, nbins)
             .map_err(|e| QueryError::Backend(e.to_string()))
@@ -265,8 +267,7 @@ impl TurbulenceService {
                 "k must satisfy 0 < k <= 100000",
             ));
         }
-        let req = self.request(q);
-        self.validate(&q.raw_field, q.timestep, &req.query_box)?;
+        let req = self.request(q)?;
         self.cluster
             .get_topk(&req, k)
             .map_err(|e| QueryError::Backend(e.to_string()))
@@ -324,9 +325,8 @@ impl TurbulenceService {
         let q = ThresholdQuery::whole_timestep(raw_field, derived, timestep, 0.0).without_cache();
         let req = ThresholdRequest {
             strict: true,
-            ..self.request(&q)
+            ..self.request(&q)?
         };
-        self.validate(raw_field, timestep, &req.query_box)?;
         let top = self.cluster.get_topk(&req, k);
         Ok(top.map_err(|e| QueryError::Backend(e.to_string()))?.points)
     }

@@ -145,7 +145,7 @@ fn mixed_query_kinds_share_one_scan() {
         other => panic!("expected a pdf answer, got {other:?}"),
     }
     match answers.next().unwrap().unwrap() {
-        BatchAnswer::TopK(t) => {
+        BatchAnswer::Threshold(t) => {
             assert_eq!(bits(&t.points), bits(&topk_ref.points))
         }
         other => panic!("expected a top-k answer, got {other:?}"),
@@ -197,14 +197,19 @@ fn strict_and_lenient_queries_over_one_key_share_one_scan() {
 
     plan.set_node_down(1, true);
     let coalesced = counter("scan.coalesced_queries");
-    let answers = service.cluster().get_threshold_batch(&[strict, lenient]);
+    let answers = service.cluster().run_batch(vec![
+        BatchQuery::Threshold(strict),
+        BatchQuery::Threshold(lenient),
+    ]);
     plan.set_node_down(1, false);
     assert_eq!(
         counter("scan.coalesced_queries") - coalesced,
         1,
         "the two queries share node 0's scan"
     );
-    let mut answers = answers.into_iter();
+    let mut answers = answers
+        .into_iter()
+        .map(|a| a.and_then(BatchAnswer::into_threshold));
     match answers.next().unwrap() {
         Err(StorageError::NodeUnavailable { node: 1, .. }) => {}
         other => panic!("the strict query must fail naming node 1, got {other:?}"),
@@ -282,9 +287,11 @@ fn shared_scan_over_strict_sub_box_clips_equals_independent_execution() {
     );
     for (i, answer) in answers.into_iter().enumerate() {
         match answer.unwrap() {
-            BatchAnswer::Threshold(t) => assert_eq!(ranked_bits(&t.points), want_points[i / 3]),
+            BatchAnswer::Threshold(t) if i % 3 == 0 => {
+                assert_eq!(ranked_bits(&t.points), want_points[i / 3])
+            }
             BatchAnswer::Pdf(p) => assert_eq!(p.histogram.counts(), want_counts[i / 3]),
-            BatchAnswer::TopK(t) => assert_eq!(ranked_bits(&t.points), want_topk[i / 3]),
+            BatchAnswer::Threshold(t) => assert_eq!(ranked_bits(&t.points), want_topk[i / 3]),
         }
     }
 }

@@ -193,7 +193,7 @@ fn topk_ties_break_identically_across_node_counts_and_batching() {
         ]);
         for (answer, k) in batch.into_iter().step_by(2).zip([5, 12]) {
             match answer.unwrap() {
-                BatchAnswer::TopK(t) => {
+                BatchAnswer::Threshold(t) => {
                     assert_eq!(
                         ranked_bits(&t.points),
                         expect(k),

@@ -279,7 +279,7 @@ fn rebalance_preserves_answers_across_join_and_leave() {
     assert!(report.chunks_moved > 0, "the departed node held replicas");
     assert_eq!(answer_surface(&replicated), reference);
     assert_eq!(
-        replicated.cluster().live_node_ids(),
+        replicated.cluster().layout().node_ids(),
         vec![0, 2, 3],
         "node ids are stable across membership changes"
     );

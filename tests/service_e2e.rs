@@ -322,25 +322,51 @@ fn non_finite_interpolation_positions_are_refused() {
 #[test]
 fn query_validation_errors() {
     let service = test_service("e2e_valid", 32, 2, 2);
-    // unknown field
-    let q = ThresholdQuery::whole_timestep("nonexistent", DerivedField::Norm, 0, 1.0);
-    assert!(matches!(
-        service.get_threshold(&q),
-        Err(QueryError::UnknownField(_))
-    ));
-    // bad timestep
-    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 9, 1.0);
-    assert!(matches!(
-        service.get_threshold(&q),
-        Err(QueryError::UnknownTimestep { .. })
-    ));
-    // out-of-bounds box
-    let q = ThresholdQuery::whole_timestep("velocity", DerivedField::Norm, 0, 1.0)
-        .in_box(Box3::new([0, 0, 0], [40, 10, 10]));
-    assert!(matches!(
-        service.get_threshold(&q),
-        Err(QueryError::RegionOutOfBounds)
-    ));
+    let query =
+        |field, timestep| ThresholdQuery::whole_timestep(field, DerivedField::Norm, timestep, 1.0);
+    let cases = [
+        (
+            query("nonexistent", 0),
+            QueryError::UnknownField("nonexistent".into()),
+        ),
+        (
+            query("velocity", 9),
+            QueryError::UnknownTimestep {
+                timestep: 9,
+                available: 2,
+            },
+        ),
+        (
+            query("velocity", 0).in_box(Box3::new([0, 0, 0], [40, 10, 10])),
+            QueryError::RegionOutOfBounds,
+        ),
+    ];
+    // every entry point that takes the input refuses it the same way
+    for (q, want) in &cases {
+        let (field, t) = (q.raw_field.as_str(), q.timestep);
+        let query_box = q.query_box.unwrap_or_else(|| service.full_box());
+        let mut errors = vec![
+            ("get_threshold", service.get_threshold(q).err()),
+            ("get_pdf", service.get_pdf(q, 0.0, 1.0, 8).err()),
+            ("get_topk", service.get_topk(q, 5).err()),
+            ("get_cutout", service.get_cutout(field, t, &query_box).err()),
+        ];
+        // the whole-grid entry points take no box
+        if q.query_box.is_none() {
+            let stats = service.derived_stats(field, q.derived, t).err();
+            let fraction = service.threshold_for_fraction(field, q.derived, t, 0.1);
+            let at = [[1.5, 2.5, 3.5]];
+            let points = service.interpolate_at(field, t, &at, tdb_core::LagOrder::Lag4);
+            errors.extend([
+                ("derived_stats", stats),
+                ("threshold_for_fraction", fraction.err()),
+                ("interpolate_at", points.err()),
+            ]);
+        }
+        for (entry, error) in errors {
+            assert_eq!(error.as_ref(), Some(want), "{q:?} through {entry}");
+        }
+    }
 }
 
 #[test]
