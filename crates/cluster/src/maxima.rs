@@ -1,19 +1,22 @@
 //! Exact maxima of every parameter-free derived field over each octant
-//! (4³ eighth) of every atom, the scan domains they leave a threshold
-//! query, and the floor they set a top-k (DESIGN.md §9).
+//! (4³ eighth) of every atom, the eight largest values of each atom, the
+//! scan domains they leave a threshold query, and the floor they set a
+//! top-k (DESIGN.md §9).
 //!
 //! When the archive is loaded, every node derives each field of
 //! [`DerivedField::all`] over its primary chunks of every (raw field,
 //! time-step) with the same worker a query scan runs, and keeps the
-//! largest value of each octant. A threshold scan then reads and derives
-//! only the octants whose maximum passes [`at_or_above`]. The skip is
+//! largest value of each octant and the eight largest rankable values
+//! (neither NaN nor +∞) of each atom. A threshold scan then reads and
+//! derives only the octants whose maximum passes [`at_or_above`]. The skip is
 //! exact, not a bound: the stored maximum is one of the very f32s the
 //! scan compares (the derived value at a point does not depend on the
 //! domain it was evaluated over), the comparison is monotone, and a NaN
 //! passes it neither as a value nor as a maximum. An octant whose maximum
 //! could not be computed holds +∞ and is always scanned. A top-k scans as
-//! a threshold at [`topk_floor`]: each octant wholly inside its box holds
-//! a point of exactly its stored maximum.
+//! a threshold at [`topk_floor`]: each atom wholly inside its box holds a
+//! point of exactly each of its eight values, and each octant wholly
+//! inside a point of exactly its maximum.
 
 use tdb_field::at_or_above;
 use tdb_kernels::DerivedField;
@@ -28,29 +31,34 @@ use crate::topology::Topology;
 /// Points per axis of an octant, the unit a maximum covers.
 const OCTANT_WIDTH: u32 = ATOM_WIDTH as u32 / 2;
 
-/// The per-octant maxima of one archive: 32 B per atom per (raw field,
-/// time-step, derived field). Built once, never changed: placement does
-/// not change an atom's values, so it survives join and leave.
+/// The per-octant maxima and per-atom witnesses of one archive: 64 B per
+/// atom per (raw field, time-step, derived field). Built once, never
+/// changed: placement does not change an atom's values, so it survives
+/// join and leave.
 pub(crate) struct AtomMaxima {
     /// Atoms per axis of the grid.
     atoms: [usize; 3],
     tables: Vec<KeyMaxima>,
 }
 
-/// The maxima of one (raw field, time-step): one table per field of
-/// [`DerivedField::all`], eight values per atom (atoms x fastest, then
-/// octants in [`octant_box`] order).
+/// The tables of one (raw field, time-step), two per field of
+/// [`DerivedField::all`], each eight values per atom, atoms x fastest:
+/// the octant maxima in [`octant_box`] order, and the witnesses — the
+/// atom's eight largest rankable values in descending order, NaN-padded
+/// when it holds fewer (all NaN when its block could not be read).
 struct KeyMaxima {
     raw_field: String,
     timestep: u32,
-    fields: Vec<Box<[f32]>>,
+    octants: Vec<Box<[f32]>>,
+    witnesses: Vec<Box<[f32]>>,
 }
 
-/// The maxima of one (raw field, derived field, time-step).
+/// The tables of one (raw field, derived field, time-step).
 #[derive(Clone, Copy)]
 pub(crate) struct FieldMaxima<'a> {
     atoms: [usize; 3],
-    values: &'a [f32],
+    octants: &'a [f32],
+    witnesses: &'a [f32],
 }
 
 impl AtomMaxima {
@@ -67,7 +75,8 @@ impl AtomMaxima {
             (self.tables.iter()).find(|k| k.raw_field == raw_field && k.timestep == timestep)?;
         Some(FieldMaxima {
             atoms: self.atoms,
-            values: key.fields.get(f)?,
+            octants: key.octants.get(f)?,
+            witnesses: key.witnesses.get(f)?,
         })
     }
 }
@@ -76,10 +85,20 @@ impl FieldMaxima<'_> {
     /// The atom's eight octant maxima in [`octant_box`] order (+∞, always
     /// scanned, for an atom off the table).
     pub(crate) fn octants(&self, atom: AtomCoord) -> [f32; 8] {
+        self.row(self.octants, atom, f32::INFINITY)
+    }
+
+    /// The atom's eight largest rankable values in descending order,
+    /// NaN-padded (all NaN, no witness, for an atom off the table).
+    pub(crate) fn witnesses(&self, atom: AtomCoord) -> [f32; 8] {
+        self.row(self.witnesses, atom, f32::NAN)
+    }
+
+    fn row(&self, table: &[f32], atom: AtomCoord, off: f32) -> [f32; 8] {
         let i = 8 * lattice_index(self.atoms, atom);
-        match self.values.get(i..i + 8) {
-            Some(v) => std::array::from_fn(|o| v.get(o).copied().unwrap_or(f32::INFINITY)),
-            None => [f32::INFINITY; 8],
+        match table.get(i..i + 8) {
+            Some(v) => std::array::from_fn(|o| v.get(o).copied().unwrap_or(off)),
+            None => [off; 8],
         }
     }
 }
@@ -167,21 +186,30 @@ pub(crate) fn surviving_domains(
     }
 }
 
-/// The floor of a top-`k` over `query_box`: the k-th largest stored
-/// maximum, under `total_cmp`, of the octants wholly inside the box — its
-/// *witnesses*, each holding a point of exactly that value — so the k-th
-/// largest value in the box is at or above it and a threshold scan at the
-/// floor returns every point of the answer. NaN and +∞ (which may mean
-/// "could not be computed") are never witnesses. `None` with fewer than k.
+/// The floor of a top-`k` over `query_box`: the k-th largest, under
+/// `total_cmp`, of its *witnesses* — the stored values of each atom
+/// wholly inside the box and the stored maxima of each octant wholly
+/// inside an atom the box cuts. Each witness is a distinct point of the
+/// box holding exactly that value, so the k-th largest value in the box
+/// is at or above the floor and a threshold scan at the floor returns
+/// every point of the answer. NaN and +∞ (which may mean "could not be
+/// computed") are never witnesses. `None` with fewer than k.
 pub(crate) fn topk_floor(maxima: FieldMaxima<'_>, query_box: &Box3, k: usize) -> Option<f64> {
     let mut witnesses: Vec<f32> = query_box
         .atoms()
         .flat_map(|atom| {
-            let octants = maxima.octants(atom).into_iter().enumerate();
-            octants.filter(move |&(o, _)| query_box.contains_box(&octant_box(atom, o)))
+            if query_box.contains_box(&atom.grid_box()) {
+                return maxima.witnesses(atom);
+            }
+            let mut octants = maxima.octants(atom);
+            for (o, max) in octants.iter_mut().enumerate() {
+                if !query_box.contains_box(&octant_box(atom, o)) {
+                    *max = f32::NAN;
+                }
+            }
+            octants
         })
-        .map(|(_, max)| max)
-        .filter(|max| !max.is_nan() && *max != f32::INFINITY)
+        .filter(|v| !v.is_nan() && *v != f32::INFINITY)
         .collect();
     let rank = k.checked_sub(1).filter(|&r| r < witnesses.len())?;
     let (_, floor, _) = witnesses.select_nth_unstable_by(rank, |a, b| b.total_cmp(a));
@@ -219,13 +247,14 @@ impl Cluster {
 
     /// The build pass: every field of [`DerivedField::all`] is derived
     /// over every (raw field, time-step) through the worker a query scan
-    /// runs, block by block, and each octant keeps its maximum. A block is
-    /// an aligned cube of [`BUILD_EDGE`] points (or a chunk, when chunks
-    /// are larger), read and assembled once for all eight fields, whose
-    /// shared partial rows are derived once, by the node that stores its
-    /// first atom. A block that fails to read leaves +∞ on its octants.
-    /// The buffer pools are emptied after each (raw field, time-step), so
-    /// they hold one at a time and none at the end.
+    /// runs, block by block, and each octant keeps its maximum and each
+    /// atom its witnesses. A block is an aligned cube of [`BUILD_EDGE`]
+    /// points (or a chunk, when chunks are larger), read and assembled
+    /// once for all eight fields, whose shared partial rows are derived
+    /// once, by the node that stores its first atom. A block that fails to
+    /// read leaves +∞ on its octants and no witnesses. The buffer pools are
+    /// emptied after each (raw field, time-step), so they hold one at a
+    /// time and none at the end.
     pub(crate) fn compute_atom_maxima(&self) -> AtomMaxima {
         let topo = self.topology_snapshot();
         let (nx, ny, nz) = self.env.grid.dims();
@@ -244,35 +273,45 @@ impl Cluster {
                 Some((topo.nodes.get(owner)?.as_deref()?, block))
             })
             .collect();
+        let table = |fill: f32| {
+            let table = vec![fill; 8 * atoms.iter().product::<usize>()];
+            vec![table.into_boxed_slice(); derived.len()]
+        };
+        // a block's values (per field, eight per atom of the block) into
+        // the archive's tables
+        let place = |tables: &mut [Box<[f32]>], block: &Box3, values: &[f32]| {
+            let per_field = (values.len() / derived.len()).max(1);
+            for (table, values) in tables.iter_mut().zip(values.chunks(per_field)) {
+                for (atom, eight) in block.atoms().zip(values.chunks(8)) {
+                    let i = 8 * lattice_index(atoms, atom);
+                    if let Some(slots) = table.get_mut(i..i + eight.len()) {
+                        slots.copy_from_slice(eight);
+                    }
+                }
+            }
+        };
         // one pool of `procs` workers for every block: the pass leaves no
         // more threads' allocator arenas behind than one node's scan does
         let procs = self.env.config.procs_per_node;
         let mut tables = Vec::with_capacity(self.timesteps.len() * self.fields.len());
         for &timestep in &self.timesteps {
             for (field, _) in &self.fields {
-                let maxima = run_workers(procs, blocks.clone(), |scratch, (node, block)| {
+                let per_block = run_workers(procs, blocks.clone(), |scratch, (node, block)| {
                     block_maxima(node, &topo, field, timestep, block, scratch)
                 });
-                let table = vec![f32::INFINITY; 8 * atoms.iter().product::<usize>()];
-                let mut fields = vec![table.into_boxed_slice(); derived.len()];
-                for ((_, block), maxima) in blocks.iter().zip(maxima) {
-                    let Ok(maxima) = maxima else {
+                let (mut octants, mut witnesses) = (table(f32::INFINITY), table(f32::NAN));
+                for ((_, block), values) in blocks.iter().zip(per_block) {
+                    let Ok((block_octants, block_witnesses)) = values else {
                         continue;
                     };
-                    let per_field = (maxima.len() / derived.len()).max(1);
-                    for (table, values) in fields.iter_mut().zip(maxima.chunks(per_field)) {
-                        for (atom, octants) in block.atoms().zip(values.chunks(8)) {
-                            let i = 8 * lattice_index(atoms, atom);
-                            if let Some(slots) = table.get_mut(i..i + octants.len()) {
-                                slots.copy_from_slice(octants);
-                            }
-                        }
-                    }
+                    place(&mut octants, block, &block_octants);
+                    place(&mut witnesses, block, &block_witnesses);
                 }
                 tables.push(KeyMaxima {
                     raw_field: field.clone(),
                     timestep,
-                    fields,
+                    octants,
+                    witnesses,
                 });
                 self.clear_buffer_pools();
             }
@@ -285,8 +324,46 @@ impl Cluster {
 /// derive at full speed, and the halo is a small share of each read.
 const BUILD_EDGE: u32 = 32;
 
-/// One atom-aligned block's maxima: per field of [`DerivedField::all`],
-/// eight values per atom of the block, atoms in [`Box3::atoms`] order.
+/// `v`'s place in `total_cmp`'s order, as an `i32` that orders the same
+/// (its own inverse: [`from_order_key`] undoes it).
+#[inline(always)]
+const fn order_key(v: f32) -> i32 {
+    let bits = v.to_bits() as i32;
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
+/// The f32 whose [`order_key`] is `key`.
+const fn from_order_key(key: i32) -> f32 {
+    f32::from_bits((key ^ (((key >> 31) as u32) >> 1) as i32) as u32)
+}
+
+/// The key of an empty witness slot: just below −∞ (a NaN's, which no
+/// rankable value reaches).
+const NO_WITNESS: i32 = order_key(f32::NEG_INFINITY) - 1;
+
+/// Puts the values of `seg` among an atom's eight largest rankable values
+/// so far, held as [`order_key`]s in descending order with [`NO_WITNESS`]
+/// in empty slots; `seg_max` is their [`max_dropping_nan`], at or above
+/// each under `total_cmp`, so most segments stop at one compare against
+/// the eighth. NaN and +∞ never enter.
+#[inline(always)]
+fn insert_witnesses(top: &mut [i32; 8], seg: &[f32], seg_max: f32) {
+    if order_key(seg_max) <= top[7] {
+        return;
+    }
+    for key in seg.iter().map(|&v| order_key(v)) {
+        if key > top[7] && key < order_key(f32::INFINITY) {
+            let mut carry = key;
+            for slot in top.iter_mut() {
+                (*slot, carry) = ((*slot).max(carry), (*slot).min(carry));
+            }
+        }
+    }
+}
+
+/// One atom-aligned block's tables: per field of [`DerivedField::all`],
+/// eight octant maxima and eight witnesses per atom of the block, atoms in
+/// [`Box3::atoms`] order.
 fn block_maxima(
     node: &NodeRuntime,
     topo: &Topology,
@@ -294,11 +371,12 @@ fn block_maxima(
     timestep: u32,
     block: Box3,
     scratch: &mut ScanScratch,
-) -> StorageResult<Vec<f32>> {
+) -> StorageResult<(Vec<f32>, Vec<f32>)> {
     let derived = DerivedField::all();
     let [cx, cy, cz] = block.atom_box().extent().map(|e| e as usize);
     let n = 8 * cx * cy * cz;
     let mut maxima = vec![f32::NAN; derived.len() * n];
+    let mut witnesses = vec![NO_WITNESS; derived.len() * n];
     let half = OCTANT_WIDTH as usize;
     node.derive_domains(
         &topo.layout,
@@ -313,14 +391,25 @@ fn block_maxima(
             let atom_row = cx * (y / ATOM_WIDTH + cy * (z / ATOM_WIDTH));
             let octant_row = 2 * (y % ATOM_WIDTH / half) + 4 * (z % ATOM_WIDTH / half);
             for (sx, seg) in row.chunks(half).enumerate() {
-                let slot = f * n + 8 * (atom_row + sx / 2) + sx % 2 + octant_row;
-                if let Some(m) = maxima.get_mut(slot) {
-                    *m = seg.iter().fold(*m, |m, &v| max_dropping_nan(m, v));
+                let atom = f * n + 8 * (atom_row + sx / 2);
+                let seg_max = seg.iter().fold(f32::NAN, |m, &v| max_dropping_nan(m, v));
+                if let Some(m) = maxima.get_mut(atom + sx % 2 + octant_row) {
+                    *m = max_dropping_nan(*m, seg_max);
+                }
+                let top = witnesses.get_mut(atom..atom + 8);
+                if let Some(top) = top.and_then(|t| <&mut [i32; 8]>::try_from(t).ok()) {
+                    insert_witnesses(top, seg, seg_max);
                 }
             }
         },
     )?;
-    Ok(maxima)
+    let witnesses = (witnesses.into_iter())
+        .map(|key| match key {
+            NO_WITNESS => f32::NAN,
+            key => from_order_key(key),
+        })
+        .collect();
+    Ok((maxima, witnesses))
 }
 
 #[cfg(test)]
@@ -354,10 +443,38 @@ mod tests {
         }
     }
 
+    /// Component `c` of a 32³ archive seeded with 7 at `(x, y, z)`: values
+    /// in [−1, 1) from a hash of the point, except in atom (2, 1, 1), where
+    /// all but three points are NaN.
+    fn seeded(c: usize, [x, y, z]: [u32; 3]) -> f32 {
+        if [x / 8, y / 8, z / 8] == [2, 1, 1]
+            && !matches!([x % 8, y % 8, z % 8], [1, 2, 3] | [6, 0, 5] | [4, 4, 7])
+        {
+            return f32::NAN;
+        }
+        let mut h = 7 ^ ((c as u64) << 48) ^ (u64::from(x) << 32) ^ (u64::from(y) << 16);
+        h ^= u64::from(z);
+        // splitmix64's finaliser
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+        (h >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+
     /// The hostile archive on two nodes in 16³ chunks, its directory, and
     /// the dense evaluation of a field over the same values.
     fn hostile_archive(tag: &str) -> (Cluster, PathBuf, impl Fn(DerivedField) -> ScalarField) {
-        let dir = std::env::temp_dir().join(format!("tdb_hostile_{tag}_{}", std::process::id()));
+        archive(&format!("hostile_{tag}"), hostile)
+    }
+
+    /// A 32³ archive of `values` (component, point) on two nodes in 16³
+    /// chunks, its directory, and the dense evaluation of a field over the
+    /// same values.
+    fn archive(
+        tag: &str,
+        values: fn(usize, [u32; 3]) -> f32,
+    ) -> (Cluster, PathBuf, impl Fn(DerivedField) -> ScalarField) {
+        let dir = std::env::temp_dir().join(format!("tdb_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = ClusterConfig {
             num_nodes: 2,
@@ -366,13 +483,13 @@ mod tests {
         };
         let grid = Grid3::periodic_cube(32, std::f64::consts::TAU);
         let mut builder =
-            ClusterBuilder::new(&dir, "hostile", grid.clone(), &[("u", 3)], config.clone())
+            ClusterBuilder::new(&dir, "archive", grid.clone(), &[("u", 3)], config.clone())
                 .unwrap();
         builder
             .ingest_timestep(0, "u", 3, |atom| {
                 let points: Vec<_> = atom.grid_points().collect();
                 (0..3)
-                    .flat_map(|c| points.iter().map(move |&(x, y, z)| hostile(c, [x, y, z])))
+                    .flat_map(|c| points.iter().map(move |&(x, y, z)| values(c, [x, y, z])))
                     .collect()
             })
             .unwrap();
@@ -381,7 +498,7 @@ mod tests {
         let scheme = DiffScheme::new(&grid, config.fd_order);
         let comps = std::array::from_fn(|c| {
             ScalarField::from_fn(32, 32, 32, |x, y, z| {
-                hostile(c, [x as u32, y as u32, z as u32])
+                values(c, [x as u32, y as u32, z as u32])
             })
         });
         let mut padded = PaddedVector::zeros(32, 32, 32, scheme.halo());
@@ -559,6 +676,133 @@ mod tests {
         assert_eq!(tdb_obs::m::SCAN_TOPK_RESCANS.get(), rescans);
         drop(cluster);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The dense values of `field` over `b`.
+    fn dense_in(field: &ScalarField, b: &Box3) -> Vec<f32> {
+        (b.points())
+            .map(|(x, y, z)| field.get(x as usize, y as usize, z as usize))
+            .collect()
+    }
+
+    /// Neither NaN nor +∞: a value that can witness a floor.
+    fn rankable(v: &f32) -> bool {
+        !v.is_nan() && *v != f32::INFINITY
+    }
+
+    /// Every atom's stored witnesses are, bit for bit, its eight largest
+    /// dense values under `total_cmp` with NaN and +∞ dropped, in
+    /// descending order and NaN-padded: none in the all-NaN atom, three in
+    /// the seeded archive's sparse atom.
+    #[test]
+    fn stored_witnesses_are_each_atoms_eight_largest_rankable_values() {
+        for (tag, values) in [
+            ("hostile_witnesses", hostile as fn(_, _) -> _),
+            ("seeded_witnesses", seeded),
+        ] {
+            let (cluster, dir, dense_of) = archive(tag, values);
+            let maxima = cluster.env.maxima.get().unwrap();
+            for derived in DerivedField::all() {
+                let name = derived.name();
+                let dense = dense_of(derived);
+                let maxima = maxima.of("u", derived, 0).unwrap();
+                for atom in Box3::cube(32).atoms() {
+                    let mut want: Vec<f32> = dense_in(&dense, &atom.grid_box());
+                    want.retain(rankable);
+                    want.sort_by(|a, b| b.total_cmp(a));
+                    want.resize(8, f32::NAN);
+                    let got = maxima.witnesses(atom);
+                    assert_eq!(
+                        got.map(f32::to_bits)[..],
+                        want[..8].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "{tag}: {name} in {atom:?}"
+                    );
+                }
+            }
+            let norm = maxima.of("u", DerivedField::Norm, 0).unwrap();
+            let count = |atom| norm.witnesses(atom).iter().filter(|v| !v.is_nan()).count();
+            if tag.starts_with("hostile") {
+                for derived in DerivedField::all() {
+                    let maxima = maxima.of("u", derived, 0).unwrap();
+                    let none = maxima.witnesses(AtomCoord::new(0, 0, 0));
+                    assert!(
+                        none.iter().all(|v| v.is_nan()),
+                        "{}: the all-NaN atom",
+                        derived.name()
+                    );
+                }
+            } else {
+                assert_eq!(
+                    count(AtomCoord::new(2, 1, 1)),
+                    3,
+                    "the sparse atom is NaN-padded"
+                );
+            }
+            drop(cluster);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The floor a top-k scans at is sound and at least as tight as the
+    /// octant maxima alone would set: over boxes that are the whole grid,
+    /// atom-aligned, atom-cutting, one octant and one point, the box holds
+    /// at least k rankable points at or above it, and it is set, at or
+    /// above the octant-only floor, wherever that one is — and above it
+    /// somewhere.
+    #[test]
+    fn the_topk_floor_is_sound_and_at_or_above_the_octant_floor() {
+        let boxes = [
+            Box3::cube(32),
+            Box3::new([8, 0, 8], [23, 15, 31]),
+            Box3::new([3, 5, 2], [28, 19, 30]),
+            Box3::new([12, 8, 4], [15, 11, 7]),
+            Box3::new([5, 6, 7], [5, 6, 7]),
+        ];
+        let mut tighter = 0;
+        for (tag, values) in [
+            ("hostile_floor", hostile as fn(_, _) -> _),
+            ("seeded_floor", seeded),
+        ] {
+            let (cluster, dir, dense_of) = archive(tag, values);
+            let maxima = cluster.env.maxima.get().unwrap();
+            for derived in DerivedField::all() {
+                let name = derived.name();
+                let dense = dense_of(derived);
+                let maxima = maxima.of("u", derived, 0).unwrap();
+                for b in &boxes {
+                    let mut octant_witnesses: Vec<f32> = (b.atoms())
+                        .flat_map(|atom| {
+                            let inside = (0..8).map(move |o| b.contains_box(&octant_box(atom, o)));
+                            maxima.octants(atom).into_iter().zip(inside)
+                        })
+                        .filter(|&(_, inside)| inside)
+                        .map(|(max, _)| max)
+                        .filter(rankable)
+                        .collect();
+                    octant_witnesses.sort_by(|a, b| b.total_cmp(a));
+                    let values = dense_in(&dense, b);
+                    for k in [1, 2, 8, 64, 1000] {
+                        let at = format!("{tag}: {name} over {b:?}, k = {k}");
+                        let floor = topk_floor(maxima, b, k);
+                        if let Some(floor) = floor {
+                            let passing = (values.iter())
+                                .filter(|&&v| !v.is_nan() && at_or_above(v, floor))
+                                .count();
+                            assert!(passing >= k, "{at}: {passing} points at or above {floor}");
+                        }
+                        if let Some(&octant_floor) = octant_witnesses.get(k - 1) {
+                            let octant_floor = f64::from(octant_floor);
+                            let floor = floor.unwrap_or_else(|| panic!("{at}: no floor"));
+                            assert!(floor >= octant_floor, "{at}: {floor} < {octant_floor}");
+                            tighter += usize::from(floor > octant_floor);
+                        }
+                    }
+                }
+            }
+            drop(cluster);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert!(tighter > 0, "the witnesses tighten some floor");
     }
 
     #[test]

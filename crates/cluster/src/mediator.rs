@@ -202,12 +202,13 @@ impl Cluster {
     /// query by the usual policy).
     ///
     /// Here each query is lowered to the participant it scans as
-    /// (`BatchQuery::participant`): a top-k at the floor its box's octant
-    /// maxima set (`floor_of`), else at −∞. One whose floored answer comes
-    /// back short of k points lost a witness to a chunk no replica
+    /// (`BatchQuery::participant`): a top-k at the floor its box's
+    /// witnesses set (`floor_of`), else at −∞. One whose floored answer
+    /// comes back short of k points lost a witness to a chunk no replica
     /// answered; it alone is lowered again at −∞ and rescanned
     /// (`scan.topk_rescans`), so its answer is the unfloored one, degraded
-    /// or not.
+    /// or not. A top-k answer's root span carries `floor` (absent at −∞)
+    /// and `rescanned`.
     pub fn run_batch(&self, queries: Vec<BatchQuery>) -> Vec<StorageResult<BatchAnswer>> {
         let wall = std::time::Instant::now();
         let mut answers: Vec<Option<StorageResult<BatchAnswer>>> =
@@ -227,9 +228,22 @@ impl Cluster {
             })
             .map(|(i, ((q, _), _))| (i, q.participant(None)))
             .collect();
+        let rescanned: Vec<usize> = short.iter().map(|(i, _)| *i).collect();
         if !short.is_empty() {
             tdb_obs::m::SCAN_TOPK_RESCANS.add(short.len() as u64);
             self.run_groups(&queries, short, &mut answers, wall);
+        }
+        // a top-k's root span names the floor its answer was scanned at
+        // (none at −∞) and whether it was rescanned
+        let annotated = queries.iter().zip(&floors).zip(&mut answers).enumerate();
+        for (i, ((q, floor), answer)) in annotated {
+            if let (BatchQuery::TopK { .. }, Some(Ok(BatchAnswer::Threshold(r)))) = (q, answer) {
+                let rescanned = rescanned.contains(&i);
+                if let Some(floor) = floor.filter(|_| !rescanned) {
+                    r.trace.root.set_attr("floor", floor);
+                }
+                r.trace.root.set_attr("rescanned", rescanned);
+            }
         }
         answers
             .into_iter()
@@ -280,10 +294,11 @@ impl Cluster {
     /// Evaluates a top-k query: the `k` largest values in the box under
     /// [`crate::topk_order`], NaN dropped, bit for bit those of a ranking
     /// of every point. Uncached, and always a threshold scan (DESIGN.md
-    /// §9): with at least `k` octants wholly inside the box, at the floor
-    /// their stored maxima set, which reads only the octants that can hold
-    /// the answer; otherwise at −∞. A floored answer short of `k` points (a
-    /// chunk no replica answered held a witness) is scanned again at −∞
+    /// §9): with at least `k` witnesses in the box (stored values of atoms
+    /// and maxima of octants wholly inside it), at the floor they set,
+    /// which reads only the octants that can hold the answer; otherwise at
+    /// −∞. A floored answer short of `k` points (a chunk no replica
+    /// answered held a witness) is scanned again at −∞
     /// (`scan.topk_rescans`).
     pub fn get_topk(&self, req: &ThresholdRequest, k: usize) -> StorageResult<ThresholdResponse> {
         let req = req.clone();

@@ -233,10 +233,13 @@ fn a_cold_medium_tier_query_reads_a_fifth_of_the_atoms_of_a_whole_box() {
 
 /// A whole-grid top-k on `mixed_zipf`'s geometry (64³ in 16³ chunks, 32
 /// atoms read per chunk; here on four nodes) is a threshold scan at the
-/// floor its octant maxima set: it answers the dense ranking bit for bit
-/// at every k from 1 to 10 000, and reads at least 50× fewer atoms than a
-/// whole-box PDF at k ≤ 10 and 6× fewer at k = 100 (8.7–10.3× measured;
-/// the floor's octants pull in their halo atoms) — without a re-scan.
+/// floor its atoms' stored witnesses set: it answers the dense ranking bit
+/// for bit at every k from 1 to 10 000, and reads at least 150× fewer
+/// atoms than a whole-box PDF at k = 10, 15× fewer at k = 100 and 2× at
+/// k = 1 000 (205×, 17–21× and 2.7–3.0× measured; the floor's octants
+/// pull in their halo atoms) — without a re-scan. Its root span names the
+/// floor (none at k = 10 000, past the 4 096 witnesses) and that it was not
+/// rescanned.
 #[test]
 fn a_whole_grid_topk_reads_only_the_octants_that_can_hold_its_answer() {
     let service = harness("obs_topk", 64, 1).nodes(4).build();
@@ -263,7 +266,7 @@ fn a_whole_grid_topk_reads_only_the_octants_that_can_hold_its_answer() {
         let pdf = service.get_pdf(&q, 0.0, 10.0, 9).unwrap();
         let whole = scanned(&pdf.trace);
         assert_eq!(whole, 64 * 32, "{name}: the whole box");
-        for (k, fewer) in [(1, 50), (10, 50), (100, 6), (1000, 1), (10_000, 1)] {
+        for (k, fewer) in [(1, 50), (10, 150), (100, 15), (1000, 2), (10_000, 1)] {
             let rescans = tdb_obs::m::SCAN_TOPK_RESCANS.get();
             let top = service.get_topk(&q, k).unwrap();
             assert_eq!(
@@ -274,6 +277,20 @@ fn a_whole_grid_topk_reads_only_the_octants_that_can_hold_its_answer() {
             let read = scanned(&top.trace);
             assert!(fewer * read <= whole, "{name}, k = {k}: {read} of {whole}");
             assert_eq!(tdb_obs::m::SCAN_TOPK_RESCANS.get(), rescans, "{name}");
+            let root = &top.trace.root;
+            match root.attr("floor") {
+                Some(AttrValue::F64(floor)) => {
+                    let kth = ranked[k - 1].value;
+                    assert!(
+                        k <= 1000 && *floor <= f64::from(kth),
+                        "{name}, k = {k}: {floor}"
+                    );
+                }
+                None => assert_eq!(k, 10_000, "{name}, k = {k}: no floor"),
+                other => panic!("{name}, k = {k}: floor {other:?}"),
+            }
+            let rescanned = root.attr("rescanned");
+            assert_eq!(rescanned, Some(&AttrValue::Bool(false)), "{name}, k = {k}");
         }
     }
 }
